@@ -290,6 +290,33 @@ def local_optimal_line_LT(
     return _best_vertical_line(inst, idx, xs, telemetry)
 
 
+# Customers whose descriptors are built together, against all partners.
+LM_BLOCK = 32
+
+_LM_DTYPES = (np.int64,) * 5 + (bool,) + (float,) * 3
+
+_HALF_PI = math.pi / 2.0
+_OWN_BOUNDS = np.array([_HALF_PI, 3.0 * _HALF_PI, 5.0 * _HALF_PI])
+
+
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` from the math module applied elementwise to 1-D arrays.
+
+    numpy's vectorised transcendental functions may differ from the C
+    library in the last bit; window bounds and branch directions are
+    computed with the scalar functions so that they never depend on which
+    implementation ran.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+
+
+def _columns(*cols) -> List[np.ndarray]:
+    """Descriptor columns ``(v, u, branch, lo, hi, increasing, x3, th0,
+    rho)``, with scalars broadcast to the length of ``v``."""
+    m = len(cols[0])
+    return [np.broadcast_to(c, m) for c in cols]
+
+
 class _LMDescriptors:
     """Index windows over tangent-circle crossing abscissas.
 
@@ -299,115 +326,128 @@ class _LMDescriptors:
     """
 
     def __init__(self, idx: AngularIndex) -> None:
-        inst = idx.inst
-        n = idx.n
-        r = inst.r
         self.idx = idx
-        self.r = r
-        dv: List[int] = []
-        du: List[int] = []
-        dbr: List[int] = []
-        dlo: List[int] = []
-        dhi: List[int] = []
-        dincr: List[bool] = []
-        dx3: List[float] = []
-        dth0: List[float] = []
-        drho: List[float] = []
+        self.r = idx.inst.r
+        groups = []
+        if idx.order2.shape[1]:
+            for v0 in range(0, idx.n, LM_BLOCK):
+                groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)))
+        cols = [np.concatenate(c) for c in zip(*groups)] or [np.empty(0)] * 9
+        (
+            self.dv, self.du, self.dbr, self.dlo, self.dhi,
+            self.dincr, self.dx3, self.dth0, self.drho,
+        ) = [c.astype(t, copy=False) for c, t in zip(cols, _LM_DTYPES)]
 
-        def add(v, u, br, lo, hi, incr, x3=0.0, th0=0.0, rho=1.0):
-            dv.append(v)
-            du.append(u)
-            dbr.append(br)
-            dlo.append(lo)
-            dhi.append(hi)
-            dincr.append(incr)
-            dx3.append(x3)
-            dth0.append(th0)
-            drho.append(rho)
+    def _block(self, vs: np.ndarray) -> List[List[np.ndarray]]:
+        """Descriptor column groups of customers ``vs`` against every
+        partner: own-disc windows, single crossings toward each partner,
+        and the windows of every monotone piece."""
+        idx = self.idx
+        r = self.r
+        n = idx.n
+        pi = math.pi
+        # Every ordered pair (v, u) with u != v, v-major.
+        V = np.repeat(vs, n - 1)
+        U = np.tile(np.arange(n - 1), len(vs))
+        U += U >= V
+        th0 = idx.ang[V, U]
+        rho = idx.dist[V, U]
+        xu = idx.xs[U]
 
-        half_pi = math.pi / 2.0
-        for v in range(n):
-            row = idx.angles2[v]
-            if len(row) == 0:
-                continue
-            # Touch points of this customer's own tangent family on its own
-            # disc boundary: x = site_x + r sin(alpha).
-            for blo, bhi, incr in (
-                (half_pi, 3.0 * half_pi, False),
-                (3.0 * half_pi, 5.0 * half_pi, True),
-            ):
-                lo_i = int(np.searchsorted(row, blo, side="right"))
-                hi_i = int(np.searchsorted(row, bhi, side="right"))
-                if hi_i > lo_i:
-                    add(v, v, 0, lo_i, hi_i, incr)
-            for u in range(n):
-                if u == v:
-                    continue
-                th0 = float(idx.ang[v, u])
-                rho = float(idx.dist[v, u])
-                # The tangent toward u touches u's disc boundary.
-                add(v, u, 3, 0, 1, True, x3=idx.xs[u] + r * math.sin(th0))
-                if rho > 2.0 * r:
-                    half = math.asin(2.0 * r / rho)
-                    intervals = (
-                        (th0, th0 + half),
-                        (th0 + math.pi - half, th0 + math.pi),
-                    )
-                    flips: Tuple[float, ...] = ()
-                else:
-                    intervals = ((th0, th0 + math.pi),)
-                    psa = math.asin(min(1.0, rho / (2.0 * r)))
-                    flips = (th0 + psa, th0 + math.pi - psa)
-                splits: List[float] = list(flips)
-                for px in (idx.xs[u] + r, idx.xs[u] - r):
-                    a = px - idx.xs[v]
-                    b = idx.ys[u] - idx.ys[v]
-                    rab = math.hypot(a, b)
-                    if rab <= r:
-                        continue
-                    dw = math.asin(r / rab)
-                    w0 = math.atan2(b, a)
-                    for c in (w0 + dw, w0 + math.pi - dw):
-                        cc = th0 + ((c - th0) % TWO_PI)
-                        if th0 < cc < th0 + math.pi:
-                            splits.append(cc)
-                splits.sort()
-                for elo, ehi in intervals:
-                    bounds = [elo]
-                    bounds.extend(s for s in splits if elo < s < ehi)
-                    bounds.append(ehi)
-                    for bi in range(len(bounds) - 1):
-                        blo, bhi = bounds[bi], bounds[bi + 1]
-                        if bhi - blo <= 1e-12:
-                            continue
-                        lo_i = int(np.searchsorted(row, blo, side="right"))
-                        hi_i = int(np.searchsorted(row, bhi, side="right"))
-                        if hi_i <= lo_i:
-                            continue
-                        amid = (blo + bhi) / 2.0
-                        h = rho * math.sin(amid - th0) - r
-                        s = math.sqrt(max(r * r - h * h, 1e-300))
-                        hp = rho * math.cos(amid - th0)
-                        delta = math.asin(max(-1.0, min(1.0, h / r)))
-                        for br in (1, 2):
-                            if br == 1:
-                                gamma = amid + math.pi - delta
-                                dgamma = 1.0 - hp / s
-                            else:
-                                gamma = amid + delta
-                                dgamma = 1.0 + hp / s
-                            dx = -r * math.sin(gamma) * dgamma
-                            add(v, u, br, lo_i, hi_i, dx > 0.0,
-                                th0=th0, rho=rho)
-        self.dv = np.array(dv, dtype=np.int64)
-        self.du = np.array(du, dtype=np.int64)
-        self.dbr = np.array(dbr, dtype=np.int64)
-        self.dlo = np.array(dlo, dtype=np.int64)
-        self.dhi = np.array(dhi, dtype=np.int64)
-        self.dincr = np.array(dincr, dtype=bool)
-        self.dx3 = np.array(dx3, dtype=float)
-        self.dth0 = np.array(dth0, dtype=float)
-        self.drho = np.array(drho, dtype=float)
+        # The tangent toward u touches u's disc boundary.
+        x3 = xu + r * _libm(math.sin, th0)
+
+        # Tangent directions of v whose line meets u's disc: two intervals
+        # when the discs are apart, one half-turn otherwise (slot 1 unused).
+        far = rho > 2.0 * r
+        near = ~far
+        elo = np.full((len(V), 2), np.inf)
+        ehi = np.full((len(V), 2), np.inf)
+        half = _libm(math.asin, 2.0 * r / rho[far])
+        elo[:, 0] = th0
+        ehi[far, 0] = th0[far] + half
+        elo[far, 1] = th0[far] + pi - half
+        ehi[far, 1] = th0[far] + pi
+        ehi[near, 0] = th0[near] + pi
+
+        # Split directions (NaN when absent): where overlapping discs flip
+        # the branch order, and where the crossing passes u's extreme x.
+        splits = np.full((len(V), 6), np.nan)
+        psa = _libm(math.asin, np.minimum(1.0, rho[near] / (2.0 * r)))
+        splits[near, 0] = th0[near] + psa
+        splits[near, 1] = th0[near] + pi - psa
+        b = idx.ys[U] - idx.ys[V]
+        col = 2
+        for px in (xu + r, xu - r):
+            a = px - idx.xs[V]
+            rab = _libm(math.hypot, a, b)
+            ok = np.flatnonzero(rab > r)
+            dw = _libm(math.asin, r / rab[ok])
+            w0 = _libm(math.atan2, b[ok], a[ok])
+            t0 = th0[ok]
+            for c in (w0 + dw, w0 + pi - dw):
+                cc = t0 + ((c - t0) % TWO_PI)
+                inside = (t0 < cc) & (cc < t0 + pi)
+                splits[ok[inside], col] = cc[inside]
+                col += 1
+
+        # Sorted piece boundaries per interval, padded with +inf.
+        bounds = np.empty((len(V), 2, 8))
+        bounds[:, :, 0] = elo
+        bounds[:, :, 1] = ehi
+        with np.errstate(invalid="ignore"):
+            inner = (elo[:, :, None] < splits[:, None, :]) & (
+                splits[:, None, :] < ehi[:, :, None]
+            )
+        bounds[:, :, 2:] = np.where(inner, splits[:, None, :], np.inf)
+        bounds.sort(axis=2)
+
+        # Neighbour-order positions of every boundary, one search per row.
+        pos = np.empty(bounds.shape, dtype=np.int64)
+        own = np.empty((len(vs), 3), dtype=np.int64)
+        for k, v in enumerate(vs):
+            rows = slice(k * (n - 1), (k + 1) * (n - 1))
+            hits = np.searchsorted(
+                idx.angles2[v],
+                np.concatenate([_OWN_BOUNDS, bounds[rows].ravel()]),
+                side="right",
+            )
+            own[k] = hits[:3]
+            pos[rows] = hits[3:].reshape(n - 1, 2, 8)
+
+        blo, bhi = bounds[:, :, :-1], bounds[:, :, 1:]
+        lo, hi = pos[:, :, :-1], pos[:, :, 1:]
+        with np.errstate(invalid="ignore"):
+            keep = np.isfinite(bhi) & (bhi - blo > 1e-12) & (hi > lo)
+        p = np.nonzero(keep)[0]
+        amid = (blo[keep] + bhi[keep]) / 2.0
+        pt = th0[p]
+        pr = rho[p]
+        h = pr * _libm(math.sin, amid - pt) - r
+        s = np.sqrt(np.maximum(r * r - h * h, 1e-300))
+        hp = pr * _libm(math.cos, amid - pt)
+        delta = _libm(math.asin, np.maximum(-1.0, np.minimum(1.0, h / r)))
+        # Sign of dx/dalpha on each intersection branch.
+        incr = np.stack([
+            -r * _libm(math.sin, amid + pi - delta) * (1.0 - hp / s) > 0.0,
+            -r * _libm(math.sin, amid + delta) * (1.0 + hp / s) > 0.0,
+        ], axis=1).ravel()
+
+        # Touch points of v's own tangent family on its own disc boundary,
+        # x = site_x + r sin(alpha): decreasing, then increasing.
+        own_v = np.concatenate([vs, vs])
+        own_lo = own[:, :2].T.ravel()
+        own_hi = own[:, 1:].T.ravel()
+        own_incr = np.repeat([False, True], len(vs))
+        live = own_hi > own_lo
+        p2 = np.repeat(p, 2)
+        return [
+            _columns(own_v[live], own_v[live], 0, own_lo[live], own_hi[live],
+                     own_incr[live], 0.0, 0.0, 1.0),
+            _columns(V, U, 3, 0, 1, True, x3, 0.0, 1.0),
+            _columns(V[p2], U[p2], np.tile([1, 2], len(p)), np.repeat(lo[keep], 2),
+                     np.repeat(hi[keep], 2), incr, 0.0, th0[p2], rho[p2]),
+        ]
 
     def total_mass(self) -> int:
         if len(self.dlo) == 0:

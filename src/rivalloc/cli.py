@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 solver disagreement in ``compare``, 2 unreadable
 or malformed input, 3 instance violating the general-position requirements,
-4 instance generation gave up.
+4 instance generation gave up, 5 internal solver error (a ``RuntimeError``
+raised by an invariant check in ``solve`` or ``compare``).  Codes 1 and 5
+also write a reproducer JSON to the working directory.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import random
 import sys
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .geom import (
@@ -28,6 +31,7 @@ EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_GEN = 4
+EXIT_INTERNAL = 5
 
 # compare runs the exhaustive solver only on instances up to this size.
 BRUTE_LIMIT = 12
@@ -221,10 +225,33 @@ def write_svg(path: str, inst: Instance, report: Optional[SolveReport]) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _reproducer_path(kind: str, name: str) -> str:
+    """File name for a reproducer of instance ``name`` (a path or
+    ``seed=N``), in the working directory."""
+    return f"{kind}-{Path(name).stem.replace('=', '')}.json"
+
+
+def _solve_or_report(inst: Instance, mode: str, name: str) -> SolveReport:
+    """``solve_centroid``, turning an internal invariant failure into exit
+    code 5 with a reproducer (instance and mode) for the failing solve."""
+    try:
+        return solve_centroid(inst, mode)
+    except RuntimeError as e:
+        repro = _reproducer_path("internal-error", name)
+        _dump_json(
+            {"instance": instance_to_obj(inst), "mode": mode, "error": str(e)},
+            repro,
+        )
+        raise CliError(
+            EXIT_INTERNAL,
+            f"{name}: internal error in {mode} solve: {e} (reproducer: {repro})",
+        ) from e
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.input)
     check_general_position(inst, args.input)
-    report = solve_centroid(inst, args.mode)
+    report = _solve_or_report(inst, args.mode, args.input)
     _dump_json(report_to_obj(report), args.out)
     if args.plot:
         write_svg(args.plot, inst, report)
@@ -284,11 +311,11 @@ def cmd_compare(args) -> int:
         modes = [PARAMETRIC, INTERMEDIATE]
         if inst.n <= BRUTE_LIMIT:
             modes.append(BRUTE)
-        reports = {mode: solve_centroid(inst, mode) for mode in modes}
+        reports = {mode: _solve_or_report(inst, mode, name) for mode in modes}
         losses = {mode: rep.weight_loss for mode, rep in reports.items()}
         summary = " ".join(f"{m}={losses[m]:g}" for m in modes)
         if len(set(losses.values())) > 1:
-            repro = f"disagreement-{name.replace('=', '')}.json"
+            repro = _reproducer_path("disagreement", name)
             _dump_json(
                 {
                     "instance": instance_to_obj(inst),

@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 EPS_BASE = float(os.environ.get("RIVALLOC_EPS", "1e-9"))
@@ -70,6 +72,11 @@ class Instance:
     ``r`` is the derived half separation; the follower must keep distance
     at least R from the leader, and a customer is captured exactly when its
     projection on the follower direction exceeds r.
+
+    The tolerance ``eps`` and the read-only coordinate and weight arrays
+    ``xs``, ``ys`` and ``ws`` are computed once, at construction.  They are
+    not dataclass fields, so equality and hashing use only the customers
+    and R.
     """
 
     customers: Tuple[Customer, ...]
@@ -82,6 +89,19 @@ class Instance:
             raise ValueError("separation distance R must be nonnegative")
         object.__setattr__(self, "customers", tuple(customers))
         object.__setattr__(self, "R", float(R))
+        scale = max(
+            [1.0, self.R]
+            + [max(abs(c.site.x), abs(c.site.y)) for c in self.customers]
+        )
+        object.__setattr__(self, "_eps", EPS_BASE * scale)
+        for name, values in (
+            ("xs", [c.site.x for c in self.customers]),
+            ("ys", [c.site.y for c in self.customers]),
+            ("ws", [c.weight for c in self.customers]),
+        ):
+            arr = np.array(values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -94,11 +114,7 @@ class Instance:
     @property
     def eps(self) -> float:
         """Absolute tolerance scaled to this instance's coordinate magnitude."""
-        scale = max(
-            [1.0, self.R]
-            + [max(abs(c.site.x), abs(c.site.y)) for c in self.customers]
-        )
-        return EPS_BASE * scale
+        return self._eps
 
     def total_weight(self) -> float:
         return sum(c.weight for c in self.customers)
@@ -266,30 +282,53 @@ def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:
     return abs(cross) <= eps * span
 
 
+# Rows of the pair matrix examined at once by the collinearity check; bounds
+# its temporaries to _GP_ROWS x n entries whatever the instance size.
+_GP_ROWS = 64
+
+
 def general_position_violation(inst: Instance) -> Optional[str]:
     """Check the input assumptions of the fast solvers.
 
     Returns a message naming an offending pair (shared x or y coordinate)
-    or triple (collinear sites), or None when the instance is valid.
+    or triple (collinear sites), or None when the instance is valid.  Pairs
+    are checked before triples, each in lexicographic index order, x before
+    y, and a triple is collinear under the same test as ``collinear``: the
+    cross product against ``eps`` times the largest coordinate offset.
     """
     eps = inst.eps
-    pts = [c.site for c in inst.customers]
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i].x - pts[j].x) <= eps:
+    sites = [c.site for c in inst.customers]
+    xs, ys = inst.xs, inst.ys
+    n = inst.n
+    for i in range(n - 1):
+        shared_x = np.abs(xs[i + 1:] - xs[i]) <= eps
+        shared = shared_x | (np.abs(ys[i + 1:] - ys[i]) <= eps)
+        if shared.any():
+            k = int(np.argmax(shared))
+            j = i + 1 + k
+            if shared_x[k]:
                 return (
                     f"customers {i} and {j} share x coordinate "
-                    f"({pts[i].x} vs {pts[j].x})"
+                    f"({sites[i].x} vs {sites[j].x})"
                 )
-            if abs(pts[i].y - pts[j].y) <= eps:
-                return (
-                    f"customers {i} and {j} share y coordinate "
-                    f"({pts[i].y} vs {pts[j].y})"
-                )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if collinear(pts[i], pts[j], pts[k], eps):
-                    return f"customers {i}, {j}, {k} are collinear"
+            return (
+                f"customers {i} and {j} share y coordinate "
+                f"({sites[i].y} vs {sites[j].y})"
+            )
+    for i in range(n - 2):
+        # Offsets of the later sites from site i; entry [a, b] of a block
+        # pairs site i+1+j0+a with site i+2+j0+b, so b >= a keeps k > j.
+        dx = xs[i + 1:] - xs[i]
+        dy = ys[i + 1:] - ys[i]
+        reach = np.maximum(np.abs(dx), np.abs(dy))
+        m = len(dx)
+        for j0 in range(0, m - 1, _GP_ROWS):
+            j1 = min(j0 + _GP_ROWS, m - 1)
+            cross = np.multiply.outer(dx[j0:j1], dy[j0 + 1:])
+            cross -= np.multiply.outer(dy[j0:j1], dx[j0 + 1:])
+            span = np.maximum(np.maximum.outer(reach[j0:j1], reach[j0 + 1:]), 1.0)
+            bad = np.triu(np.abs(cross) <= eps * span)
+            if bad.any():
+                a, b = divmod(int(np.argmax(bad)), bad.shape[1])
+                return f"customers {i}, {i + 1 + j0 + a}, {i + 2 + j0 + b} are collinear"
     return None

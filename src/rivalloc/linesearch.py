@@ -85,10 +85,8 @@ class AngularIndex:
         n = inst.n
         self.inst = inst
         self.n = n
-        xs = np.array([c.site.x for c in inst.customers], dtype=float)
-        ys = np.array([c.site.y for c in inst.customers], dtype=float)
-        self.xs = xs
-        self.ys = ys
+        xs = self.xs = inst.xs
+        ys = self.ys = inst.ys
 
         dx = xs[None, :] - xs[:, None]
         dy = ys[None, :] - ys[:, None]

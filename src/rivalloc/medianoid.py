@@ -211,9 +211,9 @@ def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Tuple[Arc,
 
 def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Tuple[Arc, float]], float]]:
     r = inst.R / 2.0 + inst.eps
-    xs, ys, ws = _instance_arrays(inst)
-    dx = xs - x.x
-    dy = ys - x.y
+    ws = inst.ws
+    dx = inst.xs - x.x
+    dy = inst.ys - x.y
     d = np.hypot(dx, dy)
     mask = d > r
     if not mask.any():
@@ -249,23 +249,6 @@ def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Tuple[Arc, float]
         end = uniq[i + 1] if i + 1 < m else uniq[0] + TWO_PI
         gaps.append(((float(uniq[i]), float(end)), float(weights[i])))
     return gaps, best
-
-
-_ARRAY_CACHE: dict = {}
-
-
-def _instance_arrays(inst: Instance) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = id(inst)
-    hit = _ARRAY_CACHE.get(key)
-    if hit is not None and hit[0] is inst:
-        return hit[1]
-    xs = np.array([c.site.x for c in inst.customers])
-    ys = np.array([c.site.y for c in inst.customers])
-    ws = np.array([c.weight for c in inst.customers])
-    if len(_ARRAY_CACHE) > 32:
-        _ARRAY_CACHE.clear()
-    _ARRAY_CACHE[key] = (inst, (xs, ys, ws))
-    return xs, ys, ws
 
 
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:

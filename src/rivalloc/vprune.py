@@ -73,12 +73,10 @@ class BoundingFrame:
 
 def build_frame(inst: Instance) -> BoundingFrame:
     r = inst.r
-    xs = [c.site.x for c in inst.customers]
-    ys = [c.site.y for c in inst.customers]
-    xmin = min(xs) - r
-    xmax = max(xs) + r
-    ymin = min(ys) - r
-    ymax = max(ys) + r
+    xmin = float(inst.xs.min()) - r
+    xmax = float(inst.xs.max()) + r
+    ymin = float(inst.ys.min()) - r
+    ymax = float(inst.ys.max()) + r
     off = max(inst.R, 1.0)
     return BoundingFrame(
         xmin=xmin,
@@ -131,6 +129,18 @@ class PruneDecision:
 Anchor = Tuple[float, Point, MedianoidResult]
 
 
+def _line_sequences(idx: AngularIndex, frame: BoundingFrame, L: DirectedLine):
+    """The query line's frame and its breakpoint sequences, the frame's
+    auxiliary lines included.  The sequences are not consumed by a search,
+    so one build serves every bundle made over them."""
+    fr = _LineFrame(idx, L)
+    seqs = _tangent_sequences(fr)
+    expl = _explicit_sequence(fr, (frame.t_top, frame.t_btm))
+    if expl is not None:
+        seqs.append(expl)
+    return fr, seqs
+
+
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                telemetry=None):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
@@ -139,11 +149,12 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     evaluation)``, or ``("decision", PruneDecision)`` when an evaluation en
     route already settles the line (sideward wedge or strong centroid).
     """
-    fr = _LineFrame(idx, L)
-    seqs = _tangent_sequences(fr)
-    expl = _explicit_sequence(fr, (frame.t_top, frame.t_btm))
-    if expl is not None:
-        seqs.append(expl)
+    fr, seqs = _line_sequences(idx, frame, L)
+    return _find_anchors(inst, fr, seqs, telemetry)
+
+
+def _find_anchors(inst, fr: _LineFrame, seqs, telemetry=None):
+    """``find_xD_xU`` over a line whose sequences are already built."""
     bundle = _SequenceBundle(fr, seqs)
 
     state = {"down": None, "up": None, "decision": None}
@@ -269,9 +280,9 @@ def pseudo_wedge(
                 cands.append(nrm + TWO_PI)
     cands.sort()
     thetas = np.array(cands)
-    vx = np.array([c.site.x - apex.x for c in inst.customers])
-    vy = np.array([c.site.y - apex.y for c in inst.customers])
-    wts = np.array([c.weight for c in inst.customers])
+    vx = inst.xs - apex.x
+    vy = inst.ys - apex.y
+    wts = inst.ws
     dots = np.outer(np.cos(thetas), vx) + np.outer(np.sin(thetas), vy)
     captures = np.sum(np.where(dots >= r - tol, wts, 0.0), axis=1)
     k = int(np.argmax(captures))
@@ -330,7 +341,8 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="line lies right of the bounding box of all discs",
         )
 
-    got = find_xD_xU(inst, idx, frame, L, telemetry)
+    fr, seqs = _line_sequences(idx, frame, L)
+    got = _find_anchors(inst, fr, seqs, telemetry)
     if got[0] == "decision":
         return got[1]
     _kind, (t_D, p_D, r_D), (t_U, p_U, r_U) = got
@@ -338,11 +350,6 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     # A breakpoint strictly between the anchors, when one exists, must carry
     # a sideward wedge or a strong centroid: it can be neither upward (it
     # lies above the highest upward breakpoint) nor downward.
-    fr = _LineFrame(idx, L)
-    seqs = _tangent_sequences(fr)
-    expl = _explicit_sequence(fr, (frame.t_top, frame.t_btm))
-    if expl is not None:
-        seqs.append(expl)
     bundle = _SequenceBundle(fr, seqs)
     bundle.cut_keep_below(t_D)
     bundle.cut_keep_above(t_U)

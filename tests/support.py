@@ -7,12 +7,17 @@ against independently derived answers rather than against itself.
 
 import math
 import random
+from typing import List, Tuple
+
+import numpy as np
 
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
+    TWO_PI,
     Circle,
     DirectedLine,
     Point,
+    collinear,
     line_circle_intersections,
     line_line_intersection,
     outer_tangents,
@@ -171,3 +176,120 @@ def vertical_through_box(rng, frame):
 def non_horizontal_line(rng, spread=20.0):
     ang = rng.uniform(0.15, math.pi - 0.15)
     return DirectedLine(Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread)), ang)
+
+
+def reference_general_position_violation(inst):
+    """The O(n^3) pair and triple loops that ``general_position_violation``
+    vectorises; the vectorised check must return the same message."""
+    eps = inst.eps
+    pts = [c.site for c in inst.customers]
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(pts[i].x - pts[j].x) <= eps:
+                return (
+                    f"customers {i} and {j} share x coordinate "
+                    f"({pts[i].x} vs {pts[j].x})"
+                )
+            if abs(pts[i].y - pts[j].y) <= eps:
+                return (
+                    f"customers {i} and {j} share y coordinate "
+                    f"({pts[i].y} vs {pts[j].y})"
+                )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if collinear(pts[i], pts[j], pts[k], eps):
+                    return f"customers {i}, {j}, {k} are collinear"
+    return None
+
+
+def reference_lm_descriptors(idx):
+    """The per-pair loop that ``_LMDescriptors`` vectorises.
+
+    Returns one tuple ``(v, u, branch, lo, hi, increasing, x3, th0, rho)``
+    per descriptor, in the loop's order.
+    """
+    inst = idx.inst
+    n = idx.n
+    r = inst.r
+    out = []
+
+    def add(v, u, br, lo, hi, incr, x3=0.0, th0=0.0, rho=1.0):
+        out.append((v, u, br, lo, hi, incr, x3, th0, rho))
+
+    half_pi = math.pi / 2.0
+    for v in range(n):
+        row = idx.angles2[v]
+        if len(row) == 0:
+            continue
+        # Touch points of this customer's own tangent family on its own
+        # disc boundary: x = site_x + r sin(alpha).
+        for blo, bhi, incr in (
+            (half_pi, 3.0 * half_pi, False),
+            (3.0 * half_pi, 5.0 * half_pi, True),
+        ):
+            lo_i = int(np.searchsorted(row, blo, side="right"))
+            hi_i = int(np.searchsorted(row, bhi, side="right"))
+            if hi_i > lo_i:
+                add(v, v, 0, lo_i, hi_i, incr)
+        for u in range(n):
+            if u == v:
+                continue
+            th0 = float(idx.ang[v, u])
+            rho = float(idx.dist[v, u])
+            # The tangent toward u touches u's disc boundary.
+            add(v, u, 3, 0, 1, True, x3=idx.xs[u] + r * math.sin(th0))
+            if rho > 2.0 * r:
+                half = math.asin(2.0 * r / rho)
+                intervals = (
+                    (th0, th0 + half),
+                    (th0 + math.pi - half, th0 + math.pi),
+                )
+                flips: Tuple[float, ...] = ()
+            else:
+                intervals = ((th0, th0 + math.pi),)
+                psa = math.asin(min(1.0, rho / (2.0 * r)))
+                flips = (th0 + psa, th0 + math.pi - psa)
+            splits: List[float] = list(flips)
+            for px in (idx.xs[u] + r, idx.xs[u] - r):
+                a = px - idx.xs[v]
+                b = idx.ys[u] - idx.ys[v]
+                rab = math.hypot(a, b)
+                if rab <= r:
+                    continue
+                dw = math.asin(r / rab)
+                w0 = math.atan2(b, a)
+                for c in (w0 + dw, w0 + math.pi - dw):
+                    cc = th0 + ((c - th0) % TWO_PI)
+                    if th0 < cc < th0 + math.pi:
+                        splits.append(cc)
+            splits.sort()
+            for elo, ehi in intervals:
+                bounds = [elo]
+                bounds.extend(s for s in splits if elo < s < ehi)
+                bounds.append(ehi)
+                for bi in range(len(bounds) - 1):
+                    blo, bhi = bounds[bi], bounds[bi + 1]
+                    if bhi - blo <= 1e-12:
+                        continue
+                    lo_i = int(np.searchsorted(row, blo, side="right"))
+                    hi_i = int(np.searchsorted(row, bhi, side="right"))
+                    if hi_i <= lo_i:
+                        continue
+                    amid = (blo + bhi) / 2.0
+                    h = rho * math.sin(amid - th0) - r
+                    s = math.sqrt(max(r * r - h * h, 1e-300))
+                    hp = rho * math.cos(amid - th0)
+                    delta = math.asin(max(-1.0, min(1.0, h / r)))
+                    for br in (1, 2):
+                        if br == 1:
+                            gamma = amid + math.pi - delta
+                            dgamma = 1.0 - hp / s
+                        else:
+                            gamma = amid + delta
+                            dgamma = 1.0 + hp / s
+                        dx = -r * math.sin(gamma) * dgamma
+                        add(v, u, br, lo_i, hi_i, dx > 0.0,
+                            th0=th0, rho=rho)
+    return out

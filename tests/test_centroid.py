@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import support
-from rivalloc.centroid import solve_centroid
+from rivalloc.centroid import _LMDescriptors, solve_centroid
+from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
+from rivalloc.linesearch import build_angular_index
 from rivalloc.medianoid import solve_medianoid, weight_at_angle
 
 
@@ -108,3 +111,32 @@ class TestTelemetryBudgets:
         tel = solve_centroid(inst, mode="parametric").telemetry
         assert tel["wall_time_s"] > 0.0
         assert tel["medianoid_calls"] > 0
+
+
+def _descriptor_multiset(rows):
+    return sorted(
+        (int(v), int(u), int(br), int(lo), int(hi), bool(incr), float(x3), float(th0), float(rho))
+        for v, u, br, lo, hi, incr, x3, th0, rho in rows
+    )
+
+
+class TestLMDescriptors:
+    def test_vectorised_build_matches_the_loop_reference(self):
+        regimes = {"apart": 0, "touching": 0, "overlapping": 0}
+        for n in range(2, 31):
+            base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
+            touching = float(build_angular_index(base).dist[0, 1])
+            # Discs mostly apart, mostly overlapping, and one pair at rho == 2r.
+            for R in (2.0, 3.0 * (n + 10), touching):
+                inst = Instance(base.customers, R)
+                idx = build_angular_index(inst)
+                descs = _LMDescriptors(idx)
+                got = zip(descs.dv, descs.du, descs.dbr, descs.dlo, descs.dhi,
+                          descs.dincr, descs.dx3, descs.dth0, descs.drho)
+                want = support.reference_lm_descriptors(idx)
+                assert _descriptor_multiset(got) == _descriptor_multiset(want), (n, R)
+                off = ~np.eye(n, dtype=bool)
+                regimes["apart"] += int(np.sum(idx.dist[off] > R))
+                regimes["touching"] += int(np.sum(idx.dist[off] == R))
+                regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
+        assert all(count > 0 for count in regimes.values()), regimes

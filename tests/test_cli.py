@@ -12,6 +12,7 @@ from rivalloc.centroid import solve_centroid
 from rivalloc.cli import (
     EXIT_DEGENERATE,
     EXIT_GEN,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     generate_instance,
@@ -164,17 +165,51 @@ class TestCompare:
         assert main(["compare", "--gen-n", "4", "--seeds", "5..x"]) == EXIT_PARSE
 
 
+class TestInternalErrors:
+    @pytest.fixture
+    def failing_solver(self, monkeypatch, tmp_path):
+        def solve_centroid(inst, mode="parametric"):
+            raise RuntimeError("invariant broken on purpose")
+
+        monkeypatch.setattr(cli, "solve_centroid", solve_centroid)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_solve_exits_5_with_a_reproducer(self, failing_solver, capsys):
+        path = write_instance(failing_solver / "inst.json", GOOD)
+        assert main(["solve", "--input", path, "--mode", "intermediate"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal error in intermediate solve" in err
+        repro = json.loads((failing_solver / "internal-error-inst.json").read_text())
+        assert repro["instance"] == GOOD
+        assert repro["mode"] == "intermediate"
+        assert "invariant broken" in repro["error"]
+
+    def test_compare_exits_5_with_a_reproducer(self, failing_solver):
+        assert main(["compare", "--gen-n", "4", "--seeds", "3"]) == EXIT_INTERNAL
+        repro = json.loads((failing_solver / "internal-error-seed3.json").read_text())
+        assert repro["mode"] == "parametric"
+        assert len(repro["instance"]["customers"]) == 4
+
+
 class TestEnvironment:
     def test_eps_override(self):
         env = dict(os.environ, RIVALLOC_EPS="1e-3")
+        code = (
+            "from rivalloc.geom import EPS_BASE, Customer, Instance, Point; "
+            "print(EPS_BASE); "
+            "print(Instance([Customer(Point(30.0, 0.0), 1.0)], 2.0).eps)"
+        )
         got = subprocess.run(
-            [sys.executable, "-c", "from rivalloc.geom import EPS_BASE; print(EPS_BASE)"],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env=env,
             check=True,
         )
-        assert float(got.stdout) == 1e-3
+        base, inst_eps = got.stdout.split()
+        assert float(base) == 1e-3
+        assert float(inst_eps) == pytest.approx(30.0 * 1e-3)
 
     def test_console_script_runs(self):
         got = subprocess.run(

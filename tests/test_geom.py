@@ -1,10 +1,14 @@
 """Unit tests for the planar primitives."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import support
+from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_EPS,
     Circle,
@@ -246,3 +250,89 @@ def test_general_position_accepts_generic_sites():
         2.0,
     )
     assert general_position_violation(inst) is None
+
+
+def _position_case(seed):
+    """A small instance that is degenerate, nearly degenerate or generic.
+
+    Cases cycle through integer grids, real coordinates, near-collinear
+    triples and near-shared coordinates; the perturbations straddle the
+    instance tolerance, so both outcomes of every comparison occur.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    kind = seed % 4
+    pts = []
+    if kind == 0:
+        span = rng.choice([8, 15, 30])
+        if rng.random() < 0.5:
+            # Distinct x's and y's: only collinear triples can violate.
+            pts = list(zip(rng.sample(range(-span, span + 1), n),
+                           rng.sample(range(-span, span + 1), n)))
+        else:
+            pts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(n)]
+    elif kind == 1:
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n)]
+    else:
+        for _ in range(n):
+            nudge = rng.choice([0.0, 1e-12, 1e-10, 3e-9, 1e-8, 1e-7, 1e-3]) * 50.0
+            nudge *= rng.choice([-1.0, 1.0])
+            if len(pts) < 2 or rng.random() < 0.3:
+                pts.append((rng.uniform(-50, 50), rng.uniform(-50, 50)))
+            elif kind == 2:
+                (ax, ay), (bx, by) = rng.sample(pts, 2)
+                t = rng.uniform(-2.0, 3.0)
+                pts.append((ax + t * (bx - ax) - nudge * (by - ay),
+                            ay + t * (by - ay) + nudge * (bx - ax)))
+            else:
+                x, y = rng.choice(pts)
+                if rng.random() < 0.5:
+                    pts.append((x + nudge, rng.uniform(-50, 50)))
+                else:
+                    pts.append((rng.uniform(-50, 50), y + nudge))
+    return Instance([Customer(Point(x, y), 1.0) for x, y in pts], rng.choice([1.0, 4.0]))
+
+
+def test_general_position_matches_the_loop_reference():
+    violating = 0
+    for seed in range(2000):
+        inst = _position_case(seed)
+        want = support.reference_general_position_violation(inst)
+        assert general_position_violation(inst) == want, seed
+        violating += want is not None
+    # Both outcomes are exercised in quantity.
+    assert 400 < violating < 1600
+
+
+@pytest.mark.parametrize("n,j,k", [(70, 1, 69), (70, 64, 66), (130, 63, 64), (130, 100, 129)])
+def test_general_position_finds_the_first_triple_across_row_blocks(n, j, k):
+    base = generate_instance(n, seed=n + j, r=2.0, coord_range=4 * n)
+    sites = [c.site for c in base.customers]
+    # Put site k on the line through sites 0 and j (and nudge nothing else).
+    a, b = sites[0], sites[j]
+    sites[k] = Point(a.x + 3.0 * (b.x - a.x), a.y + 3.0 * (b.y - a.y))
+    inst = Instance([Customer(p, 1.0) for p in sites], 2.0)
+    want = support.reference_general_position_violation(inst)
+    assert want is not None
+    assert general_position_violation(inst) == want
+
+
+def test_instances_from_the_same_data_are_equal():
+    data = [(Point(1.0, 2.0), 3.0), (Point(4.0, -1.0), 1.0)]
+    a = Instance([Customer(p, w) for p, w in data], 2.0)
+    b = Instance([Customer(p, w) for p, w in data], 2.0)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != Instance(a.customers, 3.0)
+
+
+def test_instance_arrays_are_read_only_snapshots():
+    inst = Instance([Customer(Point(1.0, 2.0), 3.0), Customer(Point(4.0, -1.0), 1.0)], 2.0)
+    assert inst.xs.tolist() == [1.0, 4.0]
+    assert inst.ys.tolist() == [2.0, -1.0]
+    assert inst.ws.tolist() == [3.0, 1.0]
+    for arr in (inst.xs, inst.ys, inst.ws):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.xs = inst.ys
