@@ -3,107 +3,34 @@
 A leader places one facility, then a follower places one at distance at
 least R; customers go to the closer facility, ties favouring the leader.
 The package finds leader locations minimising the weight the follower can
-capture, with exhaustive references for validation.
+capture, with exhaustive references for validation.  The solver internals
+(line search, vertical-line pruning, the candidate families) are imported
+from their submodules.
 """
 
 from .geom import (
-    Circle,
     Customer,
     DegenerateInputError,
-    DirectedLine,
     Instance,
     Point,
-    circle_circle_intersections,
     general_position_violation,
-    line_circle_intersections,
-    line_line_intersection,
-    outer_tangents,
-    polar_angle,
 )
-from .medianoid import (
-    MedianoidResult,
-    Wedge,
-    capture_arc,
-    classify_wedge_on_vertical,
-    solve_medianoid,
-    weight_at_angle,
-)
-from .linesearch import (
-    AngularIndex,
-    Breakpoint,
-    ImplicitSequence,
-    LineLocalOptimum,
-    breakpoint_sequences,
-    build_angular_index,
-    local_optimum_on_line,
-    weighted_median,
-)
-from .vprune import (
-    BoundingFrame,
-    PruneDecision,
-    PseudoWedge,
-    build_frame,
-    decide,
-    find_xD_xU,
-    pseudo_wedge,
-)
-from .centroid import (
-    SolveReport,
-    local_optimal_line_LC,
-    local_optimal_line_LM,
-    local_optimal_line_LT,
-    solve_centroid,
-)
-from .oracle import (
-    CandidateSet,
-    brute_centroid,
-    brute_medianoid,
-    enumerate_candidates,
-)
+from .medianoid import MedianoidResult, solve_medianoid
+from .centroid import SolveReport, solve_centroid
+from .oracle import brute_centroid, brute_medianoid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularIndex",
-    "BoundingFrame",
-    "Breakpoint",
-    "CandidateSet",
-    "Circle",
     "Customer",
     "DegenerateInputError",
-    "DirectedLine",
-    "ImplicitSequence",
     "Instance",
-    "LineLocalOptimum",
     "MedianoidResult",
     "Point",
-    "PruneDecision",
-    "PseudoWedge",
     "SolveReport",
-    "Wedge",
-    "breakpoint_sequences",
     "brute_centroid",
     "brute_medianoid",
-    "build_angular_index",
-    "build_frame",
-    "capture_arc",
-    "circle_circle_intersections",
-    "classify_wedge_on_vertical",
-    "decide",
-    "enumerate_candidates",
-    "find_xD_xU",
     "general_position_violation",
-    "line_circle_intersections",
-    "line_line_intersection",
-    "local_optimal_line_LC",
-    "local_optimal_line_LM",
-    "local_optimal_line_LT",
-    "local_optimum_on_line",
-    "outer_tangents",
-    "polar_angle",
-    "pseudo_wedge",
     "solve_centroid",
     "solve_medianoid",
-    "weight_at_angle",
-    "weighted_median",
 ]

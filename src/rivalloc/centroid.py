@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,15 +28,14 @@ from .geom import (
     circle_circle_intersections,
     Circle,
 )
-from .medianoid import MedianoidResult, solve_medianoid
+from .medianoid import solve_medianoid
 from .linesearch import (
     STRONG,
     AngularIndex,
-    LineLocalOptimum,
+    Telemetry,
     build_angular_index,
     local_optimum_on_line,
-    _tel_inc,
-    _weighted_median_np,
+    weighted_median,
 )
 from .vprune import (
     CONDITIONAL_CENTROID,
@@ -61,51 +60,6 @@ VERTICAL_EPS = 1e-12
 # Remaining tangent-circle elements at or below this count are evaluated
 # directly instead of pruned further.
 LM_REMNANT = 32
-
-
-class Telemetry:
-    """Mutable counters shared by all stages of one solve."""
-
-    def __init__(self) -> None:
-        self.medianoid_calls = 0
-        self.decide_calls = 0
-        self.lines_searched = 0
-        self.prune_log: List[Tuple[int, int]] = []
-        self.lt_wires = 0
-        self.lt_rounds = 0
-        self.lt_comparators = 0
-        self.lt_oracle = 0
-        self.lm_mass0 = 0
-        self.lm_rounds = 0
-        self.lc_points = 0
-        self.lc_steps = 0
-        self.schedule = "odd-even-merge"
-        self.wall_time_s = 0.0
-        self.certified: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        frac = 1.0
-        for mass, pruned in self.prune_log:
-            if mass > 0:
-                frac = min(frac, pruned / mass)
-        return {
-            "medianoid_calls": self.medianoid_calls,
-            "decide_calls": self.decide_calls,
-            "lines_searched": self.lines_searched,
-            "prune_iterations": len(self.prune_log),
-            "prune_min_fraction": frac if self.prune_log else None,
-            "lt_wires": self.lt_wires,
-            "lt_rounds": self.lt_rounds,
-            "lt_comparators": self.lt_comparators,
-            "lt_oracle": self.lt_oracle,
-            "lm_mass0": self.lm_mass0,
-            "lm_rounds": self.lm_rounds,
-            "lc_points": self.lc_points,
-            "lc_steps": self.lc_steps,
-            "schedule": self.schedule,
-            "wall_time_s": self.wall_time_s,
-            "certified": self.certified,
-        }
 
 
 @dataclass(frozen=True)
@@ -198,7 +152,7 @@ def _best_vertical_line(
     inst: Instance,
     idx: AngularIndex,
     xs: List[float],
-    telemetry,
+    telemetry: Telemetry,
 ) -> Optional[DirectedLine]:
     """Among vertical lines at the given positions, the one with the lowest
     line-restricted follower value (certified optima short-circuit)."""
@@ -222,7 +176,7 @@ def local_optimal_line_LT(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry=None,
+    telemetry: Optional[Telemetry] = None,
 ) -> Optional[DirectedLine]:
     """Vertical line through the best tangent-tangent crossing.
 
@@ -234,6 +188,8 @@ def local_optimal_line_LT(
     so the minimum over its (at most two) boundary lines dominates every
     discarded crossing.  Returns ``None`` when the family is empty.
     """
+    if telemetry is None:
+        telemetry = Telemetry()
     n = idx.n
     flat = np.arange(n * n)
     offdiag = (flat // n) != (flat % n)
@@ -249,16 +205,15 @@ def local_optimal_line_LT(
     direct_xs = (loff[vertical] / lnx[vertical]).tolist()
     lnx, lny, loff = lnx[~vertical], lny[~vertical], loff[~vertical]
     m = len(lnx)
-    if telemetry is not None:
-        telemetry.lt_wires = m
+    telemetry.lt_wires = m
     if m < 2:
         return _best_vertical_line(inst, idx, direct_xs, telemetry)
 
     wires = np.arange(m, dtype=np.int64)
     slab = _Slab()
     for a_pos, b_pos in _batcher_rounds(m):
-        _tel_inc(telemetry, "lt_rounds")
-        _tel_inc(telemetry, "lt_comparators", len(a_pos))
+        telemetry.lt_rounds += 1
+        telemetry.lt_comparators += len(a_pos)
         la = wires[a_pos]
         lb = wires[b_pos]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,7 +229,7 @@ def local_optimal_line_LT(
             dec = decide(
                 inst, idx, frame, DirectedLine.vertical(x_med), telemetry
             )
-            _tel_inc(telemetry, "lt_oracle")
+            telemetry.lt_oracle += 1
             slab.apply(dec, x_med)
             unresolved &= (x_ab > slab.lo) & (x_ab < slab.hi)
         tx = slab.test_x()
@@ -454,22 +409,23 @@ class _LMDescriptors:
             return 0
         return int(np.sum(self.dhi - self.dlo))
 
-    def _x_at(self, pos: np.ndarray) -> np.ndarray:
+    def _x_at(self, pos: np.ndarray, d=slice(None)) -> np.ndarray:
+        """Crossing abscissas at window offsets ``pos`` of descriptors
+        ``d`` (all of them by default)."""
         idx = self.idx
         r = self.r
-        ip = np.clip(self.dlo + pos, 0, max(idx.order2.shape[1] - 1, 0))
         if idx.order2.shape[1] == 0:
-            return self.dx3.copy()
-        alpha = idx.angles2[self.dv, ip]
+            return self.dx3[d].copy()
+        ip = np.clip(self.dlo[d] + pos, 0, idx.order2.shape[1] - 1)
+        alpha = idx.angles2[self.dv[d], ip]
+        br = self.dbr[d]
         with np.errstate(invalid="ignore"):
-            h = self.drho * np.sin(alpha - self.dth0) - r
+            h = self.drho[d] * np.sin(alpha - self.dth0[d]) - r
             delta = np.arcsin(np.clip(h / r, -1.0, 1.0))
-            gamma = np.where(
-                self.dbr == 1, alpha + math.pi - delta, alpha + delta
-            )
-            x = idx.xs[self.du] + r * np.cos(gamma)
-            x = np.where(self.dbr == 0, idx.xs[self.dv] + r * np.sin(alpha), x)
-        return np.where(self.dbr == 3, self.dx3, x)
+            gamma = np.where(br == 1, alpha + math.pi - delta, alpha + delta)
+            x = idx.xs[self.du[d]] + r * np.cos(gamma)
+            x = np.where(br == 0, idx.xs[self.dv[d]] + r * np.sin(alpha), x)
+        return np.where(br == 3, self.dx3[d], x)
 
     def middles(self) -> Tuple[np.ndarray, np.ndarray]:
         lens = self.dhi - self.dlo
@@ -508,34 +464,19 @@ class _LMDescriptors:
         self.dhi = np.where(self.dincr, np.minimum(self.dhi, self.dlo + c), self.dhi)
         self.dlo = np.where(self.dincr, self.dlo, self.dlo + c)
 
-    def _x_scalar(self, d: int, k: int) -> float:
-        idx = self.idx
-        r = self.r
-        br = int(self.dbr[d])
-        if br == 3:
-            return float(self.dx3[d])
-        alpha = float(idx.angles2[self.dv[d], self.dlo[d] + k])
-        if br == 0:
-            return float(idx.xs[self.dv[d]] + r * math.sin(alpha))
-        h = self.drho[d] * math.sin(alpha - self.dth0[d]) - r
-        delta = math.asin(max(-1.0, min(1.0, h / r)))
-        gamma = alpha + math.pi - delta if br == 1 else alpha + delta
-        return float(idx.xs[self.du[d]] + r * math.cos(gamma))
-
     def remaining_xs(self) -> List[float]:
-        out: List[float] = []
+        """Abscissas of every surviving crossing, descriptor by descriptor."""
         lens = self.dhi - self.dlo
-        for d in np.nonzero(lens > 0)[0]:
-            for k in range(int(lens[d])):
-                out.append(self._x_scalar(int(d), k))
-        return out
+        d = np.repeat(np.arange(len(lens)), lens)
+        k = np.arange(len(d)) - np.repeat(np.cumsum(lens) - lens, lens)
+        return self._x_at(k, d).tolist()
 
 
 def local_optimal_line_LM(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry=None,
+    telemetry: Optional[Telemetry] = None,
 ) -> Optional[DirectedLine]:
     """Vertical line through the best tangent-circle crossing.
 
@@ -543,10 +484,11 @@ def local_optimal_line_LM(
     constant fraction of the crossings per decision; the few survivors and
     the last cut line on each side are then searched directly.
     """
+    if telemetry is None:
+        telemetry = Telemetry()
     descs = _LMDescriptors(idx)
     mass0 = descs.total_mass()
-    if telemetry is not None:
-        telemetry.lm_mass0 = mass0
+    telemetry.lm_mass0 = mass0
     if mass0 == 0:
         return None
     slab = _Slab()
@@ -555,10 +497,10 @@ def local_optimal_line_LM(
     while descs.total_mass() > LM_REMNANT:
         mass = descs.total_mass()
         vals, lens = descs.middles()
-        x_med = _weighted_median_np(vals, lens.astype(float))
+        x_med = weighted_median(vals, lens.astype(float))
         dec = decide(inst, idx, frame, DirectedLine.vertical(x_med), telemetry)
         rounds += 1
-        _tel_inc(telemetry, "lm_rounds")
+        telemetry.lm_rounds += 1
         slab.apply(dec, x_med)
         if dec.kind == PRUNE_LEFT:
             descs.cut_keep_gt(x_med)
@@ -581,10 +523,12 @@ def local_optimal_line_LC(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry=None,
+    telemetry: Optional[Telemetry] = None,
 ) -> Optional[DirectedLine]:
     """Vertical line through the best disc-boundary crossing, by binary
     search over the sorted crossing abscissas."""
+    if telemetry is None:
+        telemetry = Telemetry()
     r = inst.r
     pts: List[float] = []
     for i in range(idx.n):
@@ -593,8 +537,7 @@ def local_optimal_line_LC(
             cj = Circle(inst.customers[j].site, r)
             for p in circle_circle_intersections(ci, cj, eps=inst.eps):
                 pts.append(p.x)
-    if telemetry is not None:
-        telemetry.lc_points = len(pts)
+    telemetry.lc_points = len(pts)
     if not pts:
         return None
     xs = np.sort(np.array(pts))
@@ -604,7 +547,7 @@ def local_optimal_line_LC(
         mid = (lo + hi) // 2
         X = float(xs[mid])
         dec = decide(inst, idx, frame, DirectedLine.vertical(X), telemetry)
-        _tel_inc(telemetry, "lc_steps")
+        telemetry.lc_steps += 1
         slab.apply(dec, X)
         if dec.kind == PRUNE_LEFT:
             lo = int(np.searchsorted(xs, X, side="right"))

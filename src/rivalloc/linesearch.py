@@ -3,20 +3,22 @@
 The follower's best capturable weight, viewed along any non-horizontal line,
 is piecewise constant and can only change where the line crosses a tangent
 line of two customer discs or the boundary circle of a single disc.  Those
-crossing points are never materialised here.  Tangent crossings are described
-by implicit sequences: contiguous slices of the angularly sorted neighbour
-lists, each slice mapping index order to strictly monotone positions along
-the line.  Circle crossings and injected extra lines form one small explicit
-sequence.  A weighted-median search over the sequences then locates a point
-of minimum follower value on the line while discarding a constant fraction
-of the remaining breakpoints per evaluation.
+crossing points are never materialised here.  A breakpoint is its position
+``t`` along the line.  Tangent crossings are described by implicit
+sequences: contiguous windows of the angularly sorted neighbour lists, each
+mapping index order to strictly monotone positions along the line.  Circle
+crossings and injected extra lines form one small explicit sequence.  A
+weighted-median search over the sequences then locates a point of minimum
+follower value on the line while discarding a constant fraction of the
+remaining breakpoints per evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,25 +50,55 @@ ANGLE_DUP_EPS = 1e-12
 
 ORDINARY = "ordinary"
 STRONG = "strong_centroid"
-CONDITIONAL = "conditional_centroid"
 
 
-@dataclass(frozen=True)
-class Breakpoint:
-    """A single follower-value breakpoint on a query line.
+@dataclass(slots=True)
+class Telemetry:
+    """Counters shared by all stages of one solve.
 
-    ``kind`` is ``"tangent"`` for a crossing with the tangent line that runs
-    to the right of customer ``i`` toward customer ``j`` (``side`` records
-    which side relative to the anchor customer), ``"circle"`` for a crossing
-    with the disc boundary of customer ``i``, and ``"extra"`` for a crossing
-    with an injected auxiliary line.
+    The fields are slots, so updating a counter that is not declared here
+    raises ``AttributeError``.
     """
 
-    location: Point
-    kind: str
-    i: int = -1
-    j: int = -1
-    side: str = ""
+    medianoid_calls: int = 0
+    decide_calls: int = 0
+    lines_searched: int = 0
+    prune_log: List[Tuple[int, int]] = field(default_factory=list)
+    lt_wires: int = 0
+    lt_rounds: int = 0
+    lt_comparators: int = 0
+    lt_oracle: int = 0
+    lm_mass0: int = 0
+    lm_rounds: int = 0
+    lc_points: int = 0
+    lc_steps: int = 0
+    schedule: str = "odd-even-merge"
+    wall_time_s: float = 0.0
+    certified: Optional[str] = None
+
+    def to_dict(self) -> Dict[str, object]:
+        frac = 1.0
+        for mass, pruned in self.prune_log:
+            if mass > 0:
+                frac = min(frac, pruned / mass)
+        return {
+            "medianoid_calls": self.medianoid_calls,
+            "decide_calls": self.decide_calls,
+            "lines_searched": self.lines_searched,
+            "prune_iterations": len(self.prune_log),
+            "prune_min_fraction": frac if self.prune_log else None,
+            "lt_wires": self.lt_wires,
+            "lt_rounds": self.lt_rounds,
+            "lt_comparators": self.lt_comparators,
+            "lt_oracle": self.lt_oracle,
+            "lm_mass0": self.lm_mass0,
+            "lm_rounds": self.lm_rounds,
+            "lc_points": self.lc_points,
+            "lc_steps": self.lc_steps,
+            "schedule": self.schedule,
+            "wall_time_s": self.wall_time_s,
+            "certified": self.certified,
+        }
 
 
 class AngularIndex:
@@ -161,78 +193,14 @@ class _LineFrame:
     def point_at(self, t: float) -> Point:
         return self.line.point_at(t)
 
-    def t_of_point(self, p: Point) -> float:
-        return (p.x - self.ax) * self.ux + (p.y - self.ay) * self.uy
 
-
-class ImplicitSequence:
-    """A strictly decreasing run of breakpoint positions along the line.
-
-    Tangent sequences are (possibly reversed) windows into the doubled
-    angular neighbour order of one customer, on one side of the line; their
-    elements are evaluated on demand from the canonical tangent storage.
-    The explicit sequence stores its positions directly.
-    """
-
-    __slots__ = ("kind", "frame", "v", "side", "lo", "hi", "rev", "ts", "bps")
-
-    def __init__(self, kind, frame, v=-1, side=0, lo=0, hi=0, rev=False,
-                 ts=None, bps=None):
-        self.kind = kind
-        self.frame = frame
-        self.v = v
-        self.side = side
-        self.lo = lo
-        self.hi = hi
-        self.rev = rev
-        self.ts = ts
-        self.bps = bps
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def _pos(self, k: int) -> int:
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        return self.hi - 1 - k if self.rev else self.lo + k
-
-    def t_at(self, k: int) -> float:
-        """Position along the line of the k-th element (decreasing in k)."""
-        if self.kind == "explicit":
-            return float(self.ts[self._pos(k)])
-        idx = self.frame.idx
-        p = self._pos(k)
-        w = int(idx.order2[self.v, p])
-        lid = self.v * idx.n + w if self.side > 0 else w * idx.n + self.v
-        num = idx.tan_off[lid] - (
-            self.frame.ax * idx.tan_nx[lid] + self.frame.ay * idx.tan_ny[lid]
-        )
-        den = self.frame.ux * idx.tan_nx[lid] + self.frame.uy * idx.tan_ny[lid]
-        return float(num / den)
-
-    def breakpoint_at(self, k: int) -> Breakpoint:
-        if self.kind == "explicit":
-            return self.bps[self._pos(k)]
-        idx = self.frame.idx
-        p = self._pos(k)
-        w = int(idx.order2[self.v, p])
-        return Breakpoint(
-            location=self.frame.point_at(self.t_at(k)),
-            kind="tangent",
-            i=self.v,
-            j=w,
-            side="right" if self.side > 0 else "left",
-        )
-
-
-def _tangent_sequences(frame: _LineFrame) -> List[ImplicitSequence]:
+def _tangent_sequences(frame: _LineFrame) -> Tuple[np.ndarray, ...]:
+    """Window columns ``(v, side, lo, hi, rev)`` of the tangent sequences."""
     idx = frame.idx
     n = idx.n
-    if n < 2:
-        return []
     r = idx.inst.r
     up = frame.up_angle
-    seqs: List[ImplicitSequence] = []
+    rows: List[Tuple[int, int, int, int, bool]] = []
     for v in range(n):
         relx = frame.ax - idx.xs[v]
         rely = frame.ay - idx.ys[v]
@@ -267,23 +235,20 @@ def _tangent_sequences(frame: _LineFrame) -> List[ImplicitSequence]:
                     continue
                 psi_mid = (blo + bhi) / 2.0 - up
                 slope = q - r_s * math.cos(psi_mid)
-                seqs.append(
-                    ImplicitSequence(
-                        "tangent", frame, v=v, side=side,
-                        lo=lo_i, hi=hi_i, rev=slope > 0.0,
-                    )
-                )
-    return seqs
+                rows.append((v, side, lo_i, hi_i, slope > 0.0))
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return (*cols[:4], cols[4].astype(bool))
 
 
 def _explicit_sequence(
     frame: _LineFrame, extra_lines: Sequence[DirectedLine]
-) -> Optional[ImplicitSequence]:
+) -> np.ndarray:
+    """Circle and extra-line crossing positions, decreasing."""
     idx = frame.idx
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
-    entries: List[Tuple[float, Breakpoint]] = []
+    ts: List[float] = []
     for u in range(idx.n):
         cx = idx.xs[u] - frame.ax
         cy = idx.ys[u] - frame.ay
@@ -292,11 +257,10 @@ def _explicit_sequence(
         disc = r * r - perp * perp
         if disc <= tol:
             if disc >= -tol:
-                entries.append((t0, Breakpoint(frame.point_at(t0), "circle", i=u)))
+                ts.append(t0)
             continue
         s = math.sqrt(disc)
-        for t in (t0 - s, t0 + s):
-            entries.append((t, Breakpoint(frame.point_at(t), "circle", i=u)))
+        ts += (t0 - s, t0 + s)
     for extra in extra_lines:
         evx, evy = extra.direction
         cross = frame.ux * evy - frame.uy * evx
@@ -304,21 +268,15 @@ def _explicit_sequence(
             continue
         dx = extra.anchor.x - frame.ax
         dy = extra.anchor.y - frame.ay
-        t = (dx * evy - dy * evx) / cross
-        entries.append((t, Breakpoint(frame.point_at(t), "extra")))
-    if not entries:
-        return None
-    entries.sort(key=lambda e: -e[0])
-    ts = np.array([e[0] for e in entries], dtype=float)
-    bps = [e[1] for e in entries]
-    return ImplicitSequence("explicit", frame, lo=0, hi=len(bps), ts=ts, bps=bps)
+        ts.append((dx * evy - dy * evx) / cross)
+    return np.array(sorted(ts, reverse=True), dtype=float)
 
 
 def breakpoint_sequences(
     idx: AngularIndex,
     L: DirectedLine,
     extra_lines: Sequence[DirectedLine] = (),
-) -> List[ImplicitSequence]:
+) -> _SequenceBundle:
     """All follower-value breakpoints on ``L`` as monotone sequences.
 
     Tangent directions parallel to ``L`` are excluded: their lines never
@@ -328,62 +286,53 @@ def breakpoint_sequences(
     ``extra_lines`` contributes its crossing as well.
     """
     frame = _LineFrame(idx, L)
-    seqs = _tangent_sequences(frame)
-    expl = _explicit_sequence(frame, extra_lines)
-    if expl is not None:
-        seqs.append(expl)
-    return seqs
+    return _SequenceBundle(
+        frame, _tangent_sequences(frame), _explicit_sequence(frame, extra_lines)
+    )
 
 
-def weighted_median(items: Sequence[Tuple[float, float]]) -> float:
+def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     """Smallest value m with weight below m and weight above m both <= W/2."""
-    pairs = sorted(items)
-    if not pairs:
+    if len(values) == 0:
         raise ValueError("weighted median of an empty collection")
-    total = 0.0
-    for _, w in pairs:
-        if w < 0:
-            raise ValueError("negative weight")
-        total += w
-    acc = 0.0
-    for value, w in pairs:
-        acc += w
-        if acc >= total / 2.0:
-            return value
-    return pairs[-1][0]
-
-
-def _weighted_median_np(values: np.ndarray, weights: np.ndarray) -> float:
+    if (weights < 0).any():
+        raise ValueError("negative weight")
     order = np.argsort(values, kind="stable")
     csum = np.cumsum(weights[order])
     k = int(np.searchsorted(csum, csum[-1] / 2.0, side="left"))
-    return float(values[order][min(k, len(order) - 1)])
+    return float(values[order[min(k, len(order) - 1)]])
 
 
 class _SequenceBundle:
-    """Vectorised live windows over a set of breakpoint sequences."""
+    """Live windows over the strictly decreasing breakpoint sequences of
+    one query line.
 
-    def __init__(self, frame: _LineFrame, seqs: Sequence[ImplicitSequence]):
+    Tangent sequence s is the window ``[slo, shi)`` of customer ``sv``'s
+    doubled angular neighbour order on side ``sside`` of the line, read
+    backwards when ``srev``; its positions are evaluated on demand by
+    ``_tan_t`` from the canonical tangent storage.  The explicit sequence
+    stores its positions ``ets`` and is live on ``[elo, ehi)``.  Cuts
+    replace the window arrays instead of writing into them, so a shallow
+    ``copy`` is an independent bundle.
+    """
+
+    def __init__(self, frame: _LineFrame, cols: Tuple[np.ndarray, ...],
+                 ets: np.ndarray) -> None:
         self.frame = frame
-        tang = [s for s in seqs if s.kind == "tangent"]
-        self.expl = [s for s in seqs if s.kind == "explicit"]
-        self.sv = np.array([s.v for s in tang], dtype=np.int64)
-        self.sside = np.array([s.side for s in tang], dtype=np.int64)
-        self.slo = np.array([s.lo for s in tang], dtype=np.int64)
-        self.shi = np.array([s.hi for s in tang], dtype=np.int64)
-        self.srev = np.array([s.rev for s in tang], dtype=bool)
-        self.elo = [s.lo for s in self.expl]
-        self.ehi = [s.hi for s in self.expl]
-        self.eneg = [-s.ts for s in self.expl]
+        self.sv, self.sside, self.slo, self.shi, self.srev = cols
+        self.ets = ets
+        self.eneg = -ets
+        self.elo = 0
+        self.ehi = len(ets)
+
+    def copy(self) -> _SequenceBundle:
+        return copy.copy(self)
 
     def point_at(self, t: float) -> Point:
         return self.frame.point_at(t)
 
     def total_mass(self) -> int:
-        mass = int(np.sum(self.shi - self.slo)) if len(self.sv) else 0
-        for lo, hi in zip(self.elo, self.ehi):
-            mass += hi - lo
-        return mass
+        return int(np.sum(self.shi - self.slo)) + self.ehi - self.elo
 
     def _tan_t(self, pos: np.ndarray) -> np.ndarray:
         idx = self.frame.idx
@@ -417,113 +366,58 @@ class _SequenceBundle:
         return lo
 
     def middles(self) -> Tuple[np.ndarray, np.ndarray]:
-        vals: List[float] = []
-        wts: List[float] = []
-        if len(self.sv):
-            lens = self.shi - self.slo
-            act = lens > 0
-            if act.any():
-                pos = np.maximum(lens - 1, 0) // 2
-                t = self._tan_t(pos)
-                vals.extend(t[act].tolist())
-                wts.extend(lens[act].tolist())
-        for k, seq in enumerate(self.expl):
-            ln = self.ehi[k] - self.elo[k]
-            if ln > 0:
-                vals.append(float(seq.ts[self.elo[k] + (ln - 1) // 2]))
-                wts.append(float(ln))
-        return np.array(vals), np.array(wts)
+        lens = self.shi - self.slo
+        act = lens > 0
+        vals = self._tan_t(np.maximum(lens - 1, 0) // 2)[act]
+        wts = lens[act].astype(float)
+        ln = self.ehi - self.elo
+        if ln > 0:
+            vals = np.append(vals, self.ets[self.elo + (ln - 1) // 2])
+            wts = np.append(wts, float(ln))
+        return vals, wts
 
     def cut_keep_above(self, y: float) -> None:
         """Keep only breakpoints strictly above y; drop everything at or below."""
-        if len(self.sv):
-            c = self._count_view(y, strict_gt=True)
-            self.slo = np.where(self.srev, self.shi - c, self.slo)
-            self.shi = np.where(self.srev, self.shi, self.slo + c)
-        for k in range(len(self.expl)):
-            g = int(np.searchsorted(self.eneg[k], -y, side="left"))
-            self.ehi[k] = self.elo[k] + max(
-                0, min(g, self.ehi[k]) - self.elo[k]
-            )
+        c = self._count_view(y, strict_gt=True)
+        self.slo = np.where(self.srev, self.shi - c, self.slo)
+        self.shi = np.where(self.srev, self.shi, self.slo + c)
+        g = int(np.searchsorted(self.eneg, -y, side="left"))
+        self.ehi = self.elo + max(0, min(g, self.ehi) - self.elo)
 
     def cut_keep_below(self, y: float) -> None:
         """Keep only breakpoints strictly below y; drop everything at or above."""
-        if len(self.sv):
-            d = self._count_view(y, strict_gt=False)
-            new_hi = np.where(self.srev, self.shi - d, self.shi)
-            new_lo = np.where(self.srev, self.slo, self.slo + d)
-            self.slo = np.minimum(new_lo, new_hi)
-            self.shi = new_hi
-        for k in range(len(self.expl)):
-            g = int(np.searchsorted(self.eneg[k], -y, side="right"))
-            self.elo[k] = min(max(g, self.elo[k]), self.ehi[k])
+        d = self._count_view(y, strict_gt=False)
+        new_hi = np.where(self.srev, self.shi - d, self.shi)
+        new_lo = np.where(self.srev, self.slo, self.slo + d)
+        self.slo = np.minimum(new_lo, new_hi)
+        self.shi = new_hi
+        g = int(np.searchsorted(self.eneg, -y, side="right"))
+        self.elo = min(max(g, self.elo), self.ehi)
 
-    def closest_to(self, target: float) -> Optional[Tuple[float, Breakpoint]]:
-        """The surviving breakpoint whose position is nearest to ``target``."""
+    def closest_to(self, target: float) -> Optional[float]:
+        """Position of the surviving breakpoint nearest to ``target``."""
         best_d = math.inf
-        best: Optional[Tuple[float, Breakpoint]] = None
-
-        def consider(t: float, mk: Callable[[], Breakpoint]) -> None:
-            nonlocal best_d, best
-            d = abs(t - target)
-            if d < best_d:
-                best_d = d
-                best = (t, mk())
-
-        if len(self.sv):
-            lens = self.shi - self.slo
-            c = self._count_view(target, strict_gt=True)
-            for cand in (c - 1, c):
-                valid = (cand >= 0) & (cand < lens)
-                if not valid.any():
-                    continue
-                t = self._tan_t(np.maximum(cand, 0))
-                with np.errstate(invalid="ignore"):
-                    d = np.where(valid, np.abs(t - target), np.inf)
-                s_i = int(np.argmin(d))
-                if not math.isfinite(d[s_i]):
-                    continue
-                k = int(cand[s_i])
-                ti = float(t[s_i])
-
-                def mk(s_i=s_i, k=k, ti=ti) -> Breakpoint:
-                    idx = self.frame.idx
-                    p = (
-                        self.shi[s_i] - 1 - k
-                        if self.srev[s_i]
-                        else self.slo[s_i] + k
-                    )
-                    w = int(idx.order2[self.sv[s_i], p])
-                    return Breakpoint(
-                        self.frame.point_at(ti),
-                        "tangent",
-                        i=int(self.sv[s_i]),
-                        j=w,
-                        side="right" if self.sside[s_i] > 0 else "left",
-                    )
-
-                consider(ti, mk)
-        for k, seq in enumerate(self.expl):
-            g = int(np.searchsorted(self.eneg[k], -target, side="left"))
-            for pos in (max(self.elo[k], min(g, self.ehi[k])) - 1,
-                        max(self.elo[k], min(g, self.ehi[k]))):
-                if self.elo[k] <= pos < self.ehi[k]:
-                    consider(float(seq.ts[pos]), lambda seq=seq, pos=pos: seq.bps[pos])
+        best: Optional[float] = None
+        lens = self.shi - self.slo
+        c = self._count_view(target, strict_gt=True)
+        for cand in (c - 1, c):
+            valid = (cand >= 0) & (cand < lens)
+            if not valid.any():
+                continue
+            t = self._tan_t(np.maximum(cand, 0))
+            with np.errstate(invalid="ignore"):
+                d = np.where(valid, np.abs(t - target), np.inf)
+            s_i = int(np.argmin(d))
+            if d[s_i] < best_d:
+                best_d, best = float(d[s_i]), float(t[s_i])
+        g = int(np.searchsorted(self.eneg, -target, side="left"))
+        g = max(self.elo, min(g, self.ehi))
+        for pos in (g - 1, g):
+            if self.elo <= pos < self.ehi:
+                t = float(self.ets[pos])
+                if abs(t - target) < best_d:
+                    best_d, best = abs(t - target), t
         return best
-
-
-def _tel_inc(tel, field: str, amount: int = 1) -> None:
-    if tel is not None:
-        setattr(tel, field, getattr(tel, field, 0) + amount)
-
-
-def _tel_prune(tel, mass: int, pruned: int) -> None:
-    if tel is not None:
-        log = getattr(tel, "prune_log", None)
-        if log is None:
-            log = []
-            setattr(tel, "prune_log", log)
-        log.append((mass, pruned))
 
 
 Reaction = Tuple
@@ -533,7 +427,7 @@ def _prune_search(
     inst: Instance,
     bundle: _SequenceBundle,
     react: Callable[[float, Point, MedianoidResult], Reaction],
-    telemetry=None,
+    telemetry: Telemetry,
 ) -> Tuple[str, Optional[str]]:
     """Run the weighted-median elimination loop until stop or exhaustion.
 
@@ -548,10 +442,10 @@ def _prune_search(
         if mass == 0:
             return ("exhausted", None)
         vals, wts = bundle.middles()
-        y = _weighted_median_np(vals, wts)
+        y = weighted_median(vals, wts)
         point = bundle.point_at(y)
         res = solve_medianoid(inst, point)
-        _tel_inc(telemetry, "medianoid_calls")
+        telemetry.medianoid_calls += 1
         action = react(y, point, res)
         if action[0] == "stop":
             return ("stopped", action[1] if len(action) > 1 else None)
@@ -562,7 +456,7 @@ def _prune_search(
         else:
             raise RuntimeError("unknown prune reaction %r" % (action[0],))
         pruned = mass - bundle.total_mass()
-        _tel_prune(telemetry, mass, pruned)
+        telemetry.prune_log.append((mass, pruned))
         if pruned * 8 < mass:
             raise RuntimeError(
                 "prune progress fell below the guaranteed fraction "
@@ -577,10 +471,8 @@ def _prune_search(
 class LineLocalOptimum:
     """Minimum follower value over one query line.
 
-    ``status`` is ``"ordinary"`` for a plain line minimum,
-    ``"strong_centroid"`` when the point is a certified global optimum, and
-    ``"conditional_centroid"`` when a caller has certified the point optimal
-    within a restricted region.
+    ``status`` is ``"ordinary"`` for a plain line minimum and
+    ``"strong_centroid"`` when the point is a certified global optimum.
     """
 
     point: Point
@@ -593,33 +485,32 @@ def local_optimum_on_line(
     inst: Instance,
     idx: AngularIndex,
     L: DirectedLine,
-    objective=None,
-    extra_lines: Sequence[DirectedLine] = (),
-    telemetry=None,
+    telemetry: Optional[Telemetry] = None,
 ) -> LineLocalOptimum:
     """Minimise the follower value over the non-horizontal line ``L``.
 
-    The default objective evaluates breakpoints chosen by the weighted-median
-    rule, stops early when an evaluation certifies a global optimum or a
-    sideward wedge (whose apex is then the line minimum), and otherwise keeps
-    the side of the line that the wedge points along.  A custom ``objective``
-    callable receives ``(t, point, result)`` per evaluation and returns the
-    same reaction tuples used internally.
+    Breakpoints chosen by the weighted-median rule are evaluated; the search
+    stops early when an evaluation certifies a global optimum or a sideward
+    wedge (whose apex is then the line minimum), and otherwise keeps the
+    side of the line that the wedge points along.
     """
-    frame = _LineFrame(idx, L)
-    seqs = _tangent_sequences(frame)
-    expl = _explicit_sequence(frame, extra_lines)
-    if expl is not None:
-        seqs.append(expl)
-    bundle = _SequenceBundle(frame, seqs)
-    _tel_inc(telemetry, "lines_searched")
+    if telemetry is None:
+        telemetry = Telemetry()
+    bundle = breakpoint_sequences(idx, L)
+    up_angle = bundle.frame.up_angle
+    telemetry.lines_searched += 1
 
-    state = {"best": None, "last": None}
+    best: Optional[Tuple[Point, MedianoidResult]] = None
+    last: Optional[Tuple[Point, MedianoidResult]] = None
 
-    def decide_default(t: float, point: Point, res: MedianoidResult) -> Reaction:
+    def react(t: float, point: Point, res: MedianoidResult) -> Reaction:
+        nonlocal best, last
+        last = (point, res)
+        if best is None or res.weight_loss < best[1].weight_loss:
+            best = last
         if res.strong_centroid:
             return ("stop", "strong")
-        cls = classify_wedge_on_line(res.wedge, frame.up_angle)
+        cls = classify_wedge_on_line(res.wedge, up_angle)
         if cls == UPWARD:
             return ("above",)
         if cls == DOWNWARD:
@@ -628,32 +519,18 @@ def local_optimum_on_line(
             return ("stop", "sideward")
         raise RuntimeError("wedge degenerately contains the query line")
 
-    def react(t: float, point: Point, res: MedianoidResult) -> Reaction:
-        state["last"] = (t, point, res)
-        best = state["best"]
-        if best is None or res.weight_loss < best[2].weight_loss:
-            state["best"] = (t, point, res)
-        if objective is not None:
-            return objective(t, point, res)
-        return decide_default(t, point, res)
-
     outcome, tag = _prune_search(inst, bundle, react, telemetry)
 
     if outcome == "stopped":
-        t, point, res = state["last"]
-        if tag == "strong":
-            return LineLocalOptimum(point, res.weight_loss, STRONG, res)
-        if tag == "sideward":
-            return LineLocalOptimum(point, res.weight_loss, ORDINARY, res)
-        best_t, best_pt, best_res = state["best"]
-        return LineLocalOptimum(best_pt, best_res.weight_loss, ORDINARY, best_res)
-
-    best = state["best"]
+        point, res = last
+        return LineLocalOptimum(
+            point, res.weight_loss, STRONG if tag == "strong" else ORDINARY, res
+        )
     if best is None:
-        point = frame.point_at(0.0)
+        point = bundle.point_at(0.0)
         res = solve_medianoid(inst, point)
-        _tel_inc(telemetry, "medianoid_calls")
+        telemetry.medianoid_calls += 1
         status = STRONG if res.strong_centroid else ORDINARY
         return LineLocalOptimum(point, res.weight_loss, status, res)
-    t, point, res = best
+    point, res = best
     return LineLocalOptimum(point, res.weight_loss, ORDINARY, res)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class Wedge:
     theta_b: float
     theta_e: float
     ccw_span: float
-    classification: str
 
     @property
     def boundary_directions(self) -> Tuple[float, float]:
@@ -312,7 +311,6 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
             theta_b=theta_b,
             theta_e=theta_e,
             ccw_span=math.pi - span,
-            classification=_classify_from_ca(ca),
         )
     return MedianoidResult(
         weight_loss=best,

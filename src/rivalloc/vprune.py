@@ -12,8 +12,8 @@ better anchor settles the direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .geom import (
     Instance,
     Point,
     normalize_angle,
-    unit_vector,
 )
 from .medianoid import (
     DOWNWARD,
@@ -37,12 +36,10 @@ from .medianoid import (
 )
 from .linesearch import (
     AngularIndex,
-    _LineFrame,
+    Telemetry,
     _SequenceBundle,
-    _explicit_sequence,
     _prune_search,
-    _tangent_sequences,
-    _tel_inc,
+    breakpoint_sequences,
 )
 
 PRUNE_LEFT = "prune-left"
@@ -129,34 +126,23 @@ class PruneDecision:
 Anchor = Tuple[float, Point, MedianoidResult]
 
 
-def _line_sequences(idx: AngularIndex, frame: BoundingFrame, L: DirectedLine):
-    """The query line's frame and its breakpoint sequences, the frame's
-    auxiliary lines included.  The sequences are not consumed by a search,
-    so one build serves every bundle made over them."""
-    fr = _LineFrame(idx, L)
-    seqs = _tangent_sequences(fr)
-    expl = _explicit_sequence(fr, (frame.t_top, frame.t_btm))
-    if expl is not None:
-        seqs.append(expl)
-    return fr, seqs
-
-
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-               telemetry=None):
+               telemetry: Optional[Telemetry] = None):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
     Returns ``("anchors", down, up)`` with each anchor ``(t, point,
     evaluation)``, or ``("decision", PruneDecision)`` when an evaluation en
     route already settles the line (sideward wedge or strong centroid).
     """
-    fr, seqs = _line_sequences(idx, frame, L)
-    return _find_anchors(inst, fr, seqs, telemetry)
+    if telemetry is None:
+        telemetry = Telemetry()
+    bundle = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
+    return _find_anchors(inst, bundle, telemetry)
 
 
-def _find_anchors(inst, fr: _LineFrame, seqs, telemetry=None):
-    """``find_xD_xU`` over a line whose sequences are already built."""
-    bundle = _SequenceBundle(fr, seqs)
-
+def _find_anchors(inst, bundle: _SequenceBundle, telemetry: Telemetry):
+    """``find_xD_xU`` over a line whose breakpoints are already built; the
+    search consumes ``bundle``."""
     state = {"down": None, "up": None, "decision": None}
 
     def react(t, point, res):
@@ -168,7 +154,7 @@ def _find_anchors(inst, fr: _LineFrame, seqs, telemetry=None):
                 evidence="strong centroid at a breakpoint of the query line",
             )
             return ("stop", "strong")
-        cls = classify_wedge_on_line(res.wedge, fr.up_angle)
+        cls = classify_wedge_on_line(res.wedge, bundle.frame.up_angle)
         if cls == UPWARD:
             if state["up"] is None or t > state["up"][0]:
                 state["up"] = (t, point, res)
@@ -322,10 +308,12 @@ def pseudo_wedge(
 
 
 def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-           telemetry=None) -> PruneDecision:
+           telemetry: Optional[Telemetry] = None) -> PruneDecision:
     """Classify the vertical line ``L``: certify an optimum on it or name
     the side of the plane that cannot contain a better point."""
-    _tel_inc(telemetry, "decide_calls")
+    if telemetry is None:
+        telemetry = Telemetry()
+    telemetry.decide_calls += 1
     ux, uy = L.direction
     if abs(ux) > 1e-9:
         raise ValueError("decide requires a vertical query line")
@@ -341,8 +329,8 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="line lies right of the bounding box of all discs",
         )
 
-    fr, seqs = _line_sequences(idx, frame, L)
-    got = _find_anchors(inst, fr, seqs, telemetry)
+    bundle = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
+    got = _find_anchors(inst, bundle.copy(), telemetry)
     if got[0] == "decision":
         return got[1]
     _kind, (t_D, p_D, r_D), (t_U, p_U, r_U) = got
@@ -350,16 +338,13 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     # A breakpoint strictly between the anchors, when one exists, must carry
     # a sideward wedge or a strong centroid: it can be neither upward (it
     # lies above the highest upward breakpoint) nor downward.
-    bundle = _SequenceBundle(fr, seqs)
     bundle.cut_keep_below(t_D)
     bundle.cut_keep_above(t_U)
     mid_t = (t_U + t_D) / 2.0
     if bundle.total_mass() > 0:
-        hit = bundle.closest_to(mid_t)
-        t_z, bp = hit
-        pz = bp.location
+        pz = bundle.point_at(bundle.closest_to(mid_t))
         res_z = solve_medianoid(inst, pz)
-        _tel_inc(telemetry, "medianoid_calls")
+        telemetry.medianoid_calls += 1
         if res_z.strong_centroid:
             return PruneDecision(
                 STRONG_CENTROID,
@@ -369,7 +354,7 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                 x_D=p_D,
                 x_U=p_U,
             )
-        cls = classify_wedge_on_line(res_z.wedge, fr.up_angle)
+        cls = classify_wedge_on_line(res_z.wedge, bundle.frame.up_angle)
         if cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
             return PruneDecision(
                 PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT,
@@ -385,9 +370,9 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
         )
 
     # No breakpoint between the anchors: probe the segment midpoint.
-    x_B = fr.point_at(mid_t)
+    x_B = bundle.point_at(mid_t)
     res_B = solve_medianoid(inst, x_B)
-    _tel_inc(telemetry, "medianoid_calls")
+    telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
         return PruneDecision(
             STRONG_CENTROID,
@@ -398,7 +383,7 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             x_U=p_U,
             x_B=x_B,
         )
-    cls_B = classify_wedge_on_line(res_B.wedge, fr.up_angle)
+    cls_B = classify_wedge_on_line(res_B.wedge, bundle.frame.up_angle)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
         return PruneDecision(
             PRUNE_LEFT if cls_B == SIDEWARD_RIGHT else PRUNE_RIGHT,

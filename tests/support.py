@@ -119,9 +119,22 @@ def t_along(L, p):
     return (p.x - L.anchor.x) * ux + (p.y - L.anchor.y) * uy
 
 
-def sequence_positions(seqs):
+def bundle_sequences(bundle):
+    """Every live sequence of a breakpoint bundle as its list of positions,
+    in sequence order (tangent sequences first, then the explicit one)."""
+    lens = bundle.shi - bundle.slo
+    seqs = [[] for _ in lens]
+    for k in range(int(lens.max(initial=0))):
+        ts = bundle._tan_t(np.full_like(lens, k))
+        for s in np.flatnonzero(k < lens):
+            seqs[s].append(float(ts[s]))
+    seqs.append(bundle.ets[bundle.elo:bundle.ehi].tolist())
+    return [s for s in seqs if s]
+
+
+def sequence_positions(bundle):
     """Sorted multiset of breakpoint parameters over all sequences."""
-    return sorted(s.t_at(k) for s in seqs for k in range(len(s)))
+    return sorted(t for s in bundle_sequences(bundle) for t in s)
 
 
 def expected_positions(inst, L, extra_lines=()):

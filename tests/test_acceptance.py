@@ -144,8 +144,8 @@ def _check_sequences(rng, violations):
     inst = random_instance(rng, n_lo=2, n_hi=8)
     L = support.non_horizontal_line(rng)
     idx = build_angular_index(inst)
-    seqs = breakpoint_sequences(idx, L)
-    got = support.sequence_positions(seqs)
+    bundle = breakpoint_sequences(idx, L)
+    got = support.sequence_positions(bundle)
     want = support.expected_positions(inst, L)
     scale = max(1.0, max(map(abs, want), default=1.0))
     if len(got) != len(want) or any(
@@ -153,8 +153,7 @@ def _check_sequences(rng, violations):
     ):
         violations.append("sequence multiset mismatch (%d vs %d)" % (len(got), len(want)))
         return
-    for s in seqs:
-        ts = [s.t_at(k) for k in range(len(s))]
+    for ts in support.bundle_sequences(bundle):
         if any(a <= b for a, b in zip(ts, ts[1:])):
             violations.append("sequence not strictly decreasing")
 

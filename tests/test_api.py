@@ -1,0 +1,38 @@
+"""The package's public API: what ``rivalloc`` exports and what README shows."""
+
+import re
+from pathlib import Path
+
+import rivalloc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = {
+    "Customer",
+    "Instance",
+    "Point",
+    "DegenerateInputError",
+    "general_position_violation",
+    "solve_medianoid",
+    "MedianoidResult",
+    "solve_centroid",
+    "SolveReport",
+    "brute_centroid",
+    "brute_medianoid",
+}
+
+
+def test_all_is_the_user_api():
+    assert set(rivalloc.__all__) == PUBLIC
+    assert len(rivalloc.__all__) == len(PUBLIC)
+    for name in rivalloc.__all__:
+        assert getattr(rivalloc, name) is not None
+
+
+def test_readme_quickstart_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README quickstart", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2

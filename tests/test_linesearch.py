@@ -1,8 +1,8 @@
 """Tests for breakpoint sequences and the prune search along a line."""
 
 import random
-import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +16,7 @@ from rivalloc.geom import (
     Point,
 )
 from rivalloc.linesearch import (
+    Telemetry,
     build_angular_index,
     breakpoint_sequences,
     local_optimum_on_line,
@@ -28,6 +29,12 @@ COVERAGE_TOL = 1e-6
 t_along = support.t_along
 sequence_positions = support.sequence_positions
 expected_positions = support.expected_positions
+
+
+def median_of(items):
+    values = np.array([v for v, _ in items], dtype=float)
+    weights = np.array([w for _, w in items], dtype=float)
+    return weighted_median(values, weights)
 
 
 class TestWeightedMedian:
@@ -43,11 +50,15 @@ class TestWeightedMedian:
         ],
     )
     def test_fixed_tables(self, items, expected):
-        assert weighted_median(items) == expected
+        assert median_of(items) == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            weighted_median([])
+            median_of([])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            median_of([(1.0, 1.0), (2.0, -1.0)])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -59,7 +70,7 @@ class TestWeightedMedian:
     )
     def test_matches_prefix_sum_definition(self, raw):
         items = [(float(v), float(w)) for v, w in raw]
-        got = weighted_median(items)
+        got = median_of(items)
         total = sum(w for _, w in items)
         acc = 0.0
         want = None
@@ -103,8 +114,7 @@ class TestBreakpointSequences:
         )
         L = DirectedLine.vertical(-1000.0)
         idx = build_angular_index(inst)
-        seqs = breakpoint_sequences(idx, L)
-        got = sequence_positions(seqs)
+        got = sequence_positions(breakpoint_sequences(idx, L))
         # two tangent lines cross L, each listed once per endpoint customer;
         # the discs are nowhere near L
         assert len(got) == 4
@@ -120,15 +130,14 @@ class TestBreakpointSequences:
             )
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            seqs = breakpoint_sequences(idx, L)
-            got = sequence_positions(seqs)
+            bundle = breakpoint_sequences(idx, L)
+            got = sequence_positions(bundle)
             want = expected_positions(inst, L)
             assert len(got) == len(want), (trial, len(got), len(want))
             scale = max(1.0, max(map(abs, want), default=1.0))
             for g, w in zip(got, want):
                 assert abs(g - w) <= COVERAGE_TOL * scale, (trial, g, w)
-            for s in seqs:
-                ts = [s.t_at(k) for k in range(len(s))]
+            for ts in support.bundle_sequences(bundle):
                 assert all(a > b for a, b in zip(ts, ts[1:])), (trial, ts[:6])
 
     def test_breakpoints_lie_on_the_line(self):
@@ -136,11 +145,11 @@ class TestBreakpointSequences:
         L = DirectedLine(Point(3.0, -2.0), 1.1)
         idx = build_angular_index(inst)
         ux, uy = L.direction
-        for s in breakpoint_sequences(idx, L):
-            for k in range(len(s)):
-                bp = s.breakpoint_at(k)
-                off = ux * (bp.location.y - L.anchor.y) - uy * (bp.location.x - L.anchor.x)
-                assert abs(off) <= 1e-6
+        bundle = breakpoint_sequences(idx, L)
+        for t in sequence_positions(bundle):
+            p = bundle.point_at(t)
+            off = ux * (p.y - L.anchor.y) - uy * (p.x - L.anchor.x)
+            assert abs(off) <= 1e-6
 
     def test_extra_lines_become_breakpoints(self):
         inst = generate_instance(4, seed=55, r=2.0)
@@ -151,6 +160,16 @@ class TestBreakpointSequences:
         plus = sequence_positions(breakpoint_sequences(idx, L, extra_lines=(extra,)))
         assert len(plus) == len(base) + 1
         assert 123.0 in plus
+
+    def test_copy_is_cut_independently(self):
+        inst = generate_instance(6, seed=99, r=2.0)
+        bundle = breakpoint_sequences(build_angular_index(inst), DirectedLine.vertical(1.5))
+        before = sequence_positions(bundle)
+        cut = bundle.copy()
+        cut.cut_keep_below(before[-2])
+        cut.cut_keep_above(before[len(before) // 2])
+        assert 0 < cut.total_mass() < len(before)
+        assert sequence_positions(bundle) == before
 
     def test_horizontal_line_rejected(self):
         inst = generate_instance(3, seed=1, r=2.0)
@@ -194,9 +213,19 @@ class TestLocalOptimum:
             inst = support.seeded_instance(5000 + trial, n_lo=6, n_hi=10)
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            tel = types.SimpleNamespace(prune_log=[])
+            tel = Telemetry()
             local_optimum_on_line(inst, idx, L, telemetry=tel)
             for mass, pruned in tel.prune_log:
                 assert pruned * 8 >= mass, (trial, mass, pruned)
                 saw_iterations += 1
         assert saw_iterations > 0
+
+
+class TestTelemetry:
+    def test_undeclared_counter_raises(self):
+        tel = Telemetry()
+        tel.lm_rounds += 1
+        with pytest.raises(AttributeError):
+            tel.lm_round = 1
+        with pytest.raises(AttributeError):
+            tel.lm_round += 1
