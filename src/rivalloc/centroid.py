@@ -25,6 +25,7 @@ from .geom import (
     DirectedLine,
     Instance,
     Point,
+    _libm,
     circle_circle_intersections,
     Circle,
 )
@@ -248,21 +249,11 @@ def local_optimal_line_LT(
 # Customers whose descriptors are built together, against all partners.
 LM_BLOCK = 32
 
+_LM_COLUMNS = ("dv", "du", "dbr", "dlo", "dhi", "dincr", "dx3", "dth0", "drho")
 _LM_DTYPES = (np.int64,) * 5 + (bool,) + (float,) * 3
 
 _HALF_PI = math.pi / 2.0
 _OWN_BOUNDS = np.array([_HALF_PI, 3.0 * _HALF_PI, 5.0 * _HALF_PI])
-
-
-def _libm(fn, *args: np.ndarray) -> np.ndarray:
-    """``fn`` from the math module applied elementwise to 1-D arrays.
-
-    numpy's vectorised transcendental functions may differ from the C
-    library in the last bit; window bounds and branch directions are
-    computed with the scalar functions so that they never depend on which
-    implementation ran.
-    """
-    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
 
 
 def _columns(*cols) -> List[np.ndarray]:
@@ -278,6 +269,9 @@ class _LMDescriptors:
     Each descriptor is a contiguous window of one customer's angular
     neighbour order, on one intersection branch with one disc boundary, cut
     so that the crossing x-coordinate is strictly monotone in the index.
+    Every stored window is non-empty: a cut drops the descriptors it
+    empties and keeps the order of the rest, so a round's work shrinks with
+    the surviving crossings.
     """
 
     def __init__(self, idx: AngularIndex) -> None:
@@ -288,10 +282,8 @@ class _LMDescriptors:
             for v0 in range(0, idx.n, LM_BLOCK):
                 groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)))
         cols = [np.concatenate(c) for c in zip(*groups)] or [np.empty(0)] * 9
-        (
-            self.dv, self.du, self.dbr, self.dlo, self.dhi,
-            self.dincr, self.dx3, self.dth0, self.drho,
-        ) = [c.astype(t, copy=False) for c, t in zip(cols, _LM_DTYPES)]
+        for name, c, t in zip(_LM_COLUMNS, cols, _LM_DTYPES):
+            setattr(self, name, c.astype(t, copy=False))
 
     def _block(self, vs: np.ndarray) -> List[List[np.ndarray]]:
         """Descriptor column groups of customers ``vs`` against every
@@ -405,8 +397,6 @@ class _LMDescriptors:
         ]
 
     def total_mass(self) -> int:
-        if len(self.dlo) == 0:
-            return 0
         return int(np.sum(self.dhi - self.dlo))
 
     def _x_at(self, pos: np.ndarray, d=slice(None)) -> np.ndarray:
@@ -429,40 +419,46 @@ class _LMDescriptors:
 
     def middles(self) -> Tuple[np.ndarray, np.ndarray]:
         lens = self.dhi - self.dlo
-        act = lens > 0
-        pos = np.maximum(lens - 1, 0) // 2
-        x = self._x_at(pos)
-        return x[act], lens[act]
+        return self._x_at((lens - 1) // 2), lens
 
     def _count_leading(self, X: float, keep_gt: bool) -> np.ndarray:
         """Per descriptor: length of the maximal leading run that will be
-        dropped (keep_gt) or kept (not keep_gt) under the cut at X."""
-        lens = self.dhi - self.dlo
-        lo = np.zeros_like(lens)
-        hi = lens.copy()
-        while True:
-            searching = lo < hi
-            if not searching.any():
-                break
-            mid = (lo + hi) >> 1
-            x = self._x_at(mid)
+        dropped (keep_gt) or kept (not keep_gt) under the cut at X.  Each
+        step evaluates only the descriptors still searching."""
+        lo = np.zeros_like(self.dlo)
+        hi = self.dhi - self.dlo
+        s = np.arange(len(lo))
+        while len(s):
+            mid = (lo[s] + hi[s]) >> 1
+            x = self._x_at(mid, s)
             if keep_gt:
-                cond = np.where(self.dincr, x <= X, x > X)
+                cond = np.where(self.dincr[s], x <= X, x > X)
             else:
-                cond = np.where(self.dincr, x < X, x >= X)
-            lo = np.where(searching & cond, mid + 1, lo)
-            hi = np.where(searching & ~cond, mid, hi)
+                cond = np.where(self.dincr[s], x < X, x >= X)
+            lo[s] = np.where(cond, mid + 1, lo[s])
+            hi[s] = np.where(cond, hi[s], mid)
+            s = s[lo[s] < hi[s]]
         return lo
+
+    def _compact(self) -> None:
+        """Drop the emptied descriptors from every column, keeping the
+        order of the survivors."""
+        live = self.dhi > self.dlo
+        if not live.all():
+            for name in _LM_COLUMNS:
+                setattr(self, name, getattr(self, name)[live])
 
     def cut_keep_gt(self, X: float) -> None:
         c = self._count_leading(X, keep_gt=True)
         self.dlo = np.where(self.dincr, self.dlo + c, self.dlo)
         self.dhi = np.where(self.dincr, self.dhi, np.minimum(self.dhi, self.dlo + c))
+        self._compact()
 
     def cut_keep_lt(self, X: float) -> None:
         c = self._count_leading(X, keep_gt=False)
         self.dhi = np.where(self.dincr, np.minimum(self.dhi, self.dlo + c), self.dhi)
         self.dlo = np.where(self.dincr, self.dlo, self.dlo + c)
+        self._compact()
 
     def remaining_xs(self) -> List[float]:
         """Abscissas of every surviving crossing, descriptor by descriptor."""

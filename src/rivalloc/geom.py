@@ -41,6 +41,17 @@ def unit_vector(theta: float) -> Tuple[float, float]:
     return (math.cos(theta), math.sin(theta))
 
 
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """``fn`` from the math module applied elementwise to 1-D arrays.
+
+    numpy's vectorised transcendental functions may differ from the C
+    library in the last bit; window bounds and branch directions are
+    computed with the scalar functions so that they never depend on which
+    implementation ran.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+
+
 @dataclass(frozen=True, slots=True)
 class Point:
     x: float

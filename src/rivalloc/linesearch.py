@@ -28,6 +28,7 @@ from .geom import (
     DirectedLine,
     Instance,
     Point,
+    _libm,
     normalize_angle,
 )
 from .medianoid import (
@@ -194,50 +195,89 @@ class _LineFrame:
         return self.line.point_at(t)
 
 
+# Per piece of a side's turn of tangent directions: whether its upper
+# bound is searched with ``<=`` (side "right") or ``<``.
+_PIECE_HI_RIGHT = np.array([True, False, True, False])
+
+
+def _count_le(rows: np.ndarray, vs: np.ndarray, q: np.ndarray,
+              inclusive: np.ndarray) -> np.ndarray:
+    """Per query: how many entries of the sorted row ``rows[vs]`` are
+    ``<= q`` (``inclusive``) or ``< q``, as ``np.searchsorted`` with side
+    "right" or "left" would count them, by one binary search over all
+    queries.  ``a <= q`` is tested exactly as ``a < nextafter(q, inf)``."""
+    m = rows.shape[1]
+    q = np.where(inclusive, np.nextafter(q, np.inf), q)
+    flat = rows.ravel()
+    base = vs * m - 1
+    count = np.zeros(len(q), dtype=np.int64)
+    step = 1 << (m.bit_length() - 1) if m else 0
+    while step:
+        cand = count + step
+        ok = (cand <= m) & (flat[base + np.minimum(cand, m)] < q)
+        count = np.where(ok, cand, count)
+        step >>= 1
+    return count
+
+
 def _tangent_sequences(frame: _LineFrame) -> Tuple[np.ndarray, ...]:
-    """Window columns ``(v, side, lo, hi, rev)`` of the tangent sequences."""
+    """Window columns ``(v, side, lo, hi, rev)`` of the tangent sequences.
+
+    Every customer ``v`` and side of the line has four pieces of tangent
+    directions, bounded by ``up``, ``up + psi1``, ``up + pi``,
+    ``up + 2 pi - psi1`` and ``up + 2 pi``; a piece's window is the run of
+    ``v``'s doubled neighbour order whose angles fall inside it, with the
+    directions parallel to the line trimmed off its ends.  The columns list
+    the non-empty windows in ``(v, side, piece)`` order.
+    """
     idx = frame.idx
     n = idx.n
     r = idx.inst.r
     up = frame.up_angle
-    rows: List[Tuple[int, int, int, int, bool]] = []
-    for v in range(n):
-        relx = frame.ax - idx.xs[v]
-        rely = frame.ay - idx.ys[v]
-        q = relx * frame.nx_line + rely * frame.ny_line
-        row = idx.angles2[v]
-        for side in (1, -1):
-            r_s = side * r
-            c = min(1.0, max(-1.0, q / r_s))
-            psi1 = math.acos(c)
-            # Shared boundary values keep adjacent pieces exactly disjoint.
-            b0 = up
-            b1 = up + psi1
-            b2 = up + math.pi
-            b3 = up + TWO_PI - psi1
-            b4 = up + TWO_PI
-            pieces = (
-                (b0, b1, "right"),
-                (b1, b2, "left"),
-                (b2, b3, "right"),
-                (b3, b4, "left"),
-            )
-            for blo, bhi, hi_side in pieces:
-                if bhi - blo <= PARALLEL_EPS:
-                    continue
-                lo_i = int(np.searchsorted(row, blo, side="right"))
-                hi_i = int(np.searchsorted(row, bhi, side=hi_side))
-                while lo_i < hi_i and abs(math.sin(row[lo_i] - up)) <= PARALLEL_EPS:
-                    lo_i += 1
-                while hi_i > lo_i and abs(math.sin(row[hi_i - 1] - up)) <= PARALLEL_EPS:
-                    hi_i -= 1
-                if hi_i <= lo_i:
-                    continue
-                psi_mid = (blo + bhi) / 2.0 - up
-                slope = q - r_s * math.cos(psi_mid)
-                rows.append((v, side, lo_i, hi_i, slope > 0.0))
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return (*cols[:4], cols[4].astype(bool))
+    rows = idx.angles2
+    q = (frame.ax - idx.xs) * frame.nx_line + (frame.ay - idx.ys) * frame.ny_line
+    r_s = np.array([r, -r])
+    c = np.minimum(1.0, np.maximum(-1.0, q[:, None] / r_s))
+    psi1 = _libm(math.acos, c.ravel()).reshape(n, 2)
+    # Shared boundary values keep adjacent pieces exactly disjoint.
+    b = np.empty((n, 2, 5))
+    b[:, :, 0] = up
+    b[:, :, 1] = up + psi1
+    b[:, :, 2] = up + math.pi
+    b[:, :, 3] = (up + TWO_PI) - psi1
+    b[:, :, 4] = up + TWO_PI
+    blo, bhi = b[:, :, :-1], b[:, :, 1:]
+    keep = bhi - blo > PARALLEL_EPS
+    v, side, piece = np.nonzero(keep)
+    blo, bhi = blo[keep], bhi[keep]
+    k = len(v)
+    lo_hi = _count_le(
+        rows, np.concatenate([v, v]), np.concatenate([blo, bhi]),
+        np.concatenate([np.ones(k, dtype=bool), _PIECE_HI_RIGHT[piece]]),
+    )
+    lo, hi = lo_hi[:k], lo_hi[k:]
+    # Trim tangent directions parallel to the line off both window ends.
+    # numpy's sin is within far less than PARALLEL_EPS of the C library's,
+    # so its looser test only preselects the entries the C library tests.
+    for end in (0, 1):
+        s = np.arange(k)
+        while True:
+            s = s[lo[s] < hi[s]]
+            d = rows[v[s], lo[s] if end == 0 else hi[s] - 1] - up
+            par = np.abs(np.sin(d)) <= 2.0 * PARALLEL_EPS
+            par[par] = np.abs(_libm(math.sin, d[par])) <= PARALLEL_EPS
+            s = s[par]
+            if not len(s):
+                break
+            if end == 0:
+                lo[s] += 1
+            else:
+                hi[s] -= 1
+    live = hi > lo
+    v, side, lo, hi = v[live], side[live], lo[live], hi[live]
+    psi_mid = (blo[live] + bhi[live]) / 2.0 - up
+    slope = q[v] - r_s[side] * _libm(math.cos, psi_mid)
+    return v, 1 - 2 * side, lo, hi, slope > 0.0
 
 
 def _explicit_sequence(
@@ -478,7 +518,6 @@ class LineLocalOptimum:
     point: Point
     weight_loss: float
     status: str
-    medianoid: MedianoidResult
 
 
 def local_optimum_on_line(
@@ -524,13 +563,13 @@ def local_optimum_on_line(
     if outcome == "stopped":
         point, res = last
         return LineLocalOptimum(
-            point, res.weight_loss, STRONG if tag == "strong" else ORDINARY, res
+            point, res.weight_loss, STRONG if tag == "strong" else ORDINARY
         )
     if best is None:
         point = bundle.point_at(0.0)
         res = solve_medianoid(inst, point)
         telemetry.medianoid_calls += 1
         status = STRONG if res.strong_centroid else ORDINARY
-        return LineLocalOptimum(point, res.weight_loss, status, res)
+        return LineLocalOptimum(point, res.weight_loss, status)
     point, res = best
-    return LineLocalOptimum(point, res.weight_loss, ORDINARY, res)
+    return LineLocalOptimum(point, res.weight_loss, ORDINARY)

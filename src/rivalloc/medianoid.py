@@ -175,11 +175,11 @@ def _full_circle_result(x: Point, weight: float) -> MedianoidResult:
     )
 
 
-def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Tuple[Arc, float]], float]:
-    """All gaps of the endpoint arrangement with their follower weights.
+def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Arc], float]:
+    """The maximizing gaps of the endpoint arrangement.
 
-    Returns (gaps, weight_loss) where each gap is ((begin, end), weight)
-    and consecutive gaps share endpoint angles.
+    Returns (max_arcs, weight_loss): the gaps (begin, end) whose follower
+    weight equals the maximum, in angular order.
     """
     deltas: dict = {}
     for begin, end, w in arcs:
@@ -205,10 +205,11 @@ def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Tuple[Arc,
                 best = cur
         end = angles[i + 1] if i + 1 < m else angles[0] + TWO_PI
         gaps.append(((angles[i], end), cur))
-    return gaps, best
+    return [g for g, w in gaps if w == best], best
 
 
-def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Tuple[Arc, float]], float]]:
+def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Arc], float]]:
+    """``_sweep_pure`` on arrays; ``None`` when no customer is capturable."""
     r = inst.R / 2.0 + inst.eps
     ws = inst.ws
     dx = inst.xs - x.x
@@ -243,11 +244,9 @@ def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Tuple[Arc, float]
     if m > 1:
         weights[1:] = w0 + np.cumsum(gd[1:])
     best = float(weights.max())
-    gaps: List[Tuple[Arc, float]] = []
-    for i in range(m):
-        end = uniq[i + 1] if i + 1 < m else uniq[0] + TWO_PI
-        gaps.append(((float(uniq[i]), float(end)), float(weights[i])))
-    return gaps, best
+    sel = np.flatnonzero(weights == best)
+    ends = np.append(uniq[1:], uniq[0] + TWO_PI)
+    return list(zip(uniq[sel].tolist(), ends[sel].tolist())), best
 
 
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
@@ -261,7 +260,7 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
         swept = _sweep_np(inst, x)
         if swept is None:
             return _full_circle_result(x, 0.0)
-        gaps, best = swept
+        ma_arcs, best = swept
     else:
         arcs = []
         for c in inst.customers:
@@ -270,9 +269,8 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
                 arcs.append((a[0], a[1], c.weight))
         if not arcs:
             return _full_circle_result(x, 0.0)
-        gaps, best = _sweep_pure(arcs)
+        ma_arcs, best = _sweep_pure(arcs)
 
-    ma_arcs: List[Arc] = [g for g, w in gaps if w == best]
     witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
     ma = ArcSet(arcs=tuple(ma_arcs), attained_weight=best)
 

@@ -123,9 +123,6 @@ class PruneDecision:
     pseudo: Optional[PseudoWedge] = None
 
 
-Anchor = Tuple[float, Point, MedianoidResult]
-
-
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                telemetry: Optional[Telemetry] = None):
     """Locate the lowest downward and highest upward breakpoints on ``L``.

@@ -7,7 +7,7 @@ against independently derived answers rather than against itself.
 
 import math
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from rivalloc.geom import (
     line_line_intersection,
     outer_tangents,
 )
+from rivalloc.linesearch import PARALLEL_EPS
 from rivalloc.medianoid import (
     DOWNWARD,
     UPWARD,
@@ -306,3 +307,97 @@ def reference_lm_descriptors(idx):
                         add(v, u, br, lo_i, hi_i, dx > 0.0,
                             th0=th0, rho=rho)
     return out
+
+
+def reference_tangent_sequences(frame):
+    """The per-customer loop that ``_tangent_sequences`` vectorises.
+
+    Returns the window columns ``(v, side, lo, hi, rev)`` in the loop's
+    ``(v, side, piece)`` order, with the loop's dtypes.
+    """
+    idx = frame.idx
+    n = idx.n
+    r = idx.inst.r
+    up = frame.up_angle
+    rows: List[Tuple[int, int, int, int, bool]] = []
+    for v in range(n):
+        relx = frame.ax - idx.xs[v]
+        rely = frame.ay - idx.ys[v]
+        q = relx * frame.nx_line + rely * frame.ny_line
+        row = idx.angles2[v]
+        for side in (1, -1):
+            r_s = side * r
+            c = min(1.0, max(-1.0, q / r_s))
+            psi1 = math.acos(c)
+            # Shared boundary values keep adjacent pieces exactly disjoint.
+            b0 = up
+            b1 = up + psi1
+            b2 = up + math.pi
+            b3 = up + TWO_PI - psi1
+            b4 = up + TWO_PI
+            pieces = (
+                (b0, b1, "right"),
+                (b1, b2, "left"),
+                (b2, b3, "right"),
+                (b3, b4, "left"),
+            )
+            for blo, bhi, hi_side in pieces:
+                if bhi - blo <= PARALLEL_EPS:
+                    continue
+                lo_i = int(np.searchsorted(row, blo, side="right"))
+                hi_i = int(np.searchsorted(row, bhi, side=hi_side))
+                while lo_i < hi_i and abs(math.sin(row[lo_i] - up)) <= PARALLEL_EPS:
+                    lo_i += 1
+                while hi_i > lo_i and abs(math.sin(row[hi_i - 1] - up)) <= PARALLEL_EPS:
+                    hi_i -= 1
+                if hi_i <= lo_i:
+                    continue
+                psi_mid = (blo + bhi) / 2.0 - up
+                slope = q - r_s * math.cos(psi_mid)
+                rows.append((v, side, lo_i, hi_i, slope > 0.0))
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return (*cols[:4], cols[4].astype(bool))
+
+
+def reference_sweep_np(inst, x) -> Optional[Tuple[list, float]]:
+    """The numpy medianoid sweep that returns every gap of the endpoint
+    arrangement as ``((begin, end), weight)``, with the maximum weight."""
+    r = inst.R / 2.0 + inst.eps
+    ws = inst.ws
+    dx = inst.xs - x.x
+    dy = inst.ys - x.y
+    d = np.hypot(dx, dy)
+    mask = d > r
+    if not mask.any():
+        return None
+    dxm = dx[mask]
+    dym = dy[mask]
+    dm = d[mask]
+    wm = ws[mask]
+    theta_v = np.arctan2(dym, dxm)
+    phi = np.arccos(r / dm)
+    width = 2.0 * phi
+    begin = np.mod(theta_v - phi, TWO_PI)
+    endn = np.mod(begin + width, TWO_PI)
+    angles = np.concatenate([begin, endn])
+    deltas = np.concatenate([wm, -wm])
+    order = np.argsort(angles, kind="stable")
+    a_s = angles[order]
+    d_s = deltas[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(a_s) != 0.0]))
+    uniq = a_s[starts]
+    gd = np.add.reduceat(d_s, starts)
+    m = len(uniq)
+    mid0 = uniq[0] + (uniq[1] - uniq[0]) / 2.0 if m > 1 else uniq[0] + math.pi
+    off = np.mod(mid0 - begin, TWO_PI)
+    w0 = float(wm[(off > 0.0) & (off < width)].sum())
+    weights = np.empty(m)
+    weights[0] = w0
+    if m > 1:
+        weights[1:] = w0 + np.cumsum(gd[1:])
+    best = float(weights.max())
+    gaps = []
+    for i in range(m):
+        end = uniq[i + 1] if i + 1 < m else uniq[0] + TWO_PI
+        gaps.append(((float(uniq[i]), float(end)), float(weights[i])))
+    return gaps, best

@@ -140,3 +140,23 @@ class TestLMDescriptors:
                 regimes["touching"] += int(np.sum(idx.dist[off] == R))
                 regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
         assert all(count > 0 for count in regimes.values()), regimes
+
+    def test_cuts_keep_exactly_the_survivors_and_drop_emptied_windows(self):
+        rng = np.random.default_rng(5)
+        cuts = 0
+        for n, seed in ((12, 1), (30, 2), (60, 3)):
+            inst = generate_instance(n, seed=seed, r=4.0, coord_range=2 * n)
+            descs = _LMDescriptors(build_angular_index(inst))
+            while descs.total_mass() > 0:
+                before = descs.remaining_xs()
+                X = float(rng.choice(before))
+                if rng.random() < 0.5:
+                    descs.cut_keep_gt(X)
+                    want = sorted(x for x in before if x > X)
+                else:
+                    descs.cut_keep_lt(X)
+                    want = sorted(x for x in before if x < X)
+                assert sorted(descs.remaining_xs()) == want, (n, X)
+                assert np.all(descs.dhi > descs.dlo)
+                cuts += 1
+        assert cuts > 20

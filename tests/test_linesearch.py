@@ -16,7 +16,10 @@ from rivalloc.geom import (
     Point,
 )
 from rivalloc.linesearch import (
+    PARALLEL_EPS,
     Telemetry,
+    _LineFrame,
+    _tangent_sequences,
     build_angular_index,
     breakpoint_sequences,
     local_optimum_on_line,
@@ -176,6 +179,53 @@ class TestBreakpointSequences:
         idx = build_angular_index(inst)
         with pytest.raises(ValueError, match="horizontal"):
             breakpoint_sequences(idx, DirectedLine.horizontal(5.0))
+
+
+def _query_lines(idx, rng):
+    """Tangent lines of the first few pairs (their own direction appears in
+    the neighbour orders, so windows get parallel entries to trim), vertical
+    lines through sites, and random non-horizontal lines."""
+    lines = []
+    for i in range(min(idx.n, 4)):
+        for j in range(min(idx.n, 4)):
+            if i != j and abs(np.sin(idx.ang[i, j])) > PARALLEL_EPS:
+                lines.append(idx.tangent_line(i, j))
+    lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:3]]
+    spread = 2.0 * float(np.max(np.abs(idx.xs))) + 1.0
+    lines += [support.non_horizontal_line(rng, spread) for _ in range(4)]
+    return lines
+
+
+class TestTangentSequences:
+    def test_array_build_matches_the_loop_reference(self):
+        rng = random.Random(4)
+        regimes = {"apart": 0, "touching": 0, "overlapping": 0}
+        lines_with_parallel = 0
+        for n in list(range(1, 41)) + [200]:
+            base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
+            Rs = [2.0, 3.0 * (n + 10)]
+            if n > 1:
+                Rs.append(float(build_angular_index(base).dist[0, 1]))
+            # Discs mostly apart, mostly overlapping, and one pair at rho == 2r.
+            for R in Rs:
+                inst = Instance(base.customers, R)
+                idx = build_angular_index(inst)
+                for L in _query_lines(idx, rng):
+                    frame = _LineFrame(idx, L)
+                    got = _tangent_sequences(frame)
+                    want = support.reference_tangent_sequences(frame)
+                    assert len(got) == len(want) == 5
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype, (n, R, L)
+                        assert np.array_equal(g, w), (n, R, L)
+                    par = np.abs(np.sin(idx.angles2 - frame.up_angle)) <= PARALLEL_EPS
+                    lines_with_parallel += bool(par.any())
+                off = ~np.eye(n, dtype=bool)
+                regimes["apart"] += int(np.sum(idx.dist[off] > R))
+                regimes["touching"] += int(np.sum(idx.dist[off] == R))
+                regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
+        assert all(count > 0 for count in regimes.values()), regimes
+        assert lines_with_parallel > 100
 
 
 class TestLocalOptimum:

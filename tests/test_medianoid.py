@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import support
+from rivalloc import medianoid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
 from rivalloc.medianoid import (
@@ -203,6 +205,36 @@ class TestAgainstDirectCounting:
             x = Point(rng.uniform(-130, 130), rng.uniform(-130, 130))
             res = solve_medianoid(inst, x)
             assert res.weight_loss == brute_medianoid(inst, x)[0]
+
+    def test_numpy_sweep_matches_the_full_gap_reference(self, monkeypatch):
+        # The numpy sweep returns only the maximizing gaps; every derived
+        # field must equal what the sweep over all gaps gives.
+        def full_gap_sweep(inst, x):
+            swept = support.reference_sweep_np(inst, x)
+            if swept is None:
+                return None
+            gaps, best = swept
+            return [g for g, w in gaps if w == best], best
+
+        rng = random.Random(64)
+        cases = []
+        for n, seed in ((64, 3), (97, 4), (200, 5)):
+            inst = generate_instance(n, seed=seed, r=4.0, coord_range=2 * n)
+            # Sites, points inside the cloud (where the maximum is more
+            # often attained on several gaps) and points around it.
+            points = [c.site for c in inst.customers[:20]]
+            for spread, count in ((0.2 * n, 100), (3.0 * n, 50)):
+                points += [
+                    Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+                    for _ in range(count)
+                ]
+            cases += [(inst, x, solve_medianoid(inst, x)) for x in points]
+        assert len(cases) >= 500
+        assert sum(len(res.ma.arcs) > 1 for _, _, res in cases) >= 20
+        monkeypatch.setattr(medianoid, "_sweep_np", full_gap_sweep)
+        for inst, x, res in cases:
+            # Every field: ma, ca, wedge, witness angle, weight, certificate.
+            assert res == solve_medianoid(inst, x), x
 
 
 @settings(max_examples=60, deadline=None)
