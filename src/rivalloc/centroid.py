@@ -404,8 +404,6 @@ class _LMDescriptors:
         ``d`` (all of them by default)."""
         idx = self.idx
         r = self.r
-        if idx.order2.shape[1] == 0:
-            return self.dx3[d].copy()
         ip = np.clip(self.dlo[d] + pos, 0, idx.order2.shape[1] - 1)
         alpha = idx.angles2[self.dv[d], ip]
         br = self.dbr[d]
@@ -515,6 +513,28 @@ def local_optimal_line_LM(
     return _best_vertical_line(inst, idx, xs, telemetry)
 
 
+def _disc_crossings(inst: Instance) -> List[Point]:
+    """Every crossing point of two disc boundaries, pair by pair in (i, j)
+    order.  One array pass keeps the pairs whose centres are near enough to
+    meet, with a margin that makes them a superset of the pairs
+    ``circle_circle_intersections`` finds crossings for; only those pairs
+    are solved."""
+    r = inst.r
+    eps = inst.eps
+    reach = (r + r + eps * max(1.0, r)) * (1.0 + 1e-9)
+    i, j = np.triu_indices(inst.n, 1)
+    dx = inst.xs[j] - inst.xs[i]
+    dy = inst.ys[j] - inst.ys[i]
+    near = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+    pts: List[Point] = []
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        pts += circle_circle_intersections(
+            Circle(inst.customers[a].site, r), Circle(inst.customers[b].site, r),
+            eps=eps,
+        )
+    return pts
+
+
 def local_optimal_line_LC(
     inst: Instance,
     idx: AngularIndex,
@@ -525,14 +545,7 @@ def local_optimal_line_LC(
     search over the sorted crossing abscissas."""
     if telemetry is None:
         telemetry = Telemetry()
-    r = inst.r
-    pts: List[float] = []
-    for i in range(idx.n):
-        ci = Circle(inst.customers[i].site, r)
-        for j in range(i + 1, idx.n):
-            cj = Circle(inst.customers[j].site, r)
-            for p in circle_circle_intersections(ci, cj, eps=inst.eps):
-                pts.append(p.x)
+    pts = [p.x for p in _disc_crossings(inst)]
     telemetry.lc_points = len(pts)
     if not pts:
         return None
@@ -603,15 +616,10 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
                     if abs(math.sin(idx.ang[i, j])) <= VERTICAL_EPS:
                         continue
                     run_line(idx.tangent_line(i, j))
-            r = inst.r
-            for i in range(idx.n):
-                ci = Circle(inst.customers[i].site, r)
-                for j in range(i + 1, idx.n):
-                    cj = Circle(inst.customers[j].site, r)
-                    for p in circle_circle_intersections(ci, cj, eps=inst.eps):
-                        res = solve_medianoid(inst, p)
-                        tel.medianoid_calls += 1
-                        consider(p, res.weight_loss)
+            for p in _disc_crossings(inst):
+                res = solve_medianoid(inst, p)
+                tel.medianoid_calls += 1
+                consider(p, res.weight_loss)
         else:
             for family in (
                 local_optimal_line_LT,

@@ -6,8 +6,11 @@ line of two customer discs or the boundary circle of a single disc.  Those
 crossing points are never materialised here.  A breakpoint is its position
 ``t`` along the line.  Tangent crossings are described by implicit
 sequences: contiguous windows of the angularly sorted neighbour lists, each
-mapping index order to strictly monotone positions along the line.  Circle
-crossings and injected extra lines form one small explicit sequence.  A
+mapping index order to strictly monotone positions along the line.  The
+positions come from one table per line, which holds the crossing position
+of every canonical tangent line and is computed once when the line's
+sequences are built; a search step only gathers from it.  Circle crossings
+and injected extra lines form one small explicit sequence.  A
 weighted-median search over the sequences then locates a point of minimum
 follower value on the line while discarding a constant fraction of the
 remaining breakpoints per evaluation.
@@ -288,19 +291,18 @@ def _explicit_sequence(
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
-    ts: List[float] = []
-    for u in range(idx.n):
-        cx = idx.xs[u] - frame.ax
-        cy = idx.ys[u] - frame.ay
-        t0 = cx * frame.ux + cy * frame.uy
-        perp = frame.ux * cy - frame.uy * cx
-        disc = r * r - perp * perp
-        if disc <= tol:
-            if disc >= -tol:
-                ts.append(t0)
-            continue
-        s = math.sqrt(disc)
-        ts += (t0 - s, t0 + s)
+    cx = idx.xs - frame.ax
+    cy = idx.ys - frame.ay
+    t0 = cx * frame.ux + cy * frame.uy
+    perp = frame.ux * cy - frame.uy * cx
+    disc = r * r - perp * perp
+    # Per customer, in customer order: no entry, the tangency t0, or the two
+    # crossings t0 - s and t0 + s.
+    crossing = disc > tol
+    s = np.sqrt(np.where(crossing, disc, 0.0))
+    pair = np.stack([np.where(crossing, t0 - s, t0), t0 + s], axis=1)
+    used = np.stack([crossing | (disc >= -tol), crossing], axis=1)
+    ts = pair[used].tolist()
     for extra in extra_lines:
         evx, evy = extra.direction
         cross = frame.ux * evy - frame.uy * evx
@@ -309,7 +311,9 @@ def _explicit_sequence(
         dx = extra.anchor.x - frame.ax
         dy = extra.anchor.y - frame.ay
         ts.append((dx * evy - dy * evx) / cross)
-    return np.array(sorted(ts, reverse=True), dtype=float)
+    ts = np.array(ts, dtype=float)
+    # Stable on the negated positions, as sorted(..., reverse=True) is.
+    return ts[np.argsort(-ts, kind="stable")]
 
 
 def breakpoint_sequences(
@@ -347,19 +351,40 @@ class _SequenceBundle:
     """Live windows over the strictly decreasing breakpoint sequences of
     one query line.
 
-    Tangent sequence s is the window ``[slo, shi)`` of customer ``sv``'s
-    doubled angular neighbour order on side ``sside`` of the line, read
-    backwards when ``srev``; its positions are evaluated on demand by
-    ``_tan_t`` from the canonical tangent storage.  The explicit sequence
-    stores its positions ``ets`` and is live on ``[elo, ehi)``.  Cuts
-    replace the window arrays instead of writing into them, so a shallow
-    ``copy`` is an independent bundle.
+    ``T`` holds, for every canonical tangent line of the angular index, the
+    position where it crosses the line; it is computed once, with the same
+    expressions for every entry, and is read-only.  Tangent sequence s is a
+    window of one customer's doubled angular neighbour order, read in the
+    order of decreasing positions: its element k (``k < slen[s]``) is the
+    neighbour ``w = order2[sstart[s] + sstep[s] * k]`` of the flattened
+    order, whose canonical tangent line is ``T[w * smul[s] + sadd[s]]``, so
+    a search step is integer gathers and one lookup.  The explicit
+    sequence stores its positions ``ets`` and is live on ``[elo, ehi)``.
+    The crossing points themselves are never built.  Cuts replace the
+    window arrays instead of writing into them, so a shallow ``copy`` is an
+    independent bundle that shares ``T``.
     """
 
     def __init__(self, frame: _LineFrame, cols: Tuple[np.ndarray, ...],
                  ets: np.ndarray) -> None:
         self.frame = frame
-        self.sv, self.sside, self.slo, self.shi, self.srev = cols
+        idx = frame.idx
+        n = idx.n
+        m = idx.order2.shape[1]
+        self.order2 = idx.order2.ravel()
+        nx, ny = idx.tan_nx, idx.tan_ny
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = (idx.tan_off - (frame.ax * nx + frame.ay * ny)) / (
+                frame.ux * nx + frame.uy * ny
+            )
+        T.flags.writeable = False
+        self.T = T
+        v, side, lo, hi, rev = cols
+        self.sstart = v * m + np.where(rev, hi - 1, lo)
+        self.sstep = np.where(rev, -1, 1)
+        self.slen = hi - lo
+        self.smul = np.where(side > 0, 1, n)
+        self.sadd = np.where(side > 0, v * n, v)
         self.ets = ets
         self.eneg = -ets
         self.elo = 0
@@ -372,44 +397,35 @@ class _SequenceBundle:
         return self.frame.point_at(t)
 
     def total_mass(self) -> int:
-        return int(np.sum(self.shi - self.slo)) + self.ehi - self.elo
+        return int(np.sum(self.slen)) + self.ehi - self.elo
 
-    def _tan_t(self, pos: np.ndarray) -> np.ndarray:
-        idx = self.frame.idx
-        p = np.where(self.srev, self.shi - 1 - pos, self.slo + pos)
-        p = np.clip(p, 0, idx.order2.shape[1] - 1)
-        w = idx.order2[self.sv, p]
-        lid = np.where(self.sside > 0, self.sv * idx.n + w, w * idx.n + self.sv)
-        nx = idx.tan_nx[lid]
-        ny = idx.tan_ny[lid]
-        off = idx.tan_off[lid]
-        num = off - (self.frame.ax * nx + self.frame.ay * ny)
-        den = self.frame.ux * nx + self.frame.uy * ny
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
+    def _tan_t(self, pos: np.ndarray, s=slice(None)) -> np.ndarray:
+        """Positions of elements ``pos`` (each below its window's length) of
+        the tangent sequences ``s`` (all of them by default)."""
+        w = self.order2.take(self.sstart[s] + self.sstep[s] * pos)
+        return self.T.take(w * self.smul[s] + self.sadd[s])
 
     def _count_view(self, y: float, strict_gt: bool) -> np.ndarray:
-        """Per tangent sequence: how many leading view elements satisfy
-        t > y (strict_gt) or t >= y (otherwise)."""
-        lens = self.shi - self.slo
-        lo = np.zeros_like(lens)
-        hi = lens.copy()
-        while True:
-            searching = lo < hi
-            if not searching.any():
-                break
-            mid = (lo + hi) >> 1
-            t = self._tan_t(mid)
+        """Per tangent sequence: how many leading elements satisfy t > y
+        (strict_gt) or t >= y (otherwise).  Each step evaluates only the
+        sequences still searching."""
+        lo = np.zeros_like(self.slen)
+        hi = self.slen.copy()
+        s = np.flatnonzero(hi)
+        while len(s):
+            mid = (lo[s] + hi[s]) >> 1
+            t = self._tan_t(mid, s)
             cond = (t > y) if strict_gt else (t >= y)
-            lo = np.where(searching & cond, mid + 1, lo)
-            hi = np.where(searching & ~cond, mid, hi)
+            lo[s] = np.where(cond, mid + 1, lo[s])
+            hi[s] = np.where(cond, hi[s], mid)
+            s = s[lo[s] < hi[s]]
         return lo
 
     def middles(self) -> Tuple[np.ndarray, np.ndarray]:
-        lens = self.shi - self.slo
-        act = lens > 0
-        vals = self._tan_t(np.maximum(lens - 1, 0) // 2)[act]
-        wts = lens[act].astype(float)
+        act = np.flatnonzero(self.slen)
+        lens = self.slen[act]
+        vals = self._tan_t((lens - 1) // 2, act)
+        wts = lens.astype(float)
         ln = self.ehi - self.elo
         if ln > 0:
             vals = np.append(vals, self.ets[self.elo + (ln - 1) // 2])
@@ -418,19 +434,15 @@ class _SequenceBundle:
 
     def cut_keep_above(self, y: float) -> None:
         """Keep only breakpoints strictly above y; drop everything at or below."""
-        c = self._count_view(y, strict_gt=True)
-        self.slo = np.where(self.srev, self.shi - c, self.slo)
-        self.shi = np.where(self.srev, self.shi, self.slo + c)
+        self.slen = self._count_view(y, strict_gt=True)
         g = int(np.searchsorted(self.eneg, -y, side="left"))
         self.ehi = self.elo + max(0, min(g, self.ehi) - self.elo)
 
     def cut_keep_below(self, y: float) -> None:
         """Keep only breakpoints strictly below y; drop everything at or above."""
         d = self._count_view(y, strict_gt=False)
-        new_hi = np.where(self.srev, self.shi - d, self.shi)
-        new_lo = np.where(self.srev, self.slo, self.slo + d)
-        self.slo = np.minimum(new_lo, new_hi)
-        self.shi = new_hi
+        self.sstart = self.sstart + self.sstep * d
+        self.slen = self.slen - d
         g = int(np.searchsorted(self.eneg, -y, side="right"))
         self.elo = min(max(g, self.elo), self.ehi)
 
@@ -438,15 +450,13 @@ class _SequenceBundle:
         """Position of the surviving breakpoint nearest to ``target``."""
         best_d = math.inf
         best: Optional[float] = None
-        lens = self.shi - self.slo
         c = self._count_view(target, strict_gt=True)
         for cand in (c - 1, c):
-            valid = (cand >= 0) & (cand < lens)
-            if not valid.any():
+            s = np.flatnonzero((cand >= 0) & (cand < self.slen))
+            if not len(s):
                 continue
-            t = self._tan_t(np.maximum(cand, 0))
-            with np.errstate(invalid="ignore"):
-                d = np.where(valid, np.abs(t - target), np.inf)
+            t = self._tan_t(cand[s], s)
+            d = np.abs(t - target)
             s_i = int(np.argmin(d))
             if d[s_i] < best_d:
                 best_d, best = float(d[s_i]), float(t[s_i])

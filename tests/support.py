@@ -17,6 +17,7 @@ from rivalloc.geom import (
     Circle,
     DirectedLine,
     Point,
+    circle_circle_intersections,
     collinear,
     line_circle_intersections,
     line_line_intersection,
@@ -123,14 +124,18 @@ def t_along(L, p):
 def bundle_sequences(bundle):
     """Every live sequence of a breakpoint bundle as its list of positions,
     in sequence order (tangent sequences first, then the explicit one)."""
-    lens = bundle.shi - bundle.slo
-    seqs = [[] for _ in lens]
-    for k in range(int(lens.max(initial=0))):
-        ts = bundle._tan_t(np.full_like(lens, k))
-        for s in np.flatnonzero(k < lens):
-            seqs[s].append(float(ts[s]))
+    cuts = np.cumsum(bundle.slen)[:-1]
+    seqs = [ts.tolist() for ts in np.split(live_positions(bundle), cuts)]
     seqs.append(bundle.ets[bundle.elo:bundle.ehi].tolist())
     return [s for s in seqs if s]
+
+
+def live_positions(bundle):
+    """Positions of every live tangent element, window by window."""
+    lens = bundle.slen
+    s = np.repeat(np.arange(len(lens)), lens)
+    k = np.arange(len(s)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return bundle._tan_t(k, s)
 
 
 def sequence_positions(bundle):
@@ -357,6 +362,164 @@ def reference_tangent_sequences(frame):
                 rows.append((v, side, lo_i, hi_i, slope > 0.0))
     cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return (*cols[:4], cols[4].astype(bool))
+
+
+class ReferenceBundle:
+    """The per-step evaluation that ``_SequenceBundle``'s table of
+    positions replaces: window s is ``[slo, shi)`` of customer ``sv``'s
+    doubled neighbour order on side ``sside``, read backwards when
+    ``srev``, and every evaluation gathers the canonical tangent triple and
+    divides.  ``_tan_t``, ``_count_view``, ``middles``, the cuts and
+    ``closest_to`` are that code verbatim."""
+
+    def __init__(self, frame, cols, ets):
+        self.frame = frame
+        self.sv, self.sside, self.slo, self.shi, self.srev = cols
+        self.ets = ets
+        self.eneg = -ets
+        self.elo = 0
+        self.ehi = len(ets)
+
+    def total_mass(self) -> int:
+        return int(np.sum(self.shi - self.slo)) + self.ehi - self.elo
+
+    def live_positions(self):
+        """Positions of every live tangent element, window by window."""
+        lens = self.shi - self.slo
+        m = int(lens.max(initial=0))
+        out = np.empty((len(lens), m))
+        for k in range(m):
+            out[:, k] = self._tan_t(np.full_like(lens, k))
+        return out[np.arange(m)[None, :] < lens[:, None]]
+
+    def _tan_t(self, pos: np.ndarray) -> np.ndarray:
+        idx = self.frame.idx
+        p = np.where(self.srev, self.shi - 1 - pos, self.slo + pos)
+        p = np.clip(p, 0, idx.order2.shape[1] - 1)
+        w = idx.order2[self.sv, p]
+        lid = np.where(self.sside > 0, self.sv * idx.n + w, w * idx.n + self.sv)
+        nx = idx.tan_nx[lid]
+        ny = idx.tan_ny[lid]
+        off = idx.tan_off[lid]
+        num = off - (self.frame.ax * nx + self.frame.ay * ny)
+        den = self.frame.ux * nx + self.frame.uy * ny
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
+
+    def _count_view(self, y: float, strict_gt: bool) -> np.ndarray:
+        """Per tangent sequence: how many leading view elements satisfy
+        t > y (strict_gt) or t >= y (otherwise)."""
+        lens = self.shi - self.slo
+        lo = np.zeros_like(lens)
+        hi = lens.copy()
+        while True:
+            searching = lo < hi
+            if not searching.any():
+                break
+            mid = (lo + hi) >> 1
+            t = self._tan_t(mid)
+            cond = (t > y) if strict_gt else (t >= y)
+            lo = np.where(searching & cond, mid + 1, lo)
+            hi = np.where(searching & ~cond, mid, hi)
+        return lo
+
+    def middles(self) -> Tuple[np.ndarray, np.ndarray]:
+        lens = self.shi - self.slo
+        act = lens > 0
+        vals = self._tan_t(np.maximum(lens - 1, 0) // 2)[act]
+        wts = lens[act].astype(float)
+        ln = self.ehi - self.elo
+        if ln > 0:
+            vals = np.append(vals, self.ets[self.elo + (ln - 1) // 2])
+            wts = np.append(wts, float(ln))
+        return vals, wts
+
+    def cut_keep_above(self, y: float) -> None:
+        """Keep only breakpoints strictly above y; drop everything at or below."""
+        c = self._count_view(y, strict_gt=True)
+        self.slo = np.where(self.srev, self.shi - c, self.slo)
+        self.shi = np.where(self.srev, self.shi, self.slo + c)
+        g = int(np.searchsorted(self.eneg, -y, side="left"))
+        self.ehi = self.elo + max(0, min(g, self.ehi) - self.elo)
+
+    def cut_keep_below(self, y: float) -> None:
+        """Keep only breakpoints strictly below y; drop everything at or above."""
+        d = self._count_view(y, strict_gt=False)
+        new_hi = np.where(self.srev, self.shi - d, self.shi)
+        new_lo = np.where(self.srev, self.slo, self.slo + d)
+        self.slo = np.minimum(new_lo, new_hi)
+        self.shi = new_hi
+        g = int(np.searchsorted(self.eneg, -y, side="right"))
+        self.elo = min(max(g, self.elo), self.ehi)
+
+    def closest_to(self, target: float) -> Optional[float]:
+        """Position of the surviving breakpoint nearest to ``target``."""
+        best_d = math.inf
+        best: Optional[float] = None
+        lens = self.shi - self.slo
+        c = self._count_view(target, strict_gt=True)
+        for cand in (c - 1, c):
+            valid = (cand >= 0) & (cand < lens)
+            if not valid.any():
+                continue
+            t = self._tan_t(np.maximum(cand, 0))
+            with np.errstate(invalid="ignore"):
+                d = np.where(valid, np.abs(t - target), np.inf)
+            s_i = int(np.argmin(d))
+            if d[s_i] < best_d:
+                best_d, best = float(d[s_i]), float(t[s_i])
+        g = int(np.searchsorted(self.eneg, -target, side="left"))
+        g = max(self.elo, min(g, self.ehi))
+        for pos in (g - 1, g):
+            if self.elo <= pos < self.ehi:
+                t = float(self.ets[pos])
+                if abs(t - target) < best_d:
+                    best_d, best = abs(t - target), t
+        return best
+
+
+def reference_explicit_sequence(frame, extra_lines):
+    """The per-customer loop that ``_explicit_sequence`` vectorises:
+    circle and extra-line crossing positions, decreasing."""
+    idx = frame.idx
+    inst = idx.inst
+    r = inst.r
+    tol = inst.eps * max(1.0, r)
+    ts: List[float] = []
+    for u in range(idx.n):
+        cx = idx.xs[u] - frame.ax
+        cy = idx.ys[u] - frame.ay
+        t0 = cx * frame.ux + cy * frame.uy
+        perp = frame.ux * cy - frame.uy * cx
+        disc = r * r - perp * perp
+        if disc <= tol:
+            if disc >= -tol:
+                ts.append(t0)
+            continue
+        s = math.sqrt(disc)
+        ts += (t0 - s, t0 + s)
+    for extra in extra_lines:
+        evx, evy = extra.direction
+        cross = frame.ux * evy - frame.uy * evx
+        if abs(cross) <= PARALLEL_EPS:
+            continue
+        dx = extra.anchor.x - frame.ax
+        dy = extra.anchor.y - frame.ay
+        ts.append((dx * evy - dy * evx) / cross)
+    return np.array(sorted(ts, reverse=True), dtype=float)
+
+
+def reference_disc_crossings(inst):
+    """Every pair of discs through ``circle_circle_intersections``, in
+    (i, j) order: the double loop ``centroid._disc_crossings`` prefilters."""
+    r = inst.r
+    pts = []
+    for i in range(inst.n):
+        ci = Circle(inst.customers[i].site, r)
+        for j in range(i + 1, inst.n):
+            cj = Circle(inst.customers[j].site, r)
+            pts += circle_circle_intersections(ci, cj, eps=inst.eps)
+    return pts
 
 
 def reference_sweep_np(inst, x) -> Optional[Tuple[list, float]]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import support
-from rivalloc.centroid import _LMDescriptors, solve_centroid
+from rivalloc.centroid import _LMDescriptors, _disc_crossings, solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
 from rivalloc.linesearch import build_angular_index
@@ -36,6 +36,15 @@ class TestThreeModeAgreement:
         inst = support.seeded_instance(1)
         with pytest.raises(ValueError, match="unknown solver mode"):
             solve_centroid(inst, mode="fast")
+
+    @pytest.mark.parametrize("sites", [[(0.0, 0.0, 3.0)],
+                                       [(0.0, 0.0, 3.0), (5.0, 2.0, 2.0)],
+                                       [(0.0, 0.0, 3.0), (1.0, 2.0, 2.0)]])
+    def test_one_and_two_customers_solve_in_every_mode(self, sites):
+        inst = Instance([Customer(Point(x, y), w) for x, y, w in sites], 4.0)
+        losses = {m: solve_centroid(inst, mode=m).weight_loss
+                  for m in ("parametric", "intermediate", "brute")}
+        assert len(set(losses.values())) == 1, losses
 
 
 class TestDeterminism:
@@ -160,3 +169,29 @@ class TestLMDescriptors:
                 assert np.all(descs.dhi > descs.dlo)
                 cuts += 1
         assert cuts > 20
+
+
+class TestDiscCrossings:
+    def test_prefilter_keeps_every_crossing_in_pair_order(self):
+        """The prefiltered pairs give exactly the double loop's points,
+        including discs that touch (rho == 2r) or miss by a hair."""
+        rng = np.random.default_rng(8)
+        instances = []
+        for n in (1, 2, 5, 12, 30, 70):
+            base = generate_instance(n, seed=n, r=4.0, coord_range=n + 10)
+            for R in (0.0, 4.0, 3.0 * (n + 10)):
+                instances.append(Instance(base.customers, R))
+            xy = rng.uniform(-n, n, size=(n, 2))
+            instances.append(Instance(
+                [Customer(Point(x, y), 1.0) for x, y in xy.tolist()], 5.0))
+        for gap in (4.0, 4.0 + 1e-13, 4.0 + 1e-9, 4.0 - 1e-13):
+            instances.append(Instance(
+                [Customer(Point(0.0, 0.0), 1.0), Customer(Point(gap, 0.0), 1.0),
+                 Customer(Point(0.0, gap), 1.0)], 4.0))
+        counts = set()
+        for inst in instances:
+            got = [(p.x, p.y) for p in _disc_crossings(inst)]
+            want = [(p.x, p.y) for p in support.reference_disc_crossings(inst)]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), inst.n
+            counts.add(len(got))
+        assert 0 in counts and len(counts) > 5

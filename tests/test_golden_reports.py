@@ -8,12 +8,14 @@ intended change of reports, with
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from rivalloc.centroid import solve_centroid
 from rivalloc.cli import generate_instance
+from rivalloc.geom import Customer, Instance, Point, general_position_violation
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 
@@ -30,13 +32,42 @@ CASES = (
     + [(80, 1, 160, "parametric"), (70, 2, 140, "parametric")]
 )
 
+# The same, on real-valued coordinates with integer weights: every case above
+# lies on the integer grid.  The parametric solve runs LM and LC; the
+# intermediate one searches all 90 tangent lines.
+REAL_CASES = [(40, 1, 80, "parametric"), (10, 1, 20, "intermediate")]
+
 
 def case_id(case):
     return "n=%d seed=%d range=%d %s" % case
 
 
-def report(n, seed, coord_range, mode):
-    inst = generate_instance(n, seed, r=4.0, coord_range=coord_range)
+def real_case_id(case):
+    return "real " + case_id(case)
+
+
+def real_instance(n, seed, coord_range):
+    """Uniform real coordinates in [-coord_range, coord_range], integer
+    weights 1..10, R = 4; checked for general position."""
+    rng = random.Random(seed)
+    customers = [
+        Customer(
+            Point(rng.uniform(-coord_range, coord_range),
+                  rng.uniform(-coord_range, coord_range)),
+            float(rng.randint(1, 10)),
+        )
+        for _ in range(n)
+    ]
+    inst = Instance(customers, 4.0)
+    assert general_position_violation(inst) is None
+    return inst
+
+
+def report(n, seed, coord_range, mode, real=False):
+    if real:
+        inst = real_instance(n, seed, coord_range)
+    else:
+        inst = generate_instance(n, seed, r=4.0, coord_range=coord_range)
     rep = solve_centroid(inst, mode)
     telemetry = dict(rep.telemetry)
     del telemetry["wall_time_s"]
@@ -58,7 +89,13 @@ def test_report_matches_golden(golden, case):
     assert report(*case) == golden[case_id(case)]
 
 
+@pytest.mark.parametrize("case", REAL_CASES, ids=real_case_id)
+def test_real_coordinate_report_matches_golden(golden, case):
+    assert report(*case, real=True) == golden[real_case_id(case)]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     reports = {case_id(c): report(*c) for c in CASES}
+    reports.update({real_case_id(c): report(*c, real=True) for c in REAL_CASES})
     GOLDEN.write_text(json.dumps(reports, indent=1) + "\n", encoding="utf-8")

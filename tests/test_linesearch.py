@@ -19,6 +19,8 @@ from rivalloc.linesearch import (
     PARALLEL_EPS,
     Telemetry,
     _LineFrame,
+    _SequenceBundle,
+    _explicit_sequence,
     _tangent_sequences,
     build_angular_index,
     breakpoint_sequences,
@@ -168,11 +170,17 @@ class TestBreakpointSequences:
         inst = generate_instance(6, seed=99, r=2.0)
         bundle = breakpoint_sequences(build_angular_index(inst), DirectedLine.vertical(1.5))
         before = sequence_positions(bundle)
-        cut = bundle.copy()
-        cut.cut_keep_below(before[-2])
-        cut.cut_keep_above(before[len(before) // 2])
-        assert 0 < cut.total_mass() < len(before)
-        assert sequence_positions(bundle) == before
+        mid = before[len(before) // 2]
+        # Either cut first, so that neither may write into shared arrays.
+        for cuts in ([("cut_keep_below", before[-2]), ("cut_keep_above", mid)],
+                     [("cut_keep_above", before[1]), ("cut_keep_below", mid)]):
+            cut = bundle.copy()
+            assert cut.T is bundle.T and not bundle.T.flags.writeable
+            for name, y in cuts:
+                getattr(cut, name)(y)
+            assert 0 < cut.total_mass() < len(before)
+            assert bundle.total_mass() == len(before)
+            assert sequence_positions(bundle) == before
 
     def test_horizontal_line_rejected(self):
         inst = generate_instance(3, seed=1, r=2.0)
@@ -226,6 +234,63 @@ class TestTangentSequences:
                 regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
         assert all(count > 0 for count in regimes.values()), regimes
         assert lines_with_parallel > 100
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestPositionTable:
+    def test_positions_cuts_and_explicit_crossings_match_the_per_step_reference(self):
+        """Positions read from a line's table, cut counts, middles, nearest
+        breakpoints and the circle crossings are bitwise those of the
+        per-step evaluation, fresh and after a random series of cuts."""
+        rng = random.Random(5)
+        cuts = tangencies = 0
+        for n in list(range(1, 41)) + [200]:
+            inst = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
+            idx = build_angular_index(inst)
+            # A vertical line touching a disc adds a tangency to the
+            # explicit sequence.
+            lines = _query_lines(idx, rng) + [
+                DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
+            ]
+            extras = (DirectedLine.horizontal(float(idx.ys[0])),
+                      DirectedLine(Point(0.5, -0.25), 0.7))
+            for L in lines:
+                frame = _LineFrame(idx, L)
+                for extra_lines in ((), extras):
+                    ets = _explicit_sequence(frame, extra_lines)
+                    want = support.reference_explicit_sequence(frame, extra_lines)
+                    assert ets.dtype == want.dtype and _bits(ets) == _bits(want), (n, L)
+                tangencies += len(ets) % 2
+                cols = _tangent_sequences(frame)
+                got = _SequenceBundle(frame, cols, ets)
+                ref = support.ReferenceBundle(frame, cols, ets)
+                live = support.live_positions(got)
+                assert _bits(live) == _bits(ref.live_positions()), (n, L)
+                for _ in range(5):
+                    assert got.total_mass() == ref.total_mass()
+                    for g, w in zip(got.middles(), ref.middles()):
+                        assert _bits(g) == _bits(w), (n, L)
+                    pool = np.concatenate([live, got.ets[got.elo:got.ehi]])
+                    if not len(pool):
+                        break
+                    y = float(rng.choice(pool))
+                    if rng.random() < 0.3:
+                        y += rng.uniform(-1.0, 1.0)
+                    for strict in (True, False):
+                        assert np.array_equal(got._count_view(y, strict),
+                                              ref._count_view(y, strict)), (n, L, y)
+                    near = got.closest_to(y)
+                    assert near is not None and _bits(near) == _bits(ref.closest_to(y))
+                    side = rng.choice(("cut_keep_above", "cut_keep_below"))
+                    getattr(got, side)(y)
+                    getattr(ref, side)(y)
+                    cuts += 1
+                    live = support.live_positions(got)
+                assert _bits(live) == _bits(ref.live_positions()), (n, L)
+        assert cuts > 2000 and tangencies > 0, (cuts, tangencies)
 
 
 class TestLocalOptimum:
