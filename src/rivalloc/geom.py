@@ -139,14 +139,6 @@ class DirectedLine:
     angle: float
 
     @staticmethod
-    def make(anchor: Point, angle: float) -> "DirectedLine":
-        return DirectedLine(anchor, normalize_angle(angle))
-
-    @staticmethod
-    def through(a: Point, b: Point) -> "DirectedLine":
-        return DirectedLine(a, polar_angle(b, a))
-
-    @staticmethod
     def vertical(x: float) -> "DirectedLine":
         return DirectedLine(Point(x, 0.0), math.pi / 2.0)
 

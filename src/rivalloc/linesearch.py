@@ -10,18 +10,23 @@ mapping index order to strictly monotone positions along the line.  The
 positions come from one table per line, which holds the crossing position
 of every canonical tangent line and is computed once when the line's
 sequences are built; a search step only gathers from it.  Circle crossings
-and injected extra lines form one small explicit sequence.  A
-weighted-median search over the sequences then locates a point of minimum
-follower value on the line while discarding a constant fraction of the
-remaining breakpoints per evaluation.
+and injected extra lines form one small explicit sequence.
+
+``_evaluations`` is the one search over a line's breakpoints.  It evaluates
+the weighted median of the sequences' middle elements, yields the
+evaluation with its ``lean`` and applies the cut itself: an upward wedge
+keeps the positions above, a downward one those below, and a strong
+centroid or a sideward wedge ends the search.  Each cut discards a
+constant fraction of the remaining breakpoints.  ``local_optimum_on_line``
+takes the line minimum from its evaluations, and the vertical-line
+decision (``vprune``) takes its anchors from them.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +41,8 @@ from .geom import (
 )
 from .medianoid import (
     DOWNWARD,
-    SIDEWARD_LEFT,
-    SIDEWARD_RIGHT,
     UPWARD,
+    WHOLE_LINE,
     MedianoidResult,
     classify_wedge_on_line,
     solve_medianoid,
@@ -176,26 +180,29 @@ def build_angular_index(inst: Instance) -> AngularIndex:
     return AngularIndex(inst)
 
 
+def upward_line(L: DirectedLine) -> DirectedLine:
+    """The non-horizontal line ``L`` directed upward; breakpoint positions
+    ``t`` are measured along it from ``L``'s anchor."""
+    theta = normalize_angle(L.angle)
+    if abs(math.sin(theta)) <= PARALLEL_EPS:
+        raise ValueError("horizontal query line has no breakpoint order")
+    up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
+    return DirectedLine(L.anchor, up)
+
+
 class _LineFrame:
     """Precomputed data for one query line, shared by all its sequences."""
 
     def __init__(self, idx: AngularIndex, L: DirectedLine) -> None:
-        theta = normalize_angle(L.angle)
-        if abs(math.sin(theta)) <= PARALLEL_EPS:
-            raise ValueError("horizontal query line has no breakpoint order")
-        up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
         self.idx = idx
-        self.line = DirectedLine(L.anchor, up)
-        self.up_angle = up
+        self.line = upward_line(L)
+        self.up_angle = self.line.angle
         self.ux, self.uy = self.line.direction
         # Normal pointing to the geometric right of the upward direction.
         self.nx_line = self.uy
         self.ny_line = -self.ux
         self.ax = L.anchor.x
         self.ay = L.anchor.y
-
-    def point_at(self, t: float) -> Point:
-        return self.line.point_at(t)
 
 
 # Per piece of a side's turn of tangent directions: whether its upper
@@ -360,9 +367,7 @@ class _SequenceBundle:
     order, whose canonical tangent line is ``T[w * smul[s] + sadd[s]]``, so
     a search step is integer gathers and one lookup.  The explicit
     sequence stores its positions ``ets`` and is live on ``[elo, ehi)``.
-    The crossing points themselves are never built.  Cuts replace the
-    window arrays instead of writing into them, so a shallow ``copy`` is an
-    independent bundle that shares ``T``.
+    The crossing points themselves are never built.
     """
 
     def __init__(self, frame: _LineFrame, cols: Tuple[np.ndarray, ...],
@@ -390,11 +395,8 @@ class _SequenceBundle:
         self.elo = 0
         self.ehi = len(ets)
 
-    def copy(self) -> _SequenceBundle:
-        return copy.copy(self)
-
     def point_at(self, t: float) -> Point:
-        return self.frame.point_at(t)
+        return self.frame.line.point_at(t)
 
     def total_mass(self) -> int:
         return int(np.sum(self.slen)) + self.ehi - self.elo
@@ -446,65 +448,50 @@ class _SequenceBundle:
         g = int(np.searchsorted(self.eneg, -y, side="right"))
         self.elo = min(max(g, self.elo), self.ehi)
 
-    def closest_to(self, target: float) -> Optional[float]:
-        """Position of the surviving breakpoint nearest to ``target``."""
-        best_d = math.inf
-        best: Optional[float] = None
-        c = self._count_view(target, strict_gt=True)
-        for cand in (c - 1, c):
-            s = np.flatnonzero((cand >= 0) & (cand < self.slen))
-            if not len(s):
-                continue
-            t = self._tan_t(cand[s], s)
-            d = np.abs(t - target)
-            s_i = int(np.argmin(d))
-            if d[s_i] < best_d:
-                best_d, best = float(d[s_i]), float(t[s_i])
-        g = int(np.searchsorted(self.eneg, -target, side="left"))
-        g = max(self.elo, min(g, self.ehi))
-        for pos in (g - 1, g):
-            if self.elo <= pos < self.ehi:
-                t = float(self.ets[pos])
-                if abs(t - target) < best_d:
-                    best_d, best = abs(t - target), t
-        return best
+
+def lean(result: MedianoidResult, up_angle: float) -> str:
+    """Where an evaluation sends the search along the line with upward
+    direction ``up_angle``: ``STRONG`` for a certified global optimum,
+    otherwise the wedge's direction (upward, downward or a sideward side)."""
+    if result.strong_centroid:
+        return STRONG
+    cls = classify_wedge_on_line(result.wedge, up_angle)
+    if cls == WHOLE_LINE:
+        raise RuntimeError("wedge degenerately contains the query line")
+    return cls
 
 
-Reaction = Tuple
+def _evaluations(
+    inst: Instance, bundle: _SequenceBundle, telemetry: Telemetry
+) -> Iterator[Tuple[float, Point, MedianoidResult, str]]:
+    """Run the weighted-median elimination loop over ``bundle``, which it
+    consumes, until no breakpoint is left.
 
-
-def _prune_search(
-    inst: Instance,
-    bundle: _SequenceBundle,
-    react: Callable[[float, Point, MedianoidResult], Reaction],
-    telemetry: Telemetry,
-) -> Tuple[str, Optional[str]]:
-    """Run the weighted-median elimination loop until stop or exhaustion.
-
-    ``react`` inspects the evaluation at the current weighted-median
-    breakpoint position and answers ``('stop', tag)``, ``('above',)`` to keep
-    only strictly larger positions, or ``('below',)`` for strictly smaller.
-    Every iteration must discard at least 1/8 of the surviving breakpoints.
+    Yields ``(t, point, result, lean)`` for each evaluated breakpoint, then
+    cuts: an upward lean keeps only positions strictly above ``t``, a
+    downward one only those strictly below, and a strong or sideward lean
+    ends the search.  Every cut must discard at least 1/8 of the surviving
+    breakpoints.
     """
+    up_angle = bundle.frame.up_angle
     guard = 0
     while True:
         mass = bundle.total_mass()
         if mass == 0:
-            return ("exhausted", None)
+            return
         vals, wts = bundle.middles()
-        y = weighted_median(vals, wts)
-        point = bundle.point_at(y)
+        t = weighted_median(vals, wts)
+        point = bundle.point_at(t)
         res = solve_medianoid(inst, point)
         telemetry.medianoid_calls += 1
-        action = react(y, point, res)
-        if action[0] == "stop":
-            return ("stopped", action[1] if len(action) > 1 else None)
-        if action[0] == "above":
-            bundle.cut_keep_above(y)
-        elif action[0] == "below":
-            bundle.cut_keep_below(y)
+        d = lean(res, up_angle)
+        yield t, point, res, d
+        if d == UPWARD:
+            bundle.cut_keep_above(t)
+        elif d == DOWNWARD:
+            bundle.cut_keep_below(t)
         else:
-            raise RuntimeError("unknown prune reaction %r" % (action[0],))
+            return
         pruned = mass - bundle.total_mass()
         telemetry.prune_log.append((mass, pruned))
         if pruned * 8 < mass:
@@ -546,35 +533,15 @@ def local_optimum_on_line(
     if telemetry is None:
         telemetry = Telemetry()
     bundle = breakpoint_sequences(idx, L)
-    up_angle = bundle.frame.up_angle
     telemetry.lines_searched += 1
 
     best: Optional[Tuple[Point, MedianoidResult]] = None
-    last: Optional[Tuple[Point, MedianoidResult]] = None
-
-    def react(t: float, point: Point, res: MedianoidResult) -> Reaction:
-        nonlocal best, last
-        last = (point, res)
+    for _t, point, res, d in _evaluations(inst, bundle, telemetry):
+        if d not in (UPWARD, DOWNWARD):
+            status = STRONG if d == STRONG else ORDINARY
+            return LineLocalOptimum(point, res.weight_loss, status)
         if best is None or res.weight_loss < best[1].weight_loss:
-            best = last
-        if res.strong_centroid:
-            return ("stop", "strong")
-        cls = classify_wedge_on_line(res.wedge, up_angle)
-        if cls == UPWARD:
-            return ("above",)
-        if cls == DOWNWARD:
-            return ("below",)
-        if cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-            return ("stop", "sideward")
-        raise RuntimeError("wedge degenerately contains the query line")
-
-    outcome, tag = _prune_search(inst, bundle, react, telemetry)
-
-    if outcome == "stopped":
-        point, res = last
-        return LineLocalOptimum(
-            point, res.weight_loss, STRONG if tag == "strong" else ORDINARY
-        )
+            best = (point, res)
     if best is None:
         point = bundle.point_at(0.0)
         res = solve_medianoid(inst, point)

@@ -4,9 +4,14 @@ The plane search over candidate lines needs one primitive: given a vertical
 line, either certify an optimum on it or name the half-plane that cannot
 contain a better point.  The classification rests on two anchor points, the
 lowest breakpoint with a downward wedge and the highest with an upward
-wedge.  Everything strictly between them is sideward or optimal; when no
-breakpoint lies between, the segment midpoint or a pseudo-wedge built at the
-better anchor settles the direction.
+wedge, found by the elimination search of ``linesearch._evaluations``.  A
+strong centroid or a sideward wedge met on the way settles the line at
+once.  Otherwise the search runs until no breakpoint is left, and it drops
+only positions at or below an upward evaluation or at or above a downward
+one, so no breakpoint lies strictly between the anchors: the follower value
+is constant on the open segment.  Its midpoint or, when that too looks
+along the line, a pseudo-wedge built at the better anchor settles the
+direction; equal anchor values go to the downward anchor.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from .medianoid import (
     solve_medianoid,
 )
 from .linesearch import (
+    STRONG,
     AngularIndex,
     Telemetry,
-    _SequenceBundle,
-    _prune_search,
+    _evaluations,
     breakpoint_sequences,
+    upward_line,
 )
 
 PRUNE_LEFT = "prune-left"
@@ -119,61 +125,44 @@ class PruneDecision:
     evidence: str = ""
     x_D: Optional[Point] = None
     x_U: Optional[Point] = None
-    x_B: Optional[Point] = None
-    pseudo: Optional[PseudoWedge] = None
 
 
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                telemetry: Optional[Telemetry] = None):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
-    Returns ``("anchors", down, up)`` with each anchor ``(t, point,
-    evaluation)``, or ``("decision", PruneDecision)`` when an evaluation en
-    route already settles the line (sideward wedge or strong centroid).
+    Returns the anchor pair ``(down, up)``, each ``(t, point, evaluation)``,
+    or a ``PruneDecision`` when an evaluation en route already settles the
+    line (sideward wedge or strong centroid).  The frame's auxiliary lines
+    give every vertical line through the box both anchor types, and the
+    search exhausts the line, so no breakpoint lies strictly between the
+    anchors.
     """
     if telemetry is None:
         telemetry = Telemetry()
     bundle = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
-    return _find_anchors(inst, bundle, telemetry)
-
-
-def _find_anchors(inst, bundle: _SequenceBundle, telemetry: Telemetry):
-    """``find_xD_xU`` over a line whose breakpoints are already built; the
-    search consumes ``bundle``."""
-    state = {"down": None, "up": None, "decision": None}
-
-    def react(t, point, res):
-        if res.strong_centroid:
-            state["decision"] = PruneDecision(
+    down = up = None
+    # Each cut keeps only positions beyond the evaluation that made it, so
+    # the latest upward (downward) evaluation is the highest (lowest).
+    for t, point, res, d in _evaluations(inst, bundle, telemetry):
+        if d == UPWARD:
+            up = (t, point, res)
+        elif d == DOWNWARD:
+            down = (t, point, res)
+        elif d == STRONG:
+            return PruneDecision(
                 STRONG_CENTROID,
                 point=point,
                 weight_loss=res.weight_loss,
                 evidence="strong centroid at a breakpoint of the query line",
             )
-            return ("stop", "strong")
-        cls = classify_wedge_on_line(res.wedge, bundle.frame.up_angle)
-        if cls == UPWARD:
-            if state["up"] is None or t > state["up"][0]:
-                state["up"] = (t, point, res)
-            return ("above",)
-        if cls == DOWNWARD:
-            if state["down"] is None or t < state["down"][0]:
-                state["down"] = (t, point, res)
-            return ("below",)
-        if cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-            state["decision"] = PruneDecision(
-                PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT,
+        else:
+            return PruneDecision(
+                PRUNE_LEFT if d == SIDEWARD_RIGHT else PRUNE_RIGHT,
                 point=point,
                 weight_loss=res.weight_loss,
                 evidence="sideward wedge at a breakpoint of the query line",
             )
-            return ("stop", "sideward")
-        raise RuntimeError("wedge degenerately contains the query line")
-
-    outcome, _tag = _prune_search(inst, bundle, react, telemetry)
-    if outcome == "stopped":
-        return ("decision", state["decision"])
-    down, up = state["down"], state["up"]
     if down is None or up is None:
         raise RuntimeError(
             "auxiliary frame crossings failed to supply both anchors"
@@ -182,7 +171,7 @@ def _find_anchors(inst, bundle: _SequenceBundle, telemetry: Telemetry):
         raise RuntimeError(
             "downward anchor does not lie strictly above the upward anchor"
         )
-    return ("anchors", down, up)
+    return down, up
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -326,48 +315,15 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="line lies right of the bounding box of all discs",
         )
 
-    bundle = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
-    got = _find_anchors(inst, bundle.copy(), telemetry)
-    if got[0] == "decision":
-        return got[1]
-    _kind, (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+    got = find_xD_xU(inst, idx, frame, L, telemetry)
+    if isinstance(got, PruneDecision):
+        return got
+    (t_D, p_D, r_D), (t_U, p_U, r_U) = got
 
-    # A breakpoint strictly between the anchors, when one exists, must carry
-    # a sideward wedge or a strong centroid: it can be neither upward (it
-    # lies above the highest upward breakpoint) nor downward.
-    bundle.cut_keep_below(t_D)
-    bundle.cut_keep_above(t_U)
-    mid_t = (t_U + t_D) / 2.0
-    if bundle.total_mass() > 0:
-        pz = bundle.point_at(bundle.closest_to(mid_t))
-        res_z = solve_medianoid(inst, pz)
-        telemetry.medianoid_calls += 1
-        if res_z.strong_centroid:
-            return PruneDecision(
-                STRONG_CENTROID,
-                point=pz,
-                weight_loss=res_z.weight_loss,
-                evidence="strong centroid between the vertical anchors",
-                x_D=p_D,
-                x_U=p_U,
-            )
-        cls = classify_wedge_on_line(res_z.wedge, bundle.frame.up_angle)
-        if cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-            return PruneDecision(
-                PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT,
-                point=pz,
-                weight_loss=res_z.weight_loss,
-                evidence="sideward wedge at a breakpoint between the anchors",
-                x_D=p_D,
-                x_U=p_U,
-            )
-        raise RuntimeError(
-            "breakpoint strictly between the anchors is neither sideward "
-            "nor a strong centroid"
-        )
-
-    # No breakpoint between the anchors: probe the segment midpoint.
-    x_B = bundle.point_at(mid_t)
+    # The search exhausted the line's breakpoints, so none lies strictly
+    # between the anchors: probe the segment midpoint.
+    up = upward_line(L)
+    x_B = up.point_at((t_U + t_D) / 2.0)
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
@@ -378,9 +334,8 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="strong centroid at the anchor-segment midpoint",
             x_D=p_D,
             x_U=p_U,
-            x_B=x_B,
         )
-    cls_B = classify_wedge_on_line(res_B.wedge, bundle.frame.up_angle)
+    cls_B = classify_wedge_on_line(res_B.wedge, up.angle)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
         return PruneDecision(
             PRUNE_LEFT if cls_B == SIDEWARD_RIGHT else PRUNE_RIGHT,
@@ -389,22 +344,19 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="sideward wedge at the anchor-segment midpoint",
             x_D=p_D,
             x_U=p_U,
-            x_B=x_B,
         )
 
     # Non-leaning line: both anchors and the midpoint look along the line.
+    # Equal anchor values go to the downward anchor.  The pseudo-wedge needs
+    # only a direction on the apex's far half that captures at least
+    # W1 >= W(apex); a tie satisfies that, and what it prunes is no better
+    # than the apex, which stays on the kept boundary line.
     W_D = r_D.weight_loss
     W_U = r_U.weight_loss
-    if abs(W_D - W_U) <= 1e-9 * max(1.0, inst.total_weight()):
-        raise RuntimeError(
-            "anchor values coincide on a non-leaning line; cannot classify"
-        )
-    if W_D < W_U:
-        apex_t, apex_p, apex_r = t_D, p_D, r_D
-        W1 = W_U
+    if W_D <= W_U:
+        apex_p, apex_r, W1 = p_D, r_D, W_U
     else:
-        apex_t, apex_p, apex_r = t_U, p_U, r_U
-        W1 = W_D
+        apex_p, apex_r, W1 = p_U, r_U, W_D
     pw = pseudo_wedge(inst, apex_p, W1, result=apex_r)
     if pw.classification == PW_NULL:
         return PruneDecision(
@@ -414,8 +366,6 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             evidence="empty pseudo-wedge cone at the better anchor",
             x_D=p_D,
             x_U=p_U,
-            x_B=x_B,
-            pseudo=pw,
         )
     return PruneDecision(
         PRUNE_LEFT if pw.classification == SIDEWARD_RIGHT else PRUNE_RIGHT,
@@ -424,6 +374,4 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
         evidence="pseudo-wedge cone at the better anchor points to one side",
         x_D=p_D,
         x_U=p_U,
-        x_B=x_B,
-        pseudo=pw,
     )

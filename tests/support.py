@@ -369,8 +369,8 @@ class ReferenceBundle:
     positions replaces: window s is ``[slo, shi)`` of customer ``sv``'s
     doubled neighbour order on side ``sside``, read backwards when
     ``srev``, and every evaluation gathers the canonical tangent triple and
-    divides.  ``_tan_t``, ``_count_view``, ``middles``, the cuts and
-    ``closest_to`` are that code verbatim."""
+    divides.  ``_tan_t``, ``_count_view``, ``middles`` and the cuts are that
+    code verbatim."""
 
     def __init__(self, frame, cols, ets):
         self.frame = frame
@@ -451,31 +451,6 @@ class ReferenceBundle:
         self.shi = new_hi
         g = int(np.searchsorted(self.eneg, -y, side="right"))
         self.elo = min(max(g, self.elo), self.ehi)
-
-    def closest_to(self, target: float) -> Optional[float]:
-        """Position of the surviving breakpoint nearest to ``target``."""
-        best_d = math.inf
-        best: Optional[float] = None
-        lens = self.shi - self.slo
-        c = self._count_view(target, strict_gt=True)
-        for cand in (c - 1, c):
-            valid = (cand >= 0) & (cand < lens)
-            if not valid.any():
-                continue
-            t = self._tan_t(np.maximum(cand, 0))
-            with np.errstate(invalid="ignore"):
-                d = np.where(valid, np.abs(t - target), np.inf)
-            s_i = int(np.argmin(d))
-            if d[s_i] < best_d:
-                best_d, best = float(d[s_i]), float(t[s_i])
-        g = int(np.searchsorted(self.eneg, -target, side="left"))
-        g = max(self.elo, min(g, self.ehi))
-        for pos in (g - 1, g):
-            if self.elo <= pos < self.ehi:
-                t = float(self.ets[pos])
-                if abs(t - target) < best_d:
-                    best_d, best = abs(t - target), t
-        return best
 
 
 def reference_explicit_sequence(frame, extra_lines):

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from rivalloc import cli
+from rivalloc import cli, vprune
 from rivalloc.centroid import solve_centroid
+from rivalloc.geom import Point
+from rivalloc.medianoid import solve_medianoid
 from rivalloc.cli import (
     EXIT_DEGENERATE,
     EXIT_GEN,
@@ -190,6 +192,44 @@ class TestInternalErrors:
         repro = json.loads((failing_solver / "internal-error-seed3.json").read_text())
         assert repro["mode"] == "parametric"
         assert len(repro["instance"]["customers"]) == 4
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# Instances written by ``rivalloc gen --n 400 --seed S --r R --coord-range C``
+# on which some vertical line meets anchors of equal value that also look
+# along the line at their midpoint, with the weight loss that the
+# intermediate mode, which searches every candidate line, also finds.
+ANCHOR_TIES = [
+    ("anchor_tie_n400_seed1_r2_range800.json", 1140.0),
+    ("anchor_tie_n400_seed1_r1_range400.json", 1193.0),
+    ("anchor_tie_n400_seed2_r1_range800.json", 1162.0),
+    ("anchor_tie_n400_seed3_r2_range400.json", 1204.0),
+    ("anchor_tie_n400_seed3_r4_range400.json", 1199.0),
+]
+
+
+class TestRegressionInstances:
+    @pytest.mark.parametrize("name, loss", ANCHOR_TIES)
+    def test_equal_anchor_values_resolve(self, tmp_path, monkeypatch, name, loss):
+        """The tie goes to the downward anchor instead of failing the solve."""
+        ties = []
+        pseudo_wedge = vprune.pseudo_wedge
+
+        def recording(inst, apex, W1, result=None):
+            ties.append(W1 == result.weight_loss)
+            return pseudo_wedge(inst, apex, W1, result=result)
+
+        monkeypatch.setattr(vprune, "pseudo_wedge", recording)
+        monkeypatch.chdir(tmp_path)
+        path = os.path.join(DATA, name)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--input", path, "--out", str(out)]) == EXIT_OK
+        assert any(ties)
+        report = json.loads(out.read_text())
+        point = Point(*report["centroid"])
+        assert report["weight_loss"] == loss
+        assert solve_medianoid(cli.load_instance(path), point).weight_loss == loss
 
 
 class TestEnvironment:

@@ -22,16 +22,28 @@ from rivalloc.vprune import (
     PRUNE_RIGHT,
     PW_NULL,
     STRONG_CENTROID,
+    PruneDecision,
     build_frame,
     decide,
     find_xD_xU,
     pseudo_wedge,
 )
-from rivalloc.linesearch import build_angular_index
+from rivalloc.linesearch import breakpoint_sequences, build_angular_index
 
 
 scan_line = support.scan_vertical_line
 brute_anchors = support.vertical_anchors
+
+
+def assert_nothing_between(idx, frame, L, got):
+    """No breakpoint of a fresh bundle for ``L`` lies strictly between the
+    anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
+    (t_D, _, _), (t_U, _, _) = got
+    pos = support.sequence_positions(
+        breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
+    )
+    assert t_U in pos and t_D in pos, (L, t_U, t_D)
+    assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
 
 
 class TestBuildFrame:
@@ -89,9 +101,9 @@ class TestFindAnchors:
             rows = scan_line(inst, frame, L)
             scale = max(1.0, max(abs(r[0]) for r in rows))
             tol = 1e-6 * scale
-            if got[0] == "decision":
+            if isinstance(got, PruneDecision):
                 decisions_seen += 1
-                dec = got[1]
+                dec = got
                 if dec.kind == STRONG_CENTROID:
                     # a covering interval wider than a half turn certifies a
                     # global optimum, whatever its value
@@ -103,7 +115,8 @@ class TestFindAnchors:
                     assert cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT), trial
                 continue
             anchors_seen += 1
-            _kind, (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+            (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+            assert_nothing_between(idx, frame, L, got)
             assert p_D.y > p_U.y, trial
             (bt_D, bp_D, br_D, _), (bt_U, bp_U, br_U, _) = brute_anchors(rows)
             assert abs(t_D - bt_D) <= tol, (trial, t_D, bt_D)
@@ -114,6 +127,24 @@ class TestFindAnchors:
             between = [r for r in rows if bt_U + tol < r[0] < bt_D - tol]
             assert between == [], (trial, [r[3] for r in between])
         assert anchors_seen > 0
+
+    def test_nothing_between_the_anchors_at_larger_n(self):
+        """The exhaustion invariant on lines whose breakpoints are too many
+        for the brute scan."""
+        rng = random.Random(23)
+        anchors_seen = 0
+        for n in (40, 80, 120, 200):
+            for seed in (1, 2):
+                inst = generate_instance(n, seed, r=4.0, coord_range=2 * n)
+                idx = build_angular_index(inst)
+                frame = build_frame(inst)
+                for _ in range(6):
+                    L = support.vertical_through_box(rng, frame)
+                    got = find_xD_xU(inst, idx, frame, L)
+                    if not isinstance(got, PruneDecision):
+                        anchors_seen += 1
+                        assert_nothing_between(idx, frame, L, got)
+        assert anchors_seen >= 20, anchors_seen
 
     def test_rejects_non_vertical_line(self):
         inst = generate_instance(4, seed=3, r=2.0)
@@ -179,9 +210,9 @@ class TestPseudoWedge:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             got = find_xD_xU(inst, idx, frame, L)
-            if got[0] != "anchors":
+            if isinstance(got, PruneDecision):
                 continue
-            _kind, (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+            (t_D, p_D, r_D), (t_U, p_U, r_U) = got
             for apex_p, apex_r, other, lo, hi in (
                 (p_D, r_D, r_U.weight_loss, 0.0, math.pi),
                 (p_U, r_U, r_D.weight_loss, math.pi, 2.0 * math.pi),
