@@ -1,14 +1,22 @@
 """Plane-level minimisation of the follower value.
 
-Every unrestricted minimiser lies on a vertical line through a candidate
-point: a crossing of two disc tangent lines, of a tangent line and a disc
-boundary, or of two disc boundaries.  Each family is searched without
-materialising it, using the vertical-line decision oracle to discard
-half-planes: the tangent-tangent family through a comparator network whose
-unresolved comparisons are settled by shrinking one global slab, the
-tangent-circle family through descriptor windows over the angular neighbour
-orders, and the circle-circle family through plain binary search over its
-points.  A certified optimum found anywhere stops everything early.
+The minimum is attained at a customer site or at a candidate point: a
+crossing of two disc tangent lines, of a tangent line and a disc boundary,
+or of two disc boundaries.  The parametric search never materialises the
+candidates.  It keeps one open vertical slab that only shrinks.  Each
+vertical-line decision keeps the closed side of its line, and everything it
+discards is no better than a point on that line, which becomes a boundary
+of the slab; so everything outside the final slab is dominated by a point
+on one of its (at most two) boundary lines.  The three families shrink the
+same slab in turn, each until none of its candidates lies strictly inside:
+the tangent-tangent family through a comparator network whose unresolved
+comparisons are settled at the median unresolved crossing, the
+tangent-circle family by weighted-median pruning of descriptor windows over
+the angular neighbour orders, and the circle-circle family by binary search
+over its sorted points.  Vertical tangent lines have no y-order and are set
+aside.  The optimum is therefore matched by one line search on each
+boundary line and each vertical tangent line, or at a customer site.  A
+certified optimum found anywhere stops everything early.
 """
 
 from __future__ import annotations
@@ -58,10 +66,6 @@ MODES = (PARAMETRIC, INTERMEDIATE, BRUTE)
 # comparator network (it has no y-order) and is searched directly instead.
 VERTICAL_EPS = 1e-12
 
-# Remaining tangent-circle elements at or below this count are evaluated
-# directly instead of pruned further.
-LM_REMNANT = 32
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -84,11 +88,6 @@ class CertifiedOptimum(Exception):
         self.point = point
         self.weight_loss = weight_loss
         self.origin = origin
-
-
-def _decision_to_certificate(dec: PruneDecision) -> None:
-    if dec.kind in (STRONG_CENTROID, CONDITIONAL_CENTROID):
-        raise CertifiedOptimum(dec.point, dec.weight_loss, dec.evidence)
 
 
 def _batcher_rounds(m: int):
@@ -116,14 +115,20 @@ def _batcher_rounds(m: int):
 
 
 class _Slab:
-    """Open vertical slab that shrinks as decisions accumulate."""
+    """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
+
+    Every point outside it is no better than a point on a boundary line.
+    """
 
     def __init__(self) -> None:
         self.lo = -math.inf
         self.hi = math.inf
 
     def apply(self, dec: PruneDecision, x: float) -> None:
-        _decision_to_certificate(dec)
+        """Move a boundary to ``x``, the line of ``dec``, keeping its closed
+        side; a certified optimum ends the solve."""
+        if dec.kind in (STRONG_CENTROID, CONDITIONAL_CENTROID):
+            raise CertifiedOptimum(dec.point, dec.weight_loss, dec.evidence)
         if dec.kind == PRUNE_LEFT:
             self.lo = x
         elif dec.kind == PRUNE_RIGHT:
@@ -149,48 +154,24 @@ class _Slab:
         return out
 
 
-def _best_vertical_line(
-    inst: Instance,
-    idx: AngularIndex,
-    xs: List[float],
-    telemetry: Telemetry,
-) -> Optional[DirectedLine]:
-    """Among vertical lines at the given positions, the one with the lowest
-    line-restricted follower value (certified optima short-circuit)."""
-    best: Optional[Tuple[float, float]] = None
-    best_line: Optional[DirectedLine] = None
-    for x in sorted(set(xs)):
-        line = DirectedLine.vertical(x)
-        opt = local_optimum_on_line(inst, idx, line, telemetry=telemetry)
-        if opt.status == STRONG:
-            raise CertifiedOptimum(
-                opt.point, opt.weight_loss, "strong centroid on a candidate line"
-            )
-        key = (opt.weight_loss, x)
-        if best is None or key < best:
-            best = key
-            best_line = line
-    return best_line
-
-
 def local_optimal_line_LT(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry: Optional[Telemetry] = None,
-) -> Optional[DirectedLine]:
-    """Vertical line through the best tangent-tangent crossing.
+    slab: _Slab,
+    telemetry: Telemetry,
+) -> List[float]:
+    """Shrink ``slab`` until no two tangent lines cross strictly inside it;
+    return the abscissas of the vertical tangent lines, which have no
+    y-order and must be searched directly.
 
-    The tangent lines plus the two frame lines are pushed through an
+    The other tangent lines plus the two frame lines are pushed through an
     odd-even mergesort comparator network keyed by their y-order at a point
-    of the current slab.  A comparison whose crossing falls inside the open
-    slab is resolved by shrinking the slab at the median unresolved
-    crossing.  No two remaining lines cross strictly inside the final slab,
-    so the minimum over its (at most two) boundary lines dominates every
-    discarded crossing.  Returns ``None`` when the family is empty.
+    of the slab.  A comparison whose crossing falls strictly inside the slab
+    is resolved by a decision at the median unresolved crossing.  Once the
+    network has run, the lines are sorted by y at every point of the slab,
+    so no two of them cross strictly inside it.
     """
-    if telemetry is None:
-        telemetry = Telemetry()
     n = idx.n
     flat = np.arange(n * n)
     offdiag = (flat // n) != (flat % n)
@@ -207,11 +188,7 @@ def local_optimal_line_LT(
     lnx, lny, loff = lnx[~vertical], lny[~vertical], loff[~vertical]
     m = len(lnx)
     telemetry.lt_wires = m
-    if m < 2:
-        return _best_vertical_line(inst, idx, direct_xs, telemetry)
-
     wires = np.arange(m, dtype=np.int64)
-    slab = _Slab()
     for a_pos, b_pos in _batcher_rounds(m):
         telemetry.lt_rounds += 1
         telemetry.lt_comparators += len(a_pos)
@@ -240,10 +217,7 @@ def local_optimal_line_LT(
         if swap.any():
             wires[a_pos[swap]] = lb[swap]
             wires[b_pos[swap]] = la[swap]
-    xs = slab.boundary_xs() + direct_xs
-    if not xs:
-        return None
-    return _best_vertical_line(inst, idx, xs, telemetry)
+    return direct_xs
 
 
 # Customers whose descriptors are built together, against all partners.
@@ -458,42 +432,35 @@ class _LMDescriptors:
         self.dlo = np.where(self.dincr, self.dlo, self.dlo + c)
         self._compact()
 
-    def remaining_xs(self) -> List[float]:
-        """Abscissas of every surviving crossing, descriptor by descriptor."""
-        lens = self.dhi - self.dlo
-        d = np.repeat(np.arange(len(lens)), lens)
-        k = np.arange(len(d)) - np.repeat(np.cumsum(lens) - lens, lens)
-        return self._x_at(k, d).tolist()
-
 
 def local_optimal_line_LM(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry: Optional[Telemetry] = None,
-) -> Optional[DirectedLine]:
-    """Vertical line through the best tangent-circle crossing.
+    slab: _Slab,
+    telemetry: Telemetry,
+) -> None:
+    """Shrink ``slab`` until no tangent-circle crossing lies strictly
+    inside it.
 
-    Rounds of weighted-median pruning over the descriptor windows discard a
-    constant fraction of the crossings per decision; the few survivors and
-    the last cut line on each side are then searched directly.
+    The descriptor windows are first cut to the slab.  Each round then
+    decides at the weighted median of the window middles and cuts the
+    windows to the kept side, which discards at least an eighth of the
+    crossings still inside, until none is left.
     """
-    if telemetry is None:
-        telemetry = Telemetry()
     descs = _LMDescriptors(idx)
     mass0 = descs.total_mass()
     telemetry.lm_mass0 = mass0
-    if mass0 == 0:
-        return None
-    slab = _Slab()
+    if math.isfinite(slab.lo):
+        descs.cut_keep_gt(slab.lo)
+    if math.isfinite(slab.hi):
+        descs.cut_keep_lt(slab.hi)
     budget = 2.0 * (math.log(max(mass0, 2)) / math.log(8.0 / 7.0) + 8)
-    rounds = 0
-    while descs.total_mass() > LM_REMNANT:
+    while descs.total_mass():
         mass = descs.total_mass()
         vals, lens = descs.middles()
         x_med = weighted_median(vals, lens.astype(float))
         dec = decide(inst, idx, frame, DirectedLine.vertical(x_med), telemetry)
-        rounds += 1
         telemetry.lm_rounds += 1
         slab.apply(dec, x_med)
         if dec.kind == PRUNE_LEFT:
@@ -505,12 +472,8 @@ def local_optimal_line_LM(
             raise RuntimeError(
                 "tangent-circle pruning fell below the guaranteed fraction"
             )
-        if rounds > budget:
+        if telemetry.lm_rounds > budget:
             raise RuntimeError("tangent-circle pruning exceeded its round budget")
-    xs = descs.remaining_xs() + slab.boundary_xs()
-    if not xs:
-        return None
-    return _best_vertical_line(inst, idx, xs, telemetry)
 
 
 def _disc_crossings(inst: Instance) -> List[Point]:
@@ -539,22 +502,17 @@ def local_optimal_line_LC(
     inst: Instance,
     idx: AngularIndex,
     frame: BoundingFrame,
-    telemetry: Optional[Telemetry] = None,
-) -> Optional[DirectedLine]:
-    """Vertical line through the best disc-boundary crossing, by binary
-    search over the sorted crossing abscissas."""
-    if telemetry is None:
-        telemetry = Telemetry()
-    pts = [p.x for p in _disc_crossings(inst)]
-    telemetry.lc_points = len(pts)
-    if not pts:
-        return None
-    xs = np.sort(np.array(pts))
-    lo, hi = 0, len(xs)
-    slab = _Slab()
+    slab: _Slab,
+    telemetry: Telemetry,
+) -> None:
+    """Shrink ``slab`` until no disc-boundary crossing lies strictly inside
+    it, by binary search over the sorted crossing abscissas inside it."""
+    xs = np.sort(np.array([p.x for p in _disc_crossings(inst)], dtype=float))
+    telemetry.lc_points = len(xs)
+    lo = int(np.searchsorted(xs, slab.lo, side="right"))
+    hi = int(np.searchsorted(xs, slab.hi, side="left"))
     while hi > lo:
-        mid = (lo + hi) // 2
-        X = float(xs[mid])
+        X = float(xs[(lo + hi) // 2])
         dec = decide(inst, idx, frame, DirectedLine.vertical(X), telemetry)
         telemetry.lc_steps += 1
         slab.apply(dec, X)
@@ -562,17 +520,14 @@ def local_optimal_line_LC(
             lo = int(np.searchsorted(xs, X, side="right"))
         else:
             hi = int(np.searchsorted(xs, X, side="left"))
-    bounds = slab.boundary_xs()
-    if not bounds:
-        return None
-    return _best_vertical_line(inst, idx, bounds, telemetry)
 
 
 def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
     """Minimise the follower value over the whole plane.
 
-    ``mode`` selects the solver: ``"parametric"`` prunes the three candidate
-    families with the vertical-line decision oracle, ``"intermediate"`` runs
+    ``mode`` selects the solver: ``"parametric"`` shrinks one slab over the
+    three candidate families with the vertical-line decision oracle and
+    searches its boundary lines, ``"intermediate"`` runs
     the line search on every tangent line, and ``"brute"`` evaluates every
     candidate point.  All return the same follower value; ties between
     optimal points are broken lexicographically by (x, y).
@@ -621,14 +576,12 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
                 tel.medianoid_calls += 1
                 consider(p, res.weight_loss)
         else:
-            for family in (
-                local_optimal_line_LT,
-                local_optimal_line_LM,
-                local_optimal_line_LC,
-            ):
-                line = family(inst, idx, frame, tel)
-                if line is not None:
-                    run_line(line)
+            slab = _Slab()
+            xs = local_optimal_line_LT(inst, idx, frame, slab, tel)
+            local_optimal_line_LM(inst, idx, frame, slab, tel)
+            local_optimal_line_LC(inst, idx, frame, slab, tel)
+            for x in sorted(set(slab.boundary_xs() + xs)):
+                run_line(DirectedLine.vertical(x))
         for c in inst.customers:
             res = solve_medianoid(inst, c.site)
             tel.medianoid_calls += 1

@@ -175,11 +175,19 @@ def _full_circle_result(x: Point, weight: float) -> MedianoidResult:
     )
 
 
+def _captured(arcs: List[Tuple[float, float, float]], theta: float) -> List[float]:
+    """Weights of the arcs that contain the angle ``theta``."""
+    return [w for begin, end, w in arcs
+            if 0.0 < (theta - begin) % TWO_PI < end - begin]
+
+
 def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Arc], float]:
     """The maximizing gaps of the endpoint arrangement.
 
     Returns (max_arcs, weight_loss): the gaps (begin, end) whose follower
-    weight equals the maximum, in angular order.
+    weight equals the maximum, in angular order, and the correctly rounded
+    sum of the weights captured at the midpoint of the first of them, so
+    equal capture sets give bitwise-equal losses.
     """
     deltas: dict = {}
     for begin, end, w in arcs:
@@ -190,11 +198,7 @@ def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Arc], floa
     m = len(angles)
     # Weight on the first gap, evaluated directly at its midpoint.
     mid0 = angles[0] + (angles[1] - angles[0]) / 2.0 if m > 1 else angles[0] + math.pi
-    w0 = 0.0
-    for begin, end, w in arcs:
-        off = (mid0 - begin) % TWO_PI
-        if 0.0 < off < end - begin:
-            w0 += w
+    w0 = sum(_captured(arcs, mid0))
     gaps: List[Tuple[Arc, float]] = []
     cur = w0
     best = w0
@@ -205,7 +209,9 @@ def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Arc], floa
                 best = cur
         end = angles[i + 1] if i + 1 < m else angles[0] + TWO_PI
         gaps.append(((angles[i], end), cur))
-    return [g for g, w in gaps if w == best], best
+    ma = [g for g, w in gaps if w == best]
+    a, b = ma[0]
+    return ma, math.fsum(_captured(arcs, a + (b - a) / 2.0))
 
 
 def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Arc], float]]:
@@ -236,9 +242,13 @@ def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Arc], float]]:
     uniq = a_s[starts]
     gd = np.add.reduceat(d_s, starts)
     m = len(uniq)
+
+    def captured(theta: float) -> np.ndarray:
+        off = np.mod(theta - begin, TWO_PI)
+        return wm[(off > 0.0) & (off < width)]
+
     mid0 = uniq[0] + (uniq[1] - uniq[0]) / 2.0 if m > 1 else uniq[0] + math.pi
-    off = np.mod(mid0 - begin, TWO_PI)
-    w0 = float(wm[(off > 0.0) & (off < width)].sum())
+    w0 = float(captured(mid0).sum())
     weights = np.empty(m)
     weights[0] = w0
     if m > 1:
@@ -246,7 +256,9 @@ def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Arc], float]]:
     best = float(weights.max())
     sel = np.flatnonzero(weights == best)
     ends = np.append(uniq[1:], uniq[0] + TWO_PI)
-    return list(zip(uniq[sel].tolist(), ends[sel].tolist())), best
+    ma = list(zip(uniq[sel].tolist(), ends[sel].tolist()))
+    a, b = ma[0]
+    return ma, math.fsum(captured(a + (b - a) / 2.0).tolist())
 
 
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:

@@ -58,7 +58,7 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     def captured(theta: float) -> float:
         ux = math.cos(theta)
         uy = math.sin(theta)
-        return sum(w for dx, dy, w in reachable if dx * ux + dy * uy > r)
+        return math.fsum(w for dx, dy, w in reachable if dx * ux + dy * uy > r)
 
     if not events:
         return 0.0, 0.0

@@ -15,7 +15,9 @@ from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     TWO_PI,
     Circle,
+    Customer,
     DirectedLine,
+    Instance,
     Point,
     circle_circle_intersections,
     collinear,
@@ -539,3 +541,50 @@ def reference_sweep_np(inst, x) -> Optional[Tuple[list, float]]:
         end = uniq[i + 1] if i + 1 < m else uniq[0] + TWO_PI
         gaps.append(((float(uniq[i]), float(end)), float(weights[i])))
     return gaps, best
+
+
+def reference_generate_instance(n, seed, r=2.0, coord_range=50, weight_range=10):
+    """``cli.generate_instance`` with its pair loop: the same draws, and a
+    candidate rejected when it is collinear with any pair of accepted
+    sites."""
+    rng = random.Random(seed)
+    pts = []
+    xs_used = set()
+    ys_used = set()
+    attempts = 0
+    budget = 2000 * n + 10000
+    customers = []
+    while len(pts) < n:
+        attempts += 1
+        assert attempts <= budget, "generation gave up"
+        x = rng.randint(-coord_range, coord_range)
+        y = rng.randint(-coord_range, coord_range)
+        if x in xs_used or y in ys_used:
+            continue
+        bad = False
+        for a in range(len(pts)):
+            xa, ya = pts[a]
+            for b in range(a + 1, len(pts)):
+                xb, yb = pts[b]
+                if (xb - xa) * (y - ya) == (yb - ya) * (x - xa):
+                    bad = True
+                    break
+            if bad:
+                break
+        if bad:
+            continue
+        pts.append((x, y))
+        xs_used.add(x)
+        ys_used.add(y)
+        w = rng.randint(1, weight_range)
+        customers.append(Customer(Point(float(x), float(y)), float(w)))
+    return Instance(customers, r)
+
+
+def remaining_xs(descs):
+    """Abscissas of every crossing an ``_LMDescriptors`` still holds,
+    descriptor by descriptor."""
+    lens = descs.dhi - descs.dlo
+    d = np.repeat(np.arange(len(lens)), lens)
+    k = np.arange(len(d)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return descs._x_at(k, d).tolist()

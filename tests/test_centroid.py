@@ -1,16 +1,33 @@
 """End-to-end tests for the plane solver in its three modes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import support
-from rivalloc.centroid import _LMDescriptors, _disc_crossings, solve_centroid
+from rivalloc.centroid import (
+    CertifiedOptimum,
+    _LMDescriptors,
+    _Slab,
+    _disc_crossings,
+    local_optimal_line_LC,
+    local_optimal_line_LM,
+    local_optimal_line_LT,
+    solve_centroid,
+)
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
-from rivalloc.linesearch import build_angular_index
+from rivalloc.linesearch import Telemetry, build_angular_index
 from rivalloc.medianoid import solve_medianoid, weight_at_angle
+from rivalloc.oracle import (
+    CIRCLE_CIRCLE,
+    TANGENT_CIRCLE,
+    TANGENT_TANGENT,
+    enumerate_candidates,
+)
+from rivalloc.vprune import build_frame
 
 
 def log_ratio(x, base):
@@ -31,6 +48,19 @@ class TestThreeModeAgreement:
                 assert weight_at_angle(
                     inst, rep.centroid, rep.witness_angle
                 ) == rep.weight_loss, (trial, m)
+
+    def test_real_weights_give_bitwise_equal_losses(self):
+        """Each mode sums the weight of its capture set exactly, so the
+        same capture set reached at different points gives the same loss
+        (seeds 3 and 12 differed by 1-2 ulp with running sums)."""
+        for seed in range(16):
+            base = generate_instance(8, seed, r=4.0, coord_range=8)
+            rng = random.Random(seed)
+            inst = Instance([Customer(c.site, rng.uniform(0.1, 3.0))
+                             for c in base.customers], base.R)
+            losses = {m: solve_centroid(inst, mode=m).weight_loss.hex()
+                      for m in ("parametric", "intermediate", "brute")}
+            assert len(set(losses.values())) == 1, (seed, losses)
 
     def test_unknown_mode_rejected(self):
         inst = support.seeded_instance(1)
@@ -122,6 +152,50 @@ class TestTelemetryBudgets:
         assert tel["medianoid_calls"] > 0
 
 
+class TestSharedSlab:
+    FAMILIES = {
+        TANGENT_TANGENT: local_optimal_line_LT,
+        TANGENT_CIRCLE: local_optimal_line_LM,
+        CIRCLE_CIRCLE: local_optimal_line_LC,
+    }
+
+    def test_no_candidate_lies_strictly_inside_the_slab(self):
+        """Each family alone on a fresh slab leaves none of its candidates
+        strictly inside; the three in turn on one slab leave none of any
+        family.  Candidates on a vertical tangent line, which is searched
+        directly, do not count."""
+        runs = [{tag} for tag in self.FAMILIES] + [set(self.FAMILIES)]
+        seen = {"candidates": 0, "lm_rounds": 0, "lc_steps": 0}
+        for trial in range(40):
+            inst = support.seeded_instance(23_000 + trial, n_lo=6, n_hi=10)
+            idx = build_angular_index(inst)
+            frame = build_frame(inst)
+            found = enumerate_candidates(inst)
+            cands = list(zip(found.points, found.provenance))
+            for tags in runs:
+                slab = _Slab()
+                tel = Telemetry()
+                xs = []
+                try:
+                    for tag, family in self.FAMILIES.items():
+                        if tag in tags:
+                            # Only LT returns lines: the vertical tangents.
+                            xs += family(inst, idx, frame, slab, tel) or []
+                except CertifiedOptimum:
+                    continue
+                eps = inst.eps
+                inside = [
+                    (p.x, p.y, tag) for p, tag in cands
+                    if tag in tags and slab.lo + eps < p.x < slab.hi - eps
+                    and all(abs(p.x - x) > eps for x in xs)
+                ]
+                assert not inside, (trial, sorted(tags), slab.lo, slab.hi, inside)
+                seen["candidates"] += sum(tag in tags for _, tag in cands)
+                seen["lm_rounds"] += tel.lm_rounds
+                seen["lc_steps"] += tel.lc_steps
+        assert all(seen.values()), seen
+
+
 def _descriptor_multiset(rows):
     return sorted(
         (int(v), int(u), int(br), int(lo), int(hi), bool(incr), float(x3), float(th0), float(rho))
@@ -157,7 +231,7 @@ class TestLMDescriptors:
             inst = generate_instance(n, seed=seed, r=4.0, coord_range=2 * n)
             descs = _LMDescriptors(build_angular_index(inst))
             while descs.total_mass() > 0:
-                before = descs.remaining_xs()
+                before = support.remaining_xs(descs)
                 X = float(rng.choice(before))
                 if rng.random() < 0.5:
                     descs.cut_keep_gt(X)
@@ -165,7 +239,7 @@ class TestLMDescriptors:
                 else:
                     descs.cut_keep_lt(X)
                     want = sorted(x for x in before if x < X)
-                assert sorted(descs.remaining_xs()) == want, (n, X)
+                assert sorted(support.remaining_xs(descs)) == want, (n, X)
                 assert np.all(descs.dhi > descs.dlo)
                 cuts += 1
         assert cuts > 20

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import support
 from rivalloc import cli, vprune
 from rivalloc.centroid import solve_centroid
 from rivalloc.geom import Point
@@ -67,6 +69,19 @@ class TestGen:
 
     def test_n_must_be_positive(self):
         assert main(["gen", "--n", "0", "--seed", "1"]) == EXIT_PARSE
+
+    def test_direction_set_accepts_what_the_pair_loop_accepts(self):
+        """Same draws, same acceptance: every seed gives the pair loop's
+        instance."""
+        for n in range(1, 61):
+            for seed in (1, 2, 3):
+                for coord_range in (n, 3 * n):
+                    got = generate_instance(n, seed, r=2.0, coord_range=coord_range)
+                    want = support.reference_generate_instance(
+                        n, seed, r=2.0, coord_range=coord_range
+                    )
+                    assert cli.instance_to_obj(got) == cli.instance_to_obj(want), (
+                        n, seed, coord_range)
 
 
 class TestSolve:
@@ -210,6 +225,17 @@ ANCHOR_TIES = [
 
 
 class TestRegressionInstances:
+    @pytest.mark.parametrize("name", [name for name, _ in ANCHOR_TIES])
+    def test_instances_regenerate_exactly(self, tmp_path, name):
+        n, seed, r, coord_range = re.fullmatch(
+            r"anchor_tie_n(\d+)_seed(\d+)_r(\d+)_range(\d+)\.json", name
+        ).groups()
+        out = tmp_path / name
+        assert main(["gen", "--n", n, "--seed", seed, "--r", r,
+                     "--coord-range", coord_range, "--out", str(out)]) == EXIT_OK
+        with open(os.path.join(DATA, name), "rb") as f:
+            assert out.read_bytes() == f.read()
+
     @pytest.mark.parametrize("name, loss", ANCHOR_TIES)
     def test_equal_anchor_values_resolve(self, tmp_path, monkeypatch, name, loss):
         """The tie goes to the downward anchor instead of failing the solve."""

@@ -22,18 +22,21 @@ GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 # (n, seed, coord_range, mode): seed-1 instances of the benchmark's crosscheck
 # workload in both searching modes (intermediate stops at n=16, which keeps
 # the file under 5 s), and n=60 parametric solves that reach no certificate,
-# so they run the LT, LM and LC searches.  The n=80 and n=70 solves run the
-# numpy medianoid sweep (n >= NUMPY_SWEEP_MIN_N); the first searches LT, LM
-# and LC, the second certifies.
+# so they search the boundary lines of the slab the three families leave.
+# In these the LT search leaves no tangent-circle or circle-circle crossing
+# inside the slab; the n=9 seed 3 solve still runs one LM round.  The n=80
+# and n=70 solves run the numpy medianoid sweep (n >= NUMPY_SWEEP_MIN_N); the
+# first reaches no certificate, the second certifies.
 CASES = (
     [(n, 1, 50, "parametric") for n in (8, 12, 24)]
     + [(n, 1, 50, "intermediate") for n in (8, 12, 16)]
     + [(60, seed, 120, "parametric") for seed in (3, 5)]
     + [(80, 1, 160, "parametric"), (70, 2, 140, "parametric")]
+    + [(9, 3, 20, "parametric")]
 )
 
 # The same, on real-valued coordinates with integer weights: every case above
-# lies on the integer grid.  The parametric solve runs LM and LC; the
+# lies on the integer grid.  The parametric solve reaches no certificate; the
 # intermediate one searches all 90 tangent lines.
 REAL_CASES = [(40, 1, 80, "parametric"), (10, 1, 20, "intermediate")]
 
