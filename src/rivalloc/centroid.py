@@ -12,11 +12,12 @@ same slab in turn, each until none of its candidates lies strictly inside:
 the tangent-tangent family through a comparator network whose unresolved
 comparisons are settled at the median unresolved crossing, the
 tangent-circle family by weighted-median pruning of descriptor windows over
-the angular neighbour orders, and the circle-circle family by binary search
-over its sorted points.  Vertical tangent lines have no y-order and are set
-aside.  The optimum is therefore matched by one line search on each
-boundary line and each vertical tangent line, or at a customer site.  A
-certified optimum found anywhere stops everything early.
+the angular neighbour orders (built only for the discs that reach the slab,
+since each crossing lies on a disc boundary), and the circle-circle family
+by binary search over its sorted points.  Vertical tangent lines have no
+y-order and are set aside.  The optimum is therefore matched by one line
+search on each boundary line and each vertical tangent line, or at a
+customer site.  A certified optimum found anywhere stops everything early.
 """
 
 from __future__ import annotations
@@ -246,31 +247,45 @@ class _LMDescriptors:
     Every stored window is non-empty: a cut drops the descriptors it
     empties and keeps the order of the rest, so a round's work shrinks with
     the surviving crossings.
+
+    Only the crossings inside ``slab`` are stored.  A window of (v, u)
+    (u = v for own-disc windows) crosses at ``xs[u] + r*c`` with |c| <= 1,
+    and rounding is monotone, so all of them lie in [fl(xs[u] - r),
+    fl(xs[u] + r)]; a partner whose disc misses the open slab gets no row,
+    and the slab cuts remove the rest.  The result equals the full build cut
+    to the slab, in the same order.
     """
 
-    def __init__(self, idx: AngularIndex) -> None:
+    def __init__(self, idx: AngularIndex, slab: _Slab) -> None:
         self.idx = idx
-        self.r = idx.inst.r
+        self.r = r = idx.inst.r
+        reach = (idx.xs + r > slab.lo) & (idx.xs - r < slab.hi)
         groups = []
         if idx.order2.shape[1]:
             for v0 in range(0, idx.n, LM_BLOCK):
-                groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)))
+                groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)), reach)
         cols = [np.concatenate(c) for c in zip(*groups)] or [np.empty(0)] * 9
         for name, c, t in zip(_LM_COLUMNS, cols, _LM_DTYPES):
             setattr(self, name, c.astype(t, copy=False))
+        if math.isfinite(slab.lo):
+            self.cut_keep_gt(slab.lo)
+        if math.isfinite(slab.hi):
+            self.cut_keep_lt(slab.hi)
 
-    def _block(self, vs: np.ndarray) -> List[List[np.ndarray]]:
+    def _block(self, vs: np.ndarray, reach: np.ndarray) -> List[List[np.ndarray]]:
         """Descriptor column groups of customers ``vs`` against every
-        partner: own-disc windows, single crossings toward each partner,
-        and the windows of every monotone piece."""
+        partner whose disc reaches the slab (``reach``): own-disc windows,
+        single crossings toward each partner, and the windows of every
+        monotone piece."""
         idx = self.idx
         r = self.r
         n = idx.n
         pi = math.pi
-        # Every ordered pair (v, u) with u != v, v-major.
+        # Every ordered pair (v, u) with u != v and reach[u], v-major.
         V = np.repeat(vs, n - 1)
         U = np.tile(np.arange(n - 1), len(vs))
         U += U >= V
+        V, U = V[reach[U]], U[reach[U]]
         th0 = idx.ang[V, U]
         rho = idx.dist[V, U]
         xu = idx.xs[U]
@@ -326,15 +341,16 @@ class _LMDescriptors:
         # Neighbour-order positions of every boundary, one search per row.
         pos = np.empty(bounds.shape, dtype=np.int64)
         own = np.empty((len(vs), 3), dtype=np.int64)
+        starts = np.searchsorted(V, vs).tolist() + [len(V)]
         for k, v in enumerate(vs):
-            rows = slice(k * (n - 1), (k + 1) * (n - 1))
+            rows = slice(starts[k], starts[k + 1])
             hits = np.searchsorted(
                 idx.angles2[v],
                 np.concatenate([_OWN_BOUNDS, bounds[rows].ravel()]),
                 side="right",
             )
             own[k] = hits[:3]
-            pos[rows] = hits[3:].reshape(n - 1, 2, 8)
+            pos[rows] = hits[3:].reshape(-1, 2, 8)
 
         blo, bhi = bounds[:, :, :-1], bounds[:, :, 1:]
         lo, hi = pos[:, :, :-1], pos[:, :, 1:]
@@ -360,7 +376,7 @@ class _LMDescriptors:
         own_lo = own[:, :2].T.ravel()
         own_hi = own[:, 1:].T.ravel()
         own_incr = np.repeat([False, True], len(vs))
-        live = own_hi > own_lo
+        live = (own_hi > own_lo) & reach[own_v]
         p2 = np.repeat(p, 2)
         return [
             _columns(own_v[live], own_v[live], 0, own_lo[live], own_hi[live],
@@ -443,18 +459,16 @@ def local_optimal_line_LM(
     """Shrink ``slab`` until no tangent-circle crossing lies strictly
     inside it.
 
-    The descriptor windows are first cut to the slab.  Each round then
-    decides at the weighted median of the window middles and cuts the
-    windows to the kept side, which discards at least an eighth of the
-    crossings still inside, until none is left.
+    The descriptor windows are built only for partners whose discs reach
+    the slab, and cut to it (see ``_LMDescriptors``): the window work is
+    O(n) per such partner, and none when LT left no disc in the slab.  Each
+    round then decides at the weighted median of the window middles and
+    cuts the windows to the kept side, which discards at least an eighth of
+    the crossings still inside, until none is left.
     """
-    descs = _LMDescriptors(idx)
+    descs = _LMDescriptors(idx, slab)
     mass0 = descs.total_mass()
     telemetry.lm_mass0 = mass0
-    if math.isfinite(slab.lo):
-        descs.cut_keep_gt(slab.lo)
-    if math.isfinite(slab.hi):
-        descs.cut_keep_lt(slab.hi)
     budget = 2.0 * (math.log(max(mass0, 2)) / math.log(8.0 / 7.0) + 8)
     while descs.total_mass():
         mass = descs.total_mass()

@@ -76,7 +76,7 @@ class Telemetry:
     lt_rounds: int = 0
     lt_comparators: int = 0
     lt_oracle: int = 0
-    lm_mass0: int = 0
+    lm_mass0: int = 0  # tangent-circle crossings inside the slab at LM start
     lm_rounds: int = 0
     lc_points: int = 0
     lc_steps: int = 0
@@ -170,8 +170,8 @@ class AngularIndex:
         """The stored right tangent of the ordered pair as a directed line."""
         a = float(self.ang[i, j])
         anchor = Point(
-            self.xs[i] + self.inst.r * math.sin(a),
-            self.ys[i] - self.inst.r * math.cos(a),
+            float(self.xs[i]) + self.inst.r * math.sin(a),
+            float(self.ys[i]) - self.inst.r * math.cos(a),
         )
         return DirectedLine(anchor, a)
 

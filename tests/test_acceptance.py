@@ -2,7 +2,7 @@
 
 Each test here is a self-contained experiment at a fixed scale with its own
 seeds, so `pytest -v tests/test_acceptance.py` prints one pass or fail line
-per criterion.  The scaling measurement carries the `scaling` marker and can
+per criterion.  The scaling measurements carry the `scaling` marker and can
 be skipped with `-m "not scaling"`.
 """
 
@@ -309,6 +309,28 @@ def test_scaling_doubles_below_budget():
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         assert rep.telemetry["certified"] is None or rep.weight_loss >= 0.0
+        times[n] = best
+    for small, large in ((100, 200), (200, 400)):
+        factor = times[large] / max(times[small], 0.05)
+        assert factor <= 5.5, (times, factor)
+
+
+@pytest.mark.scaling
+def test_search_scaling_doubles_below_budget():
+    """The same gate on instances that reach no certificate, so it times the
+    search itself (the series above certifies at n=400): doubling n from 100
+    to 200 to 400 grows the parametric solve time by at most 5.5x per
+    doubling (two runs per size, fastest kept)."""
+    times = {}
+    for n in (100, 200, 400):
+        inst = generate_instance(n, seed=1, r=4.0, coord_range=2 * n)
+        best = None
+        for _ in range(2):
+            t0 = time.perf_counter()
+            rep = solve_centroid(inst, mode="parametric")
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert rep.telemetry["certified"] is None, (n, rep.telemetry["certified"])
         times[n] = best
     for small, large in ((100, 200), (200, 400)):
         factor = times[large] / max(times[small], 0.05)

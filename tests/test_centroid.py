@@ -1,5 +1,6 @@
 """End-to-end tests for the plane solver in its three modes."""
 
+import copy
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 import support
 from rivalloc.centroid import (
     CertifiedOptimum,
+    _LM_COLUMNS,
     _LMDescriptors,
     _Slab,
     _disc_crossings,
@@ -45,6 +47,9 @@ class TestThreeModeAgreement:
             for m, rep in reports.items():
                 check = solve_medianoid(inst, rep.centroid)
                 assert check.weight_loss == rep.weight_loss, (trial, m)
+                fields = (rep.centroid.x, rep.centroid.y, rep.weight_loss,
+                          rep.witness_angle)
+                assert all(type(f) is float for f in fields), (trial, m, fields)
                 assert weight_at_angle(
                     inst, rep.centroid, rep.witness_angle
                 ) == rep.weight_loss, (trial, m)
@@ -213,7 +218,7 @@ class TestLMDescriptors:
             for R in (2.0, 3.0 * (n + 10), touching):
                 inst = Instance(base.customers, R)
                 idx = build_angular_index(inst)
-                descs = _LMDescriptors(idx)
+                descs = _LMDescriptors(idx, _Slab())
                 got = zip(descs.dv, descs.du, descs.dbr, descs.dlo, descs.dhi,
                           descs.dincr, descs.dx3, descs.dth0, descs.drho)
                 want = support.reference_lm_descriptors(idx)
@@ -224,12 +229,57 @@ class TestLMDescriptors:
                 regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
         assert all(count > 0 for count in regimes.values()), regimes
 
+    def test_slab_build_equals_the_full_build_cut_to_the_slab(self):
+        """Only partners whose disc reaches the open slab get windows; the
+        rest hold no crossing a cut would keep.  Slab ends sit on the
+        rounded disc edges fl(xs[u] - r), fl(xs[u] + r) and one ulp either
+        side of them.  Discs are apart, touch at the closest pair, or
+        overlap (all of them up to n=40, near neighbours at n=200)."""
+        seen = {"kept": 0, "dropped": 0}
+        for n in list(range(1, 41)) + [200]:
+            base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
+            radii = [2.0, 3.0 * (n + 10) if n <= 40 else 20.0]
+            if n > 1:
+                dist = build_angular_index(base).dist
+                radii.append(float(dist[~np.eye(n, dtype=bool)].min()))
+            for R in radii:
+                inst = Instance(base.customers, R)
+                idx = build_angular_index(inst)
+                full = _LMDescriptors(idx, _Slab())
+                order = np.argsort(idx.xs, kind="stable")
+                u, w = order[n // 2], order[(3 * n) // 4]
+                ends = []
+                for e in (idx.xs[u] - inst.r, idx.xs[u] + inst.r,
+                          idx.xs[w] + inst.r):
+                    ends.append([np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)])
+                # The ends that decide whether u's own windows are built.
+                slabs = [(-math.inf, math.inf)]
+                slabs += [(-math.inf, e) for e in ends[0]]
+                slabs += [(e, math.inf) for e in ends[1]]
+                slabs += list(zip(ends[1], ends[2]))
+                for lo, hi in slabs:
+                    slab = _Slab()
+                    slab.lo, slab.hi = float(lo), float(hi)
+                    want = copy.copy(full)
+                    if math.isfinite(slab.lo):
+                        want.cut_keep_gt(slab.lo)
+                    if math.isfinite(slab.hi):
+                        want.cut_keep_lt(slab.hi)
+                    got = _LMDescriptors(idx, slab)
+                    for name in _LM_COLUMNS:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype, (n, R, lo, hi, name)
+                        assert a.tobytes() == b.tobytes(), (n, R, lo, hi, name)
+                    seen["kept"] += want.total_mass()
+                    seen["dropped"] += full.total_mass() - want.total_mass()
+        assert all(seen.values()), seen
+
     def test_cuts_keep_exactly_the_survivors_and_drop_emptied_windows(self):
         rng = np.random.default_rng(5)
         cuts = 0
         for n, seed in ((12, 1), (30, 2), (60, 3)):
             inst = generate_instance(n, seed=seed, r=4.0, coord_range=2 * n)
-            descs = _LMDescriptors(build_angular_index(inst))
+            descs = _LMDescriptors(build_angular_index(inst), _Slab())
             while descs.total_mass() > 0:
                 before = support.remaining_xs(descs)
                 X = float(rng.choice(before))
