@@ -9,8 +9,9 @@ discards is no better than a point on that line, which becomes a boundary
 of the slab; so everything outside the final slab is dominated by a point
 on one of its (at most two) boundary lines.  The three families shrink the
 same slab in turn, each until none of its candidates lies strictly inside:
-the tangent-tangent family through a comparator network whose unresolved
-comparisons are settled at the median unresolved crossing, the
+the tangent-tangent family by selecting crossings in batches, each exhausted
+by decisions at its median (a hashed sample of line pairs, then the pairs
+whose order by y differs between the two slab ends), the
 tangent-circle family by weighted-median pruning of descriptor windows over
 the angular neighbour orders (built only for the discs that reach the slab,
 since each crossing lies on a disc boundary), and the circle-circle family
@@ -63,8 +64,9 @@ INTERMEDIATE = "intermediate"
 BRUTE = "brute"
 MODES = (PARAMETRIC, INTERMEDIATE, BRUTE)
 
-# A line direction whose |ny| falls below this is treated as vertical in the
-# comparator network (it has no y-order) and is searched directly instead.
+# A line direction whose |ny| falls below this is treated as vertical by LT
+# (it has no y-order) and is searched directly instead; two lines whose
+# crossing denominator falls below it are parallel there.
 VERTICAL_EPS = 1e-12
 
 
@@ -91,30 +93,6 @@ class CertifiedOptimum(Exception):
         self.origin = origin
 
 
-def _batcher_rounds(m: int):
-    """Comparator rounds of odd-even mergesort on ``m`` wires.
-
-    Yields ``(a, b)`` index arrays with ``a < b`` positionwise; each round's
-    pairs are disjoint, and the total number of rounds is at most
-    ``k*(k+1)/2`` for ``k = ceil(log2 m)``.
-    """
-    p = 1
-    while p < m:
-        k = p
-        while k >= 1:
-            js = np.arange(k % p, m - k, 2 * k, dtype=np.int64)
-            if len(js):
-                iv = np.arange(0, k, dtype=np.int64)
-                a = js[:, None] + iv[None, :]
-                ok = iv[None, :] < np.minimum(k, m - js[:, None] - k)
-                ok &= (a // (2 * p)) == ((a + k) // (2 * p))
-                a = a[ok]
-                if len(a):
-                    yield a, a + k
-            k //= 2
-        p *= 2
-
-
 class _Slab:
     """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
 
@@ -137,15 +115,6 @@ class _Slab:
         else:
             raise RuntimeError("unexpected decision kind %r" % (dec.kind,))
 
-    def test_x(self) -> float:
-        if math.isinf(self.lo) and math.isinf(self.hi):
-            return 0.0
-        if math.isinf(self.lo):
-            return self.hi - 1.0
-        if math.isinf(self.hi):
-            return self.lo + 1.0
-        return (self.lo + self.hi) / 2.0
-
     def boundary_xs(self) -> List[float]:
         out = []
         if math.isfinite(self.lo):
@@ -153,6 +122,129 @@ class _Slab:
         if math.isfinite(self.hi):
             out.append(self.hi)
         return out
+
+
+# Crossings per line an exact LT batch holds before it is thinned, and line
+# pairs handled at a time, which bounds LT's temporary arrays.
+LT_CAP = 4
+LT_CHUNK = 1 << 13
+
+
+def _mix(v: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, a fixed bijection, on the 64-bit words of v."""
+    v = v.view(np.uint64) ^ (v.view(np.uint64) >> 30)
+    v *= 0xBF58476D1CE4E5B9
+    v ^= v >> 27
+    v *= 0x94D049BB133111EB
+    return v ^ (v >> 31)
+
+
+def _crossing_xs(lnx, lny, loff, a, b, slab: _Slab) -> np.ndarray:
+    """Abscissas of the crossings of lines ``a[i]`` and ``b[i]`` that lie
+    strictly inside ``slab``; a pair with ``|den| <= VERTICAL_EPS`` is
+    parallel and never crosses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = lnx[b] * lny[a] - lnx[a] * lny[b]
+        x_ab = (loff[b] * lny[a] - loff[a] * lny[b]) / den
+        inside = (np.abs(den) > VERTICAL_EPS) & (x_ab > slab.lo) & (x_ab < slab.hi)
+    return x_ab[inside]
+
+
+def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
+    """Line indices in order of y just right (``right``) or just left of
+    ``x``: by y at ``x``, then by slope ``-nx/ny`` (descending on the left),
+    then by index.  At an infinite ``x``, by y far out on that side: by
+    slope (descending on the left), then by y at 0, then by index."""
+    far = math.isinf(x)
+    key = (-lnx if x > 0 else lnx) / lny if far else (loff - lnx * x) / lny
+    order = np.argsort(key)
+    eq = np.diff(key[order]) == 0.0
+    if eq.any():
+        # Equal keys form contiguous runs; re-sort only their members.
+        tied = np.append(eq, False) | np.insert(eq, 0, False)
+        sub = order[tied]
+        tie = (loff[sub] if far else -lnx[sub] if right else lnx[sub]) / lny[sub]
+        order[tied] = sub[np.lexsort((sub, tie, key[sub]))]
+    return order
+
+
+def _inverted_pairs(lnx, lny, loff, lo: float, hi: float):
+    """Yield ``(a, b)`` index arrays, about ``LT_CHUNK`` pairs at a time,
+    covering once each pair of lines ordered differently by y just right of
+    ``lo`` and just left of ``hi``: in exact arithmetic, the pairs crossing
+    strictly inside.  They are the inversions between the two orders, met
+    top-down as a merge sort meets them but without comparisons: ``pos``
+    holds the ``lo`` positions in ``hi`` order within blocks of 2w, so a
+    second-half position inverts the first-half positions after it."""
+    m = len(lnx)
+    by_lo = _end_order(lnx, lny, loff, lo, True)
+    pos = np.empty(m, dtype=np.int32)
+    pos[by_lo] = ar = np.arange(m, dtype=np.int32)
+    pos = pos[_end_order(lnx, lny, loff, hi, False)]
+    w = 1 << max(m - 1, 0).bit_length()
+    while w > 1:
+        w >>= 1
+        first = (pos & w) == 0
+        before = np.cumsum(first, dtype=np.int32) - first
+        block = pos // (2 * w) * w
+        firsts, seconds, start = pos[first], pos[~first], before[~first]
+        cnt = block[~first] + w - start
+        has = np.flatnonzero(cnt)
+        done = np.cumsum(cnt[has])
+        cuts = np.searchsorted(done, np.arange(LT_CHUNK, done[-1] if len(has) else 0, LT_CHUNK))
+        for chunk in np.split(has, cuts):
+            c = cnt[chunk]
+            owner = np.repeat(chunk, c)
+            off = np.arange(len(owner)) - np.repeat(np.cumsum(c) - c, c)
+            yield by_lo[firsts[start[owner] + off]], by_lo[seconds[owner]]
+        new = np.empty_like(pos)
+        new[block + np.where(first, before, w + ar - before)] = pos
+        pos = new
+
+
+def _exact_batch(lnx, lny, loff, slab: _Slab, cap: int):
+    """The abscissas strictly inside ``slab`` of the crossings of the pairs
+    ``_inverted_pairs`` lists, the mask of the lines in some pair, and
+    whether the abscissas were thinned, by a hash, to at most ``cap``."""
+    used = np.zeros(len(lnx), dtype=bool)
+    batch, level = [], 0
+    for a, b in _inverted_pairs(lnx, lny, loff, slab.lo, slab.hi):
+        used[a] = used[b] = True
+        batch.append(_crossing_xs(lnx, lny, loff, a, b, slab))
+        while sum(map(len, batch)) > cap:
+            # Keep the abscissas whose hash falls below a halved bound;
+            # never thin a batch to nothing.
+            bound = np.uint64(((1 << 64) - 1) >> (level + 1))
+            thinned = [x[_mix(x) <= bound] for x in batch]
+            if not any(map(len, thinned)):
+                break
+            batch, level = thinned, level + 1
+    return np.concatenate(batch + [np.empty(0)]), used, level > 0
+
+
+def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
+    """Call ``decide_at`` at the lower median of the ``xs`` strictly inside
+    ``slab`` until none is: either side pruned holds at least half of them,
+    so a batch of C costs at most floor(log2 C) + 1 calls."""
+    while len(xs):
+        k = (len(xs) - 1) // 2
+        decide_at(float(np.partition(xs, k)[k]))
+        xs = xs[(xs > slab.lo) & (xs < slab.hi)]
+
+
+def _lt_lines(idx: AngularIndex, frame: BoundingFrame):
+    """LT's lines ``nx*x + ny*y = off`` as arrays ``(nx, ny, off)``: every
+    tangent line and the two frame lines, less the vertical ones, whose
+    abscissas come fourth."""
+    tangent = ~np.eye(idx.n, dtype=bool).ravel()
+    vertical = tangent & (np.abs(idx.tan_ny) <= VERTICAL_EPS)
+    direct_xs = (idx.tan_off[vertical] / idx.tan_nx[vertical]).tolist()
+    keep = tangent & ~vertical
+    # Frame lines: y = c is nx*x + ny*y = off with normal (0, 1).
+    lnx = np.append(idx.tan_nx[keep], (0.0, 0.0))
+    lny = np.append(idx.tan_ny[keep], (1.0, 1.0))
+    loff = np.append(idx.tan_off[keep], (frame.t_top.anchor.y, frame.t_btm.anchor.y))
+    return lnx, lny, loff, direct_xs
 
 
 def local_optimal_line_LT(
@@ -166,58 +258,32 @@ def local_optimal_line_LT(
     return the abscissas of the vertical tangent lines, which have no
     y-order and must be searched directly.
 
-    The other tangent lines plus the two frame lines are pushed through an
-    odd-even mergesort comparator network keyed by their y-order at a point
-    of the slab.  A comparison whose crossing falls strictly inside the slab
-    is resolved by a decision at the median unresolved crossing.  Once the
-    network has run, the lines are sorted by y at every point of the slab,
-    so no two of them cross strictly inside it.
+    The other tangent lines plus the two frame lines are m lines.  Batches
+    of their crossing abscissas strictly inside the slab are exhausted by
+    decisions at the median (``_exhaust``): first one hashed partner per
+    line, then the exact batch (``_exact_batch``), repeated on the new slab
+    without the lines that crossed no other while it was thinned.
     """
-    n = idx.n
-    flat = np.arange(n * n)
-    offdiag = (flat // n) != (flat % n)
-    lnx = idx.tan_nx[offdiag]
-    lny = idx.tan_ny[offdiag]
-    loff = idx.tan_off[offdiag]
-    # Frame lines: y = c is nx*x + ny*y = off with normal (0, 1).
-    lnx = np.append(lnx, (0.0, 0.0))
-    lny = np.append(lny, (1.0, 1.0))
-    loff = np.append(loff, (frame.t_top.anchor.y, frame.t_btm.anchor.y))
+    lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
+    m = telemetry.lt_wires = len(lnx)
 
-    vertical = np.abs(lny) <= VERTICAL_EPS
-    direct_xs = (loff[vertical] / lnx[vertical]).tolist()
-    lnx, lny, loff = lnx[~vertical], lny[~vertical], loff[~vertical]
-    m = len(lnx)
-    telemetry.lt_wires = m
-    wires = np.arange(m, dtype=np.int64)
-    for a_pos, b_pos in _batcher_rounds(m):
+    def decide_at(x: float) -> None:
+        telemetry.lt_oracle += 1
+        slab.apply(decide(inst, idx, frame, DirectedLine.vertical(x), telemetry), x)
+
+    # A line drawn as its own partner has den == 0 and drops out.
+    telemetry.lt_rounds += 1
+    _exhaust(np.concatenate([
+        _crossing_xs(lnx, lny, loff, a, _mix(a + m) % m, slab)
+        for a in (np.arange(s, min(s + LT_CHUNK, m)) for s in range(0, m, LT_CHUNK))
+    ] + [np.empty(0)]), slab, decide_at)
+    while len(lnx) > 1:
+        xs, used, thinned = _exact_batch(lnx, lny, loff, slab, LT_CAP * m)
         telemetry.lt_rounds += 1
-        telemetry.lt_comparators += len(a_pos)
-        la = wires[a_pos]
-        lb = wires[b_pos]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = lnx[lb] * lny[la] - lnx[la] * lny[lb]
-            x_ab = (loff[lb] * lny[la] - loff[la] * lny[lb]) / den
-        parallel = np.abs(den) <= VERTICAL_EPS
-        with np.errstate(invalid="ignore"):
-            unresolved = ~parallel & (x_ab > slab.lo) & (x_ab < slab.hi)
-        while unresolved.any():
-            xs_un = x_ab[unresolved]
-            k = (len(xs_un) - 1) // 2
-            x_med = float(np.partition(xs_un, k)[k])
-            dec = decide(
-                inst, idx, frame, DirectedLine.vertical(x_med), telemetry
-            )
-            telemetry.lt_oracle += 1
-            slab.apply(dec, x_med)
-            unresolved &= (x_ab > slab.lo) & (x_ab < slab.hi)
-        tx = slab.test_x()
-        ya = (loff[la] - lnx[la] * tx) / lny[la]
-        yb = (loff[lb] - lnx[lb] * tx) / lny[lb]
-        swap = (ya > yb) | ((ya == yb) & (la > lb))
-        if swap.any():
-            wires[a_pos[swap]] = lb[swap]
-            wires[b_pos[swap]] = la[swap]
+        _exhaust(xs, slab, decide_at)
+        if not thinned:
+            break
+        lnx, lny, loff = lnx[used], lny[used], loff[used]
     return direct_xs
 
 

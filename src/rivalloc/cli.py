@@ -47,9 +47,15 @@ def _require_number(obj, key, where, positive=False):
     v = obj.get(key)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise CliError(EXIT_PARSE, f"{where}: field {key!r} must be a number")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise CliError(EXIT_PARSE, f"{where}: field {key!r} must be finite")
     if positive and not v > 0:
         raise CliError(EXIT_PARSE, f"{where}: field {key!r} must be positive")
-    return float(v)
+    return v
 
 
 def parse_instance(data, where: str = "instance") -> Instance:

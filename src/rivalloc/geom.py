@@ -72,8 +72,10 @@ class Customer:
     weight: float
 
     def __post_init__(self) -> None:
-        if not self.weight > 0.0:
-            raise ValueError(f"customer weight must be positive, got {self.weight}")
+        if not (math.isfinite(self.site.x) and math.isfinite(self.site.y)):
+            raise ValueError(f"customer site must be finite, got {self.site}")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"customer weight must be positive and finite, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class Instance:
     def __init__(self, customers: Sequence[Customer], R: float) -> None:
         if len(customers) < 1:
             raise ValueError("instance needs at least one customer")
-        if R < 0.0:
-            raise ValueError("separation distance R must be nonnegative")
+        if not 0.0 <= R < math.inf:
+            raise ValueError(f"separation distance R must be nonnegative and finite, got {R}")
         object.__setattr__(self, "customers", tuple(customers))
         object.__setattr__(self, "R", float(R))
         scale = max(

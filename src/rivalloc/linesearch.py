@@ -73,14 +73,12 @@ class Telemetry:
     lines_searched: int = 0
     prune_log: List[Tuple[int, int]] = field(default_factory=list)
     lt_wires: int = 0
-    lt_rounds: int = 0
-    lt_comparators: int = 0
+    lt_rounds: int = 0  # crossing batches LT exhausted
     lt_oracle: int = 0
     lm_mass0: int = 0  # tangent-circle crossings inside the slab at LM start
     lm_rounds: int = 0
     lc_points: int = 0
     lc_steps: int = 0
-    schedule: str = "odd-even-merge"
     wall_time_s: float = 0.0
     certified: Optional[str] = None
 
@@ -97,13 +95,11 @@ class Telemetry:
             "prune_min_fraction": frac if self.prune_log else None,
             "lt_wires": self.lt_wires,
             "lt_rounds": self.lt_rounds,
-            "lt_comparators": self.lt_comparators,
             "lt_oracle": self.lt_oracle,
             "lm_mass0": self.lm_mass0,
             "lm_rounds": self.lm_rounds,
             "lc_points": self.lc_points,
             "lc_steps": self.lc_steps,
-            "schedule": self.schedule,
             "wall_time_s": self.wall_time_s,
             "certified": self.certified,
         }

@@ -588,3 +588,34 @@ def remaining_xs(descs):
     d = np.repeat(np.arange(len(lens)), lens)
     k = np.arange(len(d)) - np.repeat(np.cumsum(lens) - lens, lens)
     return descs._x_at(k, d).tolist()
+
+
+def reference_inverted_pairs(lnx, lny, loff, lo, hi):
+    """Every pair ``(i, j)``, i < j, of lines ``nx*x + ny*y = off`` whose
+    order by y just right of ``lo`` differs from that just left of ``hi``,
+    pair by pair.  Line i is below line j just right of a finite x when its
+    y there is lower, or, on equal y, its slope is; just left of x when its
+    y is lower or, on equal y, its slope is higher; far left when its slope
+    is higher and far right when it is lower, on equal slopes when its y at
+    0 is lower.  Lines equal in all of these go by index."""
+
+    def below(i, j, x, right):
+        si, sj = -lnx[i] / lny[i], -lnx[j] / lny[j]
+        if math.isinf(x):
+            if si != sj:
+                return (si < sj) == (x > 0)
+            yi, yj = loff[i] / lny[i], loff[j] / lny[j]
+            return yi < yj if yi != yj else i < j
+        yi = (loff[i] - lnx[i] * x) / lny[i]
+        yj = (loff[j] - lnx[j] * x) / lny[j]
+        if yi != yj:
+            return yi < yj
+        if si != sj:
+            return (si < sj) == right
+        return i < j
+
+    m = len(lnx)
+    return {
+        (i, j) for i in range(m) for j in range(i + 1, m)
+        if below(i, j, lo, True) != below(i, j, hi, False)
+    }

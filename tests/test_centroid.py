@@ -8,19 +8,24 @@ import numpy as np
 import pytest
 
 import support
+from rivalloc import centroid
 from rivalloc.centroid import (
+    VERTICAL_EPS,
     CertifiedOptimum,
     _LM_COLUMNS,
     _LMDescriptors,
     _Slab,
     _disc_crossings,
+    _exhaust,
+    _inverted_pairs,
+    _lt_lines,
     local_optimal_line_LC,
     local_optimal_line_LM,
     local_optimal_line_LT,
     solve_centroid,
 )
 from rivalloc.cli import generate_instance
-from rivalloc.geom import Customer, Instance, Point
+from rivalloc.geom import Customer, Instance, Point, general_position_violation
 from rivalloc.linesearch import Telemetry, build_angular_index
 from rivalloc.medianoid import solve_medianoid, weight_at_angle
 from rivalloc.oracle import (
@@ -133,12 +138,11 @@ class TestTelemetryBudgets:
         for trial in range(20):
             inst = support.seeded_instance(22_000 + trial, n_lo=8, n_hi=14)
             tel = solve_centroid(inst, mode="parametric").telemetry
-            assert tel["schedule"] == "odd-even-merge"
             wires = tel["lt_wires"]
             if wires and wires > 1:
                 lt_seen += 1
-                k = math.ceil(math.log2(wires))
-                assert tel["lt_rounds"] <= k * (k + 1), (trial, wires, tel["lt_rounds"])
+                bound = 3 * math.ceil(math.log2(wires)) + 4
+                assert tel["lt_oracle"] <= bound, (trial, wires, tel["lt_oracle"])
             mass0 = tel["lm_mass0"]
             if mass0:
                 lm_seen += 1
@@ -150,11 +154,152 @@ class TestTelemetryBudgets:
         assert lt_seen > 0
         assert lm_seen > 0
 
+    def test_lm_rounds_stay_within_their_budget_on_a_fresh_slab(self):
+        """LT's slab rarely leaves LM any crossing, so run LM alone on the
+        unbounded slab to keep its round budget exercised."""
+        lm_seen = 0
+        for trial in range(20):
+            inst = support.seeded_instance(22_000 + trial, n_lo=8, n_hi=14)
+            tel = Telemetry()
+            idx = build_angular_index(inst)
+            try:
+                local_optimal_line_LM(inst, idx, build_frame(inst), _Slab(), tel)
+            except CertifiedOptimum:
+                continue
+            if tel.lm_mass0:
+                lm_seen += 1
+                bound = 2.0 * (log_ratio(max(tel.lm_mass0, 2), 8.0 / 7.0) + 8.0)
+                assert tel.lm_rounds <= bound, (trial, tel.lm_mass0, tel.lm_rounds)
+        assert lm_seen >= 15
+
     def test_wall_time_recorded(self):
         inst = support.seeded_instance(42, n_lo=5, n_hi=9)
         tel = solve_centroid(inst, mode="parametric").telemetry
         assert tel["wall_time_s"] > 0.0
         assert tel["medianoid_calls"] > 0
+
+
+class TestCrossingSelection:
+    @staticmethod
+    def enumerated(lnx, lny, loff, lo, hi):
+        got = []
+        for a, b in _inverted_pairs(lnx, lny, loff, lo, hi):
+            got += [(min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist())]
+        assert len(got) == len(set(got)), "a pair was listed twice"
+        return set(got)
+
+    @staticmethod
+    def random_lines(rng, m):
+        """Integer lines through a few integer points (so y ties exactly at
+        those abscissas), real lines, and near-parallel twins."""
+        anchors = [(rng.randint(-2, 2), rng.randint(-3, 3)) for _ in range(3)]
+        lines = []
+        while len(lines) < m:
+            kind = rng.random()
+            if kind < 0.5:
+                x0, y0 = rng.choice(anchors)
+                s = float(rng.randint(-3, 3))
+                lines.append((-s, 1.0, y0 - s * x0))
+            elif kind < 0.8 or not lines:
+                th = rng.uniform(0.1, math.pi - 0.1)
+                lines.append((math.cos(th), math.sin(th), rng.uniform(-5, 5)))
+            else:
+                nx, ny, off = rng.choice(lines)
+                lines.append((nx + 1e-13, ny, off + rng.uniform(-1, 1)))
+        lines = np.array(lines).reshape(-1, 3)
+        return lines[:, 0].copy(), lines[:, 1].copy(), lines[:, 2].copy(), anchors
+
+    def test_inverted_pairs_equal_the_pairwise_reference(self):
+        rng = random.Random(0x1A7)
+        for m in (0, 1, 2, 3, 5, 6, 7, 12, 17, 31, 33, 64, 90):
+            for _ in range(3):
+                lnx, lny, loff, anchors = self.random_lines(rng, m)
+                ends = [float(x0) for x0, _ in anchors]
+                if m >= 2:
+                    i, j = rng.sample(range(m), 2)
+                    den = lnx[j] * lny[i] - lnx[i] * lny[j]
+                    if abs(den) > VERTICAL_EPS:
+                        ends.append((loff[j] * lny[i] - loff[i] * lny[j]) / den)
+                ends += [np.nextafter(x, d) for x in list(ends) for d in (-math.inf, math.inf)]
+                slabs = [(-math.inf, math.inf)]
+                slabs += [(-math.inf, x) for x in ends] + [(x, math.inf) for x in ends]
+                slabs += [(lo, hi) for lo in ends for hi in ends if lo < hi]
+                for lo, hi in rng.sample(slabs, min(12, len(slabs))):
+                    want = support.reference_inverted_pairs(lnx, lny, loff, lo, hi)
+                    assert self.enumerated(lnx, lny, loff, lo, hi) == want, (m, lo, hi)
+
+    def test_each_decision_prunes_at_least_half_of_the_batch(self):
+        """Against a decision that always keeps the fuller side, a batch of
+        C abscissas (duplicates included) ends within floor(log2 C) + 1
+        decisions and leaves none of them inside the slab."""
+        rng = random.Random(0xBA7)
+        for C in range(1, 130):
+            xs = np.array([
+                float(rng.randint(-3, 3)) if rng.random() < 0.3 else rng.uniform(-5, 5)
+                for _ in range(C)
+            ])
+            slab = _Slab()
+            calls = []
+
+            def keep_fuller_side(x):
+                calls.append(x)
+                left = np.sum((xs > slab.lo) & (xs < x))
+                right = np.sum((xs > x) & (xs < slab.hi))
+                if right >= left:
+                    slab.lo = x
+                else:
+                    slab.hi = x
+
+            _exhaust(xs, slab, keep_fuller_side)
+            assert len(calls) <= math.floor(math.log2(C)) + 1, (C, len(calls))
+            assert not ((xs > slab.lo) & (xs < slab.hi)).any()
+
+    @staticmethod
+    def real_instance(n, seed):
+        rng = random.Random(seed)
+        customers = [
+            Customer(Point(rng.uniform(-2 * n, 2 * n), rng.uniform(-2 * n, 2 * n)),
+                     float(rng.randint(1, 10)))
+            for _ in range(n)
+        ]
+        return Instance(customers, rng.choice((2.0, 4.0)))
+
+    @pytest.mark.parametrize("cap", [None, 0.05])
+    def test_no_tangent_crossing_strictly_inside_the_final_slab(self, monkeypatch, cap):
+        """Every pair of LT's lines, scanned with LT's own crossing
+        expression and no tolerance, crosses outside the open slab LT
+        leaves.  A tiny cap forces thinned batches and repeated steps."""
+        if cap is not None:
+            monkeypatch.setattr(centroid, "LT_CAP", cap)
+        searched = thinned = 0
+        for trial in range(17):
+            n = 8 + 2 * trial
+            if trial % 3 == 2:
+                inst = self.real_instance(n, 24_000 + trial)
+                assert general_position_violation(inst) is None
+            else:
+                inst = generate_instance(n, 24_000 + trial, r=(2.0, 4.0)[trial % 2],
+                                         coord_range=(n, 3 * n)[trial % 3 == 1])
+            idx = build_angular_index(inst)
+            frame = build_frame(inst)
+            slab = _Slab()
+            tel = Telemetry()
+            try:
+                local_optimal_line_LT(inst, idx, frame, slab, tel)
+            except CertifiedOptimum:
+                continue
+            searched += 1
+            thinned += tel.lt_rounds > 2
+            lnx, lny, loff, _ = _lt_lines(idx, frame)
+            for i in range(len(lnx) - 1):
+                j = slice(i + 1, None)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    den = lnx[j] * lny[i] - lnx[i] * lny[j]
+                    x = (loff[j] * lny[i] - loff[i] * lny[j]) / den
+                    inside = (np.abs(den) > VERTICAL_EPS) & (x > slab.lo) & (x < slab.hi)
+                assert not inside.any(), (trial, i, slab.lo, slab.hi, x[inside])
+        assert searched >= 12
+        assert thinned >= (searched if cap is not None else 0)
 
 
 class TestSharedSlab:

@@ -144,6 +144,16 @@ class TestSolve:
         path = write_instance(tmp_path / "bad.json", obj)
         assert main(["solve", "--input", path]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize("key", ["x", "y", "w", "r"])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, capsys, key, value):
+        obj = json.loads(json.dumps(GOOD))
+        (obj if key == "r" else obj["customers"][1])[key] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj).replace('"@"', value))
+        assert main(["solve", "--input", str(path)]) == EXIT_PARSE
+        assert f"field {key!r} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "customers,fragment",
         [

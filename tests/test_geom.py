@@ -63,6 +63,18 @@ def test_customer_rejects_nonpositive_weight():
         Customer(Point(0, 0), -2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        Customer(Point(value, 0.0), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Customer(Point(0.0, value), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Customer(Point(0.0, 0.0), value)
+    with pytest.raises(ValueError, match="finite"):
+        Instance([Customer(Point(0.0, 0.0), 1.0)], value)
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance([], 2.0)
