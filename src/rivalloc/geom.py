@@ -166,17 +166,6 @@ class DirectedLine:
         ux, uy = self.direction
         return Point(self.anchor.x + t * ux, self.anchor.y + t * uy)
 
-    def is_vertical(self, tol: float = ANGLE_EPS) -> bool:
-        return abs(math.cos(self.angle)) <= tol
-
-    def is_horizontal(self, tol: float = ANGLE_EPS) -> bool:
-        return abs(math.sin(self.angle)) <= tol
-
-    def side_of(self, p: Point) -> float:
-        """Cross product sign: positive if p is left of the directed line."""
-        ux, uy = self.direction
-        return ux * (p.y - self.anchor.y) - uy * (p.x - self.anchor.x)
-
 
 @dataclass(frozen=True, slots=True)
 class Circle:

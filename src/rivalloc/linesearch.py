@@ -2,31 +2,29 @@
 
 The follower's best capturable weight, viewed along any non-horizontal line,
 is piecewise constant and can only change where the line crosses a tangent
-line of two customer discs or the boundary circle of a single disc.  Those
-crossing points are never materialised here.  A breakpoint is its position
-``t`` along the line.  Tangent crossings are described by implicit
-sequences: contiguous windows of the angularly sorted neighbour lists, each
-mapping index order to strictly monotone positions along the line.  The
-positions come from one table per line, which holds the crossing position
-of every canonical tangent line and is computed once when the line's
-sequences are built; a search step only gathers from it.  Circle crossings
-and injected extra lines form one small explicit sequence.
+line of two customer discs or the boundary circle of a single disc.  A
+breakpoint is its position ``t`` along the line directed upward.  A line's
+breakpoints are one flat array: the crossing position of every canonical
+tangent line of the angular index that is not parallel to the line, once
+each, then the circle crossings and any injected extra lines.  The crossing
+points themselves are never built.
 
-``_evaluations`` is the one search over a line's breakpoints.  It evaluates
-the weighted median of the sequences' middle elements, yields the
-evaluation with its ``lean`` and applies the cut itself: an upward wedge
-keeps the positions above, a downward one those below, and a strong
-centroid or a sideward wedge ends the search.  Each cut discards a
-constant fraction of the remaining breakpoints.  ``local_optimum_on_line``
-takes the line minimum from its evaluations, and the vertical-line
-decision (``vprune``) takes its anchors from them.
+``_evaluations`` is the one search over a line's breakpoints.  Each round
+selects the lower median of the surviving positions (Hoare's FIND, as
+``np.partition`` runs it), yields the evaluation with its ``lean`` and
+applies the cut itself: an upward wedge keeps the positions strictly above,
+a downward one those strictly below, and a strong centroid or a sideward
+wedge ends the search.  Each cut discards at least half of the survivors,
+so one line costs time linear in its breakpoint count.
+``local_optimum_on_line`` takes the line minimum from its evaluations, and
+the vertical-line decision (``vprune``) takes its anchors from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +69,8 @@ class Telemetry:
     medianoid_calls: int = 0
     decide_calls: int = 0
     lines_searched: int = 0
-    prune_log: List[Tuple[int, int]] = field(default_factory=list)
+    prune_iterations: int = 0
+    prune_min_fraction: Optional[float] = None  # least share a cut discarded
     lt_wires: int = 0
     lt_rounds: int = 0  # crossing batches LT exhausted
     lt_oracle: int = 0
@@ -83,16 +82,12 @@ class Telemetry:
     certified: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        frac = 1.0
-        for mass, pruned in self.prune_log:
-            if mass > 0:
-                frac = min(frac, pruned / mass)
         return {
             "medianoid_calls": self.medianoid_calls,
             "decide_calls": self.decide_calls,
             "lines_searched": self.lines_searched,
-            "prune_iterations": len(self.prune_log),
-            "prune_min_fraction": frac if self.prune_log else None,
+            "prune_iterations": self.prune_iterations,
+            "prune_min_fraction": self.prune_min_fraction,
             "lt_wires": self.lt_wires,
             "lt_rounds": self.lt_rounds,
             "lt_oracle": self.lt_oracle,
@@ -186,118 +181,19 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     return DirectedLine(L.anchor, up)
 
 
-class _LineFrame:
-    """Precomputed data for one query line, shared by all its sequences."""
-
-    def __init__(self, idx: AngularIndex, L: DirectedLine) -> None:
-        self.idx = idx
-        self.line = upward_line(L)
-        self.up_angle = self.line.angle
-        self.ux, self.uy = self.line.direction
-        # Normal pointing to the geometric right of the upward direction.
-        self.nx_line = self.uy
-        self.ny_line = -self.ux
-        self.ax = L.anchor.x
-        self.ay = L.anchor.y
-
-
-# Per piece of a side's turn of tangent directions: whether its upper
-# bound is searched with ``<=`` (side "right") or ``<``.
-_PIECE_HI_RIGHT = np.array([True, False, True, False])
-
-
-def _count_le(rows: np.ndarray, vs: np.ndarray, q: np.ndarray,
-              inclusive: np.ndarray) -> np.ndarray:
-    """Per query: how many entries of the sorted row ``rows[vs]`` are
-    ``<= q`` (``inclusive``) or ``< q``, as ``np.searchsorted`` with side
-    "right" or "left" would count them, by one binary search over all
-    queries.  ``a <= q`` is tested exactly as ``a < nextafter(q, inf)``."""
-    m = rows.shape[1]
-    q = np.where(inclusive, np.nextafter(q, np.inf), q)
-    flat = rows.ravel()
-    base = vs * m - 1
-    count = np.zeros(len(q), dtype=np.int64)
-    step = 1 << (m.bit_length() - 1) if m else 0
-    while step:
-        cand = count + step
-        ok = (cand <= m) & (flat[base + np.minimum(cand, m)] < q)
-        count = np.where(ok, cand, count)
-        step >>= 1
-    return count
-
-
-def _tangent_sequences(frame: _LineFrame) -> Tuple[np.ndarray, ...]:
-    """Window columns ``(v, side, lo, hi, rev)`` of the tangent sequences.
-
-    Every customer ``v`` and side of the line has four pieces of tangent
-    directions, bounded by ``up``, ``up + psi1``, ``up + pi``,
-    ``up + 2 pi - psi1`` and ``up + 2 pi``; a piece's window is the run of
-    ``v``'s doubled neighbour order whose angles fall inside it, with the
-    directions parallel to the line trimmed off its ends.  The columns list
-    the non-empty windows in ``(v, side, piece)`` order.
-    """
-    idx = frame.idx
-    n = idx.n
-    r = idx.inst.r
-    up = frame.up_angle
-    rows = idx.angles2
-    q = (frame.ax - idx.xs) * frame.nx_line + (frame.ay - idx.ys) * frame.ny_line
-    r_s = np.array([r, -r])
-    c = np.minimum(1.0, np.maximum(-1.0, q[:, None] / r_s))
-    psi1 = _libm(math.acos, c.ravel()).reshape(n, 2)
-    # Shared boundary values keep adjacent pieces exactly disjoint.
-    b = np.empty((n, 2, 5))
-    b[:, :, 0] = up
-    b[:, :, 1] = up + psi1
-    b[:, :, 2] = up + math.pi
-    b[:, :, 3] = (up + TWO_PI) - psi1
-    b[:, :, 4] = up + TWO_PI
-    blo, bhi = b[:, :, :-1], b[:, :, 1:]
-    keep = bhi - blo > PARALLEL_EPS
-    v, side, piece = np.nonzero(keep)
-    blo, bhi = blo[keep], bhi[keep]
-    k = len(v)
-    lo_hi = _count_le(
-        rows, np.concatenate([v, v]), np.concatenate([blo, bhi]),
-        np.concatenate([np.ones(k, dtype=bool), _PIECE_HI_RIGHT[piece]]),
-    )
-    lo, hi = lo_hi[:k], lo_hi[k:]
-    # Trim tangent directions parallel to the line off both window ends.
-    # numpy's sin is within far less than PARALLEL_EPS of the C library's,
-    # so its looser test only preselects the entries the C library tests.
-    for end in (0, 1):
-        s = np.arange(k)
-        while True:
-            s = s[lo[s] < hi[s]]
-            d = rows[v[s], lo[s] if end == 0 else hi[s] - 1] - up
-            par = np.abs(np.sin(d)) <= 2.0 * PARALLEL_EPS
-            par[par] = np.abs(_libm(math.sin, d[par])) <= PARALLEL_EPS
-            s = s[par]
-            if not len(s):
-                break
-            if end == 0:
-                lo[s] += 1
-            else:
-                hi[s] -= 1
-    live = hi > lo
-    v, side, lo, hi = v[live], side[live], lo[live], hi[live]
-    psi_mid = (blo[live] + bhi[live]) / 2.0 - up
-    slope = q[v] - r_s[side] * _libm(math.cos, psi_mid)
-    return v, 1 - 2 * side, lo, hi, slope > 0.0
-
-
-def _explicit_sequence(
-    frame: _LineFrame, extra_lines: Sequence[DirectedLine]
+def _explicit_crossings(
+    idx: AngularIndex, line: DirectedLine, extra_lines: Sequence[DirectedLine]
 ) -> np.ndarray:
-    """Circle and extra-line crossing positions, decreasing."""
-    idx = frame.idx
+    """Circle and extra-line crossing positions along the upward ``line``."""
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
-    cx = idx.xs - frame.ax
-    cy = idx.ys - frame.ay
-    t0 = cx * frame.ux + cy * frame.uy
-    perp = frame.ux * cy - frame.uy * cx
+    ux, uy = line.direction
+    ax, ay = line.anchor
+    cx = idx.xs - ax
+    cy = idx.ys - ay
+    t0 = cx * ux + cy * uy
+    perp = ux * cy - uy * cx
     disc = r * r - perp * perp
     # Per customer, in customer order: no entry, the tangency t0, or the two
     # crossings t0 - s and t0 + s.
@@ -308,34 +204,53 @@ def _explicit_sequence(
     ts = pair[used].tolist()
     for extra in extra_lines:
         evx, evy = extra.direction
-        cross = frame.ux * evy - frame.uy * evx
+        cross = ux * evy - uy * evx
         if abs(cross) <= PARALLEL_EPS:
             continue
-        dx = extra.anchor.x - frame.ax
-        dy = extra.anchor.y - frame.ay
+        dx = extra.anchor.x - ax
+        dy = extra.anchor.y - ay
         ts.append((dx * evy - dy * evx) / cross)
-    ts = np.array(ts, dtype=float)
-    # Stable on the negated positions, as sorted(..., reverse=True) is.
-    return ts[np.argsort(-ts, kind="stable")]
+    return np.array(ts, dtype=float)
 
 
 def breakpoint_sequences(
     idx: AngularIndex,
     L: DirectedLine,
     extra_lines: Sequence[DirectedLine] = (),
-) -> _SequenceBundle:
-    """All follower-value breakpoints on ``L`` as monotone sequences.
+) -> np.ndarray:
+    """All follower-value breakpoints on ``L`` as one unordered array of
+    positions along ``upward_line(L)``.
 
-    Tangent directions parallel to ``L`` are excluded: their lines never
-    cross ``L``.  Every remaining tangent crossing appears exactly once per
-    stored tangent line, circle crossings once per intersection point
-    (tangency contributes a single entry), and each non-parallel line from
-    ``extra_lines`` contributes its crossing as well.
+    Every canonical tangent line of ``idx`` that crosses ``L`` contributes
+    its crossing once, circle crossings appear once per intersection point
+    (a tangency contributes a single entry), and each non-parallel line
+    from ``extra_lines`` contributes its crossing as well.  A tangent
+    direction ``a`` is parallel to ``L``, and dropped, when the C library's
+    ``|sin(a - up)|`` is at most ``PARALLEL_EPS``; the crossing's own
+    denominator equals that sine up to rounding, so it preselects the few
+    directions the C library decides.
     """
-    frame = _LineFrame(idx, L)
-    return _SequenceBundle(
-        frame, _tangent_sequences(frame), _explicit_sequence(frame, extra_lines)
-    )
+    line = upward_line(L)
+    ux, uy = line.direction
+    ax, ay = line.anchor
+    nx, ny = idx.tan_nx, idx.tan_ny
+    # Each step rounds as (off - (ax*nx + ay*ny)) / (ux*nx + uy*ny) does,
+    # in place, so that few n^2-sized arrays are alive at once.
+    den = ux * nx
+    den += uy * ny
+    # NaN on the diagonal (a customer has no tangent with itself), which
+    # neither comparison keeps.
+    keep = np.abs(den) > 2.0 * PARALLEL_EPS
+    near = np.flatnonzero(np.abs(den) <= 2.0 * PARALLEL_EPS)
+    if len(near):
+        sin_d = _libm(math.sin, idx.ang.ravel()[near] - line.angle)
+        keep[near] = np.abs(sin_d) > PARALLEL_EPS
+    den = den[keep]
+    T = ax * nx[keep]
+    T += ay * ny[keep]
+    np.subtract(idx.tan_off[keep], T, out=T)
+    T /= den
+    return np.concatenate([T, _explicit_crossings(idx, line, extra_lines)])
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -348,101 +263,6 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     csum = np.cumsum(weights[order])
     k = int(np.searchsorted(csum, csum[-1] / 2.0, side="left"))
     return float(values[order[min(k, len(order) - 1)]])
-
-
-class _SequenceBundle:
-    """Live windows over the strictly decreasing breakpoint sequences of
-    one query line.
-
-    ``T`` holds, for every canonical tangent line of the angular index, the
-    position where it crosses the line; it is computed once, with the same
-    expressions for every entry, and is read-only.  Tangent sequence s is a
-    window of one customer's doubled angular neighbour order, read in the
-    order of decreasing positions: its element k (``k < slen[s]``) is the
-    neighbour ``w = order2[sstart[s] + sstep[s] * k]`` of the flattened
-    order, whose canonical tangent line is ``T[w * smul[s] + sadd[s]]``, so
-    a search step is integer gathers and one lookup.  The explicit
-    sequence stores its positions ``ets`` and is live on ``[elo, ehi)``.
-    The crossing points themselves are never built.
-    """
-
-    def __init__(self, frame: _LineFrame, cols: Tuple[np.ndarray, ...],
-                 ets: np.ndarray) -> None:
-        self.frame = frame
-        idx = frame.idx
-        n = idx.n
-        m = idx.order2.shape[1]
-        self.order2 = idx.order2.ravel()
-        nx, ny = idx.tan_nx, idx.tan_ny
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = (idx.tan_off - (frame.ax * nx + frame.ay * ny)) / (
-                frame.ux * nx + frame.uy * ny
-            )
-        T.flags.writeable = False
-        self.T = T
-        v, side, lo, hi, rev = cols
-        self.sstart = v * m + np.where(rev, hi - 1, lo)
-        self.sstep = np.where(rev, -1, 1)
-        self.slen = hi - lo
-        self.smul = np.where(side > 0, 1, n)
-        self.sadd = np.where(side > 0, v * n, v)
-        self.ets = ets
-        self.eneg = -ets
-        self.elo = 0
-        self.ehi = len(ets)
-
-    def point_at(self, t: float) -> Point:
-        return self.frame.line.point_at(t)
-
-    def total_mass(self) -> int:
-        return int(np.sum(self.slen)) + self.ehi - self.elo
-
-    def _tan_t(self, pos: np.ndarray, s=slice(None)) -> np.ndarray:
-        """Positions of elements ``pos`` (each below its window's length) of
-        the tangent sequences ``s`` (all of them by default)."""
-        w = self.order2.take(self.sstart[s] + self.sstep[s] * pos)
-        return self.T.take(w * self.smul[s] + self.sadd[s])
-
-    def _count_view(self, y: float, strict_gt: bool) -> np.ndarray:
-        """Per tangent sequence: how many leading elements satisfy t > y
-        (strict_gt) or t >= y (otherwise).  Each step evaluates only the
-        sequences still searching."""
-        lo = np.zeros_like(self.slen)
-        hi = self.slen.copy()
-        s = np.flatnonzero(hi)
-        while len(s):
-            mid = (lo[s] + hi[s]) >> 1
-            t = self._tan_t(mid, s)
-            cond = (t > y) if strict_gt else (t >= y)
-            lo[s] = np.where(cond, mid + 1, lo[s])
-            hi[s] = np.where(cond, hi[s], mid)
-            s = s[lo[s] < hi[s]]
-        return lo
-
-    def middles(self) -> Tuple[np.ndarray, np.ndarray]:
-        act = np.flatnonzero(self.slen)
-        lens = self.slen[act]
-        vals = self._tan_t((lens - 1) // 2, act)
-        wts = lens.astype(float)
-        ln = self.ehi - self.elo
-        if ln > 0:
-            vals = np.append(vals, self.ets[self.elo + (ln - 1) // 2])
-            wts = np.append(wts, float(ln))
-        return vals, wts
-
-    def cut_keep_above(self, y: float) -> None:
-        """Keep only breakpoints strictly above y; drop everything at or below."""
-        self.slen = self._count_view(y, strict_gt=True)
-        g = int(np.searchsorted(self.eneg, -y, side="left"))
-        self.ehi = self.elo + max(0, min(g, self.ehi) - self.elo)
-
-    def cut_keep_below(self, y: float) -> None:
-        """Keep only breakpoints strictly below y; drop everything at or above."""
-        d = self._count_view(y, strict_gt=False)
-        self.sstart = self.sstart + self.sstep * d
-        self.slen = self.slen - d
-        g = int(np.searchsorted(self.eneg, -y, side="right"))
-        self.elo = min(max(g, self.elo), self.ehi)
 
 
 def lean(result: MedianoidResult, up_angle: float) -> str:
@@ -458,45 +278,49 @@ def lean(result: MedianoidResult, up_angle: float) -> str:
 
 
 def _evaluations(
-    inst: Instance, bundle: _SequenceBundle, telemetry: Telemetry
+    inst: Instance, line: DirectedLine, P: np.ndarray, telemetry: Telemetry
 ) -> Iterator[Tuple[float, Point, MedianoidResult, str]]:
-    """Run the weighted-median elimination loop over ``bundle``, which it
-    consumes, until no breakpoint is left.
+    """Search the breakpoint positions ``P`` along the upward ``line`` by
+    exact-median selection until no breakpoint is left.
 
-    Yields ``(t, point, result, lean)`` for each evaluated breakpoint, then
-    cuts: an upward lean keeps only positions strictly above ``t``, a
-    downward one only those strictly below, and a strong or sideward lean
-    ends the search.  Every cut must discard at least 1/8 of the surviving
-    breakpoints.
+    Each round evaluates the lower median of the surviving positions and
+    yields ``(t, point, result, lean)``, then cuts: an upward lean keeps
+    only positions strictly above ``t``, a downward one only those strictly
+    below, and a strong or sideward lean ends the search.  A cut drops the
+    median and every position behind it, at least half of the survivors,
+    so a search of m positions evaluates at most ``floor(log2 m) + 1`` of
+    them.
     """
-    up_angle = bundle.frame.up_angle
-    guard = 0
-    while True:
-        mass = bundle.total_mass()
-        if mass == 0:
-            return
-        vals, wts = bundle.middles()
-        t = weighted_median(vals, wts)
-        point = bundle.point_at(t)
+    up_angle = line.angle
+    budget = len(P).bit_length()
+    while len(P):
+        mass = len(P)
+        k = (mass - 1) // 2
+        t = float(np.partition(P, k)[k])
+        point = line.point_at(t)
         res = solve_medianoid(inst, point)
         telemetry.medianoid_calls += 1
         d = lean(res, up_angle)
         yield t, point, res, d
         if d == UPWARD:
-            bundle.cut_keep_above(t)
+            P = P[P > t]
         elif d == DOWNWARD:
-            bundle.cut_keep_below(t)
+            P = P[P < t]
         else:
             return
-        pruned = mass - bundle.total_mass()
-        telemetry.prune_log.append((mass, pruned))
-        if pruned * 8 < mass:
+        pruned = mass - len(P)
+        telemetry.prune_iterations += 1
+        frac = pruned / mass
+        least = telemetry.prune_min_fraction
+        if least is None or frac < least:
+            telemetry.prune_min_fraction = frac
+        if pruned * 2 < mass:
             raise RuntimeError(
                 "prune progress fell below the guaranteed fraction "
                 "(%d of %d)" % (pruned, mass)
             )
-        guard += 1
-        if guard > 64 + 8 * int(math.log2(max(mass, 2))):
+        budget -= 1
+        if budget < 0:
             raise RuntimeError("prune search failed to terminate")
 
 
@@ -517,29 +341,28 @@ def local_optimum_on_line(
     inst: Instance,
     idx: AngularIndex,
     L: DirectedLine,
-    telemetry: Optional[Telemetry] = None,
+    telemetry: Telemetry,
 ) -> LineLocalOptimum:
     """Minimise the follower value over the non-horizontal line ``L``.
 
-    Breakpoints chosen by the weighted-median rule are evaluated; the search
+    Breakpoints chosen by exact-median selection are evaluated; the search
     stops early when an evaluation certifies a global optimum or a sideward
     wedge (whose apex is then the line minimum), and otherwise keeps the
     side of the line that the wedge points along.
     """
-    if telemetry is None:
-        telemetry = Telemetry()
-    bundle = breakpoint_sequences(idx, L)
+    line = upward_line(L)
+    P = breakpoint_sequences(idx, L)
     telemetry.lines_searched += 1
 
     best: Optional[Tuple[Point, MedianoidResult]] = None
-    for _t, point, res, d in _evaluations(inst, bundle, telemetry):
+    for _t, point, res, d in _evaluations(inst, line, P, telemetry):
         if d not in (UPWARD, DOWNWARD):
             status = STRONG if d == STRONG else ORDINARY
             return LineLocalOptimum(point, res.weight_loss, status)
         if best is None or res.weight_loss < best[1].weight_loss:
             best = (point, res)
     if best is None:
-        point = bundle.point_at(0.0)
+        point = line.point_at(0.0)
         res = solve_medianoid(inst, point)
         telemetry.medianoid_calls += 1
         status = STRONG if res.strong_centroid else ORDINARY

@@ -44,29 +44,12 @@ WHOLE_LINE = "whole-line-degenerate"
 Arc = Tuple[float, float]
 
 
-def arc_contains(arc: Arc, theta: float) -> bool:
-    """Strict containment of an angle in an open arc (begin, end).
-
-    Arcs are stored with begin in [0, 2*pi) and end = begin + width, so the
-    end may exceed 2*pi for arcs crossing zero.
-    """
-    begin, end = arc
-    t = normalize_angle(theta)
-    if begin < t < end:
-        return True
-    t += TWO_PI
-    return begin < t < end
-
-
 @dataclass(frozen=True)
 class ArcSet:
     """Disjoint open angular arcs in CCW order plus the weight they attain."""
 
     arcs: Tuple[Arc, ...]
     attained_weight: float
-
-    def contains(self, theta: float) -> bool:
-        return any(arc_contains(a, theta) for a in self.arcs)
 
 
 @dataclass(frozen=True)
@@ -76,13 +59,6 @@ class CoveringInterval:
     begin: float
     end: float
     span: float
-
-    def contains(self, theta: float, tol: float = 1e-12) -> bool:
-        t = normalize_angle(theta)
-        if self.begin - tol <= t <= self.end + tol:
-            return True
-        t += TWO_PI
-        return self.begin - tol <= t <= self.end + tol
 
 
 @dataclass(frozen=True)
@@ -106,13 +82,6 @@ class Wedge:
         """CCW interval [lo, hi] of ray directions contained in the wedge."""
         lo = normalize_angle(self.theta_e - math.pi / 2.0)
         return lo, lo + self.ccw_span
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        dx = p.x - self.apex.x
-        dy = p.y - self.apex.y
-        ub = unit_vector(self.theta_b)
-        ue = unit_vector(self.theta_e)
-        return (dx * ub[0] + dy * ub[1] >= -tol) and (dx * ue[0] + dy * ue[1] >= -tol)
 
 
 @dataclass(frozen=True)
@@ -148,16 +117,6 @@ def capture_arc(v: Customer, x: Point, R: float, eps: float = 0.0) -> Optional[A
     phi = math.acos(r / d)
     begin = normalize_angle(theta_v - phi)
     return (begin, begin + 2.0 * phi)
-
-
-def weight_at_angle(inst: Instance, x: Point, theta: float) -> float:
-    """Total weight won by the follower at angle theta."""
-    total = 0.0
-    for c in inst.customers:
-        arc = capture_arc(c, x, inst.R, eps=inst.eps)
-        if arc is not None and arc_contains(arc, theta):
-            total += c.weight
-    return total
 
 
 def _full_circle_result(x: Point, weight: float) -> MedianoidResult:
@@ -330,30 +289,6 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
         wedge=wedge,
         strong_centroid=strong,
     )
-
-
-def _classify_from_ca(ca: CoveringInterval) -> str:
-    """Direction of the wedge relative to the vertical line through its apex.
-
-    The covering interval position decides it: wrapping angle 0 means the
-    wedge opens rightward, containing pi means leftward, otherwise the
-    interval sits in the upper or lower half circle and the wedge opens
-    upward or downward.
-    """
-    if ca.contains(0.0):
-        return SIDEWARD_RIGHT
-    if ca.contains(math.pi):
-        return SIDEWARD_LEFT
-    mid = normalize_angle(ca.begin + ca.span / 2.0)
-    return UPWARD if 0.0 < mid < math.pi else DOWNWARD
-
-
-def classify_wedge_on_vertical(w: Wedge, line_x: float, tol: float = 1e-9) -> str:
-    """Wedge direction on the vertical line through the apex."""
-    if abs(w.apex.x - line_x) > tol * max(1.0, abs(w.apex.x)):
-        raise ValueError("wedge apex does not lie on the line")
-    ca = CoveringInterval(begin=w.theta_b, end=w.theta_e, span=w.theta_e - w.theta_b)
-    return _classify_from_ca(ca)
 
 
 def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:

@@ -4,14 +4,15 @@ The plane search over candidate lines needs one primitive: given a vertical
 line, either certify an optimum on it or name the half-plane that cannot
 contain a better point.  The classification rests on two anchor points, the
 lowest breakpoint with a downward wedge and the highest with an upward
-wedge, found by the elimination search of ``linesearch._evaluations``.  A
-strong centroid or a sideward wedge met on the way settles the line at
-once.  Otherwise the search runs until no breakpoint is left, and it drops
-only positions at or below an upward evaluation or at or above a downward
-one, so no breakpoint lies strictly between the anchors: the follower value
-is constant on the open segment.  Its midpoint or, when that too looks
-along the line, a pseudo-wedge built at the better anchor settles the
-direction; equal anchor values go to the downward anchor.
+wedge, found by the exact-median search of ``linesearch._evaluations`` over
+the line's breakpoint array.  A strong centroid or a sideward wedge met on
+the way settles the line at once.  Otherwise the search runs until no
+breakpoint is left, and each cut drops only positions at or below an upward
+evaluation or at or above a downward one, so no breakpoint lies strictly
+between the anchors: the follower value is constant on the open segment.
+Its midpoint or, when that too looks along the line, a pseudo-wedge built
+at the better anchor settles the direction; equal anchor values go to the
+downward anchor.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class PruneDecision:
 
 
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-               telemetry: Optional[Telemetry] = None):
+               telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
     Returns the anchor pair ``(down, up)``, each ``(t, point, evaluation)``,
@@ -138,13 +139,11 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     search exhausts the line, so no breakpoint lies strictly between the
     anchors.
     """
-    if telemetry is None:
-        telemetry = Telemetry()
-    bundle = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
+    P = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
     down = up = None
     # Each cut keeps only positions beyond the evaluation that made it, so
     # the latest upward (downward) evaluation is the highest (lowest).
-    for t, point, res, d in _evaluations(inst, bundle, telemetry):
+    for t, point, res, d in _evaluations(inst, upward_line(L), P, telemetry):
         if d == UPWARD:
             up = (t, point, res)
         elif d == DOWNWARD:
@@ -294,11 +293,9 @@ def pseudo_wedge(
 
 
 def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-           telemetry: Optional[Telemetry] = None) -> PruneDecision:
+           telemetry: Telemetry) -> PruneDecision:
     """Classify the vertical line ``L``: certify an optimum on it or name
     the side of the plane that cannot contain a better point."""
-    if telemetry is None:
-        telemetry = Telemetry()
     telemetry.decide_calls += 1
     ux, uy = L.direction
     if abs(ux) > 1e-9:

@@ -1,11 +1,16 @@
 import pytest
 
+# Opt-in markers: their tests run only when ``-m`` names them.
+OPT_IN = ("sweep", "agree")
+
 
 def pytest_collection_modifyitems(config, items):
-    """Skip the ``sweep`` tests unless ``-m`` selects them."""
-    if "sweep" in config.getoption("markexpr", ""):
-        return
-    skip = pytest.mark.skip(reason="seed sweep; run with -m sweep")
-    for item in items:
-        if "sweep" in item.keywords:
-            item.add_marker(skip)
+    """Skip the ``sweep`` and ``agree`` tests unless ``-m`` selects them."""
+    markexpr = config.getoption("markexpr", "")
+    for mark in OPT_IN:
+        if mark in markexpr:
+            continue
+        skip = pytest.mark.skip(reason="opt-in; run with -m %s" % mark)
+        for item in items:
+            if mark in item.keywords:
+                item.add_marker(skip)

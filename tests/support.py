@@ -13,6 +13,7 @@ import numpy as np
 
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
+    ANGLE_EPS,
     TWO_PI,
     Circle,
     Customer,
@@ -23,15 +24,107 @@ from rivalloc.geom import (
     collinear,
     line_circle_intersections,
     line_line_intersection,
+    normalize_angle,
     outer_tangents,
+    unit_vector,
 )
 from rivalloc.linesearch import PARALLEL_EPS
 from rivalloc.medianoid import (
     DOWNWARD,
+    SIDEWARD_LEFT,
+    SIDEWARD_RIGHT,
     UPWARD,
-    classify_wedge_on_vertical,
+    CoveringInterval,
+    capture_arc,
     solve_medianoid,
 )
+
+
+def is_vertical(L, tol=ANGLE_EPS):
+    return abs(math.cos(L.angle)) <= tol
+
+
+def is_horizontal(L, tol=ANGLE_EPS):
+    return abs(math.sin(L.angle)) <= tol
+
+
+def side_of(L, p):
+    """Cross product sign: positive if p is left of the directed line."""
+    ux, uy = L.direction
+    return ux * (p.y - L.anchor.y) - uy * (p.x - L.anchor.x)
+
+
+def arc_contains(arc, theta):
+    """Strict containment of an angle in an open arc (begin, end).
+
+    Arcs are stored with begin in [0, 2*pi) and end = begin + width, so the
+    end may exceed 2*pi for arcs crossing zero.
+    """
+    begin, end = arc
+    t = normalize_angle(theta)
+    if begin < t < end:
+        return True
+    t += TWO_PI
+    return begin < t < end
+
+
+def arcs_contain(ma, theta):
+    """Whether the angle lies in one of the open arcs of an ``ArcSet``."""
+    return any(arc_contains(a, theta) for a in ma.arcs)
+
+
+def covering_contains(ca, theta, tol=1e-12):
+    """Whether the angle lies in the closed ``CoveringInterval``, up to
+    ``tol``."""
+    t = normalize_angle(theta)
+    if ca.begin - tol <= t <= ca.end + tol:
+        return True
+    t += TWO_PI
+    return ca.begin - tol <= t <= ca.end + tol
+
+
+def wedge_contains(w, p, tol=0.0):
+    """Whether the point lies in the closed ``Wedge``, up to ``tol``."""
+    dx = p.x - w.apex.x
+    dy = p.y - w.apex.y
+    ub = unit_vector(w.theta_b)
+    ue = unit_vector(w.theta_e)
+    return (dx * ub[0] + dy * ub[1] >= -tol) and (dx * ue[0] + dy * ue[1] >= -tol)
+
+
+def weight_at_angle(inst, x, theta):
+    """Total weight won by the follower at angle theta."""
+    total = 0.0
+    for c in inst.customers:
+        arc = capture_arc(c, x, inst.R, eps=inst.eps)
+        if arc is not None and arc_contains(arc, theta):
+            total += c.weight
+    return total
+
+
+def _classify_from_ca(ca):
+    """Direction of the wedge relative to the vertical line through its apex.
+
+    The covering interval position decides it: wrapping angle 0 means the
+    wedge opens rightward, containing pi means leftward, otherwise the
+    interval sits in the upper or lower half circle and the wedge opens
+    upward or downward.
+    """
+    if covering_contains(ca, 0.0):
+        return SIDEWARD_RIGHT
+    if covering_contains(ca, math.pi):
+        return SIDEWARD_LEFT
+    mid = normalize_angle(ca.begin + ca.span / 2.0)
+    return UPWARD if 0.0 < mid < math.pi else DOWNWARD
+
+
+def classify_wedge_on_vertical(w, line_x, tol=1e-9):
+    """Wedge direction on the vertical line through the apex, read off its
+    covering interval; ``classify_wedge_on_line`` must agree."""
+    if abs(w.apex.x - line_x) > tol * max(1.0, abs(w.apex.x)):
+        raise ValueError("wedge apex does not lie on the line")
+    ca = CoveringInterval(begin=w.theta_b, end=w.theta_e, span=w.theta_e - w.theta_b)
+    return _classify_from_ca(ca)
 
 
 def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6.0)):
@@ -123,41 +216,10 @@ def t_along(L, p):
     return (p.x - L.anchor.x) * ux + (p.y - L.anchor.y) * uy
 
 
-def bundle_sequences(bundle):
-    """Every live sequence of a breakpoint bundle as its list of positions,
-    in sequence order (tangent sequences first, then the explicit one)."""
-    cuts = np.cumsum(bundle.slen)[:-1]
-    seqs = [ts.tolist() for ts in np.split(live_positions(bundle), cuts)]
-    seqs.append(bundle.ets[bundle.elo:bundle.ehi].tolist())
-    return [s for s in seqs if s]
-
-
-def live_positions(bundle):
-    """Positions of every live tangent element, window by window."""
-    lens = bundle.slen
-    s = np.repeat(np.arange(len(lens)), lens)
-    k = np.arange(len(s)) - np.repeat(np.cumsum(lens) - lens, lens)
-    return bundle._tan_t(k, s)
-
-
-def sequence_positions(bundle):
-    """Sorted multiset of breakpoint parameters over all sequences."""
-    return sorted(t for s in bundle_sequences(bundle) for t in s)
-
-
 def expected_positions(inst, L, extra_lines=()):
-    """Brute multiset: every tangent crossing twice, circle crossings once.
-
-    Tangent crossings appear once in each endpoint customer's neighbour
-    order, which is what makes equal-value drops in the prune loop safe.
-    """
-    ts = []
-    for p, label in line_breakpoints(inst, L, extra_lines):
-        t = t_along(L, p)
-        ts.append(t)
-        if label.startswith("tangent"):
-            ts.append(t)
-    return sorted(ts)
+    """Brute multiset of breakpoint positions along ``L``: every tangent
+    and extra-line crossing once, circle crossings once per point."""
+    return sorted(t_along(L, p) for p, _label in line_breakpoints(inst, L, extra_lines))
 
 
 def scan_vertical_line(inst, frame, L):
@@ -316,158 +378,37 @@ def reference_lm_descriptors(idx):
     return out
 
 
-def reference_tangent_sequences(frame):
-    """The per-customer loop that ``_tangent_sequences`` vectorises.
-
-    Returns the window columns ``(v, side, lo, hi, rev)`` in the loop's
-    ``(v, side, piece)`` order, with the loop's dtypes.
-    """
-    idx = frame.idx
-    n = idx.n
-    r = idx.inst.r
-    up = frame.up_angle
-    rows: List[Tuple[int, int, int, int, bool]] = []
-    for v in range(n):
-        relx = frame.ax - idx.xs[v]
-        rely = frame.ay - idx.ys[v]
-        q = relx * frame.nx_line + rely * frame.ny_line
-        row = idx.angles2[v]
-        for side in (1, -1):
-            r_s = side * r
-            c = min(1.0, max(-1.0, q / r_s))
-            psi1 = math.acos(c)
-            # Shared boundary values keep adjacent pieces exactly disjoint.
-            b0 = up
-            b1 = up + psi1
-            b2 = up + math.pi
-            b3 = up + TWO_PI - psi1
-            b4 = up + TWO_PI
-            pieces = (
-                (b0, b1, "right"),
-                (b1, b2, "left"),
-                (b2, b3, "right"),
-                (b3, b4, "left"),
-            )
-            for blo, bhi, hi_side in pieces:
-                if bhi - blo <= PARALLEL_EPS:
-                    continue
-                lo_i = int(np.searchsorted(row, blo, side="right"))
-                hi_i = int(np.searchsorted(row, bhi, side=hi_side))
-                while lo_i < hi_i and abs(math.sin(row[lo_i] - up)) <= PARALLEL_EPS:
-                    lo_i += 1
-                while hi_i > lo_i and abs(math.sin(row[hi_i - 1] - up)) <= PARALLEL_EPS:
-                    hi_i -= 1
-                if hi_i <= lo_i:
-                    continue
-                psi_mid = (blo + bhi) / 2.0 - up
-                slope = q - r_s * math.cos(psi_mid)
-                rows.append((v, side, lo_i, hi_i, slope > 0.0))
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
-    return (*cols[:4], cols[4].astype(bool))
+def reference_tangent_crossings(idx, line):
+    """The per-pair loop that ``breakpoint_sequences`` vectorises: the
+    crossing position along the upward ``line`` of every stored tangent
+    line whose direction the C library's sine does not call parallel."""
+    ux, uy = line.direction
+    ax, ay = line.anchor
+    ts: List[float] = []
+    for i in range(idx.n):
+        for j in range(idx.n):
+            if i == j or abs(math.sin(idx.ang[i, j] - line.angle)) <= PARALLEL_EPS:
+                continue
+            k = i * idx.n + j
+            nx, ny = idx.tan_nx[k], idx.tan_ny[k]
+            ts.append((idx.tan_off[k] - (ax * nx + ay * ny)) / (ux * nx + uy * ny))
+    return np.array(ts, dtype=float)
 
 
-class ReferenceBundle:
-    """The per-step evaluation that ``_SequenceBundle``'s table of
-    positions replaces: window s is ``[slo, shi)`` of customer ``sv``'s
-    doubled neighbour order on side ``sside``, read backwards when
-    ``srev``, and every evaluation gathers the canonical tangent triple and
-    divides.  ``_tan_t``, ``_count_view``, ``middles`` and the cuts are that
-    code verbatim."""
-
-    def __init__(self, frame, cols, ets):
-        self.frame = frame
-        self.sv, self.sside, self.slo, self.shi, self.srev = cols
-        self.ets = ets
-        self.eneg = -ets
-        self.elo = 0
-        self.ehi = len(ets)
-
-    def total_mass(self) -> int:
-        return int(np.sum(self.shi - self.slo)) + self.ehi - self.elo
-
-    def live_positions(self):
-        """Positions of every live tangent element, window by window."""
-        lens = self.shi - self.slo
-        m = int(lens.max(initial=0))
-        out = np.empty((len(lens), m))
-        for k in range(m):
-            out[:, k] = self._tan_t(np.full_like(lens, k))
-        return out[np.arange(m)[None, :] < lens[:, None]]
-
-    def _tan_t(self, pos: np.ndarray) -> np.ndarray:
-        idx = self.frame.idx
-        p = np.where(self.srev, self.shi - 1 - pos, self.slo + pos)
-        p = np.clip(p, 0, idx.order2.shape[1] - 1)
-        w = idx.order2[self.sv, p]
-        lid = np.where(self.sside > 0, self.sv * idx.n + w, w * idx.n + self.sv)
-        nx = idx.tan_nx[lid]
-        ny = idx.tan_ny[lid]
-        off = idx.tan_off[lid]
-        num = off - (self.frame.ax * nx + self.frame.ay * ny)
-        den = self.frame.ux * nx + self.frame.uy * ny
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
-
-    def _count_view(self, y: float, strict_gt: bool) -> np.ndarray:
-        """Per tangent sequence: how many leading view elements satisfy
-        t > y (strict_gt) or t >= y (otherwise)."""
-        lens = self.shi - self.slo
-        lo = np.zeros_like(lens)
-        hi = lens.copy()
-        while True:
-            searching = lo < hi
-            if not searching.any():
-                break
-            mid = (lo + hi) >> 1
-            t = self._tan_t(mid)
-            cond = (t > y) if strict_gt else (t >= y)
-            lo = np.where(searching & cond, mid + 1, lo)
-            hi = np.where(searching & ~cond, mid, hi)
-        return lo
-
-    def middles(self) -> Tuple[np.ndarray, np.ndarray]:
-        lens = self.shi - self.slo
-        act = lens > 0
-        vals = self._tan_t(np.maximum(lens - 1, 0) // 2)[act]
-        wts = lens[act].astype(float)
-        ln = self.ehi - self.elo
-        if ln > 0:
-            vals = np.append(vals, self.ets[self.elo + (ln - 1) // 2])
-            wts = np.append(wts, float(ln))
-        return vals, wts
-
-    def cut_keep_above(self, y: float) -> None:
-        """Keep only breakpoints strictly above y; drop everything at or below."""
-        c = self._count_view(y, strict_gt=True)
-        self.slo = np.where(self.srev, self.shi - c, self.slo)
-        self.shi = np.where(self.srev, self.shi, self.slo + c)
-        g = int(np.searchsorted(self.eneg, -y, side="left"))
-        self.ehi = self.elo + max(0, min(g, self.ehi) - self.elo)
-
-    def cut_keep_below(self, y: float) -> None:
-        """Keep only breakpoints strictly below y; drop everything at or above."""
-        d = self._count_view(y, strict_gt=False)
-        new_hi = np.where(self.srev, self.shi - d, self.shi)
-        new_lo = np.where(self.srev, self.slo, self.slo + d)
-        self.slo = np.minimum(new_lo, new_hi)
-        self.shi = new_hi
-        g = int(np.searchsorted(self.eneg, -y, side="right"))
-        self.elo = min(max(g, self.elo), self.ehi)
-
-
-def reference_explicit_sequence(frame, extra_lines):
-    """The per-customer loop that ``_explicit_sequence`` vectorises:
-    circle and extra-line crossing positions, decreasing."""
-    idx = frame.idx
+def reference_explicit_crossings(idx, line, extra_lines):
+    """The per-customer loop that ``_explicit_crossings`` vectorises:
+    circle and extra-line crossing positions along the upward ``line``."""
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
+    ux, uy = line.direction
+    ax, ay = line.anchor
     ts: List[float] = []
     for u in range(idx.n):
-        cx = idx.xs[u] - frame.ax
-        cy = idx.ys[u] - frame.ay
-        t0 = cx * frame.ux + cy * frame.uy
-        perp = frame.ux * cy - frame.uy * cx
+        cx = idx.xs[u] - ax
+        cy = idx.ys[u] - ay
+        t0 = cx * ux + cy * uy
+        perp = ux * cy - uy * cx
         disc = r * r - perp * perp
         if disc <= tol:
             if disc >= -tol:
@@ -477,13 +418,13 @@ def reference_explicit_sequence(frame, extra_lines):
         ts += (t0 - s, t0 + s)
     for extra in extra_lines:
         evx, evy = extra.direction
-        cross = frame.ux * evy - frame.uy * evx
+        cross = ux * evy - uy * evx
         if abs(cross) <= PARALLEL_EPS:
             continue
-        dx = extra.anchor.x - frame.ax
-        dy = extra.anchor.y - frame.ay
+        dx = extra.anchor.x - ax
+        dy = extra.anchor.y - ay
         ts.append((dx * evy - dy * evx) / cross)
-    return np.array(sorted(ts, reverse=True), dtype=float)
+    return np.array(ts, dtype=float)
 
 
 def reference_disc_crossings(inst):

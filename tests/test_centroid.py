@@ -27,7 +27,7 @@ from rivalloc.centroid import (
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
 from rivalloc.linesearch import Telemetry, build_angular_index
-from rivalloc.medianoid import solve_medianoid, weight_at_angle
+from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import (
     CIRCLE_CIRCLE,
     TANGENT_CIRCLE,
@@ -55,7 +55,7 @@ class TestThreeModeAgreement:
                 fields = (rep.centroid.x, rep.centroid.y, rep.weight_loss,
                           rep.witness_angle)
                 assert all(type(f) is float for f in fields), (trial, m, fields)
-                assert weight_at_angle(
+                assert support.weight_at_angle(
                     inst, rep.centroid, rep.witness_angle
                 ) == rep.weight_loss, (trial, m)
 
@@ -150,7 +150,7 @@ class TestTelemetryBudgets:
                 assert tel["lm_rounds"] <= bound, (trial, mass0, tel["lm_rounds"])
             frac = tel["prune_min_fraction"]
             if frac is not None:
-                assert frac >= 1.0 / 8.0, (trial, frac)
+                assert frac >= 1.0 / 2.0, (trial, frac)
         assert lt_seen > 0
         assert lm_seen > 0
 

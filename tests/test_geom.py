@@ -90,14 +90,14 @@ def test_instance_validation():
 
 def test_vertical_line_is_bitwise_vertical():
     L = DirectedLine.vertical(2.5)
-    assert L.is_vertical()
+    assert support.is_vertical(L)
     xs = {L.point_at(t).x for t in (-1e6, -3.7, 0.0, 12.3, 1e6)}
     assert xs == {2.5}
 
 
 def test_horizontal_line_is_bitwise_horizontal():
     L = DirectedLine.horizontal(-7.0)
-    assert L.is_horizontal()
+    assert support.is_horizontal(L)
     ys = {L.point_at(t).y for t in (-1e5, 0.0, 9.25)}
     assert ys == {-7.0}
 
@@ -105,9 +105,9 @@ def test_horizontal_line_is_bitwise_horizontal():
 def test_side_of_sign_convention():
     # direction +x: left of the line is +y
     L = DirectedLine.horizontal(0.0)
-    assert L.side_of(Point(0.0, 1.0)) > 0
-    assert L.side_of(Point(0.0, -1.0)) < 0
-    assert L.side_of(Point(5.0, 0.0)) == 0.0
+    assert support.side_of(L, Point(0.0, 1.0)) > 0
+    assert support.side_of(L, Point(0.0, -1.0)) < 0
+    assert support.side_of(L, Point(5.0, 0.0)) == 0.0
 
 
 def test_outer_tangents_radius_two_pythagorean():
@@ -121,8 +121,8 @@ def test_outer_tangents_radius_two_pythagorean():
         assert line_distance(t, b.center) == pytest.approx(2.0, abs=EPS)
     # the two lines are distinct and lie on opposite sides of the center line
     mid = Point(3.0, 4.0)
-    s1 = t1.side_of(mid)
-    s2 = t2.side_of(mid)
+    s1 = support.side_of(t1, mid)
+    s2 = support.side_of(t2, mid)
     assert s1 * s2 < 0
 
 
@@ -145,7 +145,7 @@ def test_outer_tangents_touch_both_circles(x1, y1, x2, y2, r):
         assert line_distance(t, c1.center) == pytest.approx(r, abs=1e-7)
         assert line_distance(t, c2.center) == pytest.approx(r, abs=1e-7)
         # parallel to the center line
-        assert t.side_of(c1.center) * t.side_of(c2.center) > 0
+        assert support.side_of(t, c1.center) * support.side_of(t, c2.center) > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for breakpoint sequences and the prune search along a line."""
+"""Tests for a line's breakpoint array and the prune search along a line."""
 
 import random
 
@@ -18,22 +18,24 @@ from rivalloc.geom import (
 from rivalloc.linesearch import (
     PARALLEL_EPS,
     Telemetry,
-    _LineFrame,
-    _SequenceBundle,
-    _explicit_sequence,
-    _tangent_sequences,
+    _evaluations,
+    _explicit_crossings,
     build_angular_index,
     breakpoint_sequences,
     local_optimum_on_line,
+    upward_line,
     weighted_median,
 )
-from rivalloc.medianoid import solve_medianoid
+from rivalloc.medianoid import DOWNWARD, UPWARD, solve_medianoid
 
 COVERAGE_TOL = 1e-6
 
 t_along = support.t_along
-sequence_positions = support.sequence_positions
 expected_positions = support.expected_positions
+
+
+def sorted_positions(P):
+    return sorted(P.tolist())
 
 
 def median_of(items):
@@ -119,40 +121,58 @@ class TestBreakpointSequences:
         )
         L = DirectedLine.vertical(-1000.0)
         idx = build_angular_index(inst)
-        got = sequence_positions(breakpoint_sequences(idx, L))
-        # two tangent lines cross L, each listed once per endpoint customer;
-        # the discs are nowhere near L
-        assert len(got) == 4
-        assert got[0] == got[1] and got[2] == got[3]
+        got = sorted_positions(breakpoint_sequences(idx, L))
+        # two tangent lines cross L, each listed once; the discs are nowhere
+        # near L
+        assert len(got) == 2
+        assert got[0] != got[1]
         want = expected_positions(inst, L)
         assert got == pytest.approx(want, abs=COVERAGE_TOL)
 
     def test_coverage_and_strict_order(self):
+        """The array holds every brute-force crossing once, and the search
+        evaluates positions in strictly shrinking open intervals: each
+        evaluation lies strictly between the last upward and the last
+        downward one, and once the search is exhausted no breakpoint lies
+        strictly between them."""
         rng = random.Random(21)
+        exhausted = 0
         for trial in range(40):
             inst = support.seeded_instance(
                 3000 + trial, n_lo=2, n_hi=9, r_choices=(2.0, 4.0)
             )
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            bundle = breakpoint_sequences(idx, L)
-            got = sequence_positions(bundle)
+            P = breakpoint_sequences(idx, L)
+            got = sorted_positions(P)
             want = expected_positions(inst, L)
             assert len(got) == len(want), (trial, len(got), len(want))
             scale = max(1.0, max(map(abs, want), default=1.0))
             for g, w in zip(got, want):
                 assert abs(g - w) <= COVERAGE_TOL * scale, (trial, g, w)
-            for ts in support.bundle_sequences(bundle):
-                assert all(a > b for a, b in zip(ts, ts[1:])), (trial, ts[:6])
+            lo, hi = -np.inf, np.inf
+            line = upward_line(L)
+            for t, _, _, d in _evaluations(inst, line, P, Telemetry()):
+                assert lo < t < hi, (trial, lo, t, hi)
+                if d == UPWARD:
+                    lo = t
+                elif d == DOWNWARD:
+                    hi = t
+                else:
+                    break
+            else:
+                exhausted += 1
+                assert not any(lo < t < hi for t in got), (trial, lo, hi)
+        assert exhausted > 0
 
     def test_breakpoints_lie_on_the_line(self):
         inst = generate_instance(6, seed=99, r=2.0)
         L = DirectedLine(Point(3.0, -2.0), 1.1)
         idx = build_angular_index(inst)
         ux, uy = L.direction
-        bundle = breakpoint_sequences(idx, L)
-        for t in sequence_positions(bundle):
-            p = bundle.point_at(t)
+        line = upward_line(L)
+        for t in sorted_positions(breakpoint_sequences(idx, L)):
+            p = line.point_at(t)
             off = ux * (p.y - L.anchor.y) - uy * (p.x - L.anchor.x)
             assert abs(off) <= 1e-6
 
@@ -161,8 +181,8 @@ class TestBreakpointSequences:
         L = DirectedLine.vertical(0.0)
         extra = DirectedLine.horizontal(123.0)
         idx = build_angular_index(inst)
-        base = sequence_positions(breakpoint_sequences(idx, L))
-        plus = sequence_positions(breakpoint_sequences(idx, L, extra_lines=(extra,)))
+        base = sorted_positions(breakpoint_sequences(idx, L))
+        plus = sorted_positions(breakpoint_sequences(idx, L, extra_lines=(extra,)))
         assert len(plus) == len(base) + 1
         assert 123.0 in plus
 
@@ -174,9 +194,9 @@ class TestBreakpointSequences:
 
 
 def _query_lines(idx, rng):
-    """Tangent lines of the first few pairs (their own direction appears in
-    the neighbour orders, so windows get parallel entries to trim), vertical
-    lines through sites, and random non-horizontal lines."""
+    """Tangent lines of the first few pairs (their own direction is among
+    the stored tangent directions, so some must be dropped as parallel),
+    vertical lines through sites, and random non-horizontal lines."""
     lines = []
     for i in range(min(idx.n, 4)):
         for j in range(min(idx.n, 4)):
@@ -188,11 +208,19 @@ def _query_lines(idx, rng):
     return lines
 
 
-class TestTangentSequences:
-    def test_array_build_matches_the_loop_reference(self):
+def _bits(values):
+    return np.sort(np.asarray(values, dtype=float)).tobytes()
+
+
+class TestPositionArray:
+    def test_positions_match_the_per_pair_reference(self):
+        """The tangent crossings and the circle and extra-line crossings
+        are, as multisets, bitwise those of the per-pair and per-customer
+        loops, with the directions parallel to the line dropped, for discs
+        apart, touching and overlapping."""
         rng = random.Random(4)
         regimes = {"apart": 0, "touching": 0, "overlapping": 0}
-        lines_with_parallel = 0
+        lines_with_parallel = tangencies = 0
         for n in list(range(1, 41)) + [200]:
             base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
             Rs = [2.0, 3.0 * (n + 10)]
@@ -202,78 +230,32 @@ class TestTangentSequences:
             for R in Rs:
                 inst = Instance(base.customers, R)
                 idx = build_angular_index(inst)
-                for L in _query_lines(idx, rng):
-                    frame = _LineFrame(idx, L)
-                    got = _tangent_sequences(frame)
-                    want = support.reference_tangent_sequences(frame)
-                    assert len(got) == len(want) == 5
-                    for g, w in zip(got, want):
-                        assert g.dtype == w.dtype, (n, R, L)
-                        assert np.array_equal(g, w), (n, R, L)
-                    par = np.abs(np.sin(idx.angles2 - frame.up_angle)) <= PARALLEL_EPS
+                # A vertical line touching a disc adds a tangency.
+                lines = _query_lines(idx, rng) + [
+                    DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
+                ]
+                extras = (DirectedLine.horizontal(float(idx.ys[0])),
+                          DirectedLine(Point(0.5, -0.25), 0.7))
+                for L in lines:
+                    line = upward_line(L)
+                    tan = support.reference_tangent_crossings(idx, line)
+                    for extra_lines in ((), extras):
+                        got = breakpoint_sequences(idx, L, extra_lines)
+                        exp = _explicit_crossings(idx, line, extra_lines)
+                        want = support.reference_explicit_crossings(
+                            idx, line, extra_lines)
+                        assert _bits(exp) == _bits(want), (n, R, L)
+                        assert got.dtype == want.dtype
+                        assert _bits(got) == _bits(np.concatenate([tan, want])), (n, R, L)
+                    tangencies += len(exp) % 2
+                    par = np.abs(np.sin(idx.ang - line.angle)) <= PARALLEL_EPS
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
                 regimes["apart"] += int(np.sum(idx.dist[off] > R))
                 regimes["touching"] += int(np.sum(idx.dist[off] == R))
                 regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
         assert all(count > 0 for count in regimes.values()), regimes
-        assert lines_with_parallel > 100
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
-class TestPositionTable:
-    def test_positions_cuts_and_explicit_crossings_match_the_per_step_reference(self):
-        """Positions read from a line's read-only table, cut counts, middles
-        and the circle crossings are bitwise those of the per-step
-        evaluation, fresh and after a random series of cuts."""
-        rng = random.Random(5)
-        cuts = tangencies = 0
-        for n in list(range(1, 41)) + [200]:
-            inst = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
-            idx = build_angular_index(inst)
-            # A vertical line touching a disc adds a tangency to the
-            # explicit sequence.
-            lines = _query_lines(idx, rng) + [
-                DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
-            ]
-            extras = (DirectedLine.horizontal(float(idx.ys[0])),
-                      DirectedLine(Point(0.5, -0.25), 0.7))
-            for L in lines:
-                frame = _LineFrame(idx, L)
-                for extra_lines in ((), extras):
-                    ets = _explicit_sequence(frame, extra_lines)
-                    want = support.reference_explicit_sequence(frame, extra_lines)
-                    assert ets.dtype == want.dtype and _bits(ets) == _bits(want), (n, L)
-                tangencies += len(ets) % 2
-                cols = _tangent_sequences(frame)
-                got = _SequenceBundle(frame, cols, ets)
-                assert not got.T.flags.writeable
-                ref = support.ReferenceBundle(frame, cols, ets)
-                live = support.live_positions(got)
-                assert _bits(live) == _bits(ref.live_positions()), (n, L)
-                for _ in range(5):
-                    assert got.total_mass() == ref.total_mass()
-                    for g, w in zip(got.middles(), ref.middles()):
-                        assert _bits(g) == _bits(w), (n, L)
-                    pool = np.concatenate([live, got.ets[got.elo:got.ehi]])
-                    if not len(pool):
-                        break
-                    y = float(rng.choice(pool))
-                    if rng.random() < 0.3:
-                        y += rng.uniform(-1.0, 1.0)
-                    for strict in (True, False):
-                        assert np.array_equal(got._count_view(y, strict),
-                                              ref._count_view(y, strict)), (n, L, y)
-                    side = rng.choice(("cut_keep_above", "cut_keep_below"))
-                    getattr(got, side)(y)
-                    getattr(ref, side)(y)
-                    cuts += 1
-                    live = support.live_positions(got)
-                assert _bits(live) == _bits(ref.live_positions()), (n, L)
-        assert cuts > 2000 and tangencies > 0, (cuts, tangencies)
+        assert lines_with_parallel > 100 and tangencies > 0
 
 
 class TestLocalOptimum:
@@ -281,7 +263,7 @@ class TestLocalOptimum:
         inst = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
         L = DirectedLine.vertical(50.0)
         idx = build_angular_index(inst)
-        opt = local_optimum_on_line(inst, idx, L)
+        opt = local_optimum_on_line(inst, idx, L, Telemetry())
         assert opt.weight_loss == 3.0
         assert opt.point.x == 50.0
 
@@ -293,7 +275,7 @@ class TestLocalOptimum:
             )
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            opt = local_optimum_on_line(inst, idx, L)
+            opt = local_optimum_on_line(inst, idx, L, Telemetry())
             values = [
                 solve_medianoid(inst, p).weight_loss
                 for p, _ in support.line_breakpoints(inst, L)
@@ -304,18 +286,42 @@ class TestLocalOptimum:
             assert abs(t_along(L, opt.point)) < 1e7
             assert solve_medianoid(inst, opt.point).weight_loss == opt.weight_loss
 
-    def test_prune_progress_at_least_one_eighth(self):
+    def test_prune_progress_at_least_one_half(self):
+        """Every cut discards at least half of the surviving breakpoints (the
+        positions strictly between the last upward and the last downward
+        evaluation), a search of m breakpoints evaluates at most
+        floor(log2 m) + 1 of them, and telemetry records the cuts."""
         rng = random.Random(44)
         saw_iterations = 0
         for trial in range(15):
             inst = support.seeded_instance(5000 + trial, n_lo=6, n_hi=10)
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
+            P = breakpoint_sequences(idx, L)
             tel = Telemetry()
-            local_optimum_on_line(inst, idx, L, telemetry=tel)
-            for mass, pruned in tel.prune_log:
-                assert pruned * 8 >= mass, (trial, mass, pruned)
-                saw_iterations += 1
+            lo, hi = -np.inf, np.inf
+            masses = []
+            evals = 0
+            for t, _, _, d in _evaluations(inst, upward_line(L), P, tel):
+                evals += 1
+                masses.append(int(np.sum((P > lo) & (P < hi))))
+                if d == UPWARD:
+                    lo = t
+                elif d == DOWNWARD:
+                    hi = t
+                else:
+                    break
+            else:
+                masses.append(int(np.sum((P > lo) & (P < hi))))
+            fractions = []
+            for mass, left in zip(masses, masses[1:]):
+                pruned = mass - left
+                assert pruned * 2 >= mass, (trial, mass, pruned)
+                fractions.append(pruned / mass)
+            assert evals <= len(P).bit_length(), (trial, masses)
+            assert tel.prune_iterations == len(fractions)
+            assert tel.prune_min_fraction == min(fractions, default=None)
+            saw_iterations += len(fractions)
         assert saw_iterations > 0
 
 

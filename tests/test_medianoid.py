@@ -15,16 +15,17 @@ from rivalloc.medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    arc_contains,
     capture_arc,
     classify_wedge_on_line,
-    classify_wedge_on_vertical,
     solve_medianoid,
-    weight_at_angle,
 )
 from rivalloc.oracle import brute_medianoid
 
 TWO_PI = 2.0 * math.pi
+
+arc_contains = support.arc_contains
+classify_wedge_on_vertical = support.classify_wedge_on_vertical
+weight_at_angle = support.weight_at_angle
 
 
 def make_instance(sites_weights, R):
@@ -105,6 +106,7 @@ class TestSolveMedianoid:
             x = Point(rng.uniform(-30, 30), rng.uniform(-30, 30))
             res = solve_medianoid(inst, x)
             assert weight_at_angle(inst, x, res.witness_angle) == res.weight_loss
+            assert support.arcs_contain(res.ma, res.witness_angle)
 
     def test_maximizing_arcs_attain_and_bound(self):
         rng = random.Random(8)
@@ -161,7 +163,7 @@ class TestWedge:
                 continue
             for _ in range(50):
                 p = Point(rng.uniform(-60, 60), rng.uniform(-60, 60))
-                if not res.wedge.contains(p):
+                if not support.wedge_contains(res.wedge, p):
                     assert solve_medianoid(inst, p).weight_loss >= res.weight_loss
 
     def test_vertical_classification_consistent_with_line_form(self):

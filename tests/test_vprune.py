@@ -13,7 +13,6 @@ from rivalloc.medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    classify_wedge_on_vertical,
     solve_medianoid,
 )
 from rivalloc.vprune import (
@@ -28,20 +27,19 @@ from rivalloc.vprune import (
     find_xD_xU,
     pseudo_wedge,
 )
-from rivalloc.linesearch import breakpoint_sequences, build_angular_index
+from rivalloc.linesearch import Telemetry, breakpoint_sequences, build_angular_index
 
 
+classify_wedge_on_vertical = support.classify_wedge_on_vertical
 scan_line = support.scan_vertical_line
 brute_anchors = support.vertical_anchors
 
 
 def assert_nothing_between(idx, frame, L, got):
-    """No breakpoint of a fresh bundle for ``L`` lies strictly between the
+    """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
     (t_D, _, _), (t_U, _, _) = got
-    pos = support.sequence_positions(
-        breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
-    )
+    pos = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm)).tolist()
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
 
@@ -97,7 +95,7 @@ class TestFindAnchors:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
-            got = find_xD_xU(inst, idx, frame, L)
+            got = find_xD_xU(inst, idx, frame, L, Telemetry())
             rows = scan_line(inst, frame, L)
             scale = max(1.0, max(abs(r[0]) for r in rows))
             tol = 1e-6 * scale
@@ -140,7 +138,7 @@ class TestFindAnchors:
                 frame = build_frame(inst)
                 for _ in range(6):
                     L = support.vertical_through_box(rng, frame)
-                    got = find_xD_xU(inst, idx, frame, L)
+                    got = find_xD_xU(inst, idx, frame, L, Telemetry())
                     if not isinstance(got, PruneDecision):
                         anchors_seen += 1
                         assert_nothing_between(idx, frame, L, got)
@@ -152,7 +150,7 @@ class TestFindAnchors:
         frame = build_frame(inst)
         L = DirectedLine(Point(0.0, 0.0), 0.3)
         with pytest.raises(ValueError, match="vertical"):
-            decide(inst, idx, frame, L)
+            decide(inst, idx, frame, L, Telemetry())
 
 
 class TestPhaseStructure:
@@ -209,7 +207,7 @@ class TestPseudoWedge:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
-            got = find_xD_xU(inst, idx, frame, L)
+            got = find_xD_xU(inst, idx, frame, L, Telemetry())
             if isinstance(got, PruneDecision):
                 continue
             (t_D, p_D, r_D), (t_U, p_U, r_U) = got
@@ -238,8 +236,10 @@ class TestDecide:
         inst = generate_instance(5, seed=9, r=2.0)
         idx = build_angular_index(inst)
         frame = build_frame(inst)
-        far_left = decide(inst, idx, frame, DirectedLine.vertical(frame.xmin - 5.0))
-        far_right = decide(inst, idx, frame, DirectedLine.vertical(frame.xmax + 5.0))
+        far_left = decide(inst, idx, frame,
+                          DirectedLine.vertical(frame.xmin - 5.0), Telemetry())
+        far_right = decide(inst, idx, frame,
+                           DirectedLine.vertical(frame.xmax + 5.0), Telemetry())
         assert far_left.kind == PRUNE_LEFT
         assert far_right.kind == PRUNE_RIGHT
         assert "bounding box" in far_left.evidence
@@ -253,7 +253,7 @@ class TestDecide:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
-            dec = decide(inst, idx, frame, L)
+            dec = decide(inst, idx, frame, L, Telemetry())
             kinds.add(dec.kind)
             best = support.brute_minimum(inst)
             if dec.kind == PRUNE_LEFT:
@@ -284,7 +284,7 @@ class TestDecide:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
-            dec = decide(inst, idx, frame, L)
+            dec = decide(inst, idx, frame, L, Telemetry())
             if dec.x_D is not None and dec.x_U is not None:
                 assert dec.x_D.y > dec.x_U.y
                 assert abs(dec.x_D.x - L.anchor.x) < 1e-9
