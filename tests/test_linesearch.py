@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from rivalloc import linesearch
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     Customer,
@@ -212,15 +213,15 @@ def _bits(values):
     return np.sort(np.asarray(values, dtype=float)).tobytes()
 
 
-class TestPositionArray:
-    def test_positions_match_the_per_pair_reference(self):
-        """The tangent crossings and the circle and extra-line crossings
-        are, as multisets, bitwise those of the per-pair and per-customer
-        loops, with the directions parallel to the line dropped, for discs
-        apart, touching and overlapping."""
+class TestTangentSequences:
+    def test_array_build_matches_the_loop_reference(self):
+        """The tangent crossings at the head of a line's breakpoint array
+        are, in order and bitwise, those of the per-pair loop, with the
+        directions parallel to the line dropped, for discs apart, touching
+        and overlapping."""
         rng = random.Random(4)
         regimes = {"apart": 0, "touching": 0, "overlapping": 0}
-        lines_with_parallel = tangencies = 0
+        lines_with_parallel = 0
         for n in list(range(1, 41)) + [200]:
             base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
             Rs = [2.0, 3.0 * (n + 10)]
@@ -230,24 +231,13 @@ class TestPositionArray:
             for R in Rs:
                 inst = Instance(base.customers, R)
                 idx = build_angular_index(inst)
-                # A vertical line touching a disc adds a tangency.
-                lines = _query_lines(idx, rng) + [
-                    DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
-                ]
-                extras = (DirectedLine.horizontal(float(idx.ys[0])),
-                          DirectedLine(Point(0.5, -0.25), 0.7))
-                for L in lines:
+                for L in _query_lines(idx, rng):
                     line = upward_line(L)
-                    tan = support.reference_tangent_crossings(idx, line)
-                    for extra_lines in ((), extras):
-                        got = breakpoint_sequences(idx, L, extra_lines)
-                        exp = _explicit_crossings(idx, line, extra_lines)
-                        want = support.reference_explicit_crossings(
-                            idx, line, extra_lines)
-                        assert _bits(exp) == _bits(want), (n, R, L)
-                        assert got.dtype == want.dtype
-                        assert _bits(got) == _bits(np.concatenate([tan, want])), (n, R, L)
-                    tangencies += len(exp) % 2
+                    got = breakpoint_sequences(idx, L)
+                    head = len(got) - len(_explicit_crossings(idx, line, ()))
+                    want = support.reference_tangent_crossings(idx, line)
+                    assert got.dtype == want.dtype, (n, R, L)
+                    assert got[:head].tobytes() == want.tobytes(), (n, R, L)
                     par = np.abs(np.sin(idx.ang - line.angle)) <= PARALLEL_EPS
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
@@ -255,7 +245,67 @@ class TestPositionArray:
                 regimes["touching"] += int(np.sum(idx.dist[off] == R))
                 regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
         assert all(count > 0 for count in regimes.values()), regimes
-        assert lines_with_parallel > 100 and tangencies > 0
+        assert lines_with_parallel > 100
+
+
+class TestPositionTable:
+    def test_positions_cuts_and_explicit_crossings_match_the_per_step_reference(
+        self, monkeypatch
+    ):
+        """The circle and extra-line crossings are bitwise those of the
+        per-customer loop, the whole array is, as a multiset, the per-pair
+        and per-customer crossings, and the search's lower-median cuts
+        evaluate bitwise the positions a per-step sorted-list reference
+        picks under the same random series of leans."""
+        rng = random.Random(5)
+        leans = []
+
+        def scripted_lean(result, up_angle):
+            return leans.pop()
+
+        monkeypatch.setattr(linesearch, "solve_medianoid", lambda inst, p: None)
+        monkeypatch.setattr(linesearch, "lean", scripted_lean)
+        cuts = tangencies = 0
+        for n in list(range(1, 41)) + [200]:
+            inst = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
+            idx = build_angular_index(inst)
+            # A vertical line touching a disc adds a tangency.
+            lines = _query_lines(idx, rng) + [
+                DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
+            ]
+            extras = (DirectedLine.horizontal(float(idx.ys[0])),
+                      DirectedLine(Point(0.5, -0.25), 0.7))
+            for L in lines:
+                line = upward_line(L)
+                tan = support.reference_tangent_crossings(idx, line)
+                for extra_lines in ((), extras):
+                    got = breakpoint_sequences(idx, L, extra_lines)
+                    exp = _explicit_crossings(idx, line, extra_lines)
+                    want = support.reference_explicit_crossings(
+                        idx, line, extra_lines)
+                    assert exp.dtype == want.dtype, (n, L)
+                    assert exp.tobytes() == want.tobytes(), (n, L)
+                    assert _bits(got) == _bits(np.concatenate([tan, want])), (n, L)
+                tangencies += len(exp) % 2
+                # Per step: the lower median of the sorted survivors, then
+                # keep only those strictly beyond it on the lean's side.
+                ref = sorted(got.tolist())
+                leans[:] = [rng.choice((UPWARD, DOWNWARD))
+                            for _ in range(len(got).bit_length())]
+                script = leans[::-1]
+                tel = Telemetry()
+                steps = 0
+                for t, point, _, d in _evaluations(inst, line, got, tel):
+                    m = ref[(len(ref) - 1) // 2]
+                    assert np.float64(t).tobytes() == np.float64(m).tobytes(), (n, L)
+                    assert point == line.point_at(m)
+                    assert d == script[steps]
+                    ref = [v for v in ref if (v > m if d == UPWARD else v < m)]
+                    steps += 1
+                assert not ref, (n, L)
+                assert tel.prune_iterations == steps == tel.medianoid_calls
+                cuts += steps
+        assert cuts > 2000 and tangencies > 0, (cuts, tangencies)
 
 
 class TestLocalOptimum:
