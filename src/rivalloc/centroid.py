@@ -39,13 +39,13 @@ from .geom import (
     circle_circle_intersections,
     Circle,
 )
-from .medianoid import solve_medianoid
+from .medianoid import solve_medianoid, solve_medianoid_many
 from .linesearch import (
     STRONG,
     AngularIndex,
     Telemetry,
     build_angular_index,
-    local_optimum_on_line,
+    local_optima_on_lines,
     weighted_median,
 )
 from .vprune import (
@@ -327,7 +327,7 @@ class _LMDescriptors:
         self.r = r = idx.inst.r
         reach = (idx.xs + r > slab.lo) & (idx.xs - r < slab.hi)
         groups = []
-        if idx.order2.shape[1]:
+        if idx.angles2.shape[1]:
             for v0 in range(0, idx.n, LM_BLOCK):
                 groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)), reach)
         cols = [np.concatenate(c) for c in zip(*groups)] or [np.empty(0)] * 9
@@ -460,7 +460,7 @@ class _LMDescriptors:
         ``d`` (all of them by default)."""
         idx = self.idx
         r = self.r
-        ip = np.clip(self.dlo[d] + pos, 0, idx.order2.shape[1] - 1)
+        ip = np.clip(self.dlo[d] + pos, 0, idx.angles2.shape[1] - 1)
         alpha = idx.angles2[self.dv[d], ip]
         br = self.dbr[d]
         with np.errstate(invalid="ignore"):
@@ -634,38 +634,37 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             best = key
             best_point = point
 
-    def run_line(line: DirectedLine) -> None:
-        opt = local_optimum_on_line(inst, idx, line, telemetry=tel)
-        if opt.status == STRONG:
-            raise CertifiedOptimum(
-                opt.point, opt.weight_loss, "strong centroid on a searched line"
-            )
-        consider(opt.point, opt.weight_loss)
+    def run_lines(lines: List[DirectedLine]) -> None:
+        for opt in local_optima_on_lines(inst, idx, lines, tel):
+            if opt is None:
+                continue
+            if opt.status == STRONG:
+                raise CertifiedOptimum(
+                    opt.point, opt.weight_loss, "strong centroid on a searched line"
+                )
+            consider(opt.point, opt.weight_loss)
+
+    def run_points(points: List[Point]) -> None:
+        for p, loss in zip(points, solve_medianoid_many(inst, points, losses=True)):
+            tel.medianoid_calls += 1
+            consider(p, loss)
 
     try:
         if mode == INTERMEDIATE:
+            # One group per customer: its tangent lines, less the vertical.
             for i in range(idx.n):
-                for j in range(idx.n):
-                    if i == j:
-                        continue
-                    if abs(math.sin(idx.ang[i, j])) <= VERTICAL_EPS:
-                        continue
-                    run_line(idx.tangent_line(i, j))
-            for p in _disc_crossings(inst):
-                res = solve_medianoid(inst, p)
-                tel.medianoid_calls += 1
-                consider(p, res.weight_loss)
+                run_lines([
+                    idx.tangent_line(i, j) for j in range(idx.n)
+                    if j != i and abs(math.sin(idx.ang[i, j])) > VERTICAL_EPS
+                ])
+            run_points(_disc_crossings(inst))
         else:
             slab = _Slab()
             xs = local_optimal_line_LT(inst, idx, frame, slab, tel)
             local_optimal_line_LM(inst, idx, frame, slab, tel)
             local_optimal_line_LC(inst, idx, frame, slab, tel)
-            for x in sorted(set(slab.boundary_xs() + xs)):
-                run_line(DirectedLine.vertical(x))
-        for c in inst.customers:
-            res = solve_medianoid(inst, c.site)
-            tel.medianoid_calls += 1
-            consider(c.site, res.weight_loss)
+            run_lines([DirectedLine.vertical(x) for x in sorted(set(slab.boundary_xs() + xs))])
+        run_points([c.site for c in inst.customers])
     except CertifiedOptimum as cert:
         tel.certified = cert.origin
         best_point = cert.point

@@ -9,22 +9,26 @@ tangent line of the angular index that is not parallel to the line, once
 each, then the circle crossings and any injected extra lines.  The crossing
 points themselves are never built.
 
-``_evaluations`` is the one search over a line's breakpoints.  Each round
-selects the lower median of the surviving positions (Hoare's FIND, as
-``np.partition`` runs it), yields the evaluation with its ``lean`` and
-applies the cut itself: an upward wedge keeps the positions strictly above,
-a downward one those strictly below, and a strong centroid or a sideward
-wedge ends the search.  Each cut discards at least half of the survivors,
-so one line costs time linear in its breakpoint count.
-``local_optimum_on_line`` takes the line minimum from its evaluations, and
-the vertical-line decision (``vprune``) takes its anchors from them.
+``_evaluations`` is the one search over a line's breakpoints, a coroutine.
+Each round it selects the lower median of the surviving positions (Hoare's
+FIND, as ``np.partition`` runs it), yields that point, is sent the
+follower's result there and applies the cut itself: an upward wedge keeps
+the positions strictly above, a downward one those strictly below, and a
+strong centroid or a sideward wedge ends the search.  Each cut discards at
+least half of the survivors, so one line costs time linear in its
+breakpoint count.  ``_lockstep`` advances independent searches together,
+with one block sweep of their points per round (Megiddo's batching of
+independent oracle calls): intermediate mode groups one customer's tangent
+lines, parametric mode the slab's boundary lines, and the vertical-line
+decision (``vprune``) runs its single line and takes its anchors from the
+evaluations.  ``local_optima_on_lines`` takes each line minimum from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .medianoid import (
     WHOLE_LINE,
     MedianoidResult,
     classify_wedge_on_line,
-    solve_medianoid,
+    solve_medianoid_many,
 )
 
 # Angular separation below which a tangent direction is treated as parallel
@@ -56,6 +60,9 @@ ANGLE_DUP_EPS = 1e-12
 
 ORDINARY = "ordinary"
 STRONG = "strong_centroid"
+
+# One evaluation of a line search: (t, point, result, lean).
+Evaluation = Tuple[float, Point, MedianoidResult, str]
 
 
 @dataclass(slots=True)
@@ -82,22 +89,7 @@ class Telemetry:
     certified: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "medianoid_calls": self.medianoid_calls,
-            "decide_calls": self.decide_calls,
-            "lines_searched": self.lines_searched,
-            "prune_iterations": self.prune_iterations,
-            "prune_min_fraction": self.prune_min_fraction,
-            "lt_wires": self.lt_wires,
-            "lt_rounds": self.lt_rounds,
-            "lt_oracle": self.lt_oracle,
-            "lm_mass0": self.lm_mass0,
-            "lm_rounds": self.lm_rounds,
-            "lc_points": self.lc_points,
-            "lc_steps": self.lc_steps,
-            "wall_time_s": self.wall_time_s,
-            "certified": self.certified,
-        }
+        return asdict(self)
 
 
 class AngularIndex:
@@ -128,14 +120,12 @@ class AngularIndex:
         self.ang = ang
 
         m = max(n - 1, 0)
-        order = np.empty((n, m), dtype=np.int64)
         sorted_ang = np.empty((n, m), dtype=float)
         all_idx = np.arange(n)
         for i in range(n):
             js = np.delete(all_idx, i)
             a = ang[i, js]
             srt = np.argsort(a, kind="stable")
-            o = js[srt]
             av = a[srt]
             if m > 1:
                 gaps = np.diff(av)
@@ -143,11 +133,9 @@ class AngularIndex:
                 if gaps[k] < ANGLE_DUP_EPS:
                     raise DegenerateInputError(
                         "customers %d and %d share the polar angle around "
-                        "customer %d" % (int(o[k]), int(o[k + 1]), i)
+                        "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
                     )
-            order[i] = o
             sorted_ang[i] = av
-        self.order2 = np.concatenate([order, order], axis=1)
         self.angles2 = np.concatenate([sorted_ang, sorted_ang + TWO_PI], axis=1)
 
         nx = np.sin(ang)
@@ -278,36 +266,41 @@ def lean(result: MedianoidResult, up_angle: float) -> str:
 
 
 def _evaluations(
-    inst: Instance, line: DirectedLine, P: np.ndarray, telemetry: Telemetry
-) -> Iterator[Tuple[float, Point, MedianoidResult, str]]:
+    line: DirectedLine, P: np.ndarray, telemetry: Telemetry
+) -> Generator[Tuple[float, Point], MedianoidResult, List[Evaluation]]:
     """Search the breakpoint positions ``P`` along the upward ``line`` by
     exact-median selection until no breakpoint is left.
 
-    Each round evaluates the lower median of the surviving positions and
-    yields ``(t, point, result, lean)``, then cuts: an upward lean keeps
-    only positions strictly above ``t``, a downward one only those strictly
-    below, and a strong or sideward lean ends the search.  A cut drops the
-    median and every position behind it, at least half of the survivors,
-    so a search of m positions evaluates at most ``floor(log2 m) + 1`` of
-    them.
+    A coroutine: each round yields ``(t, point)`` for the lower median of
+    the surviving positions and is sent the follower's result there, then
+    cuts: an upward lean keeps only positions strictly above ``t``, a
+    downward one only those strictly below, and a strong or sideward lean
+    ends the search.  A cut drops the median and every position behind it,
+    at least half of the survivors, so a search of m positions evaluates at
+    most ``floor(log2 m) + 1`` of them.  It returns its evaluations
+    ``(t, point, result, lean)`` in order, and reorders ``P`` in place.
     """
     up_angle = line.angle
     budget = len(P).bit_length()
+    done: List[Evaluation] = []
     while len(P):
         mass = len(P)
         k = (mass - 1) // 2
-        t = float(np.partition(P, k)[k])
+        P.partition(k)
+        t = float(P[k])
         point = line.point_at(t)
-        res = solve_medianoid(inst, point)
+        res = yield t, point
         telemetry.medianoid_calls += 1
         d = lean(res, up_angle)
-        yield t, point, res, d
+        done.append((t, point, res, d))
+        # After the partition nothing before k exceeds t, nothing after
+        # k falls below it.
         if d == UPWARD:
-            P = P[P > t]
+            P = P[k + 1:][P[k + 1:] > t]
         elif d == DOWNWARD:
-            P = P[P < t]
+            P = P[:k][P[:k] < t]
         else:
-            return
+            return done
         pruned = mass - len(P)
         telemetry.prune_iterations += 1
         frac = pruned / mass
@@ -322,6 +315,39 @@ def _evaluations(
         budget -= 1
         if budget < 0:
             raise RuntimeError("prune search failed to terminate")
+    return done
+
+
+def _lockstep(
+    inst: Instance,
+    searches: Sequence[Generator],
+    settles: Callable[[object], bool] = lambda value: False,
+) -> List[object]:
+    """Run the coroutines ``searches`` side by side, each round sweeping the
+    points they all yield as one block, and return what each returned, in
+    input order.  The run ends after the first round in which a search
+    returns a value that ``settles``; the searches still open then read
+    ``None``."""
+    out: List[object] = [None] * len(searches)
+    live = []
+    for i, search in enumerate(searches):
+        try:
+            live.append((i, search, search.send(None)))
+        except StopIteration as stop:
+            out[i] = stop.value
+    while live:
+        results = solve_medianoid_many(inst, [point for _, _, (_, point) in live])
+        pending, settled = [], False
+        for (i, search, _), res in zip(live, results):
+            try:
+                pending.append((i, search, search.send(res)))
+            except StopIteration as stop:
+                out[i] = stop.value
+                settled = settled or settles(stop.value)
+        if settled:
+            break
+        live = pending
+    return out
 
 
 @dataclass(frozen=True)
@@ -337,35 +363,59 @@ class LineLocalOptimum:
     status: str
 
 
+def _line_minimum(
+    idx: AngularIndex, L: DirectedLine, telemetry: Telemetry
+) -> Generator[Tuple[float, Point], MedianoidResult, LineLocalOptimum]:
+    """Minimise the follower value over the non-horizontal line ``L``, as a
+    coroutine of ``_lockstep``.
+
+    Breakpoints chosen by exact-median selection are evaluated; the search
+    stops early when an evaluation certifies a global optimum or a sideward
+    wedge (whose apex is then the line minimum), and otherwise keeps the
+    side of the line that the wedge points along.  The first evaluation of
+    the least weight loss is the line minimum; a line without breakpoints
+    is evaluated at its anchor.
+    """
+    line = upward_line(L)
+    telemetry.lines_searched += 1
+    done = yield from _evaluations(line, breakpoint_sequences(idx, L), telemetry)
+    if not done:
+        point = line.point_at(0.0)
+        res = yield 0.0, point
+        telemetry.medianoid_calls += 1
+        done = [(0.0, point, res, STRONG if res.strong_centroid else ORDINARY)]
+    _t, point, res, d = done[-1]
+    if d not in (UPWARD, DOWNWARD):
+        return LineLocalOptimum(point, res.weight_loss, STRONG if d == STRONG else ORDINARY)
+    _t, point, res, _d = min(done, key=lambda e: e[2].weight_loss)
+    return LineLocalOptimum(point, res.weight_loss, ORDINARY)
+
+
+def local_optima_on_lines(
+    inst: Instance,
+    idx: AngularIndex,
+    lines: Sequence[DirectedLine],
+    telemetry: Telemetry,
+) -> List[Optional[LineLocalOptimum]]:
+    """``local_optimum_on_line`` for each of ``lines``, searched in lockstep.
+
+    The searches stop after the first round in which one of them certifies
+    a global optimum, and the lines still open then read ``None``: the
+    first certified line in input order certified in the fewest rounds,
+    and came first among those that did.
+    """
+    return _lockstep(
+        inst,
+        [_line_minimum(idx, L, telemetry) for L in lines],
+        lambda opt: opt.status == STRONG,
+    )
+
+
 def local_optimum_on_line(
     inst: Instance,
     idx: AngularIndex,
     L: DirectedLine,
     telemetry: Telemetry,
 ) -> LineLocalOptimum:
-    """Minimise the follower value over the non-horizontal line ``L``.
-
-    Breakpoints chosen by exact-median selection are evaluated; the search
-    stops early when an evaluation certifies a global optimum or a sideward
-    wedge (whose apex is then the line minimum), and otherwise keeps the
-    side of the line that the wedge points along.
-    """
-    line = upward_line(L)
-    P = breakpoint_sequences(idx, L)
-    telemetry.lines_searched += 1
-
-    best: Optional[Tuple[Point, MedianoidResult]] = None
-    for _t, point, res, d in _evaluations(inst, line, P, telemetry):
-        if d not in (UPWARD, DOWNWARD):
-            status = STRONG if d == STRONG else ORDINARY
-            return LineLocalOptimum(point, res.weight_loss, status)
-        if best is None or res.weight_loss < best[1].weight_loss:
-            best = (point, res)
-    if best is None:
-        point = line.point_at(0.0)
-        res = solve_medianoid(inst, point)
-        telemetry.medianoid_calls += 1
-        status = STRONG if res.strong_centroid else ORDINARY
-        return LineLocalOptimum(point, res.weight_loss, status)
-    point, res = best
-    return LineLocalOptimum(point, res.weight_loss, ORDINARY)
+    """Minimise the follower value over the non-horizontal line ``L``."""
+    return local_optima_on_lines(inst, idx, [L], telemetry)[0]

@@ -13,27 +13,34 @@ Every point outside the wedge has weight loss at least W*(x), which is the
 pruning tool used by the line searches.  When the covering interval spans
 more than pi radians no wedge exists and x is a certified global optimum
 (a strong centroid).
+
+One sweep serves every caller: ``solve_medianoid_many`` sweeps a block of
+leader points as k x 2n arrays of arc endpoints, one sort and one running
+sum per row, and ``solve_medianoid`` is its single-point case.  The running
+sums only preselect the gaps that may attain the maximum; the loss and the
+maximizing arcs come from their ``math.fsum`` weights, so both are exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import (
     TWO_PI,
-    Customer,
     Instance,
     Point,
     normalize_angle,
     unit_vector,
 )
 
-# Instances at least this large use the vectorized sweep.
-NUMPY_SWEEP_MIN_N = 64
+# Capture-arc endpoints swept together: a block holds 2n of them per point.
+SWEEP_BLOCK = 1 << 13
+
+DBL_EPS = float(np.finfo(float).eps)
 
 UPWARD = "upward"
 DOWNWARD = "downward"
@@ -94,170 +101,26 @@ class MedianoidResult:
     strong_centroid: bool
 
 
-def capture_arc(v: Customer, x: Point, R: float, eps: float = 0.0) -> Optional[Arc]:
-    """Open arc of follower angles that win customer v, or None.
-
-    The arc is (theta_v - phi, theta_v + phi) with phi = arccos(R/(2 d)),
-    where d is the leader-customer distance; it vanishes when d <= R/2,
-    boundary ties included (they go to the leader).  A positive eps widens
-    the tie band: the customer counts as won only when its projection
-    clears R/2 by more than eps.  Solvers pass the instance tolerance here
-    so that evaluating at a point known only up to rounding error still
-    reproduces the capture set of the exact location.
-    """
-    if R <= 0.0:
-        raise ValueError("unsupported configuration: R must be positive")
-    r = R / 2.0 + eps
-    dx = v.site.x - x.x
-    dy = v.site.y - x.y
-    d = math.hypot(dx, dy)
-    if d <= r:
-        return None
-    theta_v = math.atan2(dy, dx)
-    phi = math.acos(r / d)
-    begin = normalize_angle(theta_v - phi)
-    return (begin, begin + 2.0 * phi)
+def _full_circle_result() -> MedianoidResult:
+    # No customer is capturable: every angle maximizes, there is no covering
+    # interval and no wedge, and the premise of the strong-centroid
+    # certificate holds vacuously.
+    return MedianoidResult(0.0, 0.0, ArcSet(((0.0, TWO_PI),), 0.0), None, None, True)
 
 
-def _full_circle_result(x: Point, weight: float) -> MedianoidResult:
-    # No customer is capturable (or every angle ties): every angle maximizes,
-    # there is no covering interval and no wedge, and the premise of the
-    # strong-centroid certificate holds vacuously.
-    ma = ArcSet(arcs=((0.0, TWO_PI),), attained_weight=weight)
-    return MedianoidResult(
-        weight_loss=weight,
-        witness_angle=0.0,
-        ma=ma,
-        ca=None,
-        wedge=None,
-        strong_centroid=True,
-    )
-
-
-def _captured(arcs: List[Tuple[float, float, float]], theta: float) -> List[float]:
-    """Weights of the arcs that contain the angle ``theta``."""
-    return [w for begin, end, w in arcs
-            if 0.0 < (theta - begin) % TWO_PI < end - begin]
-
-
-def _sweep_pure(arcs: List[Tuple[float, float, float]]) -> Tuple[List[Arc], float]:
-    """The maximizing gaps of the endpoint arrangement.
-
-    Returns (max_arcs, weight_loss): the gaps (begin, end) whose follower
-    weight equals the maximum, in angular order, and the correctly rounded
-    sum of the weights captured at the midpoint of the first of them, so
-    equal capture sets give bitwise-equal losses.
-    """
-    deltas: dict = {}
-    for begin, end, w in arcs:
-        e = normalize_angle(end)
-        deltas[begin] = deltas.get(begin, 0.0) + w
-        deltas[e] = deltas.get(e, 0.0) - w
-    angles = sorted(deltas)
-    m = len(angles)
-    # Weight on the first gap, evaluated directly at its midpoint.
-    mid0 = angles[0] + (angles[1] - angles[0]) / 2.0 if m > 1 else angles[0] + math.pi
-    w0 = sum(_captured(arcs, mid0))
-    gaps: List[Tuple[Arc, float]] = []
-    cur = w0
-    best = w0
-    for i in range(m):
-        if i > 0:
-            cur += deltas[angles[i]]
-            if cur > best:
-                best = cur
-        end = angles[i + 1] if i + 1 < m else angles[0] + TWO_PI
-        gaps.append(((angles[i], end), cur))
-    ma = [g for g, w in gaps if w == best]
-    a, b = ma[0]
-    return ma, math.fsum(_captured(arcs, a + (b - a) / 2.0))
-
-
-def _sweep_np(inst: Instance, x: Point) -> Optional[Tuple[List[Arc], float]]:
-    """``_sweep_pure`` on arrays; ``None`` when no customer is capturable."""
-    r = inst.R / 2.0 + inst.eps
-    ws = inst.ws
-    dx = inst.xs - x.x
-    dy = inst.ys - x.y
-    d = np.hypot(dx, dy)
-    mask = d > r
-    if not mask.any():
-        return None
-    dxm = dx[mask]
-    dym = dy[mask]
-    dm = d[mask]
-    wm = ws[mask]
-    theta_v = np.arctan2(dym, dxm)
-    phi = np.arccos(r / dm)
-    width = 2.0 * phi
-    begin = np.mod(theta_v - phi, TWO_PI)
-    endn = np.mod(begin + width, TWO_PI)
-    angles = np.concatenate([begin, endn])
-    deltas = np.concatenate([wm, -wm])
-    order = np.argsort(angles, kind="stable")
-    a_s = angles[order]
-    d_s = deltas[order]
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(a_s) != 0.0]))
-    uniq = a_s[starts]
-    gd = np.add.reduceat(d_s, starts)
-    m = len(uniq)
-
-    def captured(theta: float) -> np.ndarray:
-        off = np.mod(theta - begin, TWO_PI)
-        return wm[(off > 0.0) & (off < width)]
-
-    mid0 = uniq[0] + (uniq[1] - uniq[0]) / 2.0 if m > 1 else uniq[0] + math.pi
-    w0 = float(captured(mid0).sum())
-    weights = np.empty(m)
-    weights[0] = w0
-    if m > 1:
-        weights[1:] = w0 + np.cumsum(gd[1:])
-    best = float(weights.max())
-    sel = np.flatnonzero(weights == best)
-    ends = np.append(uniq[1:], uniq[0] + TWO_PI)
-    ma = list(zip(uniq[sel].tolist(), ends[sel].tolist()))
-    a, b = ma[0]
-    return ma, math.fsum(captured(a + (b - a) / 2.0).tolist())
-
-
-def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
-    """Weight loss, maximizing arcs, covering interval and wedge at x.
-
-    Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
-    """
-    if inst.R <= 0.0:
-        raise ValueError("unsupported configuration: R must be positive")
-    if inst.n >= NUMPY_SWEEP_MIN_N:
-        swept = _sweep_np(inst, x)
-        if swept is None:
-            return _full_circle_result(x, 0.0)
-        ma_arcs, best = swept
-    else:
-        arcs = []
-        for c in inst.customers:
-            a = capture_arc(c, x, inst.R, eps=inst.eps)
-            if a is not None:
-                arcs.append((a[0], a[1], c.weight))
-        if not arcs:
-            return _full_circle_result(x, 0.0)
-        ma_arcs, best = _sweep_pure(arcs)
-
+def _result(x: Point, ma_arcs: List[Arc], best: float) -> MedianoidResult:
+    """The result at x whose maximizing gaps, in angular order, are
+    ``ma_arcs`` and whose weight loss is ``best``."""
     witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
     ma = ArcSet(arcs=tuple(ma_arcs), attained_weight=best)
 
     # The covering interval is the complement of the largest gap between
     # consecutive maximizing arcs; ties pick the smallest resulting begin.
     k = len(ma_arcs)
-    if k == 1:
-        between = [TWO_PI - (ma_arcs[0][1] - ma_arcs[0][0])]
-    else:
-        between = []
-        for i in range(k):
-            nxt = (i + 1) % k
-            g = ma_arcs[nxt][0] - ma_arcs[i][1]
-            if nxt == 0:
-                g += TWO_PI
-            between.append(max(g, 0.0))
+    between = [
+        max(ma_arcs[(i + 1) % k][0] - ma_arcs[i][1] + (TWO_PI if i == k - 1 else 0.0), 0.0)
+        for i in range(k)
+    ]
     best_gap = -1.0
     best_begin = TWO_PI
     for i in range(k):
@@ -272,23 +135,108 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
     ca = CoveringInterval(begin=theta_b, end=theta_b + span, span=span)
 
     strong = span > math.pi
-    wedge = None
-    if not strong:
-        theta_e = theta_b + span
-        wedge = Wedge(
-            apex=x,
-            theta_b=theta_b,
-            theta_e=theta_e,
-            ccw_span=math.pi - span,
-        )
-    return MedianoidResult(
-        weight_loss=best,
-        witness_angle=witness,
-        ma=ma,
-        ca=ca,
-        wedge=wedge,
-        strong_centroid=strong,
-    )
+    wedge = None if strong else Wedge(x, theta_b, theta_b + span, math.pi - span)
+    return MedianoidResult(best, witness, ma, ca, wedge, strong)
+
+
+def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> list:
+    """One angle sweep over the k x n block of capture arcs of ``points``:
+    a ``MedianoidResult`` per point, or its weight loss alone (``losses``).
+
+    Customer v is won at the angles within phi = arccos(r/d) of its
+    direction, where d is its distance from the leader and r is R/2 widened
+    by the instance tolerance, so that evaluating at a point known only up
+    to rounding reproduces the capture set of the exact location.  A
+    customer within r gets a zero-width arc, which sits on a real endpoint
+    of its row, so it splits no gap.  Each row sorts its 2n endpoints once;
+    the weight of gap i, from the i-th endpoint to the next, is a running
+    sum started at the weight of the arcs whose end wraps past 2 pi.  The
+    running sums are rounded, so every gap within their rounding bound of
+    the row maximum is re-summed with ``math.fsum`` at its midpoint, and the
+    maximizing gaps are those whose sum is the largest; that sum is the
+    weight loss.
+    """
+    if inst.R <= 0.0:
+        raise ValueError("unsupported configuration: R must be positive")
+    k = len(points)
+    n = inst.n
+    ws = inst.ws
+    r = inst.r + inst.eps
+    pts = np.array([(p.x, p.y) for p in points])
+    dx = inst.xs - pts[:, :1]
+    dy = inst.ys - pts[:, 1:]
+    phi = np.arccos(r / np.maximum(np.hypot(dx, dy), r))
+    width = 2.0 * phi
+    # Row i: the begins of its arcs, then their ends.
+    ang = np.empty((k, 2 * n))
+    begin = ang[:, :n]
+    end = ang[:, n:]
+    np.subtract(np.arctan2(dy, dx), phi, out=begin)
+    np.mod(begin, TWO_PI, out=begin)
+    np.add(begin, width, out=end)
+    np.mod(end, TWO_PI, out=end)
+    each = np.arange(k)
+    zero = phi == 0.0
+    live = [True] * k
+    if zero.any():
+        # A customer within r: its zero-width arc moves onto the begin of
+        # its row's widest arc, where its two weights cancel.
+        widest = np.argmax(phi, axis=1)
+        live = (phi[each, widest] > 0.0).tolist()
+        pin = begin[each, widest][:, None]
+        np.copyto(begin, pin, where=zero)
+        np.copyto(end, pin, where=zero)
+    order = np.argsort(ang, axis=1)
+    run = np.cumsum(np.concatenate([ws, -ws])[order], axis=1)
+    run += ((end < begin) @ ws)[:, None]
+    # Sorted endpoints, closed by the first one plus 2 pi: gap i runs from
+    # column i to column i + 1.
+    srt = np.empty((k, 2 * n + 1))
+    srt[:, :-1] = ang[each[:, None], order]
+    srt[:, -1] = srt[:, 0] + TWO_PI
+    run[srt[:, 1:] <= srt[:, :-1]] = -math.inf
+    # A running sum adds at most 3n + 1 weights of total magnitude at most
+    # 3W, W the total weight, so it lies within (5n + 3) u W of its gap's
+    # exact weight, u = DBL_EPS / 2; a maximizing gap's sum lies within
+    # twice that of the row maximum.
+    slack = 8.0 * (n + 1) * DBL_EPS * float(ws.sum())
+    rows, cols = np.nonzero(run >= run.max(axis=1, keepdims=True) - slack)
+    a = srt[rows, cols]
+    b = srt[rows, cols + 1]
+    mid = a + (b - a) / 2.0
+    off = np.mod(mid[:, None] - begin[rows], TWO_PI)
+    sums = list(map(math.fsum, np.where((off > 0.0) & (off < width[rows]), ws, 0.0).tolist()))
+
+    bounds = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    if losses:
+        return [max(sums[bounds[i]:bounds[i + 1]]) if live[i] else 0.0 for i in range(k)]
+    out: List[MedianoidResult] = []
+    a, b = a.tolist(), b.tolist()
+    for i, x in enumerate(points):
+        if not live[i]:
+            out.append(_full_circle_result())
+            continue
+        lo, hi = bounds[i], bounds[i + 1]
+        best = max(sums[lo:hi])
+        out.append(_result(x, [(a[j], b[j]) for j in range(lo, hi) if sums[j] == best], best))
+    return out
+
+
+def solve_medianoid_many(inst: Instance, points: Sequence[Point], losses: bool = False) -> Iterator:
+    """``solve_medianoid`` at each of ``points``, in order, or only its
+    weight loss (``losses``), swept ``SWEEP_BLOCK // (2n)`` points (at
+    least one) at a time."""
+    size = max(1, SWEEP_BLOCK // (2 * inst.n))
+    for start in range(0, len(points), size):
+        yield from _sweep(inst, points[start:start + size], losses)
+
+
+def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
+    """Weight loss, maximizing arcs, covering interval and wedge at x.
+
+    Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
+    """
+    return _sweep(inst, (x,))[0]
 
 
 def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:

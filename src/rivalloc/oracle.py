@@ -25,7 +25,7 @@ from .geom import (
     outer_tangents,
 )
 from .centroid import SolveReport
-from .medianoid import solve_medianoid
+from .medianoid import solve_medianoid, solve_medianoid_many
 
 TANGENT_TANGENT = "TxT"
 TANGENT_CIRCLE = "TxC"
@@ -153,10 +153,10 @@ def brute_centroid(inst: Instance) -> SolveReport:
     best_key: Optional[Tuple[float, float, float]] = None
     best_point: Optional[Point] = None
     calls = 0
-    for p in list(cands.points) + [c.site for c in inst.customers]:
-        res = solve_medianoid(inst, p)
+    points = list(cands.points) + [c.site for c in inst.customers]
+    for p, loss in zip(points, solve_medianoid_many(inst, points, losses=True)):
         calls += 1
-        key = (res.weight_loss, p.x, p.y)
+        key = (loss, p.x, p.y)
         if best_key is None or key < best_key:
             best_key = key
             best_point = p

@@ -45,6 +45,7 @@ from .linesearch import (
     AngularIndex,
     Telemetry,
     _evaluations,
+    _lockstep,
     breakpoint_sequences,
     upward_line,
 )
@@ -140,10 +141,11 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     anchors.
     """
     P = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
+    [done] = _lockstep(inst, [_evaluations(upward_line(L), P, telemetry)])
     down = up = None
     # Each cut keeps only positions beyond the evaluation that made it, so
     # the latest upward (downward) evaluation is the highest (lowest).
-    for t, point, res, d in _evaluations(inst, upward_line(L), P, telemetry):
+    for t, point, res, d in done:
         if d == UPWARD:
             up = (t, point, res)
         elif d == DOWNWARD:

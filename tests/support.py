@@ -28,14 +28,13 @@ from rivalloc.geom import (
     outer_tangents,
     unit_vector,
 )
-from rivalloc.linesearch import PARALLEL_EPS
+from rivalloc.linesearch import PARALLEL_EPS, _evaluations, _lockstep
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
     CoveringInterval,
-    capture_arc,
     solve_medianoid,
 )
 
@@ -92,6 +91,30 @@ def wedge_contains(w, p, tol=0.0):
     return (dx * ub[0] + dy * ub[1] >= -tol) and (dx * ue[0] + dy * ue[1] >= -tol)
 
 
+def capture_arc(v, x, R, eps=0.0):
+    """Open arc of follower angles that win customer v, or None.
+
+    The arc is (theta_v - phi, theta_v + phi) with phi = arccos(R/(2 d)),
+    where d is the leader-customer distance; it vanishes when d <= R/2,
+    boundary ties included (they go to the leader).  A positive eps widens
+    the tie band: the customer counts as won only when its projection
+    clears R/2 by more than eps.  Computed with the C library, one customer
+    at a time, independently of the block sweep.
+    """
+    if R <= 0.0:
+        raise ValueError("unsupported configuration: R must be positive")
+    r = R / 2.0 + eps
+    dx = v.site.x - x.x
+    dy = v.site.y - x.y
+    d = math.hypot(dx, dy)
+    if d <= r:
+        return None
+    theta_v = math.atan2(dy, dx)
+    phi = math.acos(r / d)
+    begin = normalize_angle(theta_v - phi)
+    return (begin, begin + 2.0 * phi)
+
+
 def weight_at_angle(inst, x, theta):
     """Total weight won by the follower at angle theta."""
     total = 0.0
@@ -125,6 +148,13 @@ def classify_wedge_on_vertical(w, line_x, tol=1e-9):
         raise ValueError("wedge apex does not lie on the line")
     ca = CoveringInterval(begin=w.theta_b, end=w.theta_e, span=w.theta_e - w.theta_b)
     return _classify_from_ca(ca)
+
+
+def evaluations(inst, line, P, telemetry):
+    """The evaluations ``(t, point, result, lean)`` of the exact-median
+    search of the positions ``P`` along the upward ``line``, in order."""
+    [done] = _lockstep(inst, [_evaluations(line, P, telemetry)])
+    return done
 
 
 def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6.0)):
@@ -440,48 +470,35 @@ def reference_disc_crossings(inst):
     return pts
 
 
-def reference_sweep_np(inst, x) -> Optional[Tuple[list, float]]:
-    """The numpy medianoid sweep that returns every gap of the endpoint
-    arrangement as ``((begin, end), weight)``, with the maximum weight."""
-    r = inst.R / 2.0 + inst.eps
-    ws = inst.ws
+def reference_sweep(inst, x) -> Optional[Tuple[list, float]]:
+    """Every gap of the capture-arc arrangement at ``x`` as
+    ``((begin, end), weight)``, and the largest weight, or ``None`` when no
+    customer is capturable.
+
+    The arcs are the block sweep's, computed with numpy one customer row
+    at a time; the gaps run between consecutive distinct endpoints of the
+    arcs of positive width, the last one wrapping past 2 pi; a gap's weight
+    is the ``math.fsum`` of the weights captured at its midpoint.
+    """
+    r = inst.r + inst.eps
     dx = inst.xs - x.x
     dy = inst.ys - x.y
-    d = np.hypot(dx, dy)
-    mask = d > r
-    if not mask.any():
-        return None
-    dxm = dx[mask]
-    dym = dy[mask]
-    dm = d[mask]
-    wm = ws[mask]
-    theta_v = np.arctan2(dym, dxm)
-    phi = np.arccos(r / dm)
+    phi = np.arccos(r / np.maximum(np.hypot(dx, dy), r))
+    begin = np.mod(np.arctan2(dy, dx) - phi, TWO_PI)
     width = 2.0 * phi
-    begin = np.mod(theta_v - phi, TWO_PI)
-    endn = np.mod(begin + width, TWO_PI)
-    angles = np.concatenate([begin, endn])
-    deltas = np.concatenate([wm, -wm])
-    order = np.argsort(angles, kind="stable")
-    a_s = angles[order]
-    d_s = deltas[order]
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(a_s) != 0.0]))
-    uniq = a_s[starts]
-    gd = np.add.reduceat(d_s, starts)
-    m = len(uniq)
-    mid0 = uniq[0] + (uniq[1] - uniq[0]) / 2.0 if m > 1 else uniq[0] + math.pi
-    off = np.mod(mid0 - begin, TWO_PI)
-    w0 = float(wm[(off > 0.0) & (off < width)].sum())
-    weights = np.empty(m)
-    weights[0] = w0
-    if m > 1:
-        weights[1:] = w0 + np.cumsum(gd[1:])
-    best = float(weights.max())
+    end = np.mod(begin + width, TWO_PI)
+    real = width > 0.0
+    if not real.any():
+        return None
+    uniq = np.unique(np.concatenate([begin[real], end[real]])).tolist()
     gaps = []
-    for i in range(m):
-        end = uniq[i + 1] if i + 1 < m else uniq[0] + TWO_PI
-        gaps.append(((float(uniq[i]), float(end)), float(weights[i])))
-    return gaps, best
+    for i, a in enumerate(uniq):
+        b = uniq[i + 1] if i + 1 < len(uniq) else uniq[0] + TWO_PI
+        mid = a + (b - a) / 2.0
+        off = np.mod(mid - begin, TWO_PI)
+        captured = inst.ws[(off > 0.0) & (off < width)]
+        gaps.append(((a, b), math.fsum(captured.tolist())))
+    return gaps, max(w for _, w in gaps)
 
 
 def reference_generate_instance(n, seed, r=2.0, coord_range=50, weight_range=10):

@@ -3,9 +3,11 @@
 
 Parametric and intermediate mode solve six n=100 instances: integer and
 real coordinates, R 2 and 4, coordinate ranges n and 3n, and one instance
-with real weights.  Their weight losses must be bitwise equal, and each
-reported point must re-evaluate to its reported loss.  A failure found here
-becomes a tier-1 regression instance under ``data/``.
+with real weights.  Parametric and the brute oracle solve seeded instances
+of n=13-20, above the CLI's brute limit, with integer and real weights.
+Their weight losses must be bitwise equal, and each reported point must
+re-evaluate to its reported loss.  A failure found here becomes a tier-1
+regression instance under ``data/``.
 """
 
 import random
@@ -13,6 +15,7 @@ import random
 import pytest
 
 from rivalloc.centroid import solve_centroid
+from rivalloc.oracle import brute_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
 from rivalloc.medianoid import solve_medianoid
@@ -64,3 +67,20 @@ def test_parametric_agrees_with_intermediate(name):
         assert solve_medianoid(inst, rep.centroid).weight_loss == rep.weight_loss, mode
         losses[mode] = rep.weight_loss
     assert losses["parametric"] == losses["intermediate"], losses
+
+
+@pytest.mark.agree
+@pytest.mark.parametrize("real_weights", [False, True], ids=["integer", "real"])
+@pytest.mark.parametrize("n", range(13, 21))
+def test_parametric_agrees_with_brute(n, real_weights):
+    inst = generate_instance(n, 100 + n, r=4.0, coord_range=2 * n)
+    if real_weights:
+        rng = random.Random(n)
+        inst = Instance(
+            [Customer(c.site, rng.uniform(0.5, 10.0)) for c in inst.customers], 4.0
+        )
+    losses = {}
+    for rep in (solve_centroid(inst, "parametric"), brute_centroid(inst)):
+        assert solve_medianoid(inst, rep.centroid).weight_loss == rep.weight_loss, rep.solver
+        losses[rep.solver] = rep.weight_loss
+    assert losses["parametric"] == losses["brute"], losses

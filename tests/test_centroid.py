@@ -26,7 +26,13 @@ from rivalloc.centroid import (
 )
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
-from rivalloc.linesearch import Telemetry, build_angular_index
+from rivalloc.linesearch import (
+    STRONG,
+    Telemetry,
+    build_angular_index,
+    local_optima_on_lines,
+    local_optimum_on_line,
+)
 from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import (
     CIRCLE_CIRCLE,
@@ -85,6 +91,43 @@ class TestThreeModeAgreement:
         losses = {m: solve_centroid(inst, mode=m).weight_loss
                   for m in ("parametric", "intermediate", "brute")}
         assert len(set(losses.values())) == 1, losses
+
+
+class TestLineGroups:
+    def test_certifying_intermediate_group_resolves_to_the_earliest_line(self):
+        """Intermediate searches one customer's tangent lines in lockstep and
+        stops after the first round in which one of them certifies.  Here
+        three lines of the first group certify, two of them in the fewest
+        rounds, and the first certifying line is not among those two: the
+        report takes the earlier of the two, and the lines still open read
+        None."""
+        inst = support.seeded_instance(
+            56, n_lo=4, n_hi=9, coord_range=10, r_choices=(6.0, 10.0, 20.0)
+        )
+        idx = build_angular_index(inst)
+        lines = [
+            idx.tangent_line(0, j) for j in range(1, idx.n)
+            if abs(math.sin(idx.ang[0, j])) > VERTICAL_EPS
+        ]
+        alone = []
+        rounds = []
+        for L in lines:
+            tel = Telemetry()
+            alone.append(local_optimum_on_line(inst, idx, L, tel))
+            rounds.append(tel.medianoid_calls if alone[-1].status == STRONG else None)
+        certifying = [k for k, r in enumerate(rounds) if r is not None]
+        fastest = min(rounds[k] for k in certifying)
+        first, second = [k for k in certifying if rounds[k] == fastest][:2]
+        assert certifying[0] < first < second
+
+        group = local_optima_on_lines(inst, idx, lines, Telemetry())
+        assert group[first] == alone[first] and group[second] == alone[second]
+        assert group[certifying[0]] is None
+        for k, opt in enumerate(group):
+            assert opt is None or opt == alone[k], k
+        rep = solve_centroid(inst, "intermediate")
+        assert rep.telemetry["certified"] == "strong centroid on a searched line"
+        assert rep.centroid == alone[first].point
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
-"""Pinned solve reports: a change to a line's breakpoint array or its
-exact-median search, the LM descriptors or LM's weighted median that alters
-any report fails here.
+"""Pinned solve reports: a change to the follower sweep, a line's
+breakpoint array or its exact-median search, the LM descriptors or LM's
+weighted median that alters any report fails here.
 
 The reports in ``data/golden_reports.json`` are exact (point, weight loss,
 witness angle and telemetry without wall time).  Regenerate them only for an
@@ -25,9 +25,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 # the file under 5 s), and n=60 parametric solves that reach no certificate,
 # so they search the boundary lines of the slab the three families leave.
 # In these the LT search leaves no tangent-circle or circle-circle crossing
-# inside the slab; the n=9 seed 3 solve still runs one LM round.  The n=80
-# and n=70 solves run the numpy medianoid sweep (n >= NUMPY_SWEEP_MIN_N); the
-# first reaches no certificate, the second certifies.
+# inside the slab; the n=9 seed 3 solve still runs one LM round.  Of the
+# n=80 and n=70 solves the first reaches no certificate, the second
+# certifies.
 CASES = (
     [(n, 1, 50, "parametric") for n in (8, 12, 24)]
     + [(n, 1, 50, "intermediate") for n in (8, 12, 16)]

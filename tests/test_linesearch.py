@@ -19,7 +19,6 @@ from rivalloc.geom import (
 from rivalloc.linesearch import (
     PARALLEL_EPS,
     Telemetry,
-    _evaluations,
     _explicit_crossings,
     build_angular_index,
     breakpoint_sequences,
@@ -153,7 +152,7 @@ class TestBreakpointSequences:
                 assert abs(g - w) <= COVERAGE_TOL * scale, (trial, g, w)
             lo, hi = -np.inf, np.inf
             line = upward_line(L)
-            for t, _, _, d in _evaluations(inst, line, P, Telemetry()):
+            for t, _, _, d in support.evaluations(inst, line, P, Telemetry()):
                 assert lo < t < hi, (trial, lo, t, hi)
                 if d == UPWARD:
                     lo = t
@@ -263,7 +262,9 @@ class TestPositionTable:
         def scripted_lean(result, up_angle):
             return leans.pop()
 
-        monkeypatch.setattr(linesearch, "solve_medianoid", lambda inst, p: None)
+        monkeypatch.setattr(
+            linesearch, "solve_medianoid_many", lambda inst, points: [None] * len(points)
+        )
         monkeypatch.setattr(linesearch, "lean", scripted_lean)
         cuts = tangencies = 0
         for n in list(range(1, 41)) + [200]:
@@ -295,7 +296,7 @@ class TestPositionTable:
                 script = leans[::-1]
                 tel = Telemetry()
                 steps = 0
-                for t, point, _, d in _evaluations(inst, line, got, tel):
+                for t, point, _, d in support.evaluations(inst, line, got, tel):
                     m = ref[(len(ref) - 1) // 2]
                     assert np.float64(t).tobytes() == np.float64(m).tobytes(), (n, L)
                     assert point == line.point_at(m)
@@ -352,7 +353,7 @@ class TestLocalOptimum:
             lo, hi = -np.inf, np.inf
             masses = []
             evals = 0
-            for t, _, _, d in _evaluations(inst, upward_line(L), P, tel):
+            for t, _, _, d in support.evaluations(inst, upward_line(L), P, tel):
                 evals += 1
                 masses.append(int(np.sum((P > lo) & (P < hi))))
                 if d == UPWARD:

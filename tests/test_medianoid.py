@@ -15,15 +15,16 @@ from rivalloc.medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    capture_arc,
     classify_wedge_on_line,
     solve_medianoid,
+    solve_medianoid_many,
 )
 from rivalloc.oracle import brute_medianoid
 
 TWO_PI = 2.0 * math.pi
 
 arc_contains = support.arc_contains
+capture_arc = support.capture_arc
 classify_wedge_on_vertical = support.classify_wedge_on_vertical
 weight_at_angle = support.weight_at_angle
 
@@ -197,29 +198,51 @@ class TestAgainstDirectCounting:
             )
             assert weight_at_angle(inst, x, theta) == direct
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [62, 63, 64, 65, 90])
     def test_vectorized_sweep_threshold_is_invisible(self, n):
-        # the implementation switches sweep strategies around n = 64; both
-        # sides must agree with the independent oracle
+        """A block of points gives, field for field, what one call per point
+        gives, its losses alone equal theirs, and the losses of the
+        independent oracle.  The block holds
+        SWEEP_BLOCK // (2n) points (66, 66, 64, 63 and 45 here), so the
+        points cross block boundaries; they include customer sites (a leader
+        on a site, d = 0), and points of a second instance with R so large
+        that nothing is capturable, block-wide or in single rows."""
         inst = generate_instance(n, seed=1234, r=2.0, coord_range=120)
         rng = random.Random(n)
-        for _ in range(10):
-            x = Point(rng.uniform(-130, 130), rng.uniform(-130, 130))
-            res = solve_medianoid(inst, x)
-            assert res.weight_loss == brute_medianoid(inst, x)[0]
+        size = medianoid.SWEEP_BLOCK // (2 * n)
+        points = [c.site for c in inst.customers[:10]]
+        points += [Point(rng.uniform(-130, 130), rng.uniform(-130, 130))
+                   for _ in range(2 * size + 7 - len(points))]
+        block = list(solve_medianoid_many(inst, points))
+        assert len(block) == len(points) > 2 * size
+        for x, res in zip(points, block):
+            assert res == solve_medianoid(inst, x), x
+        losses = list(solve_medianoid_many(inst, points, losses=True))
+        assert losses == [res.weight_loss for res in block]
+        for x, res in list(zip(points, block))[::7]:
+            assert res.weight_loss == brute_medianoid(inst, x)[0], x
 
-    def test_numpy_sweep_matches_the_full_gap_reference(self, monkeypatch):
-        # The numpy sweep returns only the maximizing gaps; every derived
-        # field must equal what the sweep over all gaps gives.
-        def full_gap_sweep(inst, x):
-            swept = support.reference_sweep_np(inst, x)
-            if swept is None:
-                return None
-            gaps, best = swept
-            return [g for g, w in gaps if w == best], best
+        # R = 400 covers the whole cloud from near its centre: those rows
+        # capture nothing; the far points capture something.
+        wide = Instance(inst.customers, 400.0)
+        near = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(size + 2)]
+        points = near[:size] + [Point(900.0 + k, -900.0) for k in range(3)] + near
+        block = list(solve_medianoid_many(wide, points))
+        assert sum(res.ca is None for res in block) == 2 * size + 2
+        losses = list(solve_medianoid_many(wide, points, losses=True))
+        assert losses == [res.weight_loss for res in block]
+        for x, res in zip(points, block):
+            assert res == solve_medianoid(wide, x), x
+            assert res.weight_loss == brute_medianoid(wide, x)[0], x
 
+    def test_numpy_sweep_matches_the_full_gap_reference(self):
+        # The block sweep re-sums only the gaps near the row maximum; its
+        # maximizing gaps and loss must equal the reference's over all gaps
+        # summed exactly, and so must every derived field.
         rng = random.Random(64)
-        cases = []
+        cases = 0
+        multi = 0
         for n, seed in ((64, 3), (97, 4), (200, 5)):
             inst = generate_instance(n, seed=seed, r=4.0, coord_range=2 * n)
             # Sites, points inside the cloud (where the maximum is more
@@ -230,13 +253,35 @@ class TestAgainstDirectCounting:
                     Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
                     for _ in range(count)
                 ]
-            cases += [(inst, x, solve_medianoid(inst, x)) for x in points]
-        assert len(cases) >= 500
-        assert sum(len(res.ma.arcs) > 1 for _, _, res in cases) >= 20
-        monkeypatch.setattr(medianoid, "_sweep_np", full_gap_sweep)
-        for inst, x, res in cases:
-            # Every field: ma, ca, wedge, witness angle, weight, certificate.
-            assert res == solve_medianoid(inst, x), x
+            for x, res in zip(points, solve_medianoid_many(inst, points)):
+                gaps, best = support.reference_sweep(inst, x)
+                ma = [g for g, w in gaps if w == best]
+                # Every field: ma, ca, wedge, witness angle, weight, certificate.
+                assert res == medianoid._result(x, ma, best), x
+                cases += 1
+                multi += len(ma) > 1
+        assert cases >= 500
+        assert multi >= 20
+
+    @pytest.mark.parametrize("n", [6, 7, 9, 12, 20, 33, 50, 90])
+    def test_maximizing_set_is_exact_on_real_weights(self, n):
+        """With real weights the running sums round, and gaps of equal exact
+        weight can differ in their last bits: the maximizing arcs must be
+        exactly the gaps whose ``math.fsum`` weight is the largest."""
+        rng = random.Random(1000 + n)
+        base = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
+        inst = Instance(
+            [Customer(c.site, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1))) for c in base.customers],
+            4.0,
+        )
+        spread = 2.0 * n
+        points = [c.site for c in inst.customers]
+        points += [Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+                   for _ in range(250)]
+        for x, res in zip(points, solve_medianoid_many(inst, points)):
+            gaps, best = support.reference_sweep(inst, x)
+            assert res.weight_loss == best, x
+            assert res.ma.arcs == tuple(g for g, w in gaps if w == best), x
 
 
 @settings(max_examples=60, deadline=None)
