@@ -8,17 +8,17 @@ vertical-line decision keeps the closed side of its line, and everything it
 discards is no better than a point on that line, which becomes a boundary
 of the slab; so everything outside the final slab is dominated by a point
 on one of its (at most two) boundary lines.  The three families shrink the
-same slab in turn, each until none of its candidates lies strictly inside:
-the tangent-tangent family by selecting crossings in batches, each exhausted
-by decisions at its median (a hashed sample of line pairs, then the pairs
-whose order by y differs between the two slab ends), the
-tangent-circle family by weighted-median pruning of descriptor windows over
-the angular neighbour orders (built only for the discs that reach the slab,
-since each crossing lies on a disc boundary), and the circle-circle family
-by binary search over its sorted points.  Vertical tangent lines have no
-y-order and are set aside.  The optimum is therefore matched by one line
-search on each boundary line and each vertical tangent line, or at a
-customer site.  A certified optimum found anywhere stops everything early.
+same slab in turn, each until none of its candidates lies strictly inside,
+and each exhausts batches of crossing abscissas by decisions at their
+median: the tangent-tangent family selects its crossings in batches (a
+hashed sample of line pairs, then the pairs whose order by y differs between
+the two slab ends); the tangent-circle family then takes, for each half of
+each disc boundary, the block of tangent lines that meets it in the y-order
+they now share across the slab; the circle-circle family takes its crossing
+points.  Vertical tangent lines have no y-order and are set aside.  The
+optimum is therefore matched by one line search on each boundary line and
+each vertical tangent line, or at a customer site.  A certified optimum
+found anywhere stops everything early.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .geom import (
-    TWO_PI,
     DirectedLine,
     Instance,
     Point,
-    _libm,
     circle_circle_intersections,
     Circle,
 )
@@ -46,7 +44,6 @@ from .linesearch import (
     Telemetry,
     build_angular_index,
     local_optima_on_lines,
-    weighted_median,
 )
 from .vprune import (
     CONDITIONAL_CENTROID,
@@ -232,6 +229,17 @@ def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
         xs = xs[(xs > slab.lo) & (xs < slab.hi)]
 
 
+def _decider(inst, idx, frame, slab: _Slab, telemetry: Telemetry, counter: str):
+    """The vertical-line decision at ``x`` applied to ``slab``, one call
+    counted in the ``telemetry`` field ``counter``."""
+
+    def decide_at(x: float) -> None:
+        setattr(telemetry, counter, getattr(telemetry, counter) + 1)
+        slab.apply(decide(inst, idx, frame, DirectedLine.vertical(x), telemetry), x)
+
+    return decide_at
+
+
 def _lt_lines(idx: AngularIndex, frame: BoundingFrame):
     """LT's lines ``nx*x + ny*y = off`` as arrays ``(nx, ny, off)``: every
     tangent line and the two frame lines, less the vertical ones, whose
@@ -266,11 +274,7 @@ def local_optimal_line_LT(
     """
     lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
     m = telemetry.lt_wires = len(lnx)
-
-    def decide_at(x: float) -> None:
-        telemetry.lt_oracle += 1
-        slab.apply(decide(inst, idx, frame, DirectedLine.vertical(x), telemetry), x)
-
+    decide_at = _decider(inst, idx, frame, slab, telemetry, "lt_oracle")
     # A line drawn as its own partner has den == 0 and drops out.
     telemetry.lt_rounds += 1
     _exhaust(np.concatenate([
@@ -287,232 +291,86 @@ def local_optimal_line_LT(
     return direct_xs
 
 
-# Customers whose descriptors are built together, against all partners.
-LM_BLOCK = 32
+def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
+    """``(line, disc, x)`` for every crossing abscissa x strictly inside
+    ``slab`` of a line and a disc boundary, counted as
+    ``line_circle_intersections`` counts them: two points, or the foot
+    point within ``tol`` of tangency.  The lines' y-order must hold across
+    the slab (see ``local_optimal_line_LM``).
 
-_LM_COLUMNS = ("dv", "du", "dbr", "dlo", "dhi", "dincr", "dx3", "dth0", "drho")
-_LM_DTYPES = (np.int64,) * 5 + (bool,) + (float,) * 3
-
-_HALF_PI = math.pi / 2.0
-_OWN_BOUNDS = np.array([_HALF_PI, 3.0 * _HALF_PI, 5.0 * _HALF_PI])
-
-
-def _columns(*cols) -> List[np.ndarray]:
-    """Descriptor columns ``(v, u, branch, lo, hi, increasing, x3, th0,
-    rho)``, with scalars broadcast to the length of ``v``."""
-    m = len(cols[0])
-    return [np.broadcast_to(c, m) for c in cols]
-
-
-class _LMDescriptors:
-    """Index windows over tangent-circle crossing abscissas.
-
-    Each descriptor is a contiguous window of one customer's angular
-    neighbour order, on one intersection branch with one disc boundary, cut
-    so that the crossing x-coordinate is strictly monotone in the index.
-    Every stored window is non-empty: a cut drops the descriptors it
-    empties and keeps the order of the rest, so a round's work shrinks with
-    the surviving crossings.
-
-    Only the crossings inside ``slab`` are stored.  A window of (v, u)
-    (u = v for own-disc windows) crosses at ``xs[u] + r*c`` with |c| <= 1,
-    and rounding is monotone, so all of them lie in [fl(xs[u] - r),
-    fl(xs[u] + r)]; a partner whose disc misses the open slab gets no row,
-    and the slab cuts remove the rest.  The result equals the full build cut
-    to the slab, in the same order.
+    Arcs are the upper and lower halves of each circle of radius
+    ``sqrt(r*r + 2*tol)`` whose span meets the slab.  Every crossing lies
+    inside that circle, within ``sqrt(3*tol)`` in y of one of its arcs, so
+    it belongs to a line of that arc's block: the lines that come within
+    ``2*sqrt(tol)`` in y of the arc over the part ``[a, b]`` of the closed
+    slab that the arc spans.
     """
+    r = inst.r
+    tol = inst.eps * max(1.0, r)
+    rho2 = r * r + 2.0 * tol
+    rho = math.sqrt(rho2)
+    margin = 2.0 * math.sqrt(tol)
+    a = np.maximum(inst.xs - rho, slab.lo)
+    b = np.minimum(inst.xs + rho, slab.hi)
+    disc = np.tile(np.flatnonzero(a < b), 2)
+    if not len(disc):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    # Order by y strictly inside the slab when an arc reaches it: at a
+    # slab end, lines crossing there would be ordered by rounding.
+    xm = 0.5 * (a.min() + b.max())
+    order = np.argsort((loff - lnx * xm) / lny)
+    m = len(order)
+    up = np.repeat([True, False], len(disc) // 2)
+    sg = np.where(up, 1.0, -1.0)
+    cx, cy, a, b = inst.xs[disc], inst.ys[disc], a[disc], b[disc]
 
-    def __init__(self, idx: AngularIndex, slab: _Slab) -> None:
-        self.idx = idx
-        self.r = r = idx.inst.r
-        reach = (idx.xs + r > slab.lo) & (idx.xs - r < slab.hi)
-        groups = []
-        if idx.angles2.shape[1]:
-            for v0 in range(0, idx.n, LM_BLOCK):
-                groups += self._block(np.arange(v0, min(v0 + LM_BLOCK, idx.n)), reach)
-        cols = [np.concatenate(c) for c in zip(*groups)] or [np.empty(0)] * 9
-        for name, c, t in zip(_LM_COLUMNS, cols, _LM_DTYPES):
-            setattr(self, name, c.astype(t, copy=False))
-        if math.isfinite(slab.lo):
-            self.cut_keep_gt(slab.lo)
-        if math.isfinite(slab.hi):
-            self.cut_keep_lt(slab.hi)
+    def gap(k, s, x):
+        """``sg*(line y - arc y)`` at ``x``: positive beyond the arc, away
+        from the centre; convex in ``x``, as the arc bulges away."""
+        y = (loff[k] - lnx[k] * x) / lny[k]
+        return sg[s] * (y - cy[s]) - np.sqrt(np.maximum(rho2 - (x - cx[s]) ** 2, 0.0))
 
-    def _block(self, vs: np.ndarray, reach: np.ndarray) -> List[List[np.ndarray]]:
-        """Descriptor column groups of customers ``vs`` against every
-        partner whose disc reaches the slab (``reach``): own-disc windows,
-        single crossings toward each partner, and the windows of every
-        monotone piece."""
-        idx = self.idx
-        r = self.r
-        n = idx.n
-        pi = math.pi
-        # Every ordered pair (v, u) with u != v and reach[u], v-major.
-        V = np.repeat(vs, n - 1)
-        U = np.tile(np.arange(n - 1), len(vs))
-        U += U >= V
-        V, U = V[reach[U]], U[reach[U]]
-        th0 = idx.ang[V, U]
-        rho = idx.dist[V, U]
-        xu = idx.xs[U]
-
-        # The tangent toward u touches u's disc boundary.
-        x3 = xu + r * _libm(math.sin, th0)
-
-        # Tangent directions of v whose line meets u's disc: two intervals
-        # when the discs are apart, one half-turn otherwise (slot 1 unused).
-        far = rho > 2.0 * r
-        near = ~far
-        elo = np.full((len(V), 2), np.inf)
-        ehi = np.full((len(V), 2), np.inf)
-        half = _libm(math.asin, 2.0 * r / rho[far])
-        elo[:, 0] = th0
-        ehi[far, 0] = th0[far] + half
-        elo[far, 1] = th0[far] + pi - half
-        ehi[far, 1] = th0[far] + pi
-        ehi[near, 0] = th0[near] + pi
-
-        # Split directions (NaN when absent): where overlapping discs flip
-        # the branch order, and where the crossing passes u's extreme x.
-        splits = np.full((len(V), 6), np.nan)
-        psa = _libm(math.asin, np.minimum(1.0, rho[near] / (2.0 * r)))
-        splits[near, 0] = th0[near] + psa
-        splits[near, 1] = th0[near] + pi - psa
-        b = idx.ys[U] - idx.ys[V]
-        col = 2
-        for px in (xu + r, xu - r):
-            a = px - idx.xs[V]
-            rab = _libm(math.hypot, a, b)
-            ok = np.flatnonzero(rab > r)
-            dw = _libm(math.asin, r / rab[ok])
-            w0 = _libm(math.atan2, b[ok], a[ok])
-            t0 = th0[ok]
-            for c in (w0 + dw, w0 + pi - dw):
-                cc = t0 + ((c - t0) % TWO_PI)
-                inside = (t0 < cc) & (cc < t0 + pi)
-                splits[ok[inside], col] = cc[inside]
-                col += 1
-
-        # Sorted piece boundaries per interval, padded with +inf.
-        bounds = np.empty((len(V), 2, 8))
-        bounds[:, :, 0] = elo
-        bounds[:, :, 1] = ehi
-        with np.errstate(invalid="ignore"):
-            inner = (elo[:, :, None] < splits[:, None, :]) & (
-                splits[:, None, :] < ehi[:, :, None]
-            )
-        bounds[:, :, 2:] = np.where(inner, splits[:, None, :], np.inf)
-        bounds.sort(axis=2)
-
-        # Neighbour-order positions of every boundary, one search per row.
-        pos = np.empty(bounds.shape, dtype=np.int64)
-        own = np.empty((len(vs), 3), dtype=np.int64)
-        starts = np.searchsorted(V, vs).tolist() + [len(V)]
-        for k, v in enumerate(vs):
-            rows = slice(starts[k], starts[k + 1])
-            hits = np.searchsorted(
-                idx.angles2[v],
-                np.concatenate([_OWN_BOUNDS, bounds[rows].ravel()]),
-                side="right",
-            )
-            own[k] = hits[:3]
-            pos[rows] = hits[3:].reshape(-1, 2, 8)
-
-        blo, bhi = bounds[:, :, :-1], bounds[:, :, 1:]
-        lo, hi = pos[:, :, :-1], pos[:, :, 1:]
-        with np.errstate(invalid="ignore"):
-            keep = np.isfinite(bhi) & (bhi - blo > 1e-12) & (hi > lo)
-        p = np.nonzero(keep)[0]
-        amid = (blo[keep] + bhi[keep]) / 2.0
-        pt = th0[p]
-        pr = rho[p]
-        h = pr * _libm(math.sin, amid - pt) - r
-        s = np.sqrt(np.maximum(r * r - h * h, 1e-300))
-        hp = pr * _libm(math.cos, amid - pt)
-        delta = _libm(math.asin, np.maximum(-1.0, np.minimum(1.0, h / r)))
-        # Sign of dx/dalpha on each intersection branch.
-        incr = np.stack([
-            -r * _libm(math.sin, amid + pi - delta) * (1.0 - hp / s) > 0.0,
-            -r * _libm(math.sin, amid + delta) * (1.0 + hp / s) > 0.0,
-        ], axis=1).ravel()
-
-        # Touch points of v's own tangent family on its own disc boundary,
-        # x = site_x + r sin(alpha): decreasing, then increasing.
-        own_v = np.concatenate([vs, vs])
-        own_lo = own[:, :2].T.ravel()
-        own_hi = own[:, 1:].T.ravel()
-        own_incr = np.repeat([False, True], len(vs))
-        live = (own_hi > own_lo) & reach[own_v]
-        p2 = np.repeat(p, 2)
-        return [
-            _columns(own_v[live], own_v[live], 0, own_lo[live], own_hi[live],
-                     own_incr[live], 0.0, 0.0, 1.0),
-            _columns(V, U, 3, 0, 1, True, x3, 0.0, 1.0),
-            _columns(V[p2], U[p2], np.tile([1, 2], len(p)), np.repeat(lo[keep], 2),
-                     np.repeat(hi[keep], 2), incr, 0.0, th0[p2], rho[p2]),
-        ]
-
-    def total_mass(self) -> int:
-        return int(np.sum(self.dhi - self.dlo))
-
-    def _x_at(self, pos: np.ndarray, d=slice(None)) -> np.ndarray:
-        """Crossing abscissas at window offsets ``pos`` of descriptors
-        ``d`` (all of them by default)."""
-        idx = self.idx
-        r = self.r
-        ip = np.clip(self.dlo[d] + pos, 0, idx.angles2.shape[1] - 1)
-        alpha = idx.angles2[self.dv[d], ip]
-        br = self.dbr[d]
-        with np.errstate(invalid="ignore"):
-            h = self.drho[d] * np.sin(alpha - self.dth0[d]) - r
-            delta = np.arcsin(np.clip(h / r, -1.0, 1.0))
-            gamma = np.where(br == 1, alpha + math.pi - delta, alpha + delta)
-            x = idx.xs[self.du[d]] + r * np.cos(gamma)
-            x = np.where(br == 0, idx.xs[self.dv[d]] + r * np.sin(alpha), x)
-        return np.where(br == 3, self.dx3[d], x)
-
-    def middles(self) -> Tuple[np.ndarray, np.ndarray]:
-        lens = self.dhi - self.dlo
-        return self._x_at((lens - 1) // 2), lens
-
-    def _count_leading(self, X: float, keep_gt: bool) -> np.ndarray:
-        """Per descriptor: length of the maximal leading run that will be
-        dropped (keep_gt) or kept (not keep_gt) under the cut at X.  Each
-        step evaluates only the descriptors still searching."""
-        lo = np.zeros_like(self.dlo)
-        hi = self.dhi - self.dlo
-        s = np.arange(len(lo))
+    def first(pred):
+        """Per arc, the least position, counted from the arc's centre
+        side (the lower arc walks the y-order backwards), whose line
+        satisfies ``pred``, which holds on a suffix of that walk."""
+        lo = np.zeros(len(disc), dtype=np.int64)
+        hi = np.full(len(disc), m, dtype=np.int64)
+        s = np.arange(len(disc))
         while len(s):
             mid = (lo[s] + hi[s]) >> 1
-            x = self._x_at(mid, s)
-            if keep_gt:
-                cond = np.where(self.dincr[s], x <= X, x > X)
-            else:
-                cond = np.where(self.dincr[s], x < X, x >= X)
-            lo[s] = np.where(cond, mid + 1, lo[s])
-            hi[s] = np.where(cond, hi[s], mid)
+            hit = pred(order[np.where(up[s], mid, m - 1 - mid)], s)
+            hi[s] = np.where(hit, mid, hi[s])
+            lo[s] = np.where(hit, lo[s], mid + 1)
             s = s[lo[s] < hi[s]]
         return lo
 
-    def _compact(self) -> None:
-        """Drop the emptied descriptors from every column, keeping the
-        order of the survivors."""
-        live = self.dhi > self.dlo
-        if not live.all():
-            for name in _LM_COLUMNS:
-                setattr(self, name, getattr(self, name)[live])
+    # The convex gap peaks at an end of [a, b] and bottoms out where the
+    # line's slope meets the arc's, clipped to [a, b].
+    p0 = first(lambda k, s: np.maximum(gap(k, s, a[s]), gap(k, s, b[s])) >= -margin)
+    p1 = first(lambda k, s: gap(k, s, np.clip(
+        cx[s] + sg[s] * rho * lnx[k] * np.sign(lny[k]), a[s], b[s])) > margin)
+    start = np.where(up, p0, m - p1)
+    cnt = np.maximum(np.where(up, p1, m - p0) - start, 0)
+    owner = np.repeat(np.arange(len(cnt)), cnt)
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(cnt) - cnt, cnt) + start[owner]
 
-    def cut_keep_gt(self, X: float) -> None:
-        c = self._count_leading(X, keep_gt=True)
-        self.dlo = np.where(self.dincr, self.dlo + c, self.dlo)
-        self.dhi = np.where(self.dincr, self.dhi, np.minimum(self.dhi, self.dlo + c))
-        self._compact()
-
-    def cut_keep_lt(self, X: float) -> None:
-        c = self._count_leading(X, keep_gt=False)
-        self.dhi = np.where(self.dincr, np.minimum(self.dhi, self.dlo + c), self.dhi)
-        self.dlo = np.where(self.dincr, self.dlo, self.dlo + c)
-        self._compact()
+    # Both arcs may hold a line; take each (line, disc) pair once.
+    n = inst.n
+    key = np.unique(order[pos] * n + disc[owner])
+    k, u = np.divmod(key, n)
+    s = loff[k] - lnx[k] * inst.xs[u] - lny[k] * inst.ys[u]
+    d = r * r - s * s
+    meet = d >= -tol
+    k, u, s, d = k[meet], u[meet], s[meet], d[meet]
+    foot = inst.xs[u] + s * lnx[k]
+    two = d > tol
+    h = np.sqrt(np.where(two, d, 0.0)) * lny[k]
+    k = np.concatenate([k, k[two]])
+    u = np.concatenate([u, u[two]])
+    x = np.concatenate([foot - h, foot[two] + h[two]])
+    inside = (x > slab.lo) & (x < slab.hi)
+    return k[inside], u[inside], x[inside]
 
 
 def local_optimal_line_LM(
@@ -523,37 +381,31 @@ def local_optimal_line_LM(
     telemetry: Telemetry,
 ) -> None:
     """Shrink ``slab`` until no tangent-circle crossing lies strictly
-    inside it.
+    inside it; LT must have run on it first.
 
-    The descriptor windows are built only for partners whose discs reach
-    the slab, and cut to it (see ``_LMDescriptors``): the window work is
-    O(n) per such partner, and none when LT left no disc in the slab.  Each
-    round then decides at the weighted median of the window middles and
-    cuts the windows to the kept side, which discards at least an eighth of
-    the crossings still inside, until none is left.
+    LT leaves no two of its lines (``_lt_lines``) crossing strictly inside
+    the slab, so one y-order holds across it.  It is taken at an interior
+    point, since two lines crossing at a slab end would be ordered there
+    by rounding.  Over the part of the slab spanned by one half, upper or
+    lower, of a disc boundary, the lines wholly on the centre side of that
+    arc come first (seen from the arc), then the lines that touch or cross
+    it, then the lines wholly beyond it.  So the lines meeting the arc form
+    one block, found by two binary searches with an O(1) test per probe
+    (``_circle_crossings``).  Blocks are per arc, not per disc: a line may
+    pass through a disc inside the slab and cross its boundary only
+    outside.  The test keeps a margin, so a line within ``tol`` of
+    tangency, whose crossing is its foot point, falls in a block: its own
+    two discs, and a third disc exactly 2r away, as on the integer grid.
+    Each line in a block gives at most two crossing abscissas; the C
+    strictly inside the slab are exhausted (``_exhaust``) in at most
+    floor(log2 C) + 1 decisions, and a decision only shrinks the slab, so
+    the order stays valid.  Vertical tangent lines have no y-order; LT sets
+    them aside to be searched directly.  The frame lines never meet a disc.
     """
-    descs = _LMDescriptors(idx, slab)
-    mass0 = descs.total_mass()
-    telemetry.lm_mass0 = mass0
-    budget = 2.0 * (math.log(max(mass0, 2)) / math.log(8.0 / 7.0) + 8)
-    while descs.total_mass():
-        mass = descs.total_mass()
-        vals, lens = descs.middles()
-        x_med = weighted_median(vals, lens.astype(float))
-        dec = decide(inst, idx, frame, DirectedLine.vertical(x_med), telemetry)
-        telemetry.lm_rounds += 1
-        slab.apply(dec, x_med)
-        if dec.kind == PRUNE_LEFT:
-            descs.cut_keep_gt(x_med)
-        else:
-            descs.cut_keep_lt(x_med)
-        pruned = mass - descs.total_mass()
-        if pruned * 8 < mass:
-            raise RuntimeError(
-                "tangent-circle pruning fell below the guaranteed fraction"
-            )
-        if telemetry.lm_rounds > budget:
-            raise RuntimeError("tangent-circle pruning exceeded its round budget")
+    lnx, lny, loff, _ = _lt_lines(idx, frame)
+    xs = _circle_crossings(lnx, lny, loff, inst, slab)[2]
+    telemetry.lm_mass0 = len(xs)
+    _exhaust(xs, slab, _decider(inst, idx, frame, slab, telemetry, "lm_rounds"))
 
 
 def _disc_crossings(inst: Instance) -> List[Point]:
@@ -586,20 +438,11 @@ def local_optimal_line_LC(
     telemetry: Telemetry,
 ) -> None:
     """Shrink ``slab`` until no disc-boundary crossing lies strictly inside
-    it, by binary search over the sorted crossing abscissas inside it."""
-    xs = np.sort(np.array([p.x for p in _disc_crossings(inst)], dtype=float))
+    it, by exhausting their abscissas (``_exhaust``)."""
+    xs = np.array([p.x for p in _disc_crossings(inst)], dtype=float)
     telemetry.lc_points = len(xs)
-    lo = int(np.searchsorted(xs, slab.lo, side="right"))
-    hi = int(np.searchsorted(xs, slab.hi, side="left"))
-    while hi > lo:
-        X = float(xs[(lo + hi) // 2])
-        dec = decide(inst, idx, frame, DirectedLine.vertical(X), telemetry)
-        telemetry.lc_steps += 1
-        slab.apply(dec, X)
-        if dec.kind == PRUNE_LEFT:
-            lo = int(np.searchsorted(xs, X, side="right"))
-        else:
-            hi = int(np.searchsorted(xs, X, side="left"))
+    _exhaust(xs[(xs > slab.lo) & (xs < slab.hi)], slab,
+             _decider(inst, idx, frame, slab, telemetry, "lc_steps"))
 
 
 def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:

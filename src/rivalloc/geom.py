@@ -45,8 +45,9 @@ def _libm(fn, *args: np.ndarray) -> np.ndarray:
     """``fn`` from the math module applied elementwise to 1-D arrays.
 
     numpy's vectorised transcendental functions may differ from the C
-    library in the last bit; window bounds and branch directions are
-    computed with the scalar functions so that they never depend on which
+    library in the last bit; decisions that must match a scalar
+    computation (such as which tangent directions are parallel to a query
+    line) use the scalar functions so that they never depend on which
     implementation ran.
     """
     return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)

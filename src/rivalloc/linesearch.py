@@ -55,7 +55,7 @@ from .medianoid import (
 PARALLEL_EPS = 1e-12
 
 # Two neighbours closer than this in polar angle around a common customer
-# make the sorted neighbour order ambiguous.
+# are collinear with it, and its tangent lines toward them coincide.
 ANGLE_DUP_EPS = 1e-12
 
 ORDINARY = "ordinary"
@@ -81,8 +81,8 @@ class Telemetry:
     lt_wires: int = 0
     lt_rounds: int = 0  # crossing batches LT exhausted
     lt_oracle: int = 0
-    lm_mass0: int = 0  # tangent-circle crossings inside the slab at LM start
-    lm_rounds: int = 0
+    lm_mass0: int = 0  # tangent-circle crossings left inside LT's slab
+    lm_rounds: int = 0  # LM's decisions, at most floor(log2 lm_mass0) + 1
     lc_points: int = 0
     lc_steps: int = 0
     wall_time_s: float = 0.0
@@ -93,7 +93,7 @@ class Telemetry:
 
 
 class AngularIndex:
-    """Per-customer angular neighbour orders plus canonical tangent storage.
+    """Polar angles between customers plus canonical tangent storage.
 
     For every ordered pair ``(i, j)`` the tangent line lying at distance
     ``r`` to the right of the direction from ``i`` to ``j`` is stored once as
@@ -115,28 +115,21 @@ class AngularIndex:
         dy = ys[None, :] - ys[:, None]
         ang = np.arctan2(dy, dx) % TWO_PI
         ang[ang >= TWO_PI] = 0.0
-        self.dist = np.hypot(dx, dy)
         np.fill_diagonal(ang, np.nan)
         self.ang = ang
 
-        m = max(n - 1, 0)
-        sorted_ang = np.empty((n, m), dtype=float)
         all_idx = np.arange(n)
-        for i in range(n):
+        for i in range(n if n > 2 else 0):  # a lone neighbour shares no angle
             js = np.delete(all_idx, i)
             a = ang[i, js]
             srt = np.argsort(a, kind="stable")
-            av = a[srt]
-            if m > 1:
-                gaps = np.diff(av)
-                k = int(np.argmin(gaps))
-                if gaps[k] < ANGLE_DUP_EPS:
-                    raise DegenerateInputError(
-                        "customers %d and %d share the polar angle around "
-                        "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
-                    )
-            sorted_ang[i] = av
-        self.angles2 = np.concatenate([sorted_ang, sorted_ang + TWO_PI], axis=1)
+            gaps = np.diff(a[srt])
+            k = int(np.argmin(gaps))
+            if gaps[k] < ANGLE_DUP_EPS:
+                raise DegenerateInputError(
+                    "customers %d and %d share the polar angle around "
+                    "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
+                )
 
         nx = np.sin(ang)
         ny = -np.cos(ang)
@@ -239,18 +232,6 @@ def breakpoint_sequences(
     np.subtract(idx.tan_off[keep], T, out=T)
     T /= den
     return np.concatenate([T, _explicit_crossings(idx, line, extra_lines)])
-
-
-def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    """Smallest value m with weight below m and weight above m both <= W/2."""
-    if len(values) == 0:
-        raise ValueError("weighted median of an empty collection")
-    if (weights < 0).any():
-        raise ValueError("negative weight")
-    order = np.argsort(values, kind="stable")
-    csum = np.cumsum(weights[order])
-    k = int(np.searchsorted(csum, csum[-1] / 2.0, side="left"))
-    return float(values[order[min(k, len(order) - 1)]])
 
 
 def lean(result: MedianoidResult, up_angle: float) -> str:

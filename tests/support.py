@@ -11,6 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from rivalloc.centroid import VERTICAL_EPS
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_EPS,
@@ -317,97 +318,6 @@ def reference_general_position_violation(inst):
     return None
 
 
-def reference_lm_descriptors(idx):
-    """The per-pair loop that ``_LMDescriptors`` vectorises.
-
-    Returns one tuple ``(v, u, branch, lo, hi, increasing, x3, th0, rho)``
-    per descriptor, in the loop's order.
-    """
-    inst = idx.inst
-    n = idx.n
-    r = inst.r
-    out = []
-
-    def add(v, u, br, lo, hi, incr, x3=0.0, th0=0.0, rho=1.0):
-        out.append((v, u, br, lo, hi, incr, x3, th0, rho))
-
-    half_pi = math.pi / 2.0
-    for v in range(n):
-        row = idx.angles2[v]
-        if len(row) == 0:
-            continue
-        # Touch points of this customer's own tangent family on its own
-        # disc boundary: x = site_x + r sin(alpha).
-        for blo, bhi, incr in (
-            (half_pi, 3.0 * half_pi, False),
-            (3.0 * half_pi, 5.0 * half_pi, True),
-        ):
-            lo_i = int(np.searchsorted(row, blo, side="right"))
-            hi_i = int(np.searchsorted(row, bhi, side="right"))
-            if hi_i > lo_i:
-                add(v, v, 0, lo_i, hi_i, incr)
-        for u in range(n):
-            if u == v:
-                continue
-            th0 = float(idx.ang[v, u])
-            rho = float(idx.dist[v, u])
-            # The tangent toward u touches u's disc boundary.
-            add(v, u, 3, 0, 1, True, x3=idx.xs[u] + r * math.sin(th0))
-            if rho > 2.0 * r:
-                half = math.asin(2.0 * r / rho)
-                intervals = (
-                    (th0, th0 + half),
-                    (th0 + math.pi - half, th0 + math.pi),
-                )
-                flips: Tuple[float, ...] = ()
-            else:
-                intervals = ((th0, th0 + math.pi),)
-                psa = math.asin(min(1.0, rho / (2.0 * r)))
-                flips = (th0 + psa, th0 + math.pi - psa)
-            splits: List[float] = list(flips)
-            for px in (idx.xs[u] + r, idx.xs[u] - r):
-                a = px - idx.xs[v]
-                b = idx.ys[u] - idx.ys[v]
-                rab = math.hypot(a, b)
-                if rab <= r:
-                    continue
-                dw = math.asin(r / rab)
-                w0 = math.atan2(b, a)
-                for c in (w0 + dw, w0 + math.pi - dw):
-                    cc = th0 + ((c - th0) % TWO_PI)
-                    if th0 < cc < th0 + math.pi:
-                        splits.append(cc)
-            splits.sort()
-            for elo, ehi in intervals:
-                bounds = [elo]
-                bounds.extend(s for s in splits if elo < s < ehi)
-                bounds.append(ehi)
-                for bi in range(len(bounds) - 1):
-                    blo, bhi = bounds[bi], bounds[bi + 1]
-                    if bhi - blo <= 1e-12:
-                        continue
-                    lo_i = int(np.searchsorted(row, blo, side="right"))
-                    hi_i = int(np.searchsorted(row, bhi, side="right"))
-                    if hi_i <= lo_i:
-                        continue
-                    amid = (blo + bhi) / 2.0
-                    h = rho * math.sin(amid - th0) - r
-                    s = math.sqrt(max(r * r - h * h, 1e-300))
-                    hp = rho * math.cos(amid - th0)
-                    delta = math.asin(max(-1.0, min(1.0, h / r)))
-                    for br in (1, 2):
-                        if br == 1:
-                            gamma = amid + math.pi - delta
-                            dgamma = 1.0 - hp / s
-                        else:
-                            gamma = amid + delta
-                            dgamma = 1.0 + hp / s
-                        dx = -r * math.sin(gamma) * dgamma
-                        add(v, u, br, lo_i, hi_i, dx > 0.0,
-                            th0=th0, rho=rho)
-    return out
-
-
 def reference_tangent_crossings(idx, line):
     """The per-pair loop that ``breakpoint_sequences`` vectorises: the
     crossing position along the upward ``line`` of every stored tangent
@@ -539,15 +449,6 @@ def reference_generate_instance(n, seed, r=2.0, coord_range=50, weight_range=10)
     return Instance(customers, r)
 
 
-def remaining_xs(descs):
-    """Abscissas of every crossing an ``_LMDescriptors`` still holds,
-    descriptor by descriptor."""
-    lens = descs.dhi - descs.dlo
-    d = np.repeat(np.arange(len(lens)), lens)
-    k = np.arange(len(d)) - np.repeat(np.cumsum(lens) - lens, lens)
-    return descs._x_at(k, d).tolist()
-
-
 def reference_inverted_pairs(lnx, lny, loff, lo, hi):
     """Every pair ``(i, j)``, i < j, of lines ``nx*x + ny*y = off`` whose
     order by y just right of ``lo`` differs from that just left of ``hi``,
@@ -577,3 +478,55 @@ def reference_inverted_pairs(lnx, lny, loff, lo, hi):
         (i, j) for i in range(m) for j in range(i + 1, m)
         if below(i, j, lo, True) != below(i, j, hi, False)
     }
+
+
+def line_crossing_xs(lnx, lny, loff):
+    """Every crossing abscissa of two lines ``nx*x + ny*y = off``, pair by
+    pair, by the expression LT's crossing batches use; a pair with
+    ``|den| <= VERTICAL_EPS`` is parallel and never crosses."""
+    xs = []
+    for i in range(len(lnx)):
+        for j in range(i + 1, len(lnx)):
+            den = lnx[j] * lny[i] - lnx[i] * lny[j]
+            if abs(den) > VERTICAL_EPS:
+                xs.append((loff[j] * lny[i] - loff[i] * lny[j]) / den)
+    return xs
+
+
+def reference_circle_crossings(lnx, lny, loff, inst, lo, hi):
+    """The full line-by-disc scan that LM's block search narrows: every
+    ``(line, disc, x)`` with the crossing abscissa x of the line and the
+    disc boundary strictly inside (lo, hi), counted as
+    ``line_circle_intersections`` counts them (two points, or the foot
+    point within ``tol`` of tangency), pair by pair."""
+    r = inst.r
+    tol = inst.eps * max(1.0, r)
+    out = set()
+    for k in range(len(lnx)):
+        nx, ny, off = float(lnx[k]), float(lny[k]), float(loff[k])
+        for u in range(inst.n):
+            cx, cy = float(inst.xs[u]), float(inst.ys[u])
+            s = off - nx * cx - ny * cy
+            d = r * r - s * s
+            if d < -tol:
+                continue
+            foot = cx + s * nx
+            if d > tol:
+                h = math.sqrt(d) * ny
+                xs = [foot - h, foot + h]
+            else:
+                xs = [foot]
+            out.update((k, u, x) for x in xs if lo < x < hi)
+    return out
+
+
+def candidates_inside(inst, cands, tags, slab, direct_xs):
+    """The candidates ``(point, tag)`` of the families ``tags`` more than
+    ``inst.eps`` inside ``slab``, less those on a vertical line at one of
+    ``direct_xs`` (searched directly)."""
+    eps = inst.eps
+    return [
+        (p.x, p.y, tag) for p, tag in cands
+        if tag in tags and slab.lo + eps < p.x < slab.hi - eps
+        and all(abs(p.x - x) > eps for x in direct_xs)
+    ]

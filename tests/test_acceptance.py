@@ -268,8 +268,8 @@ def test_progress_and_round_budgets():
     breakpoint mass, and the two staged line selections stay within their
     budgets (LT's crossing batches: 3*ceil(log2 wires) + 4 decisions, one
     sample batch and one exact batch of at most 4*wires crossings, each
-    halved per decision, with room for one thinned batch; mass shrink:
-    2*(log base 8/7 of the mass + 8) rounds)."""
+    halved per decision, with room for one thinned batch; LM's one batch
+    of mass0 crossings: floor(log2 mass0) + 1 decisions)."""
     rng = random.Random(0xACCE55)
     lt_seen = lm_seen = fractions_seen = 0
     for trial in range(30):
@@ -288,7 +288,7 @@ def test_progress_and_round_budgets():
         mass0 = tel["lm_mass0"]
         if mass0:
             lm_seen += 1
-            bound = 2.0 * (math.log(max(mass0, 2)) / math.log(8.0 / 7.0) + 8.0)
+            bound = math.floor(math.log2(mass0)) + 1
             assert tel["lm_rounds"] <= bound, (trial, mass0, tel["lm_rounds"])
     assert lt_seen > 0 and lm_seen > 0 and fractions_seen > 0
 

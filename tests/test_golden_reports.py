@@ -1,6 +1,6 @@
 """Pinned solve reports: a change to the follower sweep, a line's
-breakpoint array or its exact-median search, the LM descriptors or LM's
-weighted median that alters any report fails here.
+breakpoint array or its exact-median search, or to the crossing batches
+LT, LM and LC exhaust that alters any report fails here.
 
 The reports in ``data/golden_reports.json`` are exact (point, weight loss,
 witness angle and telemetry without wall time).  Regenerate them only for an

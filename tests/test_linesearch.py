@@ -4,7 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import support
 from rivalloc import linesearch
@@ -24,7 +23,6 @@ from rivalloc.linesearch import (
     breakpoint_sequences,
     local_optimum_on_line,
     upward_line,
-    weighted_median,
 )
 from rivalloc.medianoid import DOWNWARD, UPWARD, solve_medianoid
 
@@ -36,57 +34,6 @@ expected_positions = support.expected_positions
 
 def sorted_positions(P):
     return sorted(P.tolist())
-
-
-def median_of(items):
-    values = np.array([v for v, _ in items], dtype=float)
-    weights = np.array([w for _, w in items], dtype=float)
-    return weighted_median(values, weights)
-
-
-class TestWeightedMedian:
-    @pytest.mark.parametrize(
-        "items,expected",
-        [
-            ([(5.0, 1.0)], 5.0),
-            ([(1.0, 1.0), (2.0, 1.0)], 1.0),
-            ([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)], 2.0),
-            ([(1.0, 1.0), (10.0, 9.0)], 10.0),
-            ([(10.0, 9.0), (1.0, 1.0)], 10.0),
-            ([(3.0, 2.0), (7.0, 1.0), (9.0, 1.0)], 3.0),
-        ],
-    )
-    def test_fixed_tables(self, items, expected):
-        assert median_of(items) == expected
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median_of([])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            median_of([(1.0, 1.0), (2.0, -1.0)])
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(-50, 50), st.integers(1, 9)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_matches_prefix_sum_definition(self, raw):
-        items = [(float(v), float(w)) for v, w in raw]
-        got = median_of(items)
-        total = sum(w for _, w in items)
-        acc = 0.0
-        want = None
-        for v, w in sorted(items):
-            acc += w
-            if acc >= total / 2.0:
-                want = v
-                break
-        assert got == want
 
 
 class TestAngularIndex:
@@ -225,7 +172,7 @@ class TestTangentSequences:
             base = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
             Rs = [2.0, 3.0 * (n + 10)]
             if n > 1:
-                Rs.append(float(build_angular_index(base).dist[0, 1]))
+                Rs.append(float(np.hypot(base.xs[1] - base.xs[0], base.ys[1] - base.ys[0])))
             # Discs mostly apart, mostly overlapping, and one pair at rho == 2r.
             for R in Rs:
                 inst = Instance(base.customers, R)
@@ -240,9 +187,11 @@ class TestTangentSequences:
                     par = np.abs(np.sin(idx.ang - line.angle)) <= PARALLEL_EPS
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
-                regimes["apart"] += int(np.sum(idx.dist[off] > R))
-                regimes["touching"] += int(np.sum(idx.dist[off] == R))
-                regimes["overlapping"] += int(np.sum(idx.dist[off] < R))
+                dist = np.hypot(idx.xs[None, :] - idx.xs[:, None],
+                                idx.ys[None, :] - idx.ys[:, None])[off]
+                regimes["apart"] += int(np.sum(dist > R))
+                regimes["touching"] += int(np.sum(dist == R))
+                regimes["overlapping"] += int(np.sum(dist < R))
         assert all(count > 0 for count in regimes.values()), regimes
         assert lines_with_parallel > 100
 
