@@ -277,9 +277,80 @@ def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:
     return abs(cross) <= eps * span
 
 
-# Rows of the pair matrix examined at once by the collinearity check; bounds
-# its temporaries to _GP_ROWS x n entries whatever the instance size.
-_GP_ROWS = 64
+def _first_close_pair(v: np.ndarray, eps: float) -> int:
+    """Key ``i * n + j`` of the least index pair ``i < j`` with
+    ``|v[j] - v[i]| <= eps``, or ``n * n`` when there is none.
+
+    The rounded difference is monotone in each operand, so in sorted order
+    the values within ``eps`` of one value form a run around it: only
+    neighbours up to the widest such run are compared.
+    """
+    n = len(v)
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    best = n * n
+    for w in range(1, n):
+        close = s[w:] - s[:-w] <= eps
+        if not close.any():
+            break
+        a, b = order[:-w][close], order[w:][close]
+        best = min(best, int((np.minimum(a, b) * n + np.maximum(a, b)).min()))
+    return best
+
+
+def _first_collinear_triple(xs: np.ndarray, ys: np.ndarray, eps: float) -> Optional[Tuple[int, int, int]]:
+    """The least index triple that ``collinear`` accepts, found through the
+    angular prefilter of ``general_position_violation``; the sites must not
+    share a coordinate."""
+    n = len(xs)
+    if n < 3:
+        return None
+    u = np.finfo(float).eps / 2.0
+    earlier = np.tri(n, dtype=bool)  # [i, j] is True for j <= i
+    dx = xs - xs[:, None]  # [i, j] is the offset of site j from site i
+    dy = ys - ys[:, None]
+    dist = np.hypot(dx, dy)
+    dist[earlier] = np.inf
+    dmin = dist.min(axis=1)
+    del dist
+    ang = np.arctan2(dy, dx, out=dx)
+    del dy
+    np.mod(ang, math.pi, out=ang)
+    ang[earlier] = np.nan
+    ang.sort(axis=1)  # row i: its n - 1 - i angles, then NaN
+    s = eps / np.minimum(dmin, dmin * dmin) + 8.0 * u
+    delta = np.arcsin(np.minimum(s, 1.0)) + 32.0 * np.spacing(math.pi)
+
+    rows = np.arange(n - 2)
+    last = ang[rows, n - 2 - rows]
+    near = (ang[:, 1:] <= ang[:, :-1] + delta[:, None]).any(axis=1)[: n - 2]
+    near |= ang[rows, 0] + math.pi <= last + delta[: n - 2]
+    for i in np.flatnonzero(near).tolist():
+        dxi = xs[i + 1:] - xs[i]
+        dyi = ys[i + 1:] - ys[i]
+        reach = np.maximum(np.abs(dxi), np.abs(dyi))
+        m = len(dxi)
+        a = np.arctan2(dyi, dxi) % math.pi
+        order = np.argsort(a, kind="stable")
+        t = a[order]
+        # Each position pairs with the later ones, across the wrap at pi
+        # too, whose angle is within delta of its own.
+        pos = np.arange(m)
+        ext = np.concatenate([t, t + math.pi])
+        hi = np.minimum(np.searchsorted(ext, t + delta[i], side="right"), pos + m)
+        count = hi - pos - 1
+        p = np.repeat(pos, count)
+        q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)
+        j = order[p]
+        k = order[q % m]
+        j, k = np.minimum(j, k), np.maximum(j, k)
+        cross = dxi[j] * dyi[k] - dyi[j] * dxi[k]
+        span = np.maximum(np.maximum(reach[j], reach[k]), 1.0)
+        bad = np.abs(cross) <= eps * span
+        if bad.any():
+            jk = int((j * m + k)[bad].min())
+            return i, i + 1 + jk // m, i + 1 + jk % m
+    return None
 
 
 def general_position_violation(inst: Instance) -> Optional[str]:
@@ -290,40 +361,55 @@ def general_position_violation(inst: Instance) -> Optional[str]:
     are checked before triples, each in lexicographic index order, x before
     y, and a triple is collinear under the same test as ``collinear``: the
     cross product against ``eps`` times the largest coordinate offset.
+
+    The check takes O(n^2 log n) time, not the O(n^3) of trying every
+    triple.  Pairs come from the sorted x's and y's.  For triples, take row
+    i: the offsets d_j = (dx_j, dy_j) of the later sites j > i from site i.
+    A pair j < k is collinear with i when, in floating point,
+
+        |dx_j dy_k - dy_j dx_k| <= eps * max(reach_j, reach_k, 1),
+
+    where reach is the larger absolute component of an offset, so
+    reach <= |d|.  The rounded cross product is within 2.0001 u |d_j| |d_k|
+    of the exact |d_j| |d_k| sin(Delta), with u the unit roundoff and Delta
+    the angle between the two offsets modulo pi.  Dividing by |d_j| |d_k|,
+    a collinear pair has
+
+        |sin(Delta)| <= eps / min(dmin_i, dmin_i^2) + 8 u =: s_i,
+
+    dmin_i being the least distance from site i to a later site; the
+    slack over 2.0001 u covers the rounding of s_i itself while s_i < 1.
+    dmin_i > eps because no two sites share a coordinate once the pairs
+    pass.  So Delta <= arcsin(min(s_i, 1)).  Each row's angles arctan2(dy,
+    dx) modulo pi are sorted, and delta_i is arcsin(min(s_i, 1)) plus 32
+    ulps of pi, which covers the rounding of arctan2, of the reduction
+    modulo pi (and its pi against the true one), of arcsin and of the
+    sums below, a few ulps each.  A collinear pair then lies within delta_i
+    in the sorted order, directly or across the wrap from pi to 0.  A row
+    none of whose adjacent angles, the wrap included, lie within delta_i
+    of each other holds no collinear pair; on a valid instance that is
+    every row.  The pairs within delta_i in the other rows go through the
+    test above, with the same operations in the same order, so the message
+    is the one the loop over all triples gives.
     """
     eps = inst.eps
     sites = [c.site for c in inst.customers]
-    xs, ys = inst.xs, inst.ys
     n = inst.n
-    for i in range(n - 1):
-        shared_x = np.abs(xs[i + 1:] - xs[i]) <= eps
-        shared = shared_x | (np.abs(ys[i + 1:] - ys[i]) <= eps)
-        if shared.any():
-            k = int(np.argmax(shared))
-            j = i + 1 + k
-            if shared_x[k]:
-                return (
-                    f"customers {i} and {j} share x coordinate "
-                    f"({sites[i].x} vs {sites[j].x})"
-                )
+    first_x = _first_close_pair(inst.xs, eps)
+    first_y = _first_close_pair(inst.ys, eps)
+    if min(first_x, first_y) < n * n:
+        if first_x <= first_y:
+            i, j = divmod(first_x, n)
             return (
-                f"customers {i} and {j} share y coordinate "
-                f"({sites[i].y} vs {sites[j].y})"
+                f"customers {i} and {j} share x coordinate "
+                f"({sites[i].x} vs {sites[j].x})"
             )
-    for i in range(n - 2):
-        # Offsets of the later sites from site i; entry [a, b] of a block
-        # pairs site i+1+j0+a with site i+2+j0+b, so b >= a keeps k > j.
-        dx = xs[i + 1:] - xs[i]
-        dy = ys[i + 1:] - ys[i]
-        reach = np.maximum(np.abs(dx), np.abs(dy))
-        m = len(dx)
-        for j0 in range(0, m - 1, _GP_ROWS):
-            j1 = min(j0 + _GP_ROWS, m - 1)
-            cross = np.multiply.outer(dx[j0:j1], dy[j0 + 1:])
-            cross -= np.multiply.outer(dy[j0:j1], dx[j0 + 1:])
-            span = np.maximum(np.maximum.outer(reach[j0:j1], reach[j0 + 1:]), 1.0)
-            bad = np.triu(np.abs(cross) <= eps * span)
-            if bad.any():
-                a, b = divmod(int(np.argmax(bad)), bad.shape[1])
-                return f"customers {i}, {i + 1 + j0 + a}, {i + 2 + j0 + b} are collinear"
+        i, j = divmod(first_y, n)
+        return (
+            f"customers {i} and {j} share y coordinate "
+            f"({sites[i].y} vs {sites[j].y})"
+        )
+    triple = _first_collinear_triple(inst.xs, inst.ys, eps)
+    if triple is not None:
+        return "customers %d, %d, %d are collinear" % triple
     return None

@@ -114,21 +114,23 @@ class AngularIndex:
         dx = xs[None, :] - xs[:, None]
         dy = ys[None, :] - ys[:, None]
         ang = np.arctan2(dy, dx) % TWO_PI
+        del dx, dy
         ang[ang >= TWO_PI] = 0.0
         np.fill_diagonal(ang, np.nan)
         self.ang = ang
 
-        all_idx = np.arange(n)
-        for i in range(n if n > 2 else 0):  # a lone neighbour shares no angle
-            js = np.delete(all_idx, i)
-            a = ang[i, js]
-            srt = np.argsort(a, kind="stable")
-            gaps = np.diff(a[srt])
-            k = int(np.argmin(gaps))
-            if gaps[k] < ANGLE_DUP_EPS:
+        if n > 2:  # a lone neighbour shares no angle
+            # The NaN diagonal sorts last, so each row's first n - 1 sorted
+            # columns are its neighbours' angles in order.
+            least = np.diff(np.sort(ang, axis=1)[:, : n - 1], axis=1).min(axis=1)
+            dup = np.flatnonzero(least < ANGLE_DUP_EPS)
+            if len(dup):
+                i = int(dup[0])
+                srt = np.argsort(ang[i], kind="stable")[: n - 1]
+                k = int(np.argmin(np.diff(ang[i, srt])))
                 raise DegenerateInputError(
                     "customers %d and %d share the polar angle around "
-                    "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
+                    "customer %d" % (int(srt[k]), int(srt[k + 1]), i)
                 )
 
         nx = np.sin(ang)

@@ -29,7 +29,7 @@ from rivalloc.geom import (
     outer_tangents,
     unit_vector,
 )
-from rivalloc.linesearch import PARALLEL_EPS, _evaluations, _lockstep
+from rivalloc.linesearch import ANGLE_DUP_EPS, PARALLEL_EPS, _evaluations, _lockstep
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
@@ -315,6 +315,30 @@ def reference_general_position_violation(inst):
             for k in range(j + 1, n):
                 if collinear(pts[i], pts[j], pts[k], eps):
                     return f"customers {i}, {j}, {k} are collinear"
+    return None
+
+
+def reference_duplicate_angle(inst):
+    """The per-customer loop that ``AngularIndex`` vectorises: the message
+    of the first customer around which two others lie within
+    ``ANGLE_DUP_EPS`` in polar angle, or None."""
+    n = inst.n
+    dx = inst.xs[None, :] - inst.xs[:, None]
+    dy = inst.ys[None, :] - inst.ys[:, None]
+    ang = np.arctan2(dy, dx) % TWO_PI
+    ang[ang >= TWO_PI] = 0.0
+    all_idx = np.arange(n)
+    for i in range(n if n > 2 else 0):
+        js = np.delete(all_idx, i)
+        a = ang[i, js]
+        srt = np.argsort(a, kind="stable")
+        gaps = np.diff(a[srt])
+        k = int(np.argmin(gaps))
+        if gaps[k] < ANGLE_DUP_EPS:
+            return (
+                "customers %d and %d share the polar angle around "
+                "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
+            )
     return None
 
 

@@ -5,14 +5,18 @@ Parametric and intermediate mode solve six n=100 instances: integer and
 real coordinates, R 2 and 4, coordinate ranges n and 3n, and one instance
 with real weights.  Parametric and the brute oracle solve seeded instances
 of n=13-20, above the CLI's brute limit, with integer and real weights.
-Their weight losses must be bitwise equal, and each reported point must
-re-evaluate to its reported loss.  A failure found here becomes a tier-1
-regression instance under ``data/``.
+A hypothesis fuzz test draws real-valued sites off the grid for n=12-40
+and compares parametric with intermediate on the instances that
+``general_position_violation`` accepts.  Their weight losses must be
+bitwise equal, and each reported point must re-evaluate to its reported
+loss.  A failure found here becomes a tier-1 regression instance under
+``data/``.
 """
 
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rivalloc.centroid import solve_centroid
 from rivalloc.oracle import brute_centroid
@@ -23,7 +27,7 @@ from rivalloc.medianoid import solve_medianoid
 N = 100
 
 
-def real_instance(seed, R, coord_range):
+def real_instance(seed, R, coord_range, n=N):
     """Uniform real coordinates in [-coord_range, coord_range], integer
     weights 1..10."""
     rng = random.Random(seed)
@@ -32,7 +36,7 @@ def real_instance(seed, R, coord_range):
             Customer(Point(rng.uniform(-coord_range, coord_range),
                            rng.uniform(-coord_range, coord_range)),
                      float(rng.randint(1, 10)))
-            for _ in range(N)
+            for _ in range(n)
         ],
         R,
     )
@@ -56,17 +60,37 @@ CASES = {
 }
 
 
-@pytest.mark.agree
-@pytest.mark.parametrize("name", CASES)
-def test_parametric_agrees_with_intermediate(name):
-    inst = CASES[name]()
-    assert general_position_violation(inst) is None
+def assert_modes_agree(inst):
+    """Parametric and intermediate report bitwise-equal weight losses, and
+    each point re-evaluates to its loss."""
     losses = {}
     for mode in ("parametric", "intermediate"):
         rep = solve_centroid(inst, mode)
         assert solve_medianoid(inst, rep.centroid).weight_loss == rep.weight_loss, mode
         losses[mode] = rep.weight_loss
     assert losses["parametric"] == losses["intermediate"], losses
+
+
+@pytest.mark.agree
+@pytest.mark.parametrize("name", CASES)
+def test_parametric_agrees_with_intermediate(name):
+    inst = CASES[name]()
+    assert general_position_violation(inst) is None
+    assert_modes_agree(inst)
+
+
+@pytest.mark.agree
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(12, 40),
+    seed=st.integers(0, 2**32 - 1),
+    R=st.sampled_from([2.0, 4.0]),
+    range_per_site=st.sampled_from([1, 3]),
+)
+def test_parametric_agrees_with_intermediate_off_the_grid(n, seed, R, range_per_site):
+    inst = real_instance(seed, R, range_per_site * n, n)
+    assume(general_position_violation(inst) is None)
+    assert_modes_agree(inst)
 
 
 @pytest.mark.agree

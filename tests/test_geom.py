@@ -316,16 +316,89 @@ def test_general_position_matches_the_loop_reference():
     assert 400 < violating < 1600
 
 
-@pytest.mark.parametrize("n,j,k", [(70, 1, 69), (70, 64, 66), (130, 63, 64), (130, 100, 129)])
-def test_general_position_finds_the_first_triple_across_row_blocks(n, j, k):
-    base = generate_instance(n, seed=n + j, r=2.0, coord_range=4 * n)
-    sites = [c.site for c in base.customers]
+def _real_sites(n, seed, span):
+    rng = random.Random(seed)
+    return [Point(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(n)]
+
+
+def _grid_sites(n, seed):
+    return [c.site for c in generate_instance(n, seed=seed, r=2.0, coord_range=4 * n).customers]
+
+
+def _instance(sites):
+    return Instance([Customer(p, 1.0) for p in sites], 2.0)
+
+
+def _plant(sites, i, j, k, t, f=0.0):
+    """The sites with site k moved to sites[i] + t * (sites[j] - sites[i])
+    and then pushed off that line until the triple's cross product is f
+    times the tolerance of ``collinear``: f <= 1 plants a collinear triple,
+    f slightly above 1 a near miss."""
+    sites = list(sites)
+    a, b = sites[i], sites[j]
+    dx, dy = b.x - a.x, b.y - a.y
+    sites[k] = Point(a.x + t * dx, a.y + t * dy)
+    span = max(abs(dx), abs(dy), abs(t * dx), abs(t * dy), 1.0)
+    push = f * _instance(sites).eps * span / (dx * dx + dy * dy)
+    sites[k] = Point(sites[k].x - push * dy, sites[k].y + push * dx)
+    return sites
+
+
+def _row_block_case(n, j, k):
     # Put site k on the line through sites 0 and j (and nudge nothing else).
-    a, b = sites[0], sites[j]
-    sites[k] = Point(a.x + 3.0 * (b.x - a.x), a.y + 3.0 * (b.y - a.y))
-    inst = Instance([Customer(p, 1.0) for p in sites], 2.0)
+    return _instance(_plant(_grid_sites(n, n + j), 0, j, k, 3.0)), (0, j, k)
+
+
+def _wrap_case(f):
+    """Sites 10 and 20 within 0.01 of site 3, on either side of it and
+    nearly level with it, so that their angles modulo pi lie on either
+    side of the wrap at pi; the cross product is f times the tolerance."""
+    sites = _real_sites(40, 3, 50.0)
+    a = sites[3]
+    sites[10] = Point(a.x + 0.01, a.y + 40 * _instance(sites).eps)
+    return _instance(_plant(sites, 3, 10, 20, -1.0, f))
+
+
+def _several_case():
+    sites = _grid_sites(80, 12)
+    for j, k, t in ((30, 50, 3.0), (35, 40, -1.0), (20, 45, 2.0)):
+        sites = _plant(sites, 5, j, k, t)
+    return _instance(sites)
+
+
+def _sub_unit_case(f):
+    sites = _real_sites(50, 4, 50.0)
+    a = sites[4]
+    sites[12] = Point(a.x + 0.3, a.y + 0.4)
+    return _instance(_plant(sites, 4, 12, 31, 1.7, f))
+
+
+# Each case builds an instance and names the triple the loop reference must
+# report, or None when it must accept the instance.
+FIRST_TRIPLE_CASES = {
+    "70-1-69": lambda: _row_block_case(70, 1, 69),
+    "70-64-66": lambda: _row_block_case(70, 64, 66),
+    "130-63-64": lambda: _row_block_case(130, 63, 64),
+    "130-100-129": lambda: _row_block_case(130, 100, 129),
+    "opposite-side": lambda: (_instance(_plant(_grid_sites(50, 5), 0, 17, 33, -2.0)), (0, 17, 33)),
+    "wrap-at-pi": lambda: (_wrap_case(0.6), (3, 10, 20)),
+    "wrap-at-pi-miss": lambda: (_wrap_case(1.1), None),
+    "late-row": lambda: (_instance(_plant(_grid_sites(60, 7), 57, 58, 59, 2.0)), (57, 58, 59)),
+    "first-of-several": lambda: (_several_case(), (5, 20, 45)),
+    "sub-unit": lambda: (_sub_unit_case(0.99), (4, 12, 31)),
+    "sub-unit-miss": lambda: (_sub_unit_case(1.01), None),
+    "magnitude-1e4": lambda: (_instance(_plant(_real_sites(30, 8, 1e4), 2, 9, 25, 0.5, 0.99)), (2, 9, 25)),
+    "magnitude-1e6": lambda: (_instance(_plant(_real_sites(20, 9, 1e6), 6, 11, 14, -0.7, 0.99)), (6, 11, 14)),
+    "magnitude-1e6-miss": lambda: (_instance(_plant(_real_sites(20, 9, 1e6), 6, 11, 14, -0.7, 1.01)), None),
+    "near-miss": lambda: (_instance(_plant(_real_sites(100, 10, 100.0), 0, 50, 99, 2.5, 1.01)), None),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_TRIPLE_CASES)
+def test_general_position_finds_the_first_triple_across_row_blocks(case):
+    inst, triple = FIRST_TRIPLE_CASES[case]()
     want = support.reference_general_position_violation(inst)
-    assert want is not None
+    assert want == (triple and "customers %d, %d, %d are collinear" % triple)
     assert general_position_violation(inst) == want
 
 

@@ -1,5 +1,6 @@
 """Tests for a line's breakpoint array and the prune search along a line."""
 
+import math
 import random
 
 import numpy as np
@@ -44,6 +45,43 @@ class TestAngularIndex:
         )
         with pytest.raises(DegenerateInputError, match="share the polar angle"):
             build_angular_index(inst)
+
+    @staticmethod
+    def _near_duplicate_angle_case(seed):
+        """Sites, some of them put on the line through two others and then
+        turned about the first by an angle around ``ANGLE_DUP_EPS``; every
+        fourth case stays on a small integer grid, where angles tie
+        exactly."""
+        rng = random.Random(seed)
+        n = rng.randint(3, 16)
+        if seed % 4 == 0:
+            pts = rng.sample([(float(x), float(y)) for x in range(-6, 7) for y in range(-6, 7)], n)
+        else:
+            pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n)]
+            for _ in range(rng.randint(1, 2)):
+                i, j, k = rng.sample(range(n), 3)
+                (ax, ay), (bx, by) = pts[i], pts[j]
+                t = rng.choice([-2.0, -0.5, 0.5, 1.5, 3.0])
+                turn = rng.choice([0.0, 1.0, -1.0]) * rng.choice([0.3, 0.9, 1.1, 3.0, 30.0]) * 1e-12
+                c, s = math.cos(turn), math.sin(turn)
+                vx, vy = t * (bx - ax), t * (by - ay)
+                pts[k] = (ax + c * vx - s * vy, ay + s * vx + c * vy)
+        return Instance([Customer(Point(x, y), 1.0) for x, y in pts], 2.0)
+
+    def test_duplicate_angle_scan_matches_the_loop_reference(self):
+        raised = 0
+        for seed in range(400):
+            inst = self._near_duplicate_angle_case(seed)
+            want = support.reference_duplicate_angle(inst)
+            try:
+                build_angular_index(inst)
+                got = None
+            except DegenerateInputError as err:
+                got = str(err)
+            assert got == want, seed
+            raised += want is not None
+        # Both outcomes are exercised in quantity.
+        assert 100 < raised < 350
 
     def test_tangent_lines_touch_both_discs(self):
         inst = generate_instance(5, seed=77, r=4.0)
