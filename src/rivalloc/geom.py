@@ -1,15 +1,13 @@
 """Planar primitives: points, weighted customers, directed lines, circles.
 
 All arithmetic is double precision.  Incidence predicates use an absolute
-tolerance EPS that callers may scale by the coordinate magnitude of their
-data (see ``Instance.eps``).  The environment variable ``RIVALLOC_EPS``
-overrides the base tolerance.
+tolerance, ``EPS_BASE`` = 1e-9, that callers may scale by the coordinate
+magnitude of their data (see ``Instance.eps``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,7 +15,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-EPS_BASE = float(os.environ.get("RIVALLOC_EPS", "1e-9"))
+EPS_BASE = 1e-9
 
 # Angular tolerance for "parallel" / "degenerate direction" decisions.
 ANGLE_EPS = 1e-12

@@ -7,12 +7,13 @@ inequality: a customer on the boundary stays with the leader.  That makes
 the winning angles of each customer an open arc, and the best response a
 maximum over the circular arrangement of all arc endpoints.
 
-Outputs: the weight loss W*(x), the set MA(x) of maximizing angles (a union
-of open arcs), the minimal covering interval CA(x), and the wedge of x.
-Every point outside the wedge has weight loss at least W*(x), which is the
-pruning tool used by the line searches.  When the covering interval spans
-more than pi radians no wedge exists and x is a certified global optimum
-(a strong centroid).
+Outputs: the weight loss W*(x), an angle attaining it, and the wedge of x.
+The wedge is built from the set MA(x) of maximizing angles (a union of open
+arcs) and their minimal covering interval CA(x); both are computed, but only
+the wedge is returned.  Every point outside the wedge has weight loss at
+least W*(x), which is the pruning tool used by the line searches.  When the
+covering interval spans more than pi radians no wedge exists and x is a
+certified global optimum (a strong centroid).
 
 One sweep serves every caller: ``solve_medianoid_many`` sweeps a block of
 leader points as k x 2n arrays of arc endpoints, one sort and one running
@@ -52,23 +53,6 @@ Arc = Tuple[float, float]
 
 
 @dataclass(frozen=True)
-class ArcSet:
-    """Disjoint open angular arcs in CCW order plus the weight they attain."""
-
-    arcs: Tuple[Arc, ...]
-    attained_weight: float
-
-
-@dataclass(frozen=True)
-class CoveringInterval:
-    """Minimal closed interval [begin, end] covering all maximizing angles."""
-
-    begin: float
-    end: float
-    span: float
-
-
-@dataclass(frozen=True)
 class Wedge:
     """Intersection of the two closed half-planes through the apex whose
     inner normals point along the end angles of the covering interval.
@@ -85,34 +69,34 @@ class Wedge:
     ccw_span: float
 
     @property
-    def boundary_directions(self) -> Tuple[float, float]:
-        """CCW interval [lo, hi] of ray directions contained in the wedge."""
-        lo = normalize_angle(self.theta_e - math.pi / 2.0)
-        return lo, lo + self.ccw_span
+    def cone(self) -> Tuple[float, float]:
+        """The ray directions in the wedge: the closed CCW interval
+        ``(lo, span)``, from lo to lo + span."""
+        return normalize_angle(self.theta_e - math.pi / 2.0), self.ccw_span
 
 
 @dataclass(frozen=True)
 class MedianoidResult:
     weight_loss: float
     witness_angle: float
-    ma: ArcSet
-    ca: Optional[CoveringInterval]
     wedge: Optional[Wedge]
-    strong_centroid: bool
+
+    @property
+    def strong_centroid(self) -> bool:
+        """Whether x is a certified global optimum: it has no wedge."""
+        return self.wedge is None
 
 
-def _full_circle_result() -> MedianoidResult:
-    # No customer is capturable: every angle maximizes, there is no covering
-    # interval and no wedge, and the premise of the strong-centroid
-    # certificate holds vacuously.
-    return MedianoidResult(0.0, 0.0, ArcSet(((0.0, TWO_PI),), 0.0), None, None, True)
+# No customer is capturable: every angle maximizes, there is no covering
+# interval and no wedge, and the premise of the strong-centroid certificate
+# holds vacuously.
+_NOTHING_CAPTURABLE = MedianoidResult(0.0, 0.0, None)
 
 
 def _result(x: Point, ma_arcs: List[Arc], best: float) -> MedianoidResult:
     """The result at x whose maximizing gaps, in angular order, are
     ``ma_arcs`` and whose weight loss is ``best``."""
     witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
-    ma = ArcSet(arcs=tuple(ma_arcs), attained_weight=best)
 
     # The covering interval is the complement of the largest gap between
     # consecutive maximizing arcs; ties pick the smallest resulting begin.
@@ -131,12 +115,9 @@ def _result(x: Point, ma_arcs: List[Arc], best: float) -> MedianoidResult:
         elif abs(between[i] - best_gap) <= 1e-12 and nb < best_begin:
             best_begin = nb
     span = TWO_PI - best_gap
-    theta_b = best_begin
-    ca = CoveringInterval(begin=theta_b, end=theta_b + span, span=span)
-
-    strong = span > math.pi
-    wedge = None if strong else Wedge(x, theta_b, theta_b + span, math.pi - span)
-    return MedianoidResult(best, witness, ma, ca, wedge, strong)
+    if span > math.pi:
+        return MedianoidResult(best, witness, None)
+    return MedianoidResult(best, witness, Wedge(x, best_begin, best_begin + span, math.pi - span))
 
 
 def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> list:
@@ -214,7 +195,7 @@ def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> lis
     a, b = a.tolist(), b.tolist()
     for i, x in enumerate(points):
         if not live[i]:
-            out.append(_full_circle_result())
+            out.append(_NOTHING_CAPTURABLE)
             continue
         lo, hi = bounds[i], bounds[i + 1]
         best = max(sums[lo:hi])
@@ -232,7 +213,7 @@ def solve_medianoid_many(inst: Instance, points: Sequence[Point], losses: bool =
 
 
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
-    """Weight loss, maximizing arcs, covering interval and wedge at x.
+    """Weight loss, witness angle and wedge at x.
 
     Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
     """
@@ -246,8 +227,7 @@ def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:
     downward the ray below; sideward means the apex alone, with the side
     naming where the wedge body lies.
     """
-    lo = normalize_angle(w.theta_e - math.pi / 2.0)
-    span = w.ccw_span
+    lo, span = w.cone
 
     def in_cone(d: float) -> bool:
         off = (normalize_angle(d) - lo) % TWO_PI

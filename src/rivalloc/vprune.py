@@ -36,7 +36,6 @@ from .medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     MedianoidResult,
-    Wedge,
     classify_wedge_on_line,
     solve_medianoid,
 )
@@ -100,12 +99,11 @@ class PseudoWedge:
     ``classification`` says where the trimmed direction cone points:
     ``"sideward-right"`` or ``"sideward-left"`` when it stays weakly on one
     side of the vertical line, ``"null"`` when the cone is empty.
+    ``theta_star`` is the direction of maximum capture and ``max_capture``
+    the weight it captures.
     """
 
-    apex: Point
-    wedge: Wedge
     theta_star: float
-    trimming_line: DirectedLine
     classification: str
     max_capture: float
 
@@ -266,12 +264,7 @@ def pseudo_wedge(
             "no direction at the anchor captures the worse anchor's value"
         )
 
-    cone_lo, cone_span = wedge.boundary_directions
-    cone_span = cone_span - cone_lo
-    trimmed = _cone_intersection(
-        cone_lo, cone_span, theta_star - math.pi / 2.0, math.pi
-    )
-    trimming = DirectedLine(apex, normalize_angle(theta_star + math.pi / 2.0))
+    trimmed = _cone_intersection(*wedge.cone, theta_star - math.pi / 2.0, math.pi)
     if trimmed is None:
         classification = PW_NULL
     else:
@@ -285,10 +278,7 @@ def pseudo_wedge(
                 "trimmed pseudo-wedge cone straddles the vertical line"
             )
     return PseudoWedge(
-        apex=apex,
-        wedge=wedge,
         theta_star=theta_star,
-        trimming_line=trimming,
         classification=classification,
         max_capture=max_capture,
     )

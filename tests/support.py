@@ -35,7 +35,6 @@ from rivalloc.medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    CoveringInterval,
     solve_medianoid,
 )
 
@@ -66,21 +65,6 @@ def arc_contains(arc, theta):
         return True
     t += TWO_PI
     return begin < t < end
-
-
-def arcs_contain(ma, theta):
-    """Whether the angle lies in one of the open arcs of an ``ArcSet``."""
-    return any(arc_contains(a, theta) for a in ma.arcs)
-
-
-def covering_contains(ca, theta, tol=1e-12):
-    """Whether the angle lies in the closed ``CoveringInterval``, up to
-    ``tol``."""
-    t = normalize_angle(theta)
-    if ca.begin - tol <= t <= ca.end + tol:
-        return True
-    t += TWO_PI
-    return ca.begin - tol <= t <= ca.end + tol
 
 
 def wedge_contains(w, p, tol=0.0):
@@ -126,19 +110,24 @@ def weight_at_angle(inst, x, theta):
     return total
 
 
-def _classify_from_ca(ca):
+def _classify_from_ca(begin, end, tol=1e-12):
     """Direction of the wedge relative to the vertical line through its apex.
 
-    The covering interval position decides it: wrapping angle 0 means the
-    wedge opens rightward, containing pi means leftward, otherwise the
-    interval sits in the upper or lower half circle and the wedge opens
-    upward or downward.
+    The position of the covering interval [begin, end] decides it: wrapping
+    angle 0 means the wedge opens rightward, containing pi means leftward,
+    otherwise the interval sits in the upper or lower half circle and the
+    wedge opens upward or downward.
     """
-    if covering_contains(ca, 0.0):
+
+    def covers(theta):
+        t = normalize_angle(theta)
+        return begin - tol <= t <= end + tol or begin - tol <= t + TWO_PI <= end + tol
+
+    if covers(0.0):
         return SIDEWARD_RIGHT
-    if covering_contains(ca, math.pi):
+    if covers(math.pi):
         return SIDEWARD_LEFT
-    mid = normalize_angle(ca.begin + ca.span / 2.0)
+    mid = normalize_angle(begin + (end - begin) / 2.0)
     return UPWARD if 0.0 < mid < math.pi else DOWNWARD
 
 
@@ -147,8 +136,7 @@ def classify_wedge_on_vertical(w, line_x, tol=1e-9):
     covering interval; ``classify_wedge_on_line`` must agree."""
     if abs(w.apex.x - line_x) > tol * max(1.0, abs(w.apex.x)):
         raise ValueError("wedge apex does not lie on the line")
-    ca = CoveringInterval(begin=w.theta_b, end=w.theta_e, span=w.theta_e - w.theta_b)
-    return _classify_from_ca(ca)
+    return _classify_from_ca(w.theta_b, w.theta_e)
 
 
 def evaluations(inst, line, P, telemetry):

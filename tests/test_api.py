@@ -1,5 +1,6 @@
 """The package's public API: what ``rivalloc`` exports and what README shows."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -27,6 +28,14 @@ def test_all_is_the_user_api():
     assert len(rivalloc.__all__) == len(PUBLIC)
     for name in rivalloc.__all__:
         assert getattr(rivalloc, name) is not None
+
+
+def test_medianoid_result_keeps_what_the_search_reads():
+    fields = [f.name for f in dataclasses.fields(rivalloc.MedianoidResult)]
+    assert fields == ["weight_loss", "witness_angle", "wedge"]
+    assert isinstance(rivalloc.MedianoidResult.strong_centroid, property)
+    res = rivalloc.MedianoidResult(1.0, 0.0, None)
+    assert res.strong_centroid
 
 
 def test_readme_quickstart_runs(capsys):

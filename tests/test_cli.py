@@ -269,24 +269,6 @@ class TestRegressionInstances:
 
 
 class TestEnvironment:
-    def test_eps_override(self):
-        env = dict(os.environ, RIVALLOC_EPS="1e-3")
-        code = (
-            "from rivalloc.geom import EPS_BASE, Customer, Instance, Point; "
-            "print(EPS_BASE); "
-            "print(Instance([Customer(Point(30.0, 0.0), 1.0)], 2.0).eps)"
-        )
-        got = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        base, inst_eps = got.stdout.split()
-        assert float(base) == 1e-3
-        assert float(inst_eps) == pytest.approx(30.0 * 1e-3)
-
     def test_console_script_runs(self):
         got = subprocess.run(
             [sys.executable, "-m", "rivalloc.cli", "gen", "--n", "3", "--seed", "1"],

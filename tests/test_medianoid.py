@@ -107,22 +107,24 @@ class TestSolveMedianoid:
             x = Point(rng.uniform(-30, 30), rng.uniform(-30, 30))
             res = solve_medianoid(inst, x)
             assert weight_at_angle(inst, x, res.witness_angle) == res.weight_loss
-            assert support.arcs_contain(res.ma, res.witness_angle)
 
     def test_maximizing_arcs_attain_and_bound(self):
+        # The wedge's end angles are where the first maximizing arc of the
+        # covering interval begins and its last one ends; the arcs are
+        # open, so just inside each end the loss is attained.
         rng = random.Random(8)
+        checked = 0
         for k in range(25):
             inst = generate_instance(rng.randint(2, 7), seed=500 + k, r=4.0)
             x = Point(rng.uniform(-25, 25), rng.uniform(-25, 25))
             res = solve_medianoid(inst, x)
-            for begin, end in res.ma.arcs:
-                mid = (begin + end) / 2.0
-                assert weight_at_angle(inst, x, mid) == res.weight_loss
-            # arcs are open: nudging inward stays maximizing
-            begin, end = res.ma.arcs[0]
-            delta = 1e-6 * (end - begin)
-            assert weight_at_angle(inst, x, begin + delta) == res.weight_loss
-            assert weight_at_angle(inst, x, end - delta) == res.weight_loss
+            if res.wedge is None:
+                continue
+            delta = 1e-9
+            assert weight_at_angle(inst, x, res.wedge.theta_b + delta) == res.weight_loss
+            assert weight_at_angle(inst, x, res.wedge.theta_e - delta) == res.weight_loss
+            checked += 1
+        assert checked >= 10
 
     def test_angles_outside_covering_interval_fall_short(self):
         rng = random.Random(9)
@@ -131,26 +133,33 @@ class TestSolveMedianoid:
             inst = generate_instance(rng.randint(2, 7), seed=600 + k, r=2.0)
             x = Point(rng.uniform(-25, 25), rng.uniform(-25, 25))
             res = solve_medianoid(inst, x)
-            if res.ca is None or res.ca.span >= TWO_PI - 1e-9:
+            if res.wedge is None:
                 continue
-            free = TWO_PI - res.ca.span
+            free = res.wedge.theta_b + TWO_PI - res.wedge.theta_e
             for frac in (0.25, 0.5, 0.75):
-                theta = res.ca.end + frac * free
+                theta = res.wedge.theta_e + frac * free
                 assert weight_at_angle(inst, x, theta) < res.weight_loss
             checked += 1
         assert checked >= 10
 
     def test_covering_interval_tie_picks_smallest_begin(self):
-        # perfectly opposed customers leave two equal inter-arc gaps; the
-        # tie must resolve to the covering interval with the smaller begin
+        # Perfectly opposed customers leave two equal inter-arc gaps, but
+        # their covering interval spans more than pi: no wedge.
         inst = make_instance([(6.0, 0.0, 1.0), (-6.0, 0.0, 1.0)], 2.0)
         res = solve_medianoid(inst, Point(0.0, 0.0))
         assert res.weight_loss == 1.0
-        assert len(res.ma.arcs) == 2
-        assert res.ca is not None
-        assert res.ca.begin == pytest.approx(res.ma.arcs[0][0], abs=1e-12)
-        # analytic position, up to the instance tie band folded into the arc
-        assert res.ca.begin == pytest.approx(math.pi - math.acos(1.0 / 6.0), abs=1e-6)
+        assert res.strong_centroid
+        # Two zero-width arcs pi apart tie with a covering interval of
+        # exactly pi, the only tie that leaves a wedge; it must take the
+        # smaller begin, although the loop meets the larger one first.
+        x = Point(0.0, 0.0)
+        for begin in (0.5, 2.0):
+            arcs = [(begin, begin), (begin + math.pi, begin + math.pi)]
+            wedge = medianoid._result(x, arcs, 1.0).wedge
+            assert wedge is not None
+            assert wedge.theta_b == begin
+            assert wedge.theta_e == pytest.approx(begin + math.pi, abs=1e-12)
+            assert wedge.ccw_span == pytest.approx(0.0, abs=1e-12)
 
 
 class TestWedge:
@@ -229,7 +238,7 @@ class TestAgainstDirectCounting:
         near = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(size + 2)]
         points = near[:size] + [Point(900.0 + k, -900.0) for k in range(3)] + near
         block = list(solve_medianoid_many(wide, points))
-        assert sum(res.ca is None for res in block) == 2 * size + 2
+        assert sum(res.weight_loss == 0.0 and res.strong_centroid for res in block) == 2 * size + 2
         losses = list(solve_medianoid_many(wide, points, losses=True))
         assert losses == [res.weight_loss for res in block]
         for x, res in zip(points, block):
@@ -256,7 +265,7 @@ class TestAgainstDirectCounting:
             for x, res in zip(points, solve_medianoid_many(inst, points)):
                 gaps, best = support.reference_sweep(inst, x)
                 ma = [g for g, w in gaps if w == best]
-                # Every field: ma, ca, wedge, witness angle, weight, certificate.
+                # Every field: weight, witness angle and wedge.
                 assert res == medianoid._result(x, ma, best), x
                 cases += 1
                 multi += len(ma) > 1
@@ -267,7 +276,8 @@ class TestAgainstDirectCounting:
     def test_maximizing_set_is_exact_on_real_weights(self, n):
         """With real weights the running sums round, and gaps of equal exact
         weight can differ in their last bits: the maximizing arcs must be
-        exactly the gaps whose ``math.fsum`` weight is the largest."""
+        exactly the gaps whose ``math.fsum`` weight is the largest, so the
+        result is the one built from those gaps."""
         rng = random.Random(1000 + n)
         base = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
         inst = Instance(
@@ -281,7 +291,7 @@ class TestAgainstDirectCounting:
         for x, res in zip(points, solve_medianoid_many(inst, points)):
             gaps, best = support.reference_sweep(inst, x)
             assert res.weight_loss == best, x
-            assert res.ma.arcs == tuple(g for g, w in gaps if w == best), x
+            assert res == medianoid._result(x, [g for g, w in gaps if w == best], best), x
 
 
 @settings(max_examples=60, deadline=None)

@@ -217,11 +217,9 @@ class TestPseudoWedge:
             ):
                 pw = pseudo_wedge(inst, apex_p, other, result=apex_r)
                 built += 1
-                assert pw.apex == apex_p
                 assert lo <= pw.theta_star <= hi, trial
                 assert pw.max_capture >= other - 1e-9 * inst.total_weight()
                 assert pw.classification in (SIDEWARD_RIGHT, SIDEWARD_LEFT, PW_NULL)
-                assert pw.trimming_line.anchor == apex_p
         assert built > 0
 
     def test_sideward_apex_rejected(self):
