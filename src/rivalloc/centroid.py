@@ -18,7 +18,9 @@ they now share across the slab; the circle-circle family takes its crossing
 points.  Vertical tangent lines have no y-order and are set aside.  The
 optimum is therefore matched by one line search on each boundary line and
 each vertical tangent line, or at a customer site.  A certified optimum
-found anywhere stops everything early.
+found anywhere, by a decision or a line search, is raised there as
+``CertifiedOptimum`` and stops everything early; its ``origin`` is reported
+as ``telemetry["certified"]``.
 """
 
 from __future__ import annotations
@@ -39,17 +41,14 @@ from .geom import (
 )
 from .medianoid import solve_medianoid, solve_medianoid_many
 from .linesearch import (
-    STRONG,
     AngularIndex,
+    CertifiedOptimum,
     Telemetry,
     build_angular_index,
     local_optima_on_lines,
 )
 from .vprune import (
-    CONDITIONAL_CENTROID,
     PRUNE_LEFT,
-    PRUNE_RIGHT,
-    STRONG_CENTROID,
     BoundingFrame,
     PruneDecision,
     build_frame,
@@ -80,16 +79,6 @@ class SolveReport:
     telemetry: Dict[str, object]
 
 
-class CertifiedOptimum(Exception):
-    """Raised internally when an evaluation certifies a global optimum."""
-
-    def __init__(self, point: Point, weight_loss: float, origin: str) -> None:
-        super().__init__(origin)
-        self.point = point
-        self.weight_loss = weight_loss
-        self.origin = origin
-
-
 class _Slab:
     """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
 
@@ -102,15 +91,11 @@ class _Slab:
 
     def apply(self, dec: PruneDecision, x: float) -> None:
         """Move a boundary to ``x``, the line of ``dec``, keeping its closed
-        side; a certified optimum ends the solve."""
-        if dec.kind in (STRONG_CENTROID, CONDITIONAL_CENTROID):
-            raise CertifiedOptimum(dec.point, dec.weight_loss, dec.evidence)
+        side."""
         if dec.kind == PRUNE_LEFT:
             self.lo = x
-        elif dec.kind == PRUNE_RIGHT:
-            self.hi = x
         else:
-            raise RuntimeError("unexpected decision kind %r" % (dec.kind,))
+            self.hi = x
 
     def boundary_xs(self) -> List[float]:
         out = []
@@ -251,7 +236,7 @@ def _lt_lines(idx: AngularIndex, frame: BoundingFrame):
     # Frame lines: y = c is nx*x + ny*y = off with normal (0, 1).
     lnx = np.append(idx.tan_nx[keep], (0.0, 0.0))
     lny = np.append(idx.tan_ny[keep], (1.0, 1.0))
-    loff = np.append(idx.tan_off[keep], (frame.t_top.anchor.y, frame.t_btm.anchor.y))
+    loff = np.append(idx.tan_off[keep], (frame.y_top, frame.y_btm))
     return lnx, lny, loff, direct_xs
 
 
@@ -478,14 +463,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             best_point = point
 
     def run_lines(lines: List[DirectedLine]) -> None:
-        for opt in local_optima_on_lines(inst, idx, lines, tel):
-            if opt is None:
-                continue
-            if opt.status == STRONG:
-                raise CertifiedOptimum(
-                    opt.point, opt.weight_loss, "strong centroid on a searched line"
-                )
-            consider(opt.point, opt.weight_loss)
+        for point, loss in local_optima_on_lines(inst, idx, lines, tel):
+            consider(point, loss)
 
     def run_points(points: List[Point]) -> None:
         for p, loss in zip(points, solve_medianoid_many(inst, points, losses=True)):

@@ -6,29 +6,33 @@ line of two customer discs or the boundary circle of a single disc.  A
 breakpoint is its position ``t`` along the line directed upward.  A line's
 breakpoints are one flat array: the crossing position of every canonical
 tangent line of the angular index that is not parallel to the line, once
-each, then the circle crossings and any injected extra lines.  The crossing
-points themselves are never built.
+each, then the circle crossings.  The crossing points themselves are never
+built.
 
 ``_evaluations`` is the one search over a line's breakpoints, a coroutine.
 Each round it selects the lower median of the surviving positions (Hoare's
 FIND, as ``np.partition`` runs it), yields that point, is sent the
 follower's result there and applies the cut itself: an upward wedge keeps
 the positions strictly above, a downward one those strictly below, and a
-strong centroid or a sideward wedge ends the search.  Each cut discards at
-least half of the survivors, so one line costs time linear in its
-breakpoint count.  ``_lockstep`` advances independent searches together,
-with one block sweep of their points per round (Megiddo's batching of
-independent oracle calls): intermediate mode groups one customer's tangent
-lines, parametric mode the slab's boundary lines, and the vertical-line
-decision (``vprune``) runs its single line and takes its anchors from the
-evaluations.  ``local_optima_on_lines`` takes each line minimum from them.
+sideward wedge ends the search.  A strong centroid is a certified global
+optimum: the search raises it at once as ``CertifiedOptimum``, with an
+``origin`` string naming where it was found.  Each cut discards at least
+half of the survivors, so one line costs time linear in its breakpoint
+count.  ``_lockstep`` advances independent searches together, with one
+block sweep of their points per round (Megiddo's batching of independent
+oracle calls): intermediate mode groups one customer's tangent lines,
+parametric mode the slab's boundary lines, and the vertical-line decision
+(``vprune``) runs its single line and takes its anchors from the
+evaluations.  A round in which searches raise is finished, then the first
+of them in input order is raised.  ``local_optima_on_lines`` takes each
+line minimum from the evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,8 +62,8 @@ PARALLEL_EPS = 1e-12
 # are collinear with it, and its tangent lines toward them coincide.
 ANGLE_DUP_EPS = 1e-12
 
-ORDINARY = "ordinary"
-STRONG = "strong_centroid"
+# Origin of a certificate that a line minimum search finds.
+SEARCHED_LINE = "strong centroid on a searched line"
 
 # One evaluation of a line search: (t, point, result, lean).
 Evaluation = Tuple[float, Point, MedianoidResult, str]
@@ -90,6 +94,17 @@ class Telemetry:
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
+
+
+class CertifiedOptimum(Exception):
+    """Raised where an evaluation certifies a global optimum; ``origin``
+    names the certificate and is reported as ``Telemetry.certified``."""
+
+    def __init__(self, point: Point, weight_loss: float, origin: str) -> None:
+        super().__init__(origin)
+        self.point = point
+        self.weight_loss = weight_loss
+        self.origin = origin
 
 
 class AngularIndex:
@@ -164,10 +179,8 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     return DirectedLine(L.anchor, up)
 
 
-def _explicit_crossings(
-    idx: AngularIndex, line: DirectedLine, extra_lines: Sequence[DirectedLine]
-) -> np.ndarray:
-    """Circle and extra-line crossing positions along the upward ``line``."""
+def _explicit_crossings(idx: AngularIndex, line: DirectedLine) -> np.ndarray:
+    """Circle crossing positions along the upward ``line``."""
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
@@ -184,31 +197,17 @@ def _explicit_crossings(
     s = np.sqrt(np.where(crossing, disc, 0.0))
     pair = np.stack([np.where(crossing, t0 - s, t0), t0 + s], axis=1)
     used = np.stack([crossing | (disc >= -tol), crossing], axis=1)
-    ts = pair[used].tolist()
-    for extra in extra_lines:
-        evx, evy = extra.direction
-        cross = ux * evy - uy * evx
-        if abs(cross) <= PARALLEL_EPS:
-            continue
-        dx = extra.anchor.x - ax
-        dy = extra.anchor.y - ay
-        ts.append((dx * evy - dy * evx) / cross)
-    return np.array(ts, dtype=float)
+    return pair[used]
 
 
-def breakpoint_sequences(
-    idx: AngularIndex,
-    L: DirectedLine,
-    extra_lines: Sequence[DirectedLine] = (),
-) -> np.ndarray:
+def breakpoint_sequences(idx: AngularIndex, L: DirectedLine) -> np.ndarray:
     """All follower-value breakpoints on ``L`` as one unordered array of
     positions along ``upward_line(L)``.
 
     Every canonical tangent line of ``idx`` that crosses ``L`` contributes
-    its crossing once, circle crossings appear once per intersection point
-    (a tangency contributes a single entry), and each non-parallel line
-    from ``extra_lines`` contributes its crossing as well.  A tangent
-    direction ``a`` is parallel to ``L``, and dropped, when the C library's
+    its crossing once, and circle crossings appear once per intersection
+    point (a tangency contributes a single entry).  A tangent direction
+    ``a`` is parallel to ``L``, and dropped, when the C library's
     ``|sin(a - up)|`` is at most ``PARALLEL_EPS``; the crossing's own
     denominator equals that sine up to rounding, so it preselects the few
     directions the C library decides.
@@ -233,15 +232,13 @@ def breakpoint_sequences(
     T += ay * ny[keep]
     np.subtract(idx.tan_off[keep], T, out=T)
     T /= den
-    return np.concatenate([T, _explicit_crossings(idx, line, extra_lines)])
+    return np.concatenate([T, _explicit_crossings(idx, line)])
 
 
 def lean(result: MedianoidResult, up_angle: float) -> str:
-    """Where an evaluation sends the search along the line with upward
-    direction ``up_angle``: ``STRONG`` for a certified global optimum,
-    otherwise the wedge's direction (upward, downward or a sideward side)."""
-    if result.strong_centroid:
-        return STRONG
+    """Where an evaluation that certifies nothing sends the search along the
+    line with upward direction ``up_angle``: the wedge's direction (upward,
+    downward or a sideward side)."""
     cls = classify_wedge_on_line(result.wedge, up_angle)
     if cls == WHOLE_LINE:
         raise RuntimeError("wedge degenerately contains the query line")
@@ -249,15 +246,16 @@ def lean(result: MedianoidResult, up_angle: float) -> str:
 
 
 def _evaluations(
-    line: DirectedLine, P: np.ndarray, telemetry: Telemetry
+    line: DirectedLine, P: np.ndarray, telemetry: Telemetry, origin: str
 ) -> Generator[Tuple[float, Point], MedianoidResult, List[Evaluation]]:
     """Search the breakpoint positions ``P`` along the upward ``line`` by
     exact-median selection until no breakpoint is left.
 
     A coroutine: each round yields ``(t, point)`` for the lower median of
-    the surviving positions and is sent the follower's result there, then
-    cuts: an upward lean keeps only positions strictly above ``t``, a
-    downward one only those strictly below, and a strong or sideward lean
+    the surviving positions and is sent the follower's result there.  A
+    strong centroid raises ``CertifiedOptimum`` with ``origin``; otherwise
+    the search cuts: an upward lean keeps only positions strictly above
+    ``t``, a downward one only those strictly below, and a sideward lean
     ends the search.  A cut drops the median and every position behind it,
     at least half of the survivors, so a search of m positions evaluates at
     most ``floor(log2 m) + 1`` of them.  It returns its evaluations
@@ -274,6 +272,8 @@ def _evaluations(
         point = line.point_at(t)
         res = yield t, point
         telemetry.medianoid_calls += 1
+        if res.strong_centroid:
+            raise CertifiedOptimum(point, res.weight_loss, origin)
         d = lean(res, up_angle)
         done.append((t, point, res, d))
         # After the partition nothing before k exceeds t, nothing after
@@ -301,16 +301,11 @@ def _evaluations(
     return done
 
 
-def _lockstep(
-    inst: Instance,
-    searches: Sequence[Generator],
-    settles: Callable[[object], bool] = lambda value: False,
-) -> List[object]:
+def _lockstep(inst: Instance, searches: Sequence[Generator]) -> List[object]:
     """Run the coroutines ``searches`` side by side, each round sweeping the
     points they all yield as one block, and return what each returned, in
-    input order.  The run ends after the first round in which a search
-    returns a value that ``settles``; the searches still open then read
-    ``None``."""
+    input order.  A round in which searches raise ``CertifiedOptimum`` is
+    finished, then the first of them in input order is raised."""
     out: List[object] = [None] * len(searches)
     live = []
     for i, search in enumerate(searches):
@@ -320,58 +315,50 @@ def _lockstep(
             out[i] = stop.value
     while live:
         results = solve_medianoid_many(inst, [point for _, _, (_, point) in live])
-        pending, settled = [], False
+        pending, certified = [], []
         for (i, search, _), res in zip(live, results):
             try:
                 pending.append((i, search, search.send(res)))
             except StopIteration as stop:
                 out[i] = stop.value
-                settled = settled or settles(stop.value)
-        if settled:
-            break
+            except CertifiedOptimum as cert:
+                certified.append(cert)
+        if certified:
+            raise certified[0]
         live = pending
     return out
 
 
-@dataclass(frozen=True)
-class LineLocalOptimum:
-    """Minimum follower value over one query line.
-
-    ``status`` is ``"ordinary"`` for a plain line minimum and
-    ``"strong_centroid"`` when the point is a certified global optimum.
-    """
-
-    point: Point
-    weight_loss: float
-    status: str
-
-
 def _line_minimum(
     idx: AngularIndex, L: DirectedLine, telemetry: Telemetry
-) -> Generator[Tuple[float, Point], MedianoidResult, LineLocalOptimum]:
+) -> Generator[Tuple[float, Point], MedianoidResult, Tuple[Point, float]]:
     """Minimise the follower value over the non-horizontal line ``L``, as a
-    coroutine of ``_lockstep``.
+    coroutine of ``_lockstep``, and return ``(point, weight_loss)``.
 
-    Breakpoints chosen by exact-median selection are evaluated; the search
-    stops early when an evaluation certifies a global optimum or a sideward
-    wedge (whose apex is then the line minimum), and otherwise keeps the
+    Breakpoints chosen by exact-median selection are evaluated; a strong
+    centroid raises ``CertifiedOptimum``, a sideward wedge stops the search
+    (its apex is then the line minimum), and otherwise the search keeps the
     side of the line that the wedge points along.  The first evaluation of
     the least weight loss is the line minimum; a line without breakpoints
     is evaluated at its anchor.
     """
     line = upward_line(L)
     telemetry.lines_searched += 1
-    done = yield from _evaluations(line, breakpoint_sequences(idx, L), telemetry)
+    done = yield from _evaluations(
+        line, breakpoint_sequences(idx, L), telemetry, SEARCHED_LINE
+    )
     if not done:
         point = line.point_at(0.0)
         res = yield 0.0, point
         telemetry.medianoid_calls += 1
-        done = [(0.0, point, res, STRONG if res.strong_centroid else ORDINARY)]
-    _t, point, res, d = done[-1]
-    if d not in (UPWARD, DOWNWARD):
-        return LineLocalOptimum(point, res.weight_loss, STRONG if d == STRONG else ORDINARY)
-    _t, point, res, _d = min(done, key=lambda e: e[2].weight_loss)
-    return LineLocalOptimum(point, res.weight_loss, ORDINARY)
+        if res.strong_centroid:
+            raise CertifiedOptimum(point, res.weight_loss, SEARCHED_LINE)
+        return point, res.weight_loss
+    if done[-1][3] in (UPWARD, DOWNWARD):
+        _t, point, res, _d = min(done, key=lambda e: e[2].weight_loss)
+    else:
+        _t, point, res, _d = done[-1]
+    return point, res.weight_loss
 
 
 def local_optima_on_lines(
@@ -379,19 +366,15 @@ def local_optima_on_lines(
     idx: AngularIndex,
     lines: Sequence[DirectedLine],
     telemetry: Telemetry,
-) -> List[Optional[LineLocalOptimum]]:
+) -> List[Tuple[Point, float]]:
     """``local_optimum_on_line`` for each of ``lines``, searched in lockstep.
 
-    The searches stop after the first round in which one of them certifies
-    a global optimum, and the lines still open then read ``None``: the
-    first certified line in input order certified in the fewest rounds,
-    and came first among those that did.
+    When some lines certify a global optimum, the round in which the first
+    of them does is finished and the first certified line in input order
+    raises ``CertifiedOptimum``: it certified in the fewest rounds, and
+    came first among those that did.
     """
-    return _lockstep(
-        inst,
-        [_line_minimum(idx, L, telemetry) for L in lines],
-        lambda opt: opt.status == STRONG,
-    )
+    return _lockstep(inst, [_line_minimum(idx, L, telemetry) for L in lines])
 
 
 def local_optimum_on_line(
@@ -399,6 +382,7 @@ def local_optimum_on_line(
     idx: AngularIndex,
     L: DirectedLine,
     telemetry: Telemetry,
-) -> LineLocalOptimum:
-    """Minimise the follower value over the non-horizontal line ``L``."""
+) -> Tuple[Point, float]:
+    """The point and weight loss minimising the follower value over the
+    non-horizontal line ``L``."""
     return local_optima_on_lines(inst, idx, [L], telemetry)[0]

@@ -1,25 +1,28 @@
 """Classifying a vertical query line: which side of it can be discarded.
 
 The plane search over candidate lines needs one primitive: given a vertical
-line, either certify an optimum on it or name the half-plane that cannot
-contain a better point.  The classification rests on two anchor points, the
+line, name the half-plane that cannot contain a better point, or certify an
+optimum on it.  A decision returns the side (``PruneDecision``); a
+certificate is raised where it is found, as ``CertifiedOptimum`` with an
+``origin`` string.  The classification rests on two anchor points, the
 lowest breakpoint with a downward wedge and the highest with an upward
 wedge, found by the exact-median search of ``linesearch._evaluations`` over
-the line's breakpoint array.  A strong centroid or a sideward wedge met on
-the way settles the line at once.  Otherwise the search runs until no
-breakpoint is left, and each cut drops only positions at or below an upward
-evaluation or at or above a downward one, so no breakpoint lies strictly
-between the anchors: the follower value is constant on the open segment.
-Its midpoint or, when that too looks along the line, a pseudo-wedge built
-at the better anchor settles the direction; equal anchor values go to the
-downward anchor.
+the line's breakpoint array and the frame's two ordinates.  A strong
+centroid met on the way raises, and a sideward wedge settles the line at
+once.  Otherwise the search runs until no breakpoint is left, and each cut
+drops only positions at or below an upward evaluation or at or above a
+downward one, so no breakpoint lies strictly between the anchors: the
+follower value is constant on the open segment.  Its midpoint or, when that
+too looks along the line, a pseudo-wedge built at the better anchor settles
+the direction; equal anchor values go to the downward anchor.  A strong
+centroid at the midpoint, or an empty pseudo-wedge cone, is a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from .medianoid import (
     solve_medianoid,
 )
 from .linesearch import (
-    STRONG,
     AngularIndex,
+    CertifiedOptimum,
     Telemetry,
     _evaluations,
     _lockstep,
@@ -51,8 +54,6 @@ from .linesearch import (
 
 PRUNE_LEFT = "prune-left"
 PRUNE_RIGHT = "prune-right"
-STRONG_CENTROID = "strong-centroid"
-CONDITIONAL_CENTROID = "conditional-centroid"
 
 PW_NULL = "null"
 
@@ -63,32 +64,25 @@ COS_EPS = 1e-12
 
 @dataclass(frozen=True)
 class BoundingFrame:
-    """Axis-aligned box covering all customer discs, plus two horizontal
-    auxiliary lines safely above and below it whose crossings guarantee that
-    every vertical line through the box owns both anchor types."""
+    """The x-range of the axis-aligned box covering all customer discs, and
+    the ordinates of two horizontal auxiliary lines safely above and below
+    it, whose crossings guarantee that every vertical line through the box
+    owns both anchor types."""
 
     xmin: float
     xmax: float
-    ymin: float
-    ymax: float
-    t_top: DirectedLine
-    t_btm: DirectedLine
+    y_top: float
+    y_btm: float
 
 
 def build_frame(inst: Instance) -> BoundingFrame:
     r = inst.r
-    xmin = float(inst.xs.min()) - r
-    xmax = float(inst.xs.max()) + r
-    ymin = float(inst.ys.min()) - r
-    ymax = float(inst.ys.max()) + r
     off = max(inst.R, 1.0)
     return BoundingFrame(
-        xmin=xmin,
-        xmax=xmax,
-        ymin=ymin,
-        ymax=ymax,
-        t_top=DirectedLine.horizontal(ymax + off),
-        t_btm=DirectedLine.horizontal(ymin - off),
+        xmin=float(inst.xs.min()) - r,
+        xmax=float(inst.xs.max()) + r,
+        y_top=float(inst.ys.max()) + r + off,
+        y_btm=float(inst.ys.min()) - r - off,
     )
 
 
@@ -110,21 +104,19 @@ class PseudoWedge:
 
 @dataclass(frozen=True)
 class PruneDecision:
-    """Outcome of classifying one vertical line.
+    """A vertical line's side that cannot hold a better point.
 
-    ``kind`` is one of ``"prune-left"``, ``"prune-right"`` (naming the
-    discarded side), ``"strong-centroid"`` or ``"conditional-centroid"``
-    (carrying a certified optimal ``point``).  ``evidence`` names the rule
-    that produced the decision; the anchor fields record the points it was
-    based on when they exist.
+    ``kind`` is ``"prune-left"`` or ``"prune-right"``, naming the discarded
+    side; ``evidence`` names the rule that produced the decision.
     """
 
     kind: str
-    point: Optional[Point] = None
-    weight_loss: Optional[float] = None
-    evidence: str = ""
-    x_D: Optional[Point] = None
-    x_U: Optional[Point] = None
+    evidence: str
+
+
+def _prune(cls: str, evidence: str) -> PruneDecision:
+    """Discard the side a sideward classification ``cls`` turns away from."""
+    return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence)
 
 
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
@@ -132,14 +124,18 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
     Returns the anchor pair ``(down, up)``, each ``(t, point, evaluation)``,
-    or a ``PruneDecision`` when an evaluation en route already settles the
-    line (sideward wedge or strong centroid).  The frame's auxiliary lines
-    give every vertical line through the box both anchor types, and the
-    search exhausts the line, so no breakpoint lies strictly between the
-    anchors.
+    or a ``PruneDecision`` when a sideward wedge en route already settles
+    the line; a strong centroid en route raises ``CertifiedOptimum``.  The
+    frame's auxiliary lines give every vertical line through the box both
+    anchor types, and the search exhausts the line, so no breakpoint lies
+    strictly between the anchors.
     """
-    P = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm))
-    [done] = _lockstep(inst, [_evaluations(upward_line(L), P, telemetry)])
+    P = np.append(breakpoint_sequences(idx, L),
+                  (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    [done] = _lockstep(inst, [_evaluations(
+        upward_line(L), P, telemetry,
+        "strong centroid at a breakpoint of the query line",
+    )])
     down = up = None
     # Each cut keeps only positions beyond the evaluation that made it, so
     # the latest upward (downward) evaluation is the highest (lowest).
@@ -148,20 +144,8 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             up = (t, point, res)
         elif d == DOWNWARD:
             down = (t, point, res)
-        elif d == STRONG:
-            return PruneDecision(
-                STRONG_CENTROID,
-                point=point,
-                weight_loss=res.weight_loss,
-                evidence="strong centroid at a breakpoint of the query line",
-            )
         else:
-            return PruneDecision(
-                PRUNE_LEFT if d == SIDEWARD_RIGHT else PRUNE_RIGHT,
-                point=point,
-                weight_loss=res.weight_loss,
-                evidence="sideward wedge at a breakpoint of the query line",
-            )
+            return _prune(d, "sideward wedge at a breakpoint of the query line")
     if down is None or up is None:
         raise RuntimeError(
             "auxiliary frame crossings failed to supply both anchors"
@@ -205,20 +189,19 @@ def pseudo_wedge(
     inst: Instance,
     apex: Point,
     W1: float,
-    result: Optional[MedianoidResult] = None,
+    result: MedianoidResult,
 ) -> PseudoWedge:
     """Build the trimmed wedge at ``apex`` that certifies one-side pruning.
 
     ``W1`` is the follower value at the worse anchor of the same vertical
-    line.  A direction of maximum closed capture (weight of customers whose
+    line, and ``result`` the follower's result at ``apex``.  A direction of
+    maximum closed capture (weight of customers whose
     disc lies weakly beyond distance ``r`` along the direction) is chosen on
     the anchor's far half of directions; it must capture at least ``W1``.
     The wedge's direction cone intersected with the half-turn around that
     direction then either sits weakly on one side of the vertical line or is
     empty.
     """
-    if result is None:
-        result = solve_medianoid(inst, apex)
     wedge = result.wedge
     if wedge is None:
         raise ValueError("pseudo-wedge requires a point with a proper wedge")
@@ -286,8 +269,9 @@ def pseudo_wedge(
 
 def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
            telemetry: Telemetry) -> PruneDecision:
-    """Classify the vertical line ``L``: certify an optimum on it or name
-    the side of the plane that cannot contain a better point."""
+    """Classify the vertical line ``L``: name the side of the plane that
+    cannot contain a better point, or raise ``CertifiedOptimum`` at an
+    optimum found on it."""
     telemetry.decide_calls += 1
     ux, uy = L.direction
     if abs(ux) > 1e-9:
@@ -295,13 +279,11 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     X = L.anchor.x
     if X < frame.xmin:
         return PruneDecision(
-            PRUNE_LEFT,
-            evidence="line lies left of the bounding box of all discs",
+            PRUNE_LEFT, "line lies left of the bounding box of all discs"
         )
     if X > frame.xmax:
         return PruneDecision(
-            PRUNE_RIGHT,
-            evidence="line lies right of the bounding box of all discs",
+            PRUNE_RIGHT, "line lies right of the bounding box of all discs"
         )
 
     got = find_xD_xU(inst, idx, frame, L, telemetry)
@@ -316,24 +298,12 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
-        return PruneDecision(
-            STRONG_CENTROID,
-            point=x_B,
-            weight_loss=res_B.weight_loss,
-            evidence="strong centroid at the anchor-segment midpoint",
-            x_D=p_D,
-            x_U=p_U,
+        raise CertifiedOptimum(
+            x_B, res_B.weight_loss, "strong centroid at the anchor-segment midpoint"
         )
     cls_B = classify_wedge_on_line(res_B.wedge, up.angle)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-        return PruneDecision(
-            PRUNE_LEFT if cls_B == SIDEWARD_RIGHT else PRUNE_RIGHT,
-            point=x_B,
-            weight_loss=res_B.weight_loss,
-            evidence="sideward wedge at the anchor-segment midpoint",
-            x_D=p_D,
-            x_U=p_U,
-        )
+        return _prune(cls_B, "sideward wedge at the anchor-segment midpoint")
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs
@@ -348,19 +318,9 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
         apex_p, apex_r, W1 = p_U, r_U, W_D
     pw = pseudo_wedge(inst, apex_p, W1, result=apex_r)
     if pw.classification == PW_NULL:
-        return PruneDecision(
-            CONDITIONAL_CENTROID,
-            point=apex_p,
-            weight_loss=apex_r.weight_loss,
-            evidence="empty pseudo-wedge cone at the better anchor",
-            x_D=p_D,
-            x_U=p_U,
+        raise CertifiedOptimum(
+            apex_p, apex_r.weight_loss, "empty pseudo-wedge cone at the better anchor"
         )
-    return PruneDecision(
-        PRUNE_LEFT if pw.classification == SIDEWARD_RIGHT else PRUNE_RIGHT,
-        point=apex_p,
-        weight_loss=apex_r.weight_loss,
-        evidence="pseudo-wedge cone at the better anchor points to one side",
-        x_D=p_D,
-        x_U=p_U,
+    return _prune(
+        pw.classification, "pseudo-wedge cone at the better anchor points to one side"
     )

@@ -36,6 +36,7 @@ from rivalloc.medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     solve_medianoid,
+    solve_medianoid_many,
 )
 
 
@@ -139,11 +140,26 @@ def classify_wedge_on_vertical(w, line_x, tol=1e-9):
     return _classify_from_ca(w.theta_b, w.theta_e)
 
 
+# Origins of the certificates a vertical-line decision raises: a strong
+# centroid, and the conditional centroid an empty pseudo-wedge certifies.
+STRONG_ORIGINS = (
+    "strong centroid at a breakpoint of the query line",
+    "strong centroid at the anchor-segment midpoint",
+)
+CONDITIONAL_ORIGIN = "empty pseudo-wedge cone at the better anchor"
+
+
 def evaluations(inst, line, P, telemetry):
     """The evaluations ``(t, point, result, lean)`` of the exact-median
-    search of the positions ``P`` along the upward ``line``, in order."""
-    [done] = _lockstep(inst, [_evaluations(line, P, telemetry)])
+    search of the positions ``P`` along the upward ``line``, in order; a
+    strong centroid raises ``CertifiedOptimum``."""
+    [done] = _lockstep(inst, [_evaluations(line, P, telemetry, "strong centroid")])
     return done
+
+
+def frame_lines(frame):
+    """The frame's two horizontal auxiliary lines, top first."""
+    return DirectedLine.horizontal(frame.y_top), DirectedLine.horizontal(frame.y_btm)
 
 
 def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6.0)):
@@ -186,6 +202,43 @@ def line_breakpoints(inst, L, extra_lines=()):
         if p is not None:
             out.append((p, "extra-%d" % k))
     return out
+
+
+def falsify(inst, loss, seed, samples=20_000, rounds=12, keep=50, children=40):
+    """Look for a leader point whose follower value is below ``loss``
+    without trusting the candidate theorem.
+
+    Draws ``samples`` uniform points over the bounding box of the sites,
+    then, for ``rounds`` rounds, gives each of the ``keep`` best points
+    seen so far ``children`` Gaussian children, the spread starting at an
+    eighth of the box's longer side and halving every round.  Every value
+    comes from ``solve_medianoid_many(..., losses=True)``, whose losses are
+    exact sums, so comparing them with ``loss`` is exact.  Returns the least
+    value sampled and its point when it is below ``loss``, else ``None``;
+    deterministic in ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    lo = np.array([inst.xs.min(), inst.ys.min()])
+    hi = np.array([inst.xs.max(), inst.ys.max()])
+    spread = max(float(np.max(hi - lo)), 1.0) / 8.0
+
+    def values(xy):
+        points = [Point(x, y) for x, y in xy.tolist()]
+        return np.array(list(solve_medianoid_many(inst, points, losses=True)))
+
+    xy = rng.uniform(lo, hi, size=(samples, 2))
+    vals = values(xy)
+    for _ in range(rounds):
+        best = np.argsort(vals, kind="stable")[:keep]
+        kids = np.repeat(xy[best], children, axis=0)
+        kids += rng.normal(0.0, spread, size=kids.shape)
+        xy = np.concatenate([xy, kids])
+        vals = np.concatenate([vals, values(kids)])
+        spread /= 2.0
+    k = int(np.argmin(vals))
+    if vals[k] < loss:
+        return float(vals[k]), Point(*xy[k].tolist())
+    return None
 
 
 def brute_candidate_points(inst):
@@ -250,7 +303,7 @@ def scan_vertical_line(inst, frame, L):
     """
     X = L.anchor.x
     rows = []
-    for p, _label in line_breakpoints(inst, L, extra_lines=(frame.t_top, frame.t_btm)):
+    for p, _label in line_breakpoints(inst, L, extra_lines=frame_lines(frame)):
         res = solve_medianoid(inst, p)
         if res.strong_centroid:
             kind = "strong"
@@ -347,9 +400,9 @@ def reference_tangent_crossings(idx, line):
     return np.array(ts, dtype=float)
 
 
-def reference_explicit_crossings(idx, line, extra_lines):
+def reference_explicit_crossings(idx, line):
     """The per-customer loop that ``_explicit_crossings`` vectorises:
-    circle and extra-line crossing positions along the upward ``line``."""
+    circle crossing positions along the upward ``line``."""
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)
@@ -368,14 +421,6 @@ def reference_explicit_crossings(idx, line, extra_lines):
             continue
         s = math.sqrt(disc)
         ts += (t0 - s, t0 + s)
-    for extra in extra_lines:
-        evx, evy = extra.direction
-        cross = ux * evy - uy * evx
-        if abs(cross) <= PARALLEL_EPS:
-            continue
-        dx = extra.anchor.x - ax
-        dy = extra.anchor.y - ay
-        ts.append((dx * evy - dy * evx) / cross)
     return np.array(ts, dtype=float)
 
 

@@ -25,7 +25,6 @@ from rivalloc.centroid import (
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
 from rivalloc.linesearch import (
-    STRONG,
     Telemetry,
     build_angular_index,
     local_optima_on_lines,
@@ -95,12 +94,12 @@ class TestThreeModeAgreement:
 
 class TestLineGroups:
     def test_certifying_intermediate_group_resolves_to_the_earliest_line(self):
-        """Intermediate searches one customer's tangent lines in lockstep and
-        stops after the first round in which one of them certifies.  Here
-        three lines of the first group certify, two of them in the fewest
-        rounds, and the first certifying line is not among those two: the
-        report takes the earlier of the two, and the lines still open read
-        None."""
+        """Intermediate searches one customer's tangent lines in lockstep,
+        finishes the first round in which some of them certify and raises
+        the first of those in input order.  Here three lines of the first
+        group certify, two of them in the fewest rounds, and the first
+        certifying line is not among those two: the group raises the
+        earlier of the two, after the round that finishes both."""
         inst = support.seeded_instance(
             56, n_lo=4, n_hi=9, coord_range=10, r_choices=(6.0, 10.0, 20.0)
         )
@@ -109,22 +108,31 @@ class TestLineGroups:
             idx.tangent_line(0, j) for j in range(1, idx.n)
             if abs(math.sin(idx.ang[0, j])) > VERTICAL_EPS
         ]
-        alone = []
+        alone = {}
         rounds = []
-        for L in lines:
+        for k, L in enumerate(lines):
             tel = Telemetry()
-            alone.append(local_optimum_on_line(inst, idx, L, tel))
-            rounds.append(tel.medianoid_calls if alone[-1].status == STRONG else None)
-        certifying = [k for k, r in enumerate(rounds) if r is not None]
+            try:
+                local_optimum_on_line(inst, idx, L, tel)
+                rounds.append(None)
+            except CertifiedOptimum as cert:
+                assert cert.origin == "strong centroid on a searched line"
+                alone[k] = cert
+                rounds.append(tel.medianoid_calls)
+        certifying = sorted(alone)
         fastest = min(rounds[k] for k in certifying)
         first, second = [k for k in certifying if rounds[k] == fastest][:2]
         assert certifying[0] < first < second
 
-        group = local_optima_on_lines(inst, idx, lines, Telemetry())
-        assert group[first] == alone[first] and group[second] == alone[second]
-        assert group[certifying[0]] is None
-        for k, opt in enumerate(group):
-            assert opt is None or opt == alone[k], k
+        tel = Telemetry()
+        with pytest.raises(CertifiedOptimum) as got:
+            local_optima_on_lines(inst, idx, lines, tel)
+        assert got.value.point == alone[first].point
+        assert got.value.weight_loss == alone[first].weight_loss
+        # Every search counts the round in which the group stops: one
+        # evaluation each, five of which cut.
+        assert tel == Telemetry(medianoid_calls=7, lines_searched=7,
+                                prune_iterations=5, prune_min_fraction=0.5)
         rep = solve_centroid(inst, "intermediate")
         assert rep.telemetry["certified"] == "strong centroid on a searched line"
         assert rep.centroid == alone[first].point

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import support
 from rivalloc.centroid import solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
@@ -67,12 +68,14 @@ def real_instance(n, seed, coord_range):
     return inst
 
 
-def report(n, seed, coord_range, mode, real=False):
+def instance(n, seed, coord_range, real=False):
     if real:
-        inst = real_instance(n, seed, coord_range)
-    else:
-        inst = generate_instance(n, seed, r=4.0, coord_range=coord_range)
-    rep = solve_centroid(inst, mode)
+        return real_instance(n, seed, coord_range)
+    return generate_instance(n, seed, r=4.0, coord_range=coord_range)
+
+
+def report(n, seed, coord_range, mode, real=False):
+    rep = solve_centroid(instance(n, seed, coord_range, real), mode)
     telemetry = dict(rep.telemetry)
     del telemetry["wall_time_s"]
     return {
@@ -96,6 +99,23 @@ def test_report_matches_golden(golden, case):
 @pytest.mark.parametrize("case", REAL_CASES, ids=real_case_id)
 def test_real_coordinate_report_matches_golden(golden, case):
     assert report(*case, real=True) == golden[real_case_id(case)]
+
+
+# Every golden case, by its key in the golden file, for the falsifier.
+ALL_CASES = [(case_id(c), c, False) for c in CASES] + [
+    (real_case_id(c), c, True) for c in REAL_CASES
+]
+
+
+@pytest.mark.parametrize("key, case, real", ALL_CASES, ids=[k for k, _, _ in ALL_CASES])
+def test_no_sample_beats_the_golden_loss(golden, key, case, real):
+    """A small-budget ``support.falsify`` run, which does not rest on the
+    candidate theorem, finds no point below the pinned loss."""
+    n, seed, coord_range, _mode = case
+    loss = golden[key]["weight_loss"]
+    beaten = support.falsify(instance(n, seed, coord_range, real), loss, seed,
+                             samples=5000, rounds=8, keep=25, children=20)
+    assert beaten is None, (beaten, loss)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rivalloc.geom import (
 )
 from rivalloc.linesearch import (
     PARALLEL_EPS,
+    CertifiedOptimum,
     Telemetry,
     _explicit_crossings,
     build_angular_index,
@@ -136,8 +138,11 @@ class TestBreakpointSequences:
             for g, w in zip(got, want):
                 assert abs(g - w) <= COVERAGE_TOL * scale, (trial, g, w)
             lo, hi = -np.inf, np.inf
-            line = upward_line(L)
-            for t, _, _, d in support.evaluations(inst, line, P, Telemetry()):
+            try:
+                done = support.evaluations(inst, upward_line(L), P, Telemetry())
+            except CertifiedOptimum:
+                continue
+            for t, _, _, d in done:
                 assert lo < t < hi, (trial, lo, t, hi)
                 if d == UPWARD:
                     lo = t
@@ -160,16 +165,6 @@ class TestBreakpointSequences:
             p = line.point_at(t)
             off = ux * (p.y - L.anchor.y) - uy * (p.x - L.anchor.x)
             assert abs(off) <= 1e-6
-
-    def test_extra_lines_become_breakpoints(self):
-        inst = generate_instance(4, seed=55, r=2.0)
-        L = DirectedLine.vertical(0.0)
-        extra = DirectedLine.horizontal(123.0)
-        idx = build_angular_index(inst)
-        base = sorted_positions(breakpoint_sequences(idx, L))
-        plus = sorted_positions(breakpoint_sequences(idx, L, extra_lines=(extra,)))
-        assert len(plus) == len(base) + 1
-        assert 123.0 in plus
 
     def test_horizontal_line_rejected(self):
         inst = generate_instance(3, seed=1, r=2.0)
@@ -218,7 +213,7 @@ class TestTangentSequences:
                 for L in _query_lines(idx, rng):
                     line = upward_line(L)
                     got = breakpoint_sequences(idx, L)
-                    head = len(got) - len(_explicit_crossings(idx, line, ()))
+                    head = len(got) - len(_explicit_crossings(idx, line))
                     want = support.reference_tangent_crossings(idx, line)
                     assert got.dtype == want.dtype, (n, R, L)
                     assert got[:head].tobytes() == want.tobytes(), (n, R, L)
@@ -238,8 +233,7 @@ class TestPositionTable:
     def test_positions_cuts_and_explicit_crossings_match_the_per_step_reference(
         self, monkeypatch
     ):
-        """The circle and extra-line crossings are bitwise those of the
-        per-customer loop, the whole array is, as a multiset, the per-pair
+        """The circle crossings are bitwise those of the per-customer loop, the whole array is, as a multiset, the per-pair
         and per-customer crossings, and the search's lower-median cuts
         evaluate bitwise the positions a per-step sorted-list reference
         picks under the same random series of leans."""
@@ -249,8 +243,10 @@ class TestPositionTable:
         def scripted_lean(result, up_angle):
             return leans.pop()
 
+        # Results that certify nothing; the scripted leans steer the cuts.
+        plain = SimpleNamespace(strong_centroid=False)
         monkeypatch.setattr(
-            linesearch, "solve_medianoid_many", lambda inst, points: [None] * len(points)
+            linesearch, "solve_medianoid_many", lambda inst, points: [plain] * len(points)
         )
         monkeypatch.setattr(linesearch, "lean", scripted_lean)
         cuts = tangencies = 0
@@ -261,19 +257,15 @@ class TestPositionTable:
             lines = _query_lines(idx, rng) + [
                 DirectedLine.vertical(float(idx.xs[-1]) + inst.r)
             ]
-            extras = (DirectedLine.horizontal(float(idx.ys[0])),
-                      DirectedLine(Point(0.5, -0.25), 0.7))
             for L in lines:
                 line = upward_line(L)
                 tan = support.reference_tangent_crossings(idx, line)
-                for extra_lines in ((), extras):
-                    got = breakpoint_sequences(idx, L, extra_lines)
-                    exp = _explicit_crossings(idx, line, extra_lines)
-                    want = support.reference_explicit_crossings(
-                        idx, line, extra_lines)
-                    assert exp.dtype == want.dtype, (n, L)
-                    assert exp.tobytes() == want.tobytes(), (n, L)
-                    assert _bits(got) == _bits(np.concatenate([tan, want])), (n, L)
+                got = breakpoint_sequences(idx, L)
+                exp = _explicit_crossings(idx, line)
+                want = support.reference_explicit_crossings(idx, line)
+                assert exp.dtype == want.dtype, (n, L)
+                assert exp.tobytes() == want.tobytes(), (n, L)
+                assert _bits(got) == _bits(np.concatenate([tan, want])), (n, L)
                 tangencies += len(exp) % 2
                 # Per step: the lower median of the sorted survivors, then
                 # keep only those strictly beyond it on the lean's side.
@@ -301,9 +293,9 @@ class TestLocalOptimum:
         inst = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
         L = DirectedLine.vertical(50.0)
         idx = build_angular_index(inst)
-        opt = local_optimum_on_line(inst, idx, L, Telemetry())
-        assert opt.weight_loss == 3.0
-        assert opt.point.x == 50.0
+        point, loss = local_optimum_on_line(inst, idx, L, Telemetry())
+        assert loss == 3.0
+        assert point.x == 50.0
 
     def test_matches_brute_minimum_over_breakpoints(self):
         rng = random.Random(33)
@@ -313,16 +305,20 @@ class TestLocalOptimum:
             )
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            opt = local_optimum_on_line(inst, idx, L, Telemetry())
+            try:
+                point, loss = local_optimum_on_line(inst, idx, L, Telemetry())
+            except CertifiedOptimum as cert:
+                # A strong centroid met on the line is its minimum as well.
+                point, loss = cert.point, cert.weight_loss
             values = [
                 solve_medianoid(inst, p).weight_loss
                 for p, _ in support.line_breakpoints(inst, L)
             ]
             values.append(solve_medianoid(inst, L.anchor).weight_loss)
-            assert opt.weight_loss == min(values), trial
+            assert loss == min(values), trial
             # the returned point actually lies on L and attains the value
-            assert abs(t_along(L, opt.point)) < 1e7
-            assert solve_medianoid(inst, opt.point).weight_loss == opt.weight_loss
+            assert abs(t_along(L, point)) < 1e7
+            assert solve_medianoid(inst, point).weight_loss == loss
 
     def test_prune_progress_at_least_one_half(self):
         """Every cut discards at least half of the surviving breakpoints (the

@@ -16,18 +16,21 @@ from rivalloc.medianoid import (
     solve_medianoid,
 )
 from rivalloc.vprune import (
-    CONDITIONAL_CENTROID,
     PRUNE_LEFT,
     PRUNE_RIGHT,
     PW_NULL,
-    STRONG_CENTROID,
     PruneDecision,
     build_frame,
     decide,
     find_xD_xU,
     pseudo_wedge,
 )
-from rivalloc.linesearch import Telemetry, breakpoint_sequences, build_angular_index
+from rivalloc.linesearch import (
+    CertifiedOptimum,
+    Telemetry,
+    breakpoint_sequences,
+    build_angular_index,
+)
 
 
 classify_wedge_on_vertical = support.classify_wedge_on_vertical
@@ -39,25 +42,37 @@ def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
     (t_D, _, _), (t_U, _, _) = got
-    pos = breakpoint_sequences(idx, L, (frame.t_top, frame.t_btm)).tolist()
+    pos = breakpoint_sequences(idx, L).tolist()
+    pos += [frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y]
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
+
+
+def assert_kept_side_holds_an_optimum(inst, dec, X, trial):
+    """The closed side of the vertical line at ``X`` that ``dec`` keeps
+    attains the brute-force minimum."""
+    values = support.brute_values(inst)
+    if dec.kind == PRUNE_LEFT:
+        kept = support.brute_minimum(inst, keep=lambda p: p.x >= X, values=values)
+    else:
+        assert dec.kind == PRUNE_RIGHT, (trial, dec.kind)
+        kept = support.brute_minimum(inst, keep=lambda p: p.x <= X, values=values)
+    best = support.brute_minimum(inst, values=values)
+    assert kept == best, (trial, kept, best)
 
 
 class TestBuildFrame:
     def test_single_disc(self):
         inst = Instance([Customer(Point(0.0, 0.0), 1.0)], 2.0)
         f = build_frame(inst)
-        assert (f.xmin, f.xmax, f.ymin, f.ymax) == (-1.0, 1.0, -1.0, 1.0)
-        assert f.t_top.anchor.y == 3.0
-        assert f.t_btm.anchor.y == -3.0
+        assert (f.xmin, f.xmax, f.y_top, f.y_btm) == (-1.0, 1.0, 3.0, -3.0)
 
     def test_two_discs(self):
         inst = Instance(
             [Customer(Point(0.0, 0.0), 1.0), Customer(Point(10.0, 0.0), 2.0)], 2.0
         )
         f = build_frame(inst)
-        assert (f.xmin, f.xmax, f.ymin, f.ymax) == (-1.0, 11.0, -1.0, 1.0)
+        assert (f.xmin, f.xmax, f.y_top, f.y_btm) == (-1.0, 11.0, 3.0, -3.0)
 
     def test_box_covers_every_disc(self):
         inst = generate_instance(8, seed=5, r=4.0)
@@ -65,8 +80,8 @@ class TestBuildFrame:
         for c in inst.customers:
             assert f.xmin <= c.site.x - inst.r
             assert f.xmax >= c.site.x + inst.r
-            assert f.ymin <= c.site.y - inst.r
-            assert f.ymax >= c.site.y + inst.r
+            assert f.y_btm < c.site.y - inst.r
+            assert f.y_top > c.site.y + inst.r
 
 
 class TestFrameAnchorDirections:
@@ -77,8 +92,8 @@ class TestFrameAnchorDirections:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
-            top = Point(X, frame.t_top.anchor.y)
-            btm = Point(X, frame.t_btm.anchor.y)
+            top = Point(X, frame.y_top)
+            btm = Point(X, frame.y_btm)
             res_top = solve_medianoid(inst, top)
             res_btm = solve_medianoid(inst, btm)
             assert classify_wedge_on_vertical(res_top.wedge, X) == DOWNWARD, trial
@@ -95,22 +110,22 @@ class TestFindAnchors:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
-            got = find_xD_xU(inst, idx, frame, L, Telemetry())
             rows = scan_line(inst, frame, L)
             scale = max(1.0, max(abs(r[0]) for r in rows))
             tol = 1e-6 * scale
+            try:
+                got = find_xD_xU(inst, idx, frame, L, Telemetry())
+            except CertifiedOptimum as cert:
+                decisions_seen += 1
+                # a covering interval wider than a half turn certifies a
+                # global optimum, whatever its value
+                assert cert.origin == support.STRONG_ORIGINS[0], trial
+                assert cert.weight_loss == support.brute_minimum(inst)
+                continue
             if isinstance(got, PruneDecision):
                 decisions_seen += 1
-                dec = got
-                if dec.kind == STRONG_CENTROID:
-                    # a covering interval wider than a half turn certifies a
-                    # global optimum, whatever its value
-                    assert dec.weight_loss == support.brute_minimum(inst)
-                else:
-                    assert dec.kind in (PRUNE_LEFT, PRUNE_RIGHT)
-                    res = solve_medianoid(inst, dec.point)
-                    cls = classify_wedge_on_vertical(res.wedge, L.anchor.x)
-                    assert cls in (SIDEWARD_RIGHT, SIDEWARD_LEFT), trial
+                assert got.evidence == "sideward wedge at a breakpoint of the query line"
+                assert_kept_side_holds_an_optimum(inst, got, L.anchor.x, trial)
                 continue
             anchors_seen += 1
             (t_D, p_D, r_D), (t_U, p_U, r_U) = got
@@ -138,7 +153,10 @@ class TestFindAnchors:
                 frame = build_frame(inst)
                 for _ in range(6):
                     L = support.vertical_through_box(rng, frame)
-                    got = find_xD_xU(inst, idx, frame, L, Telemetry())
+                    try:
+                        got = find_xD_xU(inst, idx, frame, L, Telemetry())
+                    except CertifiedOptimum:
+                        continue
                     if not isinstance(got, PruneDecision):
                         anchors_seen += 1
                         assert_nothing_between(idx, frame, L, got)
@@ -207,7 +225,10 @@ class TestPseudoWedge:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
-            got = find_xD_xU(inst, idx, frame, L, Telemetry())
+            try:
+                got = find_xD_xU(inst, idx, frame, L, Telemetry())
+            except CertifiedOptimum:
+                continue
             if isinstance(got, PruneDecision):
                 continue
             (t_D, p_D, r_D), (t_U, p_U, r_U) = got
@@ -226,7 +247,7 @@ class TestPseudoWedge:
         inst = Instance([Customer(Point(0.0, 0.0), 2.0)], 2.0)
         apex = Point(-10.0, 0.0)
         with pytest.raises(ValueError, match="upward or downward"):
-            pseudo_wedge(inst, apex, 1.0)
+            pseudo_wedge(inst, apex, 1.0, solve_medianoid(inst, apex))
 
 
 class TestDecide:
@@ -251,39 +272,25 @@ class TestDecide:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
-            dec = decide(inst, idx, frame, L, Telemetry())
-            kinds.add(dec.kind)
-            best = support.brute_minimum(inst)
-            if dec.kind == PRUNE_LEFT:
-                kept = support.brute_minimum(inst, keep=lambda p: p.x >= X)
-                assert kept == best, (trial, kept, best)
-            elif dec.kind == PRUNE_RIGHT:
-                kept = support.brute_minimum(inst, keep=lambda p: p.x <= X)
-                assert kept == best, (trial, kept, best)
-            elif dec.kind == STRONG_CENTROID:
-                assert dec.weight_loss == best
-            else:
-                assert dec.kind == CONDITIONAL_CENTROID
-                res = solve_medianoid(inst, dec.point)
-                assert res.weight_loss == dec.weight_loss
+            try:
+                dec = decide(inst, idx, frame, L, Telemetry())
+            except CertifiedOptimum as cert:
+                kinds.add(cert.origin)
+                best = support.brute_minimum(inst)
+                if cert.origin in support.STRONG_ORIGINS:
+                    assert cert.weight_loss == best
+                    continue
+                assert cert.origin == support.CONDITIONAL_ORIGIN
+                res = solve_medianoid(inst, cert.point)
+                assert res.weight_loss == cert.weight_loss
                 # a null pseudo-wedge certifies a global optimum
-                assert dec.weight_loss == best
+                assert cert.weight_loss == best
                 for p, _label in support.line_breakpoints(
-                    inst, L, extra_lines=(frame.t_top, frame.t_btm)
+                    inst, L, extra_lines=support.frame_lines(frame)
                 ):
                     w = solve_medianoid(inst, p).weight_loss
-                    assert w >= dec.weight_loss, trial
+                    assert w >= cert.weight_loss, trial
+                continue
+            kinds.add(dec.kind)
+            assert_kept_side_holds_an_optimum(inst, dec, X, trial)
         assert PRUNE_LEFT in kinds or PRUNE_RIGHT in kinds
-
-    def test_decision_records_its_anchors(self):
-        rng = random.Random(23)
-        for trial in range(10):
-            inst = support.seeded_instance(11_000 + trial, n_lo=4, n_hi=8)
-            idx = build_angular_index(inst)
-            frame = build_frame(inst)
-            L = support.vertical_through_box(rng, frame)
-            dec = decide(inst, idx, frame, L, Telemetry())
-            if dec.x_D is not None and dec.x_U is not None:
-                assert dec.x_D.y > dec.x_U.y
-                assert abs(dec.x_D.x - L.anchor.x) < 1e-9
-                assert abs(dec.x_U.x - L.anchor.x) < 1e-9
