@@ -17,7 +17,8 @@ each disc boundary, the block of tangent lines that meets it in the y-order
 they now share across the slab; the circle-circle family takes its crossing
 points.  Vertical tangent lines have no y-order and are set aside.  The
 optimum is therefore matched by one line search on each boundary line and
-each vertical tangent line, or at a customer site.  A certified optimum
+each vertical tangent line, by a point a decision evaluated and carried
+(``PruneDecision.witness``), or at a customer site.  A certified optimum
 found anywhere, by a decision or a line search, is raised there as
 ``CertifiedOptimum`` and stops everything early; its ``origin`` is reported
 as ``telemetry["certified"]``.
@@ -39,7 +40,7 @@ from .geom import (
     circle_circle_intersections,
     Circle,
 )
-from .medianoid import solve_medianoid, solve_medianoid_many
+from .medianoid import block_size, solve_medianoid, solve_medianoid_many
 from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
@@ -82,20 +83,24 @@ class SolveReport:
 class _Slab:
     """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
 
-    Every point outside it is no better than a point on a boundary line.
+    Every point outside it is no better than a point on a boundary line or
+    one of the ``witnesses`` that decisions carried.
     """
 
     def __init__(self) -> None:
         self.lo = -math.inf
         self.hi = math.inf
+        self.witnesses: List[Tuple[Point, float]] = []
 
     def apply(self, dec: PruneDecision, x: float) -> None:
         """Move a boundary to ``x``, the line of ``dec``, keeping its closed
-        side."""
+        side, and keep the decision's witness."""
         if dec.kind == PRUNE_LEFT:
             self.lo = x
         else:
             self.hi = x
+        if dec.witness is not None:
+            self.witnesses.append(dec.witness)
 
     def boundary_xs(self) -> List[float]:
         out = []
@@ -435,8 +440,9 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
 
     ``mode`` selects the solver: ``"parametric"`` shrinks one slab over the
     three candidate families with the vertical-line decision oracle and
-    searches its boundary lines, ``"intermediate"`` runs
-    the line search on every tangent line, and ``"brute"`` evaluates every
+    searches its boundary lines, keeping the midpoints its decisions
+    carry as candidates; ``"intermediate"`` runs the line search on every
+    tangent line, customer group by group; and ``"brute"`` evaluates every
     candidate point.  All return the same follower value; ties between
     optimal points are broken lexicographically by (x, y).
     """
@@ -462,8 +468,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             best = key
             best_point = point
 
-    def run_lines(lines: List[DirectedLine]) -> None:
-        for point, loss in local_optima_on_lines(inst, idx, lines, tel):
+    def run_lines(lines: List[DirectedLine], groups: Optional[List[int]] = None) -> None:
+        for point, loss in local_optima_on_lines(inst, idx, lines, tel, groups):
             consider(point, loss)
 
     def run_points(points: List[Point]) -> None:
@@ -474,11 +480,22 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
     try:
         if mode == INTERMEDIATE:
             # One group per customer: its tangent lines, less the vertical.
+            # Consecutive groups share one lockstep while their lines fit
+            # one sweep block (at least one group at a time).
+            size = block_size(idx.n)
+            lines: List[DirectedLine] = []
+            groups: List[int] = []
             for i in range(idx.n):
-                run_lines([
+                group = [
                     idx.tangent_line(i, j) for j in range(idx.n)
                     if j != i and abs(math.sin(idx.ang[i, j])) > VERTICAL_EPS
-                ])
+                ]
+                if lines and len(lines) + len(group) > size:
+                    run_lines(lines, groups)
+                    lines, groups = [], []
+                groups += [groups[-1] + 1 if groups else 0] * len(group)
+                lines += group
+            run_lines(lines, groups)
             run_points(_disc_crossings(inst))
         else:
             slab = _Slab()
@@ -486,6 +503,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             local_optimal_line_LM(inst, idx, frame, slab, tel)
             local_optimal_line_LC(inst, idx, frame, slab, tel)
             run_lines([DirectedLine.vertical(x) for x in sorted(set(slab.boundary_xs() + xs))])
+            for point, loss in slab.witnesses:
+                consider(point, loss)
         run_points([c.site for c in inst.customers])
     except CertifiedOptimum as cert:
         tel.certified = cert.origin

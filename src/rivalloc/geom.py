@@ -85,10 +85,11 @@ class Instance:
     at least R from the leader, and a customer is captured exactly when its
     projection on the follower direction exceeds r.
 
-    The tolerance ``eps`` and the read-only coordinate and weight arrays
-    ``xs``, ``ys`` and ``ws`` are computed once, at construction.  They are
-    not dataclass fields, so equality and hashing use only the customers
-    and R.
+    The tolerance ``eps``, the read-only coordinate and weight arrays
+    ``xs``, ``ys`` and ``ws``, and ``exact_sums``, whether every sum of
+    weights is exact in floating point, are computed once, at
+    construction.  They are not dataclass fields, so equality and hashing
+    use only the customers and R.
     """
 
     customers: Tuple[Customer, ...]
@@ -114,6 +115,11 @@ class Instance:
             arr = np.array(values, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # Integer weights of total at most 2^53: every partial sum of them is
+        # an integer of at most 2^53, so any summation order is exact.
+        object.__setattr__(self, "exact_sums", bool(
+            np.all(self.ws == np.floor(self.ws)) and self.ws.sum() <= 2.0 ** 53
+        ))
 
     @property
     def n(self) -> int:

@@ -9,30 +9,32 @@ tangent line of the angular index that is not parallel to the line, once
 each, then the circle crossings.  The crossing points themselves are never
 built.
 
-``_evaluations`` is the one search over a line's breakpoints, a coroutine.
-Each round it selects the lower median of the surviving positions (Hoare's
-FIND, as ``np.partition`` runs it), yields that point, is sent the
-follower's result there and applies the cut itself: an upward wedge keeps
-the positions strictly above, a downward one those strictly below, and a
-sideward wedge ends the search.  A strong centroid is a certified global
-optimum: the search raises it at once as ``CertifiedOptimum``, with an
-``origin`` string naming where it was found.  Each cut discards at least
-half of the survivors, so one line costs time linear in its breakpoint
-count.  ``_lockstep`` advances independent searches together, with one
-block sweep of their points per round (Megiddo's batching of independent
-oracle calls): intermediate mode groups one customer's tangent lines,
-parametric mode the slab's boundary lines, and the vertical-line decision
-(``vprune``) runs its single line and takes its anchors from the
-evaluations.  A round in which searches raise is finished, then the first
-of them in input order is raised.  ``local_optima_on_lines`` takes each
-line minimum from the evaluations.
+``search_lines`` is the one search over breakpoints, an array engine that
+advances many lines in lockstep (Megiddo's batching of independent oracle
+calls).  Each round it selects the lower median of each line's surviving
+positions (Hoare's FIND, as ``np.partition`` runs it), sweeps all their
+points as one block (``medianoid.sweep``, whose rows are plain floats) and
+reads each lean with ``medianoid.lean_code``: an upward wedge keeps the
+positions strictly above, a downward one those strictly below, and a
+sideward wedge ends the line.  A strong centroid is a certified global
+optimum, raised as ``CertifiedOptimum`` with an ``origin`` string naming
+where it was found, once the round is finished.  Each cut discards at
+least half of the survivors, so one line costs time linear in its
+breakpoint count.  A line keeps only its first least-loss evaluation, its
+last upward and last downward one and a sideward end; a ``Point`` or a
+``MedianoidResult`` is built only from those.  Parametric mode searches the
+slab's boundary lines, the vertical-line decision (``vprune``) its single
+line, for its anchors, and intermediate mode every tangent line, whole
+customer groups per lockstep: a certificate resolves to the earliest group
+that certifies, as if the groups ran one after another.  The lines of one
+block get their breakpoint arrays from one broadcast pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,13 +47,14 @@ from .geom import (
     _libm,
     normalize_angle,
 )
+from . import medianoid
 from .medianoid import (
-    DOWNWARD,
-    UPWARD,
-    WHOLE_LINE,
-    MedianoidResult,
-    classify_wedge_on_line,
-    solve_medianoid_many,
+    DOWN,
+    LEANS,
+    UP,
+    WHOLE,
+    lean_code,
+    sweep,
 )
 
 # Angular separation below which a tangent direction is treated as parallel
@@ -64,10 +67,6 @@ ANGLE_DUP_EPS = 1e-12
 
 # Origin of a certificate that a line minimum search finds.
 SEARCHED_LINE = "strong centroid on a searched line"
-
-# One evaluation of a line search: (t, point, result, lean).
-Evaluation = Tuple[float, Point, MedianoidResult, str]
-
 
 @dataclass(slots=True)
 class Telemetry:
@@ -179,25 +178,67 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     return DirectedLine(L.anchor, up)
 
 
-def _explicit_crossings(idx: AngularIndex, line: DirectedLine) -> np.ndarray:
-    """Circle crossing positions along the upward ``line``."""
+def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
+    """``_positions`` for lines that fit one block, as one broadcast pass:
+    row i of a lines x (n^2 + 2n) table holds line i's tangent crossings,
+    then its circle crossings, and a mask keeps the real ones."""
     inst = idx.inst
+    k, n = len(lines), idx.n
+    m = n * n
+    ax, ay, ux, uy = (np.array(v, dtype=float)[:, None] for v in zip(
+        *((L.anchor.x, L.anchor.y) + L.direction for L in lines)))
+    nx, ny = idx.tan_nx, idx.tan_ny
+    vals = np.empty((k, m + 2 * n))
+    used = np.empty((k, m + 2 * n), dtype=bool)
+
+    # Tangent crossings.  Each step rounds as (off - (ax*nx + ay*ny)) /
+    # (ux*nx + uy*ny) does.  NaN on the diagonal (a customer has no tangent
+    # with itself), which neither comparison keeps.
+    den = ux * nx
+    den += uy * ny
+    T = vals[:, :m]
+    np.abs(den, out=T)
+    np.greater(T, 2.0 * PARALLEL_EPS, out=used[:, :m])
+    rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * PARALLEL_EPS), m)
+    if len(rows):
+        angle = np.array([L.angle for L in lines])
+        sin_d = _libm(math.sin, idx.ang.ravel()[cols] - angle[rows])
+        used[rows, cols] = np.abs(sin_d) > PARALLEL_EPS
+    np.multiply(ax, nx, out=T)
+    T += ay * ny
+    np.subtract(idx.tan_off, T, out=T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T /= den
+
+    # Circle crossings, per customer: no entry, the tangency t0, or the two
+    # crossings t0 - s and t0 + s.
     r = inst.r
     tol = inst.eps * max(1.0, r)
-    ux, uy = line.direction
-    ax, ay = line.anchor
     cx = idx.xs - ax
     cy = idx.ys - ay
     t0 = cx * ux + cy * uy
     perp = ux * cy - uy * cx
     disc = r * r - perp * perp
-    # Per customer, in customer order: no entry, the tangency t0, or the two
-    # crossings t0 - s and t0 + s.
     crossing = disc > tol
     s = np.sqrt(np.where(crossing, disc, 0.0))
-    pair = np.stack([np.where(crossing, t0 - s, t0), t0 + s], axis=1)
-    used = np.stack([crossing | (disc >= -tol), crossing], axis=1)
-    return pair[used]
+    vals[:, m::2] = np.where(crossing, t0 - s, t0)
+    vals[:, m + 1::2] = t0 + s
+    used[:, m::2] = crossing | (disc >= -tol)
+    used[:, m + 1::2] = crossing
+    flat = vals[used]
+    ends = np.cumsum(np.count_nonzero(used, axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _positions(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
+    """The breakpoint array of each upward line of ``lines`` (see
+    ``breakpoint_sequences``), built ``SWEEP_BLOCK // n^2`` lines (at least
+    one) at a time, so that the lines x n^2 temporaries stay one block."""
+    size = max(1, medianoid.SWEEP_BLOCK // (idx.n * idx.n))
+    out: List[np.ndarray] = []
+    for start in range(0, len(lines), size):
+        out += _position_pass(idx, lines[start:start + size])
+    return out
 
 
 def breakpoint_sequences(idx: AngularIndex, L: DirectedLine) -> np.ndarray:
@@ -205,160 +246,162 @@ def breakpoint_sequences(idx: AngularIndex, L: DirectedLine) -> np.ndarray:
     positions along ``upward_line(L)``.
 
     Every canonical tangent line of ``idx`` that crosses ``L`` contributes
-    its crossing once, and circle crossings appear once per intersection
-    point (a tangency contributes a single entry).  A tangent direction
-    ``a`` is parallel to ``L``, and dropped, when the C library's
-    ``|sin(a - up)|`` is at most ``PARALLEL_EPS``; the crossing's own
-    denominator equals that sine up to rounding, so it preselects the few
-    directions the C library decides.
+    its crossing once, in canonical order, and then circle crossings appear
+    once per intersection point, in customer order (a tangency contributes
+    a single entry).  A tangent direction ``a`` is parallel to ``L``, and
+    dropped, when the C library's ``|sin(a - up)|`` is at most
+    ``PARALLEL_EPS``; the crossing's own denominator equals that sine up
+    to rounding, so it preselects the few directions the C library decides.
     """
-    line = upward_line(L)
-    ux, uy = line.direction
-    ax, ay = line.anchor
-    nx, ny = idx.tan_nx, idx.tan_ny
-    # Each step rounds as (off - (ax*nx + ay*ny)) / (ux*nx + uy*ny) does,
-    # in place, so that few n^2-sized arrays are alive at once.
-    den = ux * nx
-    den += uy * ny
-    # NaN on the diagonal (a customer has no tangent with itself), which
-    # neither comparison keeps.
-    keep = np.abs(den) > 2.0 * PARALLEL_EPS
-    near = np.flatnonzero(np.abs(den) <= 2.0 * PARALLEL_EPS)
-    if len(near):
-        sin_d = _libm(math.sin, idx.ang.ravel()[near] - line.angle)
-        keep[near] = np.abs(sin_d) > PARALLEL_EPS
-    den = den[keep]
-    T = ax * nx[keep]
-    T += ay * ny[keep]
-    np.subtract(idx.tan_off[keep], T, out=T)
-    T /= den
-    return np.concatenate([T, _explicit_crossings(idx, line)])
+    return _positions(idx, [upward_line(L)])[0]
 
 
-def lean(result: MedianoidResult, up_angle: float) -> str:
-    """Where an evaluation that certifies nothing sends the search along the
-    line with upward direction ``up_angle``: the wedge's direction (upward,
-    downward or a sideward side)."""
-    cls = classify_wedge_on_line(result.wedge, up_angle)
-    if cls == WHOLE_LINE:
-        raise RuntimeError("wedge degenerately contains the query line")
-    return cls
+# One evaluation of a line search: its position t along the line, the
+# point (x, y), and the follower's weight loss, witness angle and covering
+# interval (theta_b, span) there.
+Evaluation = Tuple[float, float, float, float, float, float, float]
 
 
-def _evaluations(
-    line: DirectedLine, P: np.ndarray, telemetry: Telemetry, origin: str
-) -> Generator[Tuple[float, Point], MedianoidResult, List[Evaluation]]:
-    """Search the breakpoint positions ``P`` along the upward ``line`` by
-    exact-median selection until no breakpoint is left.
+def search_lines(
+    inst: Instance,
+    lines: Sequence[DirectedLine],
+    positions: List[np.ndarray],
+    telemetry: Telemetry,
+    origin: str,
+    groups: Optional[Sequence[int]] = None,
+    minimum: bool = True,
+) -> List[Tuple[Optional[Evaluation], Optional[Evaluation], Optional[Evaluation], Optional[str]]]:
+    """Search the breakpoint positions of each upward line of ``lines`` by
+    exact-median selection, all lines in lockstep, until none is left.
 
-    A coroutine: each round yields ``(t, point)`` for the lower median of
-    the surviving positions and is sent the follower's result there.  A
-    strong centroid raises ``CertifiedOptimum`` with ``origin``; otherwise
-    the search cuts: an upward lean keeps only positions strictly above
-    ``t``, a downward one only those strictly below, and a sideward lean
-    ends the search.  A cut drops the median and every position behind it,
-    at least half of the survivors, so a search of m positions evaluates at
-    most ``floor(log2 m) + 1`` of them.  It returns its evaluations
-    ``(t, point, result, lean)`` in order, and reorders ``P`` in place.
+    Each round takes the lower median of each line's surviving positions
+    (``np.partition``) and sweeps all their points as one block.  A strong
+    centroid certifies a global optimum; otherwise the wedge's lean cuts:
+    upward keeps only the positions strictly above t, downward only those
+    strictly below, and a sideward lean ends the line.  A cut drops the
+    median and every position behind it, at least half of the survivors,
+    so a line of m positions costs at most ``floor(log2 m) + 1``
+    evaluations.  With ``minimum``, a line without positions is evaluated
+    at its anchor and each line counts in ``lines_searched``.
+
+    ``groups`` numbers the lines' groups, non-decreasing in input order
+    (one group when omitted).  The search runs as if the groups were
+    searched one after another, each stopping at its first certifying
+    round: a certificate resolves to the earliest group that certifies, at
+    the first line, in input order, of that group's first certifying round.
+    Later groups are dropped, earlier ones run to the end, and only the
+    groups up to it are counted in ``telemetry``; then it is raised as
+    ``CertifiedOptimum`` with ``origin``.
+
+    Returns per line ``(least, up, down, side)``: its first evaluation of
+    least weight loss (or, when it ended sideward, that evaluation), its
+    last upward and last downward evaluation, and the sideward lean it
+    ended with, if any.  Each cut keeps only positions beyond the
+    evaluation that made it, so the last upward (downward) evaluation is the
+    highest (lowest).  The position arrays are reordered in place.
     """
-    up_angle = line.angle
-    budget = len(P).bit_length()
-    done: List[Evaluation] = []
-    while len(P):
-        mass = len(P)
-        k = (mass - 1) // 2
-        P.partition(k)
-        t = float(P[k])
-        point = line.point_at(t)
-        res = yield t, point
-        telemetry.medianoid_calls += 1
-        if res.strong_centroid:
-            raise CertifiedOptimum(point, res.weight_loss, origin)
-        d = lean(res, up_angle)
-        done.append((t, point, res, d))
-        # After the partition nothing before k exceeds t, nothing after
-        # k falls below it.
-        if d == UPWARD:
-            P = P[k + 1:][P[k + 1:] > t]
-        elif d == DOWNWARD:
-            P = P[:k][P[:k] < t]
-        else:
-            return done
-        pruned = mass - len(P)
-        telemetry.prune_iterations += 1
-        frac = pruned / mass
-        least = telemetry.prune_min_fraction
-        if least is None or frac < least:
-            telemetry.prune_min_fraction = frac
-        if pruned * 2 < mass:
-            raise RuntimeError(
-                "prune progress fell below the guaranteed fraction "
-                "(%d of %d)" % (pruned, mass)
-            )
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("prune search failed to terminate")
-    return done
-
-
-def _lockstep(inst: Instance, searches: Sequence[Generator]) -> List[object]:
-    """Run the coroutines ``searches`` side by side, each round sweeping the
-    points they all yield as one block, and return what each returned, in
-    input order.  A round in which searches raise ``CertifiedOptimum`` is
-    finished, then the first of them in input order is raised."""
-    out: List[object] = [None] * len(searches)
-    live = []
-    for i, search in enumerate(searches):
-        try:
-            live.append((i, search, search.send(None)))
-        except StopIteration as stop:
-            out[i] = stop.value
+    count = len(lines)
+    if not count:
+        return []
+    group = list(groups) if groups is not None else [0] * count
+    ngroups = max(group, default=-1) + 1
+    calls, cuts, searched = [0] * ngroups, [0] * ngroups, [0] * ngroups
+    fraction: List[Optional[float]] = [None] * ngroups
+    if minimum:
+        for g in group:
+            searched[g] += 1
+    ax = [L.anchor.x for L in lines]
+    ay = [L.anchor.y for L in lines]
+    ux, uy = (list(u) for u in zip(*(L.direction for L in lines)))
+    up = [normalize_angle(L.angle) for L in lines]
+    down = [normalize_angle(L.angle + math.pi) for L in lines]
+    P = list(positions)
+    budget = [len(p).bit_length() for p in P]
+    least: List[Optional[Evaluation]] = [None] * count
+    ups: List[Optional[Evaluation]] = [None] * count
+    downs: List[Optional[Evaluation]] = [None] * count
+    sides: List[Optional[str]] = [None] * count
+    live = [i for i in range(count) if minimum or len(P[i])]
+    stop, cert = ngroups, None
     while live:
-        results = solve_medianoid_many(inst, [point for _, _, (_, point) in live])
-        pending, certified = [], []
-        for (i, search, _), res in zip(live, results):
-            try:
-                pending.append((i, search, search.send(res)))
-            except StopIteration as stop:
-                out[i] = stop.value
-            except CertifiedOptimum as cert:
-                certified.append(cert)
-        if certified:
-            raise certified[0]
-        live = pending
-    return out
+        ts, xs, ys = [], [], []
+        for i in live:
+            p = P[i]
+            t = 0.0
+            if len(p):
+                k = (len(p) - 1) // 2
+                p.partition(k)
+                t = float(p[k])
+            ts.append(t)
+            xs.append(ax[i] + t * ux[i])
+            ys.append(ay[i] + t * uy[i])
+        loss, witness, theta_b, span = sweep(inst, np.array(xs), np.array(ys))
+        evaluations = zip(ts, xs, ys, loss.tolist(), witness.tolist(),
+                          theta_b.tolist(), span.tolist())
+        kept = []
+        for i, e in zip(live, evaluations):
+            g = group[i]
+            if g > stop:
+                break
+            calls[g] += 1
+            if e[6] > math.pi:
+                if g < stop:
+                    stop, cert = g, e
+                continue
+            p = P[i]
+            mass = len(p)
+            if not mass:
+                least[i] = e
+                continue
+            code = lean_code(e[5] + e[6], math.pi - e[6], up[i], down[i])
+            if code == WHOLE:
+                raise RuntimeError("wedge degenerately contains the query line")
+            if least[i] is None or e[3] < least[i][3]:
+                least[i] = e
+            # After the partition nothing before k exceeds t, nothing after
+            # k falls below it.
+            k = (mass - 1) // 2
+            if code == UP:
+                ups[i] = e
+                p = p[k + 1:]
+                p = p[p > e[0]]
+            elif code == DOWN:
+                downs[i] = e
+                p = p[:k]
+                p = p[p < e[0]]
+            else:
+                least[i] = e
+                sides[i] = LEANS[code]
+                continue
+            P[i] = p
+            pruned = mass - len(p)
+            cuts[g] += 1
+            frac = pruned / mass
+            if fraction[g] is None or frac < fraction[g]:
+                fraction[g] = frac
+            if pruned * 2 < mass:
+                raise RuntimeError(
+                    "prune progress fell below the guaranteed fraction "
+                    "(%d of %d)" % (pruned, mass)
+                )
+            budget[i] -= 1
+            if budget[i] < 0:
+                raise RuntimeError("prune search failed to terminate")
+            if len(p):
+                kept.append(i)
+        live = [i for i in kept if group[i] < stop]
 
-
-def _line_minimum(
-    idx: AngularIndex, L: DirectedLine, telemetry: Telemetry
-) -> Generator[Tuple[float, Point], MedianoidResult, Tuple[Point, float]]:
-    """Minimise the follower value over the non-horizontal line ``L``, as a
-    coroutine of ``_lockstep``, and return ``(point, weight_loss)``.
-
-    Breakpoints chosen by exact-median selection are evaluated; a strong
-    centroid raises ``CertifiedOptimum``, a sideward wedge stops the search
-    (its apex is then the line minimum), and otherwise the search keeps the
-    side of the line that the wedge points along.  The first evaluation of
-    the least weight loss is the line minimum; a line without breakpoints
-    is evaluated at its anchor.
-    """
-    line = upward_line(L)
-    telemetry.lines_searched += 1
-    done = yield from _evaluations(
-        line, breakpoint_sequences(idx, L), telemetry, SEARCHED_LINE
-    )
-    if not done:
-        point = line.point_at(0.0)
-        res = yield 0.0, point
-        telemetry.medianoid_calls += 1
-        if res.strong_centroid:
-            raise CertifiedOptimum(point, res.weight_loss, SEARCHED_LINE)
-        return point, res.weight_loss
-    if done[-1][3] in (UPWARD, DOWNWARD):
-        _t, point, res, _d = min(done, key=lambda e: e[2].weight_loss)
-    else:
-        _t, point, res, _d = done[-1]
-    return point, res.weight_loss
+    counted = slice(0, stop + 1)
+    telemetry.medianoid_calls += sum(calls[counted])
+    telemetry.lines_searched += sum(searched[counted])
+    telemetry.prune_iterations += sum(cuts[counted])
+    for frac in fraction[counted]:
+        least_seen = telemetry.prune_min_fraction
+        if frac is not None and (least_seen is None or frac < least_seen):
+            telemetry.prune_min_fraction = frac
+    if cert is not None:
+        raise CertifiedOptimum(Point(cert[1], cert[2]), cert[3], origin)
+    return list(zip(least, ups, downs, sides))
 
 
 def local_optima_on_lines(
@@ -366,15 +409,23 @@ def local_optima_on_lines(
     idx: AngularIndex,
     lines: Sequence[DirectedLine],
     telemetry: Telemetry,
+    groups: Optional[Sequence[int]] = None,
 ) -> List[Tuple[Point, float]]:
-    """``local_optimum_on_line`` for each of ``lines``, searched in lockstep.
+    """The point and weight loss minimising the follower value over each
+    non-horizontal line of ``lines``, searched in lockstep
+    (``search_lines``, with its ``groups``).
 
-    When some lines certify a global optimum, the round in which the first
-    of them does is finished and the first certified line in input order
-    raises ``CertifiedOptimum``: it certified in the fewest rounds, and
-    came first among those that did.
+    A sideward wedge ends a line at its apex, the line minimum; otherwise
+    the first evaluation of least weight loss is.  A line without
+    breakpoints is evaluated at its anchor.  When some lines certify a
+    global optimum, the round in which the first of them does is finished
+    and the first certified line in input order raises
+    ``CertifiedOptimum``: it certified in the fewest rounds, and came first
+    among those that did.
     """
-    return _lockstep(inst, [_line_minimum(idx, L, telemetry) for L in lines])
+    up = [upward_line(L) for L in lines]
+    found = search_lines(inst, up, _positions(idx, up), telemetry, SEARCHED_LINE, groups)
+    return [(Point(e[1], e[2]), e[3]) for e, _, _, _ in found]
 
 
 def local_optimum_on_line(

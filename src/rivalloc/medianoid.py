@@ -15,18 +15,27 @@ least W*(x), which is the pruning tool used by the line searches.  When the
 covering interval spans more than pi radians no wedge exists and x is a
 certified global optimum (a strong centroid).
 
-One sweep serves every caller: ``solve_medianoid_many`` sweeps a block of
-leader points as k x 2n arrays of arc endpoints, one sort and one running
-sum per row, and ``solve_medianoid`` is its single-point case.  The running
-sums only preselect the gaps that may attain the maximum; the loss and the
-maximizing arcs come from their ``math.fsum`` weights, so both are exact.
+One sweep serves every caller: ``sweep`` takes a block of leader points as
+k x 2n arrays of arc endpoints, one sort and one running sum per row, and
+returns four float arrays: the weight loss, a witness angle, and the begin
+and span of the covering interval, whose span above pi marks a strong
+centroid.  The running sums only preselect the gaps that may attain the
+maximum; the loss and the maximizing arcs come from exact sums of their
+weights (``math.fsum``, or numpy's sum when all weights are integers).  A
+row whose maximum is attained on one gap gets its witness and covering
+interval from array expressions with the float operations of the scalar
+scan ``_cover``, which runs on the rows with several.
+``solve_medianoid_many`` wraps the rows in ``MedianoidResult`` and
+``solve_medianoid`` is its single-point case; the line searches read the
+arrays, and ``lean_code`` reads a wedge's direction along a line from
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +44,6 @@ from .geom import (
     Instance,
     Point,
     normalize_angle,
-    unit_vector,
 )
 
 # Capture-arc endpoints swept together: a block holds 2n of them per point.
@@ -87,15 +95,34 @@ class MedianoidResult:
         return self.wedge is None
 
 
-# No customer is capturable: every angle maximizes, there is no covering
-# interval and no wedge, and the premise of the strong-centroid certificate
-# holds vacuously.
-_NOTHING_CAPTURABLE = MedianoidResult(0.0, 0.0, None)
+# Lean codes: ``lean_code`` returns indices into this tuple.  Bit 0 says
+# the upward ray lies in the wedge and bit 1 the downward one.
+LEANS = (SIDEWARD_RIGHT, UPWARD, DOWNWARD, WHOLE_LINE, SIDEWARD_LEFT)
+RIGHT, UP, DOWN, WHOLE, LEFT = range(5)
 
 
-def _result(x: Point, ma_arcs: List[Arc], best: float) -> MedianoidResult:
-    """The result at x whose maximizing gaps, in angular order, are
-    ``ma_arcs`` and whose weight loss is ``best``."""
+def block_size(n: int) -> int:
+    """Leader points swept together at n customers: ``SWEEP_BLOCK // (2n)``,
+    at least one."""
+    return max(1, SWEEP_BLOCK // (2 * n))
+
+
+def _normalized(theta: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` elementwise, by the same float operations."""
+    theta = np.fmod(theta, TWO_PI)
+    neg = theta < 0.0
+    if neg.any():
+        # fmod lies within 2 pi of zero, so only a shifted angle can round
+        # up to 2 pi.
+        theta[neg] += TWO_PI
+        theta[theta >= TWO_PI] = 0.0
+    return theta
+
+
+def _cover(ma_arcs: List[Arc]) -> Tuple[float, float, float]:
+    """The witness angle, and the begin and span of the covering interval,
+    of the maximizing gaps ``ma_arcs`` in angular order: the scalar scan
+    of rows whose maximum is attained on several gaps."""
     witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
 
     # The covering interval is the complement of the largest gap between
@@ -114,15 +141,22 @@ def _result(x: Point, ma_arcs: List[Arc], best: float) -> MedianoidResult:
             best_begin = nb
         elif abs(between[i] - best_gap) <= 1e-12 and nb < best_begin:
             best_begin = nb
-    span = TWO_PI - best_gap
+    return witness, best_begin, TWO_PI - best_gap
+
+
+def as_result(x: Point, loss: float, witness: float, theta_b: float, span: float) -> MedianoidResult:
+    """The result at x of one row of ``sweep``: a covering interval
+    spanning more than pi leaves no wedge."""
     if span > math.pi:
-        return MedianoidResult(best, witness, None)
-    return MedianoidResult(best, witness, Wedge(x, best_begin, best_begin + span, math.pi - span))
+        return MedianoidResult(loss, witness, None)
+    return MedianoidResult(loss, witness, Wedge(x, theta_b, theta_b + span, math.pi - span))
 
 
-def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> list:
-    """One angle sweep over the k x n block of capture arcs of ``points``:
-    a ``MedianoidResult`` per point, or its weight loss alone (``losses``).
+def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False):
+    """One angle sweep over the k x n block of capture arcs of the leader
+    points ``(xs, ys)``: per point the weight loss, witness angle, covering
+    interval begin ``theta_b`` and ``span`` (see ``sweep``), or the weight
+    loss alone (``losses``).
 
     Customer v is won at the angles within phi = arccos(r/d) of its
     direction, where d is its distance from the leader and r is R/2 widened
@@ -133,19 +167,20 @@ def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> lis
     the weight of gap i, from the i-th endpoint to the next, is a running
     sum started at the weight of the arcs whose end wraps past 2 pi.  The
     running sums are rounded, so every gap within their rounding bound of
-    the row maximum is re-summed with ``math.fsum`` at its midpoint, and the
+    the row maximum is re-summed exactly at its midpoint, and the
     maximizing gaps are those whose sum is the largest; that sum is the
-    weight loss.
+    weight loss.  A row with one maximizing gap gets its witness and
+    covering interval from array expressions; a row with several runs the
+    scalar scan ``_cover``, whose tie rule is sequential.
     """
     if inst.R <= 0.0:
         raise ValueError("unsupported configuration: R must be positive")
-    k = len(points)
+    k = len(xs)
     n = inst.n
     ws = inst.ws
     r = inst.r + inst.eps
-    pts = np.array([(p.x, p.y) for p in points])
-    dx = inst.xs - pts[:, :1]
-    dy = inst.ys - pts[:, 1:]
+    dx = inst.xs - xs[:, None]
+    dy = inst.ys - ys[:, None]
     phi = np.arccos(r / np.maximum(np.hypot(dx, dy), r))
     width = 2.0 * phi
     # Row i: the begins of its arcs, then their ends.
@@ -158,12 +193,12 @@ def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> lis
     np.mod(end, TWO_PI, out=end)
     each = np.arange(k)
     zero = phi == 0.0
-    live = [True] * k
+    dead = None
     if zero.any():
         # A customer within r: its zero-width arc moves onto the begin of
         # its row's widest arc, where its two weights cancel.
         widest = np.argmax(phi, axis=1)
-        live = (phi[each, widest] > 0.0).tolist()
+        dead = phi[each, widest] == 0.0
         pin = begin[each, widest][:, None]
         np.copyto(begin, pin, where=zero)
         np.copyto(end, pin, where=zero)
@@ -182,34 +217,72 @@ def _sweep(inst: Instance, points: Sequence[Point], losses: bool = False) -> lis
     # twice that of the row maximum.
     slack = 8.0 * (n + 1) * DBL_EPS * float(ws.sum())
     rows, cols = np.nonzero(run >= run.max(axis=1, keepdims=True) - slack)
-    a = srt[rows, cols]
-    b = srt[rows, cols + 1]
-    mid = a + (b - a) / 2.0
+    ga = srt[rows, cols]
+    gb = srt[rows, cols + 1]
+    mid = ga + (gb - ga) / 2.0
     off = np.mod(mid[:, None] - begin[rows], TWO_PI)
-    sums = list(map(math.fsum, np.where((off > 0.0) & (off < width[rows]), ws, 0.0).tolist()))
+    won = np.where((off > 0.0) & (off < width[rows]), ws, 0.0)
+    if inst.exact_sums:
+        # Integer weights: numpy's sum is exact, as fsum is.
+        sums = won.sum(axis=1)
+    else:
+        sums = np.array(list(map(math.fsum, won.tolist())))
 
-    bounds = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    if len(sums) == k:
+        # One candidate gap per row: it is the row's maximizing gap.
+        loss, a, b, multi = sums, ga, gb, ()
+    else:
+        loss = np.maximum.reduceat(sums, np.searchsorted(rows, each))
+        top = np.flatnonzero(sums == loss[rows])
+        multi = np.flatnonzero(np.bincount(rows[top], minlength=k) > 1)
+        # Each row's last maximizing gap; the scan redoes rows with several.
+        a, b = np.empty(k), np.empty(k)
+        a[rows[top]] = ga[top]
+        b[rows[top]] = gb[top]
+    if dead is not None:
+        loss = np.where(dead, 0.0, loss)
     if losses:
-        return [max(sums[bounds[i]:bounds[i + 1]]) if live[i] else 0.0 for i in range(k)]
-    out: List[MedianoidResult] = []
-    a, b = a.tolist(), b.tolist()
-    for i, x in enumerate(points):
-        if not live[i]:
-            out.append(_NOTHING_CAPTURABLE)
-            continue
-        lo, hi = bounds[i], bounds[i + 1]
-        best = max(sums[lo:hi])
-        out.append(_result(x, [(a[j], b[j]) for j in range(lo, hi) if sums[j] == best], best))
-    return out
+        return loss
+    witness = _normalized(a + (b - a) / 2.0)
+    span = TWO_PI - np.maximum(a - b + TWO_PI, 0.0)
+    theta_b = a
+    for i in multi:
+        j = top[rows[top] == i]
+        witness[i], theta_b[i], span[i] = _cover(list(zip(ga[j].tolist(), gb[j].tolist())))
+    if dead is not None:
+        # Nothing capturable: every angle maximizes, there is no covering
+        # interval and no wedge, and the premise of the strong-centroid
+        # certificate holds vacuously.
+        witness[dead] = 0.0
+        span[dead] = TWO_PI
+    return loss, witness, theta_b, span
 
 
-def solve_medianoid_many(inst: Instance, points: Sequence[Point], losses: bool = False) -> Iterator:
+def sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False):
+    """Per leader point ``(xs[i], ys[i])``: the weight loss W*, a witness
+    angle attaining it, and the begin ``theta_b`` and ``span`` of the
+    covering interval of the maximizing angles, as four float arrays (a
+    span above pi marks a strong centroid), or the weight losses alone
+    (``losses``).  Swept ``block_size(n)`` points at a time."""
+    size = block_size(inst.n)
+    if len(xs) <= size:
+        return _sweep(inst, xs, ys, losses)
+    parts = [_sweep(inst, xs[s:s + size], ys[s:s + size], losses)
+             for s in range(0, len(xs), size)]
+    if losses:
+        return np.concatenate(parts)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def solve_medianoid_many(inst: Instance, points: Sequence[Point], losses: bool = False) -> list:
     """``solve_medianoid`` at each of ``points``, in order, or only its
-    weight loss (``losses``), swept ``SWEEP_BLOCK // (2n)`` points (at
-    least one) at a time."""
-    size = max(1, SWEEP_BLOCK // (2 * inst.n))
-    for start in range(0, len(points), size):
-        yield from _sweep(inst, points[start:start + size], losses)
+    weight loss (``losses``)."""
+    xs = np.array([p.x for p in points], dtype=float)
+    ys = np.array([p.y for p in points], dtype=float)
+    got = sweep(inst, xs, ys, losses)
+    if losses:
+        return got.tolist()
+    return [as_result(x, *row) for x, row in zip(points, zip(*(col.tolist() for col in got)))]
 
 
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
@@ -217,32 +290,33 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
 
     Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
     """
-    return _sweep(inst, (x,))[0]
+    return solve_medianoid_many(inst, (x,))[0]
 
 
-def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:
-    """Wedge direction relative to a line with upward direction ``up_angle``.
+def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> int:
+    """The direction of the wedge with end angle ``theta_e`` and opening
+    ``ccw_span`` relative to a line whose upward and downward directions,
+    in [0, 2 pi), are ``up`` and ``down``, as an index into ``LEANS``.
 
     Upward means the wedge meets the line in the ray above the apex,
     downward the ray below; sideward means the apex alone, with the side
-    naming where the wedge body lies.
+    naming where the wedge body lies.  A ray is in the wedge when its
+    direction lies in the closed cone from ``theta_e - pi/2`` over
+    ``ccw_span``, up to 1e-12.
     """
-    lo, span = w.cone
+    lo = normalize_angle(theta_e - math.pi / 2.0)
+    reach = ccw_span + 1e-12
+    code = ((up - lo) % TWO_PI <= reach) + 2 * ((down - lo) % TWO_PI <= reach)
+    if code == RIGHT:
+        # Sideward: the side of the cone's middle direction.
+        mid = lo + ccw_span / 2.0
+        if math.cos(up) * math.sin(mid) - math.sin(up) * math.cos(mid) > 0.0:
+            return LEFT
+    return code
 
-    def in_cone(d: float) -> bool:
-        off = (normalize_angle(d) - lo) % TWO_PI
-        return off <= span + 1e-12
 
-    up_in = in_cone(up_angle)
-    down_in = in_cone(up_angle + math.pi)
-    if up_in and down_in:
-        return WHOLE_LINE
-    if up_in:
-        return UPWARD
-    if down_in:
-        return DOWNWARD
-    mid = lo + span / 2.0
-    ux, uy = unit_vector(up_angle)
-    mx, my = unit_vector(mid)
-    cross = ux * my - uy * mx
-    return SIDEWARD_LEFT if cross > 0.0 else SIDEWARD_RIGHT
+def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:
+    """Wedge direction relative to a line with upward direction
+    ``up_angle`` (see ``lean_code``)."""
+    up = normalize_angle(up_angle)
+    return LEANS[lean_code(w.theta_e, w.ccw_span, up, normalize_angle(up + math.pi))]

@@ -6,23 +6,26 @@ optimum on it.  A decision returns the side (``PruneDecision``); a
 certificate is raised where it is found, as ``CertifiedOptimum`` with an
 ``origin`` string.  The classification rests on two anchor points, the
 lowest breakpoint with a downward wedge and the highest with an upward
-wedge, found by the exact-median search of ``linesearch._evaluations`` over
-the line's breakpoint array and the frame's two ordinates.  A strong
+wedge, found by the exact-median search of ``linesearch.search_lines``
+over the line's breakpoint array and the frame's two ordinates.  A strong
 centroid met on the way raises, and a sideward wedge settles the line at
 once.  Otherwise the search runs until no breakpoint is left, and each cut
 drops only positions at or below an upward evaluation or at or above a
 downward one, so no breakpoint lies strictly between the anchors: the
-follower value is constant on the open segment.  Its midpoint or, when that
-too looks along the line, a pseudo-wedge built at the better anchor settles
-the direction; equal anchor values go to the downward anchor.  A strong
-centroid at the midpoint, or an empty pseudo-wedge cone, is a certificate.
+follower value is constant on the open segment up to the capture
+tolerance.  Its midpoint or, when that too looks along the line, a
+pseudo-wedge built at the better anchor settles the direction; equal anchor
+values go to the downward anchor.  A decision settled by the midpoint
+carries it, with its weight loss, as a candidate: anchors a few tolerances
+apart can leave it below both.  A strong centroid at the midpoint, or an
+empty pseudo-wedge cone, is a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     MedianoidResult,
+    as_result,
     classify_wedge_on_line,
     solve_medianoid,
 )
@@ -46,9 +50,8 @@ from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
     Telemetry,
-    _evaluations,
-    _lockstep,
     breakpoint_sequences,
+    search_lines,
     upward_line,
 )
 
@@ -108,44 +111,41 @@ class PruneDecision:
 
     ``kind`` is ``"prune-left"`` or ``"prune-right"``, naming the discarded
     side; ``evidence`` names the rule that produced the decision.
+    ``witness``, when set, is a point the decision evaluated and its weight
+    loss, which the plane search must keep as a candidate: the line search
+    on the kept boundary line evaluates breakpoints only and may miss it.
     """
 
     kind: str
     evidence: str
+    witness: Optional[Tuple[Point, float]] = None
 
 
-def _prune(cls: str, evidence: str) -> PruneDecision:
+def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = None) -> PruneDecision:
     """Discard the side a sideward classification ``cls`` turns away from."""
-    return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence)
+    return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence, witness)
 
 
 def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
-    Returns the anchor pair ``(down, up)``, each ``(t, point, evaluation)``,
+    Returns the anchor pair ``(down, up)``, each ``(t, point, result)``,
     or a ``PruneDecision`` when a sideward wedge en route already settles
     the line; a strong centroid en route raises ``CertifiedOptimum``.  The
     frame's auxiliary lines give every vertical line through the box both
     anchor types, and the search exhausts the line, so no breakpoint lies
     strictly between the anchors.
     """
+    line = upward_line(L)
     P = np.append(breakpoint_sequences(idx, L),
                   (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
-    [done] = _lockstep(inst, [_evaluations(
-        upward_line(L), P, telemetry,
-        "strong centroid at a breakpoint of the query line",
-    )])
-    down = up = None
-    # Each cut keeps only positions beyond the evaluation that made it, so
-    # the latest upward (downward) evaluation is the highest (lowest).
-    for t, point, res, d in done:
-        if d == UPWARD:
-            up = (t, point, res)
-        elif d == DOWNWARD:
-            down = (t, point, res)
-        else:
-            return _prune(d, "sideward wedge at a breakpoint of the query line")
+    [(_, up, down, side)] = search_lines(
+        inst, [line], [P], telemetry,
+        "strong centroid at a breakpoint of the query line", minimum=False,
+    )
+    if side is not None:
+        return _prune(side, "sideward wedge at a breakpoint of the query line")
     if down is None or up is None:
         raise RuntimeError(
             "auxiliary frame crossings failed to supply both anchors"
@@ -154,7 +154,12 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
         raise RuntimeError(
             "downward anchor does not lie strictly above the upward anchor"
         )
-    return down, up
+
+    def anchor(e):
+        point = Point(e[1], e[2])
+        return e[0], point, as_result(point, *e[3:])
+
+    return anchor(down), anchor(up)
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -303,7 +308,11 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
         )
     cls_B = classify_wedge_on_line(res_B.wedge, up.angle)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-        return _prune(cls_B, "sideward wedge at the anchor-segment midpoint")
+        # The anchors may lie within the capture tolerance of each other,
+        # where the value on the open segment need not be constant: the
+        # midpoint can be lower than both, so it goes with the decision.
+        return _prune(cls_B, "sideward wedge at the anchor-segment midpoint",
+                      (x_B, res_B.weight_loss))
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs

@@ -7,7 +7,7 @@ against independently derived answers rather than against itself.
 
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,12 +29,21 @@ from rivalloc.geom import (
     outer_tangents,
     unit_vector,
 )
-from rivalloc.linesearch import ANGLE_DUP_EPS, PARALLEL_EPS, _evaluations, _lockstep
+from rivalloc.linesearch import (
+    ANGLE_DUP_EPS,
+    PARALLEL_EPS,
+    SEARCHED_LINE,
+    CertifiedOptimum,
+    breakpoint_sequences,
+    upward_line,
+)
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
+    WHOLE_LINE,
+    classify_wedge_on_line,
     solve_medianoid,
     solve_medianoid_many,
 )
@@ -132,6 +141,27 @@ def _classify_from_ca(begin, end, tol=1e-12):
     return UPWARD if 0.0 < mid < math.pi else DOWNWARD
 
 
+def reference_classify(w, up_angle):
+    """``classify_wedge_on_line`` as a per-call loop over the wedge's cone:
+    the upward and downward rays are in the wedge when their direction
+    lies in the closed cone up to 1e-12; neither makes a sideward lean,
+    whose side the cone's middle direction gives."""
+    lo, span = w.cone
+
+    def in_cone(d):
+        return (normalize_angle(d) - lo) % TWO_PI <= span + 1e-12
+
+    up_in = in_cone(up_angle)
+    down_in = in_cone(up_angle + math.pi)
+    if up_in and down_in:
+        return WHOLE_LINE
+    if up_in or down_in:
+        return UPWARD if up_in else DOWNWARD
+    ux, uy = unit_vector(up_angle)
+    mx, my = unit_vector(lo + span / 2.0)
+    return SIDEWARD_LEFT if ux * my - uy * mx > 0.0 else SIDEWARD_RIGHT
+
+
 def classify_wedge_on_vertical(w, line_x, tol=1e-9):
     """Wedge direction on the vertical line through the apex, read off its
     covering interval; ``classify_wedge_on_line`` must agree."""
@@ -149,11 +179,141 @@ STRONG_ORIGINS = (
 CONDITIONAL_ORIGIN = "empty pseudo-wedge cone at the better anchor"
 
 
+# The per-step reference of the line search: one coroutine per line,
+# advanced in lockstep, with one block sweep of their points per round and
+# the follower's full result at every evaluation.  ``linesearch``'s array
+# engine must reproduce it evaluation for evaluation.
+
+
+def lean(result, up_angle):
+    """Where an evaluation that certifies nothing sends the search along the
+    line with upward direction ``up_angle``: the wedge's direction (upward,
+    downward or a sideward side)."""
+    cls = classify_wedge_on_line(result.wedge, up_angle)
+    if cls == WHOLE_LINE:
+        raise RuntimeError("wedge degenerately contains the query line")
+    return cls
+
+
+def reference_evaluations(line, P, telemetry, origin) -> Generator:
+    """Search the breakpoint positions ``P`` along the upward ``line`` by
+    exact-median selection until no breakpoint is left.
+
+    A coroutine: each round yields ``(t, point)`` for the lower median of
+    the surviving positions and is sent the follower's result there.  A
+    strong centroid raises ``CertifiedOptimum`` with ``origin``; otherwise
+    the search cuts: an upward lean keeps only positions strictly above
+    ``t``, a downward one only those strictly below, and a sideward lean
+    ends the search.  It returns its evaluations ``(t, point, result,
+    lean)`` in order.
+    """
+    up_angle = line.angle
+    budget = len(P).bit_length()
+    done = []
+    while len(P):
+        mass = len(P)
+        k = (mass - 1) // 2
+        P.partition(k)
+        t = float(P[k])
+        point = line.point_at(t)
+        res = yield t, point
+        telemetry.medianoid_calls += 1
+        if res.strong_centroid:
+            raise CertifiedOptimum(point, res.weight_loss, origin)
+        d = lean(res, up_angle)
+        done.append((t, point, res, d))
+        if d == UPWARD:
+            P = P[k + 1:][P[k + 1:] > t]
+        elif d == DOWNWARD:
+            P = P[:k][P[:k] < t]
+        else:
+            return done
+        pruned = mass - len(P)
+        telemetry.prune_iterations += 1
+        frac = pruned / mass
+        least = telemetry.prune_min_fraction
+        if least is None or frac < least:
+            telemetry.prune_min_fraction = frac
+        if pruned * 2 < mass:
+            raise RuntimeError("prune progress fell below the guaranteed fraction")
+        budget -= 1
+        if budget < 0:
+            raise RuntimeError("prune search failed to terminate")
+    return done
+
+
+def reference_lockstep(inst, searches):
+    """Run the coroutines ``searches`` side by side, each round sweeping the
+    points they all yield as one block, and return what each returned, in
+    input order.  A round in which searches raise ``CertifiedOptimum`` is
+    finished, then the first of them in input order is raised."""
+    out = [None] * len(searches)
+    live = []
+    for i, search in enumerate(searches):
+        try:
+            live.append((i, search, search.send(None)))
+        except StopIteration as stop:
+            out[i] = stop.value
+    while live:
+        results = solve_medianoid_many(inst, [point for _, _, (_, point) in live])
+        pending, certified = [], []
+        for (i, search, _), res in zip(live, results):
+            try:
+                pending.append((i, search, search.send(res)))
+            except StopIteration as stop:
+                out[i] = stop.value
+            except CertifiedOptimum as cert:
+                certified.append(cert)
+        if certified:
+            raise certified[0]
+        live = pending
+    return out
+
+
+def reference_line_minimum(idx, L, telemetry):
+    """The coroutine minimising the follower value over ``L``: the first
+    evaluation of least weight loss, or the apex of a sideward end; a line
+    without breakpoints is evaluated at its anchor."""
+    line = upward_line(L)
+    telemetry.lines_searched += 1
+    done = yield from reference_evaluations(
+        line, breakpoint_sequences(idx, L), telemetry, SEARCHED_LINE
+    )
+    if not done:
+        point = line.point_at(0.0)
+        res = yield 0.0, point
+        telemetry.medianoid_calls += 1
+        if res.strong_centroid:
+            raise CertifiedOptimum(point, res.weight_loss, SEARCHED_LINE)
+        return point, res.weight_loss
+    if done[-1][3] in (UPWARD, DOWNWARD):
+        _t, point, res, _d = min(done, key=lambda e: e[2].weight_loss)
+    else:
+        _t, point, res, _d = done[-1]
+    return point, res.weight_loss
+
+
+def reference_local_optima(inst, idx, lines, telemetry):
+    """``local_optima_on_lines`` by the per-step reference."""
+    return reference_lockstep(inst, [reference_line_minimum(idx, L, telemetry) for L in lines])
+
+
+def reference_anchors(inst, idx, frame, L, telemetry):
+    """``find_xD_xU``'s search by the per-step reference: its evaluations
+    ``(t, point, result, lean)`` on the vertical line ``L``, with the
+    frame's two ordinates."""
+    P = np.append(breakpoint_sequences(idx, L),
+                  (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    [done] = reference_lockstep(inst, [reference_evaluations(
+        upward_line(L), P, telemetry, STRONG_ORIGINS[0])])
+    return done
+
+
 def evaluations(inst, line, P, telemetry):
-    """The evaluations ``(t, point, result, lean)`` of the exact-median
-    search of the positions ``P`` along the upward ``line``, in order; a
-    strong centroid raises ``CertifiedOptimum``."""
-    [done] = _lockstep(inst, [_evaluations(line, P, telemetry, "strong centroid")])
+    """The evaluations ``(t, point, result, lean)`` of the reference search
+    of the positions ``P`` along the upward ``line``, in order; a strong
+    centroid raises ``CertifiedOptimum``."""
+    [done] = reference_lockstep(inst, [reference_evaluations(line, P, telemetry, "strong centroid")])
     return done
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import support
-from rivalloc import centroid
+from rivalloc import centroid, linesearch, medianoid
 from rivalloc.centroid import (
     VERTICAL_EPS,
     CertifiedOptimum,
@@ -92,6 +92,16 @@ class TestThreeModeAgreement:
         assert len(set(losses.values())) == 1, losses
 
 
+def intermediate_groups(idx):
+    """Intermediate mode's line groups: each customer's tangent lines,
+    less the vertical ones."""
+    return [
+        [idx.tangent_line(i, j) for j in range(idx.n)
+         if j != i and abs(math.sin(idx.ang[i, j])) > VERTICAL_EPS]
+        for i in range(idx.n)
+    ]
+
+
 class TestLineGroups:
     def test_certifying_intermediate_group_resolves_to_the_earliest_line(self):
         """Intermediate searches one customer's tangent lines in lockstep,
@@ -104,10 +114,7 @@ class TestLineGroups:
             56, n_lo=4, n_hi=9, coord_range=10, r_choices=(6.0, 10.0, 20.0)
         )
         idx = build_angular_index(inst)
-        lines = [
-            idx.tangent_line(0, j) for j in range(1, idx.n)
-            if abs(math.sin(idx.ang[0, j])) > VERTICAL_EPS
-        ]
+        lines = intermediate_groups(idx)[0]
         alone = {}
         rounds = []
         for k, L in enumerate(lines):
@@ -136,6 +143,81 @@ class TestLineGroups:
         rep = solve_centroid(inst, "intermediate")
         assert rep.telemetry["certified"] == "strong centroid on a searched line"
         assert rep.centroid == alone[first].point
+
+
+def exact_report(inst, mode):
+    rep = solve_centroid(inst, mode)
+    telemetry = dict(rep.telemetry)
+    del telemetry["wall_time_s"]
+    return rep.centroid, rep.weight_loss, rep.witness_angle, telemetry
+
+
+class TestIntermediateChunks:
+    # The crosscheck instances up to n=16 and seeded instances, among them
+    # the certifying ones that the certificate tests pin.
+    CASES = (
+        [(generate_instance, (n, seed), dict(r=4.0, coord_range=50))
+         for n in (8, 10, 12, 16) for seed in (1, 2)]
+        + [(support.seeded_instance, (56,),
+            dict(n_lo=4, n_hi=9, coord_range=10, r_choices=(6.0, 10.0, 20.0)))]
+        + [(support.seeded_instance, (seed,), {}) for seed in (3, 15)]
+        + [(support.seeded_instance, (seed,), dict(n_lo=3, n_hi=9))
+           for seed in range(20_000, 20_060)]
+    )
+
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 16])
+    def test_sweep_block_changes_no_report(self, monkeypatch, block):
+        """Groups share a lockstep while they fit one sweep block; with
+        blocks that hold one group at a time or all of them, every
+        intermediate report, telemetry and certificate included, is the
+        same."""
+        instances = [make(*args, **kw) for make, args, kw in self.CASES]
+        want = [exact_report(inst, "intermediate") for inst in instances]
+        assert sum(w[3]["certified"] is not None for w in want) >= 10
+        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", block)
+        for inst, w in zip(instances, want):
+            assert exact_report(inst, "intermediate") == w, inst
+
+    def test_earlier_group_wins_over_a_faster_later_one(self, monkeypatch):
+        """Two groups of one lockstep certify, the later one in fewer
+        rounds: the certificate is the earlier group's, and the telemetry
+        is that of searching the groups one after another."""
+        inst = support.seeded_instance(
+            7, n_lo=4, n_hi=12, coord_range=12, r_choices=(6.0, 10.0, 20.0)
+        )
+        idx = build_angular_index(inst)
+        groups = intermediate_groups(idx)
+        assert sum(map(len, groups)) <= medianoid.block_size(inst.n)
+        rounds = [0]
+        sweep = linesearch.sweep
+
+        def counted(*args):
+            rounds[0] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(linesearch, "sweep", counted)
+        alone = {}
+        one_by_one = Telemetry()
+        for g, lines in enumerate(groups):
+            # One after another, the groups up to the first that certifies
+            # count in ``one_by_one``.
+            rounds[0] = 0
+            try:
+                local_optima_on_lines(inst, idx, lines, Telemetry() if alone else one_by_one)
+            except CertifiedOptimum as cert:
+                alone[g] = (cert, rounds[0])
+        first = min(alone)
+        assert any(g > first and r < alone[first][1] for g, (_, r) in alone.items())
+
+        tel = Telemetry()
+        numbers = [g for g, lines in enumerate(groups) for _ in lines]
+        with pytest.raises(CertifiedOptimum) as got:
+            local_optima_on_lines(inst, idx, [L for lines in groups for L in lines], tel, numbers)
+        assert got.value.point == alone[first][0].point
+        assert tel == one_by_one
+        rep = solve_centroid(inst, "intermediate")
+        assert rep.centroid == alone[first][0].point
+        assert rep.telemetry["certified"] == "strong centroid on a searched line"
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from rivalloc import cli, vprune
 from rivalloc.centroid import solve_centroid
 from rivalloc.geom import Point
 from rivalloc.medianoid import solve_medianoid
+from rivalloc.oracle import brute_medianoid
 from rivalloc.cli import (
     EXIT_DEGENERATE,
     EXIT_GEN,
@@ -266,6 +267,38 @@ class TestRegressionInstances:
         point = Point(*report["centroid"])
         assert report["weight_loss"] == loss
         assert solve_medianoid(cli.load_instance(path), point).weight_loss == loss
+
+
+# Written by ``rivalloc gen --n 200 --seed 1 --r 1 --coord-range 200``.  A
+# decision prunes on a sideward wedge at the midpoint of anchors a few
+# ``inst.eps`` apart, and that midpoint (586) is lower than every
+# breakpoint of the boundary line it leaves (588): the solve must keep it.
+MIDPOINT_WITNESS = ("midpoint_witness_n200_seed1_r1_range200.json", 586.0)
+
+
+class TestMidpointWitness:
+    def test_instance_regenerates_exactly(self, tmp_path):
+        name = MIDPOINT_WITNESS[0]
+        out = tmp_path / name
+        assert main(["gen", "--n", "200", "--seed", "1", "--r", "1",
+                     "--coord-range", "200", "--out", str(out)]) == EXIT_OK
+        with open(os.path.join(DATA, name), "rb") as f:
+            assert out.read_bytes() == f.read()
+
+    def test_the_midpoint_optimum_is_reported(self, tmp_path, monkeypatch):
+        """The oracle confirms the reported loss at the reported point, and
+        a falsifier run at the golden budget finds nothing lower."""
+        name, loss = MIDPOINT_WITNESS
+        monkeypatch.chdir(tmp_path)
+        path = os.path.join(DATA, name)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--input", path, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["weight_loss"] == loss
+        inst = cli.load_instance(path)
+        assert brute_medianoid(inst, Point(*report["centroid"]))[0] == loss
+        assert support.falsify(inst, loss, 1, samples=5000, rounds=8, keep=25,
+                               children=20) is None
 
 
 class TestEnvironment:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import support
-from rivalloc import linesearch
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     Customer,
@@ -21,13 +20,14 @@ from rivalloc.linesearch import (
     PARALLEL_EPS,
     CertifiedOptimum,
     Telemetry,
-    _explicit_crossings,
     build_angular_index,
     breakpoint_sequences,
+    local_optima_on_lines,
     local_optimum_on_line,
     upward_line,
 )
-from rivalloc.medianoid import DOWNWARD, UPWARD, solve_medianoid
+from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, solve_medianoid
+from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, build_frame, find_xD_xU
 
 COVERAGE_TOL = 1e-6
 
@@ -213,10 +213,9 @@ class TestTangentSequences:
                 for L in _query_lines(idx, rng):
                     line = upward_line(L)
                     got = breakpoint_sequences(idx, L)
-                    head = len(got) - len(_explicit_crossings(idx, line))
                     want = support.reference_tangent_crossings(idx, line)
                     assert got.dtype == want.dtype, (n, R, L)
-                    assert got[:head].tobytes() == want.tobytes(), (n, R, L)
+                    assert got[:len(want)].tobytes() == want.tobytes(), (n, R, L)
                     par = np.abs(np.sin(idx.ang - line.angle)) <= PARALLEL_EPS
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
@@ -233,10 +232,12 @@ class TestPositionTable:
     def test_positions_cuts_and_explicit_crossings_match_the_per_step_reference(
         self, monkeypatch
     ):
-        """The circle crossings are bitwise those of the per-customer loop, the whole array is, as a multiset, the per-pair
-        and per-customer crossings, and the search's lower-median cuts
-        evaluate bitwise the positions a per-step sorted-list reference
-        picks under the same random series of leans."""
+        """The circle crossings that close a line's array are bitwise those
+        of the per-customer loop, the whole array is, as a multiset, the
+        per-pair and per-customer crossings, and the reference search's
+        lower-median cuts evaluate bitwise the positions a per-step
+        sorted-list reference picks under the same random series of
+        leans."""
         rng = random.Random(5)
         leans = []
 
@@ -246,9 +247,9 @@ class TestPositionTable:
         # Results that certify nothing; the scripted leans steer the cuts.
         plain = SimpleNamespace(strong_centroid=False)
         monkeypatch.setattr(
-            linesearch, "solve_medianoid_many", lambda inst, points: [plain] * len(points)
+            support, "solve_medianoid_many", lambda inst, points: [plain] * len(points)
         )
-        monkeypatch.setattr(linesearch, "lean", scripted_lean)
+        monkeypatch.setattr(support, "lean", scripted_lean)
         cuts = tangencies = 0
         for n in list(range(1, 41)) + [200]:
             inst = generate_instance(n, seed=n, r=2.0, coord_range=n + 10)
@@ -261,7 +262,7 @@ class TestPositionTable:
                 line = upward_line(L)
                 tan = support.reference_tangent_crossings(idx, line)
                 got = breakpoint_sequences(idx, L)
-                exp = _explicit_crossings(idx, line)
+                exp = got[len(tan):]
                 want = support.reference_explicit_crossings(idx, line)
                 assert exp.dtype == want.dtype, (n, L)
                 assert exp.tobytes() == want.tobytes(), (n, L)
@@ -357,6 +358,76 @@ class TestLocalOptimum:
             assert tel.prune_min_fraction == min(fractions, default=None)
             saw_iterations += len(fractions)
         assert saw_iterations > 0
+
+
+def _outcome(search):
+    """What ``search(telemetry)`` returns, or the certificate it raises,
+    with the telemetry it leaves."""
+    tel = Telemetry()
+    try:
+        got = search(tel)
+    except CertifiedOptimum as cert:
+        got = ("certified", cert.point, cert.weight_loss, cert.origin)
+    return got, tel
+
+
+def _reference_find(inst, idx, frame, L, tel):
+    """``find_xD_xU``'s outcome read off the reference evaluations: the
+    pruned side of a sideward end, else the last downward and the last
+    upward evaluation."""
+    down = up = None
+    for t, point, res, d in support.reference_anchors(inst, idx, frame, L, tel):
+        if d == UPWARD:
+            up = (t, point, res)
+        elif d == DOWNWARD:
+            down = (t, point, res)
+        else:
+            return PRUNE_LEFT if d == SIDEWARD_RIGHT else PRUNE_RIGHT
+    return down, up
+
+
+class TestEngineMatchesReference:
+    def test_minima_anchors_certificates_and_telemetry(self):
+        """On seeded lines, the array engine gives the per-step reference's
+        line minima, certificates and telemetry, searching lines in
+        lockstep (random lines, one customer's tangent lines, a line
+        without breakpoints), and ``find_xD_xU`` gives its anchors, with
+        their full follower results, or its pruned side."""
+        rng = random.Random(71)
+        seen = {"minima": 0, "certified": 0, "anchors": 0, "pruned": 0}
+        lone = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
+        idx = build_angular_index(lone)
+        lines = [DirectedLine.vertical(50.0), DirectedLine.vertical(0.5)]
+        assert _outcome(lambda tel: local_optima_on_lines(lone, idx, lines, tel)) == _outcome(
+            lambda tel: support.reference_local_optima(lone, idx, lines, tel))
+        for trial in range(60):
+            # Odd trials: separations wide for the cloud, which certify often.
+            inst = support.seeded_instance(
+                6100 + trial, n_lo=2, n_hi=10, coord_range=(30, 12)[trial % 2],
+                r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
+            idx = build_angular_index(inst)
+            frame = build_frame(inst)
+            lines = [support.non_horizontal_line(rng) for _ in range(3)] + [
+                idx.tangent_line(0, j) for j in range(1, idx.n)
+                if abs(math.sin(idx.ang[0, j])) > PARALLEL_EPS
+            ]
+            got = _outcome(lambda tel: local_optima_on_lines(inst, idx, lines, tel))
+            want = _outcome(lambda tel: support.reference_local_optima(inst, idx, lines, tel))
+            assert got == want, trial
+            seen["certified" if want[0][0] == "certified" else "minima"] += 1
+            for _ in range(3):
+                L = support.vertical_through_box(rng, frame)
+                got = _outcome(lambda tel: find_xD_xU(inst, idx, frame, L, tel))
+                want = _outcome(lambda tel: _reference_find(inst, idx, frame, L, tel))
+                if isinstance(got[0], PruneDecision):
+                    got = (got[0].kind, got[1])
+                    seen["pruned"] += 1
+                elif got[0][0] == "certified":
+                    seen["certified"] += 1
+                else:
+                    seen["anchors"] += 1
+                assert got == want, (trial, L)
+        assert all(count >= 5 for count in seen.values()), seen
 
 
 class TestTelemetry:

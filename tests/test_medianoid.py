@@ -3,13 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
 from rivalloc import medianoid
 from rivalloc.cli import generate_instance
-from rivalloc.geom import Customer, Instance, Point
+from rivalloc.geom import Customer, Instance, Point, normalize_angle
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
@@ -27,6 +28,13 @@ arc_contains = support.arc_contains
 capture_arc = support.capture_arc
 classify_wedge_on_vertical = support.classify_wedge_on_vertical
 weight_at_angle = support.weight_at_angle
+
+
+def scan_result(x, arcs, best):
+    """The result at x whose maximizing gaps, in angular order, are
+    ``arcs`` and whose weight loss is ``best``, by the scalar covering-gap
+    scan."""
+    return medianoid.as_result(x, best, *medianoid._cover(arcs))
 
 
 def make_instance(sites_weights, R):
@@ -155,7 +163,7 @@ class TestSolveMedianoid:
         x = Point(0.0, 0.0)
         for begin in (0.5, 2.0):
             arcs = [(begin, begin), (begin + math.pi, begin + math.pi)]
-            wedge = medianoid._result(x, arcs, 1.0).wedge
+            wedge = scan_result(x, arcs, 1.0).wedge
             assert wedge is not None
             assert wedge.theta_b == begin
             assert wedge.theta_e == pytest.approx(begin + math.pi, abs=1e-12)
@@ -190,6 +198,27 @@ class TestWedge:
             assert a == b
             seen.add(a)
         assert {UPWARD, DOWNWARD} <= seen | {SIDEWARD_LEFT, SIDEWARD_RIGHT}
+
+
+    def test_line_classification_matches_the_cone_reference(self):
+        """``classify_wedge_on_line`` reads the lean with ``lean_code``, as
+        the line searches do; it must give the per-call cone test's answer
+        for lines in every direction, those along a cone side included."""
+        rng = random.Random(13)
+        seen = set()
+        for k in range(60):
+            inst = generate_instance(rng.randint(3, 9), seed=1300 + k, r=rng.choice((2.0, 4.0)))
+            res = solve_medianoid(inst, Point(rng.uniform(-20, 20), rng.uniform(-20, 20)))
+            if res.wedge is None:
+                continue
+            lo, span = res.wedge.cone
+            ups = [rng.uniform(0.0, math.pi) for _ in range(20)]
+            ups += [normalize_angle(lo + e) % math.pi for e in (0.0, span, 1e-13, -1e-13)]
+            for up in ups:
+                got = classify_wedge_on_line(res.wedge, up)
+                assert got == support.reference_classify(res.wedge, up), (k, up)
+                seen.add(got)
+        assert {UPWARD, DOWNWARD, SIDEWARD_LEFT, SIDEWARD_RIGHT} <= seen, seen
 
 
 class TestAgainstDirectCounting:
@@ -266,7 +295,7 @@ class TestAgainstDirectCounting:
                 gaps, best = support.reference_sweep(inst, x)
                 ma = [g for g, w in gaps if w == best]
                 # Every field: weight, witness angle and wedge.
-                assert res == medianoid._result(x, ma, best), x
+                assert res == scan_result(x, ma, best), x
                 cases += 1
                 multi += len(ma) > 1
         assert cases >= 500
@@ -291,7 +320,76 @@ class TestAgainstDirectCounting:
         for x, res in zip(points, solve_medianoid_many(inst, points)):
             gaps, best = support.reference_sweep(inst, x)
             assert res.weight_loss == best, x
-            assert res == medianoid._result(x, [g for g, w in gaps if w == best], best), x
+            assert res == scan_result(x, [g for g, w in gaps if w == best], best), x
+
+
+class TestArraySweep:
+    @staticmethod
+    def _tied(arcs):
+        """Whether the covering-gap scan over ``arcs`` meets two largest
+        gaps between maximizing arcs within its 1e-12 tie band."""
+        k = len(arcs)
+        between = [
+            max(arcs[(i + 1) % k][0] - arcs[i][1] + (TWO_PI if i == k - 1 else 0.0), 0.0)
+            for i in range(k)
+        ]
+        return sum(max(between) - b <= 1e-12 for b in between) > 1
+
+    @staticmethod
+    def _cases():
+        """Instances, each with leader points swept as one block: sites
+        (a customer within r, a zero-width arc), points of symmetric
+        configurations (tied gaps), points inside and around a cloud, and
+        points where a wide separation leaves nothing capturable."""
+        rng = random.Random(77)
+        for k in (2, 3, 4, 6):
+            ring = make_instance(
+                [(8.0 * math.cos(TWO_PI * j / k), 8.0 * math.sin(TWO_PI * j / k), 1.0)
+                 for j in range(k)], 2.0)
+            yield ring, [Point(0.0, 0.0), Point(1e-13, 0.0), Point(0.5, -0.25)] + [
+                c.site for c in ring.customers]
+        for n, real in ((9, False), (9, True), (30, False), (30, True), (64, True)):
+            inst = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
+            if real:
+                inst = Instance([Customer(c.site, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1)))
+                                 for c in inst.customers], 4.0)
+            points = [c.site for c in inst.customers[:10]]
+            for spread, count in ((0.2 * n, 60), (3.0 * n, 20)):
+                points += [Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+                           for _ in range(count)]
+            yield inst, points
+            wide = Instance(inst.customers, 40.0 * n)
+            yield wide, [Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)] + [
+                Point(100.0 * n, -100.0 * n)]
+
+    def test_rows_match_the_oracle_and_the_scalar_scan(self):
+        """Row by row, the block sweep's weight loss is the oracle's, and
+        its witness angle and covering interval are what the scalar
+        covering-gap scan gives on the reference's maximizing gaps; rows
+        that capture nothing have loss and witness 0 and a span above pi.
+        The rows include several maximizing gaps, ties within the scan's
+        1e-12 band, zero-width arcs and nothing capturable."""
+        seen = {"multi": 0, "tied": 0, "zero-width": 0, "nothing": 0, "one": 0}
+        for inst, points in self._cases():
+            xs = np.array([p.x for p in points])
+            ys = np.array([p.y for p in points])
+            rows = zip(*(col.tolist() for col in medianoid.sweep(inst, xs, ys)))
+            for x, (loss, witness, theta_b, span) in zip(points, rows):
+                assert loss == brute_medianoid(inst, x)[0], x
+                d = np.hypot(inst.xs - x.x, inst.ys - x.y)
+                seen["zero-width"] += bool(np.any(d <= inst.r + inst.eps))
+                ref = support.reference_sweep(inst, x)
+                if ref is None:
+                    seen["nothing"] += 1
+                    assert (loss, witness) == (0.0, 0.0) and span > math.pi, x
+                    continue
+                gaps, best = ref
+                ma = [g for g, w in gaps if w == best]
+                assert loss == best, x
+                assert (witness, theta_b, span) == medianoid._cover(ma), x
+                seen["one" if len(ma) == 1 else "multi"] += 1
+                seen["tied"] += self._tied(ma)
+        assert all(count >= 5 for count in seen.values()), seen
 
 
 @settings(max_examples=60, deadline=None)
