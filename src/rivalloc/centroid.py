@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -468,8 +468,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             best = key
             best_point = point
 
-    def run_lines(lines: List[DirectedLine], groups: Optional[List[int]] = None) -> None:
-        for point, loss in local_optima_on_lines(inst, idx, lines, tel, groups):
+    def run_lines(lines: List[DirectedLine]) -> None:
+        for point, loss in local_optima_on_lines(inst, idx, lines, tel):
             consider(point, loss)
 
     def run_points(points: List[Point]) -> None:
@@ -479,23 +479,32 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
 
     try:
         if mode == INTERMEDIATE:
-            # One group per customer: its tangent lines, less the vertical.
-            # Consecutive groups share one lockstep while their lines fit
-            # one sweep block (at least one group at a time).
+            # One group per customer: its tangent lines, less the vertical,
+            # searched one group after another.  Consecutive groups share
+            # one lockstep while their lines fit one sweep block; a line's
+            # evaluations do not depend on its partners, so a chunk of
+            # several groups that certifies is searched again group by group.
             size = block_size(idx.n)
-            lines: List[DirectedLine] = []
-            groups: List[int] = []
+            chunks: List[List[List[DirectedLine]]] = [[]]
             for i in range(idx.n):
                 group = [
                     idx.tangent_line(i, j) for j in range(idx.n)
                     if j != i and abs(math.sin(idx.ang[i, j])) > VERTICAL_EPS
                 ]
-                if lines and len(lines) + len(group) > size:
-                    run_lines(lines, groups)
-                    lines, groups = [], []
-                groups += [groups[-1] + 1 if groups else 0] * len(group)
-                lines += group
-            run_lines(lines, groups)
+                if chunks[-1] and sum(map(len, chunks[-1])) + len(group) > size:
+                    chunks.append([])
+                chunks[-1].append(group)
+            for chunk in chunks:
+                before = replace(tel)
+                try:
+                    run_lines([L for group in chunk for L in group])
+                except CertifiedOptimum:
+                    if len(chunk) == 1:
+                        raise
+                    tel = before
+                    for group in chunk:
+                        run_lines(group)
+                    raise RuntimeError("a certifying chunk has no certifying group")
             run_points(_disc_crossings(inst))
         else:
             slab = _Slab()

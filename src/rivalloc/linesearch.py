@@ -24,10 +24,9 @@ breakpoint count.  A line keeps only its first least-loss evaluation, its
 last upward and last downward one and a sideward end; a ``Point`` or a
 ``MedianoidResult`` is built only from those.  Parametric mode searches the
 slab's boundary lines, the vertical-line decision (``vprune``) its single
-line, for its anchors, and intermediate mode every tangent line, whole
-customer groups per lockstep: a certificate resolves to the earliest group
-that certifies, as if the groups ran one after another.  The lines of one
-block get their breakpoint arrays from one broadcast pass.
+line, for its anchors, and intermediate mode every tangent line, many
+at a time.  The lines of one block get their breakpoint arrays from one
+broadcast pass.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from .geom import (
 )
 from . import medianoid
 from .medianoid import (
-    DOWN,
-    LEANS,
-    UP,
-    WHOLE,
+    DOWNWARD,
+    UPWARD,
+    WHOLE_LINE,
     lean_code,
     sweep,
 )
@@ -268,9 +266,7 @@ def search_lines(
     positions: List[np.ndarray],
     telemetry: Telemetry,
     origin: str,
-    groups: Optional[Sequence[int]] = None,
-    minimum: bool = True,
-) -> List[Tuple[Optional[Evaluation], Optional[Evaluation], Optional[Evaluation], Optional[str]]]:
+) -> List[Tuple[Evaluation, Optional[Evaluation], Optional[Evaluation], Optional[str]]]:
     """Search the breakpoint positions of each upward line of ``lines`` by
     exact-median selection, all lines in lockstep, until none is left.
 
@@ -281,17 +277,12 @@ def search_lines(
     strictly below, and a sideward lean ends the line.  A cut drops the
     median and every position behind it, at least half of the survivors,
     so a line of m positions costs at most ``floor(log2 m) + 1``
-    evaluations.  With ``minimum``, a line without positions is evaluated
-    at its anchor and each line counts in ``lines_searched``.
-
-    ``groups`` numbers the lines' groups, non-decreasing in input order
-    (one group when omitted).  The search runs as if the groups were
-    searched one after another, each stopping at its first certifying
-    round: a certificate resolves to the earliest group that certifies, at
-    the first line, in input order, of that group's first certifying round.
-    Later groups are dropped, earlier ones run to the end, and only the
-    groups up to it are counted in ``telemetry``; then it is raised as
-    ``CertifiedOptimum`` with ``origin``.
+    evaluations.  A line without positions is evaluated at its anchor.
+    Every evaluation counts in ``telemetry``, and every cut with the share
+    it discarded.  The round in which some line certifies is finished, and
+    the first certifying line in input order raises ``CertifiedOptimum``
+    with ``origin``: it certified in the fewest rounds, and came first
+    among those that did.
 
     Returns per line ``(least, up, down, side)``: its first evaluation of
     least weight loss (or, when it ended sideward, that evaluation), its
@@ -303,13 +294,6 @@ def search_lines(
     count = len(lines)
     if not count:
         return []
-    group = list(groups) if groups is not None else [0] * count
-    ngroups = max(group, default=-1) + 1
-    calls, cuts, searched = [0] * ngroups, [0] * ngroups, [0] * ngroups
-    fraction: List[Optional[float]] = [None] * ngroups
-    if minimum:
-        for g in group:
-            searched[g] += 1
     ax = [L.anchor.x for L in lines]
     ay = [L.anchor.y for L in lines]
     ux, uy = (list(u) for u in zip(*(L.direction for L in lines)))
@@ -321,8 +305,7 @@ def search_lines(
     ups: List[Optional[Evaluation]] = [None] * count
     downs: List[Optional[Evaluation]] = [None] * count
     sides: List[Optional[str]] = [None] * count
-    live = [i for i in range(count) if minimum or len(P[i])]
-    stop, cert = ngroups, None
+    live = list(range(count))
     while live:
         ts, xs, ys = [], [], []
         for i in live:
@@ -336,49 +319,45 @@ def search_lines(
             xs.append(ax[i] + t * ux[i])
             ys.append(ay[i] + t * uy[i])
         loss, witness, theta_b, span = sweep(inst, np.array(xs), np.array(ys))
+        telemetry.medianoid_calls += len(live)
         evaluations = zip(ts, xs, ys, loss.tolist(), witness.tolist(),
                           theta_b.tolist(), span.tolist())
-        kept = []
+        cert, kept = None, []
         for i, e in zip(live, evaluations):
-            g = group[i]
-            if g > stop:
-                break
-            calls[g] += 1
             if e[6] > math.pi:
-                if g < stop:
-                    stop, cert = g, e
+                cert = cert or e
                 continue
             p = P[i]
             mass = len(p)
             if not mass:
                 least[i] = e
                 continue
-            code = lean_code(e[5] + e[6], math.pi - e[6], up[i], down[i])
-            if code == WHOLE:
+            lean = lean_code(e[5] + e[6], math.pi - e[6], up[i], down[i])
+            if lean == WHOLE_LINE:
                 raise RuntimeError("wedge degenerately contains the query line")
             if least[i] is None or e[3] < least[i][3]:
                 least[i] = e
             # After the partition nothing before k exceeds t, nothing after
             # k falls below it.
             k = (mass - 1) // 2
-            if code == UP:
+            if lean == UPWARD:
                 ups[i] = e
                 p = p[k + 1:]
                 p = p[p > e[0]]
-            elif code == DOWN:
+            elif lean == DOWNWARD:
                 downs[i] = e
                 p = p[:k]
                 p = p[p < e[0]]
             else:
                 least[i] = e
-                sides[i] = LEANS[code]
+                sides[i] = lean
                 continue
             P[i] = p
             pruned = mass - len(p)
-            cuts[g] += 1
+            telemetry.prune_iterations += 1
             frac = pruned / mass
-            if fraction[g] is None or frac < fraction[g]:
-                fraction[g] = frac
+            if telemetry.prune_min_fraction is None or frac < telemetry.prune_min_fraction:
+                telemetry.prune_min_fraction = frac
             if pruned * 2 < mass:
                 raise RuntimeError(
                     "prune progress fell below the guaranteed fraction "
@@ -389,18 +368,9 @@ def search_lines(
                 raise RuntimeError("prune search failed to terminate")
             if len(p):
                 kept.append(i)
-        live = [i for i in kept if group[i] < stop]
-
-    counted = slice(0, stop + 1)
-    telemetry.medianoid_calls += sum(calls[counted])
-    telemetry.lines_searched += sum(searched[counted])
-    telemetry.prune_iterations += sum(cuts[counted])
-    for frac in fraction[counted]:
-        least_seen = telemetry.prune_min_fraction
-        if frac is not None and (least_seen is None or frac < least_seen):
-            telemetry.prune_min_fraction = frac
-    if cert is not None:
-        raise CertifiedOptimum(Point(cert[1], cert[2]), cert[3], origin)
+        if cert is not None:
+            raise CertifiedOptimum(Point(cert[1], cert[2]), cert[3], origin)
+        live = kept
     return list(zip(least, ups, downs, sides))
 
 
@@ -409,31 +379,17 @@ def local_optima_on_lines(
     idx: AngularIndex,
     lines: Sequence[DirectedLine],
     telemetry: Telemetry,
-    groups: Optional[Sequence[int]] = None,
 ) -> List[Tuple[Point, float]]:
     """The point and weight loss minimising the follower value over each
     non-horizontal line of ``lines``, searched in lockstep
-    (``search_lines``, with its ``groups``).
+    (``search_lines``); each line counts in ``lines_searched``.
 
     A sideward wedge ends a line at its apex, the line minimum; otherwise
     the first evaluation of least weight loss is.  A line without
-    breakpoints is evaluated at its anchor.  When some lines certify a
-    global optimum, the round in which the first of them does is finished
-    and the first certified line in input order raises
-    ``CertifiedOptimum``: it certified in the fewest rounds, and came first
-    among those that did.
+    breakpoints is evaluated at its anchor.  A line that certifies a
+    global optimum raises ``CertifiedOptimum`` as ``search_lines`` does.
     """
+    telemetry.lines_searched += len(lines)
     up = [upward_line(L) for L in lines]
-    found = search_lines(inst, up, _positions(idx, up), telemetry, SEARCHED_LINE, groups)
+    found = search_lines(inst, up, _positions(idx, up), telemetry, SEARCHED_LINE)
     return [(Point(e[1], e[2]), e[3]) for e, _, _, _ in found]
-
-
-def local_optimum_on_line(
-    inst: Instance,
-    idx: AngularIndex,
-    L: DirectedLine,
-    telemetry: Telemetry,
-) -> Tuple[Point, float]:
-    """The point and weight loss minimising the follower value over the
-    non-horizontal line ``L``."""
-    return local_optima_on_lines(inst, idx, [L], telemetry)[0]

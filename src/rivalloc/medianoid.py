@@ -95,12 +95,6 @@ class MedianoidResult:
         return self.wedge is None
 
 
-# Lean codes: ``lean_code`` returns indices into this tuple.  Bit 0 says
-# the upward ray lies in the wedge and bit 1 the downward one.
-LEANS = (SIDEWARD_RIGHT, UPWARD, DOWNWARD, WHOLE_LINE, SIDEWARD_LEFT)
-RIGHT, UP, DOWN, WHOLE, LEFT = range(5)
-
-
 def block_size(n: int) -> int:
     """Leader points swept together at n customers: ``SWEEP_BLOCK // (2n)``,
     at least one."""
@@ -293,10 +287,11 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
     return solve_medianoid_many(inst, (x,))[0]
 
 
-def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> int:
+def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> str:
     """The direction of the wedge with end angle ``theta_e`` and opening
     ``ccw_span`` relative to a line whose upward and downward directions,
-    in [0, 2 pi), are ``up`` and ``down``, as an index into ``LEANS``.
+    in [0, 2 pi), are ``up`` and ``down``: ``UPWARD``, ``DOWNWARD``,
+    ``SIDEWARD_RIGHT``, ``SIDEWARD_LEFT`` or ``WHOLE_LINE``.
 
     Upward means the wedge meets the line in the ray above the apex,
     downward the ray below; sideward means the apex alone, with the side
@@ -306,17 +301,21 @@ def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> int:
     """
     lo = normalize_angle(theta_e - math.pi / 2.0)
     reach = ccw_span + 1e-12
-    code = ((up - lo) % TWO_PI <= reach) + 2 * ((down - lo) % TWO_PI <= reach)
-    if code == RIGHT:
-        # Sideward: the side of the cone's middle direction.
-        mid = lo + ccw_span / 2.0
-        if math.cos(up) * math.sin(mid) - math.sin(up) * math.cos(mid) > 0.0:
-            return LEFT
-    return code
+    upward = (up - lo) % TWO_PI <= reach
+    downward = (down - lo) % TWO_PI <= reach
+    if upward:
+        return WHOLE_LINE if downward else UPWARD
+    if downward:
+        return DOWNWARD
+    # Sideward: the side of the cone's middle direction.
+    mid = lo + ccw_span / 2.0
+    if math.cos(up) * math.sin(mid) - math.sin(up) * math.cos(mid) > 0.0:
+        return SIDEWARD_LEFT
+    return SIDEWARD_RIGHT
 
 
 def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:
     """Wedge direction relative to a line with upward direction
     ``up_angle`` (see ``lean_code``)."""
     up = normalize_angle(up_angle)
-    return LEANS[lean_code(w.theta_e, w.ccw_span, up, normalize_angle(up + math.pi))]
+    return lean_code(w.theta_e, w.ccw_span, up, normalize_angle(up + math.pi))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .geom import (
     DirectedLine,
     Instance,
     Point,
-    normalize_angle,
+    _libm,
 )
 from .medianoid import (
     DOWNWARD,
@@ -42,6 +42,7 @@ from .medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     MedianoidResult,
+    _normalized,
     as_result,
     classify_wedge_on_line,
     solve_medianoid,
@@ -142,7 +143,7 @@ def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
                   (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
     [(_, up, down, side)] = search_lines(
         inst, [line], [P], telemetry,
-        "strong centroid at a breakpoint of the query line", minimum=False,
+        "strong centroid at a breakpoint of the query line",
     )
     if side is not None:
         return _prune(side, "sideward wedge at a breakpoint of the query line")
@@ -220,28 +221,23 @@ def pseudo_wedge(
 
     r = inst.r
     tol = 1e-9 * max(1.0, r)
-    cands: List[float] = [t_lo, t_hi]
-    for c in inst.customers:
-        dx = c.site.x - apex.x
-        dy = c.site.y - apex.y
-        d = math.hypot(dx, dy)
-        # Anchors commonly sit exactly on a customer circle; keep the arc's
-        # collapsed endpoint as a candidate when d == r up to rounding.
-        if d < r - tol:
-            continue
-        theta_v = math.atan2(dy, dx)
-        phi = math.acos(min(1.0, r / d))
-        for ep in (theta_v - phi, theta_v + phi):
-            nrm = normalize_angle(ep)
-            if t_lo <= nrm <= t_hi:
-                cands.append(nrm)
-            elif t_lo <= nrm + TWO_PI <= t_hi:
-                cands.append(nrm + TWO_PI)
-    cands.sort()
-    thetas = np.array(cands)
     vx = inst.xs - apex.x
     vy = inst.ys - apex.y
     wts = inst.ws
+    # Candidate directions: the capture-arc endpoints, in customer order,
+    # from the C library's functions, so that they and theta_star do not
+    # depend on how numpy's vector math rounds.  Anchors commonly sit
+    # exactly on a customer circle; keep the arc's collapsed endpoint as a
+    # candidate when d == r up to rounding.
+    d = _libm(math.hypot, vx, vy)
+    far = d >= r - tol
+    theta_v = _libm(math.atan2, vy[far], vx[far])
+    phi = _libm(math.acos, np.minimum(1.0, r / d[far]))
+    ends = _normalized(np.stack((theta_v - phi, theta_v + phi), axis=1).ravel())
+    inside = (t_lo <= ends) & (ends <= t_hi)
+    ends = np.where(inside, ends, ends + TWO_PI)
+    inside |= (t_lo <= ends) & (ends <= t_hi)
+    thetas = np.sort(np.append((t_lo, t_hi), ends[inside]), kind="stable")
     dots = np.outer(np.cos(thetas), vx) + np.outer(np.sin(thetas), vy)
     captures = np.sum(np.where(dots >= r - tol, wts, 0.0), axis=1)
     k = int(np.argmax(captures))

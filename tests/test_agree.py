@@ -3,8 +3,10 @@
 
 Parametric and intermediate mode solve six n=100 instances: integer and
 real coordinates, R 2 and 4, coordinate ranges n and 3n, and one instance
-with real weights; and one n=200 instance with R=1 (about 80 s).  Parametric and the brute oracle solve seeded instances
-of n=13-20, above the CLI's brute limit, with integer and real weights.
+with real weights; and two n=200 instances, R=1 with range n and R=4 with
+range 2n, the benchmark's first search-large solve (about 60 s each).
+Parametric and the brute oracle solve seeded instances of n=13-20, above
+the CLI's brute limit, with integer and real weights.
 A hypothesis fuzz test draws real-valued sites off the grid for n=12-40
 and compares parametric with intermediate on the instances that
 ``general_position_violation`` accepts.  Their weight losses must be
@@ -54,6 +56,8 @@ CASES = {
     # A parametric solve that lost its optimum (588 for 586) to a decision's
     # unkept midpoint.
     "integer n=200 R=1 range=n": lambda: generate_instance(200, 1, r=1.0, coord_range=200),
+    # Parametric reports 596.
+    "integer n=200 R=4 range=2n": lambda: generate_instance(200, 1, r=4.0, coord_range=400),
     "integer R=4 range=n": lambda: generate_instance(N, 1, r=4.0, coord_range=N),
     "integer R=2 range=3n": lambda: generate_instance(N, 2, r=2.0, coord_range=3 * N),
     "integer R=2 range=n": lambda: generate_instance(N, 3, r=2.0, coord_range=N),

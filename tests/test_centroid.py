@@ -28,7 +28,6 @@ from rivalloc.linesearch import (
     Telemetry,
     build_angular_index,
     local_optima_on_lines,
-    local_optimum_on_line,
 )
 from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import (
@@ -120,7 +119,7 @@ class TestLineGroups:
         for k, L in enumerate(lines):
             tel = Telemetry()
             try:
-                local_optimum_on_line(inst, idx, L, tel)
+                local_optima_on_lines(inst, idx, [L], tel)[0]
                 rounds.append(None)
             except CertifiedOptimum as cert:
                 assert cert.origin == "strong centroid on a searched line"
@@ -145,14 +144,20 @@ class TestLineGroups:
         assert rep.centroid == alone[first].point
 
 
+def exact_telemetry(telemetry):
+    """A report's telemetry less its wall time."""
+    return {k: v for k, v in telemetry.items() if k != "wall_time_s"}
+
+
 def exact_report(inst, mode):
     rep = solve_centroid(inst, mode)
-    telemetry = dict(rep.telemetry)
-    del telemetry["wall_time_s"]
-    return rep.centroid, rep.weight_loss, rep.witness_angle, telemetry
+    return rep.centroid, rep.weight_loss, rep.witness_angle, exact_telemetry(rep.telemetry)
 
 
 class TestIntermediateChunks:
+    # Seeded instance 7 certifies in two groups, the later in fewer rounds.
+    SEVEN = dict(n_lo=4, n_hi=12, coord_range=12, r_choices=(6.0, 10.0, 20.0))
+
     # The crosscheck instances up to n=16 and seeded instances, among them
     # the certifying ones that the certificate tests pin.
     CASES = (
@@ -182,9 +187,7 @@ class TestIntermediateChunks:
         """Two groups of one lockstep certify, the later one in fewer
         rounds: the certificate is the earlier group's, and the telemetry
         is that of searching the groups one after another."""
-        inst = support.seeded_instance(
-            7, n_lo=4, n_hi=12, coord_range=12, r_choices=(6.0, 10.0, 20.0)
-        )
+        inst = support.seeded_instance(7, **self.SEVEN)
         idx = build_angular_index(inst)
         groups = intermediate_groups(idx)
         assert sum(map(len, groups)) <= medianoid.block_size(inst.n)
@@ -209,15 +212,48 @@ class TestIntermediateChunks:
         first = min(alone)
         assert any(g > first and r < alone[first][1] for g, (_, r) in alone.items())
 
-        tel = Telemetry()
-        numbers = [g for g, lines in enumerate(groups) for _ in lines]
-        with pytest.raises(CertifiedOptimum) as got:
-            local_optima_on_lines(inst, idx, [L for lines in groups for L in lines], tel, numbers)
-        assert got.value.point == alone[first][0].point
-        assert tel == one_by_one
         rep = solve_centroid(inst, "intermediate")
         assert rep.centroid == alone[first][0].point
+        # The report adds the final re-evaluation and the certificate.
+        one_by_one.medianoid_calls += 1
+        one_by_one.certified = "strong centroid on a searched line"
+        assert exact_telemetry(rep.telemetry) == exact_telemetry(one_by_one.to_dict())
+
+    @pytest.mark.parametrize("block", [medianoid.SWEEP_BLOCK, 1 << 6])
+    def test_certifying_chunk_is_searched_again_group_by_group(self, monkeypatch, block):
+        """A chunk of several groups that certifies is searched again, one
+        group after another up to the first that certifies; a chunk of one
+        group raises its own certificate."""
+        inst = support.seeded_instance(7, **self.SEVEN)
+        idx = build_angular_index(inst)
+        groups = intermediate_groups(idx)
+        first = 0
+        while True:
+            try:
+                local_optima_on_lines(inst, idx, groups[first], Telemetry())
+            except CertifiedOptimum:
+                break
+            first += 1
+        one_by_one = [len(lines) for lines in groups[:first + 1]]
+
+        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", block)
+        size = medianoid.block_size(inst.n)
+        if size >= sum(map(len, groups)):
+            want = [sum(map(len, groups))] + one_by_one  # one chunk
+        else:
+            assert size < min(map(len, groups))  # one group per chunk
+            want = one_by_one
+        calls = []
+        search = centroid.local_optima_on_lines
+
+        def counted(inst, idx, lines, tel):
+            calls.append(len(lines))
+            return search(inst, idx, lines, tel)
+
+        monkeypatch.setattr(centroid, "local_optima_on_lines", counted)
+        rep = solve_centroid(inst, "intermediate")
         assert rep.telemetry["certified"] == "strong centroid on a searched line"
+        assert calls == want
 
 
 class TestDeterminism:

@@ -23,7 +23,6 @@ from rivalloc.linesearch import (
     build_angular_index,
     breakpoint_sequences,
     local_optima_on_lines,
-    local_optimum_on_line,
     upward_line,
 )
 from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, solve_medianoid
@@ -294,7 +293,7 @@ class TestLocalOptimum:
         inst = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
         L = DirectedLine.vertical(50.0)
         idx = build_angular_index(inst)
-        point, loss = local_optimum_on_line(inst, idx, L, Telemetry())
+        point, loss = local_optima_on_lines(inst, idx, [L], Telemetry())[0]
         assert loss == 3.0
         assert point.x == 50.0
 
@@ -307,7 +306,7 @@ class TestLocalOptimum:
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
             try:
-                point, loss = local_optimum_on_line(inst, idx, L, Telemetry())
+                point, loss = local_optima_on_lines(inst, idx, [L], Telemetry())[0]
             except CertifiedOptimum as cert:
                 # A strong centroid met on the line is its minimum as well.
                 point, loss = cert.point, cert.weight_loss
