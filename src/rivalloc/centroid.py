@@ -21,7 +21,7 @@ each vertical tangent line, by a point a decision evaluated and carried
 (``PruneDecision.witness``), or at a customer site.  A certified optimum
 found anywhere, by a decision or a line search, is raised there as
 ``CertifiedOptimum`` and stops everything early; its ``origin`` is reported
-as ``telemetry["certified"]``.
+as ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .geom import (
+    ANGLE_TOL,
+    EPS_BASE,
     DirectedLine,
     Instance,
     Point,
@@ -60,11 +62,6 @@ PARAMETRIC = "parametric"
 INTERMEDIATE = "intermediate"
 BRUTE = "brute"
 MODES = (PARAMETRIC, INTERMEDIATE, BRUTE)
-
-# A line direction whose |ny| falls below this is treated as vertical by LT
-# (it has no y-order) and is searched directly instead; two lines whose
-# crossing denominator falls below it are parallel there.
-VERTICAL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,12 @@ def _mix(v: np.ndarray) -> np.ndarray:
 
 def _crossing_xs(lnx, lny, loff, a, b, slab: _Slab) -> np.ndarray:
     """Abscissas of the crossings of lines ``a[i]`` and ``b[i]`` that lie
-    strictly inside ``slab``; a pair with ``|den| <= VERTICAL_EPS`` is
+    strictly inside ``slab``; a pair with ``|den| <= ANGLE_TOL`` is
     parallel and never crosses."""
     with np.errstate(divide="ignore", invalid="ignore"):
         den = lnx[b] * lny[a] - lnx[a] * lny[b]
         x_ab = (loff[b] * lny[a] - loff[a] * lny[b]) / den
-        inside = (np.abs(den) > VERTICAL_EPS) & (x_ab > slab.lo) & (x_ab < slab.hi)
+        inside = (np.abs(den) > ANGLE_TOL) & (x_ab > slab.lo) & (x_ab < slab.hi)
     return x_ab[inside]
 
 
@@ -235,7 +232,7 @@ def _lt_lines(idx: AngularIndex, frame: BoundingFrame):
     tangent line and the two frame lines, less the vertical ones, whose
     abscissas come fourth."""
     tangent = ~np.eye(idx.n, dtype=bool).ravel()
-    vertical = tangent & (np.abs(idx.tan_ny) <= VERTICAL_EPS)
+    vertical = tangent & (np.abs(idx.tan_ny) <= ANGLE_TOL)
     direct_xs = (idx.tan_off[vertical] / idx.tan_nx[vertical]).tolist()
     keep = tangent & ~vertical
     # Frame lines: y = c is nx*x + ny*y = off with normal (0, 1).
@@ -263,7 +260,7 @@ def local_optimal_line_LT(
     without the lines that crossed no other while it was thinned.
     """
     lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
-    m = telemetry.lt_wires = len(lnx)
+    m = len(lnx)
     decide_at = _decider(inst, idx, frame, slab, telemetry, "lt_oracle")
     # A line drawn as its own partner has den == 0 and drops out.
     telemetry.lt_rounds += 1
@@ -296,7 +293,7 @@ def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
     slab that the arc spans.
     """
     r = inst.r
-    tol = inst.eps * max(1.0, r)
+    tol = inst.cross_tol
     rho2 = r * r + 2.0 * tol
     rho = math.sqrt(rho2)
     margin = 2.0 * math.sqrt(tol)
@@ -405,8 +402,7 @@ def _disc_crossings(inst: Instance) -> List[Point]:
     ``circle_circle_intersections`` finds crossings for; only those pairs
     are solved."""
     r = inst.r
-    eps = inst.eps
-    reach = (r + r + eps * max(1.0, r)) * (1.0 + 1e-9)
+    reach = (r + r + inst.cross_tol) * (1.0 + EPS_BASE)
     i, j = np.triu_indices(inst.n, 1)
     dx = inst.xs[j] - inst.xs[i]
     dy = inst.ys[j] - inst.ys[i]
@@ -415,7 +411,7 @@ def _disc_crossings(inst: Instance) -> List[Point]:
     for a, b in zip(i[near].tolist(), j[near].tolist()):
         pts += circle_circle_intersections(
             Circle(inst.customers[a].site, r), Circle(inst.customers[b].site, r),
-            eps=eps,
+            eps=inst.eps,
         )
     return pts
 
@@ -489,7 +485,7 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             for i in range(idx.n):
                 group = [
                     idx.tangent_line(i, j) for j in range(idx.n)
-                    if j != i and abs(math.sin(idx.ang[i, j])) > VERTICAL_EPS
+                    if j != i and abs(math.sin(idx.ang[i, j])) > ANGLE_TOL
                 ]
                 if chunks[-1] and sum(map(len, chunks[-1])) + len(group) > size:
                     chunks.append([])

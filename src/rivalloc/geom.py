@@ -1,8 +1,8 @@
 """Planar primitives: points, weighted customers, directed lines, circles.
 
-All arithmetic is double precision.  Incidence predicates use an absolute
-tolerance, ``EPS_BASE`` = 1e-9, that callers may scale by the coordinate
-magnitude of their data (see ``Instance.eps``).
+All arithmetic is double precision.  Every tolerance of the solvers is
+named once, in the table below, with its unit; ``Instance`` scales the
+per-instance ones to its data when it is built.
 """
 
 from __future__ import annotations
@@ -15,10 +15,33 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Tolerances: every one the solver modules use, named once (a guard test
+# fails on a bare one elsewhere), with its unit and derivation.
+# ratio: about 9e6 roundoffs, far above the rounding of the few operations
+# between a quantity and its test.  Also the relative margin of
+# ``centroid._disc_crossings`` and the cosine ``vprune.decide`` allows.
 EPS_BASE = 1e-9
-
-# Angular tolerance for "parallel" / "degenerate direction" decisions.
-ANGLE_EPS = 1e-12
+# angle, or the sine or cosine measuring one: directions this close are one.
+# 2,250 ulps of pi, above the few ulps of arctan2, sin or cos; below 1/(2c^2),
+# the least sine of two non-parallel integer vectors of entries up to c < 7e5.
+ANGLE_TOL = 1e-12
+# angle: a unit vector's component below it snaps to 0.  Above cos(3pi/2),
+# -1.8e-16 in doubles, and below ANGLE_TOL: only the axes snap.
+SNAP_TOL = 1e-15
+# ratio: 2^-52, whence the rounding bounds of the sweep and the prefilter.
+DBL_EPS = float(np.finfo(float).eps)
+# Per instance, computed once by ``Instance``:
+# - eps = EPS_BASE * max(1, R, |coordinates|), length: EPS_BASE at scale.
+# - capture_r = r + eps, length: the open-capture radius.  A point known up
+#   to rounding captures what its exact location does; r breaks every solve.
+# - cross_tol = eps * max(1, r), length^2: a tangency discriminant r^2 - p^2
+#   within it touches once; near p = r a shift of eps/2 in p moves it so far.
+#   The scalar crossings below apply the rule to their own radii.
+# - closed_tol = EPS_BASE * max(1, r), length: ``vprune.pseudo_wedge``'s
+#   closed-capture slack.  Scaled like cross_tol, it moved the reported
+#   point of an n=400 solve (R=2, range 400, seed 2), so it is not.
+# - weight_tol = EPS_BASE * max(1, W), weight, W the total weight: how far
+#   a pseudo-wedge direction may fall short of the worse anchor's value.
 
 
 class DegenerateInputError(ValueError):
@@ -85,11 +108,12 @@ class Instance:
     at least R from the leader, and a customer is captured exactly when its
     projection on the follower direction exceeds r.
 
-    The tolerance ``eps``, the read-only coordinate and weight arrays
-    ``xs``, ``ys`` and ``ws``, and ``exact_sums``, whether every sum of
-    weights is exact in floating point, are computed once, at
-    construction.  They are not dataclass fields, so equality and hashing
-    use only the customers and R.
+    The tolerances ``eps``, ``capture_r``, ``cross_tol``, ``closed_tol``
+    and ``weight_tol`` (see the table at the top of this module), the
+    read-only coordinate and weight arrays ``xs``, ``ys`` and ``ws``, and
+    ``exact_sums``, whether every sum of weights is exact in floating
+    point, are computed once, at construction.  They are not dataclass
+    fields, so equality and hashing use only the customers and R.
     """
 
     customers: Tuple[Customer, ...]
@@ -107,6 +131,10 @@ class Instance:
             + [max(abs(c.site.x), abs(c.site.y)) for c in self.customers]
         )
         object.__setattr__(self, "_eps", EPS_BASE * scale)
+        object.__setattr__(self, "capture_r", self.r + self._eps)
+        object.__setattr__(self, "cross_tol", self._eps * max(1.0, self.r))
+        object.__setattr__(self, "closed_tol", EPS_BASE * max(1.0, self.r))
+        object.__setattr__(self, "weight_tol", EPS_BASE * max(1.0, self.total_weight()))
         for name, values in (
             ("xs", [c.site.x for c in self.customers]),
             ("ys", [c.site.y for c in self.customers]),
@@ -159,10 +187,10 @@ class DirectedLine:
         uy = math.sin(self.angle)
         # Snap axis-aligned directions exactly so that points generated on a
         # vertical (horizontal) line keep a bitwise-constant x (y).
-        if abs(ux) < 1e-15:
+        if abs(ux) < SNAP_TOL:
             ux = 0.0
             uy = 1.0 if uy > 0.0 else -1.0
-        elif abs(uy) < 1e-15:
+        elif abs(uy) < SNAP_TOL:
             uy = 0.0
             ux = 1.0 if ux > 0.0 else -1.0
         return (ux, uy)
@@ -211,7 +239,7 @@ def outer_tangents(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> Tuple[Direc
     return right, left
 
 
-def line_line_intersection(a: DirectedLine, b: DirectedLine, tol: float = ANGLE_EPS) -> Optional[Point]:
+def line_line_intersection(a: DirectedLine, b: DirectedLine, tol: float = ANGLE_TOL) -> Optional[Point]:
     """Intersection point of two lines, or None when (near) parallel."""
     ax, ay = a.direction
     bx, by = b.direction
@@ -309,7 +337,7 @@ def _first_collinear_triple(xs: np.ndarray, ys: np.ndarray, eps: float) -> Optio
     n = len(xs)
     if n < 3:
         return None
-    u = np.finfo(float).eps / 2.0
+    u = DBL_EPS / 2.0
     earlier = np.tri(n, dtype=bool)  # [i, j] is True for j <= i
     dx = xs - xs[:, None]  # [i, j] is the offset of site j from site i
     dy = ys - ys[:, None]

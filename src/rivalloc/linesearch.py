@@ -24,9 +24,9 @@ breakpoint count.  A line keeps only its first least-loss evaluation, its
 last upward and last downward one and a sideward end; a ``Point`` or a
 ``MedianoidResult`` is built only from those.  Parametric mode searches the
 slab's boundary lines, the vertical-line decision (``vprune``) its single
-line, for its anchors, and intermediate mode every tangent line, many
-at a time.  The lines of one block get their breakpoint arrays from one
-broadcast pass.
+line, for its anchors, and intermediate mode every tangent line, many at a
+time.  The lines of one block get their breakpoint arrays from one
+broadcast pass.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (
+    ANGLE_TOL,
     TWO_PI,
     DegenerateInputError,
     DirectedLine,
@@ -55,14 +56,6 @@ from .medianoid import (
     sweep,
 )
 
-# Angular separation below which a tangent direction is treated as parallel
-# to the query line (its crossing is at infinity and carries no breakpoint).
-PARALLEL_EPS = 1e-12
-
-# Two neighbours closer than this in polar angle around a common customer
-# are collinear with it, and its tangent lines toward them coincide.
-ANGLE_DUP_EPS = 1e-12
-
 # Origin of a certificate that a line minimum search finds.
 SEARCHED_LINE = "strong centroid on a searched line"
 
@@ -79,7 +72,6 @@ class Telemetry:
     lines_searched: int = 0
     prune_iterations: int = 0
     prune_min_fraction: Optional[float] = None  # least share a cut discarded
-    lt_wires: int = 0
     lt_rounds: int = 0  # crossing batches LT exhausted
     lt_oracle: int = 0
     lm_mass0: int = 0  # tangent-circle crossings left inside LT's slab
@@ -135,7 +127,7 @@ class AngularIndex:
             # The NaN diagonal sorts last, so each row's first n - 1 sorted
             # columns are its neighbours' angles in order.
             least = np.diff(np.sort(ang, axis=1)[:, : n - 1], axis=1).min(axis=1)
-            dup = np.flatnonzero(least < ANGLE_DUP_EPS)
+            dup = np.flatnonzero(least < ANGLE_TOL)
             if len(dup):
                 i = int(dup[0])
                 srt = np.argsort(ang[i], kind="stable")[: n - 1]
@@ -170,7 +162,7 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     """The non-horizontal line ``L`` directed upward; breakpoint positions
     ``t`` are measured along it from ``L``'s anchor."""
     theta = normalize_angle(L.angle)
-    if abs(math.sin(theta)) <= PARALLEL_EPS:
+    if abs(math.sin(theta)) <= ANGLE_TOL:
         raise ValueError("horizontal query line has no breakpoint order")
     up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
     return DirectedLine(L.anchor, up)
@@ -196,12 +188,12 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
     den += uy * ny
     T = vals[:, :m]
     np.abs(den, out=T)
-    np.greater(T, 2.0 * PARALLEL_EPS, out=used[:, :m])
-    rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * PARALLEL_EPS), m)
+    np.greater(T, 2.0 * ANGLE_TOL, out=used[:, :m])
+    rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
     if len(rows):
         angle = np.array([L.angle for L in lines])
         sin_d = _libm(math.sin, idx.ang.ravel()[cols] - angle[rows])
-        used[rows, cols] = np.abs(sin_d) > PARALLEL_EPS
+        used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
     np.multiply(ax, nx, out=T)
     T += ay * ny
     np.subtract(idx.tan_off, T, out=T)
@@ -211,7 +203,7 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
     # Circle crossings, per customer: no entry, the tangency t0, or the two
     # crossings t0 - s and t0 + s.
     r = inst.r
-    tol = inst.eps * max(1.0, r)
+    tol = inst.cross_tol
     cx = idx.xs - ax
     cy = idx.ys - ay
     t0 = cx * ux + cy * uy
@@ -248,7 +240,7 @@ def breakpoint_sequences(idx: AngularIndex, L: DirectedLine) -> np.ndarray:
     once per intersection point, in customer order (a tangency contributes
     a single entry).  A tangent direction ``a`` is parallel to ``L``, and
     dropped, when the C library's ``|sin(a - up)|`` is at most
-    ``PARALLEL_EPS``; the crossing's own denominator equals that sine up
+    ``ANGLE_TOL``; the crossing's own denominator equals that sine up
     to rounding, so it preselects the few directions the C library decides.
     """
     return _positions(idx, [upward_line(L)])[0]

@@ -21,25 +21,25 @@ returns four float arrays: the weight loss, a witness angle, and the begin
 and span of the covering interval, whose span above pi marks a strong
 centroid.  The running sums only preselect the gaps that may attain the
 maximum; the loss and the maximizing arcs come from exact sums of their
-weights (``math.fsum``, or numpy's sum when all weights are integers).  A
-row whose maximum is attained on one gap gets its witness and covering
-interval from array expressions with the float operations of the scalar
-scan ``_cover``, which runs on the rows with several.
-``solve_medianoid_many`` wraps the rows in ``MedianoidResult`` and
-``solve_medianoid`` is its single-point case; the line searches read the
-arrays, and ``lean_code`` reads a wedge's direction along a line from
-them.
+weights (``math.fsum``, or numpy's sum when all weights are integers).
+Array expressions over every row's maximizing gaps give its witness and
+covering interval (``_covering``).  ``solve_medianoid_many`` wraps the
+rows in ``MedianoidResult`` and ``solve_medianoid`` is its single-point
+case; the line searches read the arrays, and ``lean_code`` reads a wedge's
+direction along a line from them.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import (
+    ANGLE_TOL,
+    DBL_EPS,
     TWO_PI,
     Instance,
     Point,
@@ -49,15 +49,11 @@ from .geom import (
 # Capture-arc endpoints swept together: a block holds 2n of them per point.
 SWEEP_BLOCK = 1 << 13
 
-DBL_EPS = float(np.finfo(float).eps)
-
 UPWARD = "upward"
 DOWNWARD = "downward"
 SIDEWARD_RIGHT = "sideward-right"
 SIDEWARD_LEFT = "sideward-left"
 WHOLE_LINE = "whole-line-degenerate"
-
-Arc = Tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -113,29 +109,32 @@ def _normalized(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _cover(ma_arcs: List[Arc]) -> Tuple[float, float, float]:
-    """The witness angle, and the begin and span of the covering interval,
-    of the maximizing gaps ``ma_arcs`` in angular order: the scalar scan
-    of rows whose maximum is attained on several gaps."""
-    witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
-
-    # The covering interval is the complement of the largest gap between
-    # consecutive maximizing arcs; ties pick the smallest resulting begin.
-    k = len(ma_arcs)
-    between = [
-        max(ma_arcs[(i + 1) % k][0] - ma_arcs[i][1] + (TWO_PI if i == k - 1 else 0.0), 0.0)
-        for i in range(k)
-    ]
-    best_gap = -1.0
-    best_begin = TWO_PI
-    for i in range(k):
-        nb = ma_arcs[(i + 1) % k][0]
-        if between[i] > best_gap + 1e-12:
-            best_gap = between[i]
-            best_begin = nb
-        elif abs(between[i] - best_gap) <= 1e-12 and nb < best_begin:
-            best_begin = nb
-    return witness, best_begin, TWO_PI - best_gap
+def _covering(rows: np.ndarray, a: np.ndarray, b: np.ndarray, mid: np.ndarray, k: int):
+    """Per row of ``k``: the witness angle, and the begin and span of the
+    covering interval, from the maximizing gaps ``(a, b)``, with midpoints
+    ``mid``, of rows ``rows`` (ascending; a row's gaps in angular order).
+    The witness is a row's first midpoint.  The covering interval is the
+    complement of the first gap between consecutive arcs within
+    ``ANGLE_TOL`` of the largest, and begins at the least next-arc begin of
+    the gaps within ``ANGLE_TOL`` of that one (a sequential scan's rule
+    unless near-equal gaps chain across more than ``ANGLE_TOL``)."""
+    m = len(rows)
+    bounds = np.searchsorted(rows, np.arange(k + 1))
+    first, last = bounds[:-1], bounds[1:] - 1
+    nxt = np.arange(1, m + 1)
+    nxt[last] = first
+    begin = a[nxt]
+    between = begin - b
+    between[last] += TWO_PI
+    np.maximum(between, 0.0, out=between)
+    gap, theta_b = between, begin
+    if m > k:
+        # Some row has several gaps; on one-gap rows these are identities.
+        near = between >= np.maximum.reduceat(between, first)[rows] - ANGLE_TOL
+        gap = between[np.minimum.reduceat(np.where(near, np.arange(m), m), first)]
+        ties = np.abs(between - gap[rows]) <= ANGLE_TOL
+        theta_b = np.minimum.reduceat(np.where(ties, begin, math.inf), first)
+    return _normalized(mid[first]), theta_b, TWO_PI - gap
 
 
 def as_result(x: Point, loss: float, witness: float, theta_b: float, span: float) -> MedianoidResult:
@@ -153,26 +152,23 @@ def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False)
     loss alone (``losses``).
 
     Customer v is won at the angles within phi = arccos(r/d) of its
-    direction, where d is its distance from the leader and r is R/2 widened
-    by the instance tolerance, so that evaluating at a point known only up
-    to rounding reproduces the capture set of the exact location.  A
-    customer within r gets a zero-width arc, which sits on a real endpoint
-    of its row, so it splits no gap.  Each row sorts its 2n endpoints once;
-    the weight of gap i, from the i-th endpoint to the next, is a running
-    sum started at the weight of the arcs whose end wraps past 2 pi.  The
-    running sums are rounded, so every gap within their rounding bound of
-    the row maximum is re-summed exactly at its midpoint, and the
-    maximizing gaps are those whose sum is the largest; that sum is the
-    weight loss.  A row with one maximizing gap gets its witness and
-    covering interval from array expressions; a row with several runs the
-    scalar scan ``_cover``, whose tie rule is sequential.
+    direction, d its distance from the leader and r the open-capture
+    radius ``inst.capture_r``.  A customer within r gets a zero-width arc,
+    which sits on a real endpoint of its row, so it splits no gap.  Each
+    row sorts its 2n endpoints once; the weight of gap i, from the i-th
+    endpoint to the next, is a running sum started at the weight of the
+    arcs whose end wraps past 2 pi.  The running sums are rounded, so
+    every gap within their rounding bound of the row maximum is re-summed
+    exactly at its midpoint, and the maximizing gaps are those whose sum
+    is the largest; that sum is the weight loss, and ``_covering`` reads
+    the witness and the covering interval from them.
     """
     if inst.R <= 0.0:
         raise ValueError("unsupported configuration: R must be positive")
     k = len(xs)
     n = inst.n
     ws = inst.ws
-    r = inst.r + inst.eps
+    r = inst.capture_r
     dx = inst.xs - xs[:, None]
     dy = inst.ys - ys[:, None]
     phi = np.arccos(r / np.maximum(np.hypot(dx, dy), r))
@@ -222,27 +218,17 @@ def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False)
     else:
         sums = np.array(list(map(math.fsum, won.tolist())))
 
-    if len(sums) == k:
-        # One candidate gap per row: it is the row's maximizing gap.
-        loss, a, b, multi = sums, ga, gb, ()
-    else:
-        loss = np.maximum.reduceat(sums, np.searchsorted(rows, each))
-        top = np.flatnonzero(sums == loss[rows])
-        multi = np.flatnonzero(np.bincount(rows[top], minlength=k) > 1)
-        # Each row's last maximizing gap; the scan redoes rows with several.
-        a, b = np.empty(k), np.empty(k)
-        a[rows[top]] = ga[top]
-        b[rows[top]] = gb[top]
+    # With one candidate gap per row, each is its row's maximizing gap.
+    several = len(sums) > k
+    loss = np.maximum.reduceat(sums, np.searchsorted(rows, each)) if several else sums
     if dead is not None:
         loss = np.where(dead, 0.0, loss)
     if losses:
         return loss
-    witness = _normalized(a + (b - a) / 2.0)
-    span = TWO_PI - np.maximum(a - b + TWO_PI, 0.0)
-    theta_b = a
-    for i in multi:
-        j = top[rows[top] == i]
-        witness[i], theta_b[i], span[i] = _cover(list(zip(ga[j].tolist(), gb[j].tolist())))
+    if several:
+        top = np.flatnonzero(sums == loss[rows])
+        rows, ga, gb, mid = rows[top], ga[top], gb[top], mid[top]
+    witness, theta_b, span = _covering(rows, ga, gb, mid, k)
     if dead is not None:
         # Nothing capturable: every angle maximizes, there is no covering
         # interval and no wedge, and the premise of the strong-centroid
@@ -297,10 +283,10 @@ def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> str:
     downward the ray below; sideward means the apex alone, with the side
     naming where the wedge body lies.  A ray is in the wedge when its
     direction lies in the closed cone from ``theta_e - pi/2`` over
-    ``ccw_span``, up to 1e-12.
+    ``ccw_span``, up to ``ANGLE_TOL``.
     """
     lo = normalize_angle(theta_e - math.pi / 2.0)
-    reach = ccw_span + 1e-12
+    reach = ccw_span + ANGLE_TOL
     upward = (up - lo) % TWO_PI <= reach
     downward = (down - lo) % TWO_PI <= reach
     if upward:

@@ -3,7 +3,7 @@
 Everything here trades speed for directness: the follower oracle counts
 captured weight by evaluating the strict half-plane predicate itself, and
 the plane oracle materialises every candidate point and takes the minimum.
-The fast solvers are validated against these.
+The fast solvers are validated against these.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     """
     if not inst.R > 0.0:
         raise ValueError("unsupported configuration: R must be positive")
-    r = inst.r + inst.eps
+    r = inst.capture_r
     reachable = []
     events: List[float] = []
     for c in inst.customers:

@@ -18,7 +18,7 @@ pseudo-wedge built at the better anchor settles the direction; equal anchor
 values go to the downward anchor.  A decision settled by the midpoint
 carries it, with its weight loss, as a candidate: anchors a few tolerances
 apart can leave it below both.  A strong centroid at the midpoint, or an
-empty pseudo-wedge cone, is a certificate.
+empty pseudo-wedge cone, is a certificate.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geom import (
+    ANGLE_TOL,
+    EPS_BASE,
     TWO_PI,
     DirectedLine,
     Instance,
@@ -60,10 +62,6 @@ PRUNE_LEFT = "prune-left"
 PRUNE_RIGHT = "prune-right"
 
 PW_NULL = "null"
-
-# Absolute cosine slack when deciding whether a direction cone stays weakly
-# on one side of the vertical axis.
-COS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,12 @@ def pseudo_wedge(
 
     ``W1`` is the follower value at the worse anchor of the same vertical
     line, and ``result`` the follower's result at ``apex``.  A direction of
-    maximum closed capture (weight of customers whose
-    disc lies weakly beyond distance ``r`` along the direction) is chosen on
-    the anchor's far half of directions; it must capture at least ``W1``.
-    The wedge's direction cone intersected with the half-turn around that
-    direction then either sits weakly on one side of the vertical line or is
-    empty.
+    maximum closed capture (weight of customers whose disc lies weakly
+    beyond distance ``r`` along the direction, up to ``inst.closed_tol``)
+    is chosen on the anchor's far half of directions; it must capture at
+    least ``W1`` up to ``inst.weight_tol``.  The wedge's direction cone
+    intersected with the half-turn around that direction then either sits
+    weakly on one side of the vertical line or is empty.
     """
     wedge = result.wedge
     if wedge is None:
@@ -220,7 +218,7 @@ def pseudo_wedge(
         raise ValueError("pseudo-wedge anchor must be upward or downward")
 
     r = inst.r
-    tol = 1e-9 * max(1.0, r)
+    tol = inst.closed_tol
     vx = inst.xs - apex.x
     vy = inst.ys - apex.y
     wts = inst.ws
@@ -243,7 +241,7 @@ def pseudo_wedge(
     k = int(np.argmax(captures))
     theta_star = float(thetas[k])
     max_capture = float(captures[k])
-    if max_capture < W1 - 1e-9 * max(1.0, inst.total_weight()):
+    if max_capture < W1 - inst.weight_tol:
         raise RuntimeError(
             "no direction at the anchor captures the worse anchor's value"
         )
@@ -253,9 +251,9 @@ def pseudo_wedge(
         classification = PW_NULL
     else:
         cmin, cmax = _cos_extremes(*trimmed)
-        if cmin >= -COS_EPS:
+        if cmin >= -ANGLE_TOL:
             classification = SIDEWARD_RIGHT
-        elif cmax <= COS_EPS:
+        elif cmax <= ANGLE_TOL:
             classification = SIDEWARD_LEFT
         else:
             raise RuntimeError(
@@ -275,7 +273,7 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
     optimum found on it."""
     telemetry.decide_calls += 1
     ux, uy = L.direction
-    if abs(ux) > 1e-9:
+    if abs(ux) > EPS_BASE:
         raise ValueError("decide requires a vertical query line")
     X = L.anchor.x
     if X < frame.xmin:

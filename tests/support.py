@@ -11,10 +11,9 @@ from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
-from rivalloc.centroid import VERTICAL_EPS
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
-    ANGLE_EPS,
+    ANGLE_TOL,
     TWO_PI,
     Circle,
     Customer,
@@ -30,8 +29,6 @@ from rivalloc.geom import (
     unit_vector,
 )
 from rivalloc.linesearch import (
-    ANGLE_DUP_EPS,
-    PARALLEL_EPS,
     SEARCHED_LINE,
     CertifiedOptimum,
     breakpoint_sequences,
@@ -49,11 +46,11 @@ from rivalloc.medianoid import (
 )
 
 
-def is_vertical(L, tol=ANGLE_EPS):
+def is_vertical(L, tol=ANGLE_TOL):
     return abs(math.cos(L.angle)) <= tol
 
 
-def is_horizontal(L, tol=ANGLE_EPS):
+def is_horizontal(L, tol=ANGLE_TOL):
     return abs(math.sin(L.angle)) <= tol
 
 
@@ -522,7 +519,7 @@ def reference_general_position_violation(inst):
 def reference_duplicate_angle(inst):
     """The per-customer loop that ``AngularIndex`` vectorises: the message
     of the first customer around which two others lie within
-    ``ANGLE_DUP_EPS`` in polar angle, or None."""
+    ``ANGLE_TOL`` in polar angle, or None."""
     n = inst.n
     dx = inst.xs[None, :] - inst.xs[:, None]
     dy = inst.ys[None, :] - inst.ys[:, None]
@@ -535,7 +532,7 @@ def reference_duplicate_angle(inst):
         srt = np.argsort(a, kind="stable")
         gaps = np.diff(a[srt])
         k = int(np.argmin(gaps))
-        if gaps[k] < ANGLE_DUP_EPS:
+        if gaps[k] < ANGLE_TOL:
             return (
                 "customers %d and %d share the polar angle around "
                 "customer %d" % (int(js[srt[k]]), int(js[srt[k + 1]]), i)
@@ -552,7 +549,7 @@ def reference_tangent_crossings(idx, line):
     ts: List[float] = []
     for i in range(idx.n):
         for j in range(idx.n):
-            if i == j or abs(math.sin(idx.ang[i, j] - line.angle)) <= PARALLEL_EPS:
+            if i == j or abs(math.sin(idx.ang[i, j] - line.angle)) <= ANGLE_TOL:
                 continue
             k = i * idx.n + j
             nx, ny = idx.tan_nx[k], idx.tan_ny[k]
@@ -628,6 +625,41 @@ def reference_sweep(inst, x) -> Optional[Tuple[list, float]]:
     return gaps, max(w for _, w in gaps)
 
 
+def cover(ma_arcs):
+    """The witness angle, and the begin and span of the covering interval,
+    of the maximizing gaps ``ma_arcs`` in angular order, by a sequential
+    scan: the reference for the array expressions of
+    ``medianoid._covering``."""
+    witness = normalize_angle(ma_arcs[0][0] + (ma_arcs[0][1] - ma_arcs[0][0]) / 2.0)
+
+    # The covering interval is the complement of the largest gap between
+    # consecutive maximizing arcs; ties pick the smallest resulting begin.
+    k = len(ma_arcs)
+    between = [
+        max(ma_arcs[(i + 1) % k][0] - ma_arcs[i][1] + (TWO_PI if i == k - 1 else 0.0), 0.0)
+        for i in range(k)
+    ]
+    best_gap = -1.0
+    best_begin = TWO_PI
+    for i in range(k):
+        nb = ma_arcs[(i + 1) % k][0]
+        if between[i] > best_gap + ANGLE_TOL:
+            best_gap = between[i]
+            best_begin = nb
+        elif abs(between[i] - best_gap) <= ANGLE_TOL and nb < best_begin:
+            best_begin = nb
+    return witness, best_begin, TWO_PI - best_gap
+
+
+def scan_covering(rows, a, b, mid, k):
+    """``medianoid._covering`` by the sequential scan ``cover``, row by
+    row; it ignores ``mid`` and computes each witness itself."""
+    bounds = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    scans = [cover(list(zip(a[lo:hi].tolist(), b[lo:hi].tolist())))
+             for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(np.array(col) for col in zip(*scans))
+
+
 def reference_generate_instance(n, seed, r=2.0, coord_range=50, weight_range=10):
     """``cli.generate_instance`` with its pair loop: the same draws, and a
     candidate rejected when it is collinear with any pair of accepted
@@ -700,12 +732,12 @@ def reference_inverted_pairs(lnx, lny, loff, lo, hi):
 def line_crossing_xs(lnx, lny, loff):
     """Every crossing abscissa of two lines ``nx*x + ny*y = off``, pair by
     pair, by the expression LT's crossing batches use; a pair with
-    ``|den| <= VERTICAL_EPS`` is parallel and never crosses."""
+    ``|den| <= ANGLE_TOL`` is parallel and never crosses."""
     xs = []
     for i in range(len(lnx)):
         for j in range(i + 1, len(lnx)):
             den = lnx[j] * lny[i] - lnx[i] * lny[j]
-            if abs(den) > VERTICAL_EPS:
+            if abs(den) > ANGLE_TOL:
                 xs.append((loff[j] * lny[i] - loff[i] * lny[j]) / den)
     return xs
 

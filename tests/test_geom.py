@@ -1,16 +1,20 @@
 """Unit tests for the planar primitives."""
 
+import ast
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rivalloc
 import support
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
-    ANGLE_EPS,
+    ANGLE_TOL,
+    EPS_BASE,
     Circle,
     Customer,
     DirectedLine,
@@ -421,3 +425,41 @@ def test_instance_arrays_are_read_only_snapshots():
             arr[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.xs = inst.ys
+
+
+def test_instance_scales_the_tolerance_table_once():
+    inst = Instance([Customer(Point(-300.0, 2.0), 0.5), Customer(Point(4.0, 7.0), 1.25)], 3.0)
+    assert inst.eps == EPS_BASE * 300.0
+    assert inst.capture_r == 1.5 + inst.eps
+    assert inst.cross_tol == inst.eps * 1.5
+    assert inst.closed_tol == EPS_BASE * 1.5
+    assert inst.weight_tol == EPS_BASE * 1.75
+    tiny = Instance([Customer(Point(0.25, 0.5), 0.5)], 0.5)
+    assert (tiny.eps, tiny.cross_tol, tiny.closed_tol, tiny.weight_tol) == (EPS_BASE,) * 4
+
+
+# The modules whose predicates the tolerance table governs.
+SOLVER_MODULES = ("geom", "medianoid", "linesearch", "vprune", "centroid", "oracle")
+
+
+def test_every_small_float_literal_is_in_the_tolerance_table():
+    """A float literal 0 < |v| < 1e-6 in a solver module is a tolerance, and
+    must be the value of a constant of the table at the top of ``geom``
+    (the module-level assignments before its first class or function)."""
+    package = Path(rivalloc.__file__).parent
+    table = set()
+    for node in ast.parse((package / "geom.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            break
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            table.add(("geom", node.value.lineno, node.value.col_offset))
+    assert len(table) >= 3
+    bare = [
+        "%s.py:%d: %r" % (name, node.lineno, node.value)
+        for name in SOLVER_MODULES
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-6
+        and (name, node.lineno, node.col_offset) not in table
+    ]
+    assert not bare, bare

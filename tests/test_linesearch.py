@@ -10,6 +10,7 @@ import pytest
 import support
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
+    ANGLE_TOL,
     Customer,
     DegenerateInputError,
     DirectedLine,
@@ -17,7 +18,6 @@ from rivalloc.geom import (
     Point,
 )
 from rivalloc.linesearch import (
-    PARALLEL_EPS,
     CertifiedOptimum,
     Telemetry,
     build_angular_index,
@@ -50,7 +50,7 @@ class TestAngularIndex:
     @staticmethod
     def _near_duplicate_angle_case(seed):
         """Sites, some of them put on the line through two others and then
-        turned about the first by an angle around ``ANGLE_DUP_EPS``; every
+        turned about the first by an angle around ``ANGLE_TOL``; every
         fourth case stays on a small integer grid, where angles tie
         exactly."""
         rng = random.Random(seed)
@@ -179,7 +179,7 @@ def _query_lines(idx, rng):
     lines = []
     for i in range(min(idx.n, 4)):
         for j in range(min(idx.n, 4)):
-            if i != j and abs(np.sin(idx.ang[i, j])) > PARALLEL_EPS:
+            if i != j and abs(np.sin(idx.ang[i, j])) > ANGLE_TOL:
                 lines.append(idx.tangent_line(i, j))
     lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:3]]
     spread = 2.0 * float(np.max(np.abs(idx.xs))) + 1.0
@@ -215,7 +215,7 @@ class TestTangentSequences:
                     want = support.reference_tangent_crossings(idx, line)
                     assert got.dtype == want.dtype, (n, R, L)
                     assert got[:len(want)].tobytes() == want.tobytes(), (n, R, L)
-                    par = np.abs(np.sin(idx.ang - line.angle)) <= PARALLEL_EPS
+                    par = np.abs(np.sin(idx.ang - line.angle)) <= ANGLE_TOL
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
                 dist = np.hypot(idx.xs[None, :] - idx.xs[:, None],
@@ -408,7 +408,7 @@ class TestEngineMatchesReference:
             frame = build_frame(inst)
             lines = [support.non_horizontal_line(rng) for _ in range(3)] + [
                 idx.tangent_line(0, j) for j in range(1, idx.n)
-                if abs(math.sin(idx.ang[0, j])) > PARALLEL_EPS
+                if abs(math.sin(idx.ang[0, j])) > ANGLE_TOL
             ]
             got = _outcome(lambda tel: local_optima_on_lines(inst, idx, lines, tel))
             want = _outcome(lambda tel: support.reference_local_optima(inst, idx, lines, tel))

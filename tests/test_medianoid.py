@@ -34,7 +34,7 @@ def scan_result(x, arcs, best):
     """The result at x whose maximizing gaps, in angular order, are
     ``arcs`` and whose weight loss is ``best``, by the scalar covering-gap
     scan."""
-    return medianoid.as_result(x, best, *medianoid._cover(arcs))
+    return medianoid.as_result(x, best, *support.cover(arcs))
 
 
 def make_instance(sites_weights, R):
@@ -168,6 +168,9 @@ class TestSolveMedianoid:
             assert wedge.theta_b == begin
             assert wedge.theta_e == pytest.approx(begin + math.pi, abs=1e-12)
             assert wedge.ccw_span == pytest.approx(0.0, abs=1e-12)
+            a, b = np.array(arcs).T
+            got = medianoid._covering(np.zeros(2, dtype=int), a, b, a + (b - a) / 2.0, 1)
+            assert tuple(v.item() for v in got) == support.cover(arcs)
 
 
 class TestWedge:
@@ -386,10 +389,53 @@ class TestArraySweep:
                 gaps, best = ref
                 ma = [g for g, w in gaps if w == best]
                 assert loss == best, x
-                assert (witness, theta_b, span) == medianoid._cover(ma), x
+                assert (witness, theta_b, span) == support.cover(ma), x
                 seen["one" if len(ma) == 1 else "multi"] += 1
                 seen["tied"] += self._tied(ma)
         assert all(count >= 5 for count in seen.values()), seen
+
+    def test_array_covering_matches_the_sequential_scan(self, monkeypatch):
+        """On 50,000 seeded leader points, on the integer lattice and off
+        it, around instances of n 6-200 with R 1-20 and integer or real
+        weights, and on the tied configurations of ``_cases``, the sweep of
+        a block, and of single points from it, returns bitwise the four
+        arrays it returns with ``_covering`` replaced by the sequential scan
+        ``support.cover``."""
+        rng = random.Random(2121)
+        multi = 0
+
+        def scan(rows, a, b, mid, k):
+            nonlocal multi
+            multi += int(np.count_nonzero(np.bincount(rows, minlength=k) > 1))
+            return support.scan_covering(rows, a, b, mid, k)
+
+        def compare(inst, xs, ys):
+            # The block, and single points, where every row may have one gap.
+            for sl in [slice(None)] + [slice(i, i + 1) for i in range(0, len(xs), 60)]:
+                got = medianoid.sweep(inst, xs[sl], ys[sl])
+                with monkeypatch.context() as m:
+                    m.setattr(medianoid, "_covering", scan)
+                    want = medianoid.sweep(inst, xs[sl], ys[sl])
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (inst.n, inst.R, sl)
+
+        for inst, pts in self._cases():
+            compare(inst, np.array([p.x for p in pts]), np.array([p.y for p in pts]))
+        points = 0
+        while points < 50_000:
+            n = rng.randint(6, 200)
+            R = rng.choice((1.0, 2.0, 3.0, 4.0, 7.5, 12.0, 20.0))
+            c = rng.choice((1, 2, 4)) * n
+            inst = generate_instance(n, seed=rng.randrange(1 << 20), r=R, coord_range=c)
+            if rng.random() < 0.3:
+                inst = Instance([Customer(v.site, rng.choice((0.1, 0.2, 0.3, 0.7, 1.1)))
+                                 for v in inst.customers], R)
+            xy = [(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(300)]
+            xy += [(rng.uniform(-c, c), rng.uniform(-c, c)) for _ in range(300)]
+            compare(inst, np.array([p[0] for p in xy], dtype=float),
+                    np.array([p[1] for p in xy], dtype=float))
+            points += len(xy)
+        assert multi >= 1000, multi
 
 
 @settings(max_examples=60, deadline=None)
