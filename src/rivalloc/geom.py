@@ -239,39 +239,6 @@ def outer_tangents(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> Tuple[Direc
     return right, left
 
 
-def line_line_intersection(a: DirectedLine, b: DirectedLine, tol: float = ANGLE_TOL) -> Optional[Point]:
-    """Intersection point of two lines, or None when (near) parallel."""
-    ax, ay = a.direction
-    bx, by = b.direction
-    cross = ax * by - ay * bx
-    if abs(cross) <= tol:
-        return None
-    dx = b.anchor.x - a.anchor.x
-    dy = b.anchor.y - a.anchor.y
-    t = (dx * by - dy * bx) / cross
-    return a.point_at(t)
-
-
-def line_circle_intersections(l: DirectedLine, c: Circle, eps: float = EPS_BASE) -> List[Point]:
-    """Intersections of a line and a circle, sorted along the line direction.
-
-    A tangency is reported once.
-    """
-    ux, uy = l.direction
-    cx = c.center.x - l.anchor.x
-    cy = c.center.y - l.anchor.y
-    t0 = cx * ux + cy * uy
-    # squared distance from the center to the line
-    perp = cx * uy - cy * ux
-    disc = c.radius * c.radius - perp * perp
-    if disc <= eps * max(1.0, c.radius):
-        if disc < -eps * max(1.0, c.radius):
-            return []
-        return [l.point_at(t0)]
-    s = math.sqrt(disc)
-    return [l.point_at(t0 - s), l.point_at(t0 + s)]
-
-
 def circle_circle_intersections(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> List[Point]:
     """0, 1, or 2 intersection points of two circles, sorted by (x, y)."""
     dx = c2.center.x - c1.center.x

@@ -3,6 +3,8 @@
 Everything here trades speed for directness: the follower oracle counts
 captured weight by evaluating the strict half-plane predicate itself, and
 the plane oracle materialises every candidate point and takes the minimum.
+It builds the O(n^4) line crossings as numpy arrays, bitwise those of the
+scalar per-pair formulas, which the test suite keeps as the reference.
 The fast solvers are validated against these.  Tolerances: ``geom``'s table.
 """
 
@@ -13,15 +15,15 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .geom import (
+    ANGLE_TOL,
     TWO_PI,
     Circle,
-    DirectedLine,
     Instance,
     Point,
     circle_circle_intersections,
-    line_circle_intersections,
-    line_line_intersection,
     outer_tangents,
 )
 from .centroid import SolveReport
@@ -30,6 +32,7 @@ from .medianoid import solve_medianoid, solve_medianoid_many
 TANGENT_TANGENT = "TxT"
 TANGENT_CIRCLE = "TxC"
 CIRCLE_CIRCLE = "CxC"
+FAMILIES = (TANGENT_TANGENT, TANGENT_CIRCLE, CIRCLE_CIRCLE)
 
 
 def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
@@ -90,59 +93,70 @@ class CandidateSet:
         return len(self.points)
 
 
-def _tangent_lines(inst: Instance) -> List[DirectedLine]:
-    r = inst.r
-    lines: List[DirectedLine] = []
-    for i in range(inst.n):
-        ci = Circle(inst.customers[i].site, r)
-        for j in range(i + 1, inst.n):
-            cj = Circle(inst.customers[j].site, r)
-            right, left = outer_tangents(ci, cj, eps=inst.eps)
-            lines.append(right)
-            lines.append(left)
-    return lines
-
-
 def enumerate_candidates(inst: Instance) -> CandidateSet:
     """Every crossing of two tangent lines, a tangent line and a disc
     boundary, or two disc boundaries, deduplicated within the instance
-    tolerance."""
+    tolerance.
+
+    The first two families are array expressions that round as the scalar
+    formulas do: lines cross when ``|sin| > ANGLE_TOL`` between them, and
+    a disc's discriminant gives two points above ``cross_tol``, one within
+    it.  In family order, sorted stably by (x, y), a point is dropped when
+    a kept point before it lies within ``eps`` in x and in y.
+    """
     r = inst.r
-    lines = _tangent_lines(inst)
     circles = [Circle(c.site, r) for c in inst.customers]
-    raw: List[Tuple[Point, str]] = []
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            p = line_line_intersection(lines[a], lines[b])
-            if p is not None:
-                raw.append((p, TANGENT_TANGENT))
-    for line in lines:
-        for c in circles:
-            for p in line_circle_intersections(line, c, eps=inst.eps):
-                raw.append((p, TANGENT_CIRCLE))
-    for a in range(len(circles)):
-        for b in range(a + 1, len(circles)):
-            for p in circle_circle_intersections(
-                circles[a], circles[b], eps=inst.eps
-            ):
-                raw.append((p, CIRCLE_CIRCLE))
-    raw.sort(key=lambda e: (e[0].x, e[0].y))
-    tol = inst.eps
-    points: List[Point] = []
-    provenance: List[str] = []
-    for p, tag in raw:
-        merged = False
-        for k in range(len(points) - 1, -1, -1):
-            q = points[k]
-            if p.x - q.x > tol:
+    lines = [L for i, ci in enumerate(circles) for cj in circles[i + 1:]
+             for L in outer_tangents(ci, cj, eps=inst.eps)]
+    ax, ay, ux, uy = np.array(
+        [(L.anchor.x, L.anchor.y) + L.direction for L in lines], dtype=float
+    ).reshape(-1, 4).T
+    a, b = np.triu_indices(len(lines), 1)
+    cross = ux[a] * uy[b] - uy[a] * ux[b]
+    ok = np.abs(cross) > ANGLE_TOL
+    a, b, cross = a[ok], b[ok], cross[ok]
+    t = ((ax[b] - ax[a]) * uy[b] - (ay[b] - ay[a]) * ux[b]) / cross
+    xs = [ax[a] + t * ux[a]]
+    ys = [ay[a] + t * uy[a]]
+
+    cx = inst.xs - ax[:, None]
+    cy = inst.ys - ay[:, None]
+    t0 = cx * ux[:, None] + cy * uy[:, None]
+    perp = cx * uy[:, None] - cy * ux[:, None]
+    disc = r * r - perp * perp
+    crossing = disc > inst.cross_tol
+    s = np.sqrt(np.where(crossing, disc, 0.0))
+    used = np.stack((disc >= -inst.cross_tol, crossing), axis=2)
+    t = np.stack((np.where(crossing, t0 - s, t0), t0 + s), axis=2)[used]
+    a = np.broadcast_to(np.arange(len(lines))[:, None, None], used.shape)[used]
+    xs.append(ax[a] + t * ux[a])
+    ys.append(ay[a] + t * uy[a])
+
+    cc = [p for i, ci in enumerate(circles) for cj in circles[i + 1:]
+          for p in circle_circle_intersections(ci, cj, eps=inst.eps)]
+    xs.append(np.array([p.x for p in cc], dtype=float))
+    ys.append(np.array([p.y for p in cc], dtype=float))
+
+    X, Y = np.concatenate(xs), np.concatenate(ys)
+    family = np.repeat(np.arange(3), [len(v) for v in xs])
+    order = np.lexsort((Y, X))
+    X, Y, family = X[order], Y[order], family[order]
+    px, py = X.tolist(), Y.tolist()
+    keep = np.ones(len(px), dtype=bool)
+    # Beyond its predecessor by more than eps in x, a point is kept.
+    for i in (np.flatnonzero(X[1:] - X[:-1] <= inst.eps) + 1).tolist():
+        for k in range(i - 1, -1, -1):
+            if not keep[k]:
+                continue
+            if px[i] - px[k] > inst.eps:
                 break
-            if abs(p.y - q.y) <= tol:
-                merged = True
+            if abs(py[i] - py[k]) <= inst.eps:
+                keep[i] = False
                 break
-        if not merged:
-            points.append(p)
-            provenance.append(tag)
-    return CandidateSet(tuple(points), tuple(provenance))
+    return CandidateSet(
+        tuple(map(Point, X[keep].tolist(), Y[keep].tolist())),
+        tuple(FAMILIES[f] for f in family[keep].tolist()),
+    )
 
 
 def brute_centroid(inst: Instance) -> SolveReport:

@@ -14,6 +14,7 @@ import numpy as np
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
+    EPS_BASE,
     TWO_PI,
     Circle,
     Customer,
@@ -22,8 +23,6 @@ from rivalloc.geom import (
     Point,
     circle_circle_intersections,
     collinear,
-    line_circle_intersections,
-    line_line_intersection,
     normalize_angle,
     outer_tangents,
     unit_vector,
@@ -43,6 +42,12 @@ from rivalloc.medianoid import (
     classify_wedge_on_line,
     solve_medianoid,
     solve_medianoid_many,
+)
+from rivalloc.oracle import (
+    CIRCLE_CIRCLE,
+    TANGENT_CIRCLE,
+    TANGENT_TANGENT,
+    CandidateSet,
 )
 
 
@@ -267,6 +272,34 @@ def reference_lockstep(inst, searches):
     return out
 
 
+def reference_search_lines(inst, lines, positions, telemetry, origin):
+    """``linesearch.search_lines`` by the per-step reference, in lockstep:
+    per line ``(least, up, down, side)`` with each evaluation as ``(t, x,
+    y, weight_loss, witness_angle)``.  A line without positions is
+    evaluated at its anchor.  The position arrays are reordered in place."""
+    def search(line, P):
+        if len(P):
+            return (yield from reference_evaluations(line, P, telemetry, origin))
+        point = line.point_at(0.0)
+        res = yield 0.0, point
+        telemetry.medianoid_calls += 1
+        if res.strong_centroid:
+            raise CertifiedOptimum(point, res.weight_loss, origin)
+        return [(0.0, point, res, None)]
+
+    out = []
+    searches = [search(L, P) for L, P in zip(lines, positions)]
+    for done in reference_lockstep(inst, searches):
+        ev = [(t, p.x, p.y, res.weight_loss, res.witness_angle) for t, p, res, _ in done]
+        leans = [d for *_, d in done]
+        up = [e for e, d in zip(ev, leans) if d == UPWARD]
+        down = [e for e, d in zip(ev, leans) if d == DOWNWARD]
+        side = leans[-1] if leans[-1] not in (UPWARD, DOWNWARD, None) else None
+        least = ev[-1] if side else min(ev, key=lambda e: e[3])
+        out.append((least, up[-1] if up else None, down[-1] if down else None, side))
+    return out
+
+
 def reference_line_minimum(idx, L, telemetry):
     """The coroutine minimising the follower value over ``L``: the first
     evaluation of least weight loss, or the apex of a sideward end; a line
@@ -325,6 +358,78 @@ def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6
     n = rng.randint(n_lo, n_hi)
     R = rng.choice(r_choices)
     return generate_instance(n, seed=seed, r=R, coord_range=coord_range)
+
+
+def line_line_intersection(a: DirectedLine, b: DirectedLine, tol: float = ANGLE_TOL) -> Optional[Point]:
+    """Intersection point of two lines, or None when (near) parallel."""
+    ax, ay = a.direction
+    bx, by = b.direction
+    cross = ax * by - ay * bx
+    if abs(cross) <= tol:
+        return None
+    dx = b.anchor.x - a.anchor.x
+    dy = b.anchor.y - a.anchor.y
+    t = (dx * by - dy * bx) / cross
+    return a.point_at(t)
+
+
+def line_circle_intersections(l: DirectedLine, c: Circle, eps: float = EPS_BASE) -> List[Point]:
+    """Intersections of a line and a circle, sorted along the line direction.
+
+    A tangency is reported once.
+    """
+    ux, uy = l.direction
+    cx = c.center.x - l.anchor.x
+    cy = c.center.y - l.anchor.y
+    t0 = cx * ux + cy * uy
+    # squared distance from the center to the line
+    perp = cx * uy - cy * ux
+    disc = c.radius * c.radius - perp * perp
+    if disc <= eps * max(1.0, c.radius):
+        if disc < -eps * max(1.0, c.radius):
+            return []
+        return [l.point_at(t0)]
+    s = math.sqrt(disc)
+    return [l.point_at(t0 - s), l.point_at(t0 + s)]
+
+
+def reference_enumerate_candidates(inst):
+    """``oracle.enumerate_candidates`` as a loop over every pair of tangent
+    lines, every line and circle, and every pair of circles through the
+    scalar crossings, sorted by (x, y) and deduplicated greedily."""
+    r = inst.r
+    lines = all_tangent_lines(inst)
+    circles = [Circle(c.site, r) for c in inst.customers]
+    raw = []
+    for a in range(len(lines)):
+        for b in range(a + 1, len(lines)):
+            p = line_line_intersection(lines[a], lines[b])
+            if p is not None:
+                raw.append((p, TANGENT_TANGENT))
+    for line in lines:
+        for c in circles:
+            for p in line_circle_intersections(line, c, eps=inst.eps):
+                raw.append((p, TANGENT_CIRCLE))
+    for a in range(len(circles)):
+        for b in range(a + 1, len(circles)):
+            for p in circle_circle_intersections(circles[a], circles[b], eps=inst.eps):
+                raw.append((p, CIRCLE_CIRCLE))
+    raw.sort(key=lambda e: (e[0].x, e[0].y))
+    tol = inst.eps
+    points, provenance = [], []
+    for p, tag in raw:
+        merged = False
+        for k in range(len(points) - 1, -1, -1):
+            q = points[k]
+            if p.x - q.x > tol:
+                break
+            if abs(p.y - q.y) <= tol:
+                merged = True
+                break
+        if not merged:
+            points.append(p)
+            provenance.append(tag)
+    return CandidateSet(tuple(points), tuple(provenance))
 
 
 def all_tangent_lines(inst):
@@ -413,8 +518,6 @@ def brute_candidate_points(inst):
             pts.extend(line_circle_intersections(tangents[a], c, eps=inst.eps))
     for a in range(len(circles)):
         for b in range(a + 1, len(circles)):
-            from rivalloc.geom import circle_circle_intersections
-
             pts.extend(circle_circle_intersections(circles[a], circles[b], eps=inst.eps))
     return pts
 

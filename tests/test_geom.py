@@ -24,13 +24,12 @@ from rivalloc.geom import (
     collinear,
     dist,
     general_position_violation,
-    line_circle_intersections,
-    line_line_intersection,
     normalize_angle,
     outer_tangents,
     polar_angle,
     unit_vector,
 )
+from support import line_circle_intersections, line_line_intersection
 
 EPS = 1e-9
 

@@ -5,9 +5,7 @@ LT, LM and LC exhaust that alters any report fails here.
 The reports in ``data/golden_reports.json`` are exact (point, weight loss,
 witness angle and telemetry without wall time).  Regenerate them only for an
 intended change of reports, with
-``PYTHONPATH=src python tests/test_golden_reports.py``.  The file still
-holds ``lt_wires``, a telemetry key that solves no longer report (it was
-n(n-1)+2 on every parametric solve); the comparison skips it.
+``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
 import json
@@ -88,17 +86,9 @@ def report(n, seed, coord_range, mode, real=False):
     }
 
 
-# Keys of the golden file that reports no longer carry.
-REMOVED = ("lt_wires",)
-
-
 @pytest.fixture(scope="module")
 def golden():
-    reports = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    for rep in reports.values():
-        for key in REMOVED:
-            rep["telemetry"].pop(key, None)
-    return reports
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

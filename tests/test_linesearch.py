@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import support
+from rivalloc import linesearch
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
@@ -23,9 +24,10 @@ from rivalloc.linesearch import (
     build_angular_index,
     breakpoint_sequences,
     local_optima_on_lines,
+    search_lines,
     upward_line,
 )
-from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, solve_medianoid
+from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, as_result, solve_medianoid
 from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, build_frame, find_xD_xU
 
 COVERAGE_TOL = 1e-6
@@ -427,6 +429,165 @@ class TestEngineMatchesReference:
                     seen["anchors"] += 1
                 assert got == want, (trial, L)
         assert all(count >= 5 for count in seen.values()), seen
+
+
+def _hex(e):
+    return None if e is None else tuple(float(v).hex() for v in e[:5])
+
+
+def _recorded(monkeypatch, module, name, points_of, search):
+    """Run ``search(telemetry)`` with ``module.name``, the block evaluation
+    it calls once a round, recording the points of each call.  Returns the
+    rounds, the outcome (per line ``(least, up, down, side)``, the
+    certificate or the ``RuntimeError``), floats as hex, and the
+    telemetry."""
+    rounds = []
+    evaluate = getattr(module, name)
+
+    def recording(inst, *args):
+        rounds.append([(float(x).hex(), float(y).hex()) for x, y in points_of(*args)])
+        return evaluate(inst, *args)
+
+    monkeypatch.setattr(module, name, recording)
+    tel = Telemetry()
+    try:
+        got = [tuple(map(_hex, out[:3])) + (out[3],) for out in search(tel)]
+    except CertifiedOptimum as cert:
+        got = ("certified", _hex((cert.weight_loss, *cert.point)), cert.origin)
+    except RuntimeError as err:
+        got = ("raised", str(err))
+    finally:
+        monkeypatch.setattr(module, name, evaluate)
+    return rounds, got, tel
+
+
+def _engine_and_reference(monkeypatch, inst, lines, positions):
+    """``search_lines`` and the per-step reference on copies of the same
+    positions: the points of every round, the outcome and the telemetry."""
+    def engine(tel):
+        return search_lines(inst, lines, [p.copy() for p in positions], tel, "origin")
+
+    def reference(tel):
+        return support.reference_search_lines(
+            inst, lines, [p.copy() for p in positions], tel, "origin")
+
+    return (
+        _recorded(monkeypatch, linesearch, "sweep",
+                  lambda xs, ys: zip(xs.tolist(), ys.tolist()), engine),
+        _recorded(monkeypatch, support, "solve_medianoid_many",
+                  lambda points: ((p.x, p.y) for p in points), reference),
+    )
+
+
+# Scripted follower rows (theta_b, span) on a vertical line: a wedge leaning
+# upward, downward, sideward, one that contains the whole line, and none.
+ROW_UP = (math.pi - 0.7, 0.5)
+ROW_DOWN = (2.0 * math.pi - 0.7, 0.5)
+ROW_SIDE = (math.pi / 2.0 - 3.0, 3.0)
+ROW_WHOLE = (math.pi, 0.0)
+ROW_STRONG = (0.0, 4.0)
+
+
+class TestIndexCuts:
+    def test_duplicates_and_empty_lines_match_the_reference(self, monkeypatch):
+        """``search_lines`` evaluates bitwise the points of the partition-based
+        per-step reference, round by round, and returns, raises and counts
+        what it does, on lines searched in lockstep whose positions repeat:
+        the lower median three times, the frame ordinates, every position
+        twice, some positions twice, beside a line without positions."""
+        rng = random.Random(91)
+        seen = {"certified": 0, "searched": 0, "sideward": 0}
+        for trial in range(60):
+            inst = support.seeded_instance(
+                7100 + trial, n_lo=3, n_hi=10, coord_range=(30, 12)[trial % 2],
+                r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
+            idx = build_angular_index(inst)
+            frame = build_frame(inst)
+            lines = [support.vertical_through_box(rng, frame) for _ in range(2)]
+            lines += [upward_line(support.non_horizontal_line(rng)) for _ in range(2)]
+            positions = []
+            for k, L in enumerate(lines):
+                P = np.append(breakpoint_sequences(idx, L),
+                              (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+                if k == 0:
+                    P = np.append(P, P[-2:])
+                    median = np.sort(P)[(len(P) - 1) // 2]
+                    P = np.append(P, (median, median))
+                elif k == 1:
+                    P = np.append(P, P)
+                else:
+                    P = np.append(P, rng.sample(P.tolist(), len(P) // 3))
+                positions.append(P[np.random.default_rng(trial).permutation(len(P))])
+            lines.append(upward_line(support.non_horizontal_line(rng)))
+            positions.append(np.empty(0))
+            engine, reference = _engine_and_reference(monkeypatch, inst, lines, positions)
+            assert engine == reference, trial
+            got = reference[1]
+            if got[0] == "certified":
+                seen["certified"] += 1
+            else:
+                seen["searched"] += 1
+                seen["sideward"] += sum(side is not None for *_, side in got)
+        assert all(count >= 5 for count in seen.values()), seen
+
+    @staticmethod
+    def _scripted(monkeypatch, script):
+        """Follower rows on the vertical lines x = 0, 1, ...: on line x at
+        height y, ``script[x]`` gives the target (lean upward below it,
+        downward above it, sideward at it), the heights that certify and
+        those whose wedge contains the line; the loss is a step function of
+        the distance to the target, so that losses tie."""
+        def row(x, y):
+            target, strong, whole = script[int(x)]
+            turn = (ROW_STRONG if y in strong else ROW_WHOLE if y in whole
+                    else ROW_UP if y < target else ROW_DOWN if y > target else ROW_SIDE)
+            return (float(abs(y - target) // 4), 0.25 * y) + turn
+
+        def sweep(inst, xs, ys):
+            rows = [row(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+            return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+        monkeypatch.setattr(linesearch, "sweep", sweep)
+        monkeypatch.setattr(support, "solve_medianoid_many", lambda inst, points: [
+            as_result(p, *row(p.x, p.y)) for p in points])
+
+    def test_rounds_that_certify_or_raise_match_the_reference(self, monkeypatch):
+        """On scripted follower rows: two lines certify in the same round
+        (the first in input order raises); one line certifies and a later
+        one raises in the same round (the ``RuntimeError`` wins); and lines
+        of duplicate positions that end exhausted or sideward on a repeated
+        value.  Points, outcome and telemetry match the reference."""
+        inst = Instance([Customer(Point(0.0, 0.0), 1.0)], 2.0)
+        rng = np.random.default_rng(5)
+        ramp = rng.permutation(np.arange(16.0))
+        doubled = rng.permutation(np.repeat(np.arange(9.0), 2))
+        cases = [
+            # Line 0 certifies at y = 11 and line 1 at y = 3, both in
+            # round two; line 2 would go on; line 3 has no positions.
+            ({0: (100.0, {11.0}, ()), 1: (-100.0, {3.0}, ()),
+              2: (100.0, (), ()), 3: (0.0, (), ())},
+             [ramp, ramp, ramp, np.empty(0)], ("certified", _hex((22.0, 0.0, 11.0)))),
+            # Line 0 certifies at y = 11 in round two, then line 2, last in
+            # that round, meets a wedge that contains the line.
+            ({0: (100.0, {11.0}, ()), 1: (100.0, (), ()), 2: (-100.0, (), {3.0})},
+             [ramp, ramp, ramp], ("raised",)),
+            # Exhausted upward and downward, and sideward on a repeated value.
+            ({0: (100.0, (), ()), 1: (-100.0, (), ()), 2: (5.0, (), ()),
+              3: (2.5, (), ())},
+             [doubled, doubled, doubled, doubled], ("searched",)),
+        ]
+        for script, positions, want in cases:
+            self._scripted(monkeypatch, script)
+            lines = [DirectedLine.vertical(float(x)) for x in range(len(positions))]
+            engine, reference = _engine_and_reference(monkeypatch, inst, lines, positions)
+            assert engine == reference, script
+            got = reference[1]
+            if want[0] == "certified":
+                assert got == want + ("origin",)
+            elif want[0] == "raised":
+                assert got == ("raised", "wedge degenerately contains the query line")
+            else:
+                assert [side for *_, side in got] == [None, None, SIDEWARD_RIGHT, None]
 
 
 class TestTelemetry:

@@ -1,9 +1,12 @@
 """Tests for the brute-force reference implementations."""
 
 import math
+import random
 
+import pytest
 
 import support
+from rivalloc import oracle
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, dist
 from rivalloc.medianoid import solve_medianoid
@@ -120,3 +123,62 @@ class TestBruteCentroid:
             res = solve_medianoid(inst, p)
             if res.weight_loss == best:
                 assert (rep.centroid.x, rep.centroid.y) <= (p.x, p.y)
+
+
+def _tangent_instance(R, sites):
+    return Instance([Customer(Point(x, y), float(w)) for w, (x, y) in enumerate(sites, 1)], R)
+
+
+def _real_instance(n, seed):
+    rng = random.Random(seed)
+    return Instance([Customer(Point(rng.uniform(-2 * n, 2 * n), rng.uniform(-2 * n, 2 * n)),
+                              float(rng.randint(1, 10))) for _ in range(n)], 4.0)
+
+
+# Seeded instances of every size up to 16; integer-grid discs of which
+# several pairs touch exactly (centres 2r apart), so that tangent lines
+# coincide and circles touch once; real coordinates.
+ENUMERATION_CASES = [("seeded n=%d" % n, lambda n=n: generate_instance(n, seed=n, r=4.0))
+                     for n in range(1, 17)] + [
+    ("touching square", lambda: _tangent_instance(4.0, [(0, 0), (4, 0), (4, 4), (0, 4), (9, 7)])),
+    ("touching chain", lambda: _tangent_instance(
+        10.0, [(0, 0), (6, 8), (14, 2), (8, -6), (0, 10), (-6, 18)])),
+    ("real n=10", lambda: _real_instance(10, 3)),
+]
+
+
+def _bits(cands):
+    return [(p.x.hex(), p.y.hex(), tag) for p, tag in zip(cands.points, cands.provenance)]
+
+
+def _brute_report(inst):
+    rep = brute_centroid(inst)
+    telemetry = dict(rep.telemetry)
+    del telemetry["wall_time_s"]
+    return (rep.centroid.x.hex(), rep.centroid.y.hex(), rep.weight_loss.hex(),
+            rep.witness_angle.hex(), telemetry)
+
+
+@pytest.mark.parametrize("make", [m for _, m in ENUMERATION_CASES],
+                         ids=[name for name, _ in ENUMERATION_CASES])
+def test_array_enumeration_matches_the_scalar_reference(monkeypatch, make):
+    """The candidate set, points bitwise and provenance, and the brute
+    report built on it are those of the per-pair scalar loop."""
+    inst = make()
+    want = support.reference_enumerate_candidates(inst)
+    assert _bits(enumerate_candidates(inst)) == _bits(want)
+    report = _brute_report(inst)
+    monkeypatch.setattr(oracle, "enumerate_candidates", support.reference_enumerate_candidates)
+    assert _brute_report(inst) == report
+
+
+def test_deduplication_compares_kept_points_only(monkeypatch):
+    """Of three points eps/2 apart in a row, the middle one is dropped and
+    the last, within eps of the dropped point only, is kept."""
+    inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(50.0, 0.0), 1.0)], 2.0)
+    chain = [Point(100.0 + k * 0.6 * inst.eps, 100.0) for k in range(3)]
+    for module in (oracle, support):
+        monkeypatch.setattr(module, "circle_circle_intersections", lambda c1, c2, eps: chain)
+    got = enumerate_candidates(inst)
+    assert _bits(got) == _bits(support.reference_enumerate_candidates(inst))
+    assert [p in got.points for p in chain] == [True, False, True]
