@@ -14,14 +14,16 @@ median: the tangent-tangent family selects its crossings in batches (a
 hashed sample of line pairs, then the pairs whose order by y differs between
 the two slab ends); the tangent-circle family then takes, for each half of
 each disc boundary, the block of tangent lines that meets it in the y-order
-they now share across the slab; the circle-circle family takes its crossing
-points.  Vertical tangent lines have no y-order and are set aside.  The
-optimum is therefore matched by one line search on each boundary line and
-each vertical tangent line, by a point a decision evaluated and carried
-(``PruneDecision.witness``), or at a customer site.  A certified optimum
-found anywhere, by a decision or a line search, is raised there as
-``CertifiedOptimum`` and stops everything early; its ``origin`` is reported
-as ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
+they now share across the slab; the circle-circle family takes the
+abscissas of ``geom.disc_crossings``.  Vertical tangent lines have no
+y-order and are set aside.  The optimum is therefore matched by one line
+search on each boundary line and each vertical tangent line, by a point a
+decision evaluated and carried (``PruneDecision.witness``), or at a
+customer site; point sets stay coordinate arrays, ranked by
+``medianoid.least_loss``.  A certified optimum found anywhere, by a
+decision or a line search, is raised there as ``CertifiedOptimum`` and
+stops everything early; its ``origin`` is reported as
+``telemetry["certified"]``.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -33,16 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .geom import (
-    ANGLE_TOL,
-    EPS_BASE,
-    DirectedLine,
-    Instance,
-    Point,
-    circle_circle_intersections,
-    Circle,
-)
-from .medianoid import block_size, solve_medianoid, solve_medianoid_many
+from .geom import ANGLE_TOL, DirectedLine, Instance, Point, disc_crossings
+from .medianoid import block_size, least_loss, solve_medianoid
 from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
@@ -395,27 +389,6 @@ def local_optimal_line_LM(
     _exhaust(xs, slab, _decider(inst, idx, frame, slab, telemetry, "lm_rounds"))
 
 
-def _disc_crossings(inst: Instance) -> List[Point]:
-    """Every crossing point of two disc boundaries, pair by pair in (i, j)
-    order.  One array pass keeps the pairs whose centres are near enough to
-    meet, with a margin that makes them a superset of the pairs
-    ``circle_circle_intersections`` finds crossings for; only those pairs
-    are solved."""
-    r = inst.r
-    reach = (r + r + inst.cross_tol) * (1.0 + EPS_BASE)
-    i, j = np.triu_indices(inst.n, 1)
-    dx = inst.xs[j] - inst.xs[i]
-    dy = inst.ys[j] - inst.ys[i]
-    near = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
-    pts: List[Point] = []
-    for a, b in zip(i[near].tolist(), j[near].tolist()):
-        pts += circle_circle_intersections(
-            Circle(inst.customers[a].site, r), Circle(inst.customers[b].site, r),
-            eps=inst.eps,
-        )
-    return pts
-
-
 def local_optimal_line_LC(
     inst: Instance,
     idx: AngularIndex,
@@ -425,7 +398,7 @@ def local_optimal_line_LC(
 ) -> None:
     """Shrink ``slab`` until no disc-boundary crossing lies strictly inside
     it, by exhausting their abscissas (``_exhaust``)."""
-    xs = np.array([p.x for p in _disc_crossings(inst)], dtype=float)
+    xs = disc_crossings(inst)[0]
     telemetry.lc_points = len(xs)
     _exhaust(xs[(xs > slab.lo) & (xs < slab.hi)], slab,
              _decider(inst, idx, frame, slab, telemetry, "lc_steps"))
@@ -468,10 +441,10 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
         for point, loss in local_optima_on_lines(inst, idx, lines, tel):
             consider(point, loss)
 
-    def run_points(points: List[Point]) -> None:
-        for p, loss in zip(points, solve_medianoid_many(inst, points, losses=True)):
-            tel.medianoid_calls += 1
-            consider(p, loss)
+    def run_points(xs: np.ndarray, ys: np.ndarray) -> None:
+        if len(xs):
+            tel.medianoid_calls += len(xs)
+            consider(*least_loss(inst, xs, ys))
 
     try:
         if mode == INTERMEDIATE:
@@ -501,7 +474,7 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
                     for group in chunk:
                         run_lines(group)
                     raise RuntimeError("a certifying chunk has no certifying group")
-            run_points(_disc_crossings(inst))
+            run_points(*disc_crossings(inst))
         else:
             slab = _Slab()
             xs = local_optimal_line_LT(inst, idx, frame, slab, tel)
@@ -510,7 +483,7 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             run_lines([DirectedLine.vertical(x) for x in sorted(set(slab.boundary_xs() + xs))])
             for point, loss in slab.witnesses:
                 consider(point, loss)
-        run_points([c.site for c in inst.customers])
+        run_points(inst.xs, inst.ys)
     except CertifiedOptimum as cert:
         tel.certified = cert.origin
         best_point = cert.point

@@ -149,6 +149,10 @@ def generate_instance(
     """
     if n < 1:
         raise CliError(EXIT_PARSE, "n must be at least 1")
+    if not 0.0 < r < math.inf:
+        raise CliError(EXIT_PARSE, f"r must be positive and finite, got {r}")
+    if weight_range < 1:
+        raise CliError(EXIT_PARSE, f"weight range must be at least 1, got {weight_range}")
     if 2 * coord_range + 1 < n:
         raise CliError(
             EXIT_GEN,

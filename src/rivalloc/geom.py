@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,8 +18,8 @@ TWO_PI = 2.0 * math.pi
 # Tolerances: every one the solver modules use, named once (a guard test
 # fails on a bare one elsewhere), with its unit and derivation.
 # ratio: about 9e6 roundoffs, far above the rounding of the few operations
-# between a quantity and its test.  Also the relative margin of
-# ``centroid._disc_crossings`` and the cosine ``vprune.decide`` allows.
+# between a quantity and its test.  Also the relative margin of the
+# prefilter of ``disc_crossings`` and the cosine ``vprune.decide`` allows.
 EPS_BASE = 1e-9
 # angle, or the sine or cosine measuring one: directions this close are one.
 # 2,250 ulps of pi, above the few ulps of arctan2, sin or cos; below 1/(2c^2),
@@ -36,7 +36,7 @@ DBL_EPS = float(np.finfo(float).eps)
 #   to rounding captures what its exact location does; r breaks every solve.
 # - cross_tol = eps * max(1, r), length^2: a tangency discriminant r^2 - p^2
 #   within it touches once; near p = r a shift of eps/2 in p moves it so far.
-#   The scalar crossings below apply the rule to their own radii.
+#   ``disc_crossings`` below applies it to two discs of radius r.
 # - closed_tol = EPS_BASE * max(1, r), length: ``vprune.pseudo_wedge``'s
 #   closed-capture slack.  Scaled like cross_tol, it moved the reported
 #   point of an n=400 solve (R=2, range 400, seed 2), so it is not.
@@ -239,30 +239,40 @@ def outer_tangents(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> Tuple[Direc
     return right, left
 
 
-def circle_circle_intersections(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> List[Point]:
-    """0, 1, or 2 intersection points of two circles, sorted by (x, y)."""
-    dx = c2.center.x - c1.center.x
-    dy = c2.center.y - c1.center.y
-    d = math.hypot(dx, dy)
-    scale = max(1.0, c1.radius, c2.radius)
-    if d <= eps * scale:
-        return []
-    if d > c1.radius + c2.radius + eps * scale:
-        return []
-    if d < abs(c1.radius - c2.radius) - eps * scale:
-        return []
-    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-    disc = c1.radius * c1.radius - a * a
-    mx = c1.center.x + a * dx / d
-    my = c1.center.y + a * dy / d
-    if disc <= eps * scale:
-        return [Point(mx, my)]
-    h = math.sqrt(disc)
+def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
+    """Every crossing point of two disc boundaries of radius r, as arrays
+    ``(xs, ys)``: pair by pair in ``np.triu_indices`` order, a pair's two
+    points by (x, y), or its one point when it touches within ``cross_tol``.
+    Only the pairs an array pass finds near enough to meet are solved, each
+    by the scalar per-pair formula's operations in its order (``math.hypot``
+    for the distance), so the points are bitwise the scalar ones."""
+    r = inst.r
+    tol = inst.cross_tol
+    reach = (r + r + tol) * (1.0 + EPS_BASE)
+    i, j = np.triu_indices(inst.n, 1)
+    dx = inst.xs[j] - inst.xs[i]
+    dy = inst.ys[j] - inst.ys[i]
+    near = dx * dx + dy * dy <= reach * reach
+    i, dx, dy = i[near], dx[near], dy[near]
+    d = _libm(math.hypot, dx, dy)
+    meet = (d > tol) & (d <= r + r + tol)
+    i, dx, dy, d = i[meet], dx[meet], dy[meet], d[meet]
+    a = (d * d + r * r - r * r) / (2.0 * d)
+    disc = r * r - a * a
+    mx = inst.xs[i] + a * dx / d
+    my = inst.ys[i] + a * dy / d
+    two = disc > tol
+    h = np.sqrt(np.where(two, disc, 0.0))
     px = -dy / d * h
     py = dx / d * h
-    pts = [Point(mx + px, my + py), Point(mx - px, my - py)]
-    pts.sort(key=lambda p: (p.x, p.y))
-    return pts
+    x = np.stack((mx + px, mx - px), axis=1)
+    y = np.stack((my + py, my - py), axis=1)
+    flip = two & ((x[:, 1] < x[:, 0]) | (x[:, 1] == x[:, 0]) & (y[:, 1] < y[:, 0]))
+    x[flip], y[flip] = x[flip, ::-1], y[flip, ::-1]
+    # A touching pair's point is the midpoint: mx + 0.0 may turn -0.0 to 0.0.
+    x[~two, 0], y[~two, 0] = mx[~two], my[~two]
+    used = np.stack((np.ones_like(two), two), axis=1)
+    return x[used], y[used]
 
 
 def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:

@@ -23,17 +23,18 @@ centroid.  The running sums only preselect the gaps that may attain the
 maximum; the loss and the maximizing arcs come from exact sums of their
 weights (``math.fsum``, or numpy's sum when all weights are integers).
 Array expressions over every row's maximizing gaps give its witness and
-covering interval (``_covering``).  ``solve_medianoid_many`` wraps the
-rows in ``MedianoidResult`` and ``solve_medianoid`` is its single-point
-case; the line searches read the arrays, and ``lean_code`` reads a wedge's
-direction along a line from them.  Tolerances: the table in ``geom``.
+covering interval (``_covering``).  ``solve_medianoid`` wraps the one row
+of a single point in ``MedianoidResult``; ``least_loss`` ranks a set of
+candidate points by their losses alone; the line searches read the
+arrays, and ``lean_code`` reads a wedge's direction along a line from
+them.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -254,23 +255,23 @@ def sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def solve_medianoid_many(inst: Instance, points: Sequence[Point], losses: bool = False) -> list:
-    """``solve_medianoid`` at each of ``points``, in order, or only its
-    weight loss (``losses``)."""
-    xs = np.array([p.x for p in points], dtype=float)
-    ys = np.array([p.y for p in points], dtype=float)
-    got = sweep(inst, xs, ys, losses)
-    if losses:
-        return got.tolist()
-    return [as_result(x, *row) for x, row in zip(points, zip(*(col.tolist() for col in got)))]
-
-
 def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
     """Weight loss, witness angle and wedge at x.
 
     Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
     """
-    return solve_medianoid_many(inst, (x,))[0]
+    row = sweep(inst, np.array([x.x], dtype=float), np.array([x.y], dtype=float))
+    return as_result(x, *(col.item() for col in row))
+
+
+def least_loss(inst: Instance, xs: np.ndarray, ys: np.ndarray) -> Tuple[Point, float]:
+    """The first of the points ``(xs, ys)`` (at least one) of least key
+    (weight loss, x, y), and its weight loss: the point a scan that keeps a
+    strictly smaller key keeps.  The sort is stable and ranks -0.0 with
+    0.0, as the scan's comparisons do."""
+    loss = sweep(inst, xs, ys, losses=True)
+    i = np.lexsort((ys, xs, loss))[0]
+    return Point(xs[i].item(), ys[i].item()), loss[i].item()
 
 
 def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> str:

@@ -3,9 +3,10 @@
 Everything here trades speed for directness: the follower oracle counts
 captured weight by evaluating the strict half-plane predicate itself, and
 the plane oracle materialises every candidate point and takes the minimum.
-It builds the O(n^4) line crossings as numpy arrays, bitwise those of the
-scalar per-pair formulas, which the test suite keeps as the reference.
-The fast solvers are validated against these.  Tolerances: ``geom``'s table.
+It builds the O(n^4) candidates as coordinate arrays, bitwise those of the
+scalar per-pair formulas, which the test suite keeps as the reference, and
+builds a ``Point`` only for the one ``medianoid.least_loss`` picks.  The
+fast solvers are validated against these.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,11 +24,11 @@ from .geom import (
     Circle,
     Instance,
     Point,
-    circle_circle_intersections,
+    disc_crossings,
     outer_tangents,
 )
 from .centroid import SolveReport
-from .medianoid import solve_medianoid, solve_medianoid_many
+from .medianoid import least_loss, solve_medianoid
 
 TANGENT_TANGENT = "TxT"
 TANGENT_CIRCLE = "TxC"
@@ -84,13 +85,19 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated candidate points with the family that produced each."""
+    """Deduplicated candidate points, as read-only coordinate arrays, with
+    the family that produced each."""
 
-    points: Tuple[Point, ...]
+    xs: np.ndarray
+    ys: np.ndarray
     provenance: Tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        self.xs.flags.writeable = False
+        self.ys.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
 
 def enumerate_candidates(inst: Instance) -> CandidateSet:
@@ -101,8 +108,9 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     The first two families are array expressions that round as the scalar
     formulas do: lines cross when ``|sin| > ANGLE_TOL`` between them, and
     a disc's discriminant gives two points above ``cross_tol``, one within
-    it.  In family order, sorted stably by (x, y), a point is dropped when
-    a kept point before it lies within ``eps`` in x and in y.
+    it; the third is ``geom.disc_crossings``.  In family order, sorted
+    stably by (x, y), a point is dropped when a kept point before it lies
+    within ``eps`` in x and in y.
     """
     r = inst.r
     circles = [Circle(c.site, r) for c in inst.customers]
@@ -132,10 +140,9 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     xs.append(ax[a] + t * ux[a])
     ys.append(ay[a] + t * uy[a])
 
-    cc = [p for i, ci in enumerate(circles) for cj in circles[i + 1:]
-          for p in circle_circle_intersections(ci, cj, eps=inst.eps)]
-    xs.append(np.array([p.x for p in cc], dtype=float))
-    ys.append(np.array([p.y for p in cc], dtype=float))
+    cc = disc_crossings(inst)
+    xs.append(cc[0])
+    ys.append(cc[1])
 
     X, Y = np.concatenate(xs), np.concatenate(ys)
     family = np.repeat(np.arange(3), [len(v) for v in xs])
@@ -153,10 +160,7 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
             if abs(py[i] - py[k]) <= inst.eps:
                 keep[i] = False
                 break
-    return CandidateSet(
-        tuple(map(Point, X[keep].tolist(), Y[keep].tolist())),
-        tuple(FAMILIES[f] for f in family[keep].tolist()),
-    )
+    return CandidateSet(X[keep], Y[keep], tuple(FAMILIES[f] for f in family[keep].tolist()))
 
 
 def brute_centroid(inst: Instance) -> SolveReport:
@@ -164,16 +168,9 @@ def brute_centroid(inst: Instance) -> SolveReport:
     ties broken lexicographically by (x, y)."""
     t0 = time.perf_counter()
     cands = enumerate_candidates(inst)
-    best_key: Optional[Tuple[float, float, float]] = None
-    best_point: Optional[Point] = None
-    calls = 0
-    points = list(cands.points) + [c.site for c in inst.customers]
-    for p, loss in zip(points, solve_medianoid_many(inst, points, losses=True)):
-        calls += 1
-        key = (loss, p.x, p.y)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_point = p
+    xs = np.concatenate([cands.xs, inst.xs])
+    ys = np.concatenate([cands.ys, inst.ys])
+    best_point, _ = least_loss(inst, xs, ys)
     final = solve_medianoid(inst, best_point)
     return SolveReport(
         centroid=best_point,
@@ -182,7 +179,7 @@ def brute_centroid(inst: Instance) -> SolveReport:
         solver="brute",
         telemetry={
             "candidates": len(cands),
-            "medianoid_calls": calls + 1,
+            "medianoid_calls": len(xs) + 1,
             "wall_time_s": time.perf_counter() - t0,
         },
     )

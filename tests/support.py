@@ -21,7 +21,6 @@ from rivalloc.geom import (
     DirectedLine,
     Instance,
     Point,
-    circle_circle_intersections,
     collinear,
     normalize_angle,
     outer_tangents,
@@ -39,9 +38,10 @@ from rivalloc.medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     WHOLE_LINE,
+    as_result,
     classify_wedge_on_line,
     solve_medianoid,
-    solve_medianoid_many,
+    sweep,
 )
 from rivalloc.oracle import (
     CIRCLE_CIRCLE,
@@ -244,6 +244,15 @@ def reference_evaluations(line, P, telemetry, origin) -> Generator:
     return done
 
 
+def sweep_results(inst, points):
+    """The ``MedianoidResult`` at each of ``points``, in order, from one
+    ``medianoid.sweep`` of the block."""
+    xs = np.array([p.x for p in points], dtype=float)
+    ys = np.array([p.y for p in points], dtype=float)
+    rows = zip(*(col.tolist() for col in sweep(inst, xs, ys)))
+    return [as_result(p, *row) for p, row in zip(points, rows)]
+
+
 def reference_lockstep(inst, searches):
     """Run the coroutines ``searches`` side by side, each round sweeping the
     points they all yield as one block, and return what each returned, in
@@ -257,7 +266,7 @@ def reference_lockstep(inst, searches):
         except StopIteration as stop:
             out[i] = stop.value
     while live:
-        results = solve_medianoid_many(inst, [point for _, _, (_, point) in live])
+        results = sweep_results(inst, [point for _, _, (_, point) in live])
         pending, certified = [], []
         for (i, search, _), res in zip(live, results):
             try:
@@ -373,6 +382,33 @@ def line_line_intersection(a: DirectedLine, b: DirectedLine, tol: float = ANGLE_
     return a.point_at(t)
 
 
+def circle_circle_intersections(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> List[Point]:
+    """0, 1, or 2 intersection points of two circles, sorted by (x, y): the
+    scalar formula ``geom.disc_crossings`` evaluates over arrays."""
+    dx = c2.center.x - c1.center.x
+    dy = c2.center.y - c1.center.y
+    d = math.hypot(dx, dy)
+    scale = max(1.0, c1.radius, c2.radius)
+    if d <= eps * scale:
+        return []
+    if d > c1.radius + c2.radius + eps * scale:
+        return []
+    if d < abs(c1.radius - c2.radius) - eps * scale:
+        return []
+    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
+    disc = c1.radius * c1.radius - a * a
+    mx = c1.center.x + a * dx / d
+    my = c1.center.y + a * dy / d
+    if disc <= eps * scale:
+        return [Point(mx, my)]
+    h = math.sqrt(disc)
+    px = -dy / d * h
+    py = dx / d * h
+    pts = [Point(mx + px, my + py), Point(mx - px, my - py)]
+    pts.sort(key=lambda p: (p.x, p.y))
+    return pts
+
+
 def line_circle_intersections(l: DirectedLine, c: Circle, eps: float = EPS_BASE) -> List[Point]:
     """Intersections of a line and a circle, sorted along the line direction.
 
@@ -429,7 +465,8 @@ def reference_enumerate_candidates(inst):
         if not merged:
             points.append(p)
             provenance.append(tag)
-    return CandidateSet(tuple(points), tuple(provenance))
+    return CandidateSet(np.array([p.x for p in points], dtype=float),
+                        np.array([p.y for p in points], dtype=float), tuple(provenance))
 
 
 def all_tangent_lines(inst):
@@ -474,7 +511,7 @@ def falsify(inst, loss, seed, samples=20_000, rounds=12, keep=50, children=40):
     then, for ``rounds`` rounds, gives each of the ``keep`` best points
     seen so far ``children`` Gaussian children, the spread starting at an
     eighth of the box's longer side and halving every round.  Every value
-    comes from ``solve_medianoid_many(..., losses=True)``, whose losses are
+    comes from ``medianoid.sweep(..., losses=True)``, whose losses are
     exact sums, so comparing them with ``loss`` is exact.  Returns the least
     value sampled and its point when it is below ``loss``, else ``None``;
     deterministic in ``seed``.
@@ -485,8 +522,7 @@ def falsify(inst, loss, seed, samples=20_000, rounds=12, keep=50, children=40):
     spread = max(float(np.max(hi - lo)), 1.0) / 8.0
 
     def values(xy):
-        points = [Point(x, y) for x, y in xy.tolist()]
-        return np.array(list(solve_medianoid_many(inst, points, losses=True)))
+        return sweep(inst, xy[:, 0], xy[:, 1], losses=True)
 
     xy = rng.uniform(lo, hi, size=(samples, 2))
     vals = values(xy)
@@ -686,7 +722,7 @@ def reference_explicit_crossings(idx, line):
 
 def reference_disc_crossings(inst):
     """Every pair of discs through ``circle_circle_intersections``, in
-    (i, j) order: the double loop ``centroid._disc_crossings`` prefilters."""
+    (i, j) order: the double loop ``geom.disc_crossings`` prefilters."""
     r = inst.r
     pts = []
     for i in range(inst.n):

@@ -12,7 +12,6 @@ from rivalloc.centroid import (
     CertifiedOptimum,
     _Slab,
     _circle_crossings,
-    _disc_crossings,
     _exhaust,
     _inverted_pairs,
     _lt_lines,
@@ -22,7 +21,14 @@ from rivalloc.centroid import (
     solve_centroid,
 )
 from rivalloc.cli import generate_instance
-from rivalloc.geom import ANGLE_TOL, Customer, Instance, Point, general_position_violation
+from rivalloc.geom import (
+    ANGLE_TOL,
+    Customer,
+    Instance,
+    Point,
+    disc_crossings,
+    general_position_violation,
+)
 from rivalloc.linesearch import (
     Telemetry,
     build_angular_index,
@@ -473,7 +479,7 @@ class TestSharedSlab:
             idx = build_angular_index(inst)
             frame = build_frame(inst)
             found = enumerate_candidates(inst)
-            cands = list(zip(found.points, found.provenance))
+            cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
             for tags in runs:
                 slab = _Slab()
                 tel = Telemetry()
@@ -518,7 +524,7 @@ class TestTangentCircleGaps:
             lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
             ends = sorted(set(support.line_crossing_xs(lnx, lny, loff)))
             found = enumerate_candidates(inst)
-            cands = list(zip(found.points, found.provenance))
+            cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
             gaps = [
                 (lo, hi) for lo, hi in zip([-math.inf] + ends, ends + [math.inf])
                 if support.candidates_inside(
@@ -572,26 +578,46 @@ class TestSolvesRunningLM:
 
 
 class TestDiscCrossings:
-    def test_prefilter_keeps_every_crossing_in_pair_order(self):
-        """The prefiltered pairs give exactly the double loop's points,
-        including discs that touch (rho == 2r) or miss by a hair."""
+    @staticmethod
+    def instances():
+        """Seeded grids at several R; real coordinates as drawn, shifted by
+        1e6 and scaled by 1e-3 and 1e4; and three discs of radius 2 whose
+        centre gaps sit on the kernel's thresholds: 2r plus or minus a few
+        ulps and ``cross_tol``, the gap 2r - ``cross_tol``/2 where the
+        discriminant meets ``cross_tol``, and a gap about ``cross_tol``.
+        Two discs, and a far site that fixes the scale, so the gaps do not
+        move ``cross_tol``: one point means the two touch."""
         rng = np.random.default_rng(8)
-        instances = []
         for n in (1, 2, 5, 12, 30, 70):
             base = generate_instance(n, seed=n, r=4.0, coord_range=n + 10)
             for R in (0.0, 4.0, 3.0 * (n + 10)):
-                instances.append(Instance(base.customers, R))
+                yield Instance(base.customers, R)
             xy = rng.uniform(-n, n, size=(n, 2))
-            instances.append(Instance(
-                [Customer(Point(x, y), 1.0) for x, y in xy.tolist()], 5.0))
-        for gap in (4.0, 4.0 + 1e-13, 4.0 + 1e-9, 4.0 - 1e-13):
-            instances.append(Instance(
-                [Customer(Point(0.0, 0.0), 1.0), Customer(Point(gap, 0.0), 1.0),
-                 Customer(Point(0.0, gap), 1.0)], 4.0))
+            for shift, scale in ((0.0, 1.0), (1e6, 1.0), (0.0, 1e-3), (0.0, 1e4)):
+                yield Instance([Customer(Point(shift + scale * x, shift + scale * y), 1.0)
+                                for x, y in xy.tolist()], 5.0 * scale)
+        far = Customer(Point(-10.0, 10.0), 1.0)
+        tol = Instance([far], 4.0).cross_tol
+        gaps = [tol, 4.0 - tol / 2.0, 4.0 - tol, 4.0, 4.0 + tol,
+                4.0 + 1e-13, 4.0 + 1e-9, 4.0 - 1e-13]
+        for gap in gaps:
+            for ulps in range(-3, 4):
+                g = gap
+                for _ in range(abs(ulps)):
+                    g = np.nextafter(g, math.copysign(math.inf, ulps))
+                yield Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(g, 0.0), 1.0),
+                                far], 4.0)
+
+    def test_prefilter_keeps_every_crossing_in_pair_order(self):
+        """``disc_crossings`` gives exactly the scalar double loop's points,
+        in its order, including discs that touch, miss by an ulp, or
+        nearly coincide."""
         counts = set()
-        for inst in instances:
-            got = [(p.x, p.y) for p in _disc_crossings(inst)]
-            want = [(p.x, p.y) for p in support.reference_disc_crossings(inst)]
-            assert np.array(got).tobytes() == np.array(want).tobytes(), inst.n
-            counts.add(len(got))
-        assert 0 in counts and len(counts) > 5
+        for k, inst in enumerate(self.instances()):
+            xs, ys = disc_crossings(inst)
+            got = np.stack((xs, ys), axis=1)
+            want = np.array([(p.x, p.y) for p in support.reference_disc_crossings(inst)])
+            assert got.tobytes() == want.tobytes(), k
+            counts.add(len(xs))
+        # No crossing, one touching pair, and many crossings.
+        assert {0, 1, 2} <= counts and len(counts) > 5

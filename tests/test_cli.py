@@ -71,6 +71,22 @@ class TestGen:
     def test_n_must_be_positive(self):
         assert main(["gen", "--n", "0", "--seed", "1"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["gen", "--n", "5", "--seed", "1", "--r", "-1"], "r must be positive"),
+        (["gen", "--n", "5", "--seed", "1", "--r", "nan"], "r must be positive"),
+        (["gen", "--n", "5", "--seed", "1", "--r", "inf"], "r must be positive"),
+        (["gen", "--n", "5", "--seed", "1", "--r", "0"], "r must be positive"),
+        (["compare", "--gen-n", "5", "--seeds", "1", "--r", "0"], "r must be positive"),
+        (["gen", "--n", "5", "--seed", "1", "--weight-range", "0"], "weight range"),
+        (["compare", "--gen-n", "5", "--seeds", "1", "--weight-range", "0"], "weight range"),
+    ])
+    def test_bad_generator_arguments_exit_2(self, capsys, argv, fragment):
+        """Exit code 1 is ``compare``'s disagreement; a bad argument is
+        malformed input, reported without a traceback."""
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert fragment in captured.err and not captured.out
+
     def test_direction_set_accepts_what_the_pair_loop_accepts(self):
         """Same draws, same acceptance: every seed gives the pair loop's
         instance."""

@@ -20,7 +20,6 @@ from rivalloc.geom import (
     DirectedLine,
     Instance,
     Point,
-    circle_circle_intersections,
     collinear,
     dist,
     general_position_violation,
@@ -29,7 +28,7 @@ from rivalloc.geom import (
     polar_angle,
     unit_vector,
 )
-from support import line_circle_intersections, line_line_intersection
+from support import circle_circle_intersections, line_circle_intersections, line_line_intersection
 
 EPS = 1e-9
 

@@ -248,7 +248,7 @@ class TestPositionTable:
         # Results that certify nothing; the scripted leans steer the cuts.
         plain = SimpleNamespace(strong_centroid=False)
         monkeypatch.setattr(
-            support, "solve_medianoid_many", lambda inst, points: [plain] * len(points)
+            support, "sweep_results", lambda inst, points: [plain] * len(points)
         )
         monkeypatch.setattr(support, "lean", scripted_lean)
         cuts = tangencies = 0
@@ -474,7 +474,7 @@ def _engine_and_reference(monkeypatch, inst, lines, positions):
     return (
         _recorded(monkeypatch, linesearch, "sweep",
                   lambda xs, ys: zip(xs.tolist(), ys.tolist()), engine),
-        _recorded(monkeypatch, support, "solve_medianoid_many",
+        _recorded(monkeypatch, support, "sweep_results",
                   lambda points: ((p.x, p.y) for p in points), reference),
     )
 
@@ -548,7 +548,7 @@ class TestIndexCuts:
             return tuple(np.array(col, dtype=float) for col in zip(*rows))
 
         monkeypatch.setattr(linesearch, "sweep", sweep)
-        monkeypatch.setattr(support, "solve_medianoid_many", lambda inst, points: [
+        monkeypatch.setattr(support, "sweep_results", lambda inst, points: [
             as_result(p, *row(p.x, p.y)) for p in points])
 
     def test_rounds_that_certify_or_raise_match_the_reference(self, monkeypatch):

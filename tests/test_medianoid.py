@@ -17,8 +17,9 @@ from rivalloc.medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     classify_wedge_on_line,
+    least_loss,
     solve_medianoid,
-    solve_medianoid_many,
+    sweep,
 )
 from rivalloc.oracle import brute_medianoid
 
@@ -35,6 +36,13 @@ def scan_result(x, arcs, best):
     ``arcs`` and whose weight loss is ``best``, by the scalar covering-gap
     scan."""
     return medianoid.as_result(x, best, *support.cover(arcs))
+
+
+def losses_at(inst, points):
+    """The weight losses alone at ``points``, from one sweep."""
+    xs = np.array([p.x for p in points], dtype=float)
+    ys = np.array([p.y for p in points], dtype=float)
+    return sweep(inst, xs, ys, losses=True).tolist()
 
 
 def make_instance(sites_weights, R):
@@ -255,12 +263,11 @@ class TestAgainstDirectCounting:
         points = [c.site for c in inst.customers[:10]]
         points += [Point(rng.uniform(-130, 130), rng.uniform(-130, 130))
                    for _ in range(2 * size + 7 - len(points))]
-        block = list(solve_medianoid_many(inst, points))
+        block = support.sweep_results(inst, points)
         assert len(block) == len(points) > 2 * size
         for x, res in zip(points, block):
             assert res == solve_medianoid(inst, x), x
-        losses = list(solve_medianoid_many(inst, points, losses=True))
-        assert losses == [res.weight_loss for res in block]
+        assert losses_at(inst, points) == [res.weight_loss for res in block]
         for x, res in list(zip(points, block))[::7]:
             assert res.weight_loss == brute_medianoid(inst, x)[0], x
 
@@ -269,10 +276,9 @@ class TestAgainstDirectCounting:
         wide = Instance(inst.customers, 400.0)
         near = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(size + 2)]
         points = near[:size] + [Point(900.0 + k, -900.0) for k in range(3)] + near
-        block = list(solve_medianoid_many(wide, points))
+        block = support.sweep_results(wide, points)
         assert sum(res.weight_loss == 0.0 and res.strong_centroid for res in block) == 2 * size + 2
-        losses = list(solve_medianoid_many(wide, points, losses=True))
-        assert losses == [res.weight_loss for res in block]
+        assert losses_at(wide, points) == [res.weight_loss for res in block]
         for x, res in zip(points, block):
             assert res == solve_medianoid(wide, x), x
             assert res.weight_loss == brute_medianoid(wide, x)[0], x
@@ -294,7 +300,7 @@ class TestAgainstDirectCounting:
                     Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
                     for _ in range(count)
                 ]
-            for x, res in zip(points, solve_medianoid_many(inst, points)):
+            for x, res in zip(points, support.sweep_results(inst, points)):
                 gaps, best = support.reference_sweep(inst, x)
                 ma = [g for g, w in gaps if w == best]
                 # Every field: weight, witness angle and wedge.
@@ -320,7 +326,7 @@ class TestAgainstDirectCounting:
         points = [c.site for c in inst.customers]
         points += [Point(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
                    for _ in range(250)]
-        for x, res in zip(points, solve_medianoid_many(inst, points)):
+        for x, res in zip(points, support.sweep_results(inst, points)):
             gaps, best = support.reference_sweep(inst, x)
             assert res.weight_loss == best, x
             assert res == scan_result(x, [g for g, w in gaps if w == best], best), x
@@ -455,3 +461,28 @@ def test_arc_contains_handles_wraparound():
     assert arc_contains(arc, 0.5)
     assert not arc_contains(arc, 1.0)
     assert not arc_contains(arc, 5.5)
+
+
+def test_least_loss_keeps_what_a_strict_scan_keeps():
+    """On points with many repeated losses, repeated x, and -0.0 beside
+    0.0, ``least_loss`` returns, bit for bit, the point and loss that a scan
+    keeping each strictly smaller key (loss, x, y) keeps: the first of the
+    least keys, where -0.0 and 0.0 compare equal."""
+    rng = np.random.default_rng(23)
+    values = np.array([-0.0, 0.0, -1.5, 1.5, 3.0])
+    signed_ties = 0
+    for trial in range(80):
+        inst = generate_instance(int(rng.integers(3, 9)), seed=trial,
+                                 r=float(rng.choice([2.0, 8.0, 40.0])), coord_range=6)
+        xs = rng.choice(values, int(rng.integers(1, 40)))
+        ys = rng.choice(values, len(xs))
+        point, loss = least_loss(inst, xs, ys)
+        keys = list(zip(sweep(inst, xs, ys, losses=True).tolist(), xs.tolist(), ys.tolist()))
+        best = None
+        for key in keys:
+            if best is None or key < best:
+                best = key
+        assert (loss.hex(), point.x.hex(), point.y.hex()) == tuple(v.hex() for v in best), trial
+        signed_ties += len({(math.copysign(1.0, x), math.copysign(1.0, y))
+                            for x, y in (k[1:] for k in keys if k == best)}) > 1
+    assert signed_ties >= 10, signed_ties

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import support
@@ -77,7 +78,7 @@ class TestEnumerateCandidates:
     def test_points_are_deduplicated(self):
         inst = generate_instance(5, seed=8, r=2.0)
         cands = enumerate_candidates(inst)
-        pts = sorted((p.x, p.y) for p in cands.points)
+        pts = sorted(zip(cands.xs.tolist(), cands.ys.tolist()))
         for a, b in zip(pts, pts[1:]):
             assert abs(a[0] - b[0]) > inst.eps or abs(a[1] - b[1]) > inst.eps
 
@@ -119,7 +120,8 @@ class TestBruteCentroid:
         inst = generate_instance(5, seed=14, r=2.0)
         rep = brute_centroid(inst)
         best = rep.weight_loss
-        for p in enumerate_candidates(inst).points:
+        cands = enumerate_candidates(inst)
+        for p in map(Point, cands.xs.tolist(), cands.ys.tolist()):
             res = solve_medianoid(inst, p)
             if res.weight_loss == best:
                 assert (rep.centroid.x, rep.centroid.y) <= (p.x, p.y)
@@ -148,7 +150,8 @@ ENUMERATION_CASES = [("seeded n=%d" % n, lambda n=n: generate_instance(n, seed=n
 
 
 def _bits(cands):
-    return [(p.x.hex(), p.y.hex(), tag) for p, tag in zip(cands.points, cands.provenance)]
+    return [(x.hex(), y.hex(), tag)
+            for x, y, tag in zip(cands.xs.tolist(), cands.ys.tolist(), cands.provenance)]
 
 
 def _brute_report(inst):
@@ -177,8 +180,10 @@ def test_deduplication_compares_kept_points_only(monkeypatch):
     the last, within eps of the dropped point only, is kept."""
     inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(50.0, 0.0), 1.0)], 2.0)
     chain = [Point(100.0 + k * 0.6 * inst.eps, 100.0) for k in range(3)]
-    for module in (oracle, support):
-        monkeypatch.setattr(module, "circle_circle_intersections", lambda c1, c2, eps: chain)
+    xs = [p.x for p in chain]
+    monkeypatch.setattr(oracle, "disc_crossings",
+                        lambda inst: (np.array(xs), np.array([100.0] * 3)))
+    monkeypatch.setattr(support, "circle_circle_intersections", lambda c1, c2, eps: chain)
     got = enumerate_candidates(inst)
     assert _bits(got) == _bits(support.reference_enumerate_candidates(inst))
-    assert [p in got.points for p in chain] == [True, False, True]
+    assert [x in got.xs for x in xs] == [True, False, True]
