@@ -15,12 +15,15 @@ hashed sample of line pairs, then the pairs whose order by y differs between
 the two slab ends); the tangent-circle family then takes, for each half of
 each disc boundary, the block of tangent lines that meets it in the y-order
 they now share across the slab; the circle-circle family takes the
-abscissas of ``geom.disc_crossings``.  Vertical tangent lines have no
-y-order and are set aside.  The optimum is therefore matched by one line
-search on each boundary line and each vertical tangent line, by a point a
-decision evaluated and carried (``PruneDecision.witness``), or at a
-customer site; point sets stay coordinate arrays, ranked by
-``medianoid.least_loss``.  A certified optimum found anywhere, by a
+abscissas of ``geom.disc_crossings``.  The tangent-tangent and
+tangent-circle families read their lines, the tangent lines and the two
+frame lines, in place from the angular index's table (``_lt_lines``).
+Vertical tangent lines have no y-order and are set aside; only then does
+``_lt_lines`` copy the table, without them.  The optimum is therefore
+matched by one line search on each boundary line and each vertical
+tangent line, by a point a decision evaluated and carried
+(``PruneDecision.witness``), or at a customer site; point sets stay
+coordinate arrays, ranked by ``medianoid.least_loss``.  A certified optimum found anywhere, by a
 decision or a line search, is raised there as ``CertifiedOptimum`` and
 stops everything early; its ``origin`` is reported as
 ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
@@ -44,13 +47,7 @@ from .linesearch import (
     build_angular_index,
     local_optima_on_lines,
 )
-from .vprune import (
-    PRUNE_LEFT,
-    BoundingFrame,
-    PruneDecision,
-    build_frame,
-    decide,
-)
+from .vprune import PRUNE_LEFT, PruneDecision, decide
 
 PARAMETRIC = "parametric"
 INTERMEDIATE = "intermediate"
@@ -210,36 +207,34 @@ def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
         xs = xs[(xs > slab.lo) & (xs < slab.hi)]
 
 
-def _decider(inst, idx, frame, slab: _Slab, telemetry: Telemetry, counter: str):
+def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
     """The vertical-line decision at ``x`` applied to ``slab``, one call
     counted in the ``telemetry`` field ``counter``."""
 
     def decide_at(x: float) -> None:
         setattr(telemetry, counter, getattr(telemetry, counter) + 1)
-        slab.apply(decide(inst, idx, frame, DirectedLine.vertical(x), telemetry), x)
+        slab.apply(decide(inst, idx, DirectedLine.vertical(x), telemetry), x)
 
     return decide_at
 
 
-def _lt_lines(idx: AngularIndex, frame: BoundingFrame):
-    """LT's lines ``nx*x + ny*y = off`` as arrays ``(nx, ny, off)``: every
-    tangent line and the two frame lines, less the vertical ones, whose
-    abscissas come fourth."""
-    tangent = ~np.eye(idx.n, dtype=bool).ravel()
-    vertical = tangent & (np.abs(idx.tan_ny) <= ANGLE_TOL)
-    direct_xs = (idx.tan_off[vertical] / idx.tan_nx[vertical]).tolist()
-    keep = tangent & ~vertical
-    # Frame lines: y = c is nx*x + ny*y = off with normal (0, 1).
-    lnx = np.append(idx.tan_nx[keep], (0.0, 0.0))
-    lny = np.append(idx.tan_ny[keep], (1.0, 1.0))
-    loff = np.append(idx.tan_off[keep], (frame.y_top, frame.y_btm))
-    return lnx, lny, loff, direct_xs
+def _lt_lines(idx: AngularIndex):
+    """LT's lines ``nx*x + ny*y = off`` as arrays ``(nx, ny, off)``: the
+    rows of the index's table, every tangent line and then the two frame
+    lines, less the vertical tangent lines, whose abscissas come fourth.
+    The table is read in place; it is copied, without the vertical
+    columns, only when some tangent line is vertical."""
+    nx, ny, off = idx.lines
+    vertical = idx.upright[np.abs(ny[idx.upright]) <= ANGLE_TOL]
+    direct_xs = (off[vertical] / nx[vertical]).tolist()
+    if len(vertical):
+        nx, ny, off = np.delete(idx.lines, vertical, axis=1)
+    return nx, ny, off, direct_xs
 
 
 def local_optimal_line_LT(
     inst: Instance,
     idx: AngularIndex,
-    frame: BoundingFrame,
     slab: _Slab,
     telemetry: Telemetry,
 ) -> List[float]:
@@ -253,9 +248,9 @@ def local_optimal_line_LT(
     line, then the exact batch (``_exact_batch``), repeated on the new slab
     without the lines that crossed no other while it was thinned.
     """
-    lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
+    lnx, lny, loff, direct_xs = _lt_lines(idx)
     m = len(lnx)
-    decide_at = _decider(inst, idx, frame, slab, telemetry, "lt_oracle")
+    decide_at = _decider(inst, idx, slab, telemetry, "lt_oracle")
     # A line drawn as its own partner has den == 0 and drops out.
     telemetry.lt_rounds += 1
     _exhaust(np.concatenate([
@@ -357,7 +352,6 @@ def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
 def local_optimal_line_LM(
     inst: Instance,
     idx: AngularIndex,
-    frame: BoundingFrame,
     slab: _Slab,
     telemetry: Telemetry,
 ) -> None:
@@ -383,16 +377,15 @@ def local_optimal_line_LM(
     the order stays valid.  Vertical tangent lines have no y-order; LT sets
     them aside to be searched directly.  The frame lines never meet a disc.
     """
-    lnx, lny, loff, _ = _lt_lines(idx, frame)
+    lnx, lny, loff, _ = _lt_lines(idx)
     xs = _circle_crossings(lnx, lny, loff, inst, slab)[2]
     telemetry.lm_mass0 = len(xs)
-    _exhaust(xs, slab, _decider(inst, idx, frame, slab, telemetry, "lm_rounds"))
+    _exhaust(xs, slab, _decider(inst, idx, slab, telemetry, "lm_rounds"))
 
 
 def local_optimal_line_LC(
     inst: Instance,
     idx: AngularIndex,
-    frame: BoundingFrame,
     slab: _Slab,
     telemetry: Telemetry,
 ) -> None:
@@ -401,7 +394,7 @@ def local_optimal_line_LC(
     xs = disc_crossings(inst)[0]
     telemetry.lc_points = len(xs)
     _exhaust(xs[(xs > slab.lo) & (xs < slab.hi)], slab,
-             _decider(inst, idx, frame, slab, telemetry, "lc_steps"))
+             _decider(inst, idx, slab, telemetry, "lc_steps"))
 
 
 def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
@@ -425,7 +418,6 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
     t0 = time.perf_counter()
     tel = Telemetry()
     idx = build_angular_index(inst)
-    frame = build_frame(inst)
 
     best: Optional[Tuple[float, float, float]] = None
     best_point: Optional[Point] = None
@@ -458,7 +450,7 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             for i in range(idx.n):
                 group = [
                     idx.tangent_line(i, j) for j in range(idx.n)
-                    if j != i and abs(math.sin(idx.ang[i, j])) > ANGLE_TOL
+                    if j != i and abs(math.sin(idx.angle(i, j))) > ANGLE_TOL
                 ]
                 if chunks[-1] and sum(map(len, chunks[-1])) + len(group) > size:
                     chunks.append([])
@@ -477,9 +469,9 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             run_points(*disc_crossings(inst))
         else:
             slab = _Slab()
-            xs = local_optimal_line_LT(inst, idx, frame, slab, tel)
-            local_optimal_line_LM(inst, idx, frame, slab, tel)
-            local_optimal_line_LC(inst, idx, frame, slab, tel)
+            xs = local_optimal_line_LT(inst, idx, slab, tel)
+            local_optimal_line_LM(inst, idx, slab, tel)
+            local_optimal_line_LC(inst, idx, slab, tel)
             run_lines([DirectedLine.vertical(x) for x in sorted(set(slab.boundary_xs() + xs))])
             for point, loss in slab.witnesses:
                 consider(point, loss)

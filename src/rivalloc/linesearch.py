@@ -9,6 +9,17 @@ tangent line of the angular index that is not parallel to the line, once
 each, then the circle crossings.  The crossing points themselves are never
 built.
 
+``AngularIndex`` owns the one table of the lines the searches cross,
+``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
+canonical tangent lines, pair ``(i, j)`` at column ``row(i, j)``, then the
+bounding frame's top and bottom lines (``build_frame``).  LT and LM read
+it in place (``centroid._lt_lines``).  A vertical line's breakpoints are
+the table's ordinates at its x, ``(off - x*nx)/ny``, computed in one
+preallocated array with its circle crossings (``vertical_breakpoints``,
+which decisions call with the frame's ordinates appended); other lines
+cross the tangent columns in one broadcast pass (``_position_pass``),
+which intermediate mode uses.  Both give the same positions, bitwise.
+
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
 calls).  Each round it reads the lower median of each line's surviving
@@ -26,8 +37,7 @@ last upward and last downward one and a sideward end; a ``Point`` or a
 ``MedianoidResult`` is built only from those.  Parametric mode searches the
 slab's boundary lines, the vertical-line decision (``vprune``) its single
 line, for its anchors, and intermediate mode every tangent line, many at a
-time.  The lines of one block get their breakpoint arrays from one
-broadcast pass.  Tolerances: the table in ``geom``.
+time.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -97,16 +107,51 @@ class CertifiedOptimum(Exception):
         self.origin = origin
 
 
-class AngularIndex:
-    """Polar angles between customers plus canonical tangent storage.
+@dataclass(frozen=True)
+class BoundingFrame:
+    """The x-range of the axis-aligned box covering all customer discs, and
+    the ordinates of two horizontal auxiliary lines safely above and below
+    it, whose crossings guarantee that every vertical line through the box
+    owns both anchor types."""
 
-    For every ordered pair ``(i, j)`` the tangent line lying at distance
-    ``r`` to the right of the direction from ``i`` to ``j`` is stored once as
-    ``(nx, ny, off)`` with unit normal ``n = (sin a, -cos a)`` and offset
+    xmin: float
+    xmax: float
+    y_top: float
+    y_btm: float
+
+
+def build_frame(inst: Instance) -> BoundingFrame:
+    r = inst.r
+    off = max(inst.R, 1.0)
+    return BoundingFrame(
+        xmin=float(inst.xs.min()) - r,
+        xmax=float(inst.xs.max()) + r,
+        y_top=float(inst.ys.max()) + r + off,
+        y_btm=float(inst.ys.min()) - r - off,
+    )
+
+
+class AngularIndex:
+    """Polar angles between customers and the table of the lines the
+    search crosses.
+
+    For every ordered pair ``(i, j)``, ``i != j``, the tangent line lying
+    at distance ``r`` to the right of the direction from ``i`` to ``j`` is
+    stored once as ``nx*x + ny*y = off``, with unit normal
+    ``n = (sin a, -cos a)``, ``a`` the direction, and offset
     ``off = site_i . n + r``.  The left tangent of ``(i, j)`` is the same
-    line as the stored right tangent of ``(j, i)``, so every evaluation of a
-    tangent crossing goes through exactly one canonical parameter triple and
-    repeated evaluations agree bitwise.
+    line as the stored right tangent of ``(j, i)``, so every evaluation of
+    a tangent crossing goes through exactly one canonical parameter triple
+    and repeated evaluations agree bitwise.
+
+    ``lines`` is the one read-only table, rows ``nx``, ``ny`` and ``off``:
+    column ``row(i, j)`` holds the tangent of ``(i, j)``, pairs in
+    row-major order without the diagonal (``tangents`` = n(n - 1)
+    columns), and the last two columns hold the bounding frame's top and
+    bottom lines ``y = c``, normal ``(0, 1)``.  ``ang`` holds the tangent
+    columns' directions, and ``upright`` the tangent columns with
+    ``|ny| <= 2 ANGLE_TOL``, the only ones a vertical line may be parallel
+    to.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -122,7 +167,6 @@ class AngularIndex:
         del dx, dy
         ang[ang >= TWO_PI] = 0.0
         np.fill_diagonal(ang, np.nan)
-        self.ang = ang
 
         if n > 2:  # a lone neighbour shares no angle
             # The NaN diagonal sorts last, so each row's first n - 1 sorted
@@ -138,16 +182,34 @@ class AngularIndex:
                     "customer %d" % (int(srt[k]), int(srt[k + 1]), i)
                 )
 
-        nx = np.sin(ang)
-        ny = -np.cos(ang)
-        off = xs[:, None] * nx + ys[:, None] * ny + inst.r
-        self.tan_nx = nx.ravel()
-        self.tan_ny = ny.ravel()
-        self.tan_off = off.ravel()
+        # Past the first diagonal entry, the row-major entries come in runs
+        # of n + 1: n off the diagonal, then one on it.
+        m = self.tangents = n * (n - 1)
+        ang = ang.ravel()[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
+        self.ang = ang.ravel()
+        lines = self.lines = np.empty((3, m + 2))
+        nx, ny, off = (row[:m].reshape(n, n - 1) for row in lines)
+        np.sin(ang, out=nx)
+        np.negative(np.cos(ang, out=ny), out=ny)
+        np.multiply(xs[:, None], nx, out=off)
+        off += ys[:, None] * ny
+        off += inst.r
+        frame = self.frame = build_frame(inst)
+        lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
+        lines.flags.writeable = False
+        self.upright = np.flatnonzero(np.abs(lines[1, :m]) <= 2.0 * ANGLE_TOL)
+
+    def row(self, i: int, j: int) -> int:
+        """The table column of the tangent of the ordered pair ``(i, j)``."""
+        return i * (self.n - 1) + j - (j > i)
+
+    def angle(self, i: int, j: int) -> float:
+        """The direction of the tangent of the ordered pair ``(i, j)``."""
+        return float(self.ang[self.row(i, j)])
 
     def tangent_line(self, i: int, j: int) -> DirectedLine:
         """The stored right tangent of the ordered pair as a directed line."""
-        a = float(self.ang[i, j])
+        a = self.angle(i, j)
         anchor = Point(
             float(self.xs[i]) + self.inst.r * math.sin(a),
             float(self.ys[i]) - self.inst.r * math.cos(a),
@@ -169,22 +231,40 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     return DirectedLine(L.anchor, up)
 
 
+def _circle_positions(idx: AngularIndex, ax, ay, ux, uy, vals: np.ndarray, used: np.ndarray) -> None:
+    """Write the circle crossings of the lines through ``(ax, ay)`` with
+    direction ``(ux, uy)`` into ``vals`` and mark the real ones in
+    ``used``: customer u's entries ``2u`` and ``2u + 1`` are no crossing,
+    the tangency t0, or the two crossings t0 - s and t0 + s."""
+    r = idx.inst.r
+    tol = idx.inst.cross_tol
+    cx = idx.xs - ax
+    cy = idx.ys - ay
+    t0 = cx * ux + cy * uy
+    perp = ux * cy - uy * cx
+    disc = r * r - perp * perp
+    crossing = disc > tol
+    s = np.sqrt(np.where(crossing, disc, 0.0))
+    vals[..., ::2] = np.where(crossing, t0 - s, t0)
+    vals[..., 1::2] = t0 + s
+    used[..., ::2] = crossing | (disc >= -tol)
+    used[..., 1::2] = crossing
+
+
 def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
     """``_positions`` for lines that fit one block, as one broadcast pass:
-    row i of a lines x (n^2 + 2n) table holds line i's tangent crossings,
-    then its circle crossings, and a mask keeps the real ones."""
-    inst = idx.inst
-    k, n = len(lines), idx.n
-    m = n * n
+    row i of a lines x (n(n - 1) + 2n) table holds line i's crossings of
+    the index's tangent lines, then its circle crossings, and a mask keeps
+    the real ones."""
+    k, m = len(lines), idx.tangents
     ax, ay, ux, uy = (np.array(v, dtype=float)[:, None] for v in zip(
         *((L.anchor.x, L.anchor.y) + L.direction for L in lines)))
-    nx, ny = idx.tan_nx, idx.tan_ny
-    vals = np.empty((k, m + 2 * n))
-    used = np.empty((k, m + 2 * n), dtype=bool)
+    nx, ny, off = idx.lines[:, :m]
+    vals = np.empty((k, m + 2 * idx.n))
+    used = np.empty((k, m + 2 * idx.n), dtype=bool)
 
     # Tangent crossings.  Each step rounds as (off - (ax*nx + ay*ny)) /
-    # (ux*nx + uy*ny) does.  NaN on the diagonal (a customer has no tangent
-    # with itself), which neither comparison keeps.
+    # (ux*nx + uy*ny) does.
     den = ux * nx
     den += uy * ny
     T = vals[:, :m]
@@ -193,42 +273,78 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
     rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
     if len(rows):
         angle = np.array([L.angle for L in lines])
-        sin_d = _libm(math.sin, idx.ang.ravel()[cols] - angle[rows])
+        sin_d = _libm(math.sin, idx.ang[cols] - angle[rows])
         used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
     np.multiply(ax, nx, out=T)
     T += ay * ny
-    np.subtract(idx.tan_off, T, out=T)
+    np.subtract(off, T, out=T)
     with np.errstate(divide="ignore", invalid="ignore"):
         T /= den
 
-    # Circle crossings, per customer: no entry, the tangency t0, or the two
-    # crossings t0 - s and t0 + s.
-    r = inst.r
-    tol = inst.cross_tol
-    cx = idx.xs - ax
-    cy = idx.ys - ay
-    t0 = cx * ux + cy * uy
-    perp = ux * cy - uy * cx
-    disc = r * r - perp * perp
-    crossing = disc > tol
-    s = np.sqrt(np.where(crossing, disc, 0.0))
-    vals[:, m::2] = np.where(crossing, t0 - s, t0)
-    vals[:, m + 1::2] = t0 + s
-    used[:, m::2] = crossing | (disc >= -tol)
-    used[:, m + 1::2] = crossing
+    _circle_positions(idx, ax, ay, ux, uy, vals[:, m:], used[:, m:])
     flat = vals[used]
     ends = np.cumsum(np.count_nonzero(used, axis=1)).tolist()
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) -> np.ndarray:
+    """The breakpoint array of ``DirectedLine.vertical(x)``, bitwise and in
+    the order ``_position_pass`` gives it, and then, ``with_frame``, the
+    ordinates of the frame's top and bottom lines.
+
+    Upward from ``(x, 0)`` a position is an ordinate.  On this line
+    ``_position_pass``'s denominator is ``ny`` and its ``ax*nx + ay*ny``
+    is ``x*nx`` up to the sign of a zero, which subtracting it from a
+    nonzero or positive-zero offset does not see; so a tangent line's
+    position is ``(off - x*nx) / ny``, computed in place in one
+    preallocated array that takes the circle crossings next.  Only
+    ``upright`` columns may be parallel; the C library's
+    ``|sin(a - pi/2)|`` decides, as ``_position_pass`` does.  A frame
+    line's ordinate is its offset.
+    """
+    nx, ny, off = idx.lines
+    m, n = idx.tangents, idx.n
+    out = np.empty(m + 2 * n + 2)
+    T = out[:m]
+    np.multiply(x, nx[:m], out=T)
+    np.subtract(off[:m], T, out=T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(T, ny[:m], out=T)
+    k = m
+    up = idx.upright
+    if len(up):
+        drop = up[np.abs(_libm(math.sin, idx.ang[up] - math.pi / 2.0)) <= ANGLE_TOL]
+        k -= len(drop)
+        out[:k] = np.delete(T, drop)
+    vals = np.empty(2 * n)
+    used = np.empty(2 * n, dtype=bool)
+    _circle_positions(idx, x, 0.0, 0.0, 1.0, vals, used)
+    circles = vals[used]
+    out[k:k + len(circles)] = circles
+    k += len(circles)
+    if with_frame:
+        out[k:k + 2] = off[m:]
+        k += 2
+    return out[:k]
+
+
 def _positions(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
     """The breakpoint array of each upward line of ``lines`` (see
-    ``breakpoint_sequences``), built ``SWEEP_BLOCK // n^2`` lines (at least
-    one) at a time, so that the lines x n^2 temporaries stay one block."""
+    ``breakpoint_sequences``): a vertical line's from
+    ``vertical_breakpoints``, the others' from ``_position_pass``,
+    ``SWEEP_BLOCK // n^2`` lines (at least one) at a time, so that the
+    lines x n^2 temporaries stay one block."""
+    # L == DirectedLine.vertical(L.anchor.x), without building that line.
+    out: List[Optional[np.ndarray]] = [
+        vertical_breakpoints(idx, L.anchor.x) if L.angle == math.pi / 2.0 and L.anchor.y == 0.0
+        else None for L in lines
+    ]
+    rest = [k for k, P in enumerate(out) if P is None]
     size = max(1, medianoid.SWEEP_BLOCK // (idx.n * idx.n))
-    out: List[np.ndarray] = []
-    for start in range(0, len(lines), size):
-        out += _position_pass(idx, lines[start:start + size])
+    for start in range(0, len(rest), size):
+        block = rest[start:start + size]
+        for k, P in zip(block, _position_pass(idx, [lines[k] for k in block])):
+            out[k] = P
     return out
 
 

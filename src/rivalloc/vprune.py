@@ -7,7 +7,9 @@ certificate is raised where it is found, as ``CertifiedOptimum`` with an
 ``origin`` string.  The classification rests on two anchor points, the
 lowest breakpoint with a downward wedge and the highest with an upward
 wedge, found by the exact-median search of ``linesearch.search_lines``
-over the line's breakpoint array and the frame's two ordinates.  A strong
+over the line's breakpoint array and the frame's two ordinates, both read
+off the angular index's line table as ordinates at the line's x
+(``linesearch.vertical_breakpoints``), one n^2 array per decision.  A strong
 centroid met on the way raises, and a sideward wedge settles the line at
 once.  Otherwise the search runs until no breakpoint is left, and each cut
 drops only positions at or below an upward evaluation or at or above a
@@ -18,7 +20,11 @@ pseudo-wedge built at the better anchor settles the direction; equal anchor
 values go to the downward anchor.  A decision settled by the midpoint
 carries it, with its weight loss, as a candidate: anchors a few tolerances
 apart can leave it below both.  A strong centroid at the midpoint, or an
-empty pseudo-wedge cone, is a certificate.  Tolerances: ``geom``'s table.
+empty pseudo-wedge cone, is a certificate.  The pseudo-wedge's direction
+of greatest capture comes from a sorted sweep over the customers' capture
+arcs unless its directions x customers table fits one sweep block
+(``_first_max_capture``).
+Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import numpy as np
 
 from .geom import (
     ANGLE_TOL,
-    EPS_BASE,
+    ARC_PAD,
+    DBL_EPS,
     TWO_PI,
     DirectedLine,
     Instance,
@@ -42,6 +49,7 @@ from .medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
+    SWEEP_BLOCK,
     UPWARD,
     MedianoidResult,
     _normalized,
@@ -53,39 +61,14 @@ from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
     Telemetry,
-    breakpoint_sequences,
     search_lines,
-    upward_line,
+    vertical_breakpoints,
 )
 
 PRUNE_LEFT = "prune-left"
 PRUNE_RIGHT = "prune-right"
 
 PW_NULL = "null"
-
-
-@dataclass(frozen=True)
-class BoundingFrame:
-    """The x-range of the axis-aligned box covering all customer discs, and
-    the ordinates of two horizontal auxiliary lines safely above and below
-    it, whose crossings guarantee that every vertical line through the box
-    owns both anchor types."""
-
-    xmin: float
-    xmax: float
-    y_top: float
-    y_btm: float
-
-
-def build_frame(inst: Instance) -> BoundingFrame:
-    r = inst.r
-    off = max(inst.R, 1.0)
-    return BoundingFrame(
-        xmin=float(inst.xs.min()) - r,
-        xmax=float(inst.xs.max()) + r,
-        y_top=float(inst.ys.max()) + r + off,
-        y_btm=float(inst.ys.min()) - r - off,
-    )
 
 
 @dataclass(frozen=True)
@@ -125,22 +108,21 @@ def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = Non
     return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence, witness)
 
 
-def find_xD_xU(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-               telemetry: Telemetry):
+def find_xD_xU(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
-    Returns the anchor pair ``(down, up)``, each ``(t, point, result)``,
-    or a ``PruneDecision`` when a sideward wedge en route already settles
-    the line; a strong centroid en route raises ``CertifiedOptimum``.  The
-    frame's auxiliary lines give every vertical line through the box both
-    anchor types, and the search exhausts the line, so no breakpoint lies
-    strictly between the anchors.
+    ``L`` is ``DirectedLine.vertical(x)``.  Returns the anchor pair
+    ``(down, up)``, each ``(t, point, result)``, or a ``PruneDecision``
+    when a sideward wedge en route already settles the line; a strong
+    centroid en route raises ``CertifiedOptimum``.  The breakpoints and
+    the frame's two ordinates come from the index's table
+    (``vertical_breakpoints``); the frame's auxiliary lines give every
+    vertical line through the box both anchor types, and the search
+    exhausts the line, so no breakpoint lies strictly between the anchors.
     """
-    line = upward_line(L)
-    P = np.append(breakpoint_sequences(idx, L),
-                  (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    P = vertical_breakpoints(idx, L.anchor.x, with_frame=True)
     [(_, up, down, side)] = search_lines(
-        inst, [line], [P], telemetry,
+        inst, [L], [P], telemetry,
         "strong centroid at a breakpoint of the query line",
     )
     if side is not None:
@@ -189,6 +171,85 @@ def _cos_extremes(lo: float, span: float) -> Tuple[float, float]:
     return cmin, cmax
 
 
+def _capture_sums(inst: Instance, vx: np.ndarray, vy: np.ndarray, d: np.ndarray,
+                  thetas: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The closed capture of each of the sorted directions ``thetas`` in
+    [0, 2 pi], by a sorted sweep, up to the rounding of its sums.
+
+    Customer j is captured at t when t lies within psi_j =
+    acos((r - closed_tol) / d_j) of its direction; the rounded test
+    ``c*vx + s*vy >= r - closed_tol`` (``c``, ``s`` the cosines and sines
+    of ``thetas``) can differ from that only within ``ARC_PAD`` of an
+    arc's end (see ``geom``).  By ``np.searchsorted`` in ``thetas`` the
+    directions split, per customer, into the open arc of half-width
+    psi_j - ARC_PAD, captured, and the bands out to psi_j + ARC_PAD, where
+    the rounded test runs pair by pair; a customer whose band reaches
+    around the circle, or at the apex (``d`` = 0), is tested at every
+    direction.  The arcs' weights are summed by one running sum.
+    """
+    r_c = inst.r - inst.closed_tol
+    wts = inst.ws
+    n, K = inst.n, len(thetas)
+    psi = np.arccos(np.clip(np.divide(r_c, d, out=np.full(n, -1.0), where=d > 0.0), -1.0, 1.0))
+    wide = psi > math.pi - 2.0 * ARC_PAD
+    # Each customer's arc about its direction, and again a turn later.
+    j = np.tile(np.flatnonzero(~wide), 2)
+    centre = np.arctan2(vy[j], vx[j])
+    centre[len(j) // 2:] += TWO_PI
+    a = np.maximum(psi[j] - ARC_PAD, 0.0)
+    b = psi[j] + ARC_PAD
+    i1 = thetas.searchsorted(centre - b, "left")
+    i2 = thetas.searchsorted(centre - a, "right")
+    i3 = np.maximum(i2, thetas.searchsorted(centre + a, "left"))
+    i4 = thetas.searchsorted(centre + b, "right")
+    # Directions [i2, i3) are captured; [i1, i2), [i3, i4) and every
+    # direction of a wide customer are tested.
+    every = np.flatnonzero(wide)
+    start = np.concatenate([i1, i3, np.zeros_like(every)])
+    stop = np.concatenate([i2, i4, np.full_like(every, K)])
+    cnt = stop - start
+    ks = np.arange(cnt.sum()) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
+    js = np.repeat(np.concatenate([j, j, every]), cnt)
+    hit = c[ks] * vx[js] + s[ks] * vy[js] >= r_c
+    sums = np.cumsum(np.bincount(i2, wts[j], K + 1) - np.bincount(i3, wts[j], K + 1))[:K]
+    return sums + np.bincount(ks[hit], wts[js[hit]], K)
+
+
+def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray, d: np.ndarray,
+                       thetas: np.ndarray) -> Tuple[int, float]:
+    """The first index k of the greatest closed capture over the sorted
+    directions ``thetas`` in [0, 2 pi], and that capture, both bitwise what
+    the table ``np.outer(cos(thetas), vx) + np.outer(sin(thetas), vy) >=
+    r - closed_tol`` gives when ``np.sum`` sums each row's captured
+    weights (``d`` holds the customers' distances from the apex, the
+    lengths of ``(vx, vy)``).
+
+    Rows of that table are summed as it sums them, in blocks of about
+    ``SWEEP_BLOCK`` entries, and the first greatest wins.  A table of one
+    block is summed whole.  A larger one is not built: the sweep
+    (``_capture_sums``) gives every row's sum up to rounding, below
+    ``slack``, and only the rows within twice that of the greatest are
+    summed again.
+    """
+    n, K = inst.n, len(thetas)
+    c, s = np.cos(thetas), np.sin(thetas)
+    rows = max(1, SWEEP_BLOCK // n)
+    near = np.arange(K)
+    if K > rows:
+        sums = _capture_sums(inst, vx, vy, d, thetas, c, s)
+        slack = 8.0 * (n + K) * DBL_EPS * float(inst.ws.sum())
+        near = np.flatnonzero(sums >= sums.max() - 2.0 * slack)
+    best, best_k = -math.inf, -1
+    for lo in range(0, len(near), rows):
+        block = near[lo:lo + rows]
+        dots = np.outer(c[block], vx) + np.outer(s[block], vy)
+        captures = np.sum(np.where(dots >= inst.r - inst.closed_tol, inst.ws, 0.0), axis=1)
+        i = int(np.argmax(captures))
+        if captures[i] > best:
+            best, best_k = float(captures[i]), int(block[i])
+    return best_k, best
+
+
 def pseudo_wedge(
     inst: Instance,
     apex: Point,
@@ -221,7 +282,6 @@ def pseudo_wedge(
     tol = inst.closed_tol
     vx = inst.xs - apex.x
     vy = inst.ys - apex.y
-    wts = inst.ws
     # Candidate directions: the capture-arc endpoints, in customer order,
     # from the C library's functions, so that they and theta_star do not
     # depend on how numpy's vector math rounds.  Anchors commonly sit
@@ -236,11 +296,8 @@ def pseudo_wedge(
     ends = np.where(inside, ends, ends + TWO_PI)
     inside |= (t_lo <= ends) & (ends <= t_hi)
     thetas = np.sort(np.append((t_lo, t_hi), ends[inside]), kind="stable")
-    dots = np.outer(np.cos(thetas), vx) + np.outer(np.sin(thetas), vy)
-    captures = np.sum(np.where(dots >= r - tol, wts, 0.0), axis=1)
-    k = int(np.argmax(captures))
+    k, max_capture = _first_max_capture(inst, vx, vy, d, thetas)
     theta_star = float(thetas[k])
-    max_capture = float(captures[k])
     if max_capture < W1 - inst.weight_tol:
         raise RuntimeError(
             "no direction at the anchor captures the worse anchor's value"
@@ -266,16 +323,15 @@ def pseudo_wedge(
     )
 
 
-def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
-           telemetry: Telemetry) -> PruneDecision:
-    """Classify the vertical line ``L``: name the side of the plane that
-    cannot contain a better point, or raise ``CertifiedOptimum`` at an
-    optimum found on it."""
+def decide(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry) -> PruneDecision:
+    """Classify the vertical line ``L``, ``DirectedLine.vertical(x)``:
+    name the side of the plane that cannot contain a better point, or
+    raise ``CertifiedOptimum`` at an optimum found on it."""
     telemetry.decide_calls += 1
-    ux, uy = L.direction
-    if abs(ux) > EPS_BASE:
-        raise ValueError("decide requires a vertical query line")
     X = L.anchor.x
+    if L != DirectedLine.vertical(X):
+        raise ValueError("decide requires a vertical query line")
+    frame = idx.frame
     if X < frame.xmin:
         return PruneDecision(
             PRUNE_LEFT, "line lies left of the bounding box of all discs"
@@ -285,22 +341,21 @@ def decide(inst, idx: AngularIndex, frame: BoundingFrame, L: DirectedLine,
             PRUNE_RIGHT, "line lies right of the bounding box of all discs"
         )
 
-    got = find_xD_xU(inst, idx, frame, L, telemetry)
+    got = find_xD_xU(inst, idx, L, telemetry)
     if isinstance(got, PruneDecision):
         return got
     (t_D, p_D, r_D), (t_U, p_U, r_U) = got
 
     # The search exhausted the line's breakpoints, so none lies strictly
     # between the anchors: probe the segment midpoint.
-    up = upward_line(L)
-    x_B = up.point_at((t_U + t_D) / 2.0)
+    x_B = L.point_at((t_U + t_D) / 2.0)
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
         raise CertifiedOptimum(
             x_B, res_B.weight_loss, "strong centroid at the anchor-segment midpoint"
         )
-    cls_B = classify_wedge_on_line(res_B.wedge, up.angle)
+    cls_B = classify_wedge_on_line(res_B.wedge, L.angle)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
         # The anchors may lie within the capture tolerance of each other,
         # where the value on the open segment need not be constant: the

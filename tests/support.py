@@ -29,6 +29,7 @@ from rivalloc.geom import (
 from rivalloc.linesearch import (
     SEARCHED_LINE,
     CertifiedOptimum,
+    _position_pass,
     breakpoint_sequences,
     upward_line,
 )
@@ -337,12 +338,22 @@ def reference_local_optima(inst, idx, lines, telemetry):
     return reference_lockstep(inst, [reference_line_minimum(idx, L, telemetry) for L in lines])
 
 
+def general_positions(idx, L, frame=None):
+    """The breakpoint array of the upward line ``L`` by the general
+    broadcast pass, then, when a ``frame`` is given, its two ordinates
+    along ``L``, appended as ``find_xD_xU`` appended them before it read
+    vertical lines off the index's table."""
+    [P] = _position_pass(idx, [upward_line(L)])
+    if frame is None:
+        return P
+    return np.append(P, (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+
+
 def reference_anchors(inst, idx, frame, L, telemetry):
     """``find_xD_xU``'s search by the per-step reference: its evaluations
     ``(t, point, result, lean)`` on the vertical line ``L``, with the
     frame's two ordinates."""
-    P = np.append(breakpoint_sequences(idx, L),
-                  (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    P = general_positions(idx, L, frame)
     [done] = reference_lockstep(inst, [reference_evaluations(
         upward_line(L), P, telemetry, STRONG_ORIGINS[0])])
     return done
@@ -359,6 +370,16 @@ def evaluations(inst, line, P, telemetry):
 def frame_lines(frame):
     """The frame's two horizontal auxiliary lines, top first."""
     return DirectedLine.horizontal(frame.y_top), DirectedLine.horizontal(frame.y_btm)
+
+
+def shared_x_instance():
+    """Seven customers, the first two sharing x = 0, otherwise in general
+    position (no shared polar angle), built directly as an ``Instance``:
+    the CLI rejects it.  Their tangent lines are vertical, x = r and
+    x = -r, so a vertical line is parallel to them and LT sets them
+    aside."""
+    sites = ((0, 0, 3), (0, 7, 2), (4, 2, 5), (9, 5, 1), (6, -3, 4), (2, 10, 2), (-3, 4, 3))
+    return Instance([Customer(Point(x, y), w) for x, y, w in sites], 2.0)
 
 
 def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6.0)):
@@ -685,15 +706,26 @@ def reference_tangent_crossings(idx, line):
     line whose direction the C library's sine does not call parallel."""
     ux, uy = line.direction
     ax, ay = line.anchor
+    nxs, nys, offs = idx.lines
     ts: List[float] = []
     for i in range(idx.n):
         for j in range(idx.n):
-            if i == j or abs(math.sin(idx.ang[i, j] - line.angle)) <= ANGLE_TOL:
+            if i == j or abs(math.sin(idx.angle(i, j) - line.angle)) <= ANGLE_TOL:
                 continue
-            k = i * idx.n + j
-            nx, ny = idx.tan_nx[k], idx.tan_ny[k]
-            ts.append((idx.tan_off[k] - (ax * nx + ay * ny)) / (ux * nx + uy * ny))
+            k = idx.row(i, j)
+            nx, ny = nxs[k], nys[k]
+            ts.append((offs[k] - (ax * nx + ay * ny)) / (ux * nx + uy * ny))
     return np.array(ts, dtype=float)
+
+
+def table_first_max_capture(inst, vx, vy, d, thetas):
+    """The table that ``vprune._first_max_capture`` sweeps: every direction
+    against every customer as one (directions x customers) array, each
+    row's closed capture summed by ``np.sum``, the first maximum kept."""
+    dots = np.outer(np.cos(thetas), vx) + np.outer(np.sin(thetas), vy)
+    captures = np.sum(np.where(dots >= inst.r - inst.closed_tol, inst.ws, 0.0), axis=1)
+    k = int(np.argmax(captures))
+    return k, float(captures[k])
 
 
 def reference_explicit_crossings(idx, line):

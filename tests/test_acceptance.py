@@ -9,11 +9,12 @@ be skipped with `-m "not scaling"`.
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
 import support
-from rivalloc import linesearch
+from rivalloc import centroid, linesearch, vprune
 from rivalloc.centroid import solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Point
@@ -22,6 +23,7 @@ from rivalloc.linesearch import (
     Telemetry,
     breakpoint_sequences,
     build_angular_index,
+    build_frame,
 )
 from rivalloc.medianoid import (
     DOWNWARD,
@@ -34,7 +36,6 @@ from rivalloc.oracle import brute_medianoid
 from rivalloc.vprune import (
     PRUNE_LEFT,
     PRUNE_RIGHT,
-    build_frame,
     decide,
 )
 
@@ -250,7 +251,7 @@ def test_vertical_line_decisions_are_sound_on_100_pairs():
         values = support.brute_values(inst)
         best = min(w for _, w in values)
         try:
-            dec = decide(inst, idx, frame, L, Telemetry())
+            dec = decide(inst, idx, L, Telemetry())
         except CertifiedOptimum as cert:
             # A strong or a conditional centroid: both are global optima.
             kinds.add(cert.origin)
@@ -302,6 +303,48 @@ def test_progress_and_round_budgets():
     assert lt_seen > 0 and lm_seen > 0 and fractions_seen > 0
 
 
+def count_positions(monkeypatch):
+    """Count the breakpoint positions every line search builds, as a
+    one-entry list: the general pass's arrays and the vertical lines'
+    arrays off the index's table, less a decision's two frame ordinates."""
+    count = [0]
+    general = linesearch._position_pass
+    vertical = linesearch.vertical_breakpoints
+
+    def counted_general(idx, lines):
+        out = general(idx, lines)
+        count[0] += sum(map(len, out))
+        return out
+
+    def counted_vertical(idx, x, with_frame=False):
+        out = vertical(idx, x, with_frame)
+        count[0] += len(out) - 2 * with_frame
+        return out
+
+    monkeypatch.setattr(linesearch, "_position_pass", counted_general)
+    monkeypatch.setattr(linesearch, "vertical_breakpoints", counted_vertical)
+    monkeypatch.setattr(vprune, "vertical_breakpoints", counted_vertical)
+    return count
+
+
+def assert_search_counts(positions, sizes, seeds):
+    """The paper's bound on the solves of ``sizes`` x ``seeds`` (R = 4,
+    range 2n) that reach no certificate; returns how many there were."""
+    searched = 0
+    for n in sizes:
+        log_n = math.log2(n)
+        for seed in seeds:
+            positions[0] = 0
+            tel = solve_centroid(generate_instance(n, seed, r=4.0, coord_range=2 * n)).telemetry
+            if tel["certified"] is not None:
+                continue
+            searched += 1
+            assert positions[0] <= 5.5 * n * n * log_n, (n, seed, positions[0])
+            assert tel["decide_calls"] <= 5.25 * log_n, (n, seed, tel)
+            assert tel["medianoid_calls"] - n <= 11.8 * log_n ** 2, (n, seed, tel)
+    return searched
+
+
 def test_search_counts_stay_within_the_papers_bound(monkeypatch):
     """The O(n^2 log n) of the parametric search, pinned by counts on the
     solves that reach no certificate (n = 50-400, R = 4, range 2n, seeds
@@ -309,29 +352,47 @@ def test_search_counts_stay_within_the_papers_bound(monkeypatch):
     decisions at most 5.25 log2 n, and sweep rows less the n evaluations
     of the customer sites at most 11.8 log2(n)^2.  The constants are the
     largest ratios measured (4.43, 4.19, 9.42) with about 25% headroom."""
-    positions = 0
-    build = linesearch._positions
+    positions = count_positions(monkeypatch)
+    assert assert_search_counts(positions, (50, 100, 200, 400), (1, 2, 3)) >= 10
 
-    def counted(idx, lines):
-        nonlocal positions
-        out = build(idx, lines)
-        positions += sum(map(len, out))
-        return out
 
-    monkeypatch.setattr(linesearch, "_positions", counted)
-    searched = 0
-    for n in (50, 100, 200, 400):
-        log_n = math.log2(n)
-        for seed in (1, 2, 3):
-            positions = 0
-            tel = solve_centroid(generate_instance(n, seed, r=4.0, coord_range=2 * n)).telemetry
-            if tel["certified"] is not None:
-                continue
-            searched += 1
-            assert positions <= 5.5 * n * n * log_n, (n, seed, positions)
-            assert tel["decide_calls"] <= 5.25 * log_n, (n, seed, tel)
-            assert tel["medianoid_calls"] - n <= 11.8 * log_n ** 2, (n, seed, tel)
-    assert searched >= 10
+@pytest.mark.scaling
+def test_search_counts_stay_within_the_papers_bound_at_scale(monkeypatch):
+    """The same counts and constants at n = 800 and 1600 (seeds 1-3,
+    range 2n), where a constant-factor or n^3 regression would show
+    first (about 40 s)."""
+    positions = count_positions(monkeypatch)
+    assert assert_search_counts(positions, (800, 1600), (1, 2, 3)) >= 4
+
+
+def test_a_decision_holds_one_table_of_breakpoints():
+    """During the non-certifying solves at n = 200 and 400 (seed 1, R = 4,
+    range 2n), the traced memory each vertical-line decision allocates
+    above what is live when it starts peaks at 1.5 * 8 n^2 bytes at most:
+    one n^2 array of breakpoint positions, and no n^2 temporaries beside
+    it (the general position pass and the pseudo-wedge's capture table
+    peaked at 3.2-3.4 times 8 n^2)."""
+    for n in (200, 400):
+        inst = generate_instance(n, 1, r=4.0, coord_range=2 * n)
+        peaks = []
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            try:
+                return decide(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - live)
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(centroid, "decide", measured)
+                tel = solve_centroid(inst).telemetry
+        finally:
+            tracemalloc.stop()
+        assert tel["certified"] is None and len(peaks) == tel["decide_calls"], (n, tel)
+        assert max(peaks) <= 1.5 * 8 * n * n, (n, max(peaks) / (8 * n * n))
 
 
 @pytest.mark.scaling

@@ -39,9 +39,9 @@ from rivalloc.oracle import (
     CIRCLE_CIRCLE,
     TANGENT_CIRCLE,
     TANGENT_TANGENT,
+    brute_centroid,
     enumerate_candidates,
 )
-from rivalloc.vprune import build_frame
 
 
 def slab_of(lo, hi):
@@ -101,7 +101,7 @@ def intermediate_groups(idx):
     less the vertical ones."""
     return [
         [idx.tangent_line(i, j) for j in range(idx.n)
-         if j != i and abs(math.sin(idx.ang[i, j])) > ANGLE_TOL]
+         if j != i and abs(math.sin(idx.angle(i, j))) > ANGLE_TOL]
         for i in range(idx.n)
     ]
 
@@ -335,6 +335,39 @@ class TestTelemetryBudgets:
         assert tel["medianoid_calls"] > 0
 
 
+class TestLTLines:
+    def test_the_table_is_read_in_place_without_a_vertical_tangent(self):
+        """On CLI-valid instances LT's lines are the rows of the index's
+        table themselves, frame lines last, and nothing is set aside."""
+        for n in (2, 3, 12, 40):
+            idx = build_angular_index(generate_instance(n, n, r=4.0, coord_range=2 * n))
+            *rows, direct_xs = _lt_lines(idx)
+            assert direct_xs == []
+            for row, table in zip(rows, idx.lines):
+                assert np.shares_memory(row, idx.lines) and row.tobytes() == table.tobytes()
+
+    def test_vertical_tangent_lines_are_copied_out_and_set_aside(self):
+        """With two customers sharing x, the two tangent lines between them
+        are vertical: LT gets a copy of the table without those columns,
+        in order, and their abscissas, in canonical order, as a loop over
+        the pairs finds them; the parametric solve, which searches those
+        two lines directly, matches brute force."""
+        inst = support.shared_x_instance()
+        idx = build_angular_index(inst)
+        nx, ny, off = idx.lines
+        vertical = [idx.row(i, j) for i in range(inst.n) for j in range(inst.n)
+                    if i != j and abs(ny[idx.row(i, j)]) <= ANGLE_TOL]
+        assert vertical == [idx.row(0, 1), idx.row(1, 0)]
+        *rows, direct_xs = _lt_lines(idx)
+        keep = [k for k in range(idx.tangents + 2) if k not in vertical]
+        for row, table in zip(rows, idx.lines):
+            assert not np.shares_memory(row, idx.lines)
+            assert row.tobytes() == table[keep].tobytes()
+        assert direct_xs == [off[k] / nx[k] for k in vertical]
+        assert [round(x, 9) for x in direct_xs] == [inst.r, -inst.r]
+        assert solve_centroid(inst).weight_loss == brute_centroid(inst).weight_loss
+
+
 class TestCrossingSelection:
     @staticmethod
     def enumerated(lnx, lny, loff, lo, hi):
@@ -437,16 +470,15 @@ class TestCrossingSelection:
                 inst = generate_instance(n, 24_000 + trial, r=(2.0, 4.0)[trial % 2],
                                          coord_range=(n, 3 * n)[trial % 3 == 1])
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
             slab = _Slab()
             tel = Telemetry()
             try:
-                local_optimal_line_LT(inst, idx, frame, slab, tel)
+                local_optimal_line_LT(inst, idx, slab, tel)
             except CertifiedOptimum:
                 continue
             searched += 1
             thinned += tel.lt_rounds > 2
-            lnx, lny, loff, _ = _lt_lines(idx, frame)
+            lnx, lny, loff, _ = _lt_lines(idx)
             for i in range(len(lnx) - 1):
                 j = slice(i + 1, None)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -477,7 +509,6 @@ class TestSharedSlab:
         for trial in range(40):
             inst = support.seeded_instance(23_000 + trial, n_lo=6, n_hi=10)
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
             found = enumerate_candidates(inst)
             cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
             for tags in runs:
@@ -488,7 +519,7 @@ class TestSharedSlab:
                     for tag, family in self.FAMILIES.items():
                         if tag in tags:
                             # Only LT returns lines: the vertical tangents.
-                            xs += family(inst, idx, frame, slab, tel) or []
+                            xs += family(inst, idx, slab, tel) or []
                 except CertifiedOptimum:
                     continue
                 inside = support.candidates_inside(inst, cands, tags, slab, xs)
@@ -520,8 +551,7 @@ class TestTangentCircleGaps:
         seen = {"gaps": 0, "lm_rounds": 0}
         for k, inst in enumerate(self.instances()):
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
-            lnx, lny, loff, direct_xs = _lt_lines(idx, frame)
+            lnx, lny, loff, direct_xs = _lt_lines(idx)
             ends = sorted(set(support.line_crossing_xs(lnx, lny, loff)))
             found = enumerate_candidates(inst)
             cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
@@ -546,7 +576,7 @@ class TestTangentCircleGaps:
                 assert got == want, (k, lo, hi, got ^ want)
                 tel = Telemetry()
                 try:
-                    local_optimal_line_LM(inst, idx, frame, slab, tel)
+                    local_optimal_line_LM(inst, idx, slab, tel)
                 except CertifiedOptimum:
                     continue
                 inside = support.candidates_inside(

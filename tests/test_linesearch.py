@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import support
-from rivalloc import linesearch
+import test_golden_reports as golden
+from rivalloc import linesearch, vprune
+from rivalloc.centroid import solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
@@ -21,14 +23,16 @@ from rivalloc.geom import (
 from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
+    _position_pass,
     build_angular_index,
     breakpoint_sequences,
     local_optima_on_lines,
     search_lines,
     upward_line,
+    vertical_breakpoints,
 )
 from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, as_result, solve_medianoid
-from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, build_frame, find_xD_xU
+from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, find_xD_xU
 
 COVERAGE_TOL = 1e-6
 
@@ -181,7 +185,7 @@ def _query_lines(idx, rng):
     lines = []
     for i in range(min(idx.n, 4)):
         for j in range(min(idx.n, 4)):
-            if i != j and abs(np.sin(idx.ang[i, j])) > ANGLE_TOL:
+            if i != j and abs(np.sin(idx.angle(i, j))) > ANGLE_TOL:
                 lines.append(idx.tangent_line(i, j))
     lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:3]]
     spread = 2.0 * float(np.max(np.abs(idx.xs))) + 1.0
@@ -288,6 +292,62 @@ class TestPositionTable:
                 assert tel.prune_iterations == steps == tel.medianoid_calls
                 cuts += steps
         assert cuts > 2000 and tangencies > 0, (cuts, tangencies)
+
+
+class TestVerticalBreakpoints:
+    @staticmethod
+    def instances():
+        """The golden instances, a real-coordinate one with real weights,
+        and one whose first two customers share x, whose two vertical
+        tangent lines every vertical line drops as parallel."""
+        for n, seed, coord_range, _mode in golden.CASES:
+            yield golden.instance(n, seed, coord_range)
+        for n, seed, coord_range, _mode in golden.REAL_CASES:
+            yield golden.instance(n, seed, coord_range, real=True)
+        rng = random.Random(8)
+        base = generate_instance(30, 8, r=4.0, coord_range=60)
+        yield Instance([Customer(Point(c.site.x + rng.uniform(-0.4, 0.4),
+                                       c.site.y + rng.uniform(-0.4, 0.4)),
+                                 rng.uniform(0.5, 9.0)) for c in base.customers], 3.0)
+        yield support.shared_x_instance()
+
+    def test_table_ordinates_equal_the_general_pass(self, monkeypatch):
+        """On every line a parametric solve decides at, through every site
+        and tangent to every disc, and at random abscissas in the frame,
+        ``vertical_breakpoints`` is bitwise, in order, the general pass's
+        array (``_position_pass``), and ``with_frame`` that array with the
+        frame's two ordinates appended, as decisions appended them."""
+        rng = random.Random(9)
+        lines = dropped = 0
+        decided = []
+        real = vprune.vertical_breakpoints
+
+        def recorded(idx, x, with_frame=False):
+            decided.append(x)
+            return real(idx, x, with_frame)
+
+        monkeypatch.setattr(vprune, "vertical_breakpoints", recorded)
+        for k, inst in enumerate(self.instances()):
+            decided.clear()
+            solve_centroid(inst)
+            idx = build_angular_index(inst)
+            frame = idx.frame
+            r = inst.r
+            xs = decided + [x + d for x in idx.xs.tolist() for d in (-r, 0.0, r)]
+            xs += [rng.uniform(frame.xmin, frame.xmax) for _ in range(10)]
+            for x in xs:
+                L = DirectedLine.vertical(x)
+                want = _position_pass(idx, [L])[0]
+                got = vertical_breakpoints(idx, x)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, x)
+                assert breakpoint_sequences(idx, L).tobytes() == want.tobytes(), (k, x)
+                want = support.general_positions(idx, L, frame)
+                got = vertical_breakpoints(idx, x, with_frame=True)
+                assert got.tobytes() == want.tobytes(), (k, x)
+                lines += 1
+                circles = support.reference_explicit_crossings(idx, L)
+                dropped += len(got) - 2 - len(circles) < idx.tangents
+        assert lines > 1000 and dropped > 0, (lines, dropped)
 
 
 class TestLocalOptimum:
@@ -407,10 +467,10 @@ class TestEngineMatchesReference:
                 6100 + trial, n_lo=2, n_hi=10, coord_range=(30, 12)[trial % 2],
                 r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
+            frame = idx.frame
             lines = [support.non_horizontal_line(rng) for _ in range(3)] + [
                 idx.tangent_line(0, j) for j in range(1, idx.n)
-                if abs(math.sin(idx.ang[0, j])) > ANGLE_TOL
+                if abs(math.sin(idx.angle(0, j))) > ANGLE_TOL
             ]
             got = _outcome(lambda tel: local_optima_on_lines(inst, idx, lines, tel))
             want = _outcome(lambda tel: support.reference_local_optima(inst, idx, lines, tel))
@@ -418,7 +478,7 @@ class TestEngineMatchesReference:
             seen["certified" if want[0][0] == "certified" else "minima"] += 1
             for _ in range(3):
                 L = support.vertical_through_box(rng, frame)
-                got = _outcome(lambda tel: find_xD_xU(inst, idx, frame, L, tel))
+                got = _outcome(lambda tel: find_xD_xU(inst, idx, L, tel))
                 want = _outcome(lambda tel: _reference_find(inst, idx, frame, L, tel))
                 if isinstance(got[0], PruneDecision):
                     got = (got[0].kind, got[1])
@@ -502,7 +562,7 @@ class TestIndexCuts:
                 7100 + trial, n_lo=3, n_hi=10, coord_range=(30, 12)[trial % 2],
                 r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
+            frame = idx.frame
             lines = [support.vertical_through_box(rng, frame) for _ in range(2)]
             lines += [upward_line(support.non_horizontal_line(rng)) for _ in range(2)]
             positions = []

@@ -3,24 +3,27 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import support
 from rivalloc.cli import generate_instance
-from rivalloc.geom import Customer, DirectedLine, Instance, Point
+from rivalloc.geom import DBL_EPS, Customer, DirectedLine, Instance, Point
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
+    classify_wedge_on_line,
     solve_medianoid,
 )
+from rivalloc import vprune
+from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
     PRUNE_LEFT,
     PRUNE_RIGHT,
     PW_NULL,
     PruneDecision,
-    build_frame,
     decide,
     find_xD_xU,
     pseudo_wedge,
@@ -30,6 +33,7 @@ from rivalloc.linesearch import (
     Telemetry,
     breakpoint_sequences,
     build_angular_index,
+    build_frame,
 )
 
 
@@ -114,7 +118,7 @@ class TestFindAnchors:
             scale = max(1.0, max(abs(r[0]) for r in rows))
             tol = 1e-6 * scale
             try:
-                got = find_xD_xU(inst, idx, frame, L, Telemetry())
+                got = find_xD_xU(inst, idx, L, Telemetry())
             except CertifiedOptimum as cert:
                 decisions_seen += 1
                 # a covering interval wider than a half turn certifies a
@@ -154,7 +158,7 @@ class TestFindAnchors:
                 for _ in range(6):
                     L = support.vertical_through_box(rng, frame)
                     try:
-                        got = find_xD_xU(inst, idx, frame, L, Telemetry())
+                        got = find_xD_xU(inst, idx, L, Telemetry())
                     except CertifiedOptimum:
                         continue
                     if not isinstance(got, PruneDecision):
@@ -168,7 +172,7 @@ class TestFindAnchors:
         frame = build_frame(inst)
         L = DirectedLine(Point(0.0, 0.0), 0.3)
         with pytest.raises(ValueError, match="vertical"):
-            decide(inst, idx, frame, L, Telemetry())
+            decide(inst, idx, L, Telemetry())
 
 
 class TestPhaseStructure:
@@ -226,7 +230,7 @@ class TestPseudoWedge:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             try:
-                got = find_xD_xU(inst, idx, frame, L, Telemetry())
+                got = find_xD_xU(inst, idx, L, Telemetry())
             except CertifiedOptimum:
                 continue
             if isinstance(got, PruneDecision):
@@ -250,18 +254,143 @@ class TestPseudoWedge:
             pseudo_wedge(inst, apex, 1.0, solve_medianoid(inst, apex))
 
 
+class TestCaptureSweep:
+    """The pseudo-wedge's sorted capture sweep against the table it
+    replaced, ``support.table_first_max_capture``."""
+
+    @staticmethod
+    def instances():
+        """Integer weights, real weights and coordinates, and equal
+        weights, where captures tie; separations from apart to overlapping
+        discs."""
+        for seed in range(12):
+            n = 6 + 4 * seed
+            R = (2.0, 4.0, 10.0, 30.0)[seed % 4]
+            base = generate_instance(n, seed, r=R, coord_range=2 * n)
+            rng = random.Random(seed)
+            yield base
+            yield Instance([Customer(Point(c.site.x + rng.uniform(-0.3, 0.3),
+                                           c.site.y + rng.uniform(-0.3, 0.3)),
+                                     rng.uniform(0.2, 7.0)) for c in base.customers], R)
+            yield Instance([Customer(c.site, 1.0) for c in base.customers], R)
+        # Wide separations, where a decision's pseudo-wedge cone is empty.
+        for n, seed in ((8, 1), (10, 2), (12, 1)):
+            yield generate_instance(n, seed, r=60.0, coord_range=30)
+
+    @staticmethod
+    def apexes(inst, rng):
+        """Random points in the frame, and points on customer circles, at
+        distance r from a site up to rounding."""
+        frame = build_frame(inst)
+        for _ in range(15):
+            yield Point(rng.uniform(frame.xmin, frame.xmax), rng.uniform(frame.y_btm, frame.y_top))
+        for i in rng.sample(range(inst.n), min(inst.n, 10)):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            yield Point(float(inst.xs[i]) + inst.r * math.cos(a),
+                        float(inst.ys[i]) + inst.r * math.sin(a))
+
+    def test_sweep_matches_the_table_bitwise(self, monkeypatch):
+        """At seeded apexes with an upward or downward wedge, and at every
+        apex the decisions of parametric solves of these instances build a
+        pseudo-wedge at, ``theta_star``, ``classification`` and
+        ``max_capture`` are bitwise those of the table, whose first
+        maximum in sorted-theta order wins a tie.  Blocks of one row make
+        every table larger than a block, so the sweep runs on each."""
+        monkeypatch.setattr(vprune, "SWEEP_BLOCK", 1)
+        rng = random.Random(23)
+        seen = {"apexes": 0, "on_circle": 0, "ties": 0, "real": 0, "null": 0, "decided": 0}
+        calls = []
+        real_pw = vprune.pseudo_wedge
+
+        def recorded(inst, apex, W1, result):
+            calls.append((apex, W1, result))
+            return real_pw(inst, apex, W1, result=result)
+
+        def table(inst, vx, vy, d, thetas):
+            k, capture = support.table_first_max_capture(inst, vx, vy, d, thetas)
+            # A later row reaching the same capture is a tie the first won.
+            if k + 1 < len(thetas):
+                seen["ties"] += support.table_first_max_capture(
+                    inst, vx, vy, d, thetas[k + 1:])[1] == capture
+            return k, capture
+
+        for inst in self.instances():
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(vprune, "pseudo_wedge", recorded)
+                solve_centroid(inst)
+            seen["decided"] += len(calls)
+            for apex in self.apexes(inst, rng):
+                result = solve_medianoid(inst, apex)
+                if result.wedge is not None and classify_wedge_on_line(
+                        result.wedge, math.pi / 2.0) in (UPWARD, DOWNWARD):
+                    calls.append((apex, 0.0, result))
+            for apex, W1, result in calls:
+                got = pseudo_wedge(inst, apex, W1, result)
+                with monkeypatch.context() as m:
+                    m.setattr(vprune, "_first_max_capture", table)
+                    want = pseudo_wedge(inst, apex, W1, result)
+                assert (got.theta_star.hex(), got.classification, got.max_capture.hex()) == (
+                    want.theta_star.hex(), want.classification, want.max_capture.hex()), apex
+                seen["apexes"] += 1
+                d = np.hypot(inst.xs - apex.x, inst.ys - apex.y)
+                seen["on_circle"] += bool(np.any(np.abs(d - inst.r) <= 4 * DBL_EPS * inst.r))
+                seen["real"] += not inst.exact_sums
+                seen["null"] += got.classification == PW_NULL
+        assert seen["apexes"] > 1000 and all(seen.values()), seen
+
+
+    def test_directions_at_arc_ends_match_the_table(self, monkeypatch):
+        """Directions at the ends of the customers' closed capture arcs and
+        a few ulps to 2e-6 to either side, where the table's rounded test
+        decides, within ``ARC_PAD`` of an end: the sweep's first maximum
+        and its capture are bitwise the table's, with integer, equal and
+        real weights, R = 0 among the separations, and every fourth apex
+        on a site, a customer the sweep tests at every direction.  Blocks
+        of one row make the sweep run."""
+        monkeypatch.setattr(vprune, "SWEEP_BLOCK", 1)
+        rng = random.Random(29)
+        beside = [0.0, 1e-15, -1e-15, 4e-15, -4e-15, 1e-10, -1e-10, 1e-7, -1e-7,
+                  9e-7, -9e-7, 1.5e-6, -1.5e-6]
+        for trial in range(400):
+            n = rng.randint(2, 12)
+            r = rng.choice((0.0, 0.5, 1.0, 2.0, 30.0))
+            weight = (lambda: float(rng.randint(1, 4)), lambda: 1.0,
+                      lambda: rng.uniform(0.5, 5.0))[trial % 3]
+            inst = Instance([Customer(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)), weight())
+                             for _ in range(n)], 2.0 * r)
+            apex = (Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) if trial % 4
+                    else inst.customers[0].site)
+            vx = inst.xs - apex.x
+            vy = inst.ys - apex.y
+            d = np.hypot(vx, vy)
+            with np.errstate(divide="ignore"):
+                psi = np.arccos(np.clip((r - inst.closed_tol) / d, -1.0, 1.0))
+            theta = np.arctan2(vy, vx)
+            ends = np.concatenate([theta - psi, theta + psi]) % (2.0 * math.pi)
+            thetas = np.sort(np.concatenate([ends + e for e in rng.sample(beside, 5)]))
+            thetas = thetas[(thetas >= 0.0) & (thetas <= 2.0 * math.pi)]
+            got = vprune._first_max_capture(inst, vx, vy, d, thetas)
+            want = support.table_first_max_capture(inst, vx, vy, d, thetas)
+            assert (got[0], got[1].hex()) == (want[0], want[1].hex()), trial
+
+
 class TestDecide:
     def test_lines_outside_the_box(self):
         inst = generate_instance(5, seed=9, r=2.0)
         idx = build_angular_index(inst)
-        frame = build_frame(inst)
-        far_left = decide(inst, idx, frame,
-                          DirectedLine.vertical(frame.xmin - 5.0), Telemetry())
-        far_right = decide(inst, idx, frame,
-                           DirectedLine.vertical(frame.xmax + 5.0), Telemetry())
+        frame = idx.frame
+        far_left = decide(inst, idx, DirectedLine.vertical(frame.xmin - 5.0), Telemetry())
+        far_right = decide(inst, idx, DirectedLine.vertical(frame.xmax + 5.0), Telemetry())
         assert far_left.kind == PRUNE_LEFT
         assert far_right.kind == PRUNE_RIGHT
         assert "bounding box" in far_left.evidence
+        # Breakpoints are ordinates at x: only DirectedLine.vertical(x) is
+        # a query line.
+        for L in (DirectedLine(Point(0.0, 1.0), math.pi / 2.0),
+                  DirectedLine(Point(0.0, 0.0), 1.5 * math.pi)):
+            with pytest.raises(ValueError, match="vertical query line"):
+                decide(inst, idx, L, Telemetry())
 
     def test_kept_side_retains_a_global_optimum(self):
         rng = random.Random(19)
@@ -273,7 +402,7 @@ class TestDecide:
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
             try:
-                dec = decide(inst, idx, frame, L, Telemetry())
+                dec = decide(inst, idx, L, Telemetry())
             except CertifiedOptimum as cert:
                 kinds.add(cert.origin)
                 best = support.brute_minimum(inst)
