@@ -30,11 +30,6 @@ ANGLE_TOL = 1e-12
 SNAP_TOL = 1e-15
 # ratio: 2^-52, whence the rounding bounds of the sweep and the prefilter.
 DBL_EPS = float(np.finfo(float).eps)
-# angle: ``vprune``'s capture sweep tests each direction within it of a
-# capture arc's end as the table did.  A relative error e in acos's argument
-# moves the end by at most sqrt(2e): 2.6e-8 for the arc's own rounding and
-# 1.4e-7 for the test's (rounded cos, sin and dot, e < 32 DBL_EPS).
-ARC_PAD = 1e-6
 # Per instance, computed once by ``Instance``:
 # - eps = EPS_BASE * max(1, R, |coordinates|), length: EPS_BASE at scale.
 # - capture_r = r + eps, length: the open-capture radius.  A point known up
@@ -43,9 +38,8 @@ ARC_PAD = 1e-6
 #   within it touches once; near p = r a shift of eps/2 in p moves it so far.
 #   ``disc_crossings`` below applies it to two discs of radius r.
 # - closed_tol = EPS_BASE * max(1, r), length: ``vprune.pseudo_wedge``'s
-#   closed-capture slack, in the rounded test its capture sweep applies
-#   within ARC_PAD of an arc's end.  Scaled like cross_tol, it moved the
-#   reported point of an n=400 solve (R=2, range 400, seed 2), so it is not.
+#   closed-capture slack.  Scaled like cross_tol, it moved the reported
+#   point of an n=400 solve (R=2, range 400, seed 2), so it is not.
 # - weight_tol = EPS_BASE * max(1, W), weight, W the total weight: how far
 #   a pseudo-wedge direction may fall short of the worse anchor's value.
 

@@ -21,9 +21,8 @@ values go to the downward anchor.  A decision settled by the midpoint
 carries it, with its weight loss, as a candidate: anchors a few tolerances
 apart can leave it below both.  A strong centroid at the midpoint, or an
 empty pseudo-wedge cone, is a certificate.  The pseudo-wedge's direction
-of greatest capture comes from a sorted sweep over the customers' capture
-arcs unless its directions x customers table fits one sweep block
-(``_first_max_capture``).
+of greatest capture comes from its directions x customers capture table,
+built a block of rows at a time (``_first_max_capture``).
 Tolerances: ``geom``'s table.
 """
 
@@ -37,8 +36,6 @@ import numpy as np
 
 from .geom import (
     ANGLE_TOL,
-    ARC_PAD,
-    DBL_EPS,
     TWO_PI,
     DirectedLine,
     Instance,
@@ -108,6 +105,15 @@ def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = Non
     return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence, witness)
 
 
+def _vertical_x(L: DirectedLine) -> float:
+    """The x of ``L``, which must be ``DirectedLine.vertical(x)``: its
+    breakpoints are read as ordinates, positions along it from y = 0."""
+    x = L.anchor.x
+    if L != DirectedLine.vertical(x):
+        raise ValueError("requires a vertical query line, DirectedLine.vertical(x)")
+    return x
+
+
 def find_xD_xU(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on ``L``.
 
@@ -120,7 +126,7 @@ def find_xD_xU(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry):
     vertical line through the box both anchor types, and the search
     exhausts the line, so no breakpoint lies strictly between the anchors.
     """
-    P = vertical_breakpoints(idx, L.anchor.x, with_frame=True)
+    P = vertical_breakpoints(idx, _vertical_x(L), with_frame=True)
     [(_, up, down, side)] = search_lines(
         inst, [L], [P], telemetry,
         "strong centroid at a breakpoint of the query line",
@@ -171,82 +177,24 @@ def _cos_extremes(lo: float, span: float) -> Tuple[float, float]:
     return cmin, cmax
 
 
-def _capture_sums(inst: Instance, vx: np.ndarray, vy: np.ndarray, d: np.ndarray,
-                  thetas: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The closed capture of each of the sorted directions ``thetas`` in
-    [0, 2 pi], by a sorted sweep, up to the rounding of its sums.
-
-    Customer j is captured at t when t lies within psi_j =
-    acos((r - closed_tol) / d_j) of its direction; the rounded test
-    ``c*vx + s*vy >= r - closed_tol`` (``c``, ``s`` the cosines and sines
-    of ``thetas``) can differ from that only within ``ARC_PAD`` of an
-    arc's end (see ``geom``).  By ``np.searchsorted`` in ``thetas`` the
-    directions split, per customer, into the open arc of half-width
-    psi_j - ARC_PAD, captured, and the bands out to psi_j + ARC_PAD, where
-    the rounded test runs pair by pair; a customer whose band reaches
-    around the circle, or at the apex (``d`` = 0), is tested at every
-    direction.  The arcs' weights are summed by one running sum.
-    """
-    r_c = inst.r - inst.closed_tol
-    wts = inst.ws
-    n, K = inst.n, len(thetas)
-    psi = np.arccos(np.clip(np.divide(r_c, d, out=np.full(n, -1.0), where=d > 0.0), -1.0, 1.0))
-    wide = psi > math.pi - 2.0 * ARC_PAD
-    # Each customer's arc about its direction, and again a turn later.
-    j = np.tile(np.flatnonzero(~wide), 2)
-    centre = np.arctan2(vy[j], vx[j])
-    centre[len(j) // 2:] += TWO_PI
-    a = np.maximum(psi[j] - ARC_PAD, 0.0)
-    b = psi[j] + ARC_PAD
-    i1 = thetas.searchsorted(centre - b, "left")
-    i2 = thetas.searchsorted(centre - a, "right")
-    i3 = np.maximum(i2, thetas.searchsorted(centre + a, "left"))
-    i4 = thetas.searchsorted(centre + b, "right")
-    # Directions [i2, i3) are captured; [i1, i2), [i3, i4) and every
-    # direction of a wide customer are tested.
-    every = np.flatnonzero(wide)
-    start = np.concatenate([i1, i3, np.zeros_like(every)])
-    stop = np.concatenate([i2, i4, np.full_like(every, K)])
-    cnt = stop - start
-    ks = np.arange(cnt.sum()) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
-    js = np.repeat(np.concatenate([j, j, every]), cnt)
-    hit = c[ks] * vx[js] + s[ks] * vy[js] >= r_c
-    sums = np.cumsum(np.bincount(i2, wts[j], K + 1) - np.bincount(i3, wts[j], K + 1))[:K]
-    return sums + np.bincount(ks[hit], wts[js[hit]], K)
-
-
-def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray, d: np.ndarray,
+def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray,
                        thetas: np.ndarray) -> Tuple[int, float]:
     """The first index k of the greatest closed capture over the sorted
-    directions ``thetas`` in [0, 2 pi], and that capture, both bitwise what
-    the table ``np.outer(cos(thetas), vx) + np.outer(sin(thetas), vy) >=
-    r - closed_tol`` gives when ``np.sum`` sums each row's captured
-    weights (``d`` holds the customers' distances from the apex, the
-    lengths of ``(vx, vy)``).
-
-    Rows of that table are summed as it sums them, in blocks of about
-    ``SWEEP_BLOCK`` entries, and the first greatest wins.  A table of one
-    block is summed whole.  A larger one is not built: the sweep
-    (``_capture_sums``) gives every row's sum up to rounding, below
-    ``slack``, and only the rows within twice that of the greatest are
-    summed again.
+    directions ``thetas``, and that capture: the table
+    ``np.outer(cos(thetas), vx) + np.outer(sin(thetas), vy) >= r -
+    closed_tol``, each row's captured weights summed by ``np.sum``, built
+    and summed in blocks of about ``SWEEP_BLOCK`` entries.  A row's sum
+    does not depend on the block it falls in, and the first greatest wins.
     """
-    n, K = inst.n, len(thetas)
     c, s = np.cos(thetas), np.sin(thetas)
-    rows = max(1, SWEEP_BLOCK // n)
-    near = np.arange(K)
-    if K > rows:
-        sums = _capture_sums(inst, vx, vy, d, thetas, c, s)
-        slack = 8.0 * (n + K) * DBL_EPS * float(inst.ws.sum())
-        near = np.flatnonzero(sums >= sums.max() - 2.0 * slack)
+    rows = max(1, SWEEP_BLOCK // inst.n)
     best, best_k = -math.inf, -1
-    for lo in range(0, len(near), rows):
-        block = near[lo:lo + rows]
-        dots = np.outer(c[block], vx) + np.outer(s[block], vy)
+    for lo in range(0, len(thetas), rows):
+        dots = np.outer(c[lo:lo + rows], vx) + np.outer(s[lo:lo + rows], vy)
         captures = np.sum(np.where(dots >= inst.r - inst.closed_tol, inst.ws, 0.0), axis=1)
         i = int(np.argmax(captures))
         if captures[i] > best:
-            best, best_k = float(captures[i]), int(block[i])
+            best, best_k = float(captures[i]), lo + i
     return best_k, best
 
 
@@ -296,7 +244,7 @@ def pseudo_wedge(
     ends = np.where(inside, ends, ends + TWO_PI)
     inside |= (t_lo <= ends) & (ends <= t_hi)
     thetas = np.sort(np.append((t_lo, t_hi), ends[inside]), kind="stable")
-    k, max_capture = _first_max_capture(inst, vx, vy, d, thetas)
+    k, max_capture = _first_max_capture(inst, vx, vy, thetas)
     theta_star = float(thetas[k])
     if max_capture < W1 - inst.weight_tol:
         raise RuntimeError(
@@ -328,9 +276,7 @@ def decide(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry) -> Pr
     name the side of the plane that cannot contain a better point, or
     raise ``CertifiedOptimum`` at an optimum found on it."""
     telemetry.decide_calls += 1
-    X = L.anchor.x
-    if L != DirectedLine.vertical(X):
-        raise ValueError("decide requires a vertical query line")
+    X = _vertical_x(L)
     frame = idx.frame
     if X < frame.xmin:
         return PruneDecision(

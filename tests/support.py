@@ -718,10 +718,10 @@ def reference_tangent_crossings(idx, line):
     return np.array(ts, dtype=float)
 
 
-def table_first_max_capture(inst, vx, vy, d, thetas):
-    """The table that ``vprune._first_max_capture`` sweeps: every direction
-    against every customer as one (directions x customers) array, each
-    row's closed capture summed by ``np.sum``, the first maximum kept."""
+def table_first_max_capture(inst, vx, vy, thetas):
+    """The table that ``vprune._first_max_capture`` builds in blocks: every
+    direction against every customer as one (directions x customers) array,
+    each row's closed capture summed by ``np.sum``, the first maximum kept."""
     dots = np.outer(np.cos(thetas), vx) + np.outer(np.sin(thetas), vy)
     captures = np.sum(np.where(dots >= inst.r - inst.closed_tol, inst.ws, 0.0), axis=1)
     k = int(np.argmax(captures))

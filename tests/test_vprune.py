@@ -254,9 +254,9 @@ class TestPseudoWedge:
             pseudo_wedge(inst, apex, 1.0, solve_medianoid(inst, apex))
 
 
-class TestCaptureSweep:
-    """The pseudo-wedge's sorted capture sweep against the table it
-    replaced, ``support.table_first_max_capture``."""
+class TestCaptureTable:
+    """The pseudo-wedge's capture table, built a block of rows at a time,
+    against the whole table, ``support.table_first_max_capture``."""
 
     @staticmethod
     def instances():
@@ -289,14 +289,15 @@ class TestCaptureSweep:
             yield Point(float(inst.xs[i]) + inst.r * math.cos(a),
                         float(inst.ys[i]) + inst.r * math.sin(a))
 
-    def test_sweep_matches_the_table_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_blocks_match_the_whole_table_bitwise(self, monkeypatch, block):
         """At seeded apexes with an upward or downward wedge, and at every
         apex the decisions of parametric solves of these instances build a
         pseudo-wedge at, ``theta_star``, ``classification`` and
-        ``max_capture`` are bitwise those of the table, whose first
-        maximum in sorted-theta order wins a tie.  Blocks of one row make
-        every table larger than a block, so the sweep runs on each."""
-        monkeypatch.setattr(vprune, "SWEEP_BLOCK", 1)
+        ``max_capture`` are bitwise those of the whole table, whose first
+        maximum in sorted-theta order wins a tie.  Blocks of one row, or of
+        a few, split every table, and ties cross block boundaries."""
+        monkeypatch.setattr(vprune, "SWEEP_BLOCK", block)
         rng = random.Random(23)
         seen = {"apexes": 0, "on_circle": 0, "ties": 0, "real": 0, "null": 0, "decided": 0}
         calls = []
@@ -306,12 +307,12 @@ class TestCaptureSweep:
             calls.append((apex, W1, result))
             return real_pw(inst, apex, W1, result=result)
 
-        def table(inst, vx, vy, d, thetas):
-            k, capture = support.table_first_max_capture(inst, vx, vy, d, thetas)
+        def table(inst, vx, vy, thetas):
+            k, capture = support.table_first_max_capture(inst, vx, vy, thetas)
             # A later row reaching the same capture is a tie the first won.
             if k + 1 < len(thetas):
                 seen["ties"] += support.table_first_max_capture(
-                    inst, vx, vy, d, thetas[k + 1:])[1] == capture
+                    inst, vx, vy, thetas[k + 1:])[1] == capture
             return k, capture
 
         for inst in self.instances():
@@ -339,15 +340,13 @@ class TestCaptureSweep:
                 seen["null"] += got.classification == PW_NULL
         assert seen["apexes"] > 1000 and all(seen.values()), seen
 
-
     def test_directions_at_arc_ends_match_the_table(self, monkeypatch):
         """Directions at the ends of the customers' closed capture arcs and
-        a few ulps to 2e-6 to either side, where the table's rounded test
-        decides, within ``ARC_PAD`` of an end: the sweep's first maximum
-        and its capture are bitwise the table's, with integer, equal and
-        real weights, R = 0 among the separations, and every fourth apex
-        on a site, a customer the sweep tests at every direction.  Blocks
-        of one row make the sweep run."""
+        a few ulps to 2e-6 to either side, where the rounded test decides:
+        the blocked table's first maximum and its capture are bitwise the
+        whole table's, with integer, equal and real weights, R = 0 among
+        the separations, and every fourth apex on a site.  Blocks of one
+        row split every table."""
         monkeypatch.setattr(vprune, "SWEEP_BLOCK", 1)
         rng = random.Random(29)
         beside = [0.0, 1e-15, -1e-15, 4e-15, -4e-15, 1e-10, -1e-10, 1e-7, -1e-7,
@@ -370,8 +369,8 @@ class TestCaptureSweep:
             ends = np.concatenate([theta - psi, theta + psi]) % (2.0 * math.pi)
             thetas = np.sort(np.concatenate([ends + e for e in rng.sample(beside, 5)]))
             thetas = thetas[(thetas >= 0.0) & (thetas <= 2.0 * math.pi)]
-            got = vprune._first_max_capture(inst, vx, vy, d, thetas)
-            want = support.table_first_max_capture(inst, vx, vy, d, thetas)
+            got = vprune._first_max_capture(inst, vx, vy, thetas)
+            want = support.table_first_max_capture(inst, vx, vy, thetas)
             assert (got[0], got[1].hex()) == (want[0], want[1].hex()), trial
 
 
@@ -391,6 +390,8 @@ class TestDecide:
                   DirectedLine(Point(0.0, 0.0), 1.5 * math.pi)):
             with pytest.raises(ValueError, match="vertical query line"):
                 decide(inst, idx, L, Telemetry())
+            with pytest.raises(ValueError, match="vertical query line"):
+                find_xD_xU(inst, idx, L, Telemetry())
 
     def test_kept_side_retains_a_global_optimum(self):
         rng = random.Random(19)
