@@ -17,13 +17,13 @@ each disc boundary, the block of tangent lines that meets it in the y-order
 they now share across the slab; the circle-circle family takes the
 abscissas of ``geom.disc_crossings``.  The tangent-tangent and
 tangent-circle families read their lines, the tangent lines and the two
-frame lines, in place from the angular index's table (``_lt_lines``).
-Vertical tangent lines have no y-order and are set aside; only then does
-``_lt_lines`` copy the table, without them.  The optimum is therefore
-matched by one line search on each boundary line and each vertical
-tangent line, by a point a decision evaluated and carried
-(``PruneDecision.witness``), or at a customer site; point sets stay
-coordinate arrays, ranked by ``medianoid.least_loss``.  A certified optimum found anywhere, by a
+frame lines, in place from the angular index's table (``idx.lines``).
+``solve_centroid`` accepts only instances in general position, so no
+tangent line is vertical and every line has a y-order.  The optimum is
+therefore matched by one line search on each boundary line, by a point a
+decision evaluated and carried (``PruneDecision.witness``), or at a
+customer site; point sets stay coordinate arrays, ranked by
+``medianoid.least_loss``.  A certified optimum found anywhere, by a
 decision or a line search, is raised there as ``CertifiedOptimum`` and
 stops everything early; its ``origin`` is reported as
 ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
@@ -38,7 +38,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .geom import ANGLE_TOL, DirectedLine, Instance, Point, disc_crossings
+from .geom import (
+    ANGLE_TOL,
+    DegenerateInputError,
+    DirectedLine,
+    Instance,
+    Point,
+    disc_crossings,
+    general_position_violation,
+)
 from .medianoid import block_size, least_loss, solve_medianoid
 from .linesearch import (
     AngularIndex,
@@ -218,37 +226,22 @@ def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
     return decide_at
 
 
-def _lt_lines(idx: AngularIndex):
-    """LT's lines ``nx*x + ny*y = off`` as arrays ``(nx, ny, off)``: the
-    rows of the index's table, every tangent line and then the two frame
-    lines, less the vertical tangent lines, whose abscissas come fourth.
-    The table is read in place; it is copied, without the vertical
-    columns, only when some tangent line is vertical."""
-    nx, ny, off = idx.lines
-    vertical = idx.upright[np.abs(ny[idx.upright]) <= ANGLE_TOL]
-    direct_xs = (off[vertical] / nx[vertical]).tolist()
-    if len(vertical):
-        nx, ny, off = np.delete(idx.lines, vertical, axis=1)
-    return nx, ny, off, direct_xs
-
-
 def local_optimal_line_LT(
     inst: Instance,
     idx: AngularIndex,
     slab: _Slab,
     telemetry: Telemetry,
-) -> List[float]:
-    """Shrink ``slab`` until no two tangent lines cross strictly inside it;
-    return the abscissas of the vertical tangent lines, which have no
-    y-order and must be searched directly.
+) -> None:
+    """Shrink ``slab`` until no two tangent lines cross strictly inside it.
 
-    The other tangent lines plus the two frame lines are m lines.  Batches
-    of their crossing abscissas strictly inside the slab are exhausted by
-    decisions at the median (``_exhaust``): first one hashed partner per
-    line, then the exact batch (``_exact_batch``), repeated on the new slab
-    without the lines that crossed no other while it was thinned.
+    The tangent lines plus the two frame lines are the m lines of the
+    index's table, read in place.  Batches of their crossing abscissas
+    strictly inside the slab are exhausted by decisions at the median
+    (``_exhaust``): first one hashed partner per line, then the exact batch
+    (``_exact_batch``), repeated on the new slab without the lines that
+    crossed no other while it was thinned.
     """
-    lnx, lny, loff, direct_xs = _lt_lines(idx)
+    lnx, lny, loff = idx.lines
     m = len(lnx)
     decide_at = _decider(inst, idx, slab, telemetry, "lt_oracle")
     # A line drawn as its own partner has den == 0 and drops out.
@@ -264,7 +257,6 @@ def local_optimal_line_LT(
         if not thinned:
             break
         lnx, lny, loff = lnx[used], lny[used], loff[used]
-    return direct_xs
 
 
 def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
@@ -358,7 +350,7 @@ def local_optimal_line_LM(
     """Shrink ``slab`` until no tangent-circle crossing lies strictly
     inside it; LT must have run on it first.
 
-    LT leaves no two of its lines (``_lt_lines``) crossing strictly inside
+    LT leaves no two of its lines (``idx.lines``) crossing strictly inside
     the slab, so one y-order holds across it.  It is taken at an interior
     point, since two lines crossing at a slab end would be ordered there
     by rounding.  Over the part of the slab spanned by one half, upper or
@@ -374,10 +366,9 @@ def local_optimal_line_LM(
     Each line in a block gives at most two crossing abscissas; the C
     strictly inside the slab are exhausted (``_exhaust``) in at most
     floor(log2 C) + 1 decisions, and a decision only shrinks the slab, so
-    the order stays valid.  Vertical tangent lines have no y-order; LT sets
-    them aside to be searched directly.  The frame lines never meet a disc.
+    the order stays valid.  The frame lines never meet a disc.
     """
-    lnx, lny, loff, _ = _lt_lines(idx)
+    lnx, lny, loff = idx.lines
     xs = _circle_crossings(lnx, lny, loff, inst, slab)[2]
     telemetry.lm_mass0 = len(xs)
     _exhaust(xs, slab, _decider(inst, idx, slab, telemetry, "lm_rounds"))
@@ -405,11 +396,21 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
     searches its boundary lines, keeping the midpoints its decisions
     carry as candidates; ``"intermediate"`` runs the line search on every
     tangent line, customer group by group; and ``"brute"`` evaluates every
-    candidate point.  All return the same follower value; ties between
-    optimal points are broken lexicographically by (x, y).
+    candidate point.  All return the same follower value.  Each returns
+    the least optimal point by (x, y) among the points it evaluates, and
+    the modes evaluate different points, so two modes may return different
+    optimal points.
+
+    Every mode assumes customers in general position and first checks it:
+    an instance that ``general_position_violation`` rejects raises
+    ``DegenerateInputError`` with its message.  Nothing behind this
+    check handles a degenerate instance, in whole or in part.
     """
     if mode not in MODES:
         raise ValueError("unknown solver mode %r" % (mode,))
+    violation = general_position_violation(inst)
+    if violation is not None:
+        raise DegenerateInputError(violation)
     if mode == BRUTE:
         from .oracle import brute_centroid
 
@@ -440,18 +441,15 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
 
     try:
         if mode == INTERMEDIATE:
-            # One group per customer: its tangent lines, less the vertical,
-            # searched one group after another.  Consecutive groups share
-            # one lockstep while their lines fit one sweep block; a line's
-            # evaluations do not depend on its partners, so a chunk of
-            # several groups that certifies is searched again group by group.
+            # One group per customer: its tangent lines, searched one group
+            # after another.  Consecutive groups share one lockstep while
+            # their lines fit one sweep block; a line's evaluations do not
+            # depend on its partners, so a chunk of several groups that
+            # certifies is searched again group by group.
             size = block_size(idx.n)
             chunks: List[List[List[DirectedLine]]] = [[]]
             for i in range(idx.n):
-                group = [
-                    idx.tangent_line(i, j) for j in range(idx.n)
-                    if j != i and abs(math.sin(idx.angle(i, j))) > ANGLE_TOL
-                ]
+                group = [idx.tangent_line(i, j) for j in range(idx.n) if j != i]
                 if chunks[-1] and sum(map(len, chunks[-1])) + len(group) > size:
                     chunks.append([])
                 chunks[-1].append(group)
@@ -469,10 +467,10 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             run_points(*disc_crossings(inst))
         else:
             slab = _Slab()
-            xs = local_optimal_line_LT(inst, idx, slab, tel)
+            local_optimal_line_LT(inst, idx, slab, tel)
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
-            run_lines([DirectedLine.vertical(x) for x in sorted(set(slab.boundary_xs() + xs))])
+            run_lines([DirectedLine.vertical(x) for x in slab.boundary_xs()])
             for point, loss in slab.witnesses:
                 consider(point, loss)
         run_points(inst.xs, inst.ys)

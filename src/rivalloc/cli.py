@@ -1,10 +1,12 @@
 """Command line front end: solve, generate, and cross-check instances.
 
 Exit codes: 0 success, 1 solver disagreement in ``compare``, 2 unreadable
-or malformed input, 3 instance violating the general-position requirements,
-4 instance generation gave up, 5 internal solver error (a ``RuntimeError``
-raised by an invariant check in ``solve`` or ``compare``).  Codes 1 and 5
-also write a reproducer JSON to the working directory.
+or malformed input or an unwritable output path, 3 instance violating the
+general-position requirements (``solve_centroid``'s
+``DegenerateInputError``), 4 instance generation gave up, 5 internal
+solver error (a ``RuntimeError`` raised by an invariant check in
+``solve`` or ``compare``).  Codes 1 and 5 also write a reproducer JSON to
+the working directory.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .geom import (
-    Customer,
-    DegenerateInputError,
-    Instance,
-    Point,
-    general_position_violation,
-)
+from .geom import Customer, DegenerateInputError, Instance, Point
 from .centroid import BRUTE, INTERMEDIATE, MODES, PARAMETRIC, SolveReport, solve_centroid
 
 EXIT_OK = 0
@@ -90,12 +86,6 @@ def load_instance(path: str) -> Instance:
     return parse_instance(data, where=path)
 
 
-def check_general_position(inst: Instance, where: str) -> None:
-    violation = general_position_violation(inst)
-    if violation is not None:
-        raise CliError(EXIT_DEGENERATE, f"{where}: {violation}")
-
-
 def instance_to_obj(inst: Instance) -> dict:
     return {
         "r": inst.R,
@@ -115,13 +105,20 @@ def report_to_obj(report: SolveReport) -> dict:
     }
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {e}")
+
+
 def _dump_json(obj, out: Optional[str]) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
 
 
 def _direction(dx: int, dy: int) -> tuple:
@@ -233,8 +230,7 @@ def write_svg(path: str, inst: Instance, report: Optional[SolveReport]) -> None:
             f'fill="#cc2222">loss {report.weight_loss:g}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _reproducer_path(kind: str, name: str) -> str:
@@ -244,10 +240,13 @@ def _reproducer_path(kind: str, name: str) -> str:
 
 
 def _solve_or_report(inst: Instance, mode: str, name: str) -> SolveReport:
-    """``solve_centroid``, turning an internal invariant failure into exit
-    code 5 with a reproducer (instance and mode) for the failing solve."""
+    """``solve_centroid``, turning a degenerate instance into exit code 3
+    and an internal invariant failure into exit code 5 with a reproducer
+    (instance and mode) for the failing solve."""
     try:
         return solve_centroid(inst, mode)
+    except DegenerateInputError as e:
+        raise CliError(EXIT_DEGENERATE, f"{name}: {e}") from e
     except RuntimeError as e:
         repro = _reproducer_path("internal-error", name)
         _dump_json(
@@ -262,7 +261,6 @@ def _solve_or_report(inst: Instance, mode: str, name: str) -> SolveReport:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.input)
-    check_general_position(inst, args.input)
     report = _solve_or_report(inst, args.mode, args.input)
     _dump_json(report_to_obj(report), args.out)
     if args.plot:
@@ -301,9 +299,7 @@ def _parse_seed_range(text: str) -> List[int]:
 def cmd_compare(args) -> int:
     jobs = []
     if args.input:
-        inst = load_instance(args.input)
-        check_general_position(inst, args.input)
-        jobs.append((args.input, inst))
+        jobs.append((args.input, load_instance(args.input)))
     else:
         if args.gen_n is None or args.seeds is None:
             raise CliError(
@@ -384,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as e:
         print(f"rivalloc: {e}", file=sys.stderr)
         return e.code
-    except DegenerateInputError as e:
-        print(f"rivalloc: degenerate instance: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ DBL_EPS = float(np.finfo(float).eps)
 
 
 class DegenerateInputError(ValueError):
-    """Raised when an input violates the position assumptions of a solver."""
+    """Raised by ``centroid.solve_centroid``, in every mode, on an instance
+    that ``general_position_violation`` rejects."""
 
 
 def normalize_angle(theta: float) -> float:
@@ -363,7 +364,8 @@ def _first_collinear_triple(xs: np.ndarray, ys: np.ndarray, eps: float) -> Optio
 
 
 def general_position_violation(inst: Instance) -> Optional[str]:
-    """Check the input assumptions of the fast solvers.
+    """Check the input assumptions of ``centroid.solve_centroid``, which
+    calls it in every mode.
 
     Returns a message naming an offending pair (shared x or y coordinate)
     or triple (collinear sites), or None when the instance is valid.  Pairs

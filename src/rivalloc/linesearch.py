@@ -13,12 +13,14 @@ built.
 ``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
 canonical tangent lines, pair ``(i, j)`` at column ``row(i, j)``, then the
 bounding frame's top and bottom lines (``build_frame``).  LT and LM read
-it in place (``centroid._lt_lines``).  A vertical line's breakpoints are
-the table's ordinates at its x, ``(off - x*nx)/ny``, computed in one
-preallocated array with its circle crossings (``vertical_breakpoints``,
-which decisions call with the frame's ordinates appended); other lines
-cross the tangent columns in one broadcast pass (``_position_pass``),
-which intermediate mode uses.  Both give the same positions, bitwise.
+it in place.  The customers are in general position (``solve_centroid``
+checks), so no tangent line is vertical.  A vertical line's breakpoints
+are the table's ordinates at its x, ``(off - x*nx)/ny``, one per tangent
+column, computed in one preallocated array with its circle crossings
+(``vertical_breakpoints``, which decisions call with the frame's
+ordinates appended); other lines cross the tangent columns in one
+broadcast pass (``_position_pass``), which intermediate mode uses.  Both
+give the same positions, bitwise.
 
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
@@ -51,7 +53,6 @@ import numpy as np
 from .geom import (
     ANGLE_TOL,
     TWO_PI,
-    DegenerateInputError,
     DirectedLine,
     Instance,
     Point,
@@ -132,8 +133,7 @@ def build_frame(inst: Instance) -> BoundingFrame:
 
 
 class AngularIndex:
-    """Polar angles between customers and the table of the lines the
-    search crosses.
+    """The table of the lines the search crosses.
 
     For every ordered pair ``(i, j)``, ``i != j``, the tangent line lying
     at distance ``r`` to the right of the direction from ``i`` to ``j`` is
@@ -149,9 +149,10 @@ class AngularIndex:
     row-major order without the diagonal (``tangents`` = n(n - 1)
     columns), and the last two columns hold the bounding frame's top and
     bottom lines ``y = c``, normal ``(0, 1)``.  ``ang`` holds the tangent
-    columns' directions, and ``upright`` the tangent columns with
-    ``|ny| <= 2 ANGLE_TOL``, the only ones a vertical line may be parallel
-    to.
+    columns' directions.  The index does not check its input: on an
+    instance that ``general_position_violation`` accepts, no tangent line
+    is vertical or horizontal and no two customers share a polar angle
+    around a third (``solve_centroid`` checks before it builds one).
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -166,21 +167,6 @@ class AngularIndex:
         ang = np.arctan2(dy, dx) % TWO_PI
         del dx, dy
         ang[ang >= TWO_PI] = 0.0
-        np.fill_diagonal(ang, np.nan)
-
-        if n > 2:  # a lone neighbour shares no angle
-            # The NaN diagonal sorts last, so each row's first n - 1 sorted
-            # columns are its neighbours' angles in order.
-            least = np.diff(np.sort(ang, axis=1)[:, : n - 1], axis=1).min(axis=1)
-            dup = np.flatnonzero(least < ANGLE_TOL)
-            if len(dup):
-                i = int(dup[0])
-                srt = np.argsort(ang[i], kind="stable")[: n - 1]
-                k = int(np.argmin(np.diff(ang[i, srt])))
-                raise DegenerateInputError(
-                    "customers %d and %d share the polar angle around "
-                    "customer %d" % (int(srt[k]), int(srt[k + 1]), i)
-                )
 
         # Past the first diagonal entry, the row-major entries come in runs
         # of n + 1: n off the diagonal, then one on it.
@@ -197,7 +183,6 @@ class AngularIndex:
         frame = self.frame = build_frame(inst)
         lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
         lines.flags.writeable = False
-        self.upright = np.flatnonzero(np.abs(lines[1, :m]) <= 2.0 * ANGLE_TOL)
 
     def row(self, i: int, j: int) -> int:
         """The table column of the tangent of the ordered pair ``(i, j)``."""
@@ -297,9 +282,9 @@ def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) 
     is ``x*nx`` up to the sign of a zero, which subtracting it from a
     nonzero or positive-zero offset does not see; so a tangent line's
     position is ``(off - x*nx) / ny``, computed in place in one
-    preallocated array that takes the circle crossings next.  Only
-    ``upright`` columns may be parallel; the C library's
-    ``|sin(a - pi/2)|`` decides, as ``_position_pass`` does.  A frame
+    preallocated array that takes the circle crossings next.  No tangent
+    line is vertical, as two customers would share x, so none is
+    parallel to the line and every column gives a position.  A frame
     line's ordinate is its offset.
     """
     nx, ny, off = idx.lines
@@ -308,20 +293,12 @@ def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) 
     T = out[:m]
     np.multiply(x, nx[:m], out=T)
     np.subtract(off[:m], T, out=T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(T, ny[:m], out=T)
-    k = m
-    up = idx.upright
-    if len(up):
-        drop = up[np.abs(_libm(math.sin, idx.ang[up] - math.pi / 2.0)) <= ANGLE_TOL]
-        k -= len(drop)
-        out[:k] = np.delete(T, drop)
+    np.divide(T, ny[:m], out=T)
     vals = np.empty(2 * n)
     used = np.empty(2 * n, dtype=bool)
     _circle_positions(idx, x, 0.0, 0.0, 1.0, vals, used)
-    circles = vals[used]
-    out[k:k + len(circles)] = circles
-    k += len(circles)
+    k = m + np.count_nonzero(used)
+    out[m:k] = vals[used]
     if with_frame:
         out[k:k + 2] = off[m:]
         k += 2

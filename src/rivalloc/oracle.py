@@ -165,7 +165,9 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
 
 def brute_centroid(inst: Instance) -> SolveReport:
     """Minimum follower value over every candidate point and customer site,
-    ties broken lexicographically by (x, y)."""
+    at the least optimal point by (x, y) among them.  The other modes
+    reach the same value but evaluate other points, so their optimal
+    point may differ."""
     t0 = time.perf_counter()
     cands = enumerate_candidates(inst)
     xs = np.concatenate([cands.xs, inst.xs])

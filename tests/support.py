@@ -31,6 +31,7 @@ from rivalloc.linesearch import (
     CertifiedOptimum,
     _position_pass,
     breakpoint_sequences,
+    build_angular_index,
     upward_line,
 )
 from rivalloc.medianoid import (
@@ -374,12 +375,84 @@ def frame_lines(frame):
 
 def shared_x_instance():
     """Seven customers, the first two sharing x = 0, otherwise in general
-    position (no shared polar angle), built directly as an ``Instance``:
-    the CLI rejects it.  Their tangent lines are vertical, x = r and
-    x = -r, so a vertical line is parallel to them and LT sets them
-    aside."""
+    position (no shared polar angle), built directly as an ``Instance``.
+    Their tangent lines are vertical, x = r and x = -r, parallel to every
+    vertical line; ``solve_centroid`` rejects the instance."""
     sites = ((0, 0, 3), (0, 7, 2), (4, 2, 5), (9, 5, 1), (6, -3, 4), (2, 10, 2), (-3, 4, 3))
     return Instance([Customer(Point(x, y), w) for x, y, w in sites], 2.0)
+
+
+def shared_y_instance():
+    """Five customers, the first two sharing y = 3, otherwise in general
+    position.  Their tangent lines are horizontal, y = 1 and y = 5, and
+    the optimum, loss 3 at (10, 5), lies on the second, so a solver that
+    skipped horizontal tangent lines would miss it; ``solve_centroid``
+    rejects the instance."""
+    sites = ((11, 3, 1), (6, 3, 1), (10, 7, 4), (-11, -10, 2), (9, 5, 4))
+    return Instance([Customer(Point(x, y), w) for x, y, w in sites], 4.0)
+
+
+def near_duplicate_angle_case(seed):
+    """Sites, some of them put on the line through two others and then
+    turned about the first by an angle around ``ANGLE_TOL``; every
+    fourth case stays on a small integer grid, where angles tie
+    exactly."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 16)
+    if seed % 4 == 0:
+        pts = rng.sample([(float(x), float(y)) for x in range(-6, 7) for y in range(-6, 7)], n)
+    else:
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n)]
+        for _ in range(rng.randint(1, 2)):
+            i, j, k = rng.sample(range(n), 3)
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            t = rng.choice([-2.0, -0.5, 0.5, 1.5, 3.0])
+            turn = rng.choice([0.0, 1.0, -1.0]) * rng.choice([0.3, 0.9, 1.1, 3.0, 30.0]) * 1e-12
+            c, s = math.cos(turn), math.sin(turn)
+            vx, vy = t * (bx - ax), t * (by - ay)
+            pts[k] = (ax + c * vx - s * vy, ay + s * vx + c * vy)
+    return Instance([Customer(Point(x, y), 1.0) for x, y in pts], 2.0)
+
+
+def near_shared_coordinate_case(seed):
+    """Real sites of which one pair shares x (even seeds) or y (odd seeds)
+    up to a fraction between 1e-13 and 1e-10 of its distance, or exactly
+    in a quarter of the cases."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    pts = [[rng.uniform(-50, 50), rng.uniform(-50, 50)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    axis = seed % 2
+    frac = 0.0 if seed % 8 < 2 else 10.0 ** rng.uniform(-13.0, -10.0) * rng.choice([-1.0, 1.0])
+    pts[j][axis] = pts[i][axis] + frac * abs(pts[j][1 - axis] - pts[i][1 - axis])
+    return Instance([Customer(Point(x, y), rng.uniform(0.5, 5.0)) for x, y in pts],
+                    rng.choice([1.0, 4.0]))
+
+
+def moved_copy(inst, shift=0.0, scale=1.0):
+    """``inst`` with every site at ``scale * site + shift`` and R scaled."""
+    return Instance([Customer(Point(scale * c.site.x + shift, scale * c.site.y + shift), c.weight)
+                     for c in inst.customers], scale * inst.R)
+
+
+def partial_degenerate_paths(inst):
+    """The names of the conditions, among those the solvers once handled
+    in part on degenerate input, that hold on ``inst``, each tested as the
+    solver tested it: two customers within ``ANGLE_TOL`` in polar angle
+    around a third (the angular index raised, ``reference_duplicate_angle``);
+    a tangent column with ``|ny| <= 2 ANGLE_TOL`` (the columns a vertical
+    line could be parallel to, which the vertical breakpoints dropped and
+    LT set aside); a tangent direction with ``|sin a| <= ANGLE_TOL``
+    (horizontal tangent lines, which intermediate mode skipped)."""
+    idx = build_angular_index(inst)
+    fired = []
+    if reference_duplicate_angle(inst) is not None:
+        fired.append("shared polar angle")
+    if (np.abs(idx.lines[1, :idx.tangents]) <= 2.0 * ANGLE_TOL).any():
+        fired.append("vertical tangent")
+    if any(abs(math.sin(a)) <= ANGLE_TOL for a in idx.ang.tolist()):
+        fired.append("horizontal tangent")
+    return fired
 
 
 def seeded_instance(seed, n_lo=3, n_hi=9, coord_range=30, r_choices=(2.0, 4.0, 6.0)):
@@ -677,9 +750,9 @@ def reference_general_position_violation(inst):
 
 
 def reference_duplicate_angle(inst):
-    """The per-customer loop that ``AngularIndex`` vectorises: the message
-    of the first customer around which two others lie within
-    ``ANGLE_TOL`` in polar angle, or None."""
+    """The per-customer loop that ``AngularIndex`` once ran as its input
+    check: the message of the first customer around which two others lie
+    within ``ANGLE_TOL`` in polar angle, or None."""
     n = inst.n
     dx = inst.xs[None, :] - inst.xs[:, None]
     dy = inst.ys[None, :] - inst.ys[:, None]
@@ -940,13 +1013,11 @@ def reference_circle_crossings(lnx, lny, loff, inst, lo, hi):
     return out
 
 
-def candidates_inside(inst, cands, tags, slab, direct_xs):
+def candidates_inside(inst, cands, tags, slab):
     """The candidates ``(point, tag)`` of the families ``tags`` more than
-    ``inst.eps`` inside ``slab``, less those on a vertical line at one of
-    ``direct_xs`` (searched directly)."""
+    ``inst.eps`` inside ``slab``."""
     eps = inst.eps
     return [
         (p.x, p.y, tag) for p, tag in cands
         if tag in tags and slab.lo + eps < p.x < slab.hi - eps
-        and all(abs(p.x - x) > eps for x in direct_xs)
     ]

@@ -14,7 +14,6 @@ from rivalloc.centroid import (
     _circle_crossings,
     _exhaust,
     _inverted_pairs,
-    _lt_lines,
     local_optimal_line_LC,
     local_optimal_line_LM,
     local_optimal_line_LT,
@@ -24,6 +23,7 @@ from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
     Customer,
+    DegenerateInputError,
     Instance,
     Point,
     disc_crossings,
@@ -39,7 +39,6 @@ from rivalloc.oracle import (
     CIRCLE_CIRCLE,
     TANGENT_CIRCLE,
     TANGENT_TANGENT,
-    brute_centroid,
     enumerate_candidates,
 )
 
@@ -336,36 +335,70 @@ class TestTelemetryBudgets:
 
 
 class TestLTLines:
-    def test_the_table_is_read_in_place_without_a_vertical_tangent(self):
-        """On CLI-valid instances LT's lines are the rows of the index's
-        table themselves, frame lines last, and nothing is set aside."""
-        for n in (2, 3, 12, 40):
-            idx = build_angular_index(generate_instance(n, n, r=4.0, coord_range=2 * n))
-            *rows, direct_xs = _lt_lines(idx)
-            assert direct_xs == []
-            for row, table in zip(rows, idx.lines):
-                assert np.shares_memory(row, idx.lines) and row.tobytes() == table.tobytes()
+    def test_the_table_is_read_in_place_without_a_vertical_tangent(self, monkeypatch):
+        """On CLI-valid instances the lines LT and LM first cross are the
+        rows of the index's table themselves, frame lines last."""
 
-    def test_vertical_tangent_lines_are_copied_out_and_set_aside(self):
-        """With two customers sharing x, the two tangent lines between them
-        are vertical: LT gets a copy of the table without those columns,
-        in order, and their abscissas, in canonical order, as a loop over
-        the pairs finds them; the parametric solve, which searches those
-        two lines directly, matches brute force."""
-        inst = support.shared_x_instance()
-        idx = build_angular_index(inst)
-        nx, ny, off = idx.lines
-        vertical = [idx.row(i, j) for i in range(inst.n) for j in range(inst.n)
-                    if i != j and abs(ny[idx.row(i, j)]) <= ANGLE_TOL]
-        assert vertical == [idx.row(0, 1), idx.row(1, 0)]
-        *rows, direct_xs = _lt_lines(idx)
-        keep = [k for k in range(idx.tangents + 2) if k not in vertical]
-        for row, table in zip(rows, idx.lines):
-            assert not np.shares_memory(row, idx.lines)
-            assert row.tobytes() == table[keep].tobytes()
-        assert direct_xs == [off[k] / nx[k] for k in vertical]
-        assert [round(x, 9) for x in direct_xs] == [inst.r, -inst.r]
-        assert solve_centroid(inst).weight_loss == brute_centroid(inst).weight_loss
+        class Seen(Exception):
+            pass
+
+        def seen(lnx, lny, loff, *rest):
+            raise Seen(lnx, lny, loff)
+
+        monkeypatch.setattr(centroid, "_crossing_xs", seen)
+        monkeypatch.setattr(centroid, "_circle_crossings", seen)
+        for n in (2, 3, 12, 40):
+            inst = generate_instance(n, n, r=4.0, coord_range=2 * n)
+            idx = build_angular_index(inst)
+            for family in (local_optimal_line_LT, local_optimal_line_LM):
+                with pytest.raises(Seen) as rows:
+                    family(inst, idx, _Slab(), Telemetry())
+                for row, table in zip(rows.value.args, idx.lines, strict=True):
+                    assert np.shares_memory(row, idx.lines) and row.tobytes() == table.tobytes()
+
+
+class TestOneCheck:
+    """``solve_centroid`` checks general position in every mode, and
+    nothing behind it handles a degenerate instance in part."""
+
+    @pytest.mark.parametrize("mode", ["parametric", "intermediate", "brute"])
+    @pytest.mark.parametrize("make", [support.shared_x_instance, support.shared_y_instance])
+    def test_every_mode_raises_the_checks_message(self, mode, make):
+        inst = make()
+        violation = general_position_violation(inst)
+        assert violation is not None
+        with pytest.raises(DegenerateInputError) as err:
+            solve_centroid(inst, mode)
+        assert str(err.value) == violation
+
+    def test_the_check_rejects_what_the_deleted_paths_handled(self):
+        """Wherever a condition that a solver once handled in part holds
+        (``support.partial_degenerate_paths``), ``general_position_violation``
+        rejects the instance, and every mode raises: on near-duplicate
+        polar angles, on pairs sharing x or y up to 1e-13 to 1e-10 of their
+        distance, and on copies of them moved by 1e6 or scaled by 1e-3 and
+        1e4."""
+        fired = {"shared polar angle": 0, "vertical tangent": 0, "horizontal tangent": 0}
+        clean = 0
+        cases = [support.near_duplicate_angle_case(seed) for seed in range(400)]
+        cases += [support.near_shared_coordinate_case(seed) for seed in range(400)]
+        for k, base in enumerate(cases):
+            for inst in (base, support.moved_copy(base, shift=1e6),
+                         support.moved_copy(base, scale=1e-3), support.moved_copy(base, scale=1e4)):
+                held = support.partial_degenerate_paths(inst)
+                violation = general_position_violation(inst)
+                clean += not held
+                if not held:
+                    continue
+                assert violation is not None, (k, held)
+                for name in held:
+                    fired[name] += 1
+                for mode in ("parametric", "intermediate", "brute"):
+                    with pytest.raises(DegenerateInputError) as err:
+                        solve_centroid(inst, mode)
+                    assert str(err.value) == violation
+        # Every condition, and none of them, occurs in quantity.
+        assert min(fired.values()) > 50 and clean > 200, (fired, clean)
 
 
 class TestCrossingSelection:
@@ -478,7 +511,7 @@ class TestCrossingSelection:
                 continue
             searched += 1
             thinned += tel.lt_rounds > 2
-            lnx, lny, loff, _ = _lt_lines(idx)
+            lnx, lny, loff = idx.lines
             for i in range(len(lnx) - 1):
                 j = slice(i + 1, None)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -500,8 +533,7 @@ class TestSharedSlab:
     def test_no_candidate_lies_strictly_inside_the_slab(self):
         """The tangent-tangent and circle-circle families each alone on a
         fresh slab leave none of their candidates strictly inside; the
-        three in turn on one slab leave none of any family.  Candidates on
-        a vertical tangent line, which is searched directly, do not count.
+        three in turn on one slab leave none of any family.
         The tangent-circle family needs LT's slab (``TestTangentCircleGaps``
         runs it alone)."""
         runs = [{TANGENT_TANGENT}, {CIRCLE_CIRCLE}, set(self.FAMILIES)]
@@ -514,15 +546,13 @@ class TestSharedSlab:
             for tags in runs:
                 slab = _Slab()
                 tel = Telemetry()
-                xs = []
                 try:
                     for tag, family in self.FAMILIES.items():
                         if tag in tags:
-                            # Only LT returns lines: the vertical tangents.
-                            xs += family(inst, idx, slab, tel) or []
+                            family(inst, idx, slab, tel)
                 except CertifiedOptimum:
                     continue
-                inside = support.candidates_inside(inst, cands, tags, slab, xs)
+                inside = support.candidates_inside(inst, cands, tags, slab)
                 assert not inside, (trial, sorted(tags), slab.lo, slab.hi, inside)
                 seen["candidates"] += sum(tag in tags for _, tag in cands)
                 seen["lc_steps"] += tel.lc_steps
@@ -551,14 +581,14 @@ class TestTangentCircleGaps:
         seen = {"gaps": 0, "lm_rounds": 0}
         for k, inst in enumerate(self.instances()):
             idx = build_angular_index(inst)
-            lnx, lny, loff, direct_xs = _lt_lines(idx)
+            lnx, lny, loff = idx.lines
             ends = sorted(set(support.line_crossing_xs(lnx, lny, loff)))
             found = enumerate_candidates(inst)
             cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
             gaps = [
                 (lo, hi) for lo, hi in zip([-math.inf] + ends, ends + [math.inf])
                 if support.candidates_inside(
-                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi), direct_xs)
+                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi))
             ]
             # Each gap, and a slab 1e-7 wide about one of its candidates: LT's
             # final slabs are that narrow, and a line within tol of tangency
@@ -566,7 +596,7 @@ class TestTangentCircleGaps:
             slabs = []
             for lo, hi in rng.sample(gaps, min(8, len(gaps))):
                 x = support.candidates_inside(
-                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi), direct_xs)[0][0]
+                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi))[0][0]
                 slabs += [(lo, hi), (max(lo, x - 5e-8), min(hi, x + 5e-8))]
             for lo, hi in slabs:
                 slab = slab_of(lo, hi)
@@ -580,7 +610,7 @@ class TestTangentCircleGaps:
                 except CertifiedOptimum:
                     continue
                 inside = support.candidates_inside(
-                    inst, cands, {TANGENT_CIRCLE}, slab, direct_xs)
+                    inst, cands, {TANGENT_CIRCLE}, slab)
                 assert not inside, (k, lo, hi, slab.lo, slab.hi, inside)
                 assert tel.lm_mass0 == len(want)
                 assert tel.lm_rounds <= math.floor(math.log2(tel.lm_mass0)) + 1

@@ -11,7 +11,7 @@ import pytest
 import support
 from rivalloc import cli, vprune
 from rivalloc.centroid import solve_centroid
-from rivalloc.geom import Point
+from rivalloc.geom import Point, general_position_violation
 from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import brute_medianoid
 from rivalloc.cli import (
@@ -187,6 +187,31 @@ class TestSolve:
         path = write_instance(tmp_path / "deg.json", obj)
         assert main(["solve", "--input", path]) == EXIT_DEGENERATE
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("make", [support.shared_x_instance, support.shared_y_instance])
+    def test_the_solvers_check_exits_3(self, tmp_path, capsys, command, make):
+        """``solve_centroid``'s ``DegenerateInputError`` exits 3 with the
+        check's message after the file name, and nothing on stdout."""
+        path = write_instance(tmp_path / "deg.json", cli.instance_to_obj(make()))
+        violation = general_position_violation(cli.load_instance(path))
+        assert main([command, "--input", path]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.err == f"rivalloc: {path}: {violation}\n" and not captured.out
+
+    @pytest.mark.parametrize("flag", ["solve --out", "solve --plot", "gen --out"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        """An output path that cannot be written is reported like an
+        unreadable input, without a traceback."""
+        command, option = flag.split()
+        target = str(tmp_path / "missing" / "r.json")
+        argv = {
+            "solve": ["solve", "--input", write_instance(tmp_path / "inst.json", GOOD)],
+            "gen": ["gen", "--n", "4", "--seed", "1"],
+        }[command]
+        assert main(argv + [option, target]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"rivalloc: cannot write {target}: ") and "Traceback" not in err
 
 
 class TestCompare:

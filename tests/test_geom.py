@@ -461,3 +461,30 @@ def test_every_small_float_literal_is_in_the_tolerance_table():
         and (name, node.lineno, node.col_offset) not in table
     ]
     assert not bare, bare
+
+
+def test_only_solve_centroid_raises_degenerate_input_error():
+    """``solve_centroid`` checks general position once, for every mode; a
+    ``raise DegenerateInputError`` anywhere else in the package would be a
+    partial check behind it."""
+    package = Path(rivalloc.__file__).parent
+    found = []
+
+    class Raises(ast.NodeVisitor):
+        def __init__(self, name):
+            self.scope = [name]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Raise(self, node):
+            if node.exc is not None and "DegenerateInputError" in ast.unparse(node.exc):
+                found.append(".".join(self.scope))
+
+    for path in sorted(package.glob("*.py")):
+        Raises(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == ["centroid.solve_centroid"], found
