@@ -18,6 +18,12 @@ they now share across the slab; the circle-circle family takes the
 abscissas of ``geom.disc_crossings``.  The tangent-tangent and
 tangent-circle families read their lines, the tangent lines and the two
 frame lines, in place from the angular index's table (``idx.lines``).
+Beside that table (3 x 8m bytes for its m lines) a solve holds LT's batch
+and one decision's breakpoints.  LT orders its lines by int32 indices and
+holds each batch once, in one array that ``_exhaust`` consumes in place;
+an unthinned exact batch holds one abscissa per inverted pair (at most
+2.77 per line measured), and a thinned one up to ``LT_CAP`` per line, so
+in the worst case LT's batch reaches ``LT_CAP`` x 8m bytes.
 ``solve_centroid`` accepts only instances in general position, so no
 tangent line is vertical and every line has a y-order.  The optimum is
 therefore matched by one line search on each boundary line, by a point a
@@ -134,20 +140,30 @@ def _crossing_xs(lnx, lny, loff, a, b, slab: _Slab) -> np.ndarray:
 
 
 def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
-    """Line indices in order of y just right (``right``) or just left of
-    ``x``: by y at ``x``, then by slope ``-nx/ny`` (descending on the left),
-    then by index.  At an infinite ``x``, by y far out on that side: by
-    slope (descending on the left), then by y at 0, then by index."""
+    """Line indices, as int32, in order of y just right (``right``) or
+    just left of ``x``: by y at ``x``, then by slope ``-nx/ny``
+    (descending on the left), then by index.  At an infinite ``x``, by y
+    far out on that side: by slope (descending on the left), then by y at
+    0, then by index.  The key is built in place, and at most two keys or
+    one key and its int64 argsort are live beside the int32 order."""
     far = math.isinf(x)
-    key = (-lnx if x > 0 else lnx) / lny if far else (loff - lnx * x) / lny
-    order = np.argsort(key)
-    eq = np.diff(key[order]) == 0.0
-    if eq.any():
+    if far:
+        key = np.divide(lnx, lny)
+        if x > 0:
+            np.negative(key, out=key)
+    else:
+        key = np.multiply(lnx, x)
+        np.subtract(loff, key, out=key)
+        key /= lny
+    order = np.argsort(key).astype(np.int32)
+    key = key[order]
+    tied = key[1:] == key[:-1]
+    if tied.any():
         # Equal keys form contiguous runs; re-sort only their members.
-        tied = np.append(eq, False) | np.insert(eq, 0, False)
+        tied = np.append(tied, False) | np.insert(tied, 0, False)
         sub = order[tied]
         tie = (loff[sub] if far else -lnx[sub] if right else lnx[sub]) / lny[sub]
-        order[tied] = sub[np.lexsort((sub, tie, key[sub]))]
+        order[tied] = sub[np.lexsort((sub, tie, key[tied]))]
     return order
 
 
@@ -158,61 +174,126 @@ def _inverted_pairs(lnx, lny, loff, lo: float, hi: float):
     strictly inside.  They are the inversions between the two orders, met
     top-down as a merge sort meets them but without comparisons: ``pos``
     holds the ``lo`` positions in ``hi`` order within blocks of 2w, so a
-    second-half position inverts the first-half positions after it."""
+    second-half position inverts the first-half positions after it.
+
+    Orders and positions are int32, and a level's full-length arrays are
+    freed, or cut to the half its pairs read, before the pairs are
+    yielded: between yields the generator holds about 2 x 8m bytes, and
+    while it builds a level about 3 x 8m."""
     m = len(lnx)
     by_lo = _end_order(lnx, lny, loff, lo, True)
     pos = np.empty(m, dtype=np.int32)
-    pos[by_lo] = ar = np.arange(m, dtype=np.int32)
+    pos[by_lo] = np.arange(m, dtype=np.int32)
     pos = pos[_end_order(lnx, lny, loff, hi, False)]
     w = 1 << max(m - 1, 0).bit_length()
     while w > 1:
         w >>= 1
         first = (pos & w) == 0
-        before = np.cumsum(first, dtype=np.int32) - first
-        block = pos // (2 * w) * w
-        firsts, seconds, start = pos[first], pos[~first], before[~first]
-        cnt = block[~first] + w - start
-        has = np.flatnonzero(cnt)
-        done = np.cumsum(cnt[has])
-        cuts = np.searchsorted(done, np.arange(LT_CHUNK, done[-1] if len(has) else 0, LT_CHUNK))
-        for chunk in np.split(has, cuts):
-            c = cnt[chunk]
-            owner = np.repeat(chunk, c)
+        before = np.cumsum(first, dtype=np.int32)
+        before -= first
+        # The next level's positions: each block's firsts, then its seconds.
+        dest = np.arange(m, dtype=np.int32)
+        dest -= before
+        dest += w
+        np.copyto(dest, before, where=first)
+        block = pos // (2 * w)
+        block *= w
+        dest += block
+        del block
+        firsts = pos[first]
+        second = np.logical_not(first, out=first)
+        seconds, start = pos[second], before[second]
+        del first, second, before
+        new = np.empty_like(pos)
+        new[dest] = pos
+        pos = new
+        del new, dest
+        cnt = seconds // (2 * w)
+        cnt *= w
+        cnt += w
+        cnt -= start
+        done = np.cumsum(cnt, dtype=np.int64)
+        cuts = np.searchsorted(done, np.arange(LT_CHUNK, done[-1], LT_CHUNK)).tolist()
+        del done
+        for i0, i1 in zip([0] + cuts, cuts + [len(cnt)]):
+            c = cnt[i0:i1]
+            owner = np.repeat(np.arange(i0, i1), c)
             off = np.arange(len(owner)) - np.repeat(np.cumsum(c) - c, c)
             yield by_lo[firsts[start[owner] + off]], by_lo[seconds[owner]]
-        new = np.empty_like(pos)
-        new[block + np.where(first, before, w + ar - before)] = pos
-        pos = new
+        del firsts, seconds, start, cnt, c, owner, off
+
+
+def _append(xs: np.ndarray, x: np.ndarray) -> None:
+    """Grow ``xs``, which no view shares, by ``x`` in place (``realloc``,
+    which moves a large array by remapping its pages, not by copying)."""
+    k = len(xs)
+    xs.resize(k + len(x), refcheck=False)
+    xs[k:] = x
+
+
+def _hashed_batch(lnx, lny, loff, slab: _Slab) -> np.ndarray:
+    """The abscissas strictly inside ``slab`` of the crossings of each line
+    ``a`` with one hashed partner, ``LT_CHUNK`` lines at a time: at most m,
+    held in one array.  A line drawn as its own partner has ``den == 0``
+    and drops out."""
+    m = len(lnx)
+    xs = np.empty(0)
+    for s in range(0, m, LT_CHUNK):
+        a = np.arange(s, min(s + LT_CHUNK, m))
+        _append(xs, _crossing_xs(lnx, lny, loff, a, _mix(a + m) % m, slab))
+    return xs
 
 
 def _exact_batch(lnx, lny, loff, slab: _Slab, cap: int):
     """The abscissas strictly inside ``slab`` of the crossings of the pairs
     ``_inverted_pairs`` lists, the mask of the lines in some pair, and
-    whether the abscissas were thinned, by a hash, to at most ``cap``."""
+    whether the abscissas were thinned, by a hash, to at most ``cap``.
+
+    The abscissas are held once, in one array that grows in place and is
+    thinned in place.  Unthinned it holds one abscissa per inverted pair,
+    0.17-2.77 per line on generated non-certifying solves at n = 100-1600;
+    thinned, at most ``cap`` (``LT_CAP`` per line, 4 x 8m bytes) unless a
+    halving would have emptied it."""
     used = np.zeros(len(lnx), dtype=bool)
-    batch, level = [], 0
+    xs = np.empty(0)
+    level = 0
     for a, b in _inverted_pairs(lnx, lny, loff, slab.lo, slab.hi):
         used[a] = used[b] = True
-        batch.append(_crossing_xs(lnx, lny, loff, a, b, slab))
-        while sum(map(len, batch)) > cap:
+        _append(xs, _crossing_xs(lnx, lny, loff, a, b, slab))
+        while len(xs) > cap:
             # Keep the abscissas whose hash falls below a halved bound;
             # never thin a batch to nothing.
             bound = np.uint64(((1 << 64) - 1) >> (level + 1))
-            thinned = [x[_mix(x) <= bound] for x in batch]
-            if not any(map(len, thinned)):
+            keep = _mix(xs) <= bound
+            kept = int(np.count_nonzero(keep))
+            if not kept:
                 break
-            batch, level = thinned, level + 1
-    return np.concatenate(batch + [np.empty(0)]), used, level > 0
+            xs[:kept] = xs[keep]
+            xs.resize(kept, refcheck=False)
+            level += 1
+    return xs, used, level > 0
 
 
 def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
-    """Call ``decide_at`` at the lower median of the ``xs`` strictly inside
-    ``slab`` until none is: either side pruned holds at least half of them,
-    so a batch of C costs at most floor(log2 C) + 1 calls."""
+    """Call ``decide_at`` at the lower median of the ``xs``, all strictly
+    inside ``slab``, until none is left inside: either side pruned holds
+    at least half of them, so a batch of C costs at most floor(log2 C) + 1
+    calls.  ``xs`` is consumed: it is partitioned in place, and after each
+    decision only the side of the median that the slab kept is searched
+    on, as a view (a copy only when the median's value repeats there)."""
     while len(xs):
         k = (len(xs) - 1) // 2
-        decide_at(float(np.partition(xs, k)[k]))
-        xs = xs[(xs > slab.lo) & (xs < slab.hi)]
+        xs.partition(k)
+        t = float(xs[k])
+        decide_at(t)
+        if slab.lo == t:
+            xs = xs[k + 1:]
+            if len(xs) and xs.min() == t:
+                xs = xs[xs > t]
+        else:
+            xs = xs[:k]
+            if len(xs) and xs.max() == t:
+                xs = xs[xs < t]
 
 
 def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
@@ -237,19 +318,17 @@ def local_optimal_line_LT(
     The tangent lines plus the two frame lines are the m lines of the
     index's table, read in place.  Batches of their crossing abscissas
     strictly inside the slab are exhausted by decisions at the median
-    (``_exhaust``): first one hashed partner per line, then the exact batch
-    (``_exact_batch``), repeated on the new slab without the lines that
-    crossed no other while it was thinned.
+    (``_exhaust``): first one hashed partner per line (``_hashed_batch``,
+    at most m abscissas), then the exact batch (``_exact_batch``), repeated
+    on the new slab without the lines that crossed no other while it was
+    thinned.  A batch is held once; a thinned one may reach ``LT_CAP`` * m
+    abscissas, the most LT holds beside the table.
     """
     lnx, lny, loff = idx.lines
     m = len(lnx)
     decide_at = _decider(inst, idx, slab, telemetry, "lt_oracle")
-    # A line drawn as its own partner has den == 0 and drops out.
     telemetry.lt_rounds += 1
-    _exhaust(np.concatenate([
-        _crossing_xs(lnx, lny, loff, a, _mix(a + m) % m, slab)
-        for a in (np.arange(s, min(s + LT_CHUNK, m)) for s in range(0, m, LT_CHUNK))
-    ] + [np.empty(0)]), slab, decide_at)
+    _exhaust(_hashed_batch(lnx, lny, loff, slab), slab, decide_at)
     while len(lnx) > 1:
         xs, used, thinned = _exact_batch(lnx, lny, loff, slab, LT_CAP * m)
         telemetry.lt_rounds += 1
@@ -257,6 +336,15 @@ def local_optimal_line_LT(
         if not thinned:
             break
         lnx, lny, loff = lnx[used], lny[used], loff[used]
+
+
+def _sorted_unique(v: np.ndarray) -> np.ndarray:
+    """``np.unique(v)`` by a sort in place and a neighbour mask, which,
+    unlike ``np.unique``, does not import ``numpy.ma``."""
+    v.sort()
+    keep = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
 
 
 def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
@@ -325,7 +413,7 @@ def _circle_crossings(lnx, lny, loff, inst: Instance, slab: _Slab):
 
     # Both arcs may hold a line; take each (line, disc) pair once.
     n = inst.n
-    key = np.unique(order[pos] * n + disc[owner])
+    key = _sorted_unique(order[pos] * n + disc[owner])
     k, u = np.divmod(key, n)
     s = loff[k] - lnx[k] * inst.xs[u] - lny[k] * inst.ys[u]
     d = r * r - s * s

@@ -85,10 +85,6 @@ class Point:
         yield self.y
 
 
-def dist(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(frozen=True, slots=True)
 class Customer:
     site: Point
@@ -177,10 +173,6 @@ class DirectedLine:
     @staticmethod
     def vertical(x: float) -> "DirectedLine":
         return DirectedLine(Point(x, 0.0), math.pi / 2.0)
-
-    @staticmethod
-    def horizontal(y: float) -> "DirectedLine":
-        return DirectedLine(Point(0.0, y), 0.0)
 
     @property
     def direction(self) -> Tuple[float, float]:
@@ -276,17 +268,6 @@ def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
     return x[used], y[used]
 
 
-def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:
-    """True when the oriented area of the triangle abc is (near) zero.
-
-    The tolerance is applied to the raw cross product, so for integer
-    coordinates the test is exact.
-    """
-    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    span = max(abs(b.x - a.x), abs(b.y - a.y), abs(c.x - a.x), abs(c.y - a.y), 1.0)
-    return abs(cross) <= eps * span
-
-
 def _first_close_pair(v: np.ndarray, eps: float) -> int:
     """Key ``i * n + j`` of the least index pair ``i < j`` with
     ``|v[j] - v[i]| <= eps``, or ``n * n`` when there is none.
@@ -309,7 +290,8 @@ def _first_close_pair(v: np.ndarray, eps: float) -> int:
 
 
 def _first_collinear_triple(xs: np.ndarray, ys: np.ndarray, eps: float) -> Optional[Tuple[int, int, int]]:
-    """The least index triple that ``collinear`` accepts, found through the
+    """The least index triple that the scaled cross-product test of
+    ``general_position_violation`` accepts, found through the
     angular prefilter of ``general_position_violation``; the sites must not
     share a coordinate."""
     n = len(xs)
@@ -370,8 +352,8 @@ def general_position_violation(inst: Instance) -> Optional[str]:
     Returns a message naming an offending pair (shared x or y coordinate)
     or triple (collinear sites), or None when the instance is valid.  Pairs
     are checked before triples, each in lexicographic index order, x before
-    y, and a triple is collinear under the same test as ``collinear``: the
-    cross product against ``eps`` times the largest coordinate offset.
+    y, and a triple is collinear when its cross product is at most ``eps``
+    times its largest coordinate offset (at least 1).
 
     The check takes O(n^2 log n) time, not the O(n^3) of trying every
     triple.  Pairs come from the sorted x's and y's.  For triples, take row

@@ -12,9 +12,11 @@ built.
 ``AngularIndex`` owns the one table of the lines the searches cross,
 ``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
 canonical tangent lines, pair ``(i, j)`` at column ``row(i, j)``, then the
-bounding frame's top and bottom lines (``build_frame``).  LT and LM read
-it in place.  The customers are in general position (``solve_centroid``
-checks), so no tangent line is vertical.  A vertical line's breakpoints
+bounding frame's top and bottom lines (``build_frame``), filled a block of
+rows at a time.  It is the index's only n^2-sized array; the tangent
+directions ``ang`` are computed on first use.  LT and LM read it in place.
+The customers are in general position (``solve_centroid`` checks), so no
+tangent line is vertical.  A vertical line's breakpoints
 are the table's ordinates at its x, ``(off - x*nx)/ny``, one per tangent
 column, computed in one preallocated array with its circle crossings
 (``vertical_breakpoints``, which decisions call with the frame's
@@ -44,6 +46,7 @@ time.  Tolerances: the table in ``geom``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -148,11 +151,15 @@ class AngularIndex:
     column ``row(i, j)`` holds the tangent of ``(i, j)``, pairs in
     row-major order without the diagonal (``tangents`` = n(n - 1)
     columns), and the last two columns hold the bounding frame's top and
-    bottom lines ``y = c``, normal ``(0, 1)``.  ``ang`` holds the tangent
-    columns' directions.  The index does not check its input: on an
-    instance that ``general_position_violation`` accepts, no tangent line
-    is vertical or horizontal and no two customers share a polar angle
-    around a third (``solve_centroid`` checks before it builds one).
+    bottom lines ``y = c``, normal ``(0, 1)``.  It is the index's only
+    n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time,
+    from that block's directions, so building it allocates nothing else
+    of its size.  ``ang``, the tangent columns' directions, is computed
+    on first use; only intermediate mode (``tangent_line``,
+    ``_position_pass``) reads it.  The index does not check its input: on
+    an instance that ``general_position_violation`` accepts, no tangent
+    line is vertical or horizontal and no two customers share a polar
+    angle around a third (``solve_centroid`` checks before it builds one).
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -161,28 +168,43 @@ class AngularIndex:
         self.n = n
         xs = self.xs = inst.xs
         ys = self.ys = inst.ys
-
-        dx = xs[None, :] - xs[:, None]
-        dy = ys[None, :] - ys[:, None]
-        ang = np.arctan2(dy, dx) % TWO_PI
-        del dx, dy
-        ang[ang >= TWO_PI] = 0.0
-
-        # Past the first diagonal entry, the row-major entries come in runs
-        # of n + 1: n off the diagonal, then one on it.
         m = self.tangents = n * (n - 1)
-        ang = ang.ravel()[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
-        self.ang = ang.ravel()
         lines = self.lines = np.empty((3, m + 2))
         nx, ny, off = (row[:m].reshape(n, n - 1) for row in lines)
-        np.sin(ang, out=nx)
-        np.negative(np.cos(ang, out=ny), out=ny)
-        np.multiply(xs[:, None], nx, out=off)
-        off += ys[:, None] * ny
+        for s, e, ang in self._direction_blocks():
+            np.sin(ang, out=nx[s:e])
+            np.negative(np.cos(ang, out=ny[s:e]), out=ny[s:e])
+            np.multiply(xs[s:e, None], nx[s:e], out=off[s:e])
+            # The block's directions are spent: ys * ny goes in their place.
+            np.multiply(ys[s:e, None], ny[s:e], out=ang)
+            off[s:e] += ang
         off += inst.r
         frame = self.frame = build_frame(inst)
         lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
         lines.flags.writeable = False
+
+    def _direction_blocks(self):
+        """Yield ``(s, e, ang)``: the directions of the tangents of rows
+        ``s`` to ``e``, an ``(e - s, n - 1)`` array, diagonal dropped."""
+        n, xs, ys = self.n, self.xs, self.ys
+        size = max(1, medianoid.SWEEP_BLOCK // n)
+        for s in range(0, n, size):
+            e = min(s + size, n)
+            ang = np.arctan2(ys[None, :] - ys[s:e, None], xs[None, :] - xs[s:e, None])
+            ang %= TWO_PI
+            ang[ang >= TWO_PI] = 0.0
+            off_diagonal = np.ones(ang.shape, dtype=bool)
+            off_diagonal[np.arange(e - s), np.arange(s, e)] = False
+            yield s, e, ang[off_diagonal].reshape(e - s, n - 1)
+
+    @functools.cached_property
+    def ang(self) -> np.ndarray:
+        """The tangent columns' directions, in table order."""
+        ang = np.empty(self.tangents)
+        rows = ang.reshape(self.n, self.n - 1)
+        for s, e, block in self._direction_blocks():
+            rows[s:e] = block
+        return ang
 
     def row(self, i: int, j: int) -> int:
         """The table column of the tangent of the ordered pair ``(i, j)``."""
@@ -306,9 +328,15 @@ def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) 
 
 
 def _positions(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
-    """The breakpoint array of each upward line of ``lines`` (see
-    ``breakpoint_sequences``): a vertical line's from
-    ``vertical_breakpoints``, the others' from ``_position_pass``,
+    """The breakpoint array of each upward line of ``lines``: one unordered
+    array of positions, every canonical tangent line that crosses the line
+    once, in canonical order, then circle crossings once per intersection
+    point, in customer order (a tangency contributes a single entry).  A
+    tangent direction ``a`` is parallel to the line, and dropped, when the
+    C library's ``|sin(a - up)|`` is at most ``ANGLE_TOL``; the crossing's
+    own denominator equals that sine up to rounding, so it preselects the
+    few directions the C library decides.  A vertical line's array comes
+    from ``vertical_breakpoints``, the others' from ``_position_pass``,
     ``SWEEP_BLOCK // n^2`` lines (at least one) at a time, so that the
     lines x n^2 temporaries stay one block."""
     # L == DirectedLine.vertical(L.anchor.x), without building that line.
@@ -323,21 +351,6 @@ def _positions(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndar
         for k, P in zip(block, _position_pass(idx, [lines[k] for k in block])):
             out[k] = P
     return out
-
-
-def breakpoint_sequences(idx: AngularIndex, L: DirectedLine) -> np.ndarray:
-    """All follower-value breakpoints on ``L`` as one unordered array of
-    positions along ``upward_line(L)``.
-
-    Every canonical tangent line of ``idx`` that crosses ``L`` contributes
-    its crossing once, in canonical order, and then circle crossings appear
-    once per intersection point, in customer order (a tangency contributes
-    a single entry).  A tangent direction ``a`` is parallel to ``L``, and
-    dropped, when the C library's ``|sin(a - up)|`` is at most
-    ``ANGLE_TOL``; the crossing's own denominator equals that sine up
-    to rounding, so it preselects the few directions the C library decides.
-    """
-    return _positions(idx, [upward_line(L)])[0]
 
 
 # One evaluation of a line search: its position t along the line, the

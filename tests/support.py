@@ -7,6 +7,7 @@ against independently derived answers rather than against itself.
 
 import math
 import random
+import tracemalloc
 from typing import Generator, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +22,6 @@ from rivalloc.geom import (
     DirectedLine,
     Instance,
     Point,
-    collinear,
     normalize_angle,
     outer_tangents,
     unit_vector,
@@ -30,8 +30,9 @@ from rivalloc.linesearch import (
     SEARCHED_LINE,
     CertifiedOptimum,
     _position_pass,
-    breakpoint_sequences,
+    _positions,
     build_angular_index,
+    build_frame,
     upward_line,
 )
 from rivalloc.medianoid import (
@@ -51,6 +52,34 @@ from rivalloc.oracle import (
     TANGENT_TANGENT,
     CandidateSet,
 )
+
+
+def dist(a: Point, b: Point) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:
+    """True when the oriented area of the triangle abc is (near) zero: the
+    scalar form of ``general_position_violation``'s triple test.
+
+    The tolerance is applied to the raw cross product, so for integer
+    coordinates the test is exact.
+    """
+    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    span = max(abs(b.x - a.x), abs(b.y - a.y), abs(c.x - a.x), abs(c.y - a.y), 1.0)
+    return abs(cross) <= eps * span
+
+
+def horizontal(y: float) -> DirectedLine:
+    """The line ``y = const`` directed along +x."""
+    return DirectedLine(Point(0.0, y), 0.0)
+
+
+def breakpoint_sequences(idx, L: DirectedLine) -> np.ndarray:
+    """All follower-value breakpoints on ``L`` as one unordered array of
+    positions along ``upward_line(L)``, as the line searches build them
+    (``linesearch._positions``)."""
+    return _positions(idx, [upward_line(L)])[0]
 
 
 def is_vertical(L, tol=ANGLE_TOL):
@@ -370,7 +399,7 @@ def evaluations(inst, line, P, telemetry):
 
 def frame_lines(frame):
     """The frame's two horizontal auxiliary lines, top first."""
-    return DirectedLine.horizontal(frame.y_top), DirectedLine.horizontal(frame.y_btm)
+    return horizontal(frame.y_top), horizontal(frame.y_btm)
 
 
 def shared_x_instance():
@@ -1021,3 +1050,83 @@ def candidates_inside(inst, cands, tags, slab):
         (p.x, p.y, tag) for p, tag in cands
         if tag in tags and slab.lo + eps < p.x < slab.hi - eps
     ]
+
+
+# Per open ``traced_peak`` call, innermost last: [live at its start, the
+# largest traced memory seen during it so far].
+_TRACED = []
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: ``peak`` is the most traced memory, in bytes,
+    that the call held above what was live when it started.
+
+    Calls nest: an inner call resets tracemalloc's peak, so the peak each
+    call saw is folded into every enclosing one.  The outermost call starts
+    and stops tracemalloc unless it is already tracing."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    live, peak = tracemalloc.get_traced_memory()
+    for frame in _TRACED:
+        frame[1] = max(frame[1], peak)
+    tracemalloc.reset_peak()
+    frame = [live, live]
+    _TRACED.append(frame)
+    try:
+        out = fn(*args)
+    finally:
+        _TRACED.pop()
+        frame[1] = max(frame[1], tracemalloc.get_traced_memory()[1])
+        for outer in _TRACED:
+            outer[1] = max(outer[1], frame[1])
+        if started:
+            tracemalloc.stop()
+    return out, frame[1] - frame[0]
+
+
+def reference_angular_table(inst):
+    """``(lines, ang)`` of ``AngularIndex`` as the full-table build made
+    them: n x n direction and offset temporaries, the diagonal dropped by
+    one reshape."""
+    n, xs, ys = inst.n, inst.xs, inst.ys
+    dx = xs[None, :] - xs[:, None]
+    dy = ys[None, :] - ys[:, None]
+    ang = np.arctan2(dy, dx) % TWO_PI
+    ang[ang >= TWO_PI] = 0.0
+    m = n * (n - 1)
+    ang = ang.ravel()[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
+    lines = np.empty((3, m + 2))
+    nx, ny, off = (row[:m].reshape(n, n - 1) for row in lines)
+    np.sin(ang, out=nx)
+    np.negative(np.cos(ang, out=ny), out=ny)
+    np.multiply(xs[:, None], nx, out=off)
+    off += ys[:, None] * ny
+    off += inst.r
+    frame = build_frame(inst)
+    lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
+    return lines, ang.ravel()
+
+
+def reference_end_order(lnx, lny, loff, x, right):
+    """LT's order of lines by y beside ``x`` as the int64 build made it:
+    a float key, its argsort, and ties found by a float ``np.diff``."""
+    far = math.isinf(x)
+    key = (-lnx if x > 0 else lnx) / lny if far else (loff - lnx * x) / lny
+    order = np.argsort(key)
+    eq = np.diff(key[order]) == 0.0
+    if eq.any():
+        tied = np.append(eq, False) | np.insert(eq, 0, False)
+        sub = order[tied]
+        tie = (loff[sub] if far else -lnx[sub] if right else lnx[sub]) / lny[sub]
+        order[tied] = sub[np.lexsort((sub, tie, key[sub]))]
+    return order
+
+
+def reference_exhaust(xs, slab, decide_at):
+    """``centroid._exhaust`` as the copy-and-mask build ran it: select the
+    lower median of a copy, then mask the whole array to the slab."""
+    while len(xs):
+        k = (len(xs) - 1) // 2
+        decide_at(float(np.partition(xs, k)[k]))
+        xs = xs[(xs > slab.lo) & (xs < slab.hi)]

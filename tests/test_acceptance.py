@@ -9,7 +9,6 @@ be skipped with `-m "not scaling"`.
 import math
 import random
 import time
-import tracemalloc
 
 import pytest
 
@@ -21,7 +20,6 @@ from rivalloc.geom import Point
 from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
-    breakpoint_sequences,
     build_angular_index,
     build_frame,
 )
@@ -153,7 +151,7 @@ def _check_breakpoints(rng, violations):
     inst = random_instance(rng, n_lo=2, n_hi=8)
     L = support.non_horizontal_line(rng)
     idx = build_angular_index(inst)
-    got = sorted(breakpoint_sequences(idx, L).tolist())
+    got = sorted(support.breakpoint_sequences(idx, L).tolist())
     want = support.expected_positions(inst, L)
     scale = max(1.0, max(map(abs, want), default=1.0))
     if len(got) != len(want) or any(
@@ -327,14 +325,42 @@ def count_positions(monkeypatch):
     return count
 
 
-def assert_search_counts(positions, sizes, seeds):
+def count_lt_batches(monkeypatch):
+    """Record LT's batch sizes, as two lists with one entry per batch: the
+    pairs ``_inverted_pairs`` enumerates for each exact batch, and the
+    abscissas of each hashed round."""
+    pairs, hashed = [], []
+    inverted_pairs = centroid._inverted_pairs
+    hashed_batch = centroid._hashed_batch
+
+    def counted_pairs(*args):
+        pairs.append(0)
+        for a, b in inverted_pairs(*args):
+            pairs[-1] += len(a)
+            yield a, b
+
+    def counted_hashed(*args):
+        xs = hashed_batch(*args)
+        hashed.append(len(xs))
+        return xs
+
+    monkeypatch.setattr(centroid, "_inverted_pairs", counted_pairs)
+    monkeypatch.setattr(centroid, "_hashed_batch", counted_hashed)
+    return pairs, hashed
+
+
+def assert_search_counts(monkeypatch, sizes, seeds):
     """The paper's bound on the solves of ``sizes`` x ``seeds`` (R = 4,
     range 2n) that reach no certificate; returns how many there were."""
+    positions = count_positions(monkeypatch)
+    pairs, hashed = count_lt_batches(monkeypatch)
     searched = 0
     for n in sizes:
         log_n = math.log2(n)
+        m = n * (n - 1) + 2  # LT's lines: the tangent lines and two frame lines
         for seed in seeds:
             positions[0] = 0
+            del pairs[:], hashed[:]
             tel = solve_centroid(generate_instance(n, seed, r=4.0, coord_range=2 * n)).telemetry
             if tel["certified"] is not None:
                 continue
@@ -342,6 +368,8 @@ def assert_search_counts(positions, sizes, seeds):
             assert positions[0] <= 5.5 * n * n * log_n, (n, seed, positions[0])
             assert tel["decide_calls"] <= 5.25 * log_n, (n, seed, tel)
             assert tel["medianoid_calls"] - n <= 11.8 * log_n ** 2, (n, seed, tel)
+            assert pairs and max(pairs) <= 3.5 * m, (n, seed, pairs, m)
+            assert hashed and max(hashed) <= m, (n, seed, hashed, m)
     return searched
 
 
@@ -351,9 +379,11 @@ def test_search_counts_stay_within_the_papers_bound(monkeypatch):
     1-3): breakpoint positions at most 5.5 n^2 log2 n, vertical-line
     decisions at most 5.25 log2 n, and sweep rows less the n evaluations
     of the customer sites at most 11.8 log2(n)^2.  The constants are the
-    largest ratios measured (4.43, 4.19, 9.42) with about 25% headroom."""
-    positions = count_positions(monkeypatch)
-    assert assert_search_counts(positions, (50, 100, 200, 400), (1, 2, 3)) >= 10
+    largest ratios measured (4.43, 4.19, 9.42) with about 25% headroom.
+    LT's batches are O(m) for its m = n(n - 1) + 2 lines: an exact batch
+    enumerates at most 3.5 m inverted pairs (2.77 m measured, at n = 200
+    seed 3), and a hashed round holds at most m abscissas, one per line."""
+    assert assert_search_counts(monkeypatch, (50, 100, 200, 400), (1, 2, 3)) >= 10
 
 
 @pytest.mark.scaling
@@ -361,38 +391,57 @@ def test_search_counts_stay_within_the_papers_bound_at_scale(monkeypatch):
     """The same counts and constants at n = 800 and 1600 (seeds 1-3,
     range 2n), where a constant-factor or n^3 regression would show
     first (about 40 s)."""
-    positions = count_positions(monkeypatch)
-    assert assert_search_counts(positions, (800, 1600), (1, 2, 3)) >= 4
+    assert assert_search_counts(monkeypatch, (800, 1600), (1, 2, 3)) >= 4
+
+
+def assert_traced_peaks(sizes, seeds):
+    """On the solves of ``sizes`` x ``seeds`` (R = 4, range 2n) that reach
+    no certificate, the traced memory each vertical-line decision, and the
+    whole solve, allocate above what is live when they start: at most
+    1.5 and 10 times 8 n^2 bytes.  Returns how many solves there were."""
+    measured = 0
+    for n in sizes:
+        unit = 8 * n * n
+        for seed in seeds:
+            inst = generate_instance(n, seed, r=4.0, coord_range=2 * n)
+            peaks = []
+
+            def measured_decide(*args):
+                out, peak = support.traced_peak(decide, *args)
+                peaks.append(peak)
+                return out
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(centroid, "decide", measured_decide)
+                rep, solve_peak = support.traced_peak(solve_centroid, inst)
+            tel = rep.telemetry
+            if tel["certified"] is not None:
+                continue
+            measured += 1
+            assert len(peaks) == tel["decide_calls"], (n, seed, tel)
+            assert max(peaks) <= 1.5 * unit, (n, seed, max(peaks) / unit)
+            assert solve_peak <= 10 * unit, (n, seed, solve_peak / unit)
+    return measured
 
 
 def test_a_decision_holds_one_table_of_breakpoints():
-    """During the non-certifying solves at n = 200 and 400 (seed 1, R = 4,
-    range 2n), the traced memory each vertical-line decision allocates
-    above what is live when it starts peaks at 1.5 * 8 n^2 bytes at most:
-    one n^2 array of breakpoint positions, and no n^2 temporaries beside
-    it (the general position pass and the pseudo-wedge's capture table
-    peaked at 3.2-3.4 times 8 n^2)."""
-    for n in (200, 400):
-        inst = generate_instance(n, 1, r=4.0, coord_range=2 * n)
-        peaks = []
+    """During the non-certifying solves at n = 200 and 400 (seeds 1-3,
+    R = 4, range 2n), each vertical-line decision peaks at 1.5 * 8 n^2
+    traced bytes above what is live when it starts: one n^2 array of
+    breakpoint positions, and no n^2 temporaries beside it (the general
+    position pass and the pseudo-wedge's capture table peaked at 3.2-3.4
+    times 8 n^2).  The whole solve peaks at 10 * 8 n^2: the index's
+    3-row table, LT's batch and one decision's breakpoints (6.6-9.4
+    measured; 10.9-13.8 when the index built through n x n temporaries
+    and LT held int64 orders and its batch twice)."""
+    assert assert_traced_peaks((200, 400), (1, 2, 3)) >= 5
 
-        def measured(*args):
-            tracemalloc.reset_peak()
-            live = tracemalloc.get_traced_memory()[0]
-            try:
-                return decide(*args)
-            finally:
-                peaks.append(tracemalloc.get_traced_memory()[1] - live)
 
-        tracemalloc.start()
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(centroid, "decide", measured)
-                tel = solve_centroid(inst).telemetry
-        finally:
-            tracemalloc.stop()
-        assert tel["certified"] is None and len(peaks) == tel["decide_calls"], (n, tel)
-        assert max(peaks) <= 1.5 * 8 * n * n, (n, max(peaks) / (8 * n * n))
+@pytest.mark.scaling
+def test_a_solve_holds_one_table_at_scale():
+    """The same traced-memory bounds on the solves at n = 800 (seeds 1-3,
+    range 1600), none of which certifies (6.6-7.2 measured)."""
+    assert assert_traced_peaks((800,), (1, 2, 3)) == 3
 
 
 @pytest.mark.scaling

@@ -2,6 +2,9 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from rivalloc.centroid import (
     CertifiedOptimum,
     _Slab,
     _circle_crossings,
+    _end_order,
     _exhaust,
     _inverted_pairs,
+    _sorted_unique,
     local_optimal_line_LC,
     local_optimal_line_LM,
     local_optimal_line_LT,
@@ -450,6 +455,60 @@ class TestCrossingSelection:
                     want = support.reference_inverted_pairs(lnx, lny, loff, lo, hi)
                     assert self.enumerated(lnx, lny, loff, lo, hi) == want, (m, lo, hi)
 
+    def test_end_order_equals_the_int64_build(self):
+        """The int32 order, its key built in place and its ties found by
+        comparing neighbours, equals the int64 build's at finite and
+        infinite ends, lines tying at an end included."""
+        rng = random.Random(0xE2D)
+        tied = 0
+        for m in (0, 1, 2, 3, 7, 12, 31, 64, 90):
+            for _ in range(4):
+                lnx, lny, loff, anchors = self.random_lines(rng, m)
+                ends = [float(x0) for x0, _ in anchors] + [-math.inf, math.inf, rng.uniform(-3, 3)]
+                for x in ends:
+                    key = (-lnx if x > 0 else lnx) / lny if math.isinf(x) else (loff - lnx * x) / lny
+                    tied += len(np.unique(key)) < m
+                    for right in (True, False):
+                        got = _end_order(lnx, lny, loff, x, right)
+                        assert got.dtype == np.int32, got.dtype
+                        want = support.reference_end_order(lnx, lny, loff, x, right)
+                        assert np.array_equal(got, want), (m, x, right)
+        assert tied > 50, tied
+
+    def test_exhaust_decides_as_the_copy_and_mask_build(self):
+        """On seeded batches with repeated values, ``_exhaust``, which
+        partitions in place and keeps one side, calls ``decide_at`` at the
+        same abscissas, in the same order, as the copy-and-mask build."""
+        for seed in range(60):
+            rng = random.Random(seed)
+            C = rng.randint(1, 300)
+            values = [float(rng.randint(-5, 5)) for _ in range(4)]
+            xs = np.array([rng.choice(values) if rng.random() < 0.4 else rng.uniform(-6, 6)
+                           for _ in range(C)])
+            runs = []
+            for exhaust in (_exhaust, support.reference_exhaust):
+                slab, calls, sides = _Slab(), [], random.Random(seed)
+
+                def decide_at(x):
+                    calls.append(x)
+                    if sides.random() < 0.5:
+                        slab.lo = x
+                    else:
+                        slab.hi = x
+
+                exhaust(xs.copy(), slab, decide_at)
+                runs.append((calls, slab.lo, slab.hi))
+            assert runs[0] == runs[1], seed
+
+    def test_sorted_unique_equals_np_unique(self):
+        rng = np.random.default_rng(0x5EED)
+        for size in (0, 1, 2, 5, 100, 5000):
+            for high in (3, 50, 1 << 40):
+                v = rng.integers(0, high, size=size)
+                want = np.unique(v)
+                got = _sorted_unique(v.copy())
+                assert got.dtype == want.dtype and np.array_equal(got, want), (size, high)
+
     def test_each_decision_prunes_at_least_half_of_the_batch(self):
         """Against a decision that always keeps the fuller side, a batch of
         C abscissas (duplicates included) ends within floor(log2 C) + 1
@@ -635,6 +694,26 @@ class TestSolvesRunningLM:
         assert rep.weight_loss == loss
         if runs_lm:
             assert rep.telemetry["lm_rounds"] >= 1, rep.telemetry
+
+
+def test_no_solve_imports_numpy_ma():
+    """A parametric solve that runs LM and an intermediate solve, in a
+    fresh interpreter, leave ``numpy.ma`` unimported: ``np.unique`` would
+    import it, at about 1.2 MB of RSS."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from rivalloc.centroid import solve_centroid\n"
+        "from rivalloc.cli import generate_instance\n"
+        "tel = solve_centroid(generate_instance(30, 3, r=80.0, coord_range=60)).telemetry\n"
+        "assert tel['lm_mass0'] > 0, tel\n"
+        "solve_centroid(generate_instance(10, 1, r=4.0, coord_range=20), 'intermediate')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(centroid.__file__).resolve().parents[1])
+    got = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "False"
 
 
 class TestDiscCrossings:

@@ -20,15 +20,20 @@ from rivalloc.geom import (
     DirectedLine,
     Instance,
     Point,
-    collinear,
-    dist,
     general_position_violation,
     normalize_angle,
     outer_tangents,
     polar_angle,
     unit_vector,
 )
-from support import circle_circle_intersections, line_circle_intersections, line_line_intersection
+from support import (
+    circle_circle_intersections,
+    collinear,
+    dist,
+    horizontal,
+    line_circle_intersections,
+    line_line_intersection,
+)
 
 EPS = 1e-9
 
@@ -98,7 +103,7 @@ def test_vertical_line_is_bitwise_vertical():
 
 
 def test_horizontal_line_is_bitwise_horizontal():
-    L = DirectedLine.horizontal(-7.0)
+    L = horizontal(-7.0)
     assert support.is_horizontal(L)
     ys = {L.point_at(t).y for t in (-1e5, 0.0, 9.25)}
     assert ys == {-7.0}
@@ -106,7 +111,7 @@ def test_horizontal_line_is_bitwise_horizontal():
 
 def test_side_of_sign_convention():
     # direction +x: left of the line is +y
-    L = DirectedLine.horizontal(0.0)
+    L = horizontal(0.0)
     assert support.side_of(L, Point(0.0, 1.0)) > 0
     assert support.side_of(L, Point(0.0, -1.0)) < 0
     assert support.side_of(L, Point(5.0, 0.0)) == 0.0
@@ -193,7 +198,7 @@ def test_line_line_intersection_parallel_returns_none():
     ],
 )
 def test_line_circle_intersection_counts(cy, expected):
-    L = DirectedLine.horizontal(0.0)
+    L = horizontal(0.0)
     pts = line_circle_intersections(L, Circle(Point(4.0, cy), 3.0))
     assert len(pts) == expected
     for p in pts:

@@ -18,19 +18,26 @@ from rivalloc.geom import (
     DirectedLine,
     Instance,
     Point,
+    general_position_violation,
 )
 from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
     _position_pass,
     build_angular_index,
-    breakpoint_sequences,
     local_optima_on_lines,
     search_lines,
     upward_line,
     vertical_breakpoints,
 )
-from rivalloc.medianoid import DOWNWARD, SIDEWARD_RIGHT, UPWARD, as_result, solve_medianoid
+from rivalloc.medianoid import (
+    DOWNWARD,
+    SIDEWARD_RIGHT,
+    SWEEP_BLOCK,
+    UPWARD,
+    as_result,
+    solve_medianoid,
+)
 from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, find_xD_xU
 
 COVERAGE_TOL = 1e-6
@@ -60,6 +67,29 @@ class TestAngularIndex:
                     assert d == pytest.approx(r, abs=1e-7)
 
 
+    @pytest.mark.parametrize("n,real", [(100, False), (257, False), (150, True)])
+    def test_table_equals_the_full_table_build(self, n, real):
+        """The table, filled a row block at a time, and ``ang``, computed
+        on first use, equal the full-table build bitwise, at n whose rows
+        span several blocks, on the grid and at real coordinates."""
+        if real:
+            rng = random.Random(0x7AB1E)
+            inst = Instance([
+                Customer(Point(rng.uniform(-2 * n, 2 * n), rng.uniform(-2 * n, 2 * n)),
+                         rng.uniform(0.5, 5.0))
+                for _ in range(n)
+            ], 3.5)
+            assert general_position_violation(inst) is None
+        else:
+            inst = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
+        assert SWEEP_BLOCK // n < n
+        idx = build_angular_index(inst)
+        assert "ang" not in vars(idx)
+        lines, ang = support.reference_angular_table(inst)
+        assert idx.lines.tobytes() == lines.tobytes()
+        assert idx.ang.tobytes() == ang.tobytes()
+
+
 class TestBreakpointSequences:
     def test_single_pair_far_line(self):
         inst = Instance(
@@ -67,7 +97,7 @@ class TestBreakpointSequences:
         )
         L = DirectedLine.vertical(-1000.0)
         idx = build_angular_index(inst)
-        got = sorted_positions(breakpoint_sequences(idx, L))
+        got = sorted_positions(support.breakpoint_sequences(idx, L))
         # two tangent lines cross L, each listed once; the discs are nowhere
         # near L
         assert len(got) == 2
@@ -89,7 +119,7 @@ class TestBreakpointSequences:
             )
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            P = breakpoint_sequences(idx, L)
+            P = support.breakpoint_sequences(idx, L)
             got = sorted_positions(P)
             want = expected_positions(inst, L)
             assert len(got) == len(want), (trial, len(got), len(want))
@@ -120,7 +150,7 @@ class TestBreakpointSequences:
         idx = build_angular_index(inst)
         ux, uy = L.direction
         line = upward_line(L)
-        for t in sorted_positions(breakpoint_sequences(idx, L)):
+        for t in sorted_positions(support.breakpoint_sequences(idx, L)):
             p = line.point_at(t)
             off = ux * (p.y - L.anchor.y) - uy * (p.x - L.anchor.x)
             assert abs(off) <= 1e-6
@@ -129,7 +159,7 @@ class TestBreakpointSequences:
         inst = generate_instance(3, seed=1, r=2.0)
         idx = build_angular_index(inst)
         with pytest.raises(ValueError, match="horizontal"):
-            breakpoint_sequences(idx, DirectedLine.horizontal(5.0))
+            support.breakpoint_sequences(idx, support.horizontal(5.0))
 
 
 def _query_lines(idx, rng):
@@ -171,7 +201,7 @@ class TestTangentSequences:
                 idx = build_angular_index(inst)
                 for L in _query_lines(idx, rng):
                     line = upward_line(L)
-                    got = breakpoint_sequences(idx, L)
+                    got = support.breakpoint_sequences(idx, L)
                     want = support.reference_tangent_crossings(idx, line)
                     assert got.dtype == want.dtype, (n, R, L)
                     assert got[:len(want)].tobytes() == want.tobytes(), (n, R, L)
@@ -220,7 +250,7 @@ class TestPositionTable:
             for L in lines:
                 line = upward_line(L)
                 tan = support.reference_tangent_crossings(idx, line)
-                got = breakpoint_sequences(idx, L)
+                got = support.breakpoint_sequences(idx, L)
                 exp = got[len(tan):]
                 want = support.reference_explicit_crossings(idx, line)
                 assert exp.dtype == want.dtype, (n, L)
@@ -292,7 +322,7 @@ class TestVerticalBreakpoints:
                 want = _position_pass(idx, [L])[0]
                 got = vertical_breakpoints(idx, x)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, x)
-                assert breakpoint_sequences(idx, L).tobytes() == want.tobytes(), (k, x)
+                assert support.breakpoint_sequences(idx, L).tobytes() == want.tobytes(), (k, x)
                 want = support.general_positions(idx, L, frame)
                 got = vertical_breakpoints(idx, x, with_frame=True)
                 assert got.tobytes() == want.tobytes(), (k, x)
@@ -343,7 +373,7 @@ class TestLocalOptimum:
             inst = support.seeded_instance(5000 + trial, n_lo=6, n_hi=10)
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
-            P = breakpoint_sequences(idx, L)
+            P = support.breakpoint_sequences(idx, L)
             tel = Telemetry()
             lo, hi = -np.inf, np.inf
             masses = []
@@ -517,7 +547,7 @@ class TestIndexCuts:
             lines += [upward_line(support.non_horizontal_line(rng)) for _ in range(2)]
             positions = []
             for k, L in enumerate(lines):
-                P = np.append(breakpoint_sequences(idx, L),
+                P = np.append(support.breakpoint_sequences(idx, L),
                               (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
                 if k == 0:
                     P = np.append(P, P[-2:])

@@ -9,7 +9,7 @@ import pytest
 import support
 from rivalloc import oracle
 from rivalloc.cli import generate_instance
-from rivalloc.geom import Customer, Instance, Point, dist
+from rivalloc.geom import Customer, Instance, Point
 from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import (
     CIRCLE_CIRCLE,
@@ -27,7 +27,7 @@ class TestBruteMedianoid:
         wl, theta = brute_medianoid(inst, Point(0.0, 0.0))
         assert wl == 3.0
         # the witness points at the customer closely enough to win it
-        d = dist(Point(0.0, 0.0), Point(5.0, 0.0))
+        d = support.dist(Point(0.0, 0.0), Point(5.0, 0.0))
         assert abs(theta) <= math.acos(1.0 / d) + 1e-9
 
     def test_customer_inside_the_protected_disc(self):
@@ -105,7 +105,7 @@ class TestBruteCentroid:
         rep = brute_centroid(inst)
         assert rep.weight_loss == 1.0
         # the chosen point protects the heavier customer
-        assert dist(rep.centroid, Point(10.0, 0.0)) <= inst.r + 1e-9
+        assert support.dist(rep.centroid, Point(10.0, 0.0)) <= inst.r + 1e-9
 
     def test_report_shape(self):
         inst = generate_instance(4, seed=2, r=4.0)

@@ -31,7 +31,6 @@ from rivalloc.vprune import (
 from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
-    breakpoint_sequences,
     build_angular_index,
     build_frame,
 )
@@ -46,7 +45,7 @@ def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
     (t_D, _, _), (t_U, _, _) = got
-    pos = breakpoint_sequences(idx, L).tolist()
+    pos = support.breakpoint_sequences(idx, L).tolist()
     pos += [frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y]
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
