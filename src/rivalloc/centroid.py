@@ -302,7 +302,7 @@ def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
 
     def decide_at(x: float) -> None:
         setattr(telemetry, counter, getattr(telemetry, counter) + 1)
-        slab.apply(decide(inst, idx, DirectedLine.vertical(x), telemetry), x)
+        slab.apply(decide(inst, idx, x, telemetry), x)
 
     return decide_at
 

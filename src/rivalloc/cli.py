@@ -268,14 +268,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _add_generator_options(p: argparse.ArgumentParser) -> None:
+    """Declare ``generate_instance``'s options, named as its parameters."""
+    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--coord-range", type=int, default=50)
+    p.add_argument("--weight-range", type=int, default=10)
+
+
+def _generate(args, n: int, seed: int) -> Instance:
+    return generate_instance(n, seed, args.r, args.coord_range, args.weight_range)
+
+
 def cmd_gen(args) -> int:
-    inst = generate_instance(
-        args.n,
-        args.seed,
-        r=args.r,
-        coord_range=args.coord_range,
-        weight_range=args.weight_range,
-    )
+    inst = _generate(args, args.n, args.seed)
     _dump_json(instance_to_obj(inst), args.out)
     return EXIT_OK
 
@@ -306,14 +311,7 @@ def cmd_compare(args) -> int:
                 EXIT_PARSE, "compare needs --input or both --gen-n and --seeds"
             )
         for seed in _parse_seed_range(args.seeds):
-            inst = generate_instance(
-                args.gen_n,
-                seed,
-                r=args.r,
-                coord_range=args.coord_range,
-                weight_range=args.weight_range,
-            )
-            jobs.append((f"seed={seed}", inst))
+            jobs.append((f"seed={seed}", _generate(args, args.gen_n, seed)))
 
     for name, inst in jobs:
         modes = [PARAMETRIC, INTERMEDIATE]
@@ -355,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--r", type=float, default=2.0)
-    p_gen.add_argument("--coord-range", type=int, default=50)
-    p_gen.add_argument("--weight-range", type=int, default=10)
+    _add_generator_options(p_gen)
     p_gen.add_argument("--out", help="instance JSON file (default stdout)")
     p_gen.set_defaults(fn=cmd_gen)
 
@@ -365,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--input", help="instance JSON file")
     p_cmp.add_argument("--gen-n", type=int, help="generate instances of this size")
     p_cmp.add_argument("--seeds", help="seed or inclusive range like 1..50")
-    p_cmp.add_argument("--r", type=float, default=2.0)
-    p_cmp.add_argument("--coord-range", type=int, default=50)
-    p_cmp.add_argument("--weight-range", type=int, default=10)
+    _add_generator_options(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
     return parser
 

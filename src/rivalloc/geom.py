@@ -1,4 +1,4 @@
-"""Planar primitives: points, weighted customers, directed lines, circles.
+"""Planar primitives: points, weighted customers, directed lines, disc crossings.
 
 All arithmetic is double precision.  Every tolerance of the solvers is
 named once, in the table below, with its unit; ``Instance`` scales the
@@ -57,10 +57,6 @@ def normalize_angle(theta: float) -> float:
     if theta >= TWO_PI:
         theta = 0.0
     return theta
-
-
-def unit_vector(theta: float) -> Tuple[float, float]:
-    return (math.cos(theta), math.sin(theta))
 
 
 def _libm(fn, *args: np.ndarray) -> np.ndarray:
@@ -191,45 +187,6 @@ class DirectedLine:
     def point_at(self, t: float) -> Point:
         ux, uy = self.direction
         return Point(self.anchor.x + t * ux, self.anchor.y + t * uy)
-
-
-@dataclass(frozen=True, slots=True)
-class Circle:
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0.0:
-            raise ValueError("circle radius must be nonnegative")
-
-
-def polar_angle(p: Point, origin: Point) -> float:
-    """Angle of the vector p - origin, counterclockwise from +x, in [0, 2*pi)."""
-    dx = p.x - origin.x
-    dy = p.y - origin.y
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("degenerate direction: coincident points")
-    return normalize_angle(math.atan2(dy, dx))
-
-
-def outer_tangents(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> Tuple[DirectedLine, DirectedLine]:
-    """Both outer tangent lines of two equal-radius circles.
-
-    The returned lines are parallel to the center line, oriented along
-    c1 -> c2.  The first lies to the right of that direction, the second to
-    the left.
-    """
-    if abs(c1.radius - c2.radius) > eps:
-        raise ValueError("outer tangents are only supported for equal radii")
-    if c1.radius <= 0.0:
-        raise ValueError("outer tangents need a positive radius")
-    delta = polar_angle(c2.center, c1.center)
-    r = c1.radius
-    rx, ry = unit_vector(delta - math.pi / 2.0)
-    lx, ly = unit_vector(delta + math.pi / 2.0)
-    right = DirectedLine(Point(c1.center.x + r * rx, c1.center.y + r * ry), delta)
-    left = DirectedLine(Point(c1.center.x + r * lx, c1.center.y + r * ly), delta)
-    return right, left
 
 
 def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:

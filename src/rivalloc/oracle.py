@@ -20,15 +20,15 @@ import numpy as np
 
 from .geom import (
     ANGLE_TOL,
+    SNAP_TOL,
     TWO_PI,
-    Circle,
     Instance,
     Point,
+    _libm,
     disc_crossings,
-    outer_tangents,
 )
 from .centroid import SolveReport
-from .medianoid import least_loss, solve_medianoid
+from .medianoid import _normalized, least_loss, solve_medianoid
 
 TANGENT_TANGENT = "TxT"
 TANGENT_CIRCLE = "TxC"
@@ -100,10 +100,35 @@ class CandidateSet:
         return len(self.xs)
 
 
+def _tangent_lines(inst: Instance) -> Tuple[np.ndarray, ...]:
+    """Anchors ``(ax, ay)`` and unit directions ``(ux, uy)`` of each pair's
+    right, then left, outer tangent, pairs in ``np.triu_indices`` order, by
+    the scalar construction's C-library operations: delta the normalized
+    ``atan2`` from site i to site j, the anchor site i + r (cos, sin)(delta
+    -/+ pi/2), the direction (cos, sin)(delta).  Like ``DirectedLine``,
+    they snap a component below ``SNAP_TOL`` to an axis, which never
+    happens on an instance the general-position check accepts: its |dx|
+    and |dy| exceed ``eps``.  R must be positive."""
+    r = inst.r
+    if not r > 0.0:
+        raise ValueError("unsupported configuration: R must be positive")
+    i, j = np.triu_indices(inst.n, 1)
+    delta = _normalized(_libm(math.atan2, inst.ys[j] - inst.ys[i], inst.xs[j] - inst.xs[i]))
+    side = np.stack((delta - math.pi / 2.0, delta + math.pi / 2.0), axis=1).ravel()
+    i, delta = np.repeat(i, 2), np.repeat(delta, 2)
+    ax = inst.xs[i] + r * _libm(math.cos, side)
+    ay = inst.ys[i] + r * _libm(math.sin, side)
+    ux, uy = _libm(math.cos, delta), _libm(math.sin, delta)
+    for u, v in ((ux, uy), (uy, ux)):
+        snap = np.abs(u) < SNAP_TOL
+        u[snap], v[snap] = 0.0, np.where(v[snap] > 0.0, 1.0, -1.0)
+    return ax, ay, ux, uy
+
+
 def enumerate_candidates(inst: Instance) -> CandidateSet:
-    """Every crossing of two tangent lines, a tangent line and a disc
-    boundary, or two disc boundaries, deduplicated within the instance
-    tolerance.
+    """Every crossing of two tangent lines (``_tangent_lines``), a tangent
+    line and a disc boundary, or two disc boundaries, deduplicated within
+    the instance tolerance.
 
     The first two families are array expressions that round as the scalar
     formulas do: lines cross when ``|sin| > ANGLE_TOL`` between them, and
@@ -113,13 +138,8 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     within ``eps`` in x and in y.
     """
     r = inst.r
-    circles = [Circle(c.site, r) for c in inst.customers]
-    lines = [L for i, ci in enumerate(circles) for cj in circles[i + 1:]
-             for L in outer_tangents(ci, cj, eps=inst.eps)]
-    ax, ay, ux, uy = np.array(
-        [(L.anchor.x, L.anchor.y) + L.direction for L in lines], dtype=float
-    ).reshape(-1, 4).T
-    a, b = np.triu_indices(len(lines), 1)
+    ax, ay, ux, uy = _tangent_lines(inst)
+    a, b = np.triu_indices(len(ax), 1)
     cross = ux[a] * uy[b] - uy[a] * ux[b]
     ok = np.abs(cross) > ANGLE_TOL
     a, b, cross = a[ok], b[ok], cross[ok]
@@ -136,7 +156,7 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     s = np.sqrt(np.where(crossing, disc, 0.0))
     used = np.stack((disc >= -inst.cross_tol, crossing), axis=2)
     t = np.stack((np.where(crossing, t0 - s, t0), t0 + s), axis=2)[used]
-    a = np.broadcast_to(np.arange(len(lines))[:, None, None], used.shape)[used]
+    a = np.broadcast_to(np.arange(len(ax))[:, None, None], used.shape)[used]
     xs.append(ax[a] + t * ux[a])
     ys.append(ay[a] + t * uy[a])
 

@@ -1,18 +1,18 @@
 """Classifying a vertical query line: which side of it can be discarded.
 
-The plane search over candidate lines needs one primitive: given a vertical
-line, name the half-plane that cannot contain a better point, or certify an
-optimum on it.  A decision returns the side (``PruneDecision``); a
-certificate is raised where it is found, as ``CertifiedOptimum`` with an
-``origin`` string.  The classification rests on two anchor points, the
-lowest breakpoint with a downward wedge and the highest with an upward
-wedge, found by the exact-median search of ``linesearch.search_lines``
-over the line's breakpoint array and the frame's two ordinates, both read
-off the angular index's line table as ordinates at the line's x
-(``linesearch.vertical_breakpoints``), one n^2 array per decision.  A strong
-centroid met on the way raises, and a sideward wedge settles the line at
-once.  Otherwise the search runs until no breakpoint is left, and each cut
-drops only positions at or below an upward evaluation or at or above a
+The plane search over candidate lines needs one primitive: given an abscissa
+x, name the side of the vertical line there that cannot contain a better
+point, or certify an optimum on it.  A decision at abscissa x returns the
+side (``PruneDecision``); a certificate is raised where it is found, as
+``CertifiedOptimum`` with an ``origin`` string.  The classification rests on
+two anchor points, the lowest breakpoint with a downward wedge and the
+highest with an upward wedge, found by the exact-median search of
+``linesearch.search_lines`` over the line's breakpoint array and the frame's
+two ordinates, both read off the angular index's line table as ordinates at
+x (``linesearch.vertical_breakpoints``), one n^2 array per decision.  A
+strong centroid met on the way raises, and a sideward wedge settles the line
+at once.  Otherwise the search runs until no breakpoint is left, and each
+cut drops only positions at or below an upward evaluation or at or above a
 downward one, so no breakpoint lies strictly between the anchors: the
 follower value is constant on the open segment up to the capture
 tolerance.  Its midpoint or, when that too looks along the line, a
@@ -20,9 +20,9 @@ pseudo-wedge built at the better anchor settles the direction; equal anchor
 values go to the downward anchor.  A decision settled by the midpoint
 carries it, with its weight loss, as a candidate: anchors a few tolerances
 apart can leave it below both.  A strong centroid at the midpoint, or an
-empty pseudo-wedge cone, is a certificate.  The pseudo-wedge's direction
-of greatest capture comes from its directions x customers capture table,
-built a block of rows at a time (``_first_max_capture``).
+empty pseudo-wedge cone, is a certificate.  The pseudo-wedge's direction of
+greatest capture comes from its directions x customers capture table, built
+a block of rows at a time (``_first_max_capture``).
 Tolerances: ``geom``'s table.
 """
 
@@ -42,11 +42,11 @@ from .geom import (
     Point,
     _libm,
 )
+from . import medianoid
 from .medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
-    SWEEP_BLOCK,
     UPWARD,
     MedianoidResult,
     _normalized,
@@ -105,30 +105,20 @@ def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = Non
     return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence, witness)
 
 
-def _vertical_x(L: DirectedLine) -> float:
-    """The x of ``L``, which must be ``DirectedLine.vertical(x)``: its
-    breakpoints are read as ordinates, positions along it from y = 0."""
-    x = L.anchor.x
-    if L != DirectedLine.vertical(x):
-        raise ValueError("requires a vertical query line, DirectedLine.vertical(x)")
-    return x
-
-
-def find_xD_xU(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry):
-    """Locate the lowest downward and highest upward breakpoints on ``L``.
-
-    ``L`` is ``DirectedLine.vertical(x)``.  Returns the anchor pair
-    ``(down, up)``, each ``(t, point, result)``, or a ``PruneDecision``
-    when a sideward wedge en route already settles the line; a strong
-    centroid en route raises ``CertifiedOptimum``.  The breakpoints and
-    the frame's two ordinates come from the index's table
+def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
+    """Locate the lowest downward and highest upward breakpoints on the
+    vertical line at abscissa ``x``, whose positions are ordinates: the
+    anchor pair ``(down, up)``, each ``(t, point, result)``, or a
+    ``PruneDecision`` when a sideward wedge en route already settles the
+    line; a strong centroid en route raises ``CertifiedOptimum``.  The
+    breakpoints and the frame's two ordinates come from the index's table
     (``vertical_breakpoints``); the frame's auxiliary lines give every
     vertical line through the box both anchor types, and the search
     exhausts the line, so no breakpoint lies strictly between the anchors.
     """
-    P = vertical_breakpoints(idx, _vertical_x(L), with_frame=True)
+    P = vertical_breakpoints(idx, x, with_frame=True)
     [(_, up, down, side)] = search_lines(
-        inst, [L], [P], telemetry,
+        inst, [DirectedLine.vertical(x)], [P], telemetry,
         "strong centroid at a breakpoint of the query line",
     )
     if side is not None:
@@ -187,7 +177,7 @@ def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray,
     does not depend on the block it falls in, and the first greatest wins.
     """
     c, s = np.cos(thetas), np.sin(thetas)
-    rows = max(1, SWEEP_BLOCK // inst.n)
+    rows = max(1, medianoid.SWEEP_BLOCK // inst.n)
     best, best_k = -math.inf, -1
     for lo in range(0, len(thetas), rows):
         dots = np.outer(c[lo:lo + rows], vx) + np.outer(s[lo:lo + rows], vy)
@@ -271,37 +261,36 @@ def pseudo_wedge(
     )
 
 
-def decide(inst, idx: AngularIndex, L: DirectedLine, telemetry: Telemetry) -> PruneDecision:
-    """Classify the vertical line ``L``, ``DirectedLine.vertical(x)``:
-    name the side of the plane that cannot contain a better point, or
-    raise ``CertifiedOptimum`` at an optimum found on it."""
+def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDecision:
+    """Classify the vertical line at abscissa ``x``: name the side of the
+    plane that cannot contain a better point, or raise
+    ``CertifiedOptimum`` at an optimum found on it."""
     telemetry.decide_calls += 1
-    X = _vertical_x(L)
     frame = idx.frame
-    if X < frame.xmin:
+    if x < frame.xmin:
         return PruneDecision(
             PRUNE_LEFT, "line lies left of the bounding box of all discs"
         )
-    if X > frame.xmax:
+    if x > frame.xmax:
         return PruneDecision(
             PRUNE_RIGHT, "line lies right of the bounding box of all discs"
         )
 
-    got = find_xD_xU(inst, idx, L, telemetry)
+    got = find_xD_xU(inst, idx, x, telemetry)
     if isinstance(got, PruneDecision):
         return got
     (t_D, p_D, r_D), (t_U, p_U, r_U) = got
 
     # The search exhausted the line's breakpoints, so none lies strictly
     # between the anchors: probe the segment midpoint.
-    x_B = L.point_at((t_U + t_D) / 2.0)
+    x_B = DirectedLine.vertical(x).point_at((t_U + t_D) / 2.0)
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
         raise CertifiedOptimum(
             x_B, res_B.weight_loss, "strong centroid at the anchor-segment midpoint"
         )
-    cls_B = classify_wedge_on_line(res_B.wedge, L.angle)
+    cls_B = classify_wedge_on_line(res_B.wedge, math.pi / 2.0)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
         # The anchors may lie within the capture tolerance of each other,
         # where the value on the open segment need not be constant: the

@@ -8,6 +8,7 @@ against independently derived answers rather than against itself.
 import math
 import random
 import tracemalloc
+from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 import numpy as np
@@ -17,14 +18,11 @@ from rivalloc.geom import (
     ANGLE_TOL,
     EPS_BASE,
     TWO_PI,
-    Circle,
     Customer,
     DirectedLine,
     Instance,
     Point,
     normalize_angle,
-    outer_tangents,
-    unit_vector,
 )
 from rivalloc.linesearch import (
     SEARCHED_LINE,
@@ -68,6 +66,50 @@ def collinear(a: Point, b: Point, c: Point, eps: float = EPS_BASE) -> bool:
     cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
     span = max(abs(b.x - a.x), abs(b.y - a.y), abs(c.x - a.x), abs(c.y - a.y), 1.0)
     return abs(cross) <= eps * span
+
+
+def unit_vector(theta: float) -> Tuple[float, float]:
+    return (math.cos(theta), math.sin(theta))
+
+
+@dataclass(frozen=True, slots=True)
+class Circle:
+    center: Point
+    radius: float
+
+    def __post_init__(self) -> None:
+        if self.radius < 0.0:
+            raise ValueError("circle radius must be nonnegative")
+
+
+def polar_angle(p: Point, origin: Point) -> float:
+    """Angle of the vector p - origin, counterclockwise from +x, in [0, 2*pi)."""
+    dx = p.x - origin.x
+    dy = p.y - origin.y
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("degenerate direction: coincident points")
+    return normalize_angle(math.atan2(dy, dx))
+
+
+def outer_tangents(c1: Circle, c2: Circle, eps: float = EPS_BASE) -> Tuple[DirectedLine, DirectedLine]:
+    """Both outer tangent lines of two equal-radius circles: the scalar
+    construction ``oracle.enumerate_candidates`` evaluates over arrays.
+
+    The returned lines are parallel to the center line, oriented along
+    c1 -> c2.  The first lies to the right of that direction, the second to
+    the left.
+    """
+    if abs(c1.radius - c2.radius) > eps:
+        raise ValueError("outer tangents are only supported for equal radii")
+    if c1.radius <= 0.0:
+        raise ValueError("outer tangents need a positive radius")
+    delta = polar_angle(c2.center, c1.center)
+    r = c1.radius
+    rx, ry = unit_vector(delta - math.pi / 2.0)
+    lx, ly = unit_vector(delta + math.pi / 2.0)
+    right = DirectedLine(Point(c1.center.x + r * rx, c1.center.y + r * ry), delta)
+    left = DirectedLine(Point(c1.center.x + r * lx, c1.center.y + r * ly), delta)
+    return right, left
 
 
 def horizontal(y: float) -> DirectedLine:

@@ -249,7 +249,7 @@ def test_vertical_line_decisions_are_sound_on_100_pairs():
         values = support.brute_values(inst)
         best = min(w for _, w in values)
         try:
-            dec = decide(inst, idx, L, Telemetry())
+            dec = decide(inst, idx, X, Telemetry())
         except CertifiedOptimum as cert:
             # A strong or a conditional centroid: both are global optima.
             kinds.add(cert.origin)

@@ -406,6 +406,23 @@ class TestOneCheck:
         assert min(fired.values()) > 50 and clean > 200, (fired, clean)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
+    "ROADMAP open item 1: on this accepted near-shared-x instance the "
+    "pseudo-wedge at the downward anchor finds no direction capturing the "
+    "upward anchor's value"))
+def test_near_shared_x_reproducer_matches_brute():
+    """ROADMAP item 1's reproducer: sites 2 and 3 differ in x by 1.5 eps,
+    which the check accepts.  Intermediate and brute report the loss
+    below; parametric raises in a decision at x = -5.659119698249414."""
+    sites = [(31.906575751618064, -26.30312646793982, 2.9162591028207365),
+             (40.62615388327485, -15.956194829733917, 0.6963270353106157),
+             (-5.159119764602217, 21.992169882910872, 3.332589018540827),
+             (-5.159119703662986, 38.87730063443378, 3.986003644124625)]
+    inst = Instance([Customer(Point(x, y), w) for x, y, w in sites], 1.0)
+    assert general_position_violation(inst) is None
+    assert solve_centroid(inst, "parametric").weight_loss == 6.945175156672179
+
+
 class TestCrossingSelection:
     @staticmethod
     def enumerated(lnx, lny, loff, lo, hi):

@@ -15,24 +15,24 @@ from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
     EPS_BASE,
-    Circle,
     Customer,
     DirectedLine,
     Instance,
     Point,
     general_position_violation,
     normalize_angle,
-    outer_tangents,
-    polar_angle,
-    unit_vector,
 )
 from support import (
+    Circle,
     circle_circle_intersections,
     collinear,
     dist,
     horizontal,
     line_circle_intersections,
     line_line_intersection,
+    outer_tangents,
+    polar_angle,
+    unit_vector,
 )
 
 EPS = 1e-9

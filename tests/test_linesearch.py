@@ -458,7 +458,7 @@ class TestEngineMatchesReference:
             seen["certified" if want[0][0] == "certified" else "minima"] += 1
             for _ in range(3):
                 L = support.vertical_through_box(rng, frame)
-                got = _outcome(lambda tel: find_xD_xU(inst, idx, L, tel))
+                got = _outcome(lambda tel: find_xD_xU(inst, idx, L.anchor.x, tel))
                 want = _outcome(lambda tel: _reference_find(inst, idx, frame, L, tel))
                 if isinstance(got[0], PruneDecision):
                     got = (got[0].kind, got[1])

@@ -149,6 +149,33 @@ ENUMERATION_CASES = [("seeded n=%d" % n, lambda n=n: generate_instance(n, seed=n
 ]
 
 
+# Grid and real coordinates from one customer up, and the touching cases,
+# whose pairs sharing a coordinate give axis-parallel tangent lines.
+TANGENT_CASES = [("seeded n=%d" % n, lambda n=n: generate_instance(n, seed=n, r=4.0))
+                 for n in (1, 2, 3, 9, 14)] + [
+    ("real n=%d" % n, lambda n=n: _real_instance(n, n)) for n in (1, 2, 6, 12)
+] + [case for case in ENUMERATION_CASES if case[0].startswith("touching")]
+
+
+@pytest.mark.parametrize("make", [m for _, m in TANGENT_CASES],
+                         ids=[name for name, _ in TANGENT_CASES])
+def test_tangent_arrays_match_the_scalar_construction(make):
+    """The anchors and directions of the tangent lines the enumeration
+    builds are, bitwise and in order, those of ``support.outer_tangents``
+    over the pairs i < j."""
+    inst = make()
+    want = [(L.anchor.x, L.anchor.y) + L.direction for L in support.all_tangent_lines(inst)]
+    got = list(zip(*(a.tolist() for a in oracle._tangent_lines(inst))))
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_enumeration_rejects_a_zero_separation(n):
+    inst = Instance(generate_instance(n, seed=3).customers, 0.0)
+    with pytest.raises(ValueError, match="R must be positive"):
+        enumerate_candidates(inst)
+
+
 def _bits(cands):
     return [(x.hex(), y.hex(), tag)
             for x, y, tag in zip(cands.xs.tolist(), cands.ys.tolist(), cands.provenance)]

@@ -8,7 +8,7 @@ import pytest
 
 import support
 from rivalloc.cli import generate_instance
-from rivalloc.geom import DBL_EPS, Customer, DirectedLine, Instance, Point
+from rivalloc.geom import DBL_EPS, Customer, Instance, Point
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
@@ -17,7 +17,7 @@ from rivalloc.medianoid import (
     classify_wedge_on_line,
     solve_medianoid,
 )
-from rivalloc import vprune
+from rivalloc import medianoid, vprune
 from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
     PRUNE_LEFT,
@@ -117,7 +117,7 @@ class TestFindAnchors:
             scale = max(1.0, max(abs(r[0]) for r in rows))
             tol = 1e-6 * scale
             try:
-                got = find_xD_xU(inst, idx, L, Telemetry())
+                got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
             except CertifiedOptimum as cert:
                 decisions_seen += 1
                 # a covering interval wider than a half turn certifies a
@@ -157,21 +157,13 @@ class TestFindAnchors:
                 for _ in range(6):
                     L = support.vertical_through_box(rng, frame)
                     try:
-                        got = find_xD_xU(inst, idx, L, Telemetry())
+                        got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
                     except CertifiedOptimum:
                         continue
                     if not isinstance(got, PruneDecision):
                         anchors_seen += 1
                         assert_nothing_between(idx, frame, L, got)
         assert anchors_seen >= 20, anchors_seen
-
-    def test_rejects_non_vertical_line(self):
-        inst = generate_instance(4, seed=3, r=2.0)
-        idx = build_angular_index(inst)
-        frame = build_frame(inst)
-        L = DirectedLine(Point(0.0, 0.0), 0.3)
-        with pytest.raises(ValueError, match="vertical"):
-            decide(inst, idx, L, Telemetry())
 
 
 class TestPhaseStructure:
@@ -229,7 +221,7 @@ class TestPseudoWedge:
             frame = build_frame(inst)
             L = support.vertical_through_box(rng, frame)
             try:
-                got = find_xD_xU(inst, idx, L, Telemetry())
+                got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
             except CertifiedOptimum:
                 continue
             if isinstance(got, PruneDecision):
@@ -296,7 +288,7 @@ class TestCaptureTable:
         ``max_capture`` are bitwise those of the whole table, whose first
         maximum in sorted-theta order wins a tie.  Blocks of one row, or of
         a few, split every table, and ties cross block boundaries."""
-        monkeypatch.setattr(vprune, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", block)
         rng = random.Random(23)
         seen = {"apexes": 0, "on_circle": 0, "ties": 0, "real": 0, "null": 0, "decided": 0}
         calls = []
@@ -346,7 +338,7 @@ class TestCaptureTable:
         whole table's, with integer, equal and real weights, R = 0 among
         the separations, and every fourth apex on a site.  Blocks of one
         row split every table."""
-        monkeypatch.setattr(vprune, "SWEEP_BLOCK", 1)
+        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", 1)
         rng = random.Random(29)
         beside = [0.0, 1e-15, -1e-15, 4e-15, -4e-15, 1e-10, -1e-10, 1e-7, -1e-7,
                   9e-7, -9e-7, 1.5e-6, -1.5e-6]
@@ -378,19 +370,11 @@ class TestDecide:
         inst = generate_instance(5, seed=9, r=2.0)
         idx = build_angular_index(inst)
         frame = idx.frame
-        far_left = decide(inst, idx, DirectedLine.vertical(frame.xmin - 5.0), Telemetry())
-        far_right = decide(inst, idx, DirectedLine.vertical(frame.xmax + 5.0), Telemetry())
+        far_left = decide(inst, idx, frame.xmin - 5.0, Telemetry())
+        far_right = decide(inst, idx, frame.xmax + 5.0, Telemetry())
         assert far_left.kind == PRUNE_LEFT
         assert far_right.kind == PRUNE_RIGHT
         assert "bounding box" in far_left.evidence
-        # Breakpoints are ordinates at x: only DirectedLine.vertical(x) is
-        # a query line.
-        for L in (DirectedLine(Point(0.0, 1.0), math.pi / 2.0),
-                  DirectedLine(Point(0.0, 0.0), 1.5 * math.pi)):
-            with pytest.raises(ValueError, match="vertical query line"):
-                decide(inst, idx, L, Telemetry())
-            with pytest.raises(ValueError, match="vertical query line"):
-                find_xD_xU(inst, idx, L, Telemetry())
 
     def test_kept_side_retains_a_global_optimum(self):
         rng = random.Random(19)
@@ -402,7 +386,7 @@ class TestDecide:
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
             try:
-                dec = decide(inst, idx, L, Telemetry())
+                dec = decide(inst, idx, X, Telemetry())
             except CertifiedOptimum as cert:
                 kinds.add(cert.origin)
                 best = support.brute_minimum(inst)
