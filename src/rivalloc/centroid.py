@@ -529,19 +529,15 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
 
     try:
         if mode == INTERMEDIATE:
-            # One group per customer: its tangent lines, searched one group
-            # after another.  Consecutive groups share one lockstep while
-            # their lines fit one sweep block; a line's evaluations do not
-            # depend on its partners, so a chunk of several groups that
+            # One group per customer: its n - 1 tangent lines, searched one
+            # group after another.  Consecutive groups share one lockstep
+            # while their lines fit one sweep block; a line's evaluations do
+            # not depend on its partners, so a chunk of several groups that
             # certifies is searched again group by group.
-            size = block_size(idx.n)
-            chunks: List[List[List[DirectedLine]]] = [[]]
-            for i in range(idx.n):
-                group = [idx.tangent_line(i, j) for j in range(idx.n) if j != i]
-                if chunks[-1] and sum(map(len, chunks[-1])) + len(group) > size:
-                    chunks.append([])
-                chunks[-1].append(group)
-            for chunk in chunks:
+            n = idx.n
+            groups = [[idx.tangent_line(i, j) for j in range(n) if j != i] for i in range(n)]
+            k = max(1, block_size(n) // max(1, n - 1))
+            for chunk in (groups[s:s + k] for s in range(0, n, k)):
                 before = replace(tel)
                 try:
                     run_lines([L for group in chunk for L in group])

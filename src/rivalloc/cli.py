@@ -81,7 +81,8 @@ def load_instance(path: str) -> Instance:
             data = json.load(fh)
     except OSError as e:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    # ValueError: bad JSON or UTF-8, or an integer too long to convert.
+    except (ValueError, RecursionError) as e:
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {e}")
     return parse_instance(data, where=path)
 

@@ -97,9 +97,11 @@ class Customer:
 class Instance:
     """The problem universe: weighted customer sites and the separation R.
 
-    ``r`` is the derived half separation; the follower must keep distance
-    at least R from the leader, and a customer is captured exactly when its
-    projection on the follower direction exceeds r.
+    R is positive and finite, or construction raises ``ValueError``; no
+    solver checks it again.  ``r`` is the derived half separation; the
+    follower must keep distance at least R from the leader, and a customer
+    is captured exactly when its projection on the follower direction
+    exceeds r.
 
     The tolerances ``eps``, ``capture_r``, ``cross_tol``, ``closed_tol``
     and ``weight_tol`` (see the table at the top of this module), the
@@ -115,8 +117,8 @@ class Instance:
     def __init__(self, customers: Sequence[Customer], R: float) -> None:
         if len(customers) < 1:
             raise ValueError("instance needs at least one customer")
-        if not 0.0 <= R < math.inf:
-            raise ValueError(f"separation distance R must be nonnegative and finite, got {R}")
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"separation distance R must be positive and finite, got {R}")
         object.__setattr__(self, "customers", tuple(customers))
         object.__setattr__(self, "R", float(R))
         scale = max(

@@ -164,8 +164,6 @@ def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False)
     is the largest; that sum is the weight loss, and ``_covering`` reads
     the witness and the covering interval from them.
     """
-    if inst.R <= 0.0:
-        raise ValueError("unsupported configuration: R must be positive")
     k = len(xs)
     n = inst.n
     ws = inst.ws

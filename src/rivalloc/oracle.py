@@ -43,8 +43,6 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     cell of the circular arrangement of capture-arc endpoints, so the answer
     does not depend on any sweep bookkeeping.
     """
-    if not inst.R > 0.0:
-        raise ValueError("unsupported configuration: R must be positive")
     r = inst.capture_r
     reachable = []
     events: List[float] = []
@@ -108,10 +106,8 @@ def _tangent_lines(inst: Instance) -> Tuple[np.ndarray, ...]:
     -/+ pi/2), the direction (cos, sin)(delta).  Like ``DirectedLine``,
     they snap a component below ``SNAP_TOL`` to an axis, which never
     happens on an instance the general-position check accepts: its |dx|
-    and |dy| exceed ``eps``.  R must be positive."""
+    and |dy| exceed ``eps``."""
     r = inst.r
-    if not r > 0.0:
-        raise ValueError("unsupported configuration: R must be positive")
     i, j = np.triu_indices(inst.n, 1)
     delta = _normalized(_libm(math.atan2, inst.ys[j] - inst.ys[i], inst.xs[j] - inst.xs[i]))
     side = np.stack((delta - math.pi / 2.0, delta + math.pi / 2.0), axis=1).ravel()

@@ -48,7 +48,7 @@ from .medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    MedianoidResult,
+    Wedge,
     _normalized,
     as_result,
     classify_wedge_on_line,
@@ -108,13 +108,14 @@ def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = Non
 def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on the
     vertical line at abscissa ``x``, whose positions are ordinates: the
-    anchor pair ``(down, up)``, each ``(t, point, result)``, or a
-    ``PruneDecision`` when a sideward wedge en route already settles the
-    line; a strong centroid en route raises ``CertifiedOptimum``.  The
-    breakpoints and the frame's two ordinates come from the index's table
-    (``vertical_breakpoints``); the frame's auxiliary lines give every
-    vertical line through the box both anchor types, and the search
-    exhausts the line, so no breakpoint lies strictly between the anchors.
+    anchor pair ``(down, up)``, each ``(t, result)`` with the anchor at
+    ``result.wedge.apex``, or a ``PruneDecision`` when a sideward wedge en
+    route already settles the line; a strong centroid en route raises
+    ``CertifiedOptimum``.  The breakpoints and the frame's two ordinates
+    come from the index's table (``vertical_breakpoints``); the frame's
+    auxiliary lines give every vertical line through the box both anchor
+    types, and the search exhausts the line, so no breakpoint lies
+    strictly between the anchors.
     """
     P = vertical_breakpoints(idx, x, with_frame=True)
     [(_, up, down, side)] = search_lines(
@@ -131,12 +132,7 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
         raise RuntimeError(
             "downward anchor does not lie strictly above the upward anchor"
         )
-
-    def anchor(e):
-        point = Point(e[1], e[2])
-        return e[0], point, as_result(point, *e[3:])
-
-    return anchor(down), anchor(up)
+    return tuple((e[0], as_result(Point(e[1], e[2]), *e[3:])) for e in (down, up))
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -188,26 +184,20 @@ def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray,
     return best_k, best
 
 
-def pseudo_wedge(
-    inst: Instance,
-    apex: Point,
-    W1: float,
-    result: MedianoidResult,
-) -> PseudoWedge:
-    """Build the trimmed wedge at ``apex`` that certifies one-side pruning.
+def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> PseudoWedge:
+    """Build the trimmed wedge at ``wedge.apex`` that certifies one-side
+    pruning.
 
-    ``W1`` is the follower value at the worse anchor of the same vertical
-    line, and ``result`` the follower's result at ``apex``.  A direction of
+    ``wedge`` is the follower's wedge at the better anchor of a vertical
+    line, and ``W1`` the follower value at the worse one.  A direction of
     maximum closed capture (weight of customers whose disc lies weakly
     beyond distance ``r`` along the direction, up to ``inst.closed_tol``)
     is chosen on the anchor's far half of directions; it must capture at
     least ``W1`` up to ``inst.weight_tol``.  The wedge's direction cone
     intersected with the half-turn around that direction then either sits
-    weakly on one side of the vertical line or is empty.
+    weakly on one side of the vertical line or is empty.  A sideward
+    ``wedge`` raises ``ValueError``.
     """
-    wedge = result.wedge
-    if wedge is None:
-        raise ValueError("pseudo-wedge requires a point with a proper wedge")
     cls = classify_wedge_on_line(wedge, math.pi / 2.0)
     if cls == UPWARD:
         t_lo, t_hi = math.pi, TWO_PI
@@ -218,6 +208,7 @@ def pseudo_wedge(
 
     r = inst.r
     tol = inst.closed_tol
+    apex = wedge.apex
     vx = inst.xs - apex.x
     vy = inst.ys - apex.y
     # Candidate directions: the capture-arc endpoints, in customer order,
@@ -279,7 +270,7 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
     got = find_xD_xU(inst, idx, x, telemetry)
     if isinstance(got, PruneDecision):
         return got
-    (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+    (t_D, r_D), (t_U, r_U) = got
 
     # The search exhausted the line's breakpoints, so none lies strictly
     # between the anchors: probe the segment midpoint.
@@ -303,16 +294,14 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
     # only a direction on the apex's far half that captures at least
     # W1 >= W(apex); a tie satisfies that, and what it prunes is no better
     # than the apex, which stays on the kept boundary line.
-    W_D = r_D.weight_loss
-    W_U = r_U.weight_loss
-    if W_D <= W_U:
-        apex_p, apex_r, W1 = p_D, r_D, W_U
+    if r_D.weight_loss <= r_U.weight_loss:
+        apex, W1 = r_D, r_U.weight_loss
     else:
-        apex_p, apex_r, W1 = p_U, r_U, W_D
-    pw = pseudo_wedge(inst, apex_p, W1, result=apex_r)
+        apex, W1 = r_U, r_D.weight_loss
+    pw = pseudo_wedge(inst, apex.wedge, W1)
     if pw.classification == PW_NULL:
         raise CertifiedOptimum(
-            apex_p, apex_r.weight_loss, "empty pseudo-wedge cone at the better anchor"
+            apex.wedge.apex, apex.weight_loss, "empty pseudo-wedge cone at the better anchor"
         )
     return _prune(
         pw.classification, "pseudo-wedge cone at the better anchor points to one side"

@@ -147,6 +147,15 @@ class TestSolve:
         assert main(["solve", "--input", str(path)]) == EXIT_PARSE
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'{"r": 2, "customers": [\xff]}', b"[" * 200_000,
+                                         b'{"r": ' + b"1" * 5000 + b"}"],
+                             ids=["invalid-utf8", "nested-200000-deep", "5000-digit-integer"])
+    def test_undecodable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve", "--input", str(path)]) == EXIT_PARSE
+        assert "cannot parse" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -294,9 +303,9 @@ class TestRegressionInstances:
         ties = []
         pseudo_wedge = vprune.pseudo_wedge
 
-        def recording(inst, apex, W1, result=None):
-            ties.append(W1 == result.weight_loss)
-            return pseudo_wedge(inst, apex, W1, result=result)
+        def recording(inst, wedge, W1):
+            ties.append(W1 == solve_medianoid(inst, wedge.apex).weight_loss)
+            return pseudo_wedge(inst, wedge, W1)
 
         monkeypatch.setattr(vprune, "pseudo_wedge", recording)
         monkeypatch.chdir(tmp_path)

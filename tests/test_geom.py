@@ -85,8 +85,9 @@ def test_non_finite_numbers_are_rejected(value):
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance([], 2.0)
-    with pytest.raises(ValueError):
-        Instance([Customer(Point(0, 0), 1.0)], -1.0)
+    for R in (-1.0, 0.0, -0.0):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            Instance([Customer(Point(0, 0), 1.0)], R)
     inst = Instance([Customer(Point(30.0, 0.0), 1.0)], 2.0)
     assert inst.n == 1
     assert inst.r == 1.0

@@ -417,11 +417,11 @@ def _reference_find(inst, idx, frame, L, tel):
     pruned side of a sideward end, else the last downward and the last
     upward evaluation."""
     down = up = None
-    for t, point, res, d in support.reference_anchors(inst, idx, frame, L, tel):
+    for t, _, res, d in support.reference_anchors(inst, idx, frame, L, tel):
         if d == UPWARD:
-            up = (t, point, res)
+            up = (t, res)
         elif d == DOWNWARD:
-            down = (t, point, res)
+            down = (t, res)
         else:
             return PRUNE_LEFT if d == SIDEWARD_RIGHT else PRUNE_RIGHT
     return down, up

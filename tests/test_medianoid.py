@@ -111,10 +111,10 @@ class TestSolveMedianoid:
         assert res.weight_loss == 5.0
 
     def test_rejects_nonpositive_separation(self):
+        """R = 0 is refused where the instance is built, before any sweep."""
         inst = make_instance([(0.0, 0.0, 1.0)], 2.0)
-        bad = Instance(inst.customers, 0.0)
         with pytest.raises(ValueError, match="R must be positive"):
-            solve_medianoid(bad, Point(5.0, 5.0))
+            Instance(inst.customers, 0.0)
 
     def test_witness_attains_the_weight_loss(self):
         rng = random.Random(7)

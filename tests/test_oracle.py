@@ -171,9 +171,9 @@ def test_tangent_arrays_match_the_scalar_construction(make):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_enumeration_rejects_a_zero_separation(n):
-    inst = Instance(generate_instance(n, seed=3).customers, 0.0)
+    """R = 0 is refused where the instance is built, before any enumeration."""
     with pytest.raises(ValueError, match="R must be positive"):
-        enumerate_candidates(inst)
+        Instance(generate_instance(n, seed=3).customers, 0.0)
 
 
 def _bits(cands):

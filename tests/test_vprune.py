@@ -44,7 +44,7 @@ brute_anchors = support.vertical_anchors
 def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
-    (t_D, _, _), (t_U, _, _) = got
+    (t_D, _), (t_U, _) = got
     pos = support.breakpoint_sequences(idx, L).tolist()
     pos += [frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y]
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
@@ -131,9 +131,11 @@ class TestFindAnchors:
                 assert_kept_side_holds_an_optimum(inst, got, L.anchor.x, trial)
                 continue
             anchors_seen += 1
-            (t_D, p_D, r_D), (t_U, p_U, r_U) = got
+            (t_D, r_D), (t_U, r_U) = got
             assert_nothing_between(idx, frame, L, got)
-            assert p_D.y > p_U.y, trial
+            assert r_D.wedge.apex == Point(L.anchor.x, t_D), trial
+            assert r_U.wedge.apex == Point(L.anchor.x, t_U), trial
+            assert t_D > t_U, trial
             (bt_D, bp_D, br_D, _), (bt_U, bp_U, br_U, _) = brute_anchors(rows)
             assert abs(t_D - bt_D) <= tol, (trial, t_D, bt_D)
             assert abs(t_U - bt_U) <= tol, (trial, t_U, bt_U)
@@ -226,12 +228,12 @@ class TestPseudoWedge:
                 continue
             if isinstance(got, PruneDecision):
                 continue
-            (t_D, p_D, r_D), (t_U, p_U, r_U) = got
-            for apex_p, apex_r, other, lo, hi in (
-                (p_D, r_D, r_U.weight_loss, 0.0, math.pi),
-                (p_U, r_U, r_D.weight_loss, math.pi, 2.0 * math.pi),
+            (t_D, r_D), (t_U, r_U) = got
+            for apex, other, lo, hi in (
+                (r_D, r_U.weight_loss, 0.0, math.pi),
+                (r_U, r_D.weight_loss, math.pi, 2.0 * math.pi),
             ):
-                pw = pseudo_wedge(inst, apex_p, other, result=apex_r)
+                pw = pseudo_wedge(inst, apex.wedge, other)
                 built += 1
                 assert lo <= pw.theta_star <= hi, trial
                 assert pw.max_capture >= other - 1e-9 * inst.total_weight()
@@ -242,7 +244,7 @@ class TestPseudoWedge:
         inst = Instance([Customer(Point(0.0, 0.0), 2.0)], 2.0)
         apex = Point(-10.0, 0.0)
         with pytest.raises(ValueError, match="upward or downward"):
-            pseudo_wedge(inst, apex, 1.0, solve_medianoid(inst, apex))
+            pseudo_wedge(inst, solve_medianoid(inst, apex).wedge, 1.0)
 
 
 class TestCaptureTable:
@@ -294,9 +296,9 @@ class TestCaptureTable:
         calls = []
         real_pw = vprune.pseudo_wedge
 
-        def recorded(inst, apex, W1, result):
-            calls.append((apex, W1, result))
-            return real_pw(inst, apex, W1, result=result)
+        def recorded(inst, wedge, W1):
+            calls.append((wedge, W1))
+            return real_pw(inst, wedge, W1)
 
         def table(inst, vx, vy, thetas):
             k, capture = support.table_first_max_capture(inst, vx, vy, thetas)
@@ -316,16 +318,16 @@ class TestCaptureTable:
                 result = solve_medianoid(inst, apex)
                 if result.wedge is not None and classify_wedge_on_line(
                         result.wedge, math.pi / 2.0) in (UPWARD, DOWNWARD):
-                    calls.append((apex, 0.0, result))
-            for apex, W1, result in calls:
-                got = pseudo_wedge(inst, apex, W1, result)
+                    calls.append((result.wedge, 0.0))
+            for wedge, W1 in calls:
+                got = pseudo_wedge(inst, wedge, W1)
                 with monkeypatch.context() as m:
                     m.setattr(vprune, "_first_max_capture", table)
-                    want = pseudo_wedge(inst, apex, W1, result)
+                    want = pseudo_wedge(inst, wedge, W1)
                 assert (got.theta_star.hex(), got.classification, got.max_capture.hex()) == (
-                    want.theta_star.hex(), want.classification, want.max_capture.hex()), apex
+                    want.theta_star.hex(), want.classification, want.max_capture.hex()), wedge
                 seen["apexes"] += 1
-                d = np.hypot(inst.xs - apex.x, inst.ys - apex.y)
+                d = np.hypot(inst.xs - wedge.apex.x, inst.ys - wedge.apex.y)
                 seen["on_circle"] += bool(np.any(np.abs(d - inst.r) <= 4 * DBL_EPS * inst.r))
                 seen["real"] += not inst.exact_sums
                 seen["null"] += got.classification == PW_NULL
@@ -335,16 +337,15 @@ class TestCaptureTable:
         """Directions at the ends of the customers' closed capture arcs and
         a few ulps to 2e-6 to either side, where the rounded test decides:
         the blocked table's first maximum and its capture are bitwise the
-        whole table's, with integer, equal and real weights, R = 0 among
-        the separations, and every fourth apex on a site.  Blocks of one
-        row split every table."""
+        whole table's, with integer, equal and real weights, and every
+        fourth apex on a site.  Blocks of one row split every table."""
         monkeypatch.setattr(medianoid, "SWEEP_BLOCK", 1)
         rng = random.Random(29)
         beside = [0.0, 1e-15, -1e-15, 4e-15, -4e-15, 1e-10, -1e-10, 1e-7, -1e-7,
                   9e-7, -9e-7, 1.5e-6, -1.5e-6]
         for trial in range(400):
             n = rng.randint(2, 12)
-            r = rng.choice((0.0, 0.5, 1.0, 2.0, 30.0))
+            r = rng.choice((0.5, 1.0, 2.0, 30.0))
             weight = (lambda: float(rng.randint(1, 4)), lambda: 1.0,
                       lambda: rng.uniform(0.5, 5.0))[trial % 3]
             inst = Instance([Customer(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)), weight())
