@@ -58,8 +58,10 @@ from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
     Telemetry,
+    _position_pass,
     build_angular_index,
     local_optima_on_lines,
+    vertical_breakpoints,
 )
 from .vprune import PRUNE_LEFT, PruneDecision, decide
 
@@ -518,8 +520,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             best = key
             best_point = point
 
-    def run_lines(lines: List[DirectedLine]) -> None:
-        for point, loss in local_optima_on_lines(inst, idx, lines, tel):
+    def run_lines(lines: List[DirectedLine], positions: List[np.ndarray]) -> None:
+        for point, loss in local_optima_on_lines(inst, lines, positions, tel):
             consider(point, loss)
 
     def run_points(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -539,14 +541,15 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             k = max(1, block_size(n) // max(1, n - 1))
             for chunk in (groups[s:s + k] for s in range(0, n, k)):
                 before = replace(tel)
+                lines = [L for group in chunk for L in group]
                 try:
-                    run_lines([L for group in chunk for L in group])
+                    run_lines(lines, _position_pass(idx, lines))
                 except CertifiedOptimum:
                     if len(chunk) == 1:
                         raise
                     tel = before
                     for group in chunk:
-                        run_lines(group)
+                        run_lines(group, _position_pass(idx, group))
                     raise RuntimeError("a certifying chunk has no certifying group")
             run_points(*disc_crossings(inst))
         else:
@@ -554,7 +557,9 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
             local_optimal_line_LT(inst, idx, slab, tel)
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
-            run_lines([DirectedLine.vertical(x) for x in slab.boundary_xs()])
+            xs = slab.boundary_xs()
+            run_lines([DirectedLine.vertical(x) for x in xs],
+                      [vertical_breakpoints(idx, x) for x in xs])
             for point, loss in slab.witnesses:
                 consider(point, loss)
         run_points(inst.xs, inst.ys)

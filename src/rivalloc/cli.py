@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 solver disagreement in ``compare``, 2 unreadable
 or malformed input or an unwritable output path, 3 instance violating the
 general-position requirements (``solve_centroid``'s
 ``DegenerateInputError``), 4 instance generation gave up, 5 internal
-solver error (a ``RuntimeError`` raised by an invariant check in
-``solve`` or ``compare``).  Codes 1 and 5 also write a reproducer JSON to
-the working directory.
+solver error (any other exception escaping a solve in ``solve`` or
+``compare``; its traceback goes to stderr).  Codes 1 and 5 also write a
+reproducer JSON to the working directory.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ def parse_instance(data, where: str = "instance") -> Instance:
         y = _require_number(c, "y", tag)
         w = _require_number(c, "w", tag, positive=True)
         customers.append(Customer(Point(x, y), w))
-    return Instance(customers, R)
+    try:
+        return Instance(customers, R)
+    except ValueError as e:
+        raise CliError(EXIT_PARSE, f"{where}: {e}")
 
 
 def load_instance(path: str) -> Instance:
@@ -242,21 +245,23 @@ def _reproducer_path(kind: str, name: str) -> str:
 
 def _solve_or_report(inst: Instance, mode: str, name: str) -> SolveReport:
     """``solve_centroid``, turning a degenerate instance into exit code 3
-    and an internal invariant failure into exit code 5 with a reproducer
-    (instance and mode) for the failing solve."""
+    and any other exception, an internal invariant failure or a crash,
+    into exit code 5 with its traceback on stderr and a reproducer
+    (instance, mode and error) for the failing solve."""
     try:
         return solve_centroid(inst, mode)
     except DegenerateInputError as e:
         raise CliError(EXIT_DEGENERATE, f"{name}: {e}") from e
-    except RuntimeError as e:
+    except Exception as e:
+        import traceback  # 1.3 ms at start-up that only a failing solve needs
+
+        traceback.print_exc()
+        error = f"{type(e).__name__}: {e}"
         repro = _reproducer_path("internal-error", name)
-        _dump_json(
-            {"instance": instance_to_obj(inst), "mode": mode, "error": str(e)},
-            repro,
-        )
+        _dump_json({"instance": instance_to_obj(inst), "mode": mode, "error": error}, repro)
         raise CliError(
             EXIT_INTERNAL,
-            f"{name}: internal error in {mode} solve: {e} (reproducer: {repro})",
+            f"{name}: internal error in {mode} solve: {error} (reproducer: {repro})",
         ) from e
 
 

@@ -97,11 +97,12 @@ class Customer:
 class Instance:
     """The problem universe: weighted customer sites and the separation R.
 
-    R is positive and finite, or construction raises ``ValueError``; no
-    solver checks it again.  ``r`` is the derived half separation; the
-    follower must keep distance at least R from the leader, and a customer
-    is captured exactly when its projection on the follower direction
-    exceeds r.
+    R is positive and finite, and so is 3W, W the total weight, which the
+    follower sweep's running sums reach; otherwise construction raises
+    ``ValueError``, and no solver checks either again.  ``r`` is the
+    derived half separation; the follower must keep distance at least R
+    from the leader, and a customer is captured exactly when its
+    projection on the follower direction exceeds r.
 
     The tolerances ``eps``, ``capture_r``, ``cross_tol``, ``closed_tol``
     and ``weight_tol`` (see the table at the top of this module), the
@@ -119,6 +120,9 @@ class Instance:
             raise ValueError("instance needs at least one customer")
         if not 0.0 < R < math.inf:
             raise ValueError(f"separation distance R must be positive and finite, got {R}")
+        W = sum(c.weight for c in customers)
+        if not math.isfinite(3.0 * W):
+            raise ValueError(f"total weight must be below a third of the float range, got {W}")
         object.__setattr__(self, "customers", tuple(customers))
         object.__setattr__(self, "R", float(R))
         scale = max(
@@ -129,7 +133,7 @@ class Instance:
         object.__setattr__(self, "capture_r", self.r + self._eps)
         object.__setattr__(self, "cross_tol", self._eps * max(1.0, self.r))
         object.__setattr__(self, "closed_tol", EPS_BASE * max(1.0, self.r))
-        object.__setattr__(self, "weight_tol", EPS_BASE * max(1.0, self.total_weight()))
+        object.__setattr__(self, "weight_tol", EPS_BASE * max(1.0, W))
         for name, values in (
             ("xs", [c.site.x for c in self.customers]),
             ("ys", [c.site.y for c in self.customers]),

@@ -16,13 +16,13 @@ bounding frame's top and bottom lines (``build_frame``), filled a block of
 rows at a time.  It is the index's only n^2-sized array; the tangent
 directions ``ang`` are computed on first use.  LT and LM read it in place.
 The customers are in general position (``solve_centroid`` checks), so no
-tangent line is vertical.  A vertical line's breakpoints
-are the table's ordinates at its x, ``(off - x*nx)/ny``, one per tangent
-column, computed in one preallocated array with its circle crossings
-(``vertical_breakpoints``, which decisions call with the frame's
-ordinates appended); other lines cross the tangent columns in one
-broadcast pass (``_position_pass``), which intermediate mode uses.  Both
-give the same positions, bitwise.
+tangent line is vertical.  Each caller builds the breakpoints of its own
+lines.  A vertical line's are the table's ordinates at its x,
+``(off - x*nx)/ny``, one per tangent column, in one preallocated array
+with its circle crossings (``vertical_breakpoints``; decisions append the
+frame's ordinates); intermediate mode's tangent lines, which
+``tangent_line`` directs upward, cross the tangent columns in broadcast
+passes (``_position_pass``).  Both give the same positions, bitwise.
 
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
@@ -215,27 +215,22 @@ class AngularIndex:
         return float(self.ang[self.row(i, j)])
 
     def tangent_line(self, i: int, j: int) -> DirectedLine:
-        """The stored right tangent of the ordered pair as a directed line."""
+        """The stored right tangent of the ordered pair, directed upward:
+        anchored at its touching point on disc i, along the pair's
+        direction or, where that points down, its opposite.  A horizontal
+        tangent has no upward direction and raises ``ValueError``."""
         a = self.angle(i, j)
+        if abs(math.sin(a)) <= ANGLE_TOL:
+            raise ValueError("horizontal query line has no breakpoint order")
         anchor = Point(
             float(self.xs[i]) + self.inst.r * math.sin(a),
             float(self.ys[i]) - self.inst.r * math.cos(a),
         )
-        return DirectedLine(anchor, a)
+        return DirectedLine(anchor, a if math.sin(a) > 0.0 else normalize_angle(a - math.pi))
 
 
 def build_angular_index(inst: Instance) -> AngularIndex:
     return AngularIndex(inst)
-
-
-def upward_line(L: DirectedLine) -> DirectedLine:
-    """The non-horizontal line ``L`` directed upward; breakpoint positions
-    ``t`` are measured along it from ``L``'s anchor."""
-    theta = normalize_angle(L.angle)
-    if abs(math.sin(theta)) <= ANGLE_TOL:
-        raise ValueError("horizontal query line has no breakpoint order")
-    up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
-    return DirectedLine(L.anchor, up)
 
 
 def _circle_positions(idx: AngularIndex, ax, ay, ux, uy, vals: np.ndarray, used: np.ndarray) -> None:
@@ -259,39 +254,50 @@ def _circle_positions(idx: AngularIndex, ax, ay, ux, uy, vals: np.ndarray, used:
 
 
 def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
-    """``_positions`` for lines that fit one block, as one broadcast pass:
-    row i of a lines x (n(n - 1) + 2n) table holds line i's crossings of
-    the index's tangent lines, then its circle crossings, and a mask keeps
-    the real ones."""
-    k, m = len(lines), idx.tangents
-    ax, ay, ux, uy = (np.array(v, dtype=float)[:, None] for v in zip(
-        *((L.anchor.x, L.anchor.y) + L.direction for L in lines)))
+    """The breakpoint array of each upward line of ``lines``: every
+    canonical tangent line that crosses the line once, in canonical order,
+    then circle crossings once per intersection point, in customer order
+    (a tangency contributes a single entry).  A tangent direction ``a`` is
+    parallel to the line, and dropped, when the C library's
+    ``|sin(a - up)|`` is at most ``ANGLE_TOL``; the crossing's own
+    denominator equals that sine up to rounding, so it preselects the few
+    directions the C library decides.  Each broadcast pass fills a lines x
+    (n(n - 1) + 2n) table for ``SWEEP_BLOCK // n^2`` lines (at least one),
+    so its temporaries stay one block, and a mask keeps the real entries;
+    each entry is computed on its own, whatever lines share its pass."""
+    m = idx.tangents
     nx, ny, off = idx.lines[:, :m]
-    vals = np.empty((k, m + 2 * idx.n))
-    used = np.empty((k, m + 2 * idx.n), dtype=bool)
+    size = max(1, medianoid.SWEEP_BLOCK // (idx.n * idx.n))
+    out: List[np.ndarray] = []
+    for s in range(0, len(lines), size):
+        block = lines[s:s + size]
+        ax, ay, ux, uy = (np.array(v, dtype=float)[:, None] for v in zip(
+            *((L.anchor.x, L.anchor.y) + L.direction for L in block)))
+        vals = np.empty((len(block), m + 2 * idx.n))
+        used = np.empty((len(block), m + 2 * idx.n), dtype=bool)
+        # Tangent crossings.  Each step rounds as (off - (ax*nx + ay*ny)) /
+        # (ux*nx + uy*ny) does.
+        den = ux * nx
+        den += uy * ny
+        T = vals[:, :m]
+        np.abs(den, out=T)
+        np.greater(T, 2.0 * ANGLE_TOL, out=used[:, :m])
+        rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
+        if len(rows):
+            angle = np.array([L.angle for L in block])
+            sin_d = _libm(math.sin, idx.ang[cols] - angle[rows])
+            used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
+        np.multiply(ax, nx, out=T)
+        T += ay * ny
+        np.subtract(off, T, out=T)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T /= den
 
-    # Tangent crossings.  Each step rounds as (off - (ax*nx + ay*ny)) /
-    # (ux*nx + uy*ny) does.
-    den = ux * nx
-    den += uy * ny
-    T = vals[:, :m]
-    np.abs(den, out=T)
-    np.greater(T, 2.0 * ANGLE_TOL, out=used[:, :m])
-    rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
-    if len(rows):
-        angle = np.array([L.angle for L in lines])
-        sin_d = _libm(math.sin, idx.ang[cols] - angle[rows])
-        used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
-    np.multiply(ax, nx, out=T)
-    T += ay * ny
-    np.subtract(off, T, out=T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T /= den
-
-    _circle_positions(idx, ax, ay, ux, uy, vals[:, m:], used[:, m:])
-    flat = vals[used]
-    ends = np.cumsum(np.count_nonzero(used, axis=1)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+        _circle_positions(idx, ax, ay, ux, uy, vals[:, m:], used[:, m:])
+        flat = vals[used]
+        ends = np.cumsum(np.count_nonzero(used, axis=1)).tolist()
+        out += [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return out
 
 
 def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) -> np.ndarray:
@@ -325,32 +331,6 @@ def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) 
         out[k:k + 2] = off[m:]
         k += 2
     return out[:k]
-
-
-def _positions(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
-    """The breakpoint array of each upward line of ``lines``: one unordered
-    array of positions, every canonical tangent line that crosses the line
-    once, in canonical order, then circle crossings once per intersection
-    point, in customer order (a tangency contributes a single entry).  A
-    tangent direction ``a`` is parallel to the line, and dropped, when the
-    C library's ``|sin(a - up)|`` is at most ``ANGLE_TOL``; the crossing's
-    own denominator equals that sine up to rounding, so it preselects the
-    few directions the C library decides.  A vertical line's array comes
-    from ``vertical_breakpoints``, the others' from ``_position_pass``,
-    ``SWEEP_BLOCK // n^2`` lines (at least one) at a time, so that the
-    lines x n^2 temporaries stay one block."""
-    # L == DirectedLine.vertical(L.anchor.x), without building that line.
-    out: List[Optional[np.ndarray]] = [
-        vertical_breakpoints(idx, L.anchor.x) if L.angle == math.pi / 2.0 and L.anchor.y == 0.0
-        else None for L in lines
-    ]
-    rest = [k for k, P in enumerate(out) if P is None]
-    size = max(1, medianoid.SWEEP_BLOCK // (idx.n * idx.n))
-    for start in range(0, len(rest), size):
-        block = rest[start:start + size]
-        for k, P in zip(block, _position_pass(idx, [lines[k] for k in block])):
-            out[k] = P
-    return out
 
 
 # One evaluation of a line search: its position t along the line, the
@@ -487,13 +467,14 @@ def search_lines(
 
 def local_optima_on_lines(
     inst: Instance,
-    idx: AngularIndex,
     lines: Sequence[DirectedLine],
+    positions: List[np.ndarray],
     telemetry: Telemetry,
 ) -> List[Tuple[Point, float]]:
     """The point and weight loss minimising the follower value over each
-    non-horizontal line of ``lines``, searched in lockstep
-    (``search_lines``); each line counts in ``lines_searched``.
+    upward line of ``lines``, with its breakpoint array in ``positions``,
+    searched in lockstep (``search_lines``); each line counts in
+    ``lines_searched``.
 
     A sideward wedge ends a line at its apex, the line minimum; otherwise
     the first evaluation of least weight loss is.  A line without
@@ -501,6 +482,5 @@ def local_optima_on_lines(
     global optimum raises ``CertifiedOptimum`` as ``search_lines`` does.
     """
     telemetry.lines_searched += len(lines)
-    up = [upward_line(L) for L in lines]
-    found = search_lines(inst, up, _positions(idx, up), telemetry, SEARCHED_LINE)
+    found = search_lines(inst, lines, positions, telemetry, SEARCHED_LINE)
     return [(Point(e[1], e[2]), e[3]) for e, _, _, _ in found]

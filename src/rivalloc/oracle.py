@@ -30,12 +30,6 @@ from .geom import (
 from .centroid import SolveReport
 from .medianoid import _normalized, least_loss, solve_medianoid
 
-TANGENT_TANGENT = "TxT"
-TANGENT_CIRCLE = "TxC"
-CIRCLE_CIRCLE = "CxC"
-FAMILIES = (TANGENT_TANGENT, TANGENT_CIRCLE, CIRCLE_CIRCLE)
-
-
 def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     """Best capturable weight at distance >= R from the leader at ``x``.
 
@@ -83,12 +77,10 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Deduplicated candidate points, as read-only coordinate arrays, with
-    the family that produced each."""
+    """Deduplicated candidate points, as read-only coordinate arrays."""
 
     xs: np.ndarray
     ys: np.ndarray
-    provenance: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         self.xs.flags.writeable = False
@@ -161,9 +153,8 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     ys.append(cc[1])
 
     X, Y = np.concatenate(xs), np.concatenate(ys)
-    family = np.repeat(np.arange(3), [len(v) for v in xs])
     order = np.lexsort((Y, X))
-    X, Y, family = X[order], Y[order], family[order]
+    X, Y = X[order], Y[order]
     px, py = X.tolist(), Y.tolist()
     keep = np.ones(len(px), dtype=bool)
     # Beyond its predecessor by more than eps in x, a point is kept.
@@ -176,7 +167,7 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
             if abs(py[i] - py[k]) <= inst.eps:
                 keep[i] = False
                 break
-    return CandidateSet(X[keep], Y[keep], tuple(FAMILIES[f] for f in family[keep].tolist()))
+    return CandidateSet(X[keep], Y[keep])
 
 
 def brute_centroid(inst: Instance) -> SolveReport:

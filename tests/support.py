@@ -28,10 +28,9 @@ from rivalloc.linesearch import (
     SEARCHED_LINE,
     CertifiedOptimum,
     _position_pass,
-    _positions,
     build_angular_index,
     build_frame,
-    upward_line,
+    vertical_breakpoints,
 )
 from rivalloc.medianoid import (
     DOWNWARD,
@@ -44,12 +43,10 @@ from rivalloc.medianoid import (
     solve_medianoid,
     sweep,
 )
-from rivalloc.oracle import (
-    CIRCLE_CIRCLE,
-    TANGENT_CIRCLE,
-    TANGENT_TANGENT,
-    CandidateSet,
-)
+from rivalloc.oracle import CandidateSet
+
+# The candidate families, as ``reference_candidates`` tags its points.
+TANGENT_TANGENT, TANGENT_CIRCLE, CIRCLE_CIRCLE = "TxT", "TxC", "CxC"
 
 
 def dist(a: Point, b: Point) -> float:
@@ -117,11 +114,24 @@ def horizontal(y: float) -> DirectedLine:
     return DirectedLine(Point(0.0, y), 0.0)
 
 
+def upward_line(L: DirectedLine) -> DirectedLine:
+    """The non-horizontal line ``L`` directed upward; breakpoint positions
+    ``t`` are measured along it from ``L``'s anchor."""
+    theta = normalize_angle(L.angle)
+    if abs(math.sin(theta)) <= ANGLE_TOL:
+        raise ValueError("horizontal query line has no breakpoint order")
+    up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
+    return DirectedLine(L.anchor, up)
+
+
 def breakpoint_sequences(idx, L: DirectedLine) -> np.ndarray:
     """All follower-value breakpoints on ``L`` as one unordered array of
-    positions along ``upward_line(L)``, as the line searches build them
-    (``linesearch._positions``)."""
-    return _positions(idx, [upward_line(L)])[0]
+    positions along ``upward_line(L)``, as the solvers build them: off the
+    index's table for a vertical line, by the general pass otherwise."""
+    line = upward_line(L)
+    if line.angle == math.pi / 2.0 and line.anchor.y == 0.0:
+        return vertical_breakpoints(idx, line.anchor.x)
+    return _position_pass(idx, [line])[0]
 
 
 def is_vertical(L, tol=ANGLE_TOL):
@@ -594,10 +604,12 @@ def line_circle_intersections(l: DirectedLine, c: Circle, eps: float = EPS_BASE)
     return [l.point_at(t0 - s), l.point_at(t0 + s)]
 
 
-def reference_enumerate_candidates(inst):
-    """``oracle.enumerate_candidates`` as a loop over every pair of tangent
-    lines, every line and circle, and every pair of circles through the
-    scalar crossings, sorted by (x, y) and deduplicated greedily."""
+def reference_candidates(inst):
+    """``oracle.enumerate_candidates``'s points as a loop over every pair of
+    tangent lines, every line and circle, and every pair of circles through
+    the scalar crossings, sorted by (x, y) and deduplicated greedily: the
+    kept points ``(point, family)``, each tagged with the family that
+    produced it."""
     r = inst.r
     lines = all_tangent_lines(inst)
     circles = [Circle(c.site, r) for c in inst.customers]
@@ -617,21 +629,26 @@ def reference_enumerate_candidates(inst):
                 raw.append((p, CIRCLE_CIRCLE))
     raw.sort(key=lambda e: (e[0].x, e[0].y))
     tol = inst.eps
-    points, provenance = [], []
+    kept = []
     for p, tag in raw:
         merged = False
-        for k in range(len(points) - 1, -1, -1):
-            q = points[k]
+        for k in range(len(kept) - 1, -1, -1):
+            q = kept[k][0]
             if p.x - q.x > tol:
                 break
             if abs(p.y - q.y) <= tol:
                 merged = True
                 break
         if not merged:
-            points.append(p)
-            provenance.append(tag)
+            kept.append((p, tag))
+    return kept
+
+
+def reference_enumerate_candidates(inst):
+    """``oracle.enumerate_candidates`` by ``reference_candidates``."""
+    points = [p for p, _ in reference_candidates(inst)]
     return CandidateSet(np.array([p.x for p in points], dtype=float),
-                        np.array([p.y for p in points], dtype=float), tuple(provenance))
+                        np.array([p.y for p in points], dtype=float))
 
 
 def all_tangent_lines(inst):

@@ -304,7 +304,8 @@ def test_progress_and_round_budgets():
 def count_positions(monkeypatch):
     """Count the breakpoint positions every line search builds, as a
     one-entry list: the general pass's arrays and the vertical lines'
-    arrays off the index's table, less a decision's two frame ordinates."""
+    arrays off the index's table, less a decision's two frame ordinates,
+    wrapped where the solvers look them up."""
     count = [0]
     general = linesearch._position_pass
     vertical = linesearch.vertical_breakpoints
@@ -319,8 +320,8 @@ def count_positions(monkeypatch):
         count[0] += len(out) - 2 * with_frame
         return out
 
-    monkeypatch.setattr(linesearch, "_position_pass", counted_general)
-    monkeypatch.setattr(linesearch, "vertical_breakpoints", counted_vertical)
+    monkeypatch.setattr(centroid, "_position_pass", counted_general)
+    monkeypatch.setattr(centroid, "vertical_breakpoints", counted_vertical)
     monkeypatch.setattr(vprune, "vertical_breakpoints", counted_vertical)
     return count
 

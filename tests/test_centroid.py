@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import support
+from support import CIRCLE_CIRCLE, TANGENT_CIRCLE, TANGENT_TANGENT
 from rivalloc import centroid, linesearch, medianoid
 from rivalloc.centroid import (
     CertifiedOptimum,
@@ -36,16 +37,11 @@ from rivalloc.geom import (
 )
 from rivalloc.linesearch import (
     Telemetry,
+    _position_pass,
     build_angular_index,
     local_optima_on_lines,
 )
 from rivalloc.medianoid import solve_medianoid
-from rivalloc.oracle import (
-    CIRCLE_CIRCLE,
-    TANGENT_CIRCLE,
-    TANGENT_TANGENT,
-    enumerate_candidates,
-)
 
 
 def slab_of(lo, hi):
@@ -128,7 +124,7 @@ class TestLineGroups:
         for k, L in enumerate(lines):
             tel = Telemetry()
             try:
-                local_optima_on_lines(inst, idx, [L], tel)[0]
+                local_optima_on_lines(inst, [L], _position_pass(idx, [L]), tel)
                 rounds.append(None)
             except CertifiedOptimum as cert:
                 assert cert.origin == "strong centroid on a searched line"
@@ -141,7 +137,7 @@ class TestLineGroups:
 
         tel = Telemetry()
         with pytest.raises(CertifiedOptimum) as got:
-            local_optima_on_lines(inst, idx, lines, tel)
+            local_optima_on_lines(inst, lines, _position_pass(idx, lines), tel)
         assert got.value.point == alone[first].point
         assert got.value.weight_loss == alone[first].weight_loss
         # Every search counts the round in which the group stops: one
@@ -215,7 +211,8 @@ class TestIntermediateChunks:
             # count in ``one_by_one``.
             rounds[0] = 0
             try:
-                local_optima_on_lines(inst, idx, lines, Telemetry() if alone else one_by_one)
+                local_optima_on_lines(inst, lines, _position_pass(idx, lines),
+                                      Telemetry() if alone else one_by_one)
             except CertifiedOptimum as cert:
                 alone[g] = (cert, rounds[0])
         first = min(alone)
@@ -239,7 +236,8 @@ class TestIntermediateChunks:
         first = 0
         while True:
             try:
-                local_optima_on_lines(inst, idx, groups[first], Telemetry())
+                local_optima_on_lines(inst, groups[first], _position_pass(idx, groups[first]),
+                                      Telemetry())
             except CertifiedOptimum:
                 break
             first += 1
@@ -255,9 +253,9 @@ class TestIntermediateChunks:
         calls = []
         search = centroid.local_optima_on_lines
 
-        def counted(inst, idx, lines, tel):
+        def counted(inst, lines, positions, tel):
             calls.append(len(lines))
-            return search(inst, idx, lines, tel)
+            return search(inst, lines, positions, tel)
 
         monkeypatch.setattr(centroid, "local_optima_on_lines", counted)
         rep = solve_centroid(inst, "intermediate")
@@ -617,8 +615,7 @@ class TestSharedSlab:
         for trial in range(40):
             inst = support.seeded_instance(23_000 + trial, n_lo=6, n_hi=10)
             idx = build_angular_index(inst)
-            found = enumerate_candidates(inst)
-            cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
+            cands = support.reference_candidates(inst)
             for tags in runs:
                 slab = _Slab()
                 tel = Telemetry()
@@ -659,8 +656,7 @@ class TestTangentCircleGaps:
             idx = build_angular_index(inst)
             lnx, lny, loff = idx.lines
             ends = sorted(set(support.line_crossing_xs(lnx, lny, loff)))
-            found = enumerate_candidates(inst)
-            cands = list(zip(map(Point, found.xs.tolist(), found.ys.tolist()), found.provenance))
+            cands = support.reference_candidates(inst)
             gaps = [
                 (lo, hi) for lo, hi in zip([-math.inf] + ends, ends + [math.inf])
                 if support.candidates_inside(

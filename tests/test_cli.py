@@ -208,6 +208,17 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.err == f"rivalloc: {path}: {violation}\n" and not captured.out
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_a_total_weight_beyond_the_sweeps_range_exits_2(self, tmp_path, capsys, command):
+        """An instance whose 3W, W the total weight, overflows is refused
+        where it is read, before any solve."""
+        obj = json.loads(json.dumps(GOOD))
+        obj["customers"][0]["w"] = obj["customers"][1]["w"] = 1e308
+        path = write_instance(tmp_path / "heavy.json", obj)
+        assert main([command, "--input", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "total weight" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("flag", ["solve --out", "solve --plot", "gen --out"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
         """An output path that cannot be written is reported like an
@@ -262,6 +273,22 @@ class TestInternalErrors:
         assert repro["instance"] == GOOD
         assert repro["mode"] == "intermediate"
         assert "invariant broken" in repro["error"]
+
+    def test_any_exception_exits_5_with_its_traceback(self, monkeypatch, tmp_path, capsys):
+        """A crash, not only an invariant's ``RuntimeError``, exits 5 with
+        its traceback on stderr and a reproducer naming the exception, so
+        ``compare`` never reads it as a disagreement."""
+        def solve_centroid(inst, mode="parametric"):
+            raise IndexError("crashed on purpose")
+
+        monkeypatch.setattr(cli, "solve_centroid", solve_centroid)
+        monkeypatch.chdir(tmp_path)
+        path = write_instance(tmp_path / "inst.json", GOOD)
+        assert main(["compare", "--input", path]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "IndexError: crashed on purpose" in err
+        repro = json.loads((tmp_path / "internal-error-inst.json").read_text())
+        assert repro["error"] == "IndexError: crashed on purpose"
 
     def test_compare_exits_5_with_a_reproducer(self, failing_solver):
         assert main(["compare", "--gen-n", "4", "--seeds", "3"]) == EXIT_INTERNAL
@@ -353,10 +380,14 @@ class TestMidpointWitness:
 
 class TestEnvironment:
     def test_console_script_runs(self):
+        # The child imports the package this suite imports, installed or not.
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         got = subprocess.run(
             [sys.executable, "-m", "rivalloc.cli", "gen", "--n", "3", "--seed", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert got.returncode == 0
         assert json.loads(got.stdout)["r"] == 2.0

@@ -96,6 +96,18 @@ def test_instance_validation():
     assert inst.eps == pytest.approx(30.0 * 1e-9)
 
 
+def test_instance_rejects_a_total_weight_whose_triple_overflows():
+    """The follower sweep's running sums reach 3W, W the total weight: an
+    instance whose 3W overflows is refused, one whose 3W is finite is not."""
+    heavy = [Customer(Point(0.0, 0.0), 1e308), Customer(Point(7.0, 3.0), 1e308),
+             Customer(Point(3.0, 8.0), 1.0)]
+    with pytest.raises(ValueError, match="total weight"):
+        Instance(heavy, 2.0)
+    with pytest.raises(ValueError, match="total weight"):
+        Instance([Customer(Point(0.0, 0.0), 6e307)], 2.0)
+    assert Instance([Customer(Point(0.0, 0.0), 5e307)], 2.0).total_weight() == 5e307
+
+
 def test_vertical_line_is_bitwise_vertical():
     L = DirectedLine.vertical(2.5)
     assert support.is_vertical(L)

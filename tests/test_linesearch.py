@@ -27,7 +27,6 @@ from rivalloc.linesearch import (
     build_angular_index,
     local_optima_on_lines,
     search_lines,
-    upward_line,
     vertical_breakpoints,
 )
 from rivalloc.medianoid import (
@@ -44,10 +43,19 @@ COVERAGE_TOL = 1e-6
 
 t_along = support.t_along
 expected_positions = support.expected_positions
+upward_line = support.upward_line
 
 
 def sorted_positions(P):
     return sorted(P.tolist())
+
+
+def line_optima(inst, idx, lines, telemetry):
+    """``local_optima_on_lines`` on ``lines`` directed upward, with the
+    breakpoint arrays the solvers build for them."""
+    return local_optima_on_lines(
+        inst, [upward_line(L) for L in lines],
+        [support.breakpoint_sequences(idx, L) for L in lines], telemetry)
 
 
 class TestAngularIndex:
@@ -66,6 +74,27 @@ class TestAngularIndex:
                     d = abs(ux * (c.y - line.anchor.y) - uy * (c.x - line.anchor.x))
                     assert d == pytest.approx(r, abs=1e-7)
 
+
+    def test_tangent_lines_point_upward(self):
+        """``tangent_line`` is the stored right tangent of the pair, through
+        its touching point on disc i, directed upward: bitwise the scalar
+        ``upward_line`` of the line along the pair's direction."""
+        inst = generate_instance(7, seed=5, r=3.0)
+        idx = build_angular_index(inst)
+        downward = 0
+        for i in range(idx.n):
+            for j in range(idx.n):
+                if i != j:
+                    L = idx.tangent_line(i, j)
+                    assert L == upward_line(DirectedLine(L.anchor, idx.angle(i, j)))
+                    downward += L.angle != idx.angle(i, j)
+        assert 0 < downward < idx.n * (idx.n - 1)
+
+    def test_horizontal_tangent_line_rejected(self):
+        inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(5.0, 0.0), 1.0)], 2.0)
+        idx = build_angular_index(inst)
+        with pytest.raises(ValueError, match="horizontal"):
+            idx.tangent_line(0, 1)
 
     @pytest.mark.parametrize("n,real", [(100, False), (257, False), (150, True)])
     def test_table_equals_the_full_table_build(self, n, real):
@@ -278,6 +307,26 @@ class TestPositionTable:
         assert cuts > 2000 and tangencies > 0, (cuts, tangencies)
 
 
+class TestPositionPass:
+    def test_lines_beyond_one_block_get_the_arrays_of_single_passes(self):
+        """On more lines than one broadcast pass takes, ``_position_pass``
+        gives each line, bitwise, the array a pass of that line alone
+        gives it: tangent lines, some parallel to one another, random
+        lines and vertical lines."""
+        inst = generate_instance(30, seed=4, r=4.0, coord_range=60)
+        idx = build_angular_index(inst)
+        rng = random.Random(12)
+        lines = [idx.tangent_line(i, j) for i in range(3) for j in range(idx.n) if j != i]
+        lines += [upward_line(support.non_horizontal_line(rng, 60.0)) for _ in range(20)]
+        lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:5]]
+        assert len(lines) > 2 * (SWEEP_BLOCK // idx.n ** 2)
+        got = _position_pass(idx, lines)
+        assert len(got) == len(lines)
+        for L, P in zip(lines, got):
+            [want] = _position_pass(idx, [L])
+            assert P.dtype == want.dtype and P.tobytes() == want.tobytes(), L
+
+
 class TestVerticalBreakpoints:
     @staticmethod
     def instances():
@@ -335,7 +384,7 @@ class TestLocalOptimum:
         inst = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
         L = DirectedLine.vertical(50.0)
         idx = build_angular_index(inst)
-        point, loss = local_optima_on_lines(inst, idx, [L], Telemetry())[0]
+        point, loss = line_optima(inst, idx, [L], Telemetry())[0]
         assert loss == 3.0
         assert point.x == 50.0
 
@@ -348,7 +397,7 @@ class TestLocalOptimum:
             L = support.non_horizontal_line(rng)
             idx = build_angular_index(inst)
             try:
-                point, loss = local_optima_on_lines(inst, idx, [L], Telemetry())[0]
+                point, loss = line_optima(inst, idx, [L], Telemetry())[0]
             except CertifiedOptimum as cert:
                 # A strong centroid met on the line is its minimum as well.
                 point, loss = cert.point, cert.weight_loss
@@ -439,7 +488,7 @@ class TestEngineMatchesReference:
         lone = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
         idx = build_angular_index(lone)
         lines = [DirectedLine.vertical(50.0), DirectedLine.vertical(0.5)]
-        assert _outcome(lambda tel: local_optima_on_lines(lone, idx, lines, tel)) == _outcome(
+        assert _outcome(lambda tel: line_optima(lone, idx, lines, tel)) == _outcome(
             lambda tel: support.reference_local_optima(lone, idx, lines, tel))
         for trial in range(60):
             # Odd trials: separations wide for the cloud, which certify often.
@@ -452,7 +501,7 @@ class TestEngineMatchesReference:
                 idx.tangent_line(0, j) for j in range(1, idx.n)
                 if abs(math.sin(idx.angle(0, j))) > ANGLE_TOL
             ]
-            got = _outcome(lambda tel: local_optima_on_lines(inst, idx, lines, tel))
+            got = _outcome(lambda tel: line_optima(inst, idx, lines, tel))
             want = _outcome(lambda tel: support.reference_local_optima(inst, idx, lines, tel))
             assert got == want, trial
             seen["certified" if want[0][0] == "certified" else "minima"] += 1

@@ -11,14 +11,7 @@ from rivalloc import oracle
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
 from rivalloc.medianoid import solve_medianoid
-from rivalloc.oracle import (
-    CIRCLE_CIRCLE,
-    TANGENT_CIRCLE,
-    TANGENT_TANGENT,
-    brute_centroid,
-    brute_medianoid,
-    enumerate_candidates,
-)
+from rivalloc.oracle import brute_centroid, brute_medianoid, enumerate_candidates
 
 
 class TestBruteMedianoid:
@@ -63,18 +56,6 @@ class TestBruteMedianoid:
 
 
 class TestEnumerateCandidates:
-    def test_provenance_tags(self):
-        inst = generate_instance(5, seed=8, r=2.0)
-        cands = enumerate_candidates(inst)
-        assert len(cands) == len(cands.provenance)
-        assert set(cands.provenance) <= {
-            TANGENT_TANGENT,
-            TANGENT_CIRCLE,
-            CIRCLE_CIRCLE,
-        }
-        assert TANGENT_TANGENT in cands.provenance
-        assert TANGENT_CIRCLE in cands.provenance
-
     def test_points_are_deduplicated(self):
         inst = generate_instance(5, seed=8, r=2.0)
         cands = enumerate_candidates(inst)
@@ -87,9 +68,10 @@ class TestEnumerateCandidates:
             [Customer(Point(0.0, 0.0), 1.0), Customer(Point(10.0, 0.0), 1.0)], 2.0
         )
         cands = enumerate_candidates(inst)
-        # two parallel tangents never cross; each touches both circles
-        assert TANGENT_TANGENT not in cands.provenance
-        assert TANGENT_CIRCLE in cands.provenance
+        # two parallel tangents never cross and the discs do not meet: the
+        # candidates are where each tangent touches each circle
+        got = sorted(zip(cands.xs.tolist(), cands.ys.tolist()))
+        assert got == [(0.0, -1.0), (0.0, 1.0), (10.0, -1.0), (10.0, 1.0)]
 
 
 class TestBruteCentroid:
@@ -177,8 +159,7 @@ def test_enumeration_rejects_a_zero_separation(n):
 
 
 def _bits(cands):
-    return [(x.hex(), y.hex(), tag)
-            for x, y, tag in zip(cands.xs.tolist(), cands.ys.tolist(), cands.provenance)]
+    return [(x.hex(), y.hex()) for x, y in zip(cands.xs.tolist(), cands.ys.tolist())]
 
 
 def _brute_report(inst):
@@ -192,7 +173,7 @@ def _brute_report(inst):
 @pytest.mark.parametrize("make", [m for _, m in ENUMERATION_CASES],
                          ids=[name for name, _ in ENUMERATION_CASES])
 def test_array_enumeration_matches_the_scalar_reference(monkeypatch, make):
-    """The candidate set, points bitwise and provenance, and the brute
+    """The candidate set, points bitwise, and the brute
     report built on it are those of the per-pair scalar loop."""
     inst = make()
     want = support.reference_enumerate_candidates(inst)
