@@ -16,8 +16,8 @@ from .geom import (
     general_position_violation,
 )
 from .medianoid import MedianoidResult, solve_medianoid
-from .centroid import SolveReport, solve_centroid
-from .oracle import brute_centroid, brute_medianoid
+from .centroid import SolveReport, brute_centroid, solve_centroid
+from .oracle import brute_medianoid
 
 __version__ = "0.1.0"
 

@@ -28,11 +28,13 @@ in the worst case LT's batch reaches ``LT_CAP`` x 8m bytes.
 tangent line is vertical and every line has a y-order.  The optimum is
 therefore matched by one line search on each boundary line, by a point a
 decision evaluated and carried (``PruneDecision.witness``), or at a
-customer site; point sets stay coordinate arrays, ranked by
-``medianoid.least_loss``.  A certified optimum found anywhere, by a
-decision or a line search, is raised there as ``CertifiedOptimum`` and
-stops everything early; its ``origin`` is reported as
-``telemetry["certified"]``.  Tolerances: the table in ``geom``.
+customer site.  All three modes share one solve (``_solve``): beside the
+sites, intermediate mode takes the disc-boundary crossings and brute mode
+every candidate (``oracle.enumerate_candidates``), ranked with the sites as
+coordinate arrays in one ``medianoid.least_loss`` call.  A certified
+optimum found anywhere, by a decision or a line search, is raised there as
+``CertifiedOptimum`` and stops everything early; its ``origin`` is
+reported as ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .geom import (
     disc_crossings,
     general_position_violation,
 )
+from . import oracle
 from .medianoid import block_size, least_loss, solve_medianoid
 from .linesearch import (
     AngularIndex,
@@ -501,15 +504,18 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
     violation = general_position_violation(inst)
     if violation is not None:
         raise DegenerateInputError(violation)
-    if mode == BRUTE:
-        from .oracle import brute_centroid
+    return _solve(inst, mode)
 
-        return brute_centroid(inst)
 
+def brute_centroid(inst: Instance) -> SolveReport:
+    """``solve_centroid`` in brute mode, without the general-position check."""
+    return _solve(inst, BRUTE)
+
+
+def _solve(inst: Instance, mode: str) -> SolveReport:
+    """The solve of every mode, past its general-position check if any."""
     t0 = time.perf_counter()
     tel = Telemetry()
-    idx = build_angular_index(inst)
-
     best: Optional[Tuple[float, float, float]] = None
     best_point: Optional[Point] = None
 
@@ -524,51 +530,55 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
         for point, loss in local_optima_on_lines(inst, lines, positions, tel):
             consider(point, loss)
 
-    def run_points(xs: np.ndarray, ys: np.ndarray) -> None:
-        if len(xs):
-            tel.medianoid_calls += len(xs)
-            consider(*least_loss(inst, xs, ys))
-
     try:
-        if mode == INTERMEDIATE:
-            # One group per customer: its n - 1 tangent lines, searched one
-            # group after another.  Consecutive groups share one lockstep
-            # while their lines fit one sweep block; a line's evaluations do
-            # not depend on its partners, so a chunk of several groups that
-            # certifies is searched again group by group.
+        if mode == BRUTE:
+            cands = oracle.enumerate_candidates(inst)
+            xs, ys = cands.xs, cands.ys
+        elif mode == INTERMEDIATE:
+            # One group per customer: its n - 1 tangent lines.  Consecutive
+            # groups share one lockstep while their lines fit one sweep block;
+            # a line's evaluations do not depend on its partners, so a
+            # certifying chunk is searched again group by group, on slices of
+            # its breakpoint arrays, which the search only reorders.
+            idx = build_angular_index(inst)
             n = idx.n
-            groups = [[idx.tangent_line(i, j) for j in range(n) if j != i] for i in range(n)]
             k = max(1, block_size(n) // max(1, n - 1))
-            for chunk in (groups[s:s + k] for s in range(0, n, k)):
+            for s in range(0, n, k):
+                lines = [idx.tangent_line(i, j)
+                         for i in range(s, min(s + k, n)) for j in range(n) if j != i]
+                positions = _position_pass(idx, lines)
                 before = replace(tel)
-                lines = [L for group in chunk for L in group]
                 try:
-                    run_lines(lines, _position_pass(idx, lines))
+                    run_lines(lines, positions)
                 except CertifiedOptimum:
-                    if len(chunk) == 1:
+                    if len(lines) == n - 1:
                         raise
                     tel = before
-                    for group in chunk:
-                        run_lines(group, _position_pass(idx, group))
+                    for g in range(0, len(lines), n - 1):
+                        run_lines(lines[g:g + n - 1], positions[g:g + n - 1])
                     raise RuntimeError("a certifying chunk has no certifying group")
-            run_points(*disc_crossings(inst))
+                # Freed before the next chunk's pass builds its own.
+                del positions
+            xs, ys = disc_crossings(inst)
         else:
+            idx = build_angular_index(inst)
             slab = _Slab()
             local_optimal_line_LT(inst, idx, slab, tel)
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
-            xs = slab.boundary_xs()
-            run_lines([DirectedLine.vertical(x) for x in xs],
-                      [vertical_breakpoints(idx, x) for x in xs])
+            bounds = slab.boundary_xs()
+            run_lines([DirectedLine.vertical(x) for x in bounds],
+                      [vertical_breakpoints(idx, x) for x in bounds])
             for point, loss in slab.witnesses:
                 consider(point, loss)
-        run_points(inst.xs, inst.ys)
+            xs = ys = np.empty(0)
+        xs, ys = np.concatenate([xs, inst.xs]), np.concatenate([ys, inst.ys])
+        tel.medianoid_calls += len(xs)
+        consider(*least_loss(inst, xs, ys))
     except CertifiedOptimum as cert:
         tel.certified = cert.origin
         best_point = cert.point
 
-    if best_point is None:
-        raise RuntimeError("no candidate point was evaluated")
     final = solve_medianoid(inst, best_point)
     tel.medianoid_calls += 1
     tel.wall_time_s = time.perf_counter() - t0

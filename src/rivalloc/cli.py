@@ -184,7 +184,10 @@ def generate_instance(
         ys_used.add(y)
         w = rng.randint(1, weight_range)
         customers.append(Customer(Point(float(x), float(y)), float(w)))
-    return Instance(customers, r)
+    try:
+        return Instance(customers, r)
+    except ValueError as e:
+        raise CliError(EXIT_PARSE, str(e)) from e
 
 
 def write_svg(path: str, inst: Instance, report: Optional[SolveReport]) -> None:

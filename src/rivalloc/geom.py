@@ -30,6 +30,10 @@ ANGLE_TOL = 1e-12
 SNAP_TOL = 1e-15
 # ratio: 2^-52, whence the rounding bounds of the sweep and the prefilter.
 DBL_EPS = float(np.finfo(float).eps)
+# length: the bound on an instance's scale, max(1, R, |coordinates|).  A
+# crossing abscissa can lie about scale / ANGLE_TOL out, and the solvers square
+# such lengths: (2 * 1e140 / ANGLE_TOL)^2 = 4e304 < 1.8e308, the float maximum.
+MAX_SCALE = 1e140
 # Per instance, computed once by ``Instance``:
 # - eps = EPS_BASE * max(1, R, |coordinates|), length: EPS_BASE at scale.
 # - capture_r = r + eps, length: the open-capture radius.  A point known up
@@ -98,11 +102,11 @@ class Instance:
     """The problem universe: weighted customer sites and the separation R.
 
     R is positive and finite, and so is 3W, W the total weight, which the
-    follower sweep's running sums reach; otherwise construction raises
-    ``ValueError``, and no solver checks either again.  ``r`` is the
-    derived half separation; the follower must keep distance at least R
-    from the leader, and a customer is captured exactly when its
-    projection on the follower direction exceeds r.
+    follower sweep's running sums reach, and the scale is below ``MAX_SCALE``;
+    otherwise construction raises ``ValueError``, and no solver checks
+    again.  ``r`` is the derived half separation; the follower must keep
+    distance at least R from the leader, and a customer is captured exactly
+    when its projection on the follower direction exceeds r.
 
     The tolerances ``eps``, ``capture_r``, ``cross_tol``, ``closed_tol``
     and ``weight_tol`` (see the table at the top of this module), the
@@ -129,6 +133,8 @@ class Instance:
             [1.0, self.R]
             + [max(abs(c.site.x), abs(c.site.y)) for c in self.customers]
         )
+        if not scale < MAX_SCALE:
+            raise ValueError(f"R and |coordinates| must be below {MAX_SCALE:g}, got {scale:g}")
         object.__setattr__(self, "_eps", EPS_BASE * scale)
         object.__setattr__(self, "capture_r", self.r + self._eps)
         object.__setattr__(self, "cross_tol", self._eps * max(1.0, self.r))

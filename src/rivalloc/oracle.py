@@ -1,18 +1,17 @@
-"""Exhaustive reference solvers.
+"""Exhaustive references: the follower oracle and the candidate points.
 
 Everything here trades speed for directness: the follower oracle counts
 captured weight by evaluating the strict half-plane predicate itself, and
-the plane oracle materialises every candidate point and takes the minimum.
-It builds the O(n^4) candidates as coordinate arrays, bitwise those of the
-scalar per-pair formulas, which the test suite keeps as the reference, and
-builds a ``Point`` only for the one ``medianoid.least_loss`` picks.  The
-fast solvers are validated against these.  Tolerances: ``geom``'s table.
+the enumeration materialises every candidate point, which brute mode
+(``centroid.brute_centroid``) ranks with the customer sites.  It builds the
+O(n^4) candidates as coordinate arrays, bitwise those of the scalar
+per-pair formulas, which the test suite keeps as the reference.  The fast
+solvers are validated against these.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -27,8 +26,8 @@ from .geom import (
     _libm,
     disc_crossings,
 )
-from .centroid import SolveReport
-from .medianoid import _normalized, least_loss, solve_medianoid
+from .medianoid import _normalized
+
 
 def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     """Best capturable weight at distance >= R from the leader at ``x``.
@@ -169,26 +168,3 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
                 break
     return CandidateSet(X[keep], Y[keep])
 
-
-def brute_centroid(inst: Instance) -> SolveReport:
-    """Minimum follower value over every candidate point and customer site,
-    at the least optimal point by (x, y) among them.  The other modes
-    reach the same value but evaluate other points, so their optimal
-    point may differ."""
-    t0 = time.perf_counter()
-    cands = enumerate_candidates(inst)
-    xs = np.concatenate([cands.xs, inst.xs])
-    ys = np.concatenate([cands.ys, inst.ys])
-    best_point, _ = least_loss(inst, xs, ys)
-    final = solve_medianoid(inst, best_point)
-    return SolveReport(
-        centroid=best_point,
-        weight_loss=final.weight_loss,
-        witness_angle=final.witness_angle,
-        solver="brute",
-        telemetry={
-            "candidates": len(cands),
-            "medianoid_calls": len(xs) + 1,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )

@@ -13,17 +13,20 @@ x (``linesearch.vertical_breakpoints``), one n^2 array per decision.  A
 strong centroid met on the way raises, and a sideward wedge settles the line
 at once.  Otherwise the search runs until no breakpoint is left, and each
 cut drops only positions at or below an upward evaluation or at or above a
-downward one, so no breakpoint lies strictly between the anchors: the
-follower value is constant on the open segment up to the capture
-tolerance.  Its midpoint or, when that too looks along the line, a
-pseudo-wedge built at the better anchor settles the direction; equal anchor
-values go to the downward anchor.  A decision settled by the midpoint
-carries it, with its weight loss, as a candidate: anchors a few tolerances
-apart can leave it below both.  A strong centroid at the midpoint, or an
-empty pseudo-wedge cone, is a certificate.  The pseudo-wedge's direction of
-greatest capture comes from its directions x customers capture table, built
-a block of rows at a time (``_first_max_capture``).
-Tolerances: ``geom``'s table.
+downward one, so no breakpoint of the line's array lies strictly between
+the anchors.  That array holds circles of radius r and tangents at offset
+r, but the sweep captures at ``capture_r`` = r + eps, so the value may
+still change on slivers next to an anchor, up to about sqrt(2 r eps) wide
+near a tangency; ``test_near_shared_x_reproducer_matches_brute`` pins the
+known instance where one makes a decision fail.  The segment's midpoint or,
+when that too looks along the line, a pseudo-wedge built at the better
+anchor settles the direction; equal anchor values go to the downward
+anchor.  A decision settled by the midpoint carries it, with its weight
+loss, as a candidate: anchors a few tolerances apart can leave it below
+both.  A strong centroid at the midpoint, or an empty pseudo-wedge cone, is
+a certificate.  The pseudo-wedge's direction of greatest capture comes from
+its directions x customers capture table, built a block of rows at a time
+(``_first_max_capture``).  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
     ``CertifiedOptimum``.  The breakpoints and the frame's two ordinates
     come from the index's table (``vertical_breakpoints``); the frame's
     auxiliary lines give every vertical line through the box both anchor
-    types, and the search exhausts the line, so no breakpoint lies
-    strictly between the anchors.
+    types, and the search exhausts the line, so no position of this array
+    lies strictly between the anchors (see the module docstring for the
+    slivers this leaves).
     """
     P = vertical_breakpoints(idx, x, with_frame=True)
     [(_, up, down, side)] = search_lines(
@@ -272,8 +276,8 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
         return got
     (t_D, r_D), (t_U, r_U) = got
 
-    # The search exhausted the line's breakpoints, so none lies strictly
-    # between the anchors: probe the segment midpoint.
+    # No position of the line's array lies strictly between the anchors,
+    # but the value may change on a sliver next to one: probe the midpoint.
     x_B = DirectedLine.vertical(x).point_at((t_U + t_D) / 2.0)
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1

@@ -20,8 +20,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rivalloc import brute_centroid
 from rivalloc.centroid import solve_centroid
-from rivalloc.oracle import brute_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point, general_position_violation
 from rivalloc.medianoid import solve_medianoid

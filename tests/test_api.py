@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rivalloc
@@ -45,3 +47,13 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(code, "README quickstart", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
+
+
+def test_the_benchmark_tools_import_against_the_package():
+    """The benchmark's runner and corpus freezer, which import names such
+    as ``brute_centroid`` from the package, load from the repository
+    root."""
+    code = "import sys; sys.path.insert(0, 'perfbench'); import freeze, run"
+    got = subprocess.run([sys.executable, "-c", code], cwd=README.parent,
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr

@@ -262,6 +262,23 @@ class TestIntermediateChunks:
         assert rep.telemetry["certified"] == "strong centroid on a searched line"
         assert calls == want
 
+    @pytest.mark.parametrize("n, seed", [(25, 2), (16, 3)])
+    def test_certifying_chunk_builds_its_breakpoints_once(self, monkeypatch, n, seed):
+        """The group-by-group search of a certifying chunk reads the
+        chunk's own breakpoint arrays: no tangent line's are built twice."""
+        inst = generate_instance(n, seed, r=12.0, coord_range=n)
+        built = []
+        general = centroid._position_pass
+
+        def recorded(idx, lines):
+            built.extend((L.anchor, L.angle) for L in lines)
+            return general(idx, lines)
+
+        monkeypatch.setattr(centroid, "_position_pass", recorded)
+        rep = solve_centroid(inst, "intermediate")
+        assert rep.telemetry["certified"] == "strong centroid on a searched line"
+        assert len(built) > n - 1 and len(set(built)) == len(built)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("mode", ["parametric", "intermediate", "brute"])

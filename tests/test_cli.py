@@ -79,6 +79,7 @@ class TestGen:
         (["compare", "--gen-n", "5", "--seeds", "1", "--r", "0"], "r must be positive"),
         (["gen", "--n", "5", "--seed", "1", "--weight-range", "0"], "weight range"),
         (["compare", "--gen-n", "5", "--seeds", "1", "--weight-range", "0"], "weight range"),
+        (["gen", "--n", "5", "--seed", "1", "--r", "1e150"], "must be below"),
     ])
     def test_bad_generator_arguments_exit_2(self, capsys, argv, fragment):
         """Exit code 1 is ``compare``'s disagreement; a bad argument is
@@ -218,6 +219,19 @@ class TestSolve:
         assert main([command, "--input", path]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert "total weight" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_a_scale_beyond_the_solvers_range_exits_2(self, tmp_path, capsys, command):
+        """Coordinates at which the solvers' squared lengths overflow are
+        refused where they are read, before any solve."""
+        obj = {"r": 4e160, "customers": [
+            {"x": -5e160, "y": 3e160, "w": 2}, {"x": -1.2e161, "y": 7e160, "w": 1},
+            {"x": 4e160, "y": -9e160, "w": 3}, {"x": 9e160, "y": 1.1e161, "w": 1},
+            {"x": 1e160, "y": -2e160, "w": 5}]}
+        path = write_instance(tmp_path / "huge.json", obj)
+        assert main([command, "--input", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "must be below" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("flag", ["solve --out", "solve --plot", "gen --out"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):

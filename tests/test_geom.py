@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import rivalloc
 import support
+from rivalloc.centroid import solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
     EPS_BASE,
+    MAX_SCALE,
     Customer,
     DirectedLine,
     Instance,
@@ -106,6 +109,37 @@ def test_instance_rejects_a_total_weight_whose_triple_overflows():
     with pytest.raises(ValueError, match="total weight"):
         Instance([Customer(Point(0.0, 0.0), 6e307)], 2.0)
     assert Instance([Customer(Point(0.0, 0.0), 5e307)], 2.0).total_weight() == 5e307
+
+
+# Sites and weights of an instance whose squared lengths overflow in the
+# solvers when its unit is 1e160.
+SCALED_SITES = [(-5, 3, 2), (-12, 7, 1), (4, -9, 3), (9, 11, 1), (1, -2, 5)]
+
+
+def _scaled_instance(unit):
+    return Instance([Customer(Point(x * unit, y * unit), w) for x, y, w in SCALED_SITES], 4 * unit)
+
+
+def test_instance_rejects_a_scale_beyond_the_solvers_range():
+    """A scale max(1, R, |coordinates|) at or above ``MAX_SCALE`` is
+    refused, in R or in a coordinate."""
+    with pytest.raises(ValueError, match="must be below"):
+        _scaled_instance(1e160)
+    with pytest.raises(ValueError, match="must be below"):
+        Instance([Customer(Point(0.0, 0.0), 1.0)], MAX_SCALE)
+    with pytest.raises(ValueError, match="must be below"):
+        Instance([Customer(Point(3.0, -MAX_SCALE), 1.0)], 2.0)
+
+
+def test_an_instance_just_below_the_scale_bound_solves_cleanly():
+    """At scale 9.6e139 every mode solves without a floating-point warning,
+    and the modes agree."""
+    inst = _scaled_instance(8e138)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses = {solve_centroid(inst, mode).weight_loss
+                  for mode in ("parametric", "intermediate", "brute")}
+    assert losses == {4.0}
 
 
 def test_vertical_line_is_bitwise_vertical():

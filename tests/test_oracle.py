@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import support
-from rivalloc import oracle
+from rivalloc import brute_centroid, oracle, solve_centroid
 from rivalloc.cli import generate_instance
 from rivalloc.geom import Customer, Instance, Point
 from rivalloc.medianoid import solve_medianoid
-from rivalloc.oracle import brute_centroid, brute_medianoid, enumerate_candidates
+from rivalloc.oracle import brute_medianoid, enumerate_candidates
 
 
 class TestBruteMedianoid:
@@ -93,10 +93,17 @@ class TestBruteCentroid:
         inst = generate_instance(4, seed=2, r=4.0)
         rep = brute_centroid(inst)
         assert rep.solver == "brute"
-        assert rep.telemetry["candidates"] == len(enumerate_candidates(inst))
-        assert rep.telemetry["medianoid_calls"] > rep.telemetry["candidates"]
+        assert rep.telemetry["medianoid_calls"] == len(enumerate_candidates(inst)) + inst.n + 1
         check = solve_medianoid(inst, rep.centroid)
         assert check.weight_loss == rep.weight_loss
+
+    def test_telemetry_has_the_keys_of_the_other_modes(self):
+        """Every mode reports one ``Telemetry``: a brute report's keys are
+        a parametric report's."""
+        inst = generate_instance(5, seed=3, r=4.0)
+        keys = set(solve_centroid(inst, "parametric").telemetry)
+        assert set(brute_centroid(inst).telemetry) == keys
+        assert set(solve_centroid(inst, "brute").telemetry) == keys
 
     def test_ties_break_lexicographically(self):
         inst = generate_instance(5, seed=14, r=2.0)
