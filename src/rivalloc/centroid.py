@@ -49,7 +49,6 @@ import numpy as np
 from .geom import (
     ANGLE_TOL,
     DegenerateInputError,
-    DirectedLine,
     Instance,
     Point,
     disc_crossings,
@@ -65,6 +64,7 @@ from .linesearch import (
     build_angular_index,
     local_optima_on_lines,
     vertical_breakpoints,
+    vertical_lines,
 )
 from .vprune import PRUNE_LEFT, PruneDecision, decide
 
@@ -526,7 +526,7 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
             best = key
             best_point = point
 
-    def run_lines(lines: List[DirectedLine], positions: List[np.ndarray]) -> None:
+    def run_lines(lines: np.ndarray, positions: List[np.ndarray]) -> None:
         for point, loss in local_optima_on_lines(inst, lines, positions, tel):
             consider(point, loss)
 
@@ -539,13 +539,13 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
             # groups share one lockstep while their lines fit one sweep block;
             # a line's evaluations do not depend on its partners, so a
             # certifying chunk is searched again group by group, on slices of
-            # its breakpoint arrays, which the search only reorders.
+            # its line rows and breakpoint arrays, which the search only
+            # reorders.
             idx = build_angular_index(inst)
             n = idx.n
             k = max(1, block_size(n) // max(1, n - 1))
             for s in range(0, n, k):
-                lines = [idx.tangent_line(i, j)
-                         for i in range(s, min(s + k, n)) for j in range(n) if j != i]
+                lines = idx.tangent_lines(s, min(s + k, n))
                 positions = _position_pass(idx, lines)
                 before = replace(tel)
                 try:
@@ -567,8 +567,7 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
             bounds = slab.boundary_xs()
-            run_lines([DirectedLine.vertical(x) for x in bounds],
-                      [vertical_breakpoints(idx, x) for x in bounds])
+            run_lines(vertical_lines(bounds), [vertical_breakpoints(idx, x) for x in bounds])
             for point, loss in slab.witnesses:
                 consider(point, loss)
             xs = ys = np.empty(0)

@@ -154,6 +154,8 @@ def generate_instance(
         raise CliError(EXIT_PARSE, f"r must be positive and finite, got {r}")
     if weight_range < 1:
         raise CliError(EXIT_PARSE, f"weight range must be at least 1, got {weight_range}")
+    if coord_range < 0:
+        raise CliError(EXIT_PARSE, f"coordinate range must be at least 0, got {coord_range}")
     if 2 * coord_range + 1 < n:
         raise CliError(
             EXIT_GEN,

@@ -1,4 +1,4 @@
-"""Planar primitives: points, weighted customers, directed lines, disc crossings.
+"""Planar primitives: points, weighted customers, disc crossings.
 
 All arithmetic is double precision.  Every tolerance of the solvers is
 named once, in the table below, with its unit; ``Instance`` scales the
@@ -110,10 +110,13 @@ class Instance:
 
     The tolerances ``eps``, ``capture_r``, ``cross_tol``, ``closed_tol``
     and ``weight_tol`` (see the table at the top of this module), the
-    read-only coordinate and weight arrays ``xs``, ``ys`` and ``ws``, and
+    read-only coordinate and weight arrays ``xs``, ``ys`` and ``ws``,
     ``exact_sums``, whether every sum of weights is exact in floating
-    point, are computed once, at construction.  They are not dataclass
-    fields, so equality and hashing use only the customers and R.
+    point, and the follower sweep's constants, the signed weights
+    ``signed_ws`` = ``[ws, -ws]`` and its running sums' rounding bound
+    ``sweep_slack`` = 8(n + 1) ``DBL_EPS`` W, are computed once, at
+    construction.  They are not dataclass fields, so equality and hashing
+    use only the customers and R.
     """
 
     customers: Tuple[Customer, ...]
@@ -140,14 +143,18 @@ class Instance:
         object.__setattr__(self, "cross_tol", self._eps * max(1.0, self.r))
         object.__setattr__(self, "closed_tol", EPS_BASE * max(1.0, self.r))
         object.__setattr__(self, "weight_tol", EPS_BASE * max(1.0, W))
+        ws = [c.weight for c in self.customers]
         for name, values in (
             ("xs", [c.site.x for c in self.customers]),
             ("ys", [c.site.y for c in self.customers]),
-            ("ws", [c.weight for c in self.customers]),
+            ("ws", ws),
+            ("signed_ws", ws + [-w for w in ws]),
         ):
             arr = np.array(values, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "sweep_slack",
+                           8.0 * (self.n + 1) * DBL_EPS * float(self.ws.sum()))
         # Integer weights of total at most 2^53: every partial sum of them is
         # an integer of at most 2^53, so any summation order is exact.
         object.__setattr__(self, "exact_sums", bool(
@@ -171,47 +178,31 @@ class Instance:
         return sum(c.weight for c in self.customers)
 
 
-@dataclass(frozen=True, slots=True)
-class DirectedLine:
-    """Line through ``anchor`` with direction ``angle`` (normalized)."""
-
-    anchor: Point
-    angle: float
-
-    @staticmethod
-    def vertical(x: float) -> "DirectedLine":
-        return DirectedLine(Point(x, 0.0), math.pi / 2.0)
-
-    @property
-    def direction(self) -> Tuple[float, float]:
-        ux = math.cos(self.angle)
-        uy = math.sin(self.angle)
-        # Snap axis-aligned directions exactly so that points generated on a
-        # vertical (horizontal) line keep a bitwise-constant x (y).
-        if abs(ux) < SNAP_TOL:
-            ux = 0.0
-            uy = 1.0 if uy > 0.0 else -1.0
-        elif abs(uy) < SNAP_TOL:
-            uy = 0.0
-            ux = 1.0 if ux > 0.0 else -1.0
-        return (ux, uy)
-
-    def point_at(self, t: float) -> Point:
-        ux, uy = self.direction
-        return Point(self.anchor.x + t * ux, self.anchor.y + t * uy)
-
-
 def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
     """Every crossing point of two disc boundaries of radius r, as arrays
     ``(xs, ys)``: pair by pair in ``np.triu_indices`` order, a pair's two
     points by (x, y), or its one point when it touches within ``cross_tol``.
     Only the pairs an array pass finds near enough to meet are solved, each
     by the scalar per-pair formula's operations in its order (``math.hypot``
-    for the distance), so the points are bitwise the scalar ones."""
+    for the distance), so the points are bitwise the scalar ones.
+
+    The pass tests only the pairs of sorted-x windows.  A pair passing its
+    squared-distance test has a rounded |dx| of at most reach (1 + 2u), so
+    its sites lie at most reach (1 + 4u) apart in x, u = ``DBL_EPS`` / 2:
+    within reach (1 + ``EPS_BASE``) of the left one, rounding included."""
     r = inst.r
     tol = inst.cross_tol
+    n = inst.n
     reach = (r + r + tol) * (1.0 + EPS_BASE)
-    i, j = np.triu_indices(inst.n, 1)
+    order = np.argsort(inst.xs)
+    sx = inst.xs[order]
+    count = np.searchsorted(sx, sx + reach * (1.0 + EPS_BASE), side="right")
+    count -= np.arange(1, n + 1)
+    p = np.repeat(np.arange(n), count)
+    q = order[p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)]
+    p = order[p]
+    i, j = np.divmod(np.sort(np.minimum(p, q) * n + np.maximum(p, q)), n)
+    del p, q  # freed before the per-pair distances, which set the peak
     dx = inst.xs[j] - inst.xs[i]
     dy = inst.ys[j] - inst.ys[i]
     near = dx * dx + dy * dy <= reach * reach

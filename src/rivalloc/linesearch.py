@@ -7,11 +7,13 @@ breakpoint is its position ``t`` along the line directed upward.  A line's
 breakpoints are one flat array: the crossing position of every canonical
 tangent line of the angular index that is not parallel to the line, once
 each, then the circle crossings.  The crossing points themselves are never
-built.
+built.  A query line is a row ``ax, ay, ux, uy, angle`` of a float array:
+its anchor, its unit direction upward and that direction's angle, in
+(0, pi).
 
 ``AngularIndex`` owns the one table of the lines the searches cross,
 ``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
-canonical tangent lines, pair ``(i, j)`` at column ``row(i, j)``, then the
+canonical tangent lines, pairs in row-major order, then the
 bounding frame's top and bottom lines (``build_frame``), filled a block of
 rows at a time.  It is the index's only n^2-sized array; the tangent
 directions ``ang`` are computed on first use.  LT and LM read it in place.
@@ -20,9 +22,10 @@ tangent line is vertical.  Each caller builds the breakpoints of its own
 lines.  A vertical line's are the table's ordinates at its x,
 ``(off - x*nx)/ny``, one per tangent column, in one preallocated array
 with its circle crossings (``vertical_breakpoints``; decisions append the
-frame's ordinates); intermediate mode's tangent lines, which
-``tangent_line`` directs upward, cross the tangent columns in broadcast
-passes (``_position_pass``).  Both give the same positions, bitwise.
+frame's ordinates); intermediate mode's tangent lines, built as upward
+rows a block of customers at a time (``tangent_lines``), cross the
+tangent columns in broadcast passes (``_position_pass``).  Both give the
+same positions, bitwise.
 
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
@@ -56,7 +59,6 @@ import numpy as np
 from .geom import (
     ANGLE_TOL,
     TWO_PI,
-    DirectedLine,
     Instance,
     Point,
     _libm,
@@ -67,6 +69,7 @@ from .medianoid import (
     DOWNWARD,
     UPWARD,
     WHOLE_LINE,
+    _normalized,
     lean_code,
     sweep,
 )
@@ -148,14 +151,14 @@ class AngularIndex:
     and repeated evaluations agree bitwise.
 
     ``lines`` is the one read-only table, rows ``nx``, ``ny`` and ``off``:
-    column ``row(i, j)`` holds the tangent of ``(i, j)``, pairs in
-    row-major order without the diagonal (``tangents`` = n(n - 1)
+    column ``i*(n - 1) + j - (j > i)`` holds the tangent of ``(i, j)``,
+    pairs in row-major order without the diagonal (``tangents`` = n(n - 1)
     columns), and the last two columns hold the bounding frame's top and
     bottom lines ``y = c``, normal ``(0, 1)``.  It is the index's only
     n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time,
     from that block's directions, so building it allocates nothing else
     of its size.  ``ang``, the tangent columns' directions, is computed
-    on first use; only intermediate mode (``tangent_line``,
+    on first use; only intermediate mode (``tangent_lines``,
     ``_position_pass``) reads it.  The index does not check its input: on
     an instance that ``general_position_violation`` accepts, no tangent
     line is vertical or horizontal and no two customers share a polar
@@ -206,27 +209,24 @@ class AngularIndex:
             rows[s:e] = block
         return ang
 
-    def row(self, i: int, j: int) -> int:
-        """The table column of the tangent of the ordered pair ``(i, j)``."""
-        return i * (self.n - 1) + j - (j > i)
-
-    def angle(self, i: int, j: int) -> float:
-        """The direction of the tangent of the ordered pair ``(i, j)``."""
-        return float(self.ang[self.row(i, j)])
-
-    def tangent_line(self, i: int, j: int) -> DirectedLine:
-        """The stored right tangent of the ordered pair, directed upward:
-        anchored at its touching point on disc i, along the pair's
-        direction or, where that points down, its opposite.  A horizontal
-        tangent has no upward direction and raises ``ValueError``."""
-        a = self.angle(i, j)
-        if abs(math.sin(a)) <= ANGLE_TOL:
+    def tangent_lines(self, s: int, e: int) -> np.ndarray:
+        """The stored right tangents of customer rows ``s`` to ``e``, in
+        table order, as upward line rows: each anchored at its touching
+        point on disc i, along the pair's direction or, where that points
+        down, its opposite, by the C library's sine and cosine.  A
+        horizontal tangent has no upward direction and raises
+        ``ValueError``."""
+        a = self.ang[s * (self.n - 1):e * (self.n - 1)]
+        i = np.repeat(np.arange(s, e), self.n - 1)
+        sin, cos = _libm(math.sin, a), _libm(math.cos, a)
+        if (np.abs(sin) <= ANGLE_TOL).any():
             raise ValueError("horizontal query line has no breakpoint order")
-        anchor = Point(
-            float(self.xs[i]) + self.inst.r * math.sin(a),
-            float(self.ys[i]) - self.inst.r * math.cos(a),
-        )
-        return DirectedLine(anchor, a if math.sin(a) > 0.0 else normalize_angle(a - math.pi))
+        r = self.inst.r
+        rows = np.stack((self.xs[i] + r * sin, self.ys[i] - r * cos, cos, sin, a), axis=1)
+        down = sin <= 0.0
+        up = rows[down, 4] = _normalized(a[down] - math.pi)
+        rows[down, 2], rows[down, 3] = _libm(math.cos, up), _libm(math.sin, up)
+        return rows
 
 
 def build_angular_index(inst: Instance) -> AngularIndex:
@@ -253,8 +253,14 @@ def _circle_positions(idx: AngularIndex, ax, ay, ux, uy, vals: np.ndarray, used:
     used[..., 1::2] = crossing
 
 
-def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.ndarray]:
-    """The breakpoint array of each upward line of ``lines``: every
+def vertical_lines(xs: Sequence[float]) -> np.ndarray:
+    """The upward vertical lines at abscissas ``xs``, as line rows
+    ``(x, 0, 0, 1, pi/2)``."""
+    return np.array([(x, 0.0, 0.0, 1.0, math.pi / 2.0) for x in xs]).reshape(-1, 5)
+
+
+def _position_pass(idx: AngularIndex, lines: np.ndarray) -> List[np.ndarray]:
+    """The breakpoint array of each upward line row of ``lines``: every
     canonical tangent line that crosses the line once, in canonical order,
     then circle crossings once per intersection point, in customer order
     (a tangency contributes a single entry).  A tangent direction ``a`` is
@@ -271,8 +277,7 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
     out: List[np.ndarray] = []
     for s in range(0, len(lines), size):
         block = lines[s:s + size]
-        ax, ay, ux, uy = (np.array(v, dtype=float)[:, None] for v in zip(
-            *((L.anchor.x, L.anchor.y) + L.direction for L in block)))
+        ax, ay, ux, uy = (v[:, None] for v in block.T[:4])
         vals = np.empty((len(block), m + 2 * idx.n))
         used = np.empty((len(block), m + 2 * idx.n), dtype=bool)
         # Tangent crossings.  Each step rounds as (off - (ax*nx + ay*ny)) /
@@ -284,8 +289,7 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
         np.greater(T, 2.0 * ANGLE_TOL, out=used[:, :m])
         rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
         if len(rows):
-            angle = np.array([L.angle for L in block])
-            sin_d = _libm(math.sin, idx.ang[cols] - angle[rows])
+            sin_d = _libm(math.sin, idx.ang[cols] - block[rows, 4])
             used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
         np.multiply(ax, nx, out=T)
         T += ay * ny
@@ -301,7 +305,7 @@ def _position_pass(idx: AngularIndex, lines: Sequence[DirectedLine]) -> List[np.
 
 
 def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) -> np.ndarray:
-    """The breakpoint array of ``DirectedLine.vertical(x)``, bitwise and in
+    """The breakpoint array of ``vertical_lines([x])``, bitwise and in
     the order ``_position_pass`` gives it, and then, ``with_frame``, the
     ordinates of the frame's top and bottom lines.
 
@@ -341,13 +345,14 @@ Evaluation = Tuple[float, float, float, float, float, float, float]
 
 def search_lines(
     inst: Instance,
-    lines: Sequence[DirectedLine],
+    lines: np.ndarray,
     positions: List[np.ndarray],
     telemetry: Telemetry,
     origin: str,
 ) -> List[Tuple[Evaluation, Optional[Evaluation], Optional[Evaluation], Optional[str]]]:
-    """Search the breakpoint positions of each upward line of ``lines`` by
-    exact-median selection, all lines in lockstep, until none is left.
+    """Search the breakpoint positions of each upward line row of
+    ``lines`` by exact-median selection, all lines in lockstep, until none
+    is left.
 
     Each round takes the lower median of each line's surviving positions
     and sweeps all their points as one block.  A strong centroid certifies
@@ -377,11 +382,8 @@ def search_lines(
     count = len(lines)
     if not count:
         return []
-    ax = [L.anchor.x for L in lines]
-    ay = [L.anchor.y for L in lines]
-    ux, uy = (list(u) for u in zip(*(L.direction for L in lines)))
-    up = [normalize_angle(L.angle) for L in lines]
-    down = [normalize_angle(L.angle + math.pi) for L in lines]
+    ax, ay, ux, uy, up = lines.T.tolist()
+    down = [normalize_angle(a + math.pi) for a in up]
     # Line i's survivors: P[i][lo[i]:hi[i]], P[i] sorted after a cut.
     P = list(positions)
     lo = [0] * count
@@ -467,12 +469,12 @@ def search_lines(
 
 def local_optima_on_lines(
     inst: Instance,
-    lines: Sequence[DirectedLine],
+    lines: np.ndarray,
     positions: List[np.ndarray],
     telemetry: Telemetry,
 ) -> List[Tuple[Point, float]]:
     """The point and weight loss minimising the follower value over each
-    upward line of ``lines``, with its breakpoint array in ``positions``,
+    upward line row of ``lines``, with its breakpoint array in ``positions``,
     searched in lockstep (``search_lines``); each line counts in
     ``lines_searched``.
 

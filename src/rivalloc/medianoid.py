@@ -40,7 +40,6 @@ import numpy as np
 
 from .geom import (
     ANGLE_TOL,
-    DBL_EPS,
     TWO_PI,
     Instance,
     Point,
@@ -192,7 +191,7 @@ def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False)
         np.copyto(begin, pin, where=zero)
         np.copyto(end, pin, where=zero)
     order = np.argsort(ang, axis=1)
-    run = np.cumsum(np.concatenate([ws, -ws])[order], axis=1)
+    run = np.cumsum(inst.signed_ws[order], axis=1)
     run += ((end < begin) @ ws)[:, None]
     # Sorted endpoints, closed by the first one plus 2 pi: gap i runs from
     # column i to column i + 1.
@@ -203,9 +202,8 @@ def _sweep(inst: Instance, xs: np.ndarray, ys: np.ndarray, losses: bool = False)
     # A running sum adds at most 3n + 1 weights of total magnitude at most
     # 3W, W the total weight, so it lies within (5n + 3) u W of its gap's
     # exact weight, u = DBL_EPS / 2; a maximizing gap's sum lies within
-    # twice that of the row maximum.
-    slack = 8.0 * (n + 1) * DBL_EPS * float(ws.sum())
-    rows, cols = np.nonzero(run >= run.max(axis=1, keepdims=True) - slack)
+    # twice that of the row maximum: ``inst.sweep_slack``.
+    rows, cols = np.nonzero(run >= run.max(axis=1, keepdims=True) - inst.sweep_slack)
     ga = srt[rows, cols]
     gb = srt[rows, cols + 1]
     mid = ga + (gb - ga) / 2.0

@@ -94,10 +94,10 @@ def _tangent_lines(inst: Instance) -> Tuple[np.ndarray, ...]:
     right, then left, outer tangent, pairs in ``np.triu_indices`` order, by
     the scalar construction's C-library operations: delta the normalized
     ``atan2`` from site i to site j, the anchor site i + r (cos, sin)(delta
-    -/+ pi/2), the direction (cos, sin)(delta).  Like ``DirectedLine``,
-    they snap a component below ``SNAP_TOL`` to an axis, which never
-    happens on an instance the general-position check accepts: its |dx|
-    and |dy| exceed ``eps``."""
+    -/+ pi/2), the direction (cos, sin)(delta).  They snap a component
+    below ``SNAP_TOL`` to an axis, as the scalar construction does, which
+    never happens on an instance the general-position check accepts: its
+    |dx| and |dy| exceed ``eps``."""
     r = inst.r
     i, j = np.triu_indices(inst.n, 1)
     delta = _normalized(_libm(math.atan2, inst.ys[j] - inst.ys[i], inst.xs[j] - inst.xs[i]))

@@ -40,7 +40,6 @@ import numpy as np
 from .geom import (
     ANGLE_TOL,
     TWO_PI,
-    DirectedLine,
     Instance,
     Point,
     _libm,
@@ -63,6 +62,7 @@ from .linesearch import (
     Telemetry,
     search_lines,
     vertical_breakpoints,
+    vertical_lines,
 )
 
 PRUNE_LEFT = "prune-left"
@@ -123,7 +123,7 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
     """
     P = vertical_breakpoints(idx, x, with_frame=True)
     [(_, up, down, side)] = search_lines(
-        inst, [DirectedLine.vertical(x)], [P], telemetry,
+        inst, vertical_lines([x]), [P], telemetry,
         "strong centroid at a breakpoint of the query line",
     )
     if side is not None:
@@ -277,8 +277,10 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
     (t_D, r_D), (t_U, r_U) = got
 
     # No position of the line's array lies strictly between the anchors,
-    # but the value may change on a sliver next to one: probe the midpoint.
-    x_B = DirectedLine.vertical(x).point_at((t_U + t_D) / 2.0)
+    # but the value may change on a sliver next to one: probe the midpoint,
+    # by the search's float operations on the line's row.
+    m = (t_U + t_D) / 2.0
+    x_B = Point(x + m * 0.0, 0.0 + m * 1.0)
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:

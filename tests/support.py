@@ -17,9 +17,9 @@ from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
     EPS_BASE,
+    SNAP_TOL,
     TWO_PI,
     Customer,
-    DirectedLine,
     Instance,
     Point,
     normalize_angle,
@@ -79,6 +79,69 @@ class Circle:
             raise ValueError("circle radius must be nonnegative")
 
 
+@dataclass(frozen=True, slots=True)
+class DirectedLine:
+    """Line through ``anchor`` with direction ``angle`` (normalized): the
+    scalar form of the solvers' query-line rows (``line_rows``)."""
+
+    anchor: Point
+    angle: float
+
+    @staticmethod
+    def vertical(x: float) -> "DirectedLine":
+        return DirectedLine(Point(x, 0.0), math.pi / 2.0)
+
+    @property
+    def direction(self) -> Tuple[float, float]:
+        ux = math.cos(self.angle)
+        uy = math.sin(self.angle)
+        # Snap axis-aligned directions exactly so that points generated on a
+        # vertical (horizontal) line keep a bitwise-constant x (y).
+        if abs(ux) < SNAP_TOL:
+            ux = 0.0
+            uy = 1.0 if uy > 0.0 else -1.0
+        elif abs(uy) < SNAP_TOL:
+            uy = 0.0
+            ux = 1.0 if ux > 0.0 else -1.0
+        return (ux, uy)
+
+    def point_at(self, t: float) -> Point:
+        ux, uy = self.direction
+        return Point(self.anchor.x + t * ux, self.anchor.y + t * uy)
+
+
+def line_rows(lines) -> np.ndarray:
+    """The rows ``ax, ay, ux, uy, angle`` that the line searches read, of
+    the upward ``lines``."""
+    return np.array([(L.anchor.x, L.anchor.y) + L.direction + (L.angle,) for L in lines],
+                    dtype=float).reshape(-1, 5)
+
+
+def table_column(idx, i: int, j: int) -> int:
+    """The angular index's table column of the tangent of the ordered pair
+    ``(i, j)``."""
+    return i * (idx.n - 1) + j - (j > i)
+
+
+def reference_tangent_line(idx, i: int, j: int) -> DirectedLine:
+    """The scalar line whose row ``AngularIndex.tangent_lines`` builds for
+    the ordered pair: the stored right tangent, anchored at its touching
+    point on disc i, directed upward.  A horizontal one raises
+    ``ValueError``."""
+    a = float(idx.ang[table_column(idx, i, j)])
+    r = idx.inst.r
+    anchor = Point(float(idx.xs[i]) + r * math.sin(a), float(idx.ys[i]) - r * math.cos(a))
+    return upward_line(DirectedLine(anchor, a))
+
+
+def upward_tangents(idx, i: int, js=None) -> List[DirectedLine]:
+    """``reference_tangent_line`` of customer i and each of ``js`` (every
+    other customer by default), horizontal tangents left out."""
+    js = range(idx.n) if js is None else js
+    return [reference_tangent_line(idx, i, j) for j in js
+            if j != i and abs(math.sin(idx.ang[table_column(idx, i, j)])) > ANGLE_TOL]
+
+
 def polar_angle(p: Point, origin: Point) -> float:
     """Angle of the vector p - origin, counterclockwise from +x, in [0, 2*pi)."""
     dx = p.x - origin.x
@@ -131,7 +194,7 @@ def breakpoint_sequences(idx, L: DirectedLine) -> np.ndarray:
     line = upward_line(L)
     if line.angle == math.pi / 2.0 and line.anchor.y == 0.0:
         return vertical_breakpoints(idx, line.anchor.x)
-    return _position_pass(idx, [line])[0]
+    return _position_pass(idx, line_rows([line]))[0]
 
 
 def is_vertical(L, tol=ANGLE_TOL):
@@ -425,7 +488,7 @@ def general_positions(idx, L, frame=None):
     broadcast pass, then, when a ``frame`` is given, its two ordinates
     along ``L``, appended as ``find_xD_xU`` appended them before it read
     vertical lines off the index's table."""
-    [P] = _position_pass(idx, [upward_line(L)])
+    [P] = _position_pass(idx, line_rows([upward_line(L)]))
     if frame is None:
         return P
     return np.append(P, (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
@@ -871,9 +934,11 @@ def reference_tangent_crossings(idx, line):
     ts: List[float] = []
     for i in range(idx.n):
         for j in range(idx.n):
-            if i == j or abs(math.sin(idx.angle(i, j) - line.angle)) <= ANGLE_TOL:
+            if i == j:
                 continue
-            k = idx.row(i, j)
+            k = table_column(idx, i, j)
+            if abs(math.sin(float(idx.ang[k]) - line.angle)) <= ANGLE_TOL:
+                continue
             nx, ny = nxs[k], nys[k]
             ts.append((offs[k] - (ax * nx + ay * ny)) / (ux * nx + uy * ny))
     return np.array(ts, dtype=float)

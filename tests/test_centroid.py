@@ -97,13 +97,9 @@ class TestThreeModeAgreement:
 
 
 def intermediate_groups(idx):
-    """Intermediate mode's line groups: each customer's tangent lines,
-    less the vertical ones."""
-    return [
-        [idx.tangent_line(i, j) for j in range(idx.n)
-         if j != i and abs(math.sin(idx.angle(i, j))) > ANGLE_TOL]
-        for i in range(idx.n)
-    ]
+    """Intermediate mode's line groups: each customer's tangent lines, as
+    the rows of the scalar upward lines."""
+    return [support.line_rows(support.upward_tangents(idx, i)) for i in range(idx.n)]
 
 
 class TestLineGroups:
@@ -124,7 +120,7 @@ class TestLineGroups:
         for k, L in enumerate(lines):
             tel = Telemetry()
             try:
-                local_optima_on_lines(inst, [L], _position_pass(idx, [L]), tel)
+                local_optima_on_lines(inst, L[None], _position_pass(idx, L[None]), tel)
                 rounds.append(None)
             except CertifiedOptimum as cert:
                 assert cert.origin == "strong centroid on a searched line"
@@ -271,7 +267,7 @@ class TestIntermediateChunks:
         general = centroid._position_pass
 
         def recorded(idx, lines):
-            built.extend((L.anchor, L.angle) for L in lines)
+            built.extend(L.tobytes() for L in lines)
             return general(idx, lines)
 
         monkeypatch.setattr(centroid, "_position_pass", recorded)
@@ -782,7 +778,10 @@ class TestDiscCrossings:
         in its order, including discs that touch, miss by an ulp, or
         nearly coincide."""
         counts = set()
-        for k, inst in enumerate(self.instances()):
+        # Beside the seeded instances, one where every pair is near: each
+        # sorted-x window holds all later sites.
+        dense = generate_instance(150, seed=1, r=1600.0, coord_range=300)
+        for k, inst in enumerate([*self.instances(), dense]):
             xs, ys = disc_crossings(inst)
             got = np.stack((xs, ys), axis=1)
             want = np.array([(p.x, p.y) for p in support.reference_disc_crossings(inst)])
@@ -790,3 +789,15 @@ class TestDiscCrossings:
             counts.add(len(xs))
         # No crossing, one touching pair, and many crossings.
         assert {0, 1, 2} <= counts and len(counts) > 5
+        assert len(xs) > 150 * 149 // 2
+
+    def test_windows_hold_no_pair_table(self):
+        """At n = 800 (R = 4, range 1600, seeds 1-3) the windows hold a
+        few pairs per site: the call's traced peak stays below 0.05 x 8n^2
+        bytes (0.017-0.018 measured), where testing every pair of
+        ``np.triu_indices`` took 3.0 x 8n^2."""
+        n = 800
+        for seed in (1, 2, 3):
+            inst = generate_instance(n, seed, r=4.0, coord_range=2 * n)
+            _, peak = support.traced_peak(disc_crossings, inst)
+            assert peak <= 0.05 * 8 * n * n, (seed, peak / (8 * n * n))

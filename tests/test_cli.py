@@ -80,6 +80,9 @@ class TestGen:
         (["gen", "--n", "5", "--seed", "1", "--weight-range", "0"], "weight range"),
         (["compare", "--gen-n", "5", "--seeds", "1", "--weight-range", "0"], "weight range"),
         (["gen", "--n", "5", "--seed", "1", "--r", "1e150"], "must be below"),
+        (["gen", "--n", "3", "--seed", "1", "--coord-range", "-5"], "coordinate range must be"),
+        (["compare", "--gen-n", "3", "--seeds", "1", "--coord-range", "-1"],
+         "coordinate range must be"),
     ])
     def test_bad_generator_arguments_exit_2(self, capsys, argv, fragment):
         """Exit code 1 is ``compare``'s disagreement; a bad argument is

@@ -19,7 +19,6 @@ from rivalloc.geom import (
     EPS_BASE,
     MAX_SCALE,
     Customer,
-    DirectedLine,
     Instance,
     Point,
     general_position_violation,
@@ -27,6 +26,7 @@ from rivalloc.geom import (
 )
 from support import (
     Circle,
+    DirectedLine,
     circle_circle_intersections,
     collinear,
     dist,

@@ -1,5 +1,6 @@
 """Tests for a line's breakpoint array and the prune search along a line."""
 
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -15,7 +16,6 @@ from rivalloc.cli import generate_instance
 from rivalloc.geom import (
     ANGLE_TOL,
     Customer,
-    DirectedLine,
     Instance,
     Point,
     general_position_violation,
@@ -28,6 +28,7 @@ from rivalloc.linesearch import (
     local_optima_on_lines,
     search_lines,
     vertical_breakpoints,
+    vertical_lines,
 )
 from rivalloc.medianoid import (
     DOWNWARD,
@@ -41,9 +42,11 @@ from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, find_xD_xU
 
 COVERAGE_TOL = 1e-6
 
+DirectedLine = support.DirectedLine
 t_along = support.t_along
 expected_positions = support.expected_positions
 upward_line = support.upward_line
+line_rows = support.line_rows
 
 
 def sorted_positions(P):
@@ -54,8 +57,21 @@ def line_optima(inst, idx, lines, telemetry):
     """``local_optima_on_lines`` on ``lines`` directed upward, with the
     breakpoint arrays the solvers build for them."""
     return local_optima_on_lines(
-        inst, [upward_line(L) for L in lines],
+        inst, line_rows([upward_line(L) for L in lines]),
         [support.breakpoint_sequences(idx, L) for L in lines], telemetry)
+
+
+def _real_instance(n, R, seed):
+    """n customers at real coordinates with real weights, in general
+    position."""
+    rng = random.Random(seed)
+    inst = Instance([
+        Customer(Point(rng.uniform(-2 * n, 2 * n), rng.uniform(-2 * n, 2 * n)),
+                 rng.uniform(0.5, 5.0))
+        for _ in range(n)
+    ], R)
+    assert general_position_violation(inst) is None
+    return inst
 
 
 class TestAngularIndex:
@@ -63,38 +79,53 @@ class TestAngularIndex:
         inst = generate_instance(5, seed=77, r=4.0)
         idx = build_angular_index(inst)
         r = inst.r
+        rows = iter(idx.tangent_lines(0, idx.n).tolist())
         for i in range(inst.n):
             for j in range(inst.n):
                 if i == j:
                     continue
-                line = idx.tangent_line(i, j)
+                ax, ay, ux, uy, _ = next(rows)
                 for k in (i, j):
                     c = inst.customers[k].site
-                    ux, uy = line.direction
-                    d = abs(ux * (c.y - line.anchor.y) - uy * (c.x - line.anchor.x))
+                    d = abs(ux * (c.y - ay) - uy * (c.x - ax))
                     assert d == pytest.approx(r, abs=1e-7)
 
-
     def test_tangent_lines_point_upward(self):
-        """``tangent_line`` is the stored right tangent of the pair, through
-        its touching point on disc i, directed upward: bitwise the scalar
-        ``upward_line`` of the line along the pair's direction."""
-        inst = generate_instance(7, seed=5, r=3.0)
-        idx = build_angular_index(inst)
-        downward = 0
-        for i in range(idx.n):
-            for j in range(idx.n):
-                if i != j:
-                    L = idx.tangent_line(i, j)
-                    assert L == upward_line(DirectedLine(L.anchor, idx.angle(i, j)))
-                    downward += L.angle != idx.angle(i, j)
-        assert 0 < downward < idx.n * (idx.n - 1)
+        """Row by row and bitwise, ``tangent_lines`` is the scalar upward
+        line of every pair (``support.reference_tangent_line``): the stored
+        right tangent through its touching point on disc i, along the
+        pair's direction or its opposite, on the grid and at real
+        coordinates, at R = 1, 4 and 12; a block of customer rows is the
+        slice of the whole array."""
+        for n, R, real in itertools.product((8, 24, 60), (1.0, 4.0, 12.0), (False, True)):
+            inst = (_real_instance(n, R, seed=n) if real
+                    else generate_instance(n, seed=n, r=R, coord_range=2 * n))
+            idx = build_angular_index(inst)
+            got = idx.tangent_lines(0, n)
+            want = line_rows([support.reference_tangent_line(idx, i, j)
+                              for i in range(n) for j in range(n) if j != i])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, R, real)
+            downward = int(np.count_nonzero(got[:, 4] != idx.ang))
+            assert 0 < downward < idx.tangents, (n, R, real)
+            for s, e in ((0, 1), (3, 7), (n - 2, n)):
+                block = idx.tangent_lines(s, e)
+                assert block.tobytes() == got[s * (n - 1):e * (n - 1)].tobytes(), (n, R, s, e)
 
     def test_horizontal_tangent_line_rejected(self):
         inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(5.0, 0.0), 1.0)], 2.0)
         idx = build_angular_index(inst)
         with pytest.raises(ValueError, match="horizontal"):
-            idx.tangent_line(0, 1)
+            idx.tangent_lines(0, 1)
+        with pytest.raises(ValueError, match="horizontal"):
+            support.reference_tangent_line(idx, 0, 1)
+
+    def test_vertical_rows_are_the_scalar_vertical_lines(self):
+        """``vertical_lines`` gives ``DirectedLine.vertical``'s row, with
+        the direction snapped to ``(0, 1)``, so its points keep their x."""
+        xs = [-3.5, 0.0, 2.25, 1e6]
+        got = vertical_lines(xs)
+        assert got.tobytes() == line_rows(map(DirectedLine.vertical, xs)).tobytes()
+        assert vertical_lines([]).shape == (0, 5)
 
     @pytest.mark.parametrize("n,real", [(100, False), (257, False), (150, True)])
     def test_table_equals_the_full_table_build(self, n, real):
@@ -102,13 +133,7 @@ class TestAngularIndex:
         on first use, equal the full-table build bitwise, at n whose rows
         span several blocks, on the grid and at real coordinates."""
         if real:
-            rng = random.Random(0x7AB1E)
-            inst = Instance([
-                Customer(Point(rng.uniform(-2 * n, 2 * n), rng.uniform(-2 * n, 2 * n)),
-                         rng.uniform(0.5, 5.0))
-                for _ in range(n)
-            ], 3.5)
-            assert general_position_violation(inst) is None
+            inst = _real_instance(n, 3.5, seed=0x7AB1E)
         else:
             inst = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
         assert SWEEP_BLOCK // n < n
@@ -197,9 +222,7 @@ def _query_lines(idx, rng):
     vertical lines through sites, and random non-horizontal lines."""
     lines = []
     for i in range(min(idx.n, 4)):
-        for j in range(min(idx.n, 4)):
-            if i != j and abs(np.sin(idx.angle(i, j))) > ANGLE_TOL:
-                lines.append(idx.tangent_line(i, j))
+        lines += support.upward_tangents(idx, i, range(min(idx.n, 4)))
     lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:3]]
     spread = 2.0 * float(np.max(np.abs(idx.xs))) + 1.0
     lines += [support.non_horizontal_line(rng, spread) for _ in range(4)]
@@ -316,14 +339,14 @@ class TestPositionPass:
         inst = generate_instance(30, seed=4, r=4.0, coord_range=60)
         idx = build_angular_index(inst)
         rng = random.Random(12)
-        lines = [idx.tangent_line(i, j) for i in range(3) for j in range(idx.n) if j != i]
+        lines = [L for i in range(3) for L in support.upward_tangents(idx, i)]
         lines += [upward_line(support.non_horizontal_line(rng, 60.0)) for _ in range(20)]
         lines += [DirectedLine.vertical(float(x)) for x in idx.xs[:5]]
         assert len(lines) > 2 * (SWEEP_BLOCK // idx.n ** 2)
-        got = _position_pass(idx, lines)
+        got = _position_pass(idx, line_rows(lines))
         assert len(got) == len(lines)
         for L, P in zip(lines, got):
-            [want] = _position_pass(idx, [L])
+            [want] = _position_pass(idx, line_rows([L]))
             assert P.dtype == want.dtype and P.tobytes() == want.tobytes(), L
 
 
@@ -368,7 +391,7 @@ class TestVerticalBreakpoints:
             xs += [rng.uniform(frame.xmin, frame.xmax) for _ in range(10)]
             for x in xs:
                 L = DirectedLine.vertical(x)
-                want = _position_pass(idx, [L])[0]
+                want = _position_pass(idx, line_rows([L]))[0]
                 got = vertical_breakpoints(idx, x)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, x)
                 assert support.breakpoint_sequences(idx, L).tobytes() == want.tobytes(), (k, x)
@@ -497,10 +520,8 @@ class TestEngineMatchesReference:
                 r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
             idx = build_angular_index(inst)
             frame = idx.frame
-            lines = [support.non_horizontal_line(rng) for _ in range(3)] + [
-                idx.tangent_line(0, j) for j in range(1, idx.n)
-                if abs(math.sin(idx.angle(0, j))) > ANGLE_TOL
-            ]
+            lines = ([support.non_horizontal_line(rng) for _ in range(3)]
+                     + support.upward_tangents(idx, 0))
             got = _outcome(lambda tel: line_optima(inst, idx, lines, tel))
             want = _outcome(lambda tel: support.reference_local_optima(inst, idx, lines, tel))
             assert got == want, trial
@@ -554,7 +575,8 @@ def _engine_and_reference(monkeypatch, inst, lines, positions):
     """``search_lines`` and the per-step reference on copies of the same
     positions: the points of every round, the outcome and the telemetry."""
     def engine(tel):
-        return search_lines(inst, lines, [p.copy() for p in positions], tel, "origin")
+        return search_lines(inst, line_rows(lines), [p.copy() for p in positions], tel,
+                            "origin")
 
     def reference(tel):
         return support.reference_search_lines(
