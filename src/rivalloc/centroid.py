@@ -19,10 +19,11 @@ abscissas of ``geom.disc_crossings``.  The tangent-tangent and
 tangent-circle families read their lines, the tangent lines and the two
 frame lines, in place from the angular index's table (``idx.lines``).
 Beside that table (3 x 8m bytes for its m lines) a solve holds LT's batch
-and one decision's breakpoints.  LT orders its lines by int32 indices and
-holds each batch once, in one array that ``_exhaust`` consumes in place;
-an unthinned exact batch holds one abscissa per inverted pair (at most
-2.77 per line measured), and a thinned one up to ``LT_CAP`` per line, so
+and one decision's breakpoints.  LT holds each batch once, in one array
+that ``_exhaust`` consumes in place, and meets an exact batch's pairs
+``LT_CHUNK`` candidates at a time.  Unthinned, that batch holds one
+abscissa per inverted pair (at most 2.77 per line measured); thinned, the
+abscissas whose hash falls below a bound, at most ``LT_CAP`` per line, so
 in the worst case LT's batch reaches ``LT_CAP`` x 8m bytes.
 ``solve_centroid`` accepts only instances in general position, so no
 tangent line is vertical and every line has a y-order.  The optimum is
@@ -118,8 +119,8 @@ class _Slab:
         return out
 
 
-# Crossings per line an exact LT batch holds before it is thinned, and line
-# pairs handled at a time, which bounds LT's temporary arrays.
+# Crossings per line an exact LT batch holds before it is thinned, and the
+# lines or candidate pairs handled at a time, which bounds LT's temporaries.
 LT_CAP = 4
 LT_CHUNK = 1 << 13
 
@@ -173,59 +174,52 @@ def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
 
 
 def _inverted_pairs(lnx, lny, loff, lo: float, hi: float):
-    """Yield ``(a, b)`` index arrays, about ``LT_CHUNK`` pairs at a time,
-    covering once each pair of lines ordered differently by y just right of
-    ``lo`` and just left of ``hi``: in exact arithmetic, the pairs crossing
-    strictly inside.  They are the inversions between the two orders, met
-    top-down as a merge sort meets them but without comparisons: ``pos``
-    holds the ``lo`` positions in ``hi`` order within blocks of 2w, so a
-    second-half position inverts the first-half positions after it.
+    """Yield ``(a, b)`` index arrays, a chunk of at most ``LT_CHUNK``
+    candidates at a time, covering once each pair of lines ordered
+    differently by y just right of ``lo`` and just left of ``hi``: in exact
+    arithmetic, the pairs crossing strictly inside.
 
-    Orders and positions are int32, and a level's full-length arrays are
-    freed, or cut to the half its pairs read, before the pairs are
-    yielded: between yields the generator holds about 2 x 8m bytes, and
-    while it builds a level about 3 x 8m."""
+    Line k of the ``lo`` order has rank ``k + d[k]`` at ``hi``.  Ranks
+    k < l invert when ``d[k] - d[l] > l - k``, so l lies in k's window, the
+    ``2 d[k] - 1`` ranks after k, or k in l's, the ``-2 d[l] - 1`` ranks
+    before l; a pair in both is taken from k's.  A line's |d| is at most
+    the number of pairs it is in, so for K inverted pairs the windows hold
+    at most 4K candidates: O(m + K) beside the two orders.  One
+    ``_end_order`` key is live at a time, and between chunks the generator
+    holds two int32 and one int64 array of length m."""
     m = len(lnx)
+    d = np.empty(m, dtype=np.int32)
+    d[_end_order(lnx, lny, loff, hi, False)] = np.arange(m, dtype=np.int32)
     by_lo = _end_order(lnx, lny, loff, lo, True)
-    pos = np.empty(m, dtype=np.int32)
-    pos[by_lo] = np.arange(m, dtype=np.int32)
-    pos = pos[_end_order(lnx, lny, loff, hi, False)]
-    w = 1 << max(m - 1, 0).bit_length()
-    while w > 1:
-        w >>= 1
-        first = (pos & w) == 0
-        before = np.cumsum(first, dtype=np.int32)
-        before -= first
-        # The next level's positions: each block's firsts, then its seconds.
-        dest = np.arange(m, dtype=np.int32)
-        dest -= before
-        dest += w
-        np.copyto(dest, before, where=first)
-        block = pos // (2 * w)
-        block *= w
-        dest += block
-        del block
-        firsts = pos[first]
-        second = np.logical_not(first, out=first)
-        seconds, start = pos[second], before[second]
-        del first, second, before
-        new = np.empty_like(pos)
-        new[dest] = pos
-        pos = new
-        del new, dest
-        cnt = seconds // (2 * w)
-        cnt *= w
-        cnt += w
-        cnt -= start
-        done = np.cumsum(cnt, dtype=np.int64)
-        cuts = np.searchsorted(done, np.arange(LT_CHUNK, done[-1], LT_CHUNK)).tolist()
-        del done
-        for i0, i1 in zip([0] + cuts, cuts + [len(cnt)]):
-            c = cnt[i0:i1]
-            owner = np.repeat(np.arange(i0, i1), c)
-            off = np.arange(len(owner)) - np.repeat(np.cumsum(c) - c, c)
-            yield by_lo[firsts[start[owner] + off]], by_lo[seconds[owner]]
-        del firsts, seconds, start, cnt, c, owner, off
+    d = d[by_lo]
+    rank = np.arange(m, dtype=np.int32)
+    d -= rank
+    # Rank k's window, cut to the ranks there are, is the candidates
+    # [ends[k], ends[k + 1]); its width is built in place, in int32.
+    w = np.where(d > 0, m - 1 - rank, rank)
+    del rank
+    np.minimum(w, 2 * np.abs(d) - 1, out=w)
+    ends = np.zeros(m + 1, dtype=np.int64)
+    ends[1:] = np.maximum(w, 0, out=w)
+    del w
+    np.cumsum(ends, out=ends)
+    # A chunk spans at most LT_CHUNK candidates and LT_CHUNK windows.
+    c0 = 0
+    while c0 < ends[m]:
+        o = np.searchsorted(ends, c0, "right") - 1
+        o = np.arange(o, min(o + LT_CHUNK, m))
+        c1 = min(c0 + LT_CHUNK, ends[o[-1] + 1])
+        k = np.repeat(o, np.clip(ends[o + 1], c0, c1) - np.clip(ends[o], c0, c1))
+        del o
+        # Each candidate pairs its window's owner with the rank gap after
+        # it (up) or before it; k becomes the lower rank, in place.
+        gap = np.arange(c0 + 1, c1 + 1) - ends[k]
+        up = d[k] > 0
+        np.subtract(k, gap, out=k, where=~up)
+        l = k + gap
+        keep = (d[k] - d[l] > gap) & (up | (gap >= 2 * d[k]))
+        yield by_lo[k[keep]], by_lo[l[keep]]
+        c0 = c1
 
 
 def _append(xs: np.ndarray, x: np.ndarray) -> None:
@@ -254,29 +248,31 @@ def _exact_batch(lnx, lny, loff, slab: _Slab, cap: int):
     ``_inverted_pairs`` lists, the mask of the lines in some pair, and
     whether the abscissas were thinned, by a hash, to at most ``cap``.
 
-    The abscissas are held once, in one array that grows in place and is
-    thinned in place.  Unthinned it holds one abscissa per inverted pair,
-    0.17-2.77 per line on generated non-certifying solves at n = 100-1600;
-    thinned, at most ``cap`` (``LT_CAP`` per line, 4 x 8m bytes) unless a
-    halving would have emptied it."""
+    The abscissas are held once, in one array that grows in place; beside
+    it, a chunk's pairs and abscissas, at most ``LT_CHUNK`` of each.
+    Unthinned it holds one abscissa per inverted pair, 0.17-2.77 per line
+    on generated non-certifying solves at n = 100-1600.  Thinned, it holds
+    exactly the abscissas x with ``_mix(x)`` at most a bound, whatever order
+    the pairs arrive in: each arriving chunk is filtered by the current
+    bound, which is halved while the batch exceeds ``cap`` (``LT_CAP`` per
+    line, 4 x 8m bytes) unless that would empty it."""
     used = np.zeros(len(lnx), dtype=bool)
     xs = np.empty(0)
-    level = 0
+    full = bound = np.uint64((1 << 64) - 1)
     for a, b in _inverted_pairs(lnx, lny, loff, slab.lo, slab.hi):
         used[a] = used[b] = True
-        _append(xs, _crossing_xs(lnx, lny, loff, a, b, slab))
+        x = _crossing_xs(lnx, lny, loff, a, b, slab)
+        _append(xs, x[_mix(x) <= bound])
         while len(xs) > cap:
-            # Keep the abscissas whose hash falls below a halved bound;
-            # never thin a batch to nothing.
-            bound = np.uint64(((1 << 64) - 1) >> (level + 1))
-            keep = _mix(xs) <= bound
+            # Halve the bound, unless that would thin the batch to nothing.
+            keep = _mix(xs) <= bound >> np.uint64(1)
             kept = int(np.count_nonzero(keep))
             if not kept:
                 break
             xs[:kept] = xs[keep]
             xs.resize(kept, refcheck=False)
-            level += 1
-    return xs, used, level > 0
+            bound >>= np.uint64(1)
+    return xs, used, bound < full
 
 
 def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
@@ -326,8 +322,10 @@ def local_optimal_line_LT(
     (``_exhaust``): first one hashed partner per line (``_hashed_batch``,
     at most m abscissas), then the exact batch (``_exact_batch``), repeated
     on the new slab without the lines that crossed no other while it was
-    thinned.  A batch is held once; a thinned one may reach ``LT_CAP`` * m
-    abscissas, the most LT holds beside the table.
+    thinned.  A batch is held once, and its pairs arrive a chunk of at most
+    ``LT_CHUNK`` candidates at a time; a thinned batch keeps the abscissas
+    whose hash falls below a bound, at most ``LT_CAP`` * m of them, the
+    most LT holds beside the table.
     """
     lnx, lny, loff = idx.lines
     m = len(lnx)

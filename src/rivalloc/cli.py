@@ -296,7 +296,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_seed_range(text: str) -> List[int]:
+def _parse_seed_range(text: str) -> range:
     if ".." in text:
         a, _, b = text.partition("..")
         try:
@@ -305,26 +305,24 @@ def _parse_seed_range(text: str) -> List[int]:
             raise CliError(EXIT_PARSE, f"bad seed range {text!r}")
         if hi < lo:
             raise CliError(EXIT_PARSE, f"bad seed range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [int(text)]
+        return range(int(text), int(text) + 1)
     except ValueError:
         raise CliError(EXIT_PARSE, f"bad seed {text!r}")
 
 
 def cmd_compare(args) -> int:
-    jobs = []
     if args.input:
-        jobs.append((args.input, load_instance(args.input)))
+        jobs = [(args.input, load_instance(args.input))]
+    elif args.gen_n is None or args.seeds is None:
+        raise CliError(EXIT_PARSE, "compare needs --input or both --gen-n and --seeds")
     else:
-        if args.gen_n is None or args.seeds is None:
-            raise CliError(
-                EXIT_PARSE, "compare needs --input or both --gen-n and --seeds"
-            )
-        for seed in _parse_seed_range(args.seeds):
-            jobs.append((f"seed={seed}", _generate(args, args.gen_n, seed)))
+        seeds = _parse_seed_range(args.seeds)
+        # Each instance is generated just before its solves.
+        jobs = ((f"seed={seed}", _generate(args, args.gen_n, seed)) for seed in seeds)
 
-    for name, inst in jobs:
+    for count, (name, inst) in enumerate(jobs, 1):
         modes = [PARAMETRIC, INTERMEDIATE]
         if inst.n <= BRUTE_LIMIT:
             modes.append(BRUTE)
@@ -343,7 +341,7 @@ def cmd_compare(args) -> int:
             print(f"{name} n={inst.n} DISAGREE {summary} (reproducer: {repro})")
             return EXIT_DISAGREE
         print(f"{name} n={inst.n} ok {summary}")
-    print(f"all {len(jobs)} instances agree")
+    print(f"all {count} instances agree")
     return EXIT_OK
 
 

@@ -464,10 +464,41 @@ class TestCrossingSelection:
         lines = np.array(lines).reshape(-1, 3)
         return lines[:, 0].copy(), lines[:, 1].copy(), lines[:, 2].copy(), anchors
 
-    def test_inverted_pairs_equal_the_pairwise_reference(self):
+    @staticmethod
+    def window_extremes(rng, m):
+        """Two line sets whose order over (0, 1) moves as far as it can:
+        the tangents ``y = 2a x - a^2`` of ``y = x^2`` at shuffled a in
+        [0.1, 0.9], of which each pair crosses at (a + a')/2, so their
+        order reverses; and shallow lines near y = 0 with one steep line,
+        at a random index, that crosses them all (|d| = m - 1)."""
+        a = [0.1 + 0.8 * i / max(m - 1, 1) for i in range(m)]
+        rng.shuffle(a)
+        tangents = [(-2 * t, 1.0, -t * t) for t in a]
+        lines = [(-rng.uniform(-1, 1), 1.0, rng.uniform(-5, 5)) for _ in range(m - 1)]
+        lines.insert(rng.randrange(m), (-100.0, 1.0, -50.0))
+        for rows in (tangents, lines):
+            rows = np.array(rows).reshape(-1, 3)
+            yield rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
+
+    def test_inverted_pairs_equal_the_pairwise_reference(self, monkeypatch):
+        """On random lines, on the windows' extremes (every pair inverted;
+        one line inverted with every other), also in chunks of 7 candidates
+        that cut most windows, and at m = 200."""
         rng = random.Random(0x1A7)
-        for m in (0, 1, 2, 3, 5, 6, 7, 12, 17, 31, 33, 64, 90):
-            for _ in range(3):
+        chunks = (centroid.LT_CHUNK, 7)
+        for m in (2, 3, 17, 64, 200):
+            reversed_order, steep = self.window_extremes(rng, m)
+            everything = support.reference_inverted_pairs(*reversed_order, 0.0, 1.0)
+            assert len(everything) == m * (m - 1) // 2
+            for lines in (reversed_order, steep):
+                for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (0.25, 1.0), (-math.inf, 0.5)):
+                    want = support.reference_inverted_pairs(*lines, lo, hi)
+                    for chunk in chunks:
+                        monkeypatch.setattr(centroid, "LT_CHUNK", chunk)
+                        assert self.enumerated(*lines, lo, hi) == want, (m, lo, hi, chunk)
+        monkeypatch.undo()
+        for m in (0, 1, 2, 3, 5, 6, 7, 12, 17, 31, 33, 64, 90, 200):
+            for _ in range(3 if m < 200 else 1):
                 lnx, lny, loff, anchors = self.random_lines(rng, m)
                 ends = [float(x0) for x0, _ in anchors]
                 if m >= 2:
@@ -482,6 +513,26 @@ class TestCrossingSelection:
                 for lo, hi in rng.sample(slabs, min(12, len(slabs))):
                     want = support.reference_inverted_pairs(lnx, lny, loff, lo, hi)
                     assert self.enumerated(lnx, lny, loff, lo, hi) == want, (m, lo, hi)
+
+    def test_one_enumeration_peaks_at_its_orders(self):
+        """One ``_inverted_pairs`` pass over the slab that the hashed batch
+        leaves at n = 400 (seed 1, R = 4, range 800; 0.72 inverted pairs
+        per line) peaks at 3.55 x 8m traced bytes for its m lines (3.554
+        measured): ``_end_order``'s key and argsort set the peak, not the
+        windows or a chunk.  The bound adds ``traced_peak``'s 0.3% margin."""
+        inst = generate_instance(400, 1, r=4.0, coord_range=800)
+        idx = build_angular_index(inst)
+        lnx, lny, loff = idx.lines
+        slab = _Slab()
+        decide_at = centroid._decider(inst, idx, slab, Telemetry(), "lt_oracle")
+        _exhaust(centroid._hashed_batch(lnx, lny, loff, slab), slab, decide_at)
+
+        def enumerate_pairs():
+            return sum(len(a) for a, _ in _inverted_pairs(lnx, lny, loff, slab.lo, slab.hi))
+
+        pairs, peak = support.traced_peak(enumerate_pairs)
+        assert pairs == 115_542
+        assert peak <= 3.55 * 1.003 * 8 * len(lnx), peak / (8 * len(lnx))
 
     def test_end_order_equals_the_int64_build(self):
         """The int32 order, its key built in place and its ties found by
@@ -608,6 +659,30 @@ class TestCrossingSelection:
                 assert not inside.any(), (trial, i, slab.lo, slab.hi, x[inside])
         assert searched >= 12
         assert thinned >= (searched if cap is not None else 0)
+
+    def test_a_thinned_batch_ignores_the_order_of_its_pairs(self, monkeypatch):
+        """With ``LT_CAP`` patched as above and chunks of 128 candidates,
+        ``_exact_batch`` returns the same sorted abscissas, line mask and
+        thinned flag when ``_inverted_pairs`` yields its chunks in
+        reverse: each chunk is filtered by the bound in force."""
+        monkeypatch.setattr(centroid, "LT_CAP", 0.05)
+        monkeypatch.setattr(centroid, "LT_CHUNK", 128)
+        pairs = centroid._inverted_pairs
+        thinned = 0
+        for trial in range(12):
+            n = 6 + trial
+            inst = generate_instance(n, 25_000 + trial, r=(2.0, 4.0)[trial % 2])
+            lnx, lny, loff = build_angular_index(inst).lines
+            cap = centroid.LT_CAP * len(lnx)
+            runs = []
+            for order in (list, lambda chunks: list(chunks)[::-1]):
+                monkeypatch.setattr(centroid, "_inverted_pairs",
+                                    lambda *args: order(pairs(*args)))
+                xs, used, was_thinned = centroid._exact_batch(lnx, lny, loff, _Slab(), cap)
+                runs.append((np.sort(xs).tobytes(), used.tobytes(), was_thinned))
+            assert runs[0] == runs[1], trial
+            thinned += runs[0][2]
+        assert thinned == 12
 
 
 class TestSharedSlab:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from rivalloc.medianoid import solve_medianoid
 from rivalloc.oracle import brute_medianoid
 from rivalloc.cli import (
     EXIT_DEGENERATE,
+    EXIT_DISAGREE,
     EXIT_GEN,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -269,6 +271,32 @@ class TestCompare:
 
     def test_bad_seed_range(self, capsys):
         assert main(["compare", "--gen-n", "4", "--seeds", "5..x"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("failure", [EXIT_DISAGREE, EXIT_INTERNAL])
+    def test_instances_are_generated_one_at_a_time(self, monkeypatch, tmp_path, capsys, failure):
+        """Each seed's instance is generated just before its solves: a
+        disagreement or an internal error on seed 2 of 1..3 leaves seed 3
+        ungenerated, after seed 1's result is printed."""
+        generated = []
+
+        def counted_generate(n, seed, *args):
+            generated.append(seed)
+            return generate_instance(n, seed, *args)
+
+        def solve(inst, mode="parametric"):
+            rep = solve_centroid(inst, mode)
+            if generated[-1] != 2:
+                return rep
+            if failure == EXIT_INTERNAL:
+                raise RuntimeError("broken on seed 2")
+            return replace(rep, weight_loss=rep.weight_loss + (mode == "brute"))
+
+        monkeypatch.setattr(cli, "generate_instance", counted_generate)
+        monkeypatch.setattr(cli, "solve_centroid", solve)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--gen-n", "4", "--seeds", "1..3"]) == failure
+        assert generated == [1, 2]
+        assert capsys.readouterr().out.startswith("seed=1 n=4 ok ")
 
 
 class TestInternalErrors:
