@@ -28,7 +28,7 @@ in the worst case LT's batch reaches ``LT_CAP`` x 8m bytes.
 ``solve_centroid`` accepts only instances in general position, so no
 tangent line is vertical and every line has a y-order.  The optimum is
 therefore matched by one line search on each boundary line, by a point a
-decision evaluated and carried (``PruneDecision.witness``), or at a
+decision evaluated and carried (``Decision.witness``), or at a
 customer site.  All three modes share one solve (``_solve``): beside the
 sites, intermediate mode takes the disc-boundary crossings and brute mode
 every candidate (``oracle.enumerate_candidates``), ranked with the sites as
@@ -56,7 +56,7 @@ from .geom import (
     general_position_violation,
 )
 from . import oracle
-from .medianoid import block_size, least_loss, solve_medianoid
+from .medianoid import SIDEWARD_RIGHT, block_size, least_loss, solve_medianoid
 from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
@@ -67,7 +67,7 @@ from .linesearch import (
     vertical_breakpoints,
     vertical_lines,
 )
-from .vprune import PRUNE_LEFT, PruneDecision, decide
+from .vprune import Decision, decide
 
 PARAMETRIC = "parametric"
 INTERMEDIATE = "intermediate"
@@ -100,13 +100,13 @@ class _Slab:
         self.hi = math.inf
         self.witnesses: List[Tuple[Point, float]] = []
 
-    def apply(self, dec: PruneDecision, x: float) -> None:
-        """Move a boundary to ``x``, the line of ``dec``, keeping its closed
-        side, and keep the decision's witness."""
-        if dec.kind == PRUNE_LEFT:
-            self.lo = x
+    def apply(self, dec: Decision) -> None:
+        """Move a boundary to ``dec.x``, keeping the closed side ``dec``
+        keeps, and keep the decision's witness."""
+        if dec.keep == SIDEWARD_RIGHT:
+            self.lo = dec.x
         else:
-            self.hi = x
+            self.hi = dec.x
         if dec.witness is not None:
             self.witnesses.append(dec.witness)
 
@@ -303,7 +303,7 @@ def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
 
     def decide_at(x: float) -> None:
         setattr(telemetry, counter, getattr(telemetry, counter) + 1)
-        slab.apply(decide(inst, idx, x, telemetry), x)
+        slab.apply(decide(inst, idx, x, telemetry))
 
     return decide_at
 

@@ -1,10 +1,12 @@
-"""Classifying a vertical query line: which side of it can be discarded.
+"""Classifying a vertical query line: which closed side of it keeps an optimum.
 
 The plane search over candidate lines needs one primitive: given an abscissa
-x, name the side of the vertical line there that cannot contain a better
-point, or certify an optimum on it.  A decision at abscissa x returns the
-side (``PruneDecision``); a certificate is raised where it is found, as
-``CertifiedOptimum`` with an ``origin`` string.  The classification rests on
+x, name the closed side of the vertical line there that keeps an optimum,
+or certify an optimum on it.  A decision at abscissa x returns one record,
+``Decision``: the lean that settled the line, which names the kept side,
+and the rule that did, one of five declared constants.  A certificate is
+raised where it is found, as ``CertifiedOptimum`` with one of three declared
+``origin`` constants.  The classification rests on
 two anchor points, the lowest breakpoint with a downward wedge and the
 highest with an upward wedge, found by the exact-median search of
 ``linesearch.search_lines`` over the line's breakpoint array and the frame's
@@ -65,69 +67,54 @@ from .linesearch import (
     vertical_lines,
 )
 
-PRUNE_LEFT = "prune-left"
-PRUNE_RIGHT = "prune-right"
-
-PW_NULL = "null"
-
-
-@dataclass(frozen=True)
-class PseudoWedge:
-    """Wedge at the better anchor trimmed by a maximum-capture half-plane.
-
-    ``classification`` says where the trimmed direction cone points:
-    ``"sideward-right"`` or ``"sideward-left"`` when it stays weakly on one
-    side of the vertical line, ``"null"`` when the cone is empty.
-    ``theta_star`` is the direction of maximum capture and ``max_capture``
-    the weight it captures.
-    """
-
-    theta_star: float
-    classification: str
-    max_capture: float
+# The rules by which a decision settles its line, and the origins of the
+# certificates a decision raises (``linesearch.SEARCHED_LINE`` is the fourth).
+LEFT_OF_BOX = "line lies left of the bounding box of all discs"
+RIGHT_OF_BOX = "line lies right of the bounding box of all discs"
+AT_BREAKPOINT = "sideward wedge at a breakpoint of the query line"
+AT_MIDPOINT = "sideward wedge at the anchor-segment midpoint"
+BY_PSEUDO_WEDGE = "pseudo-wedge cone at the better anchor points to one side"
+STRONG_AT_BREAKPOINT = "strong centroid at a breakpoint of the query line"
+STRONG_AT_MIDPOINT = "strong centroid at the anchor-segment midpoint"
+EMPTY_PSEUDO_WEDGE = "empty pseudo-wedge cone at the better anchor"
 
 
 @dataclass(frozen=True)
-class PruneDecision:
-    """A vertical line's side that cannot hold a better point.
+class Decision:
+    """The closed side of the vertical line at ``x`` that keeps an optimum.
 
-    ``kind`` is ``"prune-left"`` or ``"prune-right"``, naming the discarded
-    side; ``evidence`` names the rule that produced the decision.
-    ``witness``, when set, is a point the decision evaluated and its weight
-    loss, which the plane search must keep as a candidate: the line search
-    on the kept boundary line evaluates breakpoints only and may miss it.
+    ``keep`` is the lean that settled the line: ``SIDEWARD_RIGHT`` keeps
+    the side x' >= x, ``SIDEWARD_LEFT`` the side x' <= x.  ``rule`` is one
+    of the five rule constants above.  ``witness``, when set, is a point
+    the decision evaluated and its weight loss, which the plane search must
+    keep as a candidate: the line search on the kept boundary line
+    evaluates breakpoints only and may miss it.
     """
 
-    kind: str
-    evidence: str
+    x: float
+    keep: str
+    rule: str
     witness: Optional[Tuple[Point, float]] = None
-
-
-def _prune(cls: str, evidence: str, witness: Optional[Tuple[Point, float]] = None) -> PruneDecision:
-    """Discard the side a sideward classification ``cls`` turns away from."""
-    return PruneDecision(PRUNE_LEFT if cls == SIDEWARD_RIGHT else PRUNE_RIGHT, evidence, witness)
 
 
 def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
     """Locate the lowest downward and highest upward breakpoints on the
-    vertical line at abscissa ``x``, whose positions are ordinates: the
-    anchor pair ``(down, up)``, each ``(t, result)`` with the anchor at
-    ``result.wedge.apex``, or a ``PruneDecision`` when a sideward wedge en
-    route already settles the line; a strong centroid en route raises
-    ``CertifiedOptimum``.  The breakpoints and the frame's two ordinates
-    come from the index's table (``vertical_breakpoints``); the frame's
-    auxiliary lines give every vertical line through the box both anchor
-    types, and the search exhausts the line, so no position of this array
-    lies strictly between the anchors (see the module docstring for the
-    slivers this leaves).
+    vertical line at abscissa ``x``, whose positions are ordinates:
+    ``(down, up, None)``, each anchor ``(t, result)`` with the anchor at
+    ``result.wedge.apex``, or ``(None, None, side)`` when a sideward wedge
+    en route already settles the line with the lean ``side``; a strong
+    centroid en route raises ``CertifiedOptimum``.  The breakpoints and the
+    frame's two ordinates come from the index's table
+    (``vertical_breakpoints``); the frame's auxiliary lines give every
+    vertical line through the box both anchor types, and the search
+    exhausts the line, so no position of this array lies strictly between
+    the anchors (see the module docstring for the slivers this leaves).
     """
     P = vertical_breakpoints(idx, x, with_frame=True)
     [(_, up, down, side)] = search_lines(
-        inst, vertical_lines([x]), [P], telemetry,
-        "strong centroid at a breakpoint of the query line",
-    )
+        inst, vertical_lines([x]), [P], telemetry, STRONG_AT_BREAKPOINT)
     if side is not None:
-        return _prune(side, "sideward wedge at a breakpoint of the query line")
+        return None, None, side
     if down is None or up is None:
         raise RuntimeError(
             "auxiliary frame crossings failed to supply both anchors"
@@ -136,7 +123,8 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
         raise RuntimeError(
             "downward anchor does not lie strictly above the upward anchor"
         )
-    return tuple((e[0], as_result(Point(e[1], e[2]), *e[3:])) for e in (down, up))
+    down, up = ((e[0], as_result(Point(e[1], e[2]), *e[3:])) for e in (down, up))
+    return down, up, None
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -188,7 +176,7 @@ def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray,
     return best_k, best
 
 
-def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> PseudoWedge:
+def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str], float, float]:
     """Build the trimmed wedge at ``wedge.apex`` that certifies one-side
     pruning.
 
@@ -199,7 +187,10 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> PseudoWedge:
     is chosen on the anchor's far half of directions; it must capture at
     least ``W1`` up to ``inst.weight_tol``.  The wedge's direction cone
     intersected with the half-turn around that direction then either sits
-    weakly on one side of the vertical line or is empty.  A sideward
+    weakly on one side of the vertical line or is empty.  Returns
+    ``(side, theta_star, max_capture)``: the lean of the trimmed cone,
+    ``SIDEWARD_RIGHT`` or ``SIDEWARD_LEFT``, or None when it is empty; the
+    direction of maximum capture; and the weight it captures.  A sideward
     ``wedge`` raises ``ValueError``.
     """
     cls = classify_wedge_on_line(wedge, math.pi / 2.0)
@@ -237,44 +228,35 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> PseudoWedge:
         )
 
     trimmed = _cone_intersection(*wedge.cone, theta_star - math.pi / 2.0, math.pi)
-    if trimmed is None:
-        classification = PW_NULL
-    else:
+    side = None
+    if trimmed is not None:
         cmin, cmax = _cos_extremes(*trimmed)
         if cmin >= -ANGLE_TOL:
-            classification = SIDEWARD_RIGHT
+            side = SIDEWARD_RIGHT
         elif cmax <= ANGLE_TOL:
-            classification = SIDEWARD_LEFT
+            side = SIDEWARD_LEFT
         else:
             raise RuntimeError(
                 "trimmed pseudo-wedge cone straddles the vertical line"
             )
-    return PseudoWedge(
-        theta_star=theta_star,
-        classification=classification,
-        max_capture=max_capture,
-    )
+    return side, theta_star, max_capture
 
 
-def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDecision:
-    """Classify the vertical line at abscissa ``x``: name the side of the
-    plane that cannot contain a better point, or raise
-    ``CertifiedOptimum`` at an optimum found on it."""
+def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> Decision:
+    """Classify the vertical line at abscissa ``x``: name the closed side
+    of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
+    optimum found on it."""
     telemetry.decide_calls += 1
     frame = idx.frame
     if x < frame.xmin:
-        return PruneDecision(
-            PRUNE_LEFT, "line lies left of the bounding box of all discs"
-        )
+        return Decision(x, SIDEWARD_RIGHT, LEFT_OF_BOX)
     if x > frame.xmax:
-        return PruneDecision(
-            PRUNE_RIGHT, "line lies right of the bounding box of all discs"
-        )
+        return Decision(x, SIDEWARD_LEFT, RIGHT_OF_BOX)
 
-    got = find_xD_xU(inst, idx, x, telemetry)
-    if isinstance(got, PruneDecision):
-        return got
-    (t_D, r_D), (t_U, r_U) = got
+    down, up, side = find_xD_xU(inst, idx, x, telemetry)
+    if side is not None:
+        return Decision(x, side, AT_BREAKPOINT)
+    (t_D, r_D), (t_U, r_U) = down, up
 
     # No position of the line's array lies strictly between the anchors,
     # but the value may change on a sliver next to one: probe the midpoint,
@@ -284,16 +266,13 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
     res_B = solve_medianoid(inst, x_B)
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
-        raise CertifiedOptimum(
-            x_B, res_B.weight_loss, "strong centroid at the anchor-segment midpoint"
-        )
+        raise CertifiedOptimum(x_B, res_B.weight_loss, STRONG_AT_MIDPOINT)
     cls_B = classify_wedge_on_line(res_B.wedge, math.pi / 2.0)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
         # The anchors may lie within the capture tolerance of each other,
         # where the value on the open segment need not be constant: the
         # midpoint can be lower than both, so it goes with the decision.
-        return _prune(cls_B, "sideward wedge at the anchor-segment midpoint",
-                      (x_B, res_B.weight_loss))
+        return Decision(x, cls_B, AT_MIDPOINT, (x_B, res_B.weight_loss))
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs
@@ -304,11 +283,7 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> PruneDeci
         apex, W1 = r_D, r_U.weight_loss
     else:
         apex, W1 = r_U, r_D.weight_loss
-    pw = pseudo_wedge(inst, apex.wedge, W1)
-    if pw.classification == PW_NULL:
-        raise CertifiedOptimum(
-            apex.wedge.apex, apex.weight_loss, "empty pseudo-wedge cone at the better anchor"
-        )
-    return _prune(
-        pw.classification, "pseudo-wedge cone at the better anchor points to one side"
-    )
+    side = pseudo_wedge(inst, apex.wedge, W1)[0]
+    if side is None:
+        raise CertifiedOptimum(apex.wedge.apex, apex.weight_loss, EMPTY_PSEUDO_WEDGE)
+    return Decision(x, side, BY_PSEUDO_WEDGE)

@@ -325,6 +325,14 @@ STRONG_ORIGINS = (
     "strong centroid at the anchor-segment midpoint",
 )
 CONDITIONAL_ORIGIN = "empty pseudo-wedge cone at the better anchor"
+# The rules by which a decision settles its line, in ``vprune``'s order.
+DECISION_RULES = (
+    "line lies left of the bounding box of all discs",
+    "line lies right of the bounding box of all discs",
+    "sideward wedge at a breakpoint of the query line",
+    "sideward wedge at the anchor-segment midpoint",
+    "pseudo-wedge cone at the better anchor points to one side",
+)
 
 
 # The per-step reference of the line search: one coroutine per line,

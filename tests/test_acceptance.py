@@ -31,11 +31,7 @@ from rivalloc.medianoid import (
     solve_medianoid,
 )
 from rivalloc.oracle import brute_medianoid
-from rivalloc.vprune import (
-    PRUNE_LEFT,
-    PRUNE_RIGHT,
-    decide,
-)
+from rivalloc.vprune import decide
 
 
 classify_wedge_on_vertical = support.classify_wedge_on_vertical
@@ -258,15 +254,15 @@ def test_vertical_line_decisions_are_sound_on_100_pairs():
             assert solve_medianoid(inst, cert.point).weight_loss == cert.weight_loss
             assert cert.weight_loss == best, trial
             continue
-        kinds.add(dec.kind)
-        if dec.kind == PRUNE_LEFT:
+        kinds.add(dec.keep)
+        if dec.keep == SIDEWARD_RIGHT:
             kept = min(w for p, w in values if p.x >= X)
             assert kept == best, (trial, kept, best)
         else:
-            assert dec.kind == PRUNE_RIGHT, (trial, dec.kind)
+            assert dec.keep == SIDEWARD_LEFT, (trial, dec.keep)
             kept = min(w for p, w in values if p.x <= X)
             assert kept == best, (trial, kept, best)
-    assert PRUNE_LEFT in kinds or PRUNE_RIGHT in kinds
+    assert SIDEWARD_RIGHT in kinds or SIDEWARD_LEFT in kinds
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, elapsed
 
@@ -277,13 +273,15 @@ def test_progress_and_round_budgets():
     budgets (LT's crossing batches: 3*ceil(log2 wires) + 4 decisions, one
     sample batch and one exact batch of at most 4*wires crossings, each
     halved per decision, with room for one thinned batch; LM's one batch
-    of mass0 crossings: floor(log2 mass0) + 1 decisions)."""
+    of mass0 crossings: floor(log2 mass0) + 1 decisions).  Every decision
+    counts in its family's counter, a certifying one too."""
     rng = random.Random(0xACCE55)
     lt_seen = lm_seen = fractions_seen = 0
     for trial in range(30):
         n = rng.randint(8, 16)
         inst = generate_instance(n, seed=rng.randrange(1 << 30), r=4.0, coord_range=60)
         tel = solve_centroid(inst, mode="parametric").telemetry
+        assert tel["decide_calls"] == tel["lt_oracle"] + tel["lm_rounds"] + tel["lc_steps"], tel
         frac = tel["prune_min_fraction"]
         if frac is not None:
             fractions_seen += 1

@@ -32,13 +32,14 @@ from rivalloc.linesearch import (
 )
 from rivalloc.medianoid import (
     DOWNWARD,
+    SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     SWEEP_BLOCK,
     UPWARD,
     as_result,
     solve_medianoid,
 )
-from rivalloc.vprune import PRUNE_LEFT, PRUNE_RIGHT, PruneDecision, find_xD_xU
+from rivalloc.vprune import find_xD_xU
 
 COVERAGE_TOL = 1e-6
 
@@ -486,8 +487,8 @@ def _outcome(search):
 
 def _reference_find(inst, idx, frame, L, tel):
     """``find_xD_xU``'s outcome read off the reference evaluations: the
-    pruned side of a sideward end, else the last downward and the last
-    upward evaluation."""
+    lean of a sideward end, else the last downward and the last upward
+    evaluation."""
     down = up = None
     for t, _, res, d in support.reference_anchors(inst, idx, frame, L, tel):
         if d == UPWARD:
@@ -495,8 +496,8 @@ def _reference_find(inst, idx, frame, L, tel):
         elif d == DOWNWARD:
             down = (t, res)
         else:
-            return PRUNE_LEFT if d == SIDEWARD_RIGHT else PRUNE_RIGHT
-    return down, up
+            return None, None, d
+    return down, up, None
 
 
 class TestEngineMatchesReference:
@@ -505,7 +506,7 @@ class TestEngineMatchesReference:
         line minima, certificates and telemetry, searching lines in
         lockstep (random lines, one customer's tangent lines, a line
         without breakpoints), and ``find_xD_xU`` gives its anchors, with
-        their full follower results, or its pruned side."""
+        their full follower results, or the lean that settles the line."""
         rng = random.Random(71)
         seen = {"minima": 0, "certified": 0, "anchors": 0, "pruned": 0}
         lone = Instance([Customer(Point(0.0, 0.0), 3.0)], 2.0)
@@ -530,11 +531,11 @@ class TestEngineMatchesReference:
                 L = support.vertical_through_box(rng, frame)
                 got = _outcome(lambda tel: find_xD_xU(inst, idx, L.anchor.x, tel))
                 want = _outcome(lambda tel: _reference_find(inst, idx, frame, L, tel))
-                if isinstance(got[0], PruneDecision):
-                    got = (got[0].kind, got[1])
-                    seen["pruned"] += 1
-                elif got[0][0] == "certified":
+                if got[0][0] == "certified":
                     seen["certified"] += 1
+                elif got[0][2] is not None:
+                    assert got[0][2] in (SIDEWARD_RIGHT, SIDEWARD_LEFT), (trial, L)
+                    seen["pruned"] += 1
                 else:
                     seen["anchors"] += 1
                 assert got == want, (trial, L)

@@ -20,10 +20,10 @@ from rivalloc.medianoid import (
 from rivalloc import medianoid, vprune
 from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
-    PRUNE_LEFT,
-    PRUNE_RIGHT,
-    PW_NULL,
-    PruneDecision,
+    AT_BREAKPOINT,
+    LEFT_OF_BOX,
+    RIGHT_OF_BOX,
+    Decision,
     decide,
     find_xD_xU,
     pseudo_wedge,
@@ -33,6 +33,7 @@ from rivalloc.linesearch import (
     Telemetry,
     build_angular_index,
     build_frame,
+    vertical_breakpoints,
 )
 
 
@@ -44,21 +45,21 @@ brute_anchors = support.vertical_anchors
 def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
-    (t_D, _), (t_U, _) = got
+    (t_D, _), (t_U, _), _ = got
     pos = support.breakpoint_sequences(idx, L).tolist()
     pos += [frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y]
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
 
 
-def assert_kept_side_holds_an_optimum(inst, dec, X, trial):
-    """The closed side of the vertical line at ``X`` that ``dec`` keeps
-    attains the brute-force minimum."""
+def assert_kept_side_holds_an_optimum(inst, keep, X, trial):
+    """The closed side of the vertical line at ``X`` that the lean
+    ``keep`` keeps attains the brute-force minimum."""
     values = support.brute_values(inst)
-    if dec.kind == PRUNE_LEFT:
+    if keep == SIDEWARD_RIGHT:
         kept = support.brute_minimum(inst, keep=lambda p: p.x >= X, values=values)
     else:
-        assert dec.kind == PRUNE_RIGHT, (trial, dec.kind)
+        assert keep == SIDEWARD_LEFT, (trial, keep)
         kept = support.brute_minimum(inst, keep=lambda p: p.x <= X, values=values)
     best = support.brute_minimum(inst, values=values)
     assert kept == best, (trial, kept, best)
@@ -125,13 +126,16 @@ class TestFindAnchors:
                 assert cert.origin == support.STRONG_ORIGINS[0], trial
                 assert cert.weight_loss == support.brute_minimum(inst)
                 continue
-            if isinstance(got, PruneDecision):
+            down, up, side = got
+            if side is not None:
                 decisions_seen += 1
-                assert got.evidence == "sideward wedge at a breakpoint of the query line"
-                assert_kept_side_holds_an_optimum(inst, got, L.anchor.x, trial)
+                assert down is up is None, trial
+                assert decide(inst, idx, L.anchor.x, Telemetry()) == Decision(
+                    L.anchor.x, side, AT_BREAKPOINT), trial
+                assert_kept_side_holds_an_optimum(inst, side, L.anchor.x, trial)
                 continue
             anchors_seen += 1
-            (t_D, r_D), (t_U, r_U) = got
+            (t_D, r_D), (t_U, r_U) = down, up
             assert_nothing_between(idx, frame, L, got)
             assert r_D.wedge.apex == Point(L.anchor.x, t_D), trial
             assert r_U.wedge.apex == Point(L.anchor.x, t_U), trial
@@ -162,7 +166,7 @@ class TestFindAnchors:
                         got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
                     except CertifiedOptimum:
                         continue
-                    if not isinstance(got, PruneDecision):
+                    if got[2] is None:
                         anchors_seen += 1
                         assert_nothing_between(idx, frame, L, got)
         assert anchors_seen >= 20, anchors_seen
@@ -226,18 +230,19 @@ class TestPseudoWedge:
                 got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
             except CertifiedOptimum:
                 continue
-            if isinstance(got, PruneDecision):
+            down, up, side = got
+            if side is not None:
                 continue
-            (t_D, r_D), (t_U, r_U) = got
+            (t_D, r_D), (t_U, r_U) = down, up
             for apex, other, lo, hi in (
                 (r_D, r_U.weight_loss, 0.0, math.pi),
                 (r_U, r_D.weight_loss, math.pi, 2.0 * math.pi),
             ):
-                pw = pseudo_wedge(inst, apex.wedge, other)
+                side, theta_star, max_capture = pseudo_wedge(inst, apex.wedge, other)
                 built += 1
-                assert lo <= pw.theta_star <= hi, trial
-                assert pw.max_capture >= other - 1e-9 * inst.total_weight()
-                assert pw.classification in (SIDEWARD_RIGHT, SIDEWARD_LEFT, PW_NULL)
+                assert lo <= theta_star <= hi, trial
+                assert max_capture >= other - 1e-9 * inst.total_weight()
+                assert side in (SIDEWARD_RIGHT, SIDEWARD_LEFT, None)
         assert built > 0
 
     def test_sideward_apex_rejected(self):
@@ -286,8 +291,8 @@ class TestCaptureTable:
     def test_blocks_match_the_whole_table_bitwise(self, monkeypatch, block):
         """At seeded apexes with an upward or downward wedge, and at every
         apex the decisions of parametric solves of these instances build a
-        pseudo-wedge at, ``theta_star``, ``classification`` and
-        ``max_capture`` are bitwise those of the whole table, whose first
+        pseudo-wedge at, the side, ``theta_star`` and ``max_capture`` are
+        bitwise those of the whole table, whose first
         maximum in sorted-theta order wins a tie.  Blocks of one row, or of
         a few, split every table, and ties cross block boundaries."""
         monkeypatch.setattr(medianoid, "SWEEP_BLOCK", block)
@@ -324,13 +329,13 @@ class TestCaptureTable:
                 with monkeypatch.context() as m:
                     m.setattr(vprune, "_first_max_capture", table)
                     want = pseudo_wedge(inst, wedge, W1)
-                assert (got.theta_star.hex(), got.classification, got.max_capture.hex()) == (
-                    want.theta_star.hex(), want.classification, want.max_capture.hex()), wedge
+                assert (got[0], got[1].hex(), got[2].hex()) == (
+                    want[0], want[1].hex(), want[2].hex()), wedge
                 seen["apexes"] += 1
                 d = np.hypot(inst.xs - wedge.apex.x, inst.ys - wedge.apex.y)
                 seen["on_circle"] += bool(np.any(np.abs(d - inst.r) <= 4 * DBL_EPS * inst.r))
                 seen["real"] += not inst.exact_sums
-                seen["null"] += got.classification == PW_NULL
+                seen["null"] += got[0] is None
         assert seen["apexes"] > 1000 and all(seen.values()), seen
 
     def test_directions_at_arc_ends_match_the_table(self, monkeypatch):
@@ -373,9 +378,14 @@ class TestDecide:
         frame = idx.frame
         far_left = decide(inst, idx, frame.xmin - 5.0, Telemetry())
         far_right = decide(inst, idx, frame.xmax + 5.0, Telemetry())
-        assert far_left.kind == PRUNE_LEFT
-        assert far_right.kind == PRUNE_RIGHT
-        assert "bounding box" in far_left.evidence
+        assert far_left == Decision(frame.xmin - 5.0, SIDEWARD_RIGHT, LEFT_OF_BOX)
+        assert far_right == Decision(frame.xmax + 5.0, SIDEWARD_LEFT, RIGHT_OF_BOX)
+
+    def test_rules_and_origins_keep_their_strings(self):
+        assert (vprune.LEFT_OF_BOX, vprune.RIGHT_OF_BOX, vprune.AT_BREAKPOINT,
+                vprune.AT_MIDPOINT, vprune.BY_PSEUDO_WEDGE) == support.DECISION_RULES
+        assert (vprune.STRONG_AT_BREAKPOINT, vprune.STRONG_AT_MIDPOINT) == support.STRONG_ORIGINS
+        assert vprune.EMPTY_PSEUDO_WEDGE == support.CONDITIONAL_ORIGIN
 
     def test_kept_side_retains_a_global_optimum(self):
         rng = random.Random(19)
@@ -405,6 +415,84 @@ class TestDecide:
                     w = solve_medianoid(inst, p).weight_loss
                     assert w >= cert.weight_loss, trial
                 continue
-            kinds.add(dec.kind)
-            assert_kept_side_holds_an_optimum(inst, dec, X, trial)
-        assert PRUNE_LEFT in kinds or PRUNE_RIGHT in kinds
+            kinds.add(dec.keep)
+            assert dec.x == X and dec.rule in support.DECISION_RULES, (trial, dec)
+            assert_kept_side_holds_an_optimum(inst, dec.keep, X, trial)
+        assert SIDEWARD_RIGHT in kinds or SIDEWARD_LEFT in kinds
+
+
+def near_tangency_instance(seed):
+    """3-7 real sites in [-20, 20]^2 with integer weights 1-5, R in
+    {1, 2, 4}, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    R = rng.choice((1.0, 2.0, 4.0))
+    return Instance([Customer(Point(rng.uniform(-20, 20), rng.uniform(-20, 20)),
+                              float(rng.randint(1, 5))) for _ in range(n)], R)
+
+
+NO_CAPTURE = "no direction at the anchor captures the worse anchor's value"
+# The (seed, disc, end, k) lines of the campaign below on which a decision
+# raises NO_CAPTURE: the sweep captures at r + eps, but a decision's
+# breakpoints are circles of radius r, and near a tangency the value changes
+# strictly between the anchors.  All sit at a disc's leftmost x + 1 eps.
+NEAR_TANGENCY_RAISES = frozenset((seed, disc, -1, 1) for seed, disc in (
+    (10, 5), (15, 3), (18, 2), (22, 1), (23, 2), (33, 1), (36, 4), (52, 1),
+    (55, 1), (56, 0), (59, 3), (61, 3), (62, 0), (62, 1), (73, 1), (104, 0),
+    (106, 2), (117, 1), (119, 4), (122, 3), (125, 3), (132, 3), (137, 1),
+    (143, 1), (143, 2), (144, 0), (146, 3), (153, 4), (158, 2), (159, 4),
+    (161, 1), (180, 1), (183, 0), (210, 4), (238, 2), (239, 1), (240, 6),
+    (241, 5), (252, 6), (260, 2), (269, 1), (277, 2)))
+
+
+def test_decisions_near_a_tangency_keep_an_optimum():
+    """On 300 seeded instances (``near_tangency_instance``), decisions at
+    each disc's leftmost and rightmost x + k eps, k in {-20, 1, 20}: every
+    certificate is the brute minimum, and every decision keeps one, at a
+    brute candidate or site on its kept closed side, at a breakpoint of its
+    line or a midpoint between two, or at its witness.  The lines that
+    raise NO_CAPTURE are exactly NEAR_TANGENCY_RAISES, so a new raise and a
+    mend both fail here.  8,988 lines, about 7 s on a 2-core x86 host."""
+    seen = {"lines": 0, "certified": 0, SIDEWARD_RIGHT: 0, SIDEWARD_LEFT: 0}
+    rules = set()
+    raised = set()
+    for seed in range(300):
+        inst = near_tangency_instance(seed)
+        pts = support.brute_candidate_points(inst)
+        cx = np.array([p.x for p in pts])
+        values = medianoid.sweep(inst, cx, np.array([p.y for p in pts]), losses=True)
+        best = values.min()
+        idx = build_angular_index(inst)
+        for disc in range(inst.n):
+            for end in (-1, 1):
+                for k in (-20, 1, 20):
+                    x = float(inst.xs[disc]) + end * inst.r + k * inst.eps
+                    seen["lines"] += 1
+                    key = (seed, disc, end, k)
+                    try:
+                        dec = decide(inst, idx, x, Telemetry())
+                    except CertifiedOptimum as cert:
+                        seen["certified"] += 1
+                        assert cert.weight_loss == best, key
+                        continue
+                    except RuntimeError as err:
+                        if str(err) != NO_CAPTURE:
+                            raise
+                        raised.add(key)
+                        continue
+                    assert dec.x == x, key
+                    seen[dec.keep] += 1
+                    rules.add(dec.rule)
+                    side = cx >= x if dec.keep == SIDEWARD_RIGHT else cx <= x
+                    kept = [values[side].min()] if side.any() else []
+                    P = np.unique(vertical_breakpoints(idx, x))
+                    ys = np.concatenate([P, (P[1:] + P[:-1]) / 2.0])
+                    if len(ys):
+                        kept.append(medianoid.sweep(inst, np.full(len(ys), x), ys,
+                                                    losses=True).min())
+                    if dec.witness is not None:
+                        kept.append(dec.witness[1])
+                    assert min(kept) == best, (key, dec, min(kept), best)
+    assert raised == NEAR_TANGENCY_RAISES, sorted(raised ^ NEAR_TANGENCY_RAISES)
+    assert seen["lines"] == 8988 and min(seen.values()) > 0, seen
+    assert rules == set(support.DECISION_RULES), rules
