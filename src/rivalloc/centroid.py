@@ -30,9 +30,9 @@ tangent line is vertical and every line has a y-order.  The optimum is
 therefore matched by one line search on each boundary line, by a point a
 decision evaluated and carried (``Decision.witness``), or at a
 customer site.  All three modes share one solve (``_solve``): beside the
-sites, intermediate mode takes the disc-boundary crossings and brute mode
-every candidate (``oracle.enumerate_candidates``), ranked with the sites as
-coordinate arrays in one ``medianoid.least_loss`` call.  A certified
+sites, intermediate mode ranks the disc-boundary crossings and brute mode
+each block of ``oracle.enumerate_candidates``, as coordinate arrays, by
+``medianoid.least_loss``.  A certified
 optimum found anywhere, by a decision or a line search, is raised there as
 ``CertifiedOptimum`` and stops everything early; its ``origin`` is
 reported as ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
@@ -530,8 +530,11 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
 
     try:
         if mode == BRUTE:
-            cands = oracle.enumerate_candidates(inst)
-            xs, ys = cands.xs, cands.ys
+            for xs, ys in oracle.enumerate_candidates(inst):
+                if len(xs):
+                    tel.medianoid_calls += len(xs)
+                    consider(*least_loss(inst, xs, ys))
+            xs = ys = np.empty(0)
         elif mode == INTERMEDIATE:
             # One group per customer: its n - 1 tangent lines.  Consecutive
             # groups share one lockstep while their lines fit one sweep block;

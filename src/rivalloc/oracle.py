@@ -2,18 +2,20 @@
 
 Everything here trades speed for directness: the follower oracle counts
 captured weight by evaluating the strict half-plane predicate itself, and
-the enumeration materialises every candidate point, which brute mode
-(``centroid.brute_centroid``) ranks with the customer sites.  It builds the
-O(n^4) candidates as coordinate arrays, bitwise those of the scalar
-per-pair formulas, which the test suite keeps as the reference.  The fast
-solvers are validated against these.  Tolerances: ``geom``'s table.
+the enumeration yields every candidate point, duplicates included, which
+brute mode (``centroid.brute_centroid``) ranks block by block with the
+customer sites.  It builds the O(n^4) candidates as coordinate arrays,
+bitwise those of the scalar per-pair formulas, which the test suite keeps
+as the reference, but holds only one block at a time: at most
+``SWEEP_BLOCK`` tangent-line pairs, or one of the O(n^3) tangent-circle
+and O(n^2) circle-circle families.  The fast solvers are validated against
+these.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .geom import (
     _libm,
     disc_crossings,
 )
-from .medianoid import _normalized
+from .medianoid import SWEEP_BLOCK, _normalized
 
 
 def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
@@ -74,21 +76,6 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
     return best, witness
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated candidate points, as read-only coordinate arrays."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.xs.flags.writeable = False
-        self.ys.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
 def _tangent_lines(inst: Instance) -> Tuple[np.ndarray, ...]:
     """Anchors ``(ax, ay)`` and unit directions ``(ux, uy)`` of each pair's
     right, then left, outer tangent, pairs in ``np.triu_indices`` order, by
@@ -112,27 +99,35 @@ def _tangent_lines(inst: Instance) -> Tuple[np.ndarray, ...]:
     return ax, ay, ux, uy
 
 
-def enumerate_candidates(inst: Instance) -> CandidateSet:
+def enumerate_candidates(inst: Instance) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Every crossing of two tangent lines (``_tangent_lines``), a tangent
-    line and a disc boundary, or two disc boundaries, deduplicated within
-    the instance tolerance.
+    line and a disc boundary, or two disc boundaries, as coordinate blocks
+    ``(xs, ys)`` in family order, some possibly empty.
 
     The first two families are array expressions that round as the scalar
     formulas do: lines cross when ``|sin| > ANGLE_TOL`` between them, and
     a disc's discriminant gives two points above ``cross_tol``, one within
-    it; the third is ``geom.disc_crossings``.  In family order, sorted
-    stably by (x, y), a point is dropped when a kept point before it lies
-    within ``eps`` in x and in y.
+    it; the third is ``geom.disc_crossings``.  The tangent-tangent family
+    comes ``SWEEP_BLOCK`` line pairs at a time, in ``np.triu_indices``
+    order; each other family is one block.
     """
     r = inst.r
     ax, ay, ux, uy = _tangent_lines(inst)
-    a, b = np.triu_indices(len(ax), 1)
-    cross = ux[a] * uy[b] - uy[a] * ux[b]
-    ok = np.abs(cross) > ANGLE_TOL
-    a, b, cross = a[ok], b[ok], cross[ok]
-    t = ((ax[b] - ax[a]) * uy[b] - (ay[b] - ay[a]) * ux[b]) / cross
-    xs = [ax[a] + t * ux[a]]
-    ys = [ay[a] + t * uy[a]]
+    m = len(ax)
+    # Row a of the pair order holds the m - 1 - a pairs (a, b), b > a;
+    # ``first[a]`` is the flat index of its first pair.
+    row = np.arange(m - 1, -1, -1)
+    first = np.cumsum(row) - row
+    pairs = m * (m - 1) // 2
+    for lo in range(0, pairs, SWEEP_BLOCK):
+        k = np.arange(lo, min(lo + SWEEP_BLOCK, pairs))
+        a = np.searchsorted(first, k, side="right") - 1
+        b = k - first[a] + a + 1
+        cross = ux[a] * uy[b] - uy[a] * ux[b]
+        ok = np.abs(cross) > ANGLE_TOL
+        a, b, cross = a[ok], b[ok], cross[ok]
+        t = ((ax[b] - ax[a]) * uy[b] - (ay[b] - ay[a]) * ux[b]) / cross
+        yield ax[a] + t * ux[a], ay[a] + t * uy[a]
 
     cx = inst.xs - ax[:, None]
     cy = inst.ys - ay[:, None]
@@ -143,28 +138,7 @@ def enumerate_candidates(inst: Instance) -> CandidateSet:
     s = np.sqrt(np.where(crossing, disc, 0.0))
     used = np.stack((disc >= -inst.cross_tol, crossing), axis=2)
     t = np.stack((np.where(crossing, t0 - s, t0), t0 + s), axis=2)[used]
-    a = np.broadcast_to(np.arange(len(ax))[:, None, None], used.shape)[used]
-    xs.append(ax[a] + t * ux[a])
-    ys.append(ay[a] + t * uy[a])
+    a = np.broadcast_to(np.arange(m)[:, None, None], used.shape)[used]
+    yield ax[a] + t * ux[a], ay[a] + t * uy[a]
 
-    cc = disc_crossings(inst)
-    xs.append(cc[0])
-    ys.append(cc[1])
-
-    X, Y = np.concatenate(xs), np.concatenate(ys)
-    order = np.lexsort((Y, X))
-    X, Y = X[order], Y[order]
-    px, py = X.tolist(), Y.tolist()
-    keep = np.ones(len(px), dtype=bool)
-    # Beyond its predecessor by more than eps in x, a point is kept.
-    for i in (np.flatnonzero(X[1:] - X[:-1] <= inst.eps) + 1).tolist():
-        for k in range(i - 1, -1, -1):
-            if not keep[k]:
-                continue
-            if px[i] - px[k] > inst.eps:
-                break
-            if abs(py[i] - py[k]) <= inst.eps:
-                keep[i] = False
-                break
-    return CandidateSet(X[keep], Y[keep])
-
+    yield disc_crossings(inst)

@@ -43,7 +43,6 @@ from rivalloc.medianoid import (
     solve_medianoid,
     sweep,
 )
-from rivalloc.oracle import CandidateSet
 
 # The candidate families, as ``reference_candidates`` tags its points.
 TANGENT_TANGENT, TANGENT_CIRCLE, CIRCLE_CIRCLE = "TxT", "TxC", "CxC"
@@ -678,48 +677,34 @@ def line_circle_intersections(l: DirectedLine, c: Circle, eps: float = EPS_BASE)
 def reference_candidates(inst):
     """``oracle.enumerate_candidates``'s points as a loop over every pair of
     tangent lines, every line and circle, and every pair of circles through
-    the scalar crossings, sorted by (x, y) and deduplicated greedily: the
-    kept points ``(point, family)``, each tagged with the family that
-    produced it."""
+    the scalar crossings, in the enumeration's order: ``(point, family)``,
+    each tagged with the family that produced it."""
     r = inst.r
     lines = all_tangent_lines(inst)
     circles = [Circle(c.site, r) for c in inst.customers]
-    raw = []
+    points = []
     for a in range(len(lines)):
         for b in range(a + 1, len(lines)):
             p = line_line_intersection(lines[a], lines[b])
             if p is not None:
-                raw.append((p, TANGENT_TANGENT))
+                points.append((p, TANGENT_TANGENT))
     for line in lines:
         for c in circles:
             for p in line_circle_intersections(line, c, eps=inst.eps):
-                raw.append((p, TANGENT_CIRCLE))
+                points.append((p, TANGENT_CIRCLE))
     for a in range(len(circles)):
         for b in range(a + 1, len(circles)):
             for p in circle_circle_intersections(circles[a], circles[b], eps=inst.eps):
-                raw.append((p, CIRCLE_CIRCLE))
-    raw.sort(key=lambda e: (e[0].x, e[0].y))
-    tol = inst.eps
-    kept = []
-    for p, tag in raw:
-        merged = False
-        for k in range(len(kept) - 1, -1, -1):
-            q = kept[k][0]
-            if p.x - q.x > tol:
-                break
-            if abs(p.y - q.y) <= tol:
-                merged = True
-                break
-        if not merged:
-            kept.append((p, tag))
-    return kept
+                points.append((p, CIRCLE_CIRCLE))
+    return points
 
 
 def reference_enumerate_candidates(inst):
-    """``oracle.enumerate_candidates`` by ``reference_candidates``."""
+    """``oracle.enumerate_candidates`` by ``reference_candidates``, as one
+    block."""
     points = [p for p, _ in reference_candidates(inst)]
-    return CandidateSet(np.array([p.x for p in points], dtype=float),
-                        np.array([p.y for p in points], dtype=float))
+    yield (np.array([p.x for p in points], dtype=float),
+           np.array([p.y for p in points], dtype=float))
 
 
 def all_tangent_lines(inst):

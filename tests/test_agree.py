@@ -5,8 +5,9 @@ Parametric and intermediate mode solve six n=100 instances: integer and
 real coordinates, R 2 and 4, coordinate ranges n and 3n, and one instance
 with real weights; and two n=200 instances, R=1 with range n and R=4 with
 range 2n, the benchmark's first search-large solve (about 60 s each).
-Parametric and the brute oracle solve seeded instances of n=13-20, above
-the CLI's brute limit, with integer and real weights.
+Parametric and the brute oracle solve seeded instances of n=13-20, 24, 30
+and 40, above the CLI's brute limit, with integer and real weights (the two
+n=40 brute solves take about 15 s each).
 A hypothesis fuzz test draws real-valued sites off the grid for n=12-40
 and compares parametric with intermediate on the instances that
 ``general_position_violation`` accepts.  Their weight losses must be
@@ -102,7 +103,7 @@ def test_parametric_agrees_with_intermediate_off_the_grid(n, seed, R, range_per_
 
 @pytest.mark.agree
 @pytest.mark.parametrize("real_weights", [False, True], ids=["integer", "real"])
-@pytest.mark.parametrize("n", range(13, 21))
+@pytest.mark.parametrize("n", [*range(13, 21), 24, 30, 40])
 def test_parametric_agrees_with_brute(n, real_weights):
     inst = generate_instance(n, 100 + n, r=4.0, coord_range=2 * n)
     if real_weights:

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import support
@@ -55,22 +54,19 @@ class TestBruteMedianoid:
             assert wl == solve_medianoid(inst, x).weight_loss, trial
 
 
-class TestEnumerateCandidates:
-    def test_points_are_deduplicated(self):
-        inst = generate_instance(5, seed=8, r=2.0)
-        cands = enumerate_candidates(inst)
-        pts = sorted(zip(cands.xs.tolist(), cands.ys.tolist()))
-        for a, b in zip(pts, pts[1:]):
-            assert abs(a[0] - b[0]) > inst.eps or abs(a[1] - b[1]) > inst.eps
+def _points(blocks):
+    """The candidate points of the blocks ``(xs, ys)``, in order."""
+    return [(x, y) for xs, ys in blocks for x, y in zip(xs.tolist(), ys.tolist())]
 
+
+class TestEnumerateCandidates:
     def test_two_customers_have_tangent_circle_crossings(self):
         inst = Instance(
             [Customer(Point(0.0, 0.0), 1.0), Customer(Point(10.0, 0.0), 1.0)], 2.0
         )
-        cands = enumerate_candidates(inst)
         # two parallel tangents never cross and the discs do not meet: the
         # candidates are where each tangent touches each circle
-        got = sorted(zip(cands.xs.tolist(), cands.ys.tolist()))
+        got = sorted(_points(enumerate_candidates(inst)))
         assert got == [(0.0, -1.0), (0.0, 1.0), (10.0, -1.0), (10.0, 1.0)]
 
 
@@ -93,7 +89,8 @@ class TestBruteCentroid:
         inst = generate_instance(4, seed=2, r=4.0)
         rep = brute_centroid(inst)
         assert rep.solver == "brute"
-        assert rep.telemetry["medianoid_calls"] == len(enumerate_candidates(inst)) + inst.n + 1
+        cands = len(_points(enumerate_candidates(inst)))
+        assert rep.telemetry["medianoid_calls"] == cands + inst.n + 1
         check = solve_medianoid(inst, rep.centroid)
         assert check.weight_loss == rep.weight_loss
 
@@ -109,11 +106,19 @@ class TestBruteCentroid:
         inst = generate_instance(5, seed=14, r=2.0)
         rep = brute_centroid(inst)
         best = rep.weight_loss
-        cands = enumerate_candidates(inst)
-        for p in map(Point, cands.xs.tolist(), cands.ys.tolist()):
-            res = solve_medianoid(inst, p)
+        for x, y in _points(enumerate_candidates(inst)):
+            res = solve_medianoid(inst, Point(x, y))
             if res.weight_loss == best:
-                assert (rep.centroid.x, rep.centroid.y) <= (p.x, p.y)
+                assert (rep.centroid.x, rep.centroid.y) <= (x, y)
+
+    def test_memory_stays_flat_in_the_candidates(self):
+        """Brute mode holds one block of candidates at a time: at n=24 its
+        153,247 candidates would take 2.5 MB as coordinate arrays alone,
+        and all held at once peaked at 20.8 MB."""
+        inst = generate_instance(24, 1, r=2.0, coord_range=50)
+        rep, peak = support.traced_peak(brute_centroid, inst)
+        assert rep.weight_loss == 74.0
+        assert peak < 4_000_000, peak
 
 
 def _tangent_instance(R, sites):
@@ -165,8 +170,8 @@ def test_enumeration_rejects_a_zero_separation(n):
         Instance(generate_instance(n, seed=3).customers, 0.0)
 
 
-def _bits(cands):
-    return [(x.hex(), y.hex()) for x, y in zip(cands.xs.tolist(), cands.ys.tolist())]
+def _bits(blocks):
+    return [(x.hex(), y.hex()) for x, y in _points(blocks)]
 
 
 def _brute_report(inst):
@@ -180,25 +185,11 @@ def _brute_report(inst):
 @pytest.mark.parametrize("make", [m for _, m in ENUMERATION_CASES],
                          ids=[name for name, _ in ENUMERATION_CASES])
 def test_array_enumeration_matches_the_scalar_reference(monkeypatch, make):
-    """The candidate set, points bitwise, and the brute
-    report built on it are those of the per-pair scalar loop."""
+    """The candidate points, bitwise and in order, and the brute report
+    built on them are those of the per-pair scalar loop."""
     inst = make()
     want = support.reference_enumerate_candidates(inst)
     assert _bits(enumerate_candidates(inst)) == _bits(want)
     report = _brute_report(inst)
     monkeypatch.setattr(oracle, "enumerate_candidates", support.reference_enumerate_candidates)
     assert _brute_report(inst) == report
-
-
-def test_deduplication_compares_kept_points_only(monkeypatch):
-    """Of three points eps/2 apart in a row, the middle one is dropped and
-    the last, within eps of the dropped point only, is kept."""
-    inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(50.0, 0.0), 1.0)], 2.0)
-    chain = [Point(100.0 + k * 0.6 * inst.eps, 100.0) for k in range(3)]
-    xs = [p.x for p in chain]
-    monkeypatch.setattr(oracle, "disc_crossings",
-                        lambda inst: (np.array(xs), np.array([100.0] * 3)))
-    monkeypatch.setattr(support, "circle_circle_intersections", lambda c1, c2, eps: chain)
-    got = enumerate_candidates(inst)
-    assert _bits(got) == _bits(support.reference_enumerate_candidates(inst))
-    assert [x in got.xs for x in xs] == [True, False, True]
