@@ -114,7 +114,7 @@ class TestBruteCentroid:
     def test_memory_stays_flat_in_the_candidates(self):
         """Brute mode holds one block of candidates at a time: at n=24 its
         153,247 candidates would take 2.5 MB as coordinate arrays alone,
-        and all held at once peaked at 20.8 MB."""
+        and all of them held at once peaked at 21.9 MB."""
         inst = generate_instance(24, 1, r=2.0, coord_range=50)
         rep, peak = support.traced_peak(brute_centroid, inst)
         assert rep.weight_loss == 74.0
