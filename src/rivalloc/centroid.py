@@ -21,10 +21,11 @@ frame lines, in place from the angular index's table (``idx.lines``).
 Beside that table (3 x 8m bytes for its m lines) a solve holds LT's batch
 and one decision's breakpoints.  LT holds each batch once, in one array
 that ``_exhaust`` consumes in place, and meets an exact batch's pairs
-``LT_CHUNK`` candidates at a time.  Unthinned, that batch holds one
-abscissa per inverted pair (at most 2.77 per line measured); thinned, the
-abscissas whose hash falls below a bound, at most ``LT_CAP`` per line, so
-in the worst case LT's batch reaches ``LT_CAP`` x 8m bytes.
+``SWEEP_BLOCK`` (``medianoid``) candidates at a time.  Unthinned, that
+batch holds one abscissa per inverted pair (at most 2.77 per line
+measured); thinned, the abscissas whose hash falls below a bound, at most
+``LT_CAP`` per line, so in the worst case LT's batch reaches ``LT_CAP`` x
+8m bytes.
 ``solve_centroid`` accepts only instances in general position, so no
 tangent line is vertical and every line has a y-order.  The optimum is
 therefore matched by one line search on each boundary line, by a point a
@@ -55,7 +56,7 @@ from .geom import (
     disc_crossings,
     general_position_violation,
 )
-from . import oracle
+from . import medianoid, oracle
 from .medianoid import SIDEWARD_RIGHT, block_size, least_loss, solve_medianoid
 from .linesearch import (
     AngularIndex,
@@ -119,10 +120,8 @@ class _Slab:
         return out
 
 
-# Crossings per line an exact LT batch holds before it is thinned, and the
-# lines or candidate pairs handled at a time, which bounds LT's temporaries.
+# Crossings per line an exact LT batch holds before it is thinned.
 LT_CAP = 4
-LT_CHUNK = 1 << 13
 
 
 def _mix(v: np.ndarray) -> np.ndarray:
@@ -174,7 +173,7 @@ def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
 
 
 def _inverted_pairs(lnx, lny, loff, lo: float, hi: float):
-    """Yield ``(a, b)`` index arrays, a chunk of at most ``LT_CHUNK``
+    """Yield ``(a, b)`` index arrays, a chunk of at most ``SWEEP_BLOCK``
     candidates at a time, covering once each pair of lines ordered
     differently by y just right of ``lo`` and just left of ``hi``: in exact
     arithmetic, the pairs crossing strictly inside.
@@ -203,12 +202,12 @@ def _inverted_pairs(lnx, lny, loff, lo: float, hi: float):
     ends[1:] = np.maximum(w, 0, out=w)
     del w
     np.cumsum(ends, out=ends)
-    # A chunk spans at most LT_CHUNK candidates and LT_CHUNK windows.
-    c0 = 0
+    # A chunk spans at most `chunk` candidates and `chunk` windows.
+    chunk, c0 = medianoid.SWEEP_BLOCK, 0
     while c0 < ends[m]:
         o = np.searchsorted(ends, c0, "right") - 1
-        o = np.arange(o, min(o + LT_CHUNK, m))
-        c1 = min(c0 + LT_CHUNK, ends[o[-1] + 1])
+        o = np.arange(o, min(o + chunk, m))
+        c1 = min(c0 + chunk, ends[o[-1] + 1])
         k = np.repeat(o, np.clip(ends[o + 1], c0, c1) - np.clip(ends[o], c0, c1))
         del o
         # Each candidate pairs its window's owner with the rank gap after
@@ -232,13 +231,13 @@ def _append(xs: np.ndarray, x: np.ndarray) -> None:
 
 def _hashed_batch(lnx, lny, loff, slab: _Slab) -> np.ndarray:
     """The abscissas strictly inside ``slab`` of the crossings of each line
-    ``a`` with one hashed partner, ``LT_CHUNK`` lines at a time: at most m,
+    ``a`` with one hashed partner, ``SWEEP_BLOCK`` lines at a time: at most m,
     held in one array.  A line drawn as its own partner has ``den == 0``
     and drops out."""
-    m = len(lnx)
+    m, chunk = len(lnx), medianoid.SWEEP_BLOCK
     xs = np.empty(0)
-    for s in range(0, m, LT_CHUNK):
-        a = np.arange(s, min(s + LT_CHUNK, m))
+    for s in range(0, m, chunk):
+        a = np.arange(s, min(s + chunk, m))
         _append(xs, _crossing_xs(lnx, lny, loff, a, _mix(a + m) % m, slab))
     return xs
 
@@ -249,7 +248,7 @@ def _exact_batch(lnx, lny, loff, slab: _Slab, cap: int):
     whether the abscissas were thinned, by a hash, to at most ``cap``.
 
     The abscissas are held once, in one array that grows in place; beside
-    it, a chunk's pairs and abscissas, at most ``LT_CHUNK`` of each.
+    it, a chunk's pairs and abscissas, at most ``SWEEP_BLOCK`` of each.
     Unthinned it holds one abscissa per inverted pair, 0.17-2.77 per line
     on generated non-certifying solves at n = 100-1600.  Thinned, it holds
     exactly the abscissas x with ``_mix(x)`` at most a bound, whatever order
@@ -323,7 +322,7 @@ def local_optimal_line_LT(
     at most m abscissas), then the exact batch (``_exact_batch``), repeated
     on the new slab without the lines that crossed no other while it was
     thinned.  A batch is held once, and its pairs arrive a chunk of at most
-    ``LT_CHUNK`` candidates at a time; a thinned batch keeps the abscissas
+    ``SWEEP_BLOCK`` candidates at a time; a thinned batch keeps the abscissas
     whose hash falls below a bound, at most ``LT_CAP`` * m of them, the
     most LT holds beside the table.
     """

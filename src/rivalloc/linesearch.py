@@ -13,19 +13,20 @@ its anchor, its unit direction upward and that direction's angle, in
 
 ``AngularIndex`` owns the one table of the lines the searches cross,
 ``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
-canonical tangent lines, pairs in row-major order, then the
-bounding frame's top and bottom lines (``build_frame``), filled a block of
-rows at a time.  It is the index's only n^2-sized array; the tangent
-directions ``ang`` are computed on first use.  LT and LM read it in place.
+canonical tangent lines, pairs in row-major order, then the bounding
+frame's two horizontal lines, the frame's only copy.  It is filled a block
+of rows at a time and is the index's only n^2-sized array; the tangent
+directions ``ang`` are computed on first use.  LT, LM and every decision
+read it in place.
 The customers are in general position (``solve_centroid`` checks), so no
 tangent line is vertical.  Each caller builds the breakpoints of its own
 lines.  A vertical line's are the table's ordinates at its x,
-``(off - x*nx)/ny``, one per tangent column, in one preallocated array
-with its circle crossings (``vertical_breakpoints``; decisions append the
-frame's ordinates); intermediate mode's tangent lines, built as upward
-rows a block of customers at a time (``tangent_lines``), cross the
+``(off - x*nx)/ny``, one per tangent column (and, for a decision, per
+frame row), then its circle crossings, in one preallocated array
+(``vertical_breakpoints``); intermediate mode's tangent lines, built as
+upward rows a block of customers at a time (``tangent_lines``), cross the
 tangent columns in broadcast passes (``_position_pass``).  Both give the
-same positions, bitwise.
+same tangent and circle positions, bitwise.
 
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
@@ -114,30 +115,6 @@ class CertifiedOptimum(Exception):
         self.origin = origin
 
 
-@dataclass(frozen=True)
-class BoundingFrame:
-    """The x-range of the axis-aligned box covering all customer discs, and
-    the ordinates of two horizontal auxiliary lines safely above and below
-    it, whose crossings guarantee that every vertical line through the box
-    owns both anchor types."""
-
-    xmin: float
-    xmax: float
-    y_top: float
-    y_btm: float
-
-
-def build_frame(inst: Instance) -> BoundingFrame:
-    r = inst.r
-    off = max(inst.R, 1.0)
-    return BoundingFrame(
-        xmin=float(inst.xs.min()) - r,
-        xmax=float(inst.xs.max()) + r,
-        y_top=float(inst.ys.max()) + r + off,
-        y_btm=float(inst.ys.min()) - r - off,
-    )
-
-
 class AngularIndex:
     """The table of the lines the search crosses.
 
@@ -154,7 +131,8 @@ class AngularIndex:
     column ``i*(n - 1) + j - (j > i)`` holds the tangent of ``(i, j)``,
     pairs in row-major order without the diagonal (``tangents`` = n(n - 1)
     columns), and the last two columns hold the bounding frame's top and
-    bottom lines ``y = c``, normal ``(0, 1)``.  It is the index's only
+    bottom lines ``y = c``, normal ``(0, 1)``, ``r + max(R, 1)`` beyond
+    the highest and the lowest site.  It is the index's only
     n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time,
     from that block's directions, so building it allocates nothing else
     of its size.  ``ang``, the tangent columns' directions, is computed
@@ -182,8 +160,9 @@ class AngularIndex:
             np.multiply(ys[s:e, None], ny[s:e], out=ang)
             off[s:e] += ang
         off += inst.r
-        frame = self.frame = build_frame(inst)
-        lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
+        r, pad = inst.r, max(inst.R, 1.0)
+        lines[:, m:] = ((0.0, 0.0), (1.0, 1.0),
+                        (float(ys.max()) + r + pad, float(ys.min()) - r - pad))
         lines.flags.writeable = False
 
     def _direction_blocks(self):
@@ -306,22 +285,23 @@ def _position_pass(idx: AngularIndex, lines: np.ndarray) -> List[np.ndarray]:
 
 def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) -> np.ndarray:
     """The breakpoint array of ``vertical_lines([x])``, bitwise and in
-    the order ``_position_pass`` gives it, and then, ``with_frame``, the
-    ordinates of the frame's top and bottom lines.
+    the order ``_position_pass`` gives it, with, ``with_frame``, the
+    ordinates of the table's two frame rows between its tangent and its
+    circle positions.
 
     Upward from ``(x, 0)`` a position is an ordinate.  On this line
     ``_position_pass``'s denominator is ``ny`` and its ``ax*nx + ay*ny``
     is ``x*nx`` up to the sign of a zero, which subtracting it from a
-    nonzero or positive-zero offset does not see; so a tangent line's
-    position is ``(off - x*nx) / ny``, computed in place in one
-    preallocated array that takes the circle crossings next.  No tangent
-    line is vertical, as two customers would share x, so none is
-    parallel to the line and every column gives a position.  A frame
-    line's ordinate is its offset.
+    nonzero or positive-zero offset does not see; so a row's position is
+    ``(off - x*nx) / ny``, computed in place in one preallocated array
+    that takes the circle crossings next.  No tangent line is vertical, as
+    two customers would share x, so none is parallel to the line and every
+    column gives a position; a frame row, normal ``(0, 1)``, gives exactly
+    its offset.
     """
     nx, ny, off = idx.lines
-    m, n = idx.tangents, idx.n
-    out = np.empty(m + 2 * n + 2)
+    m, n = idx.tangents + 2 * with_frame, idx.n
+    out = np.empty(idx.tangents + 2 * n + 2)
     T = out[:m]
     np.multiply(x, nx[:m], out=T)
     np.subtract(off[:m], T, out=T)
@@ -331,9 +311,6 @@ def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) 
     _circle_positions(idx, x, 0.0, 0.0, 1.0, vals, used)
     k = m + np.count_nonzero(used)
     out[m:k] = vals[used]
-    if with_frame:
-        out[k:k + 2] = off[m:]
-        k += 2
     return out[:k]
 
 

@@ -255,7 +255,10 @@ def solve_medianoid(inst: Instance, x: Point) -> MedianoidResult:
     """Weight loss, witness angle and wedge at x.
 
     Runs the angle sweep over the 2n capture-arc endpoints in O(n log n).
+    A leader that is not finite raises ``ValueError``.
     """
+    if not (math.isfinite(x.x) and math.isfinite(x.y)):
+        raise ValueError(f"leader point must be finite, got {x}")
     row = sweep(inst, np.array([x.x], dtype=float), np.array([x.y], dtype=float))
     return as_result(x, *(col.item() for col in row))
 

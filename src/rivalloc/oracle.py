@@ -36,8 +36,11 @@ def brute_medianoid(inst: Instance, x: Point) -> Tuple[float, float]:
 
     Counts the strictly captured weight directly at the midpoint of every
     cell of the circular arrangement of capture-arc endpoints, so the answer
-    does not depend on any sweep bookkeeping.
+    does not depend on any sweep bookkeeping.  A leader that is not finite
+    raises ``ValueError``.
     """
+    if not (math.isfinite(x.x) and math.isfinite(x.y)):
+        raise ValueError(f"leader point must be finite, got {x}")
     r = inst.capture_r
     reachable = []
     events: List[float] = []

@@ -9,9 +9,10 @@ raised where it is found, as ``CertifiedOptimum`` with one of three declared
 ``origin`` constants.  The classification rests on
 two anchor points, the lowest breakpoint with a downward wedge and the
 highest with an upward wedge, found by the exact-median search of
-``linesearch.search_lines`` over the line's breakpoint array and the frame's
-two ordinates, both read off the angular index's line table as ordinates at
-x (``linesearch.vertical_breakpoints``), one n^2 array per decision.  A
+``linesearch.search_lines`` over the ordinates at x of every row of the
+angular index's line table, the two rows of the bounding frame included,
+and the circle crossings (``linesearch.vertical_breakpoints``), one n^2
+array per decision; a line left or right of the discs' box needs none.  A
 strong centroid met on the way raises, and a sideward wedge settles the line
 at once.  Otherwise the search runs until no breakpoint is left, and each
 cut drops only positions at or below an upward evaluation or at or above a
@@ -103,10 +104,10 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
     ``(down, up, None)``, each anchor ``(t, result)`` with the anchor at
     ``result.wedge.apex``, or ``(None, None, side)`` when a sideward wedge
     en route already settles the line with the lean ``side``; a strong
-    centroid en route raises ``CertifiedOptimum``.  The breakpoints and the
-    frame's two ordinates come from the index's table
-    (``vertical_breakpoints``); the frame's auxiliary lines give every
-    vertical line through the box both anchor types, and the search
+    centroid en route raises ``CertifiedOptimum``.  The positions are the
+    ordinates at x of every row of the index's table, then the circle
+    crossings (``vertical_breakpoints``); the table's two frame rows give
+    every vertical line through the box both anchor types, and the search
     exhausts the line, so no position of this array lies strictly between
     the anchors (see the module docstring for the slivers this leaves).
     """
@@ -247,10 +248,9 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> Decision:
     of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
     optimum found on it."""
     telemetry.decide_calls += 1
-    frame = idx.frame
-    if x < frame.xmin:
+    if x < float(inst.xs.min()) - inst.r:
         return Decision(x, SIDEWARD_RIGHT, LEFT_OF_BOX)
-    if x > frame.xmax:
+    if x > float(inst.xs.max()) + inst.r:
         return Decision(x, SIDEWARD_LEFT, RIGHT_OF_BOX)
 
     down, up, side = find_xD_xU(inst, idx, x, telemetry)

@@ -29,7 +29,6 @@ from rivalloc.linesearch import (
     CertifiedOptimum,
     _position_pass,
     build_angular_index,
-    build_frame,
     vertical_breakpoints,
 )
 from rivalloc.medianoid import (
@@ -492,13 +491,14 @@ def reference_local_optima(inst, idx, lines, telemetry):
 
 def general_positions(idx, L, frame=None):
     """The breakpoint array of the upward line ``L`` by the general
-    broadcast pass, then, when a ``frame`` is given, its two ordinates
-    along ``L``, appended as ``find_xD_xU`` appended them before it read
-    vertical lines off the index's table."""
+    broadcast pass and, when a ``frame`` is given (``L`` then vertical, so
+    it crosses every tangent line), the frame's two ordinates along ``L``
+    between its tangent and its circle positions, where the index's table
+    puts the frame rows."""
     [P] = _position_pass(idx, line_rows([upward_line(L)]))
     if frame is None:
         return P
-    return np.append(P, (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    return np.insert(P, idx.tangents, (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
 
 
 def reference_anchors(inst, idx, frame, L, telemetry):
@@ -517,6 +517,26 @@ def evaluations(inst, line, P, telemetry):
     centroid raises ``CertifiedOptimum``."""
     [done] = reference_lockstep(inst, [reference_evaluations(line, P, telemetry, "strong centroid")])
     return done
+
+
+@dataclass(frozen=True)
+class Frame:
+    """The x-range of the box covering every disc, and the ordinates of the
+    two horizontal lines above and below it that a decision crosses."""
+
+    xmin: float
+    xmax: float
+    y_top: float
+    y_btm: float
+
+
+def bounding_frame(inst):
+    """The frame of ``inst`` from its customers: the box ``r`` beyond the
+    extreme sites, the lines ``r + max(R, 1)`` beyond them."""
+    xs = [c.site.x for c in inst.customers]
+    ys = [c.site.y for c in inst.customers]
+    r, pad = inst.r, max(inst.R, 1.0)
+    return Frame(min(xs) - r, max(xs) + r, max(ys) + r + pad, min(ys) - r - pad)
 
 
 def frame_lines(frame):
@@ -1223,7 +1243,7 @@ def reference_angular_table(inst):
     np.multiply(xs[:, None], nx, out=off)
     off += ys[:, None] * ny
     off += inst.r
-    frame = build_frame(inst)
+    frame = bounding_frame(inst)
     lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
     return lines, ang.ravel()
 

@@ -21,7 +21,6 @@ from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
     build_angular_index,
-    build_frame,
 )
 from rivalloc.medianoid import (
     DOWNWARD,
@@ -98,7 +97,7 @@ def _check_convexity(rng, violations):
 
 def _check_wedge_pruning(rng, violations):
     inst = random_instance(rng, n_lo=3, n_hi=8)
-    frame = build_frame(inst)
+    frame = support.bounding_frame(inst)
     ymin = float(inst.ys.min()) - inst.r
     ymax = float(inst.ys.max()) + inst.r
     res = None
@@ -158,7 +157,7 @@ def _check_breakpoints(rng, violations):
 
 def _check_frame_directions(rng, violations):
     inst = random_instance(rng, n_lo=3, n_hi=8)
-    frame = build_frame(inst)
+    frame = support.bounding_frame(inst)
     L = support.vertical_through_box(rng, frame)
     X = L.anchor.x
     res_top = solve_medianoid(inst, Point(X, frame.y_top))
@@ -171,7 +170,7 @@ def _check_frame_directions(rng, violations):
 
 def _check_phases(rng, violations):
     inst = random_instance(rng, n_lo=3, n_hi=7)
-    frame = build_frame(inst)
+    frame = support.bounding_frame(inst)
     L = support.vertical_through_box(rng, frame)
     rows = support.scan_vertical_line(inst, frame, L)
     (t_D, p_D, r_D, _), (t_U, p_U, r_U, _) = support.vertical_anchors(rows)
@@ -239,7 +238,7 @@ def test_vertical_line_decisions_are_sound_on_100_pairs():
     for trial in range(100):
         inst = random_instance(rng, n_lo=3, n_hi=7)
         idx = build_angular_index(inst)
-        frame = build_frame(inst)
+        frame = support.bounding_frame(inst)
         L = support.vertical_through_box(rng, frame)
         X = L.anchor.x
         values = support.brute_values(inst)

@@ -485,7 +485,7 @@ class TestCrossingSelection:
         one line inverted with every other), also in chunks of 7 candidates
         that cut most windows, and at m = 200."""
         rng = random.Random(0x1A7)
-        chunks = (centroid.LT_CHUNK, 7)
+        chunks = (medianoid.SWEEP_BLOCK, 7)
         for m in (2, 3, 17, 64, 200):
             reversed_order, steep = self.window_extremes(rng, m)
             everything = support.reference_inverted_pairs(*reversed_order, 0.0, 1.0)
@@ -494,7 +494,7 @@ class TestCrossingSelection:
                 for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (0.25, 1.0), (-math.inf, 0.5)):
                     want = support.reference_inverted_pairs(*lines, lo, hi)
                     for chunk in chunks:
-                        monkeypatch.setattr(centroid, "LT_CHUNK", chunk)
+                        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", chunk)
                         assert self.enumerated(*lines, lo, hi) == want, (m, lo, hi, chunk)
         monkeypatch.undo()
         for m in (0, 1, 2, 3, 5, 6, 7, 12, 17, 31, 33, 64, 90, 200):
@@ -665,14 +665,13 @@ class TestCrossingSelection:
         ``_exact_batch`` returns the same sorted abscissas, line mask and
         thinned flag when ``_inverted_pairs`` yields its chunks in
         reverse: each chunk is filtered by the bound in force."""
+        tables = [build_angular_index(generate_instance(
+            6 + trial, 25_000 + trial, r=(2.0, 4.0)[trial % 2])).lines for trial in range(12)]
         monkeypatch.setattr(centroid, "LT_CAP", 0.05)
-        monkeypatch.setattr(centroid, "LT_CHUNK", 128)
+        monkeypatch.setattr(medianoid, "SWEEP_BLOCK", 128)
         pairs = centroid._inverted_pairs
         thinned = 0
-        for trial in range(12):
-            n = 6 + trial
-            inst = generate_instance(n, 25_000 + trial, r=(2.0, 4.0)[trial % 2])
-            lnx, lny, loff = build_angular_index(inst).lines
+        for trial, (lnx, lny, loff) in enumerate(tables):
             cap = centroid.LT_CAP * len(lnx)
             runs = []
             for order in (list, lambda chunks: list(chunks)[::-1]):

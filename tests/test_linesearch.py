@@ -370,8 +370,9 @@ class TestVerticalBreakpoints:
         """On every line a parametric solve decides at, through every site
         and tangent to every disc, and at random abscissas in the frame,
         ``vertical_breakpoints`` is bitwise, in order, the general pass's
-        array (``_position_pass``), and ``with_frame`` that array with the
-        frame's two ordinates appended, as decisions appended them."""
+        array (``_position_pass``), and ``with_frame`` that array's tangent
+        positions, then the reference frame's two ordinates, then its
+        circle positions."""
         rng = random.Random(9)
         lines = 0
         decided = []
@@ -386,7 +387,7 @@ class TestVerticalBreakpoints:
             decided.clear()
             solve_centroid(inst)
             idx = build_angular_index(inst)
-            frame = idx.frame
+            frame = support.bounding_frame(inst)
             r = inst.r
             xs = decided + [x + d for x in idx.xs.tolist() for d in (-r, 0.0, r)]
             xs += [rng.uniform(frame.xmin, frame.xmax) for _ in range(10)]
@@ -520,7 +521,7 @@ class TestEngineMatchesReference:
                 6100 + trial, n_lo=2, n_hi=10, coord_range=(30, 12)[trial % 2],
                 r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
             idx = build_angular_index(inst)
-            frame = idx.frame
+            frame = support.bounding_frame(inst)
             lines = ([support.non_horizontal_line(rng) for _ in range(3)]
                      + support.upward_tangents(idx, 0))
             got = _outcome(lambda tel: line_optima(inst, idx, lines, tel))
@@ -614,7 +615,7 @@ class TestIndexCuts:
                 7100 + trial, n_lo=3, n_hi=10, coord_range=(30, 12)[trial % 2],
                 r_choices=((2.0, 4.0, 6.0), (6.0, 10.0, 20.0))[trial % 2])
             idx = build_angular_index(inst)
-            frame = idx.frame
+            frame = support.bounding_frame(inst)
             lines = [support.vertical_through_box(rng, frame) for _ in range(2)]
             lines += [upward_line(support.non_horizontal_line(rng)) for _ in range(2)]
             positions = []

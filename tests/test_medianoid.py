@@ -85,6 +85,14 @@ class TestCaptureArc:
 
 
 class TestSolveMedianoid:
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_non_finite_leader_raises(self, axis, v):
+        inst = make_instance([(0.0, 0.0, 1.0), (3.0, 1.0, 2.0), (-2.0, 5.0, 1.5)], 2.0)
+        x = Point(v, 0.0) if axis == "x" else Point(0.0, v)
+        with pytest.raises(ValueError, match="leader point must be finite"):
+            solve_medianoid(inst, x)
+
     def test_two_customers_close_pair(self):
         inst = make_instance([(0.0, 0.0, 1.0), (2.0, 0.0, 1.0)], 2.0)
         res = solve_medianoid(inst, Point(0.0, 0.0))

@@ -43,6 +43,14 @@ class TestBruteMedianoid:
         wl, _theta = brute_medianoid(inst, Point(0.0, 0.0))
         assert wl == 5.0
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_non_finite_leader_raises(self, axis, v):
+        inst = Instance([Customer(Point(5.0, 0.0), 3.0), Customer(Point(-1.0, 4.0), 1.0)], 2.0)
+        x = Point(v, 0.0) if axis == "x" else Point(0.0, v)
+        with pytest.raises(ValueError, match="leader point must be finite"):
+            brute_medianoid(inst, x)
+
     def test_matches_the_sweep_solver(self):
         import random
 

@@ -1,4 +1,4 @@
-"""Tests for the bounding frame and the vertical-line pruning decision."""
+"""Tests for the bounding frame rows and the vertical-line pruning decision."""
 
 import math
 import random
@@ -32,7 +32,6 @@ from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
     build_angular_index,
-    build_frame,
     vertical_breakpoints,
 )
 
@@ -65,27 +64,48 @@ def assert_kept_side_holds_an_optimum(inst, keep, X, trial):
     assert kept == best, (trial, kept, best)
 
 
+def assert_frame_rows(inst):
+    """The index's last two rows are the reference frame's lines, bitwise,
+    with normal (0, 1), and ``decide`` settles a line by the box rules just
+    outside the reference box but not on its edges."""
+    f = support.bounding_frame(inst)
+    idx = build_angular_index(inst)
+    want = np.array([(0.0, 0.0), (1.0, 1.0), (f.y_top, f.y_btm)])
+    assert idx.lines[:, -2:].tobytes() == want.tobytes()
+    for x, keep, rule in ((math.nextafter(f.xmin, -math.inf), SIDEWARD_RIGHT, LEFT_OF_BOX),
+                          (math.nextafter(f.xmax, math.inf), SIDEWARD_LEFT, RIGHT_OF_BOX)):
+        assert decide(inst, idx, x, Telemetry()) == Decision(x, keep, rule)
+    for x in (f.xmin, f.xmax):
+        try:
+            rule = decide(inst, idx, x, Telemetry()).rule
+        except CertifiedOptimum:
+            rule = None
+        assert rule not in (LEFT_OF_BOX, RIGHT_OF_BOX), x
+    return f
+
+
 class TestBuildFrame:
     def test_single_disc(self):
         inst = Instance([Customer(Point(0.0, 0.0), 1.0)], 2.0)
-        f = build_frame(inst)
+        f = assert_frame_rows(inst)
         assert (f.xmin, f.xmax, f.y_top, f.y_btm) == (-1.0, 1.0, 3.0, -3.0)
 
     def test_two_discs(self):
         inst = Instance(
             [Customer(Point(0.0, 0.0), 1.0), Customer(Point(10.0, 0.0), 2.0)], 2.0
         )
-        f = build_frame(inst)
+        f = assert_frame_rows(inst)
         assert (f.xmin, f.xmax, f.y_top, f.y_btm) == (-1.0, 11.0, 3.0, -3.0)
 
     def test_box_covers_every_disc(self):
-        inst = generate_instance(8, seed=5, r=4.0)
-        f = build_frame(inst)
-        for c in inst.customers:
-            assert f.xmin <= c.site.x - inst.r
-            assert f.xmax >= c.site.x + inst.r
-            assert f.y_btm < c.site.y - inst.r
-            assert f.y_top > c.site.y + inst.r
+        for inst in (generate_instance(8, seed=5, r=4.0),
+                     generate_instance(12, seed=3, r=0.5, coord_range=12)):
+            f = assert_frame_rows(inst)
+            for c in inst.customers:
+                assert f.xmin <= c.site.x - inst.r
+                assert f.xmax >= c.site.x + inst.r
+                assert f.y_btm < c.site.y - inst.r
+                assert f.y_top > c.site.y + inst.r
 
 
 class TestFrameAnchorDirections:
@@ -93,7 +113,7 @@ class TestFrameAnchorDirections:
         rng = random.Random(7)
         for trial in range(20):
             inst = support.seeded_instance(6000 + trial)
-            frame = build_frame(inst)
+            frame = support.bounding_frame(inst)
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
             top = Point(X, frame.y_top)
@@ -112,7 +132,7 @@ class TestFindAnchors:
         for trial in range(30):
             inst = support.seeded_instance(7000 + trial, n_lo=3, n_hi=8)
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
+            frame = support.bounding_frame(inst)
             L = support.vertical_through_box(rng, frame)
             rows = scan_line(inst, frame, L)
             scale = max(1.0, max(abs(r[0]) for r in rows))
@@ -159,7 +179,7 @@ class TestFindAnchors:
             for seed in (1, 2):
                 inst = generate_instance(n, seed, r=4.0, coord_range=2 * n)
                 idx = build_angular_index(inst)
-                frame = build_frame(inst)
+                frame = support.bounding_frame(inst)
                 for _ in range(6):
                     L = support.vertical_through_box(rng, frame)
                     try:
@@ -182,7 +202,7 @@ class TestPhaseStructure:
         middles = 0
         for trial in range(40):
             inst = support.seeded_instance(8000 + trial, n_lo=3, n_hi=8)
-            frame = build_frame(inst)
+            frame = support.bounding_frame(inst)
             L = support.vertical_through_box(rng, frame)
             rows = scan_line(inst, frame, L)
             (t_D, p_D, r_D, _), (t_U, p_U, r_U, _) = brute_anchors(rows)
@@ -224,7 +244,7 @@ class TestPseudoWedge:
         for trial in range(30):
             inst = support.seeded_instance(9000 + trial, n_lo=3, n_hi=8)
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
+            frame = support.bounding_frame(inst)
             L = support.vertical_through_box(rng, frame)
             try:
                 got = find_xD_xU(inst, idx, L.anchor.x, Telemetry())
@@ -279,7 +299,7 @@ class TestCaptureTable:
     def apexes(inst, rng):
         """Random points in the frame, and points on customer circles, at
         distance r from a site up to rounding."""
-        frame = build_frame(inst)
+        frame = support.bounding_frame(inst)
         for _ in range(15):
             yield Point(rng.uniform(frame.xmin, frame.xmax), rng.uniform(frame.y_btm, frame.y_top))
         for i in rng.sample(range(inst.n), min(inst.n, 10)):
@@ -375,7 +395,7 @@ class TestDecide:
     def test_lines_outside_the_box(self):
         inst = generate_instance(5, seed=9, r=2.0)
         idx = build_angular_index(inst)
-        frame = idx.frame
+        frame = support.bounding_frame(inst)
         far_left = decide(inst, idx, frame.xmin - 5.0, Telemetry())
         far_right = decide(inst, idx, frame.xmax + 5.0, Telemetry())
         assert far_left == Decision(frame.xmin - 5.0, SIDEWARD_RIGHT, LEFT_OF_BOX)
@@ -393,7 +413,7 @@ class TestDecide:
         for trial in range(30):
             inst = support.seeded_instance(10_000 + trial, n_lo=3, n_hi=7)
             idx = build_angular_index(inst)
-            frame = build_frame(inst)
+            frame = support.bounding_frame(inst)
             L = support.vertical_through_box(rng, frame)
             X = L.anchor.x
             try:
