@@ -93,23 +93,36 @@ class _Slab:
     """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
 
     Every point outside it is no better than a point on a boundary line or
-    one of the ``witnesses`` that decisions carried.
+    one of the ``witnesses`` that decisions carried.  ``set_by`` holds the
+    decisions that set the two boundaries, left first.
     """
 
     def __init__(self) -> None:
         self.lo = -math.inf
         self.hi = math.inf
         self.witnesses: List[Tuple[Point, float]] = []
+        self.set_by: List[Optional[Decision]] = [None, None]
 
     def apply(self, dec: Decision) -> None:
         """Move a boundary to ``dec.x``, keeping the closed side ``dec``
         keeps, and keep the decision's witness."""
         if dec.keep == SIDEWARD_RIGHT:
             self.lo = dec.x
+            self.set_by[0] = dec
         else:
             self.hi = dec.x
+            self.set_by[1] = dec
         if dec.witness is not None:
             self.witnesses.append(dec.witness)
+
+    def anchor_hint(self) -> Optional[Tuple[float, float]]:
+        """The ordinate interval of the anchors of the decisions that set
+        the boundaries: their least ``t_up`` and greatest ``t_down``, or
+        None when neither carries anchors."""
+        spans = [d.anchors for d in self.set_by if d is not None and d.anchors is not None]
+        if not spans:
+            return None
+        return min(t for t, _ in spans), max(t for _, t in spans)
 
     def boundary_xs(self) -> List[float]:
         out = []
@@ -298,11 +311,13 @@ def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
 
 def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
     """The vertical-line decision at ``x`` applied to ``slab``, one call
-    counted in the ``telemetry`` field ``counter``."""
+    counted in the ``telemetry`` field ``counter``; its anchors' search
+    starts from those of the decisions that set the slab
+    (``_Slab.anchor_hint``)."""
 
     def decide_at(x: float) -> None:
         setattr(telemetry, counter, getattr(telemetry, counter) + 1)
-        slab.apply(decide(inst, idx, x, telemetry))
+        slab.apply(decide(inst, idx, x, telemetry, slab.anchor_hint()))
 
     return decide_at
 

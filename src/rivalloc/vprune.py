@@ -29,13 +29,27 @@ loss, as a candidate: anchors a few tolerances apart can leave it below
 both.  A strong centroid at the midpoint, or an empty pseudo-wedge cone, is
 a certificate.  The pseudo-wedge's direction of greatest capture comes from
 its directions x customers capture table, built a block of rows at a time
-(``_first_max_capture``).  Tolerances: ``geom``'s table.
+(``_first_max_capture``).
+
+The record also carries the ordinates that settled the line, and the plane
+search hands each decision the ordinate interval of the anchors of the
+decisions that set its slab.  The search first evaluates the two positions
+that bracket that interval, in one two-row sweep, and searches only what
+they leave.  The median search already rests on the lean being monotone
+along the line: upward below the anchors, sideward or strong between them,
+downward above.  So every position at or below an upward end, or at or
+above a downward one, is cut as a median cut would cut it, and the
+anchors, the midpoint and the pseudo-wedge are those of the unbracketed
+search.  Only the strong centroid a certifying line meets first may
+differ, and, next to a tangency, where the slivers break the monotony, the
+breakpoint whose sideward lean settles the line.  Tolerances: ``geom``'s
+table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -53,6 +67,7 @@ from .medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
+    MedianoidResult,
     Wedge,
     _normalized,
     as_result,
@@ -89,33 +104,106 @@ class Decision:
     of the five rule constants above.  ``witness``, when set, is a point
     the decision evaluated and its weight loss, which the plane search must
     keep as a candidate: the line search on the kept boundary line
-    evaluates breakpoints only and may miss it.
+    evaluates breakpoints only and may miss it.  ``anchors``, ``(t_up,
+    t_down)``, are the ordinates that settled the line: its two anchors,
+    or a sideward apex's ordinate twice; the box rules carry none.  They
+    record where the search found the lean, not what was decided, so
+    records compare without them.
     """
 
     x: float
     keep: str
     rule: str
     witness: Optional[Tuple[Point, float]] = None
+    anchors: Optional[Tuple[float, float]] = field(default=None, compare=False)
 
 
-def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
+def _anchor(e) -> Tuple[float, MedianoidResult]:
+    """An evaluation of ``search_lines`` as ``(t, result)``, the result's
+    wedge at the evaluated point."""
+    return e[0], as_result(Point(e[1], e[2]), *e[3:])
+
+
+def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
+               hint: Optional[Tuple[float, float]] = None):
     """Locate the lowest downward and highest upward breakpoints on the
     vertical line at abscissa ``x``, whose positions are ordinates:
     ``(down, up, None)``, each anchor ``(t, result)`` with the anchor at
-    ``result.wedge.apex``, or ``(None, None, side)`` when a sideward wedge
-    en route already settles the line with the lean ``side``; a strong
-    centroid en route raises ``CertifiedOptimum``.  The positions are the
-    ordinates at x of every row of the index's table, then the circle
-    crossings (``vertical_breakpoints``); the table's two frame rows give
-    every vertical line through the box both anchor types, and the search
-    exhausts the line, so no position of this array lies strictly between
-    the anchors (see the module docstring for the slivers this leaves).
+    ``result.wedge.apex``, or ``(apex, apex, side)`` when a sideward wedge
+    at ``apex`` en route already settles the line with the lean ``side``;
+    a strong centroid en route raises ``CertifiedOptimum``.  The positions
+    are the ordinates at x of every row of the index's table, then the
+    circle crossings (``vertical_breakpoints``); the table's two frame rows
+    give every vertical line through the box both anchor types, and the
+    search exhausts the line, so no position of this array lies strictly
+    between the anchors (see the module docstring for the slivers this
+    leaves).
+
+    ``hint``, an ordinate interval ``(lo, hi)``, brackets the search: one
+    two-row sweep (``search_lines`` on two one-position arrays) evaluates
+    the greatest position at or below lo and the least at or above hi,
+    where either exists.  A strong centroid there raises, and a sideward
+    lean there settles the line.  Positions at or below an upward end, and
+    at or above a downward one, are then dropped, as the median cuts would
+    drop them: the lean is monotone along the line, upward below the
+    anchors and downward above them.  So an upward lower end and a
+    downward upper end leave only the positions strictly between them,
+    and a miss the positions beyond its failing end; the search over those,
+    if any are left, gives the anchors, and an end the search does not
+    pass stays one.  The anchors are those of the unbracketed search;
+    only the strong centroid a certifying line meets first may differ.
+    Selecting the ends counts and partitions the array in place.
     """
     P = vertical_breakpoints(idx, x, with_frame=True)
-    [(_, up, down, side)] = search_lines(
-        inst, vertical_lines([x]), [P], telemetry, STRONG_AT_BREAKPOINT)
-    if side is not None:
-        return None, None, side
+    s, e = 0, len(P)
+    up = down = None
+    if hint is not None:
+        lo = int(np.count_nonzero(P <= hint[0]))
+        hi = int(np.count_nonzero(P < hint[1]))
+        # Partitioned at lo - 1 and then at hi, P[:lo] holds the positions
+        # <= hint[0] and P[hi:] those >= hint[1].  With hi < lo the hint is
+        # one ordinate, a position, and both ends are that position.  One
+        # index per partition: numpy's partition at two indices took ten
+        # times as long as at one, on a line of 40,000 positions.
+        ends = []
+        if lo:
+            P.partition(lo - 1)
+            ends.append((lo - 1, True))
+        if lo <= hi < len(P):
+            P[lo:].partition(hi - lo)
+            ends.append((hi, False))
+        found = search_lines(inst, vertical_lines([x] * len(ends)),
+                             [P[k:k + 1] for k, _ in ends], telemetry, STRONG_AT_BREAKPOINT)
+        for (_, lower), (least, u, d, side) in zip(ends, found):
+            if side is not None:
+                apex = _anchor(least)
+                return apex, apex, side
+            if u is not None:
+                up = u
+                if lower:
+                    s = max(s, lo)
+                else:
+                    # Past the positions equal to the upper end.
+                    j = int(np.count_nonzero(P[hi:] <= u[0]))
+                    P[hi:].partition(j - 1)
+                    s = max(s, hi + j)
+            else:
+                down = down or d
+                if lower:
+                    # Before the positions equal to the lower end.
+                    j = int(np.count_nonzero(P[:lo] < d[0]))
+                    P[:lo].partition(j)
+                    e = min(e, j)
+                else:
+                    e = min(e, hi)
+    if s < e:
+        [(least, u, d, side)] = search_lines(
+            inst, vertical_lines([x]), [P[s:e]], telemetry, STRONG_AT_BREAKPOINT)
+        if side is not None:
+            apex = _anchor(least)
+            return apex, apex, side
+        up = u or up
+        down = d or down
     if down is None or up is None:
         raise RuntimeError(
             "auxiliary frame crossings failed to supply both anchors"
@@ -124,8 +212,7 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry):
         raise RuntimeError(
             "downward anchor does not lie strictly above the upward anchor"
         )
-    down, up = ((e[0], as_result(Point(e[1], e[2]), *e[3:])) for e in (down, up))
-    return down, up, None
+    return _anchor(down), _anchor(up), None
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -243,20 +330,25 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str]
     return side, theta_star, max_capture
 
 
-def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> Decision:
+def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
+           hint: Optional[Tuple[float, float]] = None) -> Decision:
     """Classify the vertical line at abscissa ``x``: name the closed side
     of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
-    optimum found on it."""
+    optimum found on it.  ``hint``, an ordinate interval, brackets the
+    anchors' search (``find_xD_xU``).  An abscissa that is not finite
+    raises ``ValueError``."""
+    if not math.isfinite(x):
+        raise ValueError(f"decision abscissa must be finite, got {x}")
     telemetry.decide_calls += 1
     if x < float(inst.xs.min()) - inst.r:
         return Decision(x, SIDEWARD_RIGHT, LEFT_OF_BOX)
     if x > float(inst.xs.max()) + inst.r:
         return Decision(x, SIDEWARD_LEFT, RIGHT_OF_BOX)
 
-    down, up, side = find_xD_xU(inst, idx, x, telemetry)
-    if side is not None:
-        return Decision(x, side, AT_BREAKPOINT)
+    down, up, side = find_xD_xU(inst, idx, x, telemetry, hint)
     (t_D, r_D), (t_U, r_U) = down, up
+    if side is not None:
+        return Decision(x, side, AT_BREAKPOINT, anchors=(t_U, t_D))
 
     # No position of the line's array lies strictly between the anchors,
     # but the value may change on a sliver next to one: probe the midpoint,
@@ -272,7 +364,7 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> Decision:
         # The anchors may lie within the capture tolerance of each other,
         # where the value on the open segment need not be constant: the
         # midpoint can be lower than both, so it goes with the decision.
-        return Decision(x, cls_B, AT_MIDPOINT, (x_B, res_B.weight_loss))
+        return Decision(x, cls_B, AT_MIDPOINT, (x_B, res_B.weight_loss), (t_U, t_D))
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs
@@ -286,4 +378,4 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry) -> Decision:
     side = pseudo_wedge(inst, apex.wedge, W1)[0]
     if side is None:
         raise CertifiedOptimum(apex.wedge.apex, apex.weight_loss, EMPTY_PSEUDO_WEDGE)
-    return Decision(x, side, BY_PSEUDO_WEDGE)
+    return Decision(x, side, BY_PSEUDO_WEDGE, anchors=(t_U, t_D))

@@ -22,11 +22,13 @@ from rivalloc.geom import (
     Customer,
     Instance,
     Point,
+    general_position_violation,
     normalize_angle,
 )
 from rivalloc.linesearch import (
     SEARCHED_LINE,
     CertifiedOptimum,
+    Telemetry,
     _position_pass,
     build_angular_index,
     vertical_breakpoints,
@@ -42,6 +44,7 @@ from rivalloc.medianoid import (
     solve_medianoid,
     sweep,
 )
+from rivalloc.vprune import decide
 
 # The candidate families, as ``reference_candidates`` tags its points.
 TANGENT_TANGENT, TANGENT_CIRCLE, CIRCLE_CIRCLE = "TxT", "TxC", "CxC"
@@ -880,6 +883,60 @@ def vertical_through_box(rng, frame):
     margin = 1e-3 * max(1.0, frame.xmax - frame.xmin)
     x = rng.uniform(frame.xmin + margin, frame.xmax - margin)
     return DirectedLine.vertical(x)
+
+
+NO_CAPTURE = "no direction at the anchor captures the worse anchor's value"
+
+
+def decision_outcome(inst, idx, x, hint=None):
+    """What ``vprune.decide`` makes of the vertical line at ``x`` with the
+    ordinate interval ``hint``: its record, ``("certified", loss)``, or
+    ``("raised", NO_CAPTURE)`` for the known near-tangency failure."""
+    try:
+        return decide(inst, idx, x, Telemetry(), hint)
+    except CertifiedOptimum as cert:
+        return ("certified", cert.weight_loss)
+    except RuntimeError as err:
+        if str(err) != NO_CAPTURE:
+            raise
+        return ("raised", NO_CAPTURE)
+
+
+def accepted_instance(rng, n, R):
+    """``rivalloc gen``'s instance of n customers, separation R and range
+    2n, at the first seed from ``rng`` that the general-position check
+    accepts."""
+    while True:
+        inst = generate_instance(n, rng.randrange(1 << 30), r=R, coord_range=2 * n)
+        if general_position_violation(inst) is None:
+            return inst
+
+
+def anchor_hints(rng, idx, x, anchors):
+    """Eight ordinate intervals for a decision at ``x`` whose unhinted
+    search settled on the ordinates ``anchors`` (random ones in the
+    line's span when None): the anchors themselves, a third of their gap
+    inside them, a little and a lot wider, a single ordinate at the
+    upward anchor and at random, and wholly above and wholly below every
+    position of the line."""
+    P = vertical_breakpoints(idx, x, with_frame=True)
+    bottom, top = float(P.min()), float(P.max())
+    span = top - bottom
+    if anchors is None:
+        anchors = sorted(rng.uniform(bottom, top) for _ in range(2))
+    t_up, t_down = anchors
+    gap = (t_down - t_up) / 3.0
+    y = rng.uniform(bottom, top)
+    return [
+        (t_up, t_down),
+        (t_up + gap, t_down - gap),
+        (t_up - rng.uniform(0.0, 1e-3) * span, t_down + rng.uniform(0.0, 1e-3) * span),
+        (t_up - rng.uniform(0.0, 1.0) * span, t_down + rng.uniform(0.0, 1.0) * span),
+        (t_up, t_up),
+        (y, y),
+        (top + 1.0, top + 1.0 + span),
+        (bottom - 1.0 - span, bottom - 1.0),
+    ]
 
 
 def non_horizontal_line(rng, spread=20.0):

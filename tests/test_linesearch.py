@@ -487,9 +487,9 @@ def _outcome(search):
 
 
 def _reference_find(inst, idx, frame, L, tel):
-    """``find_xD_xU``'s outcome read off the reference evaluations: the
-    lean of a sideward end, else the last downward and the last upward
-    evaluation."""
+    """``find_xD_xU``'s outcome read off the reference evaluations: a
+    sideward end, as both anchors, and its lean, else the last downward
+    and the last upward evaluation."""
     down = up = None
     for t, _, res, d in support.reference_anchors(inst, idx, frame, L, tel):
         if d == UPWARD:
@@ -497,7 +497,7 @@ def _reference_find(inst, idx, frame, L, tel):
         elif d == DOWNWARD:
             down = (t, res)
         else:
-            return None, None, d
+            return (t, res), (t, res), d
     return down, up, None
 
 

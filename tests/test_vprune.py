@@ -149,7 +149,8 @@ class TestFindAnchors:
             down, up, side = got
             if side is not None:
                 decisions_seen += 1
-                assert down is up is None, trial
+                # a sideward apex is given as both anchors
+                assert down is up and down[1].wedge.apex == Point(L.anchor.x, down[0]), trial
                 assert decide(inst, idx, L.anchor.x, Telemetry()) == Decision(
                     L.anchor.x, side, AT_BREAKPOINT), trial
                 assert_kept_side_holds_an_optimum(inst, side, L.anchor.x, trial)
@@ -401,6 +402,18 @@ class TestDecide:
         assert far_left == Decision(frame.xmin - 5.0, SIDEWARD_RIGHT, LEFT_OF_BOX)
         assert far_right == Decision(frame.xmax + 5.0, SIDEWARD_LEFT, RIGHT_OF_BOX)
 
+    def test_a_non_finite_abscissa_raises(self):
+        """NaN and infinite abscissas raise before the box rules, which
+        would otherwise settle an infinite one and pass NaN to the
+        search."""
+        inst = generate_instance(8, 1, r=4.0, coord_range=16)
+        idx = build_angular_index(inst)
+        for x in (math.nan, math.inf, -math.inf):
+            tel = Telemetry()
+            with pytest.raises(ValueError, match="abscissa must be finite"):
+                decide(inst, idx, x, tel)
+            assert tel.decide_calls == tel.medianoid_calls == 0, x
+
     def test_rules_and_origins_keep_their_strings(self):
         assert (vprune.LEFT_OF_BOX, vprune.RIGHT_OF_BOX, vprune.AT_BREAKPOINT,
                 vprune.AT_MIDPOINT, vprune.BY_PSEUDO_WEDGE) == support.DECISION_RULES
@@ -451,7 +464,7 @@ def near_tangency_instance(seed):
                               float(rng.randint(1, 5))) for _ in range(n)], R)
 
 
-NO_CAPTURE = "no direction at the anchor captures the worse anchor's value"
+NO_CAPTURE = support.NO_CAPTURE
 # The (seed, disc, end, k) lines of the campaign below on which a decision
 # raises NO_CAPTURE: the sweep captures at r + eps, but a decision's
 # breakpoints are circles of radius r, and near a tangency the value changes
@@ -472,10 +485,16 @@ def test_decisions_near_a_tangency_keep_an_optimum():
     brute candidate or site on its kept closed side, at a breakpoint of its
     line or a midpoint between two, or at its witness.  The lines that
     raise NO_CAPTURE are exactly NEAR_TANGENCY_RAISES, so a new raise and a
-    mend both fail here.  8,988 lines, about 7 s on a 2-core x86 host."""
-    seen = {"lines": 0, "certified": 0, SIDEWARD_RIGHT: 0, SIDEWARD_LEFT: 0}
+    mend both fail here.  Each line is decided again with the anchors of
+    its neighbour's decision (k = 1 for k = -20, else the k before) as its
+    hint, and that warm decision passes the same checks: the lean is not
+    monotone next to a tangency, so it may settle at a breakpoint the cold
+    search cut away, but it raises on the same lines.  8,988 lines, each
+    twice, about 15 s on a 2-core x86 host."""
+    seen = {"lines": 0, "certified": 0, "hinted": 0, SIDEWARD_RIGHT: 0, SIDEWARD_LEFT: 0}
+    ks = (-20, 1, 20)
     rules = set()
-    raised = set()
+    raised = {"cold": set(), "warm": set()}
     for seed in range(300):
         inst = near_tangency_instance(seed)
         pts = support.brute_candidate_points(inst)
@@ -485,34 +504,78 @@ def test_decisions_near_a_tangency_keep_an_optimum():
         idx = build_angular_index(inst)
         for disc in range(inst.n):
             for end in (-1, 1):
-                for k in (-20, 1, 20):
-                    x = float(inst.xs[disc]) + end * inst.r + k * inst.eps
+                xs = [float(inst.xs[disc]) + end * inst.r + k * inst.eps for k in ks]
+                cold = [support.decision_outcome(inst, idx, x) for x in xs]
+                for i, (k, x) in enumerate(zip(ks, xs)):
                     seen["lines"] += 1
                     key = (seed, disc, end, k)
-                    try:
-                        dec = decide(inst, idx, x, Telemetry())
-                    except CertifiedOptimum as cert:
-                        seen["certified"] += 1
-                        assert cert.weight_loss == best, key
-                        continue
-                    except RuntimeError as err:
-                        if str(err) != NO_CAPTURE:
-                            raise
-                        raised.add(key)
-                        continue
-                    assert dec.x == x, key
-                    seen[dec.keep] += 1
-                    rules.add(dec.rule)
-                    side = cx >= x if dec.keep == SIDEWARD_RIGHT else cx <= x
-                    kept = [values[side].min()] if side.any() else []
-                    P = np.unique(vertical_breakpoints(idx, x))
-                    ys = np.concatenate([P, (P[1:] + P[:-1]) / 2.0])
-                    if len(ys):
-                        kept.append(medianoid.sweep(inst, np.full(len(ys), x), ys,
-                                                    losses=True).min())
-                    if dec.witness is not None:
-                        kept.append(dec.witness[1])
-                    assert min(kept) == best, (key, dec, min(kept), best)
-    assert raised == NEAR_TANGENCY_RAISES, sorted(raised ^ NEAR_TANGENCY_RAISES)
+                    hint = getattr(cold[1 if i == 0 else i - 1], "anchors", None)
+                    seen["hinted"] += hint is not None
+                    warm = support.decision_outcome(inst, idx, x, hint)
+                    for path, dec in (("cold", cold[i]), ("warm", warm)):
+                        if dec == ("raised", NO_CAPTURE):
+                            raised[path].add(key)
+                            continue
+                        if not isinstance(dec, Decision):
+                            seen["certified"] += 1
+                            assert dec[1] == best, (key, path)
+                            continue
+                        assert dec.x == x, (key, path)
+                        seen[dec.keep] += 1
+                        rules.add(dec.rule)
+                        side = cx >= x if dec.keep == SIDEWARD_RIGHT else cx <= x
+                        kept = [values[side].min()] if side.any() else []
+                        P = np.unique(vertical_breakpoints(idx, x))
+                        ys = np.concatenate([P, (P[1:] + P[:-1]) / 2.0])
+                        if len(ys):
+                            kept.append(medianoid.sweep(inst, np.full(len(ys), x), ys,
+                                                        losses=True).min())
+                        if dec.witness is not None:
+                            kept.append(dec.witness[1])
+                        assert min(kept) == best, (key, path, dec, min(kept), best)
+    for path in ("cold", "warm"):
+        assert raised[path] == NEAR_TANGENCY_RAISES, (path, sorted(raised[path] ^ NEAR_TANGENCY_RAISES))
     assert seen["lines"] == 8988 and min(seen.values()) > 0, seen
     assert rules == set(support.DECISION_RULES), rules
+
+
+def test_a_hint_keeps_every_decision():
+    """On 64 seeded instances (n = 6-80, R = 1, 4 or 12, range 2n) at 7
+    random abscissas in the box each, ``decide`` with each of
+    ``support.anchor_hints``'s eight ordinate intervals returns the record
+    it returns without one, or certifies the same loss as it does: 3,584
+    hinted decisions.  Every record that its anchors settled, not a
+    sideward breakpoint, carries the same anchors; so the midpoint and the
+    pseudo-wedge are those of the unhinted search, and the anchors
+    themselves, or an interval strictly between them, cost one two-row
+    sweep and the midpoint: no position lies between the anchors, so
+    nothing is left to search."""
+    rng = random.Random(43)
+    seen = {"decisions": 0, "certified": 0, "anchored": 0, AT_BREAKPOINT: 0}
+    for trial in range(64):
+        n = rng.randint(6, 80)
+        R = rng.choice((1.0, 4.0, 12.0))
+        inst = support.accepted_instance(rng, n, R)
+        idx = build_angular_index(inst)
+        frame = support.bounding_frame(inst)
+        for _ in range(7):
+            x = rng.uniform(frame.xmin, frame.xmax)
+            cold = support.decision_outcome(inst, idx, x)
+            for hint in support.anchor_hints(rng, idx, x, getattr(cold, "anchors", None)):
+                warm = support.decision_outcome(inst, idx, x, hint)
+                assert warm == cold, (trial, x, hint, warm, cold)
+                seen["decisions"] += 1
+                if not isinstance(cold, Decision):
+                    seen["certified"] += 1
+                elif cold.rule == AT_BREAKPOINT:
+                    seen[AT_BREAKPOINT] += 1
+                else:
+                    seen["anchored"] += 1
+                    assert warm.anchors == cold.anchors, (trial, x, hint)
+            if isinstance(cold, Decision) and cold.rule != AT_BREAKPOINT:
+                t_up, t_down = cold.anchors
+                for hint in (cold.anchors, ((2 * t_up + t_down) / 3, (t_up + 2 * t_down) / 3)):
+                    tel = Telemetry()
+                    assert decide(inst, idx, x, tel, hint) == cold, (trial, x, hint)
+                    assert tel.medianoid_calls == 3, (trial, x, hint, tel)
+    assert seen["decisions"] == 3584 and min(seen.values()) > 0, seen
