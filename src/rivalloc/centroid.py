@@ -4,10 +4,14 @@ The minimum is attained at a customer site or at a candidate point: a
 crossing of two disc tangent lines, of a tangent line and a disc boundary,
 or of two disc boundaries.  The parametric search never materialises the
 candidates.  It keeps one open vertical slab that only shrinks.  Each
-vertical-line decision keeps the closed side of its line, and everything it
-discards is no better than a point on that line, which becomes a boundary
-of the slab; so everything outside the final slab is dominated by a point
-on one of its (at most two) boundary lines.  The three families shrink the
+vertical-line decision keeps the closed side of its line, which becomes a
+boundary of the slab, and carries its line's least evaluation,
+``Decision.least``: whatever the decision discards, and every point of its
+line, is no better.  So everything outside the final slab is no better
+than the ``least`` of a decision that set one of its (at most two)
+boundaries.  A boundary set by a box rule carries none and needs none: the
+rule holds at every abscissa beyond the box, so an optimum lies strictly
+inside the slab or on the other boundary.  The three families shrink the
 same slab in turn, each until none of its candidates lies strictly inside,
 and each exhausts batches of crossing abscissas by decisions at their
 median: the tangent-tangent family selects its crossings in batches (a
@@ -27,16 +31,17 @@ measured); thinned, the abscissas whose hash falls below a bound, at most
 ``LT_CAP`` per line, so in the worst case LT's batch reaches ``LT_CAP`` x
 8m bytes.
 ``solve_centroid`` accepts only instances in general position, so no
-tangent line is vertical and every line has a y-order.  The optimum is
-therefore matched by one line search on each boundary line, by a point a
-decision evaluated and carried (``Decision.witness``), or at a
-customer site.  All three modes share one solve (``_solve``): beside the
-sites, intermediate mode ranks the disc-boundary crossings and brute mode
-each block of ``oracle.enumerate_candidates``, as coordinate arrays, by
-``medianoid.least_loss``.  A certified
-optimum found anywhere, by a decision or a line search, is raised there as
-``CertifiedOptimum`` and stops everything early; its ``origin`` is
-reported as ``telemetry["certified"]``.  Tolerances: the table in ``geom``.
+tangent line is vertical and every line has a y-order.  No candidate lies
+strictly inside the final slab, so the optimum is matched by the ``least``
+of a decision that set a boundary, or at a customer site: parametric mode
+searches no line of its own.  All three modes share one solve
+(``_solve``): beside the sites, intermediate mode ranks the disc-boundary
+crossings and brute mode each block of ``oracle.enumerate_candidates``, as
+coordinate arrays, by ``medianoid.least_loss``.  A certified optimum found
+anywhere, by a decision or, in intermediate mode, a line search, is raised
+there as ``CertifiedOptimum`` and stops everything early; its ``origin``
+is reported as ``telemetry["certified"]``.  Tolerances: the table in
+``geom``.
 """
 
 from __future__ import annotations
@@ -65,8 +70,6 @@ from .linesearch import (
     _position_pass,
     build_angular_index,
     local_optima_on_lines,
-    vertical_breakpoints,
-    vertical_lines,
 )
 from .vprune import Decision, decide
 
@@ -92,28 +95,29 @@ class SolveReport:
 class _Slab:
     """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
 
-    Every point outside it is no better than a point on a boundary line or
-    one of the ``witnesses`` that decisions carried.  ``set_by`` holds the
-    decisions that set the two boundaries, left first.
+    ``set_by`` holds the decisions that set the two boundaries, left first.
+    Whatever a decision discards is no better than its own ``least``; a
+    later decision that discards that ``least`` discards nothing better
+    than its own.  So every point outside the open slab is no better than
+    the ``least`` of a decision in ``set_by``, or lies on a boundary set by
+    a box rule, which carries none and needs none (see the module
+    docstring).
     """
 
     def __init__(self) -> None:
         self.lo = -math.inf
         self.hi = math.inf
-        self.witnesses: List[Tuple[Point, float]] = []
         self.set_by: List[Optional[Decision]] = [None, None]
 
     def apply(self, dec: Decision) -> None:
         """Move a boundary to ``dec.x``, keeping the closed side ``dec``
-        keeps, and keep the decision's witness."""
+        keeps."""
         if dec.keep == SIDEWARD_RIGHT:
             self.lo = dec.x
             self.set_by[0] = dec
         else:
             self.hi = dec.x
             self.set_by[1] = dec
-        if dec.witness is not None:
-            self.witnesses.append(dec.witness)
 
     def anchor_hint(self) -> Optional[Tuple[float, float]]:
         """The ordinate interval of the anchors of the decisions that set
@@ -123,14 +127,6 @@ class _Slab:
         if not spans:
             return None
         return min(t for t, _ in spans), max(t for _, t in spans)
-
-    def boundary_xs(self) -> List[float]:
-        out = []
-        if math.isfinite(self.lo):
-            out.append(self.lo)
-        if math.isfinite(self.hi):
-            out.append(self.hi)
-        return out
 
 
 # Crossings per line an exact LT batch holds before it is thinned.
@@ -498,8 +494,8 @@ def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:
 
     ``mode`` selects the solver: ``"parametric"`` shrinks one slab over the
     three candidate families with the vertical-line decision oracle and
-    searches its boundary lines, keeping the midpoints its decisions
-    carry as candidates; ``"intermediate"`` runs the line search on every
+    keeps, as candidates, the least evaluations of the decisions that set
+    its boundaries; ``"intermediate"`` runs the line search on every
     tangent line, customer group by group; and ``"brute"`` evaluates every
     candidate point.  All return the same follower value.  Each returns
     the least optimal point by (x, y) among the points it evaluates, and
@@ -581,10 +577,9 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
             local_optimal_line_LT(inst, idx, slab, tel)
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
-            bounds = slab.boundary_xs()
-            run_lines(vertical_lines(bounds), [vertical_breakpoints(idx, x) for x in bounds])
-            for point, loss in slab.witnesses:
-                consider(point, loss)
+            for dec in slab.set_by:
+                if dec is not None and dec.least is not None:
+                    consider(*dec.least)
             xs = ys = np.empty(0)
         xs, ys = np.concatenate([xs, inst.xs]), np.concatenate([ys, inst.ys])
         tel.medianoid_calls += len(xs)

@@ -20,9 +20,9 @@ directions ``ang`` are computed on first use.  LT, LM and every decision
 read it in place.
 The customers are in general position (``solve_centroid`` checks), so no
 tangent line is vertical.  Each caller builds the breakpoints of its own
-lines.  A vertical line's are the table's ordinates at its x,
-``(off - x*nx)/ny``, one per tangent column (and, for a decision, per
-frame row), then its circle crossings, in one preallocated array
+lines.  A decision's vertical line's are the table's ordinates at its x,
+``(off - x*nx)/ny``, one per row, then its circle crossings and, next to a
+tangency, its capture-circle crossings, in one preallocated array
 (``vertical_breakpoints``); intermediate mode's tangent lines, built as
 upward rows a block of customers at a time (``tangent_lines``), cross the
 tangent columns in broadcast passes (``_position_pass``).  Both give the
@@ -42,10 +42,10 @@ where it was found, once the round is finished.  Each cut discards at
 least half of the survivors, so one line costs time linear in its
 breakpoint count.  A line keeps only its first least-loss evaluation, its
 last upward and last downward one and a sideward end; a ``Point`` or a
-``MedianoidResult`` is built only from those.  Parametric mode searches the
-slab's boundary lines, the vertical-line decision (``vprune``) its single
-line, for its anchors, and intermediate mode every tangent line, many at a
-time.  Tolerances: the table in ``geom``.
+``MedianoidResult`` is built only from those.  The vertical-line decision
+(``vprune``) searches its single line, for its anchors, and intermediate
+mode every tangent line, many at a time (``local_optima_on_lines``).
+Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -283,35 +283,38 @@ def _position_pass(idx: AngularIndex, lines: np.ndarray) -> List[np.ndarray]:
     return out
 
 
-def vertical_breakpoints(idx: AngularIndex, x: float, with_frame: bool = False) -> np.ndarray:
-    """The breakpoint array of ``vertical_lines([x])``, bitwise and in
-    the order ``_position_pass`` gives it, with, ``with_frame``, the
-    ordinates of the table's two frame rows between its tangent and its
-    circle positions.
-
-    Upward from ``(x, 0)`` a position is an ordinate.  On this line
-    ``_position_pass``'s denominator is ``ny`` and its ``ax*nx + ay*ny``
-    is ``x*nx`` up to the sign of a zero, which subtracting it from a
-    nonzero or positive-zero offset does not see; so a row's position is
-    ``(off - x*nx) / ny``, computed in place in one preallocated array
-    that takes the circle crossings next.  No tangent line is vertical, as
-    two customers would share x, so none is parallel to the line and every
-    column gives a position; a frame row, normal ``(0, 1)``, gives exactly
-    its offset.
+def vertical_breakpoints(idx: AngularIndex, x: float) -> np.ndarray:
+    """The breakpoint array a decision searches on the vertical line at
+    ``x``: the ordinates of every row of the index's table, frame rows
+    last, then the circle crossings, then the capture-circle crossings
+    next to a tangency.  Without the frame and capture entries it is
+    bitwise, in order, ``_position_pass``'s array of ``vertical_lines([x])``:
+    there the denominator is ``ny`` and ``ax*nx + ay*ny`` is ``x*nx`` up to
+    the sign of a zero, which subtracting it from a nonzero or positive-zero
+    offset does not see.  No tangent line is vertical, as two customers
+    would share x, so every column gives a position; a frame row, normal
+    ``(0, 1)``, gives exactly its offset.  The sweep captures at
+    ``capture_r`` = r + eps, so a disc whose discriminant
+    ``r^2 - (x - x_u)^2`` is at most ``cross_tol`` while its capture
+    discriminant is positive also gives its two capture-circle crossings,
+    up to about sqrt(2 r eps) from its r-circle's.
     """
-    nx, ny, off = idx.lines
-    m, n = idx.tangents + 2 * with_frame, idx.n
-    out = np.empty(idx.tangents + 2 * n + 2)
-    T = out[:m]
-    np.multiply(x, nx[:m], out=T)
-    np.subtract(off[:m], T, out=T)
-    np.divide(T, ny[:m], out=T)
-    vals = np.empty(2 * n)
-    used = np.empty(2 * n, dtype=bool)
+    inst, (nx, ny, off), m = idx.inst, idx.lines, idx.lines.shape[1]
+    vals, used = np.empty(2 * idx.n), np.empty(2 * idx.n, dtype=bool)
     _circle_positions(idx, x, 0.0, 0.0, 1.0, vals, used)
+    d2 = np.square(idx.xs - x)
+    cap = inst.capture_r * inst.capture_r - d2
+    near = (inst.r * inst.r - d2 <= inst.cross_tol) & (cap > 0.0)
     k = m + np.count_nonzero(used)
+    out = np.empty(k + 2 * np.count_nonzero(near))
+    T = out[:m]
+    np.multiply(x, nx, out=T)
+    np.subtract(off, T, out=T)
+    np.divide(T, ny, out=T)
     out[m:k] = vals[used]
-    return out[:k]
+    s = np.sqrt(cap[near])
+    out[k::2], out[k + 1::2] = idx.ys[near] - s, idx.ys[near] + s
+    return out
 
 
 # One evaluation of a line search: its position t along the line, the

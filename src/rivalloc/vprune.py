@@ -4,32 +4,31 @@ The plane search over candidate lines needs one primitive: given an abscissa
 x, name the closed side of the vertical line there that keeps an optimum,
 or certify an optimum on it.  A decision at abscissa x returns one record,
 ``Decision``: the lean that settled the line, which names the kept side,
-and the rule that did, one of five declared constants.  A certificate is
-raised where it is found, as ``CertifiedOptimum`` with one of three declared
-``origin`` constants.  The classification rests on
-two anchor points, the lowest breakpoint with a downward wedge and the
-highest with an upward wedge, found by the exact-median search of
-``linesearch.search_lines`` over the ordinates at x of every row of the
-angular index's line table, the two rows of the bounding frame included,
-and the circle crossings (``linesearch.vertical_breakpoints``), one n^2
-array per decision; a line left or right of the discs' box needs none.  A
-strong centroid met on the way raises, and a sideward wedge settles the line
-at once.  Otherwise the search runs until no breakpoint is left, and each
-cut drops only positions at or below an upward evaluation or at or above a
-downward one, so no breakpoint of the line's array lies strictly between
-the anchors.  That array holds circles of radius r and tangents at offset
-r, but the sweep captures at ``capture_r`` = r + eps, so the value may
-still change on slivers next to an anchor, up to about sqrt(2 r eps) wide
-near a tangency; ``test_near_shared_x_reproducer_matches_brute`` pins the
-known instance where one makes a decision fail.  The segment's midpoint or,
-when that too looks along the line, a pseudo-wedge built at the better
-anchor settles the direction; equal anchor values go to the downward
-anchor.  A decision settled by the midpoint carries it, with its weight
-loss, as a candidate: anchors a few tolerances apart can leave it below
-both.  A strong centroid at the midpoint, or an empty pseudo-wedge cone, is
-a certificate.  The pseudo-wedge's direction of greatest capture comes from
-its directions x customers capture table, built a block of rows at a time
-(``_first_max_capture``).
+the rule that did, one of five declared constants, and the line's least
+evaluation.  A certificate is raised where it is found, as
+``CertifiedOptimum`` with one of three declared ``origin`` constants.  The
+classification rests on two anchor points, the lowest breakpoint with a
+downward wedge and the highest with an upward wedge, found by the
+exact-median search of ``linesearch.search_lines`` over one n^2 array per
+decision (``linesearch.vertical_breakpoints``); a line left or right of the
+discs' box needs none.  A strong centroid met on the way raises, and a
+sideward wedge settles the line at once: nothing off its apex, on the line
+or on the discarded side, is better.  Otherwise the search runs until no
+breakpoint is left, and each cut drops only positions at or below an
+upward evaluation or at or above a downward one, so no breakpoint of the
+line's array lies strictly between the anchors, and the line is no better
+below the upward anchor or above the downward one.  The array's circles
+have radius r, but the sweep captures at ``capture_r`` = r + eps, so next
+to a tangency it also holds the capture circle's crossings.  The value may
+still change on slivers next to an anchor, within rounding of a crossing
+or up to eps/|ny| from a tangent line nearly parallel to the line, and
+anchors a few tolerances apart can leave the midpoint below both.  The
+segment's midpoint or, when that too looks along the line, a pseudo-wedge
+built at the better anchor settles the direction; equal anchor values go
+to the downward anchor.  What either discards is no better than the
+midpoint or that anchor, so no better than the least of the two anchors
+and the midpoint, the decision's ``least``.  A strong centroid at the
+midpoint, or an empty pseudo-wedge cone, is a certificate.
 
 The record also carries the ordinates that settled the line, and the plane
 search hands each decision the ordinate interval of the anchors of the
@@ -41,9 +40,10 @@ downward above.  So every position at or below an upward end, or at or
 above a downward one, is cut as a median cut would cut it, and the
 anchors, the midpoint and the pseudo-wedge are those of the unbracketed
 search.  Only the strong centroid a certifying line meets first may
-differ, and, next to a tangency, where the slivers break the monotony, the
-breakpoint whose sideward lean settles the line.  Tolerances: ``geom``'s
-table.
+differ, and, next to a tangency, where the lean is not monotone, the
+sideward breakpoint that settles the line: one search can meet one that
+the other cut as upward or downward, and keep the same side by another
+rule.  Tolerances: ``geom``'s table.
 """
 
 from __future__ import annotations
@@ -101,20 +101,21 @@ class Decision:
 
     ``keep`` is the lean that settled the line: ``SIDEWARD_RIGHT`` keeps
     the side x' >= x, ``SIDEWARD_LEFT`` the side x' <= x.  ``rule`` is one
-    of the five rule constants above.  ``witness``, when set, is a point
-    the decision evaluated and its weight loss, which the plane search must
-    keep as a candidate: the line search on the kept boundary line
-    evaluates breakpoints only and may miss it.  ``anchors``, ``(t_up,
-    t_down)``, are the ordinates that settled the line: its two anchors,
-    or a sideward apex's ordinate twice; the box rules carry none.  They
-    record where the search found the lean, not what was decided, so
+    of the five rule constants above.  ``least`` is the least ``(point,
+    weight loss)``, by (loss, x, y), of the sideward apex (``AT_BREAKPOINT``)
+    or else of the two anchors and the midpoint: the line's least
+    evaluation.  Nothing the decision discards, and no point of its line,
+    is better, so the plane search keeps it as a candidate.  ``anchors``,
+    ``(t_up, t_down)``, are the ordinates that settled the line: its two
+    anchors, or a sideward apex's ordinate twice.  The box rules carry
+    neither.  Both record what the search found, not what was decided, so
     records compare without them.
     """
 
     x: float
     keep: str
     rule: str
-    witness: Optional[Tuple[Point, float]] = None
+    least: Optional[Tuple[Point, float]] = field(default=None, compare=False)
     anchors: Optional[Tuple[float, float]] = field(default=None, compare=False)
 
 
@@ -132,12 +133,9 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     ``result.wedge.apex``, or ``(apex, apex, side)`` when a sideward wedge
     at ``apex`` en route already settles the line with the lean ``side``;
     a strong centroid en route raises ``CertifiedOptimum``.  The positions
-    are the ordinates at x of every row of the index's table, then the
-    circle crossings (``vertical_breakpoints``); the table's two frame rows
-    give every vertical line through the box both anchor types, and the
-    search exhausts the line, so no position of this array lies strictly
-    between the anchors (see the module docstring for the slivers this
-    leaves).
+    are the decision's array (``vertical_breakpoints``), whose two frame
+    ordinates give every vertical line through the box both anchor types;
+    the search exhausts the line, so none lies strictly between the anchors.
 
     ``hint``, an ordinate interval ``(lo, hi)``, brackets the search: one
     two-row sweep (``search_lines`` on two one-position arrays) evaluates
@@ -145,16 +143,14 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     where either exists.  A strong centroid there raises, and a sideward
     lean there settles the line.  Positions at or below an upward end, and
     at or above a downward one, are then dropped, as the median cuts would
-    drop them: the lean is monotone along the line, upward below the
-    anchors and downward above them.  So an upward lower end and a
-    downward upper end leave only the positions strictly between them,
-    and a miss the positions beyond its failing end; the search over those,
-    if any are left, gives the anchors, and an end the search does not
-    pass stays one.  The anchors are those of the unbracketed search;
-    only the strong centroid a certifying line meets first may differ.
-    Selecting the ends counts and partitions the array in place.
+    drop them (see the module docstring on the lean's monotony).  So an
+    upward lower end and a downward upper end leave only the positions
+    strictly between them, and a miss the positions beyond its failing end;
+    the search over those, if any are left, gives the anchors, and an end
+    the search does not pass stays one.  Selecting the ends counts and
+    partitions the array in place.
     """
-    P = vertical_breakpoints(idx, x, with_frame=True)
+    P = vertical_breakpoints(idx, x)
     s, e = 0, len(P)
     up = down = None
     if hint is not None:
@@ -348,7 +344,7 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     down, up, side = find_xD_xU(inst, idx, x, telemetry, hint)
     (t_D, r_D), (t_U, r_U) = down, up
     if side is not None:
-        return Decision(x, side, AT_BREAKPOINT, anchors=(t_U, t_D))
+        return Decision(x, side, AT_BREAKPOINT, (r_D.wedge.apex, r_D.weight_loss), (t_U, t_D))
 
     # No position of the line's array lies strictly between the anchors,
     # but the value may change on a sliver next to one: probe the midpoint,
@@ -359,18 +355,20 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     telemetry.medianoid_calls += 1
     if res_B.strong_centroid:
         raise CertifiedOptimum(x_B, res_B.weight_loss, STRONG_AT_MIDPOINT)
+    # The anchors may lie within the capture tolerance of each other, where
+    # the value on the open segment need not be constant: the midpoint can
+    # be lower than both.  Ties go by (x, y), as the plane search's do.
+    least = min(((r.wedge.apex, r.weight_loss) for r in (r_D, r_U, res_B)),
+                key=lambda e: (e[1], e[0].x, e[0].y))
     cls_B = classify_wedge_on_line(res_B.wedge, math.pi / 2.0)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-        # The anchors may lie within the capture tolerance of each other,
-        # where the value on the open segment need not be constant: the
-        # midpoint can be lower than both, so it goes with the decision.
-        return Decision(x, cls_B, AT_MIDPOINT, (x_B, res_B.weight_loss), (t_U, t_D))
+        return Decision(x, cls_B, AT_MIDPOINT, least, (t_U, t_D))
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs
     # only a direction on the apex's far half that captures at least
     # W1 >= W(apex); a tie satisfies that, and what it prunes is no better
-    # than the apex, which stays on the kept boundary line.
+    # than the apex, so no better than ``least``.
     if r_D.weight_loss <= r_U.weight_loss:
         apex, W1 = r_D, r_U.weight_loss
     else:
@@ -378,4 +376,4 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     side = pseudo_wedge(inst, apex.wedge, W1)[0]
     if side is None:
         raise CertifiedOptimum(apex.wedge.apex, apex.weight_loss, EMPTY_PSEUDO_WEDGE)
-    return Decision(x, side, BY_PSEUDO_WEDGE, anchors=(t_U, t_D))
+    return Decision(x, side, BY_PSEUDO_WEDGE, least, (t_U, t_D))

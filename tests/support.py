@@ -190,12 +190,8 @@ def upward_line(L: DirectedLine) -> DirectedLine:
 
 def breakpoint_sequences(idx, L: DirectedLine) -> np.ndarray:
     """All follower-value breakpoints on ``L`` as one unordered array of
-    positions along ``upward_line(L)``, as the solvers build them: off the
-    index's table for a vertical line, by the general pass otherwise."""
-    line = upward_line(L)
-    if line.angle == math.pi / 2.0 and line.anchor.y == 0.0:
-        return vertical_breakpoints(idx, line.anchor.x)
-    return _position_pass(idx, line_rows([line]))[0]
+    positions along ``upward_line(L)``, by the general pass."""
+    return _position_pass(idx, line_rows([upward_line(L)]))[0]
 
 
 def is_vertical(L, tol=ANGLE_TOL):
@@ -495,13 +491,25 @@ def reference_local_optima(inst, idx, lines, telemetry):
 def general_positions(idx, L, frame=None):
     """The breakpoint array of the upward line ``L`` by the general
     broadcast pass and, when a ``frame`` is given (``L`` then vertical, so
-    it crosses every tangent line), the frame's two ordinates along ``L``
-    between its tangent and its circle positions, where the index's table
-    puts the frame rows."""
+    it crosses every tangent line), a decision's array: the frame's two
+    ordinates along ``L`` between its tangent and its circle positions,
+    where the index's table puts the frame rows, and after them, customer
+    by customer, the two crossings of the capture circle (radius
+    ``capture_r``) of a disc whose discriminant ``r^2 - d^2`` at ``L``'s
+    x is at most ``cross_tol`` while its capture discriminant is
+    positive."""
     [P] = _position_pass(idx, line_rows([upward_line(L)]))
     if frame is None:
         return P
-    return np.insert(P, idx.tangents, (frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y))
+    inst, x, y = idx.inst, L.anchor.x, L.anchor.y
+    near = []
+    for c in inst.customers:
+        d = c.site.x - x
+        cap = inst.capture_r * inst.capture_r - d * d
+        if inst.r * inst.r - d * d <= inst.cross_tol and cap > 0.0:
+            near += [c.site.y - y - math.sqrt(cap), c.site.y - y + math.sqrt(cap)]
+    P = np.insert(P, idx.tangents, (frame.y_top - y, frame.y_btm - y))
+    return np.append(P, near)
 
 
 def reference_anchors(inst, idx, frame, L, telemetry):
@@ -919,7 +927,7 @@ def anchor_hints(rng, idx, x, anchors):
     inside them, a little and a lot wider, a single ordinate at the
     upward anchor and at random, and wholly above and wholly below every
     position of the line."""
-    P = vertical_breakpoints(idx, x, with_frame=True)
+    P = vertical_breakpoints(idx, x)
     bottom, top = float(P.min()), float(P.max())
     span = top - bottom
     if anchors is None:

@@ -300,9 +300,9 @@ def test_progress_and_round_budgets():
 
 def count_positions(monkeypatch):
     """Count the breakpoint positions every line search builds, as a
-    one-entry list: the general pass's arrays and the vertical lines'
-    arrays off the index's table, less a decision's two frame ordinates,
-    wrapped where the solvers look them up."""
+    one-entry list: the general pass's arrays and the decisions' arrays
+    off the index's table, less their two frame ordinates, wrapped where
+    the solvers look them up."""
     count = [0]
     general = linesearch._position_pass
     vertical = linesearch.vertical_breakpoints
@@ -312,13 +312,12 @@ def count_positions(monkeypatch):
         count[0] += sum(map(len, out))
         return out
 
-    def counted_vertical(idx, x, with_frame=False):
-        out = vertical(idx, x, with_frame)
-        count[0] += len(out) - 2 * with_frame
+    def counted_vertical(idx, x):
+        out = vertical(idx, x)
+        count[0] += len(out) - 2
         return out
 
     monkeypatch.setattr(centroid, "_position_pass", counted_general)
-    monkeypatch.setattr(centroid, "vertical_breakpoints", counted_vertical)
     monkeypatch.setattr(vprune, "vertical_breakpoints", counted_vertical)
     return count
 

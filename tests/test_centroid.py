@@ -417,14 +417,12 @@ class TestOneCheck:
         assert min(fired.values()) > 50 and clean > 200, (fired, clean)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
-    "ROADMAP open item 1: on this accepted near-shared-x instance the "
-    "pseudo-wedge at the downward anchor finds no direction capturing the "
-    "upward anchor's value"))
 def test_near_shared_x_reproducer_matches_brute():
     """ROADMAP item 1's reproducer: sites 2 and 3 differ in x by 1.5 eps,
     which the check accepts.  Intermediate and brute report the loss
-    below; parametric raises in a decision at x = -5.659119698249414."""
+    below.  Parametric raised in a decision at x = -5.659119698249414,
+    where the capture circle crosses the line strictly between the anchors
+    its array of r-circles gave, until that array held the crossings."""
     sites = [(31.906575751618064, -26.30312646793982, 2.9162591028207365),
              (40.62615388327485, -15.956194829733917, 0.6963270353106157),
              (-5.159119764602217, 21.992169882910872, 3.332589018540827),

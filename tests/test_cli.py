@@ -394,7 +394,7 @@ class TestRegressionInstances:
 # Written by ``rivalloc gen --n 200 --seed 1 --r 1 --coord-range 200``.  A
 # decision prunes on a sideward wedge at the midpoint of anchors a few
 # ``inst.eps`` apart, and that midpoint (586) is lower than every
-# breakpoint of the boundary line it leaves (588): the solve must keep it.
+# breakpoint of its line (588): the decision's ``least`` must carry it.
 MIDPOINT_WITNESS = ("midpoint_witness_n200_seed1_r1_range200.json", 586.0)
 
 

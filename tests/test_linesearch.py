@@ -370,17 +370,20 @@ class TestVerticalBreakpoints:
         """On every line a parametric solve decides at, through every site
         and tangent to every disc, and at random abscissas in the frame,
         ``vertical_breakpoints`` is bitwise, in order, the general pass's
-        array (``_position_pass``), and ``with_frame`` that array's tangent
-        positions, then the reference frame's two ordinates, then its
-        circle positions."""
+        array (``_position_pass``) with the reference frame's two ordinates
+        after its tangent positions and the reference capture-circle
+        crossings after its circle positions (``support.general_positions``);
+        without the frame ordinates and the capture crossings it is the
+        general pass's array.  The abscissas eps next to each disc's
+        tangency put capture crossings on some of the lines."""
         rng = random.Random(9)
-        lines = 0
+        lines = near = 0
         decided = []
         real = vprune.vertical_breakpoints
 
-        def recorded(idx, x, with_frame=False):
+        def recorded(idx, x):
             decided.append(x)
-            return real(idx, x, with_frame)
+            return real(idx, x)
 
         monkeypatch.setattr(vprune, "vertical_breakpoints", recorded)
         for k, inst in enumerate(self.instances()):
@@ -390,18 +393,20 @@ class TestVerticalBreakpoints:
             frame = support.bounding_frame(inst)
             r = inst.r
             xs = decided + [x + d for x in idx.xs.tolist() for d in (-r, 0.0, r)]
+            xs += [x + d * (r + j * inst.eps) for x in idx.xs.tolist()
+                   for d in (-1, 1) for j in (-1, 1)]
             xs += [rng.uniform(frame.xmin, frame.xmax) for _ in range(10)]
+            m = idx.tangents
             for x in xs:
                 L = DirectedLine.vertical(x)
                 want = _position_pass(idx, line_rows([L]))[0]
                 got = vertical_breakpoints(idx, x)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, x)
-                assert support.breakpoint_sequences(idx, L).tobytes() == want.tobytes(), (k, x)
-                want = support.general_positions(idx, L, frame)
-                got = vertical_breakpoints(idx, x, with_frame=True)
-                assert got.tobytes() == want.tobytes(), (k, x)
+                assert got.dtype == want.dtype, (k, x)
+                assert got.tobytes() == support.general_positions(idx, L, frame).tobytes(), (k, x)
+                near += len(got) > len(want) + 2
+                assert np.delete(got, (m, m + 1))[:len(want)].tobytes() == want.tobytes(), (k, x)
                 lines += 1
-        assert lines > 1000, lines
+        assert lines > 1000 and near > 50, (lines, near)
 
 
 class TestLocalOptimum:

@@ -75,9 +75,11 @@ def near_shared_instance(seed, axis):
 
 
 NO_CAPTURE = support.NO_CAPTURE
-# The instances on which a parametric decision raises NO_CAPTURE: its
-# breakpoints are circles of radius r, but the sweep captures at r + eps.
-NEAR_SHARED_RAISES = frozenset(("x", seed) for seed in (270, 326, 520, 560))
+# The instances on which a parametric decision raises NO_CAPTURE.  None does
+# since a decision's array holds the capture circle's crossings next to a
+# tangency (``vertical_breakpoints``); before, x-seeds 270, 326, 520 and 560
+# raised.
+NEAR_SHARED_RAISES = frozenset()
 
 
 @pytest.mark.sweep

@@ -18,6 +18,7 @@ from rivalloc.medianoid import (
     solve_medianoid,
 )
 from rivalloc import medianoid, vprune
+from rivalloc import centroid
 from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
     AT_BREAKPOINT,
@@ -32,7 +33,9 @@ from rivalloc.linesearch import (
     CertifiedOptimum,
     Telemetry,
     build_angular_index,
+    local_optima_on_lines,
     vertical_breakpoints,
+    vertical_lines,
 )
 
 
@@ -45,8 +48,7 @@ def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
     (t_D, _), (t_U, _), _ = got
-    pos = support.breakpoint_sequences(idx, L).tolist()
-    pos += [frame.y_top - L.anchor.y, frame.y_btm - L.anchor.y]
+    pos = support.general_positions(idx, L, frame).tolist()
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
 
@@ -466,16 +468,10 @@ def near_tangency_instance(seed):
 
 NO_CAPTURE = support.NO_CAPTURE
 # The (seed, disc, end, k) lines of the campaign below on which a decision
-# raises NO_CAPTURE: the sweep captures at r + eps, but a decision's
-# breakpoints are circles of radius r, and near a tangency the value changes
-# strictly between the anchors.  All sit at a disc's leftmost x + 1 eps.
-NEAR_TANGENCY_RAISES = frozenset((seed, disc, -1, 1) for seed, disc in (
-    (10, 5), (15, 3), (18, 2), (22, 1), (23, 2), (33, 1), (36, 4), (52, 1),
-    (55, 1), (56, 0), (59, 3), (61, 3), (62, 0), (62, 1), (73, 1), (104, 0),
-    (106, 2), (117, 1), (119, 4), (122, 3), (125, 3), (132, 3), (137, 1),
-    (143, 1), (143, 2), (144, 0), (146, 3), (153, 4), (158, 2), (159, 4),
-    (161, 1), (180, 1), (183, 0), (210, 4), (238, 2), (239, 1), (240, 6),
-    (241, 5), (252, 6), (260, 2), (269, 1), (277, 2)))
+# raises NO_CAPTURE.  None does since a decision's array holds the capture
+# circle's crossings next to a tangency (``vertical_breakpoints``); before,
+# 42 lines at a disc's leftmost x + 1 eps raised.
+NEAR_TANGENCY_RAISES = frozenset()
 
 
 def test_decisions_near_a_tangency_keep_an_optimum():
@@ -483,7 +479,7 @@ def test_decisions_near_a_tangency_keep_an_optimum():
     each disc's leftmost and rightmost x + k eps, k in {-20, 1, 20}: every
     certificate is the brute minimum, and every decision keeps one, at a
     brute candidate or site on its kept closed side, at a breakpoint of its
-    line or a midpoint between two, or at its witness.  The lines that
+    line or a midpoint between two, or at its ``least``.  The lines that
     raise NO_CAPTURE are exactly NEAR_TANGENCY_RAISES, so a new raise and a
     mend both fail here.  Each line is decided again with the anchors of
     its neighbour's decision (k = 1 for k = -20, else the k before) as its
@@ -530,8 +526,8 @@ def test_decisions_near_a_tangency_keep_an_optimum():
                         if len(ys):
                             kept.append(medianoid.sweep(inst, np.full(len(ys), x), ys,
                                                         losses=True).min())
-                        if dec.witness is not None:
-                            kept.append(dec.witness[1])
+                        if dec.least is not None:
+                            kept.append(dec.least[1])
                         assert min(kept) == best, (key, path, dec, min(kept), best)
     for path in ("cold", "warm"):
         assert raised[path] == NEAR_TANGENCY_RAISES, (path, sorted(raised[path] ^ NEAR_TANGENCY_RAISES))
@@ -544,7 +540,8 @@ def test_a_hint_keeps_every_decision():
     random abscissas in the box each, ``decide`` with each of
     ``support.anchor_hints``'s eight ordinate intervals returns the record
     it returns without one, or certifies the same loss as it does: 3,584
-    hinted decisions.  Every record that its anchors settled, not a
+    hinted decisions.  Every record carries the same ``least`` loss, which
+    records do not compare.  Every record that its anchors settled, not a
     sideward breakpoint, carries the same anchors; so the midpoint and the
     pseudo-wedge are those of the unhinted search, and the anchors
     themselves, or an interval strictly between them, cost one two-row
@@ -567,7 +564,9 @@ def test_a_hint_keeps_every_decision():
                 seen["decisions"] += 1
                 if not isinstance(cold, Decision):
                     seen["certified"] += 1
-                elif cold.rule == AT_BREAKPOINT:
+                    continue
+                assert warm.least[1] == cold.least[1], (trial, x, hint, warm, cold)
+                if cold.rule == AT_BREAKPOINT:
                     seen[AT_BREAKPOINT] += 1
                 else:
                     seen["anchored"] += 1
@@ -579,3 +578,45 @@ def test_a_hint_keeps_every_decision():
                     assert decide(inst, idx, x, tel, hint) == cold, (trial, x, hint)
                     assert tel.medianoid_calls == 3, (trial, x, hint, tel)
     assert seen["decisions"] == 3584 and min(seen.values()) > 0, seen
+
+
+def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
+    """On the 722 decisions of 45 seeded parametric solves (n = 8-80,
+    R = 1, 4 or 12, seeds 1-3, range 2n), none by a box rule, the loss of
+    a decision's ``least`` equals the minimum that the line search
+    (``local_optima_on_lines``) finds on the decision's array; where
+    either certifies, the two certificates' losses are equal.  The plane
+    search no longer searches its boundary lines: that search is the
+    reference for the evaluation that replaced it."""
+    decisions = []
+
+    def recorded(inst, idx, x, telemetry, hint=None):
+        try:
+            dec = decide(inst, idx, x, telemetry, hint)
+        except CertifiedOptimum as cert:
+            decisions.append((x, cert.weight_loss))
+            raise
+        if dec.least is None:
+            assert dec.rule in (LEFT_OF_BOX, RIGHT_OF_BOX), dec
+        else:
+            decisions.append((x, dec.least[1]))
+        return dec
+
+    monkeypatch.setattr(centroid, "decide", recorded)
+    seen = 0
+    for n in (8, 12, 20, 40, 80):
+        for R in (1.0, 4.0, 12.0):
+            for seed in (1, 2, 3):
+                inst = generate_instance(n, seed, r=R, coord_range=2 * n)
+                decisions.clear()
+                solve_centroid(inst)
+                idx = build_angular_index(inst)
+                for x, loss in decisions:
+                    try:
+                        [(_, want)] = local_optima_on_lines(
+                            inst, vertical_lines([x]), [vertical_breakpoints(idx, x)], Telemetry())
+                    except CertifiedOptimum as cert:
+                        want = cert.weight_loss
+                    assert loss == want, (n, R, seed, x, loss, want)
+                    seen += 1
+    assert seen == 722, seen
