@@ -283,18 +283,23 @@ def _exact_batch(lnx, lny, loff, slab: _Slab, cap: int):
     return xs, used, bound < full
 
 
-def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
-    """Call ``decide_at`` at the lower median of the ``xs``, all strictly
-    inside ``slab``, until none is left inside: either side pruned holds
-    at least half of them, so a batch of C costs at most floor(log2 C) + 1
-    calls.  ``xs`` is consumed: it is partitioned in place, and after each
-    decision only the side of the median that the slab kept is searched
-    on, as a view (a copy only when the median's value repeats there)."""
+def _exhaust(xs: np.ndarray, inst: Instance, idx: AngularIndex, slab: _Slab,
+             telemetry: Telemetry, counter: str) -> None:
+    """Apply to ``slab`` the decision (``decide``) at the lower median of
+    the ``xs``, all strictly inside ``slab``, until none is left inside:
+    either side pruned holds at least half of them, so a batch of C costs
+    at most floor(log2 C) + 1 decisions.  Each counts in the ``telemetry``
+    field ``counter`` before it is made, so one that raises counts too,
+    and its anchors' search starts from the slab's (``_Slab.anchor_hint``).
+    ``xs`` is consumed: it is partitioned in place, and after each decision
+    only the side of the median that the slab kept is searched on, as a
+    view (a copy only when the median's value repeats there)."""
     while len(xs):
         k = (len(xs) - 1) // 2
         xs.partition(k)
         t = float(xs[k])
-        decide_at(t)
+        setattr(telemetry, counter, getattr(telemetry, counter) + 1)
+        slab.apply(decide(inst, idx, t, telemetry, slab.anchor_hint()))
         if slab.lo == t:
             xs = xs[k + 1:]
             if len(xs) and xs.min() == t:
@@ -303,19 +308,6 @@ def _exhaust(xs: np.ndarray, slab: _Slab, decide_at) -> None:
             xs = xs[:k]
             if len(xs) and xs.max() == t:
                 xs = xs[xs < t]
-
-
-def _decider(inst, idx, slab: _Slab, telemetry: Telemetry, counter: str):
-    """The vertical-line decision at ``x`` applied to ``slab``, one call
-    counted in the ``telemetry`` field ``counter``; its anchors' search
-    starts from those of the decisions that set the slab
-    (``_Slab.anchor_hint``)."""
-
-    def decide_at(x: float) -> None:
-        setattr(telemetry, counter, getattr(telemetry, counter) + 1)
-        slab.apply(decide(inst, idx, x, telemetry, slab.anchor_hint()))
-
-    return decide_at
 
 
 def local_optimal_line_LT(
@@ -339,13 +331,12 @@ def local_optimal_line_LT(
     """
     lnx, lny, loff = idx.lines
     m = len(lnx)
-    decide_at = _decider(inst, idx, slab, telemetry, "lt_oracle")
     telemetry.lt_rounds += 1
-    _exhaust(_hashed_batch(lnx, lny, loff, slab), slab, decide_at)
+    _exhaust(_hashed_batch(lnx, lny, loff, slab), inst, idx, slab, telemetry, "lt_oracle")
     while len(lnx) > 1:
         xs, used, thinned = _exact_batch(lnx, lny, loff, slab, LT_CAP * m)
         telemetry.lt_rounds += 1
-        _exhaust(xs, slab, decide_at)
+        _exhaust(xs, inst, idx, slab, telemetry, "lt_oracle")
         if not thinned:
             break
         lnx, lny, loff = lnx[used], lny[used], loff[used]
@@ -472,7 +463,7 @@ def local_optimal_line_LM(
     lnx, lny, loff = idx.lines
     xs = _circle_crossings(lnx, lny, loff, inst, slab)[2]
     telemetry.lm_mass0 = len(xs)
-    _exhaust(xs, slab, _decider(inst, idx, slab, telemetry, "lm_rounds"))
+    _exhaust(xs, inst, idx, slab, telemetry, "lm_rounds")
 
 
 def local_optimal_line_LC(
@@ -485,8 +476,7 @@ def local_optimal_line_LC(
     it, by exhausting their abscissas (``_exhaust``)."""
     xs = disc_crossings(inst)[0]
     telemetry.lc_points = len(xs)
-    _exhaust(xs[(xs > slab.lo) & (xs < slab.hi)], slab,
-             _decider(inst, idx, slab, telemetry, "lc_steps"))
+    _exhaust(xs[(xs > slab.lo) & (xs < slab.hi)], inst, idx, slab, telemetry, "lc_steps")
 
 
 def solve_centroid(inst: Instance, mode: str = PARAMETRIC) -> SolveReport:

@@ -22,8 +22,9 @@ TWO_PI = 2.0 * math.pi
 # prefilter of ``disc_crossings``.
 EPS_BASE = 1e-9
 # angle, or the sine or cosine measuring one: directions this close are one.
-# 2,250 ulps of pi, above the few ulps of arctan2, sin or cos; below 1/(2c^2),
-# the least sine of two non-parallel integer vectors of entries up to c < 7e5.
+# 2,250 ulps of pi, above the few ulps of a unit normal, a cross product or
+# arctan2; below 1/(2c^2), the least sine of two non-parallel integer
+# vectors of entries up to c < 7e5.
 ANGLE_TOL = 1e-12
 # angle: a unit vector's component below it snaps to 0.  Above cos(3pi/2),
 # -1.8e-16 in doubles, and below ANGLE_TOL: only the axes snap.
@@ -67,10 +68,10 @@ def _libm(fn, *args: np.ndarray) -> np.ndarray:
     """``fn`` from the math module applied elementwise to 1-D arrays.
 
     numpy's vectorised transcendental functions may differ from the C
-    library in the last bit; decisions that must match a scalar
-    computation (such as which tangent directions are parallel to a query
-    line) use the scalar functions so that they never depend on which
-    implementation ran.
+    library in the last bit; values that must match a scalar computation
+    (such as the angle of an intermediate-mode tangent line) use the
+    scalar functions so that they never depend on which implementation
+    ran.
     """
     return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
 

@@ -14,19 +14,20 @@ its anchor, its unit direction upward and that direction's angle, in
 ``AngularIndex`` owns the one table of the lines the searches cross,
 ``lines``, rows ``nx``, ``ny``, ``off`` of ``nx*x + ny*y = off``: the n(n - 1)
 canonical tangent lines, pairs in row-major order, then the bounding
-frame's two horizontal lines, the frame's only copy.  It is filled a block
-of rows at a time and is the index's only n^2-sized array; the tangent
-directions ``ang`` are computed on first use.  LT, LM and every decision
-read it in place.
+frame's two horizontal lines, the frame's only copy.  It is built from the
+sites' coordinate differences, without trigonometry, a block of rows at a
+time, and is the index's only n^2-sized array.  LT, LM, every decision and
+intermediate mode's tangent lines read it in place.
 The customers are in general position (``solve_centroid`` checks), so no
 tangent line is vertical.  Each caller builds the breakpoints of its own
 lines.  A decision's vertical line's are the table's ordinates at its x,
 ``(off - x*nx)/ny``, one per row, then its circle crossings and, next to a
 tangency, its capture-circle crossings, in one preallocated array
-(``vertical_breakpoints``); intermediate mode's tangent lines, built as
-upward rows a block of customers at a time (``tangent_lines``), cross the
-tangent columns in broadcast passes (``_position_pass``).  Both give the
-same tangent and circle positions, bitwise.
+(``vertical_breakpoints``); intermediate mode's tangent lines, the table's rows
+directed upward a block of customers at a time (``tangent_lines``), cross
+the tangent columns in broadcast passes (``_position_pass``), which drop a
+column parallel to the line by LT's rule, ``|den| <= ANGLE_TOL``.  Both
+give the same tangent and circle positions, bitwise.
 
 ``search_lines`` is the one search over breakpoints, an array engine that
 advances many lines in lockstep (Megiddo's batching of independent oracle
@@ -50,7 +51,6 @@ Tolerances: the table in ``geom``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,7 +59,6 @@ import numpy as np
 
 from .geom import (
     ANGLE_TOL,
-    TWO_PI,
     Instance,
     Point,
     _libm,
@@ -70,7 +69,6 @@ from .medianoid import (
     DOWNWARD,
     UPWARD,
     WHOLE_LINE,
-    _normalized,
     lean_code,
     sweep,
 )
@@ -86,17 +84,17 @@ class Telemetry:
     raises ``AttributeError``.
     """
 
-    medianoid_calls: int = 0
-    decide_calls: int = 0
-    lines_searched: int = 0
-    prune_iterations: int = 0
+    medianoid_calls: int = 0  # follower evaluations, one per point swept
+    decide_calls: int = 0  # vertical-line decisions (vprune.decide), all families
+    lines_searched: int = 0  # intermediate mode's tangent lines searched; 0 otherwise
+    prune_iterations: int = 0  # cuts of the line searches, one per leaning evaluation
     prune_min_fraction: Optional[float] = None  # least share a cut discarded
     lt_rounds: int = 0  # crossing batches LT exhausted
-    lt_oracle: int = 0
+    lt_oracle: int = 0  # LT's decisions
     lm_mass0: int = 0  # tangent-circle crossings left inside LT's slab
     lm_rounds: int = 0  # LM's decisions, at most floor(log2 lm_mass0) + 1
-    lc_points: int = 0
-    lc_steps: int = 0
+    lc_points: int = 0  # disc-boundary crossings, inside LM's slab or not
+    lc_steps: int = 0  # LC's decisions
     wall_time_s: float = 0.0
     certified: Optional[str] = None
 
@@ -118,14 +116,18 @@ class CertifiedOptimum(Exception):
 class AngularIndex:
     """The table of the lines the search crosses.
 
-    For every ordered pair ``(i, j)``, ``i != j``, the tangent line lying
-    at distance ``r`` to the right of the direction from ``i`` to ``j`` is
+    For every ordered pair ``(i, j)``, ``i != j``, with offset
+    ``(dx, dy) = site_j - site_i`` and ``d = sqrt(dx*dx + dy*dy)``, the
+    tangent line lying at distance ``r`` to the right of ``(dx, dy)`` is
     stored once as ``nx*x + ny*y = off``, with unit normal
-    ``n = (sin a, -cos a)``, ``a`` the direction, and offset
-    ``off = site_i . n + r``.  The left tangent of ``(i, j)`` is the same
-    line as the stored right tangent of ``(j, i)``, so every evaluation of
-    a tangent crossing goes through exactly one canonical parameter triple
-    and repeated evaluations agree bitwise.
+    ``(nx, ny) = (dy/d, -dx/d)`` and offset ``off = site_i . n + r``.  Only
+    correctly rounded operations build it, so it does not depend on which
+    of numpy's SIMD kernels run, and ``MAX_SCALE`` keeps the squares
+    finite.  The differences of ``(j, i)`` are the exact negations of those
+    of ``(i, j)``, so its normal is exactly ``-n``.  The left tangent of ``(i, j)`` is the same line as the stored right tangent
+    of ``(j, i)``, so every evaluation of a tangent crossing goes through
+    exactly one canonical parameter triple and repeated evaluations agree
+    bitwise.
 
     ``lines`` is the one read-only table, rows ``nx``, ``ny`` and ``off``:
     column ``i*(n - 1) + j - (j > i)`` holds the tangent of ``(i, j)``,
@@ -133,11 +135,8 @@ class AngularIndex:
     columns), and the last two columns hold the bounding frame's top and
     bottom lines ``y = c``, normal ``(0, 1)``, ``r + max(R, 1)`` beyond
     the highest and the lowest site.  It is the index's only
-    n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time,
-    from that block's directions, so building it allocates nothing else
-    of its size.  ``ang``, the tangent columns' directions, is computed
-    on first use; only intermediate mode (``tangent_lines``,
-    ``_position_pass``) reads it.  The index does not check its input: on
+    n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time, in
+    place, with one scratch block.  The index does not check its input: on
     an instance that ``general_position_violation`` accepts, no tangent
     line is vertical or horizontal and no two customers share a polar
     angle around a third (``solve_centroid`` checks before it builds one).
@@ -152,60 +151,48 @@ class AngularIndex:
         m = self.tangents = n * (n - 1)
         lines = self.lines = np.empty((3, m + 2))
         nx, ny, off = (row[:m].reshape(n, n - 1) for row in lines)
-        for s, e, ang in self._direction_blocks():
-            np.sin(ang, out=nx[s:e])
-            np.negative(np.cos(ang, out=ny[s:e]), out=ny[s:e])
-            np.multiply(xs[s:e, None], nx[s:e], out=off[s:e])
-            # The block's directions are spent: ys * ny goes in their place.
-            np.multiply(ys[s:e, None], ny[s:e], out=ang)
-            off[s:e] += ang
+        size = max(1, medianoid.SWEEP_BLOCK // n)
+        scratch = np.empty((min(size, n), n - 1))
+        for s in range(0, n, size):
+            e = min(s + size, n)
+            a, b, c, d = nx[s:e], ny[s:e], off[s:e], scratch[:e - s]
+            # Row i's column k is the pair (i, j), j = k + (k >= i).
+            later = np.arange(n - 1) >= np.arange(s, e)[:, None]
+            # b = -dx = x_i - x_j and c = dy = y_j - y_i, then d.
+            np.subtract(xs[s:e, None], xs[:-1], out=b)
+            np.subtract(xs[s:e, None], xs[1:], out=b, where=later)
+            np.subtract(ys[:-1], ys[s:e, None], out=c)
+            np.subtract(ys[1:], ys[s:e, None], out=c, where=later)
+            np.multiply(b, b, out=d)
+            d += np.multiply(c, c, out=a)
+            np.sqrt(d, out=d)
+            # a = nx, b = ny and c = x_i*nx + y_i*ny, d spent.
+            np.divide(c, d, out=a)
+            np.divide(b, d, out=b)
+            np.multiply(xs[s:e, None], a, out=c)
+            c += np.multiply(ys[s:e, None], b, out=d)
         off += inst.r
         r, pad = inst.r, max(inst.R, 1.0)
         lines[:, m:] = ((0.0, 0.0), (1.0, 1.0),
                         (float(ys.max()) + r + pad, float(ys.min()) - r - pad))
         lines.flags.writeable = False
 
-    def _direction_blocks(self):
-        """Yield ``(s, e, ang)``: the directions of the tangents of rows
-        ``s`` to ``e``, an ``(e - s, n - 1)`` array, diagonal dropped."""
-        n, xs, ys = self.n, self.xs, self.ys
-        size = max(1, medianoid.SWEEP_BLOCK // n)
-        for s in range(0, n, size):
-            e = min(s + size, n)
-            ang = np.arctan2(ys[None, :] - ys[s:e, None], xs[None, :] - xs[s:e, None])
-            ang %= TWO_PI
-            ang[ang >= TWO_PI] = 0.0
-            off_diagonal = np.ones(ang.shape, dtype=bool)
-            off_diagonal[np.arange(e - s), np.arange(s, e)] = False
-            yield s, e, ang[off_diagonal].reshape(e - s, n - 1)
-
-    @functools.cached_property
-    def ang(self) -> np.ndarray:
-        """The tangent columns' directions, in table order."""
-        ang = np.empty(self.tangents)
-        rows = ang.reshape(self.n, self.n - 1)
-        for s, e, block in self._direction_blocks():
-            rows[s:e] = block
-        return ang
-
     def tangent_lines(self, s: int, e: int) -> np.ndarray:
         """The stored right tangents of customer rows ``s`` to ``e``, in
         table order, as upward line rows: each anchored at its touching
-        point on disc i, along the pair's direction or, where that points
-        down, its opposite, by the C library's sine and cosine.  A
-        horizontal tangent has no upward direction and raises
+        point ``site_i + r*(nx, ny)`` on disc i, along the pair's direction
+        ``(-ny, nx)`` or, where ``nx < 0``, its opposite, at the C library's
+        ``atan2`` of that direction.  A horizontal tangent,
+        ``|nx| <= ANGLE_TOL``, has no upward direction and raises
         ``ValueError``."""
-        a = self.ang[s * (self.n - 1):e * (self.n - 1)]
-        i = np.repeat(np.arange(s, e), self.n - 1)
-        sin, cos = _libm(math.sin, a), _libm(math.cos, a)
-        if (np.abs(sin) <= ANGLE_TOL).any():
+        nx, ny, _ = self.lines[:, s * (self.n - 1):e * (self.n - 1)]
+        if (np.abs(nx) <= ANGLE_TOL).any():
             raise ValueError("horizontal query line has no breakpoint order")
+        i = np.repeat(np.arange(s, e), self.n - 1)
         r = self.inst.r
-        rows = np.stack((self.xs[i] + r * sin, self.ys[i] - r * cos, cos, sin, a), axis=1)
-        down = sin <= 0.0
-        up = rows[down, 4] = _normalized(a[down] - math.pi)
-        rows[down, 2], rows[down, 3] = _libm(math.cos, up), _libm(math.sin, up)
-        return rows
+        ux, uy = np.where(nx < 0.0, ny, -ny), np.abs(nx)
+        return np.stack((self.xs[i] + r * nx, self.ys[i] + r * ny, ux, uy,
+                         _libm(math.atan2, uy, ux)), axis=1)
 
 
 def build_angular_index(inst: Instance) -> AngularIndex:
@@ -242,11 +229,11 @@ def _position_pass(idx: AngularIndex, lines: np.ndarray) -> List[np.ndarray]:
     """The breakpoint array of each upward line row of ``lines``: every
     canonical tangent line that crosses the line once, in canonical order,
     then circle crossings once per intersection point, in customer order
-    (a tangency contributes a single entry).  A tangent direction ``a`` is
-    parallel to the line, and dropped, when the C library's
-    ``|sin(a - up)|`` is at most ``ANGLE_TOL``; the crossing's own
-    denominator equals that sine up to rounding, so it preselects the few
-    directions the C library decides.  Each broadcast pass fills a lines x
+    (a tangency contributes a single entry).  A tangent column is parallel
+    to the line, and dropped, when the crossing's denominator
+    ``den = ux*nx + uy*ny`` has ``|den| <= ANGLE_TOL``, the rule of LT's
+    crossing batches; on a row of ``tangent_lines``, ``den`` is exactly 0
+    for its own column and its partner's.  Each broadcast pass fills a lines x
     (n(n - 1) + 2n) table for ``SWEEP_BLOCK // n^2`` lines (at least one),
     so its temporaries stay one block, and a mask keeps the real entries;
     each entry is computed on its own, whatever lines share its pass."""
@@ -265,11 +252,7 @@ def _position_pass(idx: AngularIndex, lines: np.ndarray) -> List[np.ndarray]:
         den += uy * ny
         T = vals[:, :m]
         np.abs(den, out=T)
-        np.greater(T, 2.0 * ANGLE_TOL, out=used[:, :m])
-        rows, cols = np.divmod(np.flatnonzero(T <= 2.0 * ANGLE_TOL), m)
-        if len(rows):
-            sin_d = _libm(math.sin, idx.ang[cols] - block[rows, 4])
-            used[rows, cols] = np.abs(sin_d) > ANGLE_TOL
+        np.greater(T, ANGLE_TOL, out=used[:, :m])
         np.multiply(ax, nx, out=T)
         T += ay * ny
         np.subtract(off, T, out=T)

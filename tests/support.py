@@ -83,10 +83,14 @@ class Circle:
 @dataclass(frozen=True, slots=True)
 class DirectedLine:
     """Line through ``anchor`` with direction ``angle`` (normalized): the
-    scalar form of the solvers' query-line rows (``line_rows``)."""
+    scalar form of the solvers' query-line rows (``line_rows``).  ``unit``
+    is the unit direction when it is given, as a tangent line built from
+    coordinate differences carries it, and ``angle``'s cosine and sine
+    otherwise."""
 
     anchor: Point
     angle: float
+    unit: Optional[Tuple[float, float]] = None
 
     @staticmethod
     def vertical(x: float) -> "DirectedLine":
@@ -94,6 +98,8 @@ class DirectedLine:
 
     @property
     def direction(self) -> Tuple[float, float]:
+        if self.unit is not None:
+            return self.unit
         ux = math.cos(self.angle)
         uy = math.sin(self.angle)
         # Snap axis-aligned directions exactly so that points generated on a
@@ -126,13 +132,19 @@ def table_column(idx, i: int, j: int) -> int:
 
 def reference_tangent_line(idx, i: int, j: int) -> DirectedLine:
     """The scalar line whose row ``AngularIndex.tangent_lines`` builds for
-    the ordered pair: the stored right tangent, anchored at its touching
-    point on disc i, directed upward.  A horizontal one raises
-    ``ValueError``."""
-    a = float(idx.ang[table_column(idx, i, j)])
+    the ordered pair: the right tangent of the offset ``(dx, dy)`` from
+    site i to site j, unit normal ``(dy, -dx)/d``, anchored at its touching
+    point on disc i, directed upward along ``(dx, dy)/d`` or its opposite.
+    A horizontal one raises ``ValueError``."""
+    xi, yi = float(idx.xs[i]), float(idx.ys[i])
+    dx, dy = float(idx.xs[j]) - xi, float(idx.ys[j]) - yi
+    d = math.sqrt(dx * dx + dy * dy)
+    nx, ny = dy / d, -dx / d
+    if abs(nx) <= ANGLE_TOL:
+        raise ValueError("horizontal query line has no breakpoint order")
+    ux, uy = (-ny, nx) if nx > 0.0 else (ny, -nx)
     r = idx.inst.r
-    anchor = Point(float(idx.xs[i]) + r * math.sin(a), float(idx.ys[i]) - r * math.cos(a))
-    return upward_line(DirectedLine(anchor, a))
+    return DirectedLine(Point(xi + r * nx, yi + r * ny), math.atan2(uy, ux), (ux, uy))
 
 
 def upward_tangents(idx, i: int, js=None) -> List[DirectedLine]:
@@ -140,7 +152,7 @@ def upward_tangents(idx, i: int, js=None) -> List[DirectedLine]:
     other customer by default), horizontal tangents left out."""
     js = range(idx.n) if js is None else js
     return [reference_tangent_line(idx, i, j) for j in js
-            if j != i and abs(math.sin(idx.ang[table_column(idx, i, j)])) > ANGLE_TOL]
+            if j != i and abs(idx.lines[0, table_column(idx, i, j)]) > ANGLE_TOL]
 
 
 def polar_angle(p: Point, origin: Point) -> float:
@@ -185,7 +197,7 @@ def upward_line(L: DirectedLine) -> DirectedLine:
     if abs(math.sin(theta)) <= ANGLE_TOL:
         raise ValueError("horizontal query line has no breakpoint order")
     up = theta if math.sin(theta) > 0.0 else normalize_angle(theta - math.pi)
-    return DirectedLine(L.anchor, up)
+    return L if up == L.angle else DirectedLine(L.anchor, up)
 
 
 def breakpoint_sequences(idx, L: DirectedLine) -> np.ndarray:
@@ -624,15 +636,15 @@ def partial_degenerate_paths(inst):
     around a third (the angular index raised, ``reference_duplicate_angle``);
     a tangent column with ``|ny| <= 2 ANGLE_TOL`` (the columns a vertical
     line could be parallel to, which the vertical breakpoints dropped and
-    LT set aside); a tangent direction with ``|sin a| <= ANGLE_TOL``
-    (horizontal tangent lines, which intermediate mode skipped)."""
+    LT set aside); a tangent column with ``|nx| <= ANGLE_TOL`` (horizontal
+    tangent lines, which intermediate mode skipped)."""
     idx = build_angular_index(inst)
     fired = []
     if reference_duplicate_angle(inst) is not None:
         fired.append("shared polar angle")
     if (np.abs(idx.lines[1, :idx.tangents]) <= 2.0 * ANGLE_TOL).any():
         fired.append("vertical tangent")
-    if any(abs(math.sin(a)) <= ANGLE_TOL for a in idx.ang.tolist()):
+    if (np.abs(idx.lines[0, :idx.tangents]) <= ANGLE_TOL).any():
         fired.append("horizontal tangent")
     return fired
 
@@ -1005,7 +1017,8 @@ def reference_duplicate_angle(inst):
 def reference_tangent_crossings(idx, line):
     """The per-pair loop that ``breakpoint_sequences`` vectorises: the
     crossing position along the upward ``line`` of every stored tangent
-    line whose direction the C library's sine does not call parallel."""
+    line whose crossing denominator ``ux*nx + uy*ny`` is above
+    ``ANGLE_TOL`` in magnitude, the others being parallel to the line."""
     ux, uy = line.direction
     ax, ay = line.anchor
     nxs, nys, offs = idx.lines
@@ -1015,10 +1028,10 @@ def reference_tangent_crossings(idx, line):
             if i == j:
                 continue
             k = table_column(idx, i, j)
-            if abs(math.sin(float(idx.ang[k]) - line.angle)) <= ANGLE_TOL:
-                continue
             nx, ny = nxs[k], nys[k]
-            ts.append((offs[k] - (ax * nx + ay * ny)) / (ux * nx + uy * ny))
+            den = ux * nx + uy * ny
+            if abs(den) > ANGLE_TOL:
+                ts.append((offs[k] - (ax * nx + ay * ny)) / den)
     return np.array(ts, dtype=float)
 
 
@@ -1291,26 +1304,24 @@ def traced_peak(fn, *args):
 
 
 def reference_angular_table(inst):
-    """``(lines, ang)`` of ``AngularIndex`` as the full-table build made
-    them: n x n direction and offset temporaries, the diagonal dropped by
-    one reshape."""
+    """``AngularIndex.lines`` as a full-table build makes it: n x n offset
+    temporaries, ``d = sqrt(dx*dx + dy*dy)``, the unit normal
+    ``(dy/d, -dx/d)`` and the offset ``x*nx + y*ny + r``, the diagonal
+    dropped by one reshape, then the frame's two lines."""
     n, xs, ys = inst.n, inst.xs, inst.ys
     dx = xs[None, :] - xs[:, None]
     dy = ys[None, :] - ys[:, None]
-    ang = np.arctan2(dy, dx) % TWO_PI
-    ang[ang >= TWO_PI] = 0.0
+    d = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(invalid="ignore"):  # the diagonal's 0/0
+        nx, ny = dy / d, -dx / d
+    off = xs[:, None] * nx + ys[:, None] * ny + inst.r
     m = n * (n - 1)
-    ang = ang.ravel()[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
     lines = np.empty((3, m + 2))
-    nx, ny, off = (row[:m].reshape(n, n - 1) for row in lines)
-    np.sin(ang, out=nx)
-    np.negative(np.cos(ang, out=ny), out=ny)
-    np.multiply(xs[:, None], nx, out=off)
-    off += ys[:, None] * ny
-    off += inst.r
+    for row, full in zip(lines, (nx, ny, off)):
+        row[:m] = full.ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel()
     frame = bounding_frame(inst)
     lines[:, m:] = ((0.0, 0.0), (1.0, 1.0), (frame.y_top, frame.y_btm))
-    return lines, ang.ravel()
+    return lines
 
 
 def reference_end_order(lnx, lny, loff, x, right):

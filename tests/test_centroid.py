@@ -41,7 +41,8 @@ from rivalloc.linesearch import (
     build_angular_index,
     local_optima_on_lines,
 )
-from rivalloc.medianoid import solve_medianoid
+from rivalloc.medianoid import SIDEWARD_LEFT, SIDEWARD_RIGHT, solve_medianoid
+from rivalloc.vprune import AT_BREAKPOINT, Decision
 
 
 def slab_of(lo, hi):
@@ -522,14 +523,14 @@ class TestCrossingSelection:
         idx = build_angular_index(inst)
         lnx, lny, loff = idx.lines
         slab = _Slab()
-        decide_at = centroid._decider(inst, idx, slab, Telemetry(), "lt_oracle")
-        _exhaust(centroid._hashed_batch(lnx, lny, loff, slab), slab, decide_at)
+        _exhaust(centroid._hashed_batch(lnx, lny, loff, slab), inst, idx, slab, Telemetry(),
+                 "lt_oracle")
 
         def enumerate_pairs():
             return sum(len(a) for a, _ in _inverted_pairs(lnx, lny, loff, slab.lo, slab.hi))
 
         pairs, peak = support.traced_peak(enumerate_pairs)
-        assert pairs == 115_542
+        assert pairs == 115_543
         assert peak <= 3.55 * 1.003 * 8 * len(lnx), peak / (8 * len(lnx))
 
     def test_end_order_equals_the_int64_build(self):
@@ -552,10 +553,21 @@ class TestCrossingSelection:
                         assert np.array_equal(got, want), (m, x, right)
         assert tied > 50, tied
 
-    def test_exhaust_decides_as_the_copy_and_mask_build(self):
+    @staticmethod
+    def exhaust_by(monkeypatch, xs, slab, keep):
+        """``_exhaust`` on ``xs`` with ``decide`` replaced by a decision
+        at x that keeps the side ``keep(x)`` names; returns its count."""
+        monkeypatch.setattr(centroid, "decide", lambda inst, idx, x, telemetry, hint:
+                            Decision(x, keep(x), AT_BREAKPOINT))
+        tel = Telemetry()
+        _exhaust(xs, None, None, slab, tel, "lc_steps")
+        return tel.lc_steps
+
+    def test_exhaust_decides_as_the_copy_and_mask_build(self, monkeypatch):
         """On seeded batches with repeated values, ``_exhaust``, which
-        partitions in place and keeps one side, calls ``decide_at`` at the
-        same abscissas, in the same order, as the copy-and-mask build."""
+        partitions in place and keeps one side, decides at the same
+        abscissas, in the same order, as the copy-and-mask build, and
+        counts each decision."""
         for seed in range(60):
             rng = random.Random(seed)
             C = rng.randint(1, 300)
@@ -563,17 +575,18 @@ class TestCrossingSelection:
             xs = np.array([rng.choice(values) if rng.random() < 0.4 else rng.uniform(-6, 6)
                            for _ in range(C)])
             runs = []
-            for exhaust in (_exhaust, support.reference_exhaust):
+            for reference in (False, True):
                 slab, calls, sides = _Slab(), [], random.Random(seed)
 
-                def decide_at(x):
+                def keep(x):
                     calls.append(x)
-                    if sides.random() < 0.5:
-                        slab.lo = x
-                    else:
-                        slab.hi = x
+                    return SIDEWARD_RIGHT if sides.random() < 0.5 else SIDEWARD_LEFT
 
-                exhaust(xs.copy(), slab, decide_at)
+                if reference:
+                    support.reference_exhaust(
+                        xs.copy(), slab, lambda x: slab.apply(Decision(x, keep(x), AT_BREAKPOINT)))
+                else:
+                    assert self.exhaust_by(monkeypatch, xs.copy(), slab, keep) == len(calls)
                 runs.append((calls, slab.lo, slab.hi))
             assert runs[0] == runs[1], seed
 
@@ -586,7 +599,7 @@ class TestCrossingSelection:
                 got = _sorted_unique(v.copy())
                 assert got.dtype == want.dtype and np.array_equal(got, want), (size, high)
 
-    def test_each_decision_prunes_at_least_half_of_the_batch(self):
+    def test_each_decision_prunes_at_least_half_of_the_batch(self, monkeypatch):
         """Against a decision that always keeps the fuller side, a batch of
         C abscissas (duplicates included) ends within floor(log2 C) + 1
         decisions and leaves none of them inside the slab."""
@@ -603,12 +616,9 @@ class TestCrossingSelection:
                 calls.append(x)
                 left = np.sum((xs > slab.lo) & (xs < x))
                 right = np.sum((xs > x) & (xs < slab.hi))
-                if right >= left:
-                    slab.lo = x
-                else:
-                    slab.hi = x
+                return SIDEWARD_RIGHT if right >= left else SIDEWARD_LEFT
 
-            _exhaust(xs, slab, keep_fuller_side)
+            self.exhaust_by(monkeypatch, xs, slab, keep_fuller_side)
             assert len(calls) <= math.floor(math.log2(C)) + 1, (C, len(calls))
             assert not ((xs > slab.lo) & (xs < slab.hi)).any()
 

@@ -24,7 +24,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 # (n, seed, coord_range, mode): seed-1 instances of the benchmark's crosscheck
 # workload in both searching modes (intermediate stops at n=16, which keeps
 # the file under 5 s), and n=60 parametric solves that reach no certificate,
-# so they search the boundary lines of the slab the three families leave.
+# so they end on the least evaluations of the decisions that set the final
+# slab's boundaries and search no line of their own (lines_searched 0).
 # In these the LT search leaves no tangent-circle or circle-circle crossing
 # inside the slab; the n=9 seed 3 solve still runs one LM round.  Of the
 # n=80 and n=70 solves the first reaches no certificate, the second

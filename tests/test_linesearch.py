@@ -97,7 +97,8 @@ class TestAngularIndex:
         right tangent through its touching point on disc i, along the
         pair's direction or its opposite, on the grid and at real
         coordinates, at R = 1, 4 and 12; a block of customer rows is the
-        slice of the whole array."""
+        slice of the whole array.  A row's crossing denominator with its
+        own column and with its partner's is exactly 0."""
         for n, R, real in itertools.product((8, 24, 60), (1.0, 4.0, 12.0), (False, True)):
             inst = (_real_instance(n, R, seed=n) if real
                     else generate_instance(n, seed=n, r=R, coord_range=2 * n))
@@ -106,8 +107,14 @@ class TestAngularIndex:
             want = line_rows([support.reference_tangent_line(idx, i, j)
                               for i in range(n) for j in range(n) if j != i])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, R, real)
-            downward = int(np.count_nonzero(got[:, 4] != idx.ang))
+            downward = int(np.count_nonzero(got[:, 3] != idx.lines[0, :idx.tangents]))
             assert 0 < downward < idx.tangents, (n, R, real)
+            i, j = np.divmod(np.arange(n * n), n)
+            i, j = i[i != j], j[i != j]
+            for col in (np.arange(idx.tangents), j * (n - 1) + i - (i > j)):
+                den = got[:, 2] * idx.lines[0, col]
+                den += got[:, 3] * idx.lines[1, col]
+                assert not den.any(), (n, R, real)
             for s, e in ((0, 1), (3, 7), (n - 2, n)):
                 block = idx.tangent_lines(s, e)
                 assert block.tobytes() == got[s * (n - 1):e * (n - 1)].tobytes(), (n, R, s, e)
@@ -130,19 +137,16 @@ class TestAngularIndex:
 
     @pytest.mark.parametrize("n,real", [(100, False), (257, False), (150, True)])
     def test_table_equals_the_full_table_build(self, n, real):
-        """The table, filled a row block at a time, and ``ang``, computed
-        on first use, equal the full-table build bitwise, at n whose rows
-        span several blocks, on the grid and at real coordinates."""
+        """The table, filled a row block at a time, equals the full-table
+        build bitwise, at n whose rows span several blocks, on the grid and
+        at real coordinates."""
         if real:
             inst = _real_instance(n, 3.5, seed=0x7AB1E)
         else:
             inst = generate_instance(n, seed=n, r=4.0, coord_range=2 * n)
         assert SWEEP_BLOCK // n < n
         idx = build_angular_index(inst)
-        assert "ang" not in vars(idx)
-        lines, ang = support.reference_angular_table(inst)
-        assert idx.lines.tobytes() == lines.tobytes()
-        assert idx.ang.tobytes() == ang.tobytes()
+        assert idx.lines.tobytes() == support.reference_angular_table(inst).tobytes()
 
 
 class TestBreakpointSequences:
@@ -258,7 +262,9 @@ class TestTangentSequences:
                     want = support.reference_tangent_crossings(idx, line)
                     assert got.dtype == want.dtype, (n, R, L)
                     assert got[:len(want)].tobytes() == want.tobytes(), (n, R, L)
-                    par = np.abs(np.sin(idx.ang - line.angle)) <= ANGLE_TOL
+                    ux, uy = line.direction
+                    par = np.abs(ux * idx.lines[0, :idx.tangents]
+                                 + uy * idx.lines[1, :idx.tangents]) <= ANGLE_TOL
                     lines_with_parallel += bool(par.any())
                 off = ~np.eye(n, dtype=bool)
                 dist = np.hypot(idx.xs[None, :] - idx.xs[:, None],

@@ -65,6 +65,26 @@ def record(inst: Instance, mode: str) -> Dict[str, object]:
     }
 
 
+def features_above_avx2(dispatch=None, have=None) -> List[str]:
+    """The features numpy dispatches to above AVX2 that this host has and
+    this process has not disabled (``NPY_DISABLE_CPU_FEATURES``): those
+    after ``X86_V3`` where numpy names its x86 levels, else the ``AVX512*``
+    ones where it names single features (``AVX512F``, ``AVX512_SKX`` and so
+    on, as older numpy does).  ``dispatch`` and ``have`` default to numpy's
+    ``__cpu_dispatch__`` and ``__cpu_features__``."""
+    if dispatch is None:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        dispatch, have = list(umath.__cpu_dispatch__), umath.__cpu_features__
+    if "X86_V3" in dispatch:
+        above = dispatch[dispatch.index("X86_V3") + 1:]
+    else:
+        above = [f for f in dispatch if f.startswith("AVX512")]
+    return [f for f in above if have.get(f)]
+
+
 def solve_grid() -> Dict[str, Dict[str, object]]:
     return {"%s %s" % (name, mode): record(inst, mode)
             for name, inst, modes in instances() for mode in modes}
