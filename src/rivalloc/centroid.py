@@ -3,15 +3,17 @@
 The minimum is attained at a customer site or at a candidate point: a
 crossing of two disc tangent lines, of a tangent line and a disc boundary,
 or of two disc boundaries.  The parametric search never materialises the
-candidates.  It keeps one open vertical slab that only shrinks.  Each
+candidates.  It keeps one open vertical slab that only shrinks, from the
+discs' box (min x - r, max x + r), ``AngularIndex.box``.  At x <= min x - r
+every customer but the leftmost lies beyond ``capture_r`` to the right (no
+two share an x), so the follower facing east wins at least what the
+leftmost site loses; the right side is the mirror image.  Each
 vertical-line decision keeps the closed side of its line, which becomes a
 boundary of the slab, and carries its line's least evaluation,
 ``Decision.least``: whatever the decision discards, and every point of its
 line, is no better.  So everything outside the final slab is no better
-than the ``least`` of a decision that set one of its (at most two)
-boundaries.  A boundary set by a box rule carries none and needs none: the
-rule holds at every abscissa beyond the box, so an optimum lies strictly
-inside the slab or on the other boundary.  The three families shrink the
+than an extreme site or the ``least`` of a decision that set one of its
+(at most two) boundaries.  The three families shrink the
 same slab in turn, each until none of its candidates lies strictly inside,
 and each exhausts batches of crossing abscissas by decisions at their
 median: the tangent-tangent family selects its crossings in batches (a
@@ -93,20 +95,19 @@ class SolveReport:
 
 
 class _Slab:
-    """Open vertical slab (lo, hi) that shrinks as decisions accumulate.
+    """Open vertical slab (lo, hi), from the discs' ``box``, that shrinks
+    as decisions accumulate.
 
     ``set_by`` holds the decisions that set the two boundaries, left first.
     Whatever a decision discards is no better than its own ``least``; a
     later decision that discards that ``least`` discards nothing better
     than its own.  So every point outside the open slab is no better than
-    the ``least`` of a decision in ``set_by``, or lies on a boundary set by
-    a box rule, which carries none and needs none (see the module
-    docstring).
+    an extreme site (see the module docstring) or the ``least`` of a
+    decision in ``set_by``.
     """
 
-    def __init__(self) -> None:
-        self.lo = -math.inf
-        self.hi = math.inf
+    def __init__(self, box: Tuple[float, float]) -> None:
+        self.lo, self.hi = box
         self.set_by: List[Optional[Decision]] = [None, None]
 
     def apply(self, dec: Decision) -> None:
@@ -122,11 +123,9 @@ class _Slab:
     def anchor_hint(self) -> Optional[Tuple[float, float]]:
         """The ordinate interval of the anchors of the decisions that set
         the boundaries: their least ``t_up`` and greatest ``t_down``, or
-        None when neither carries anchors."""
-        spans = [d.anchors for d in self.set_by if d is not None and d.anchors is not None]
-        if not spans:
-            return None
-        return min(t for t, _ in spans), max(t for _, t in spans)
+        None when no decision has set one."""
+        spans = [d.anchors for d in self.set_by if d is not None]
+        return (min(t for t, _ in spans), max(t for _, t in spans)) if spans else None
 
 
 # Crossings per line an exact LT batch holds before it is thinned.
@@ -155,20 +154,13 @@ def _crossing_xs(lnx, lny, loff, a, b, slab: _Slab) -> np.ndarray:
 
 def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
     """Line indices, as int32, in order of y just right (``right``) or
-    just left of ``x``: by y at ``x``, then by slope ``-nx/ny``
-    (descending on the left), then by index.  At an infinite ``x``, by y
-    far out on that side: by slope (descending on the left), then by y at
-    0, then by index.  The key is built in place, and at most two keys or
-    one key and its int64 argsort are live beside the int32 order."""
-    far = math.isinf(x)
-    if far:
-        key = np.divide(lnx, lny)
-        if x > 0:
-            np.negative(key, out=key)
-    else:
-        key = np.multiply(lnx, x)
-        np.subtract(loff, key, out=key)
-        key /= lny
+    just left of the finite ``x``: by y at ``x``, then by slope
+    ``-nx/ny`` (descending on the left), then by index.  The key is built
+    in place, and at most two keys or one key and its int64 argsort are
+    live beside the int32 order."""
+    key = np.multiply(lnx, x)
+    np.subtract(loff, key, out=key)
+    key /= lny
     order = np.argsort(key).astype(np.int32)
     key = key[order]
     tied = key[1:] == key[:-1]
@@ -176,7 +168,7 @@ def _end_order(lnx, lny, loff, x: float, right: bool) -> np.ndarray:
         # Equal keys form contiguous runs; re-sort only their members.
         tied = np.append(tied, False) | np.insert(tied, 0, False)
         sub = order[tied]
-        tie = (loff[sub] if far else -lnx[sub] if right else lnx[sub]) / lny[sub]
+        tie = (-lnx[sub] if right else lnx[sub]) / lny[sub]
         order[tied] = sub[np.lexsort((sub, tie, key[tied]))]
     return order
 
@@ -563,13 +555,12 @@ def _solve(inst: Instance, mode: str) -> SolveReport:
             xs, ys = disc_crossings(inst)
         else:
             idx = build_angular_index(inst)
-            slab = _Slab()
+            slab = _Slab(idx.box)
             local_optimal_line_LT(inst, idx, slab, tel)
             local_optimal_line_LM(inst, idx, slab, tel)
             local_optimal_line_LC(inst, idx, slab, tel)
-            for dec in slab.set_by:
-                if dec is not None and dec.least is not None:
-                    consider(*dec.least)
+            for dec in filter(None, slab.set_by):
+                consider(*dec.least)
             xs = ys = np.empty(0)
         xs, ys = np.concatenate([xs, inst.xs]), np.concatenate([ys, inst.ys])
         tel.medianoid_calls += len(xs)

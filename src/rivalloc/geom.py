@@ -184,8 +184,8 @@ def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
     ``(xs, ys)``: pair by pair in ``np.triu_indices`` order, a pair's two
     points by (x, y), or its one point when it touches within ``cross_tol``.
     Only the pairs an array pass finds near enough to meet are solved, each
-    by the scalar per-pair formula's operations in its order (``math.hypot``
-    for the distance), so the points are bitwise the scalar ones.
+    by the scalar per-pair formula's operations in its order, the distance
+    as ``sqrt(dx*dx + dy*dy)``, so the points are bitwise the scalar ones.
 
     The pass tests only the pairs of sorted-x windows.  A pair passing its
     squared-distance test has a rounded |dx| of at most reach (1 + 2u), so
@@ -206,9 +206,9 @@ def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
     del p, q  # freed before the per-pair distances, which set the peak
     dx = inst.xs[j] - inst.xs[i]
     dy = inst.ys[j] - inst.ys[i]
-    near = dx * dx + dy * dy <= reach * reach
-    i, dx, dy = i[near], dx[near], dy[near]
-    d = _libm(math.hypot, dx, dy)
+    d = dx * dx + dy * dy
+    near = d <= reach * reach
+    i, dx, dy, d = i[near], dx[near], dy[near], np.sqrt(d[near])
     meet = (d > tol) & (d <= r + r + tol)
     i, dx, dy, d = i[meet], dx[meet], dy[meet], d[meet]
     a = (d * d + r * r - r * r) / (2.0 * d)

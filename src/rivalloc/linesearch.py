@@ -124,22 +124,23 @@ class AngularIndex:
     correctly rounded operations build it, so it does not depend on which
     of numpy's SIMD kernels run, and ``MAX_SCALE`` keeps the squares
     finite.  The differences of ``(j, i)`` are the exact negations of those
-    of ``(i, j)``, so its normal is exactly ``-n``.  The left tangent of ``(i, j)`` is the same line as the stored right tangent
-    of ``(j, i)``, so every evaluation of a tangent crossing goes through
-    exactly one canonical parameter triple and repeated evaluations agree
-    bitwise.
+    of ``(i, j)``, so its normal is exactly ``-n``.  The left tangent of
+    ``(i, j)`` is the same line as the stored right tangent of ``(j, i)``,
+    so every evaluation of a tangent crossing goes through exactly one
+    canonical parameter triple and repeated evaluations agree bitwise.
 
     ``lines`` is the one read-only table, rows ``nx``, ``ny`` and ``off``:
     column ``i*(n - 1) + j - (j > i)`` holds the tangent of ``(i, j)``,
     pairs in row-major order without the diagonal (``tangents`` = n(n - 1)
     columns), and the last two columns hold the bounding frame's top and
     bottom lines ``y = c``, normal ``(0, 1)``, ``r + max(R, 1)`` beyond
-    the highest and the lowest site.  It is the index's only
-    n^2-sized array: it is filled ``SWEEP_BLOCK // n`` rows at a time, in
-    place, with one scratch block.  The index does not check its input: on
-    an instance that ``general_position_violation`` accepts, no tangent
-    line is vertical or horizontal and no two customers share a polar
-    angle around a third (``solve_centroid`` checks before it builds one).
+    the highest and the lowest site.  It is the index's only n^2-sized
+    array: it is filled ``SWEEP_BLOCK // n`` rows at a time, in place, with
+    one scratch block.  ``box``, ``(min x - r, max x + r)``, is the discs'
+    open x-range, where the plane search's slab starts.  The index does not
+    check its input: on an instance that ``general_position_violation``
+    accepts, no tangent line is vertical or horizontal and no two customers
+    share a polar angle around a third (``solve_centroid`` checks first).
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -176,6 +177,7 @@ class AngularIndex:
         lines[:, m:] = ((0.0, 0.0), (1.0, 1.0),
                         (float(ys.max()) + r + pad, float(ys.min()) - r - pad))
         lines.flags.writeable = False
+        self.box = (float(xs.min()) - r, float(xs.max()) + r)
 
     def tangent_lines(self, s: int, e: int) -> np.ndarray:
         """The stored right tangents of customer rows ``s`` to ``e``, in

@@ -4,14 +4,14 @@ The plane search over candidate lines needs one primitive: given an abscissa
 x, name the closed side of the vertical line there that keeps an optimum,
 or certify an optimum on it.  A decision at abscissa x returns one record,
 ``Decision``: the lean that settled the line, which names the kept side,
-the rule that did, one of five declared constants, and the line's least
+the rule that did, one of three declared constants, and the line's least
 evaluation.  A certificate is raised where it is found, as
 ``CertifiedOptimum`` with one of three declared ``origin`` constants.  The
 classification rests on two anchor points, the lowest breakpoint with a
 downward wedge and the highest with an upward wedge, found by the
 exact-median search of ``linesearch.search_lines`` over one n^2 array per
-decision (``linesearch.vertical_breakpoints``); a line left or right of the
-discs' box needs none.  A strong centroid met on the way raises, and a
+decision (``linesearch.vertical_breakpoints``), on a line strictly inside
+the discs' box.  A strong centroid met on the way raises, and a
 sideward wedge settles the line at once: nothing off its apex, on the line
 or on the discarded side, is better.  Otherwise the search runs until no
 breakpoint is left, and each cut drops only positions at or below an
@@ -85,8 +85,6 @@ from .linesearch import (
 
 # The rules by which a decision settles its line, and the origins of the
 # certificates a decision raises (``linesearch.SEARCHED_LINE`` is the fourth).
-LEFT_OF_BOX = "line lies left of the bounding box of all discs"
-RIGHT_OF_BOX = "line lies right of the bounding box of all discs"
 AT_BREAKPOINT = "sideward wedge at a breakpoint of the query line"
 AT_MIDPOINT = "sideward wedge at the anchor-segment midpoint"
 BY_PSEUDO_WEDGE = "pseudo-wedge cone at the better anchor points to one side"
@@ -101,22 +99,21 @@ class Decision:
 
     ``keep`` is the lean that settled the line: ``SIDEWARD_RIGHT`` keeps
     the side x' >= x, ``SIDEWARD_LEFT`` the side x' <= x.  ``rule`` is one
-    of the five rule constants above.  ``least`` is the least ``(point,
+    of the three rule constants above.  ``least`` is the least ``(point,
     weight loss)``, by (loss, x, y), of the sideward apex (``AT_BREAKPOINT``)
     or else of the two anchors and the midpoint: the line's least
     evaluation.  Nothing the decision discards, and no point of its line,
     is better, so the plane search keeps it as a candidate.  ``anchors``,
     ``(t_up, t_down)``, are the ordinates that settled the line: its two
-    anchors, or a sideward apex's ordinate twice.  The box rules carry
-    neither.  Both record what the search found, not what was decided, so
-    records compare without them.
+    anchors, or a sideward apex's ordinate twice.  Both record what the
+    search found, not what was decided, so records compare without them.
     """
 
     x: float
     keep: str
     rule: str
-    least: Optional[Tuple[Point, float]] = field(default=None, compare=False)
-    anchors: Optional[Tuple[float, float]] = field(default=None, compare=False)
+    least: Tuple[Point, float] = field(compare=False)
+    anchors: Tuple[float, float] = field(compare=False)
 
 
 def _anchor(e) -> Tuple[float, MedianoidResult]:
@@ -134,7 +131,7 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     at ``apex`` en route already settles the line with the lean ``side``;
     a strong centroid en route raises ``CertifiedOptimum``.  The positions
     are the decision's array (``vertical_breakpoints``), whose two frame
-    ordinates give every vertical line through the box both anchor types;
+    ordinates give every vertical line inside the box both anchor types;
     the search exhausts the line, so none lies strictly between the anchors.
 
     ``hint``, an ordinate interval ``(lo, hi)``, brackets the search: one
@@ -291,11 +288,11 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str]
     vx = inst.xs - apex.x
     vy = inst.ys - apex.y
     # Candidate directions: the capture-arc endpoints, in customer order,
-    # from the C library's functions, so that they and theta_star do not
-    # depend on how numpy's vector math rounds.  Anchors commonly sit
-    # exactly on a customer circle; keep the arc's collapsed endpoint as a
-    # candidate when d == r up to rounding.
-    d = _libm(math.hypot, vx, vy)
+    # from correctly rounded operations and the C library's functions, so
+    # that they and theta_star do not depend on how numpy's vector math
+    # rounds.  Anchors commonly sit exactly on a customer circle; keep the
+    # arc's collapsed endpoint as a candidate when d == r up to rounding.
+    d = np.sqrt(vx * vx + vy * vy)
     far = d >= r - tol
     theta_v = _libm(math.atan2, vy[far], vx[far])
     phi = _libm(math.acos, np.minimum(1.0, r / d[far]))
@@ -331,16 +328,11 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     """Classify the vertical line at abscissa ``x``: name the closed side
     of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
     optimum found on it.  ``hint``, an ordinate interval, brackets the
-    anchors' search (``find_xD_xU``).  An abscissa that is not finite
-    raises ``ValueError``."""
-    if not math.isfinite(x):
-        raise ValueError(f"decision abscissa must be finite, got {x}")
+    anchors' search (``find_xD_xU``).  An abscissa not strictly inside
+    ``idx.box``, NaN included, raises ``ValueError`` and is not counted."""
+    if not idx.box[0] < x < idx.box[1]:
+        raise ValueError(f"decision abscissa {x} is not strictly inside the discs' box {idx.box}")
     telemetry.decide_calls += 1
-    if x < float(inst.xs.min()) - inst.r:
-        return Decision(x, SIDEWARD_RIGHT, LEFT_OF_BOX)
-    if x > float(inst.xs.max()) + inst.r:
-        return Decision(x, SIDEWARD_LEFT, RIGHT_OF_BOX)
-
     down, up, side = find_xD_xU(inst, idx, x, telemetry, hint)
     (t_D, r_D), (t_U, r_U) = down, up
     if side is not None:

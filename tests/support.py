@@ -336,8 +336,6 @@ STRONG_ORIGINS = (
 CONDITIONAL_ORIGIN = "empty pseudo-wedge cone at the better anchor"
 # The rules by which a decision settles its line, in ``vprune``'s order.
 DECISION_RULES = (
-    "line lies left of the bounding box of all discs",
-    "line lies right of the bounding box of all discs",
     "sideward wedge at a breakpoint of the query line",
     "sideward wedge at the anchor-segment midpoint",
     "pseudo-wedge cone at the better anchor points to one side",
@@ -675,7 +673,7 @@ def circle_circle_intersections(c1: Circle, c2: Circle, eps: float = EPS_BASE) -
     scalar formula ``geom.disc_crossings`` evaluates over arrays."""
     dx = c2.center.x - c1.center.x
     dy = c2.center.y - c1.center.y
-    d = math.hypot(dx, dy)
+    d = math.sqrt(dx * dx + dy * dy)
     scale = max(1.0, c1.radius, c2.radius)
     if d <= eps * scale:
         return []
@@ -1325,16 +1323,16 @@ def reference_angular_table(inst):
 
 
 def reference_end_order(lnx, lny, loff, x, right):
-    """LT's order of lines by y beside ``x`` as the int64 build made it:
-    a float key, its argsort, and ties found by a float ``np.diff``."""
-    far = math.isinf(x)
-    key = (-lnx if x > 0 else lnx) / lny if far else (loff - lnx * x) / lny
+    """LT's order of lines by y beside the finite ``x`` as the int64 build
+    made it: a float key, its argsort, and ties found by a float
+    ``np.diff``."""
+    key = (loff - lnx * x) / lny
     order = np.argsort(key)
     eq = np.diff(key[order]) == 0.0
     if eq.any():
         tied = np.append(eq, False) | np.insert(eq, 0, False)
         sub = order[tied]
-        tie = (loff[sub] if far else -lnx[sub] if right else lnx[sub]) / lny[sub]
+        tie = (-lnx[sub] if right else lnx[sub]) / lny[sub]
         order[tied] = sub[np.lexsort((sub, tie, key[sub]))]
     return order
 

@@ -11,7 +11,7 @@ import pytest
 
 import support
 from support import CIRCLE_CIRCLE, TANGENT_CIRCLE, TANGENT_TANGENT
-from rivalloc import centroid, linesearch, medianoid
+from rivalloc import centroid, linesearch, medianoid, oracle
 from rivalloc.centroid import (
     CertifiedOptimum,
     _Slab,
@@ -44,11 +44,15 @@ from rivalloc.linesearch import (
 from rivalloc.medianoid import SIDEWARD_LEFT, SIDEWARD_RIGHT, solve_medianoid
 from rivalloc.vprune import AT_BREAKPOINT, Decision
 
+# A finite box about the synthetic lines and batches below: their anchors,
+# values, random ends and the crossings of the windows' extremes lie in
+# [-6, 6].
+BOX = (-8.0, 8.0)
 
-def slab_of(lo, hi):
-    slab = _Slab()
-    slab.lo, slab.hi = lo, hi
-    return slab
+
+def decision(x, keep):
+    """A stand-in ``decide`` record at ``x`` that keeps ``keep``."""
+    return Decision(x, keep, AT_BREAKPOINT, (Point(x, 0.0), 0.0), (0.0, 0.0))
 
 
 class TestThreeModeAgreement:
@@ -369,7 +373,7 @@ class TestLTLines:
             idx = build_angular_index(inst)
             for family in (local_optimal_line_LT, local_optimal_line_LM):
                 with pytest.raises(Seen) as rows:
-                    family(inst, idx, _Slab(), Telemetry())
+                    family(inst, idx, _Slab(idx.box), Telemetry())
                 for row, table in zip(rows.value.args, idx.lines, strict=True):
                     assert np.shares_memory(row, idx.lines) and row.tobytes() == table.tobytes()
 
@@ -490,7 +494,7 @@ class TestCrossingSelection:
             everything = support.reference_inverted_pairs(*reversed_order, 0.0, 1.0)
             assert len(everything) == m * (m - 1) // 2
             for lines in (reversed_order, steep):
-                for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (0.25, 1.0), (-math.inf, 0.5)):
+                for lo, hi in ((0.0, 1.0), BOX, (0.25, 1.0), (BOX[0], 0.5)):
                     want = support.reference_inverted_pairs(*lines, lo, hi)
                     for chunk in chunks:
                         monkeypatch.setattr(medianoid, "SWEEP_BLOCK", chunk)
@@ -506,8 +510,9 @@ class TestCrossingSelection:
                     if abs(den) > ANGLE_TOL:
                         ends.append((loff[j] * lny[i] - loff[i] * lny[j]) / den)
                 ends += [np.nextafter(x, d) for x in list(ends) for d in (-math.inf, math.inf)]
-                slabs = [(-math.inf, math.inf)]
-                slabs += [(-math.inf, x) for x in ends] + [(x, math.inf) for x in ends]
+                slabs = [BOX]
+                slabs += [(BOX[0], x) for x in ends if x > BOX[0]]
+                slabs += [(x, BOX[1]) for x in ends if x < BOX[1]]
                 slabs += [(lo, hi) for lo in ends for hi in ends if lo < hi]
                 for lo, hi in rng.sample(slabs, min(12, len(slabs))):
                     want = support.reference_inverted_pairs(lnx, lny, loff, lo, hi)
@@ -522,7 +527,7 @@ class TestCrossingSelection:
         inst = generate_instance(400, 1, r=4.0, coord_range=800)
         idx = build_angular_index(inst)
         lnx, lny, loff = idx.lines
-        slab = _Slab()
+        slab = _Slab(idx.box)
         _exhaust(centroid._hashed_batch(lnx, lny, loff, slab), inst, idx, slab, Telemetry(),
                  "lt_oracle")
 
@@ -535,16 +540,16 @@ class TestCrossingSelection:
 
     def test_end_order_equals_the_int64_build(self):
         """The int32 order, its key built in place and its ties found by
-        comparing neighbours, equals the int64 build's at finite and
-        infinite ends, lines tying at an end included."""
+        comparing neighbours, equals the int64 build's, lines tying at an
+        end included, the box's integer ends among them."""
         rng = random.Random(0xE2D)
         tied = 0
         for m in (0, 1, 2, 3, 7, 12, 31, 64, 90):
             for _ in range(4):
                 lnx, lny, loff, anchors = self.random_lines(rng, m)
-                ends = [float(x0) for x0, _ in anchors] + [-math.inf, math.inf, rng.uniform(-3, 3)]
+                ends = [float(x0) for x0, _ in anchors] + [*BOX, rng.uniform(-3, 3)]
                 for x in ends:
-                    key = (-lnx if x > 0 else lnx) / lny if math.isinf(x) else (loff - lnx * x) / lny
+                    key = (loff - lnx * x) / lny
                     tied += len(np.unique(key)) < m
                     for right in (True, False):
                         got = _end_order(lnx, lny, loff, x, right)
@@ -558,7 +563,7 @@ class TestCrossingSelection:
         """``_exhaust`` on ``xs`` with ``decide`` replaced by a decision
         at x that keeps the side ``keep(x)`` names; returns its count."""
         monkeypatch.setattr(centroid, "decide", lambda inst, idx, x, telemetry, hint:
-                            Decision(x, keep(x), AT_BREAKPOINT))
+                            decision(x, keep(x)))
         tel = Telemetry()
         _exhaust(xs, None, None, slab, tel, "lc_steps")
         return tel.lc_steps
@@ -576,7 +581,7 @@ class TestCrossingSelection:
                            for _ in range(C)])
             runs = []
             for reference in (False, True):
-                slab, calls, sides = _Slab(), [], random.Random(seed)
+                slab, calls, sides = _Slab(BOX), [], random.Random(seed)
 
                 def keep(x):
                     calls.append(x)
@@ -584,7 +589,7 @@ class TestCrossingSelection:
 
                 if reference:
                     support.reference_exhaust(
-                        xs.copy(), slab, lambda x: slab.apply(Decision(x, keep(x), AT_BREAKPOINT)))
+                        xs.copy(), slab, lambda x: slab.apply(decision(x, keep(x))))
                 else:
                     assert self.exhaust_by(monkeypatch, xs.copy(), slab, keep) == len(calls)
                 runs.append((calls, slab.lo, slab.hi))
@@ -609,7 +614,7 @@ class TestCrossingSelection:
                 float(rng.randint(-3, 3)) if rng.random() < 0.3 else rng.uniform(-5, 5)
                 for _ in range(C)
             ])
-            slab = _Slab()
+            slab = _Slab(BOX)
             calls = []
 
             def keep_fuller_side(x):
@@ -649,7 +654,7 @@ class TestCrossingSelection:
                 inst = generate_instance(n, 24_000 + trial, r=(2.0, 4.0)[trial % 2],
                                          coord_range=(n, 3 * n)[trial % 3 == 1])
             idx = build_angular_index(inst)
-            slab = _Slab()
+            slab = _Slab(idx.box)
             tel = Telemetry()
             try:
                 local_optimal_line_LT(inst, idx, slab, tel)
@@ -673,19 +678,20 @@ class TestCrossingSelection:
         ``_exact_batch`` returns the same sorted abscissas, line mask and
         thinned flag when ``_inverted_pairs`` yields its chunks in
         reverse: each chunk is filtered by the bound in force."""
-        tables = [build_angular_index(generate_instance(
-            6 + trial, 25_000 + trial, r=(2.0, 4.0)[trial % 2])).lines for trial in range(12)]
+        indexes = [build_angular_index(generate_instance(
+            6 + trial, 25_000 + trial, r=(2.0, 4.0)[trial % 2])) for trial in range(12)]
         monkeypatch.setattr(centroid, "LT_CAP", 0.05)
         monkeypatch.setattr(medianoid, "SWEEP_BLOCK", 128)
         pairs = centroid._inverted_pairs
         thinned = 0
-        for trial, (lnx, lny, loff) in enumerate(tables):
+        for trial, idx in enumerate(indexes):
+            lnx, lny, loff = idx.lines
             cap = centroid.LT_CAP * len(lnx)
             runs = []
             for order in (list, lambda chunks: list(chunks)[::-1]):
                 monkeypatch.setattr(centroid, "_inverted_pairs",
                                     lambda *args: order(pairs(*args)))
-                xs, used, was_thinned = centroid._exact_batch(lnx, lny, loff, _Slab(), cap)
+                xs, used, was_thinned = centroid._exact_batch(lnx, lny, loff, _Slab(idx.box), cap)
                 runs.append((np.sort(xs).tobytes(), used.tobytes(), was_thinned))
             assert runs[0] == runs[1], trial
             thinned += runs[0][2]
@@ -712,7 +718,7 @@ class TestSharedSlab:
             idx = build_angular_index(inst)
             cands = support.reference_candidates(inst)
             for tags in runs:
-                slab = _Slab()
+                slab = _Slab(idx.box)
                 tel = Telemetry()
                 try:
                     for tag, family in self.FAMILIES.items():
@@ -725,6 +731,35 @@ class TestSharedSlab:
                 seen["candidates"] += sum(tag in tags for _, tag in cands)
                 seen["lc_steps"] += tel.lc_steps
         assert all(seen.values()), seen
+
+    def test_nothing_outside_the_box_beats_an_extreme_site(self):
+        """The premise of the slab's start (``centroid``'s docstring): at
+        x = min x - r - k eps, and at max x + r + k eps, for k in {0, 1, 20,
+        10^6} and eight ordinates, the extreme site's among them, the
+        follower wins at least what it wins at the leftmost (rightmost)
+        site, by ``oracle.brute_medianoid``.  120 instances accepted by the
+        general-position check, n = 4-12, R = 1, 4 or 12, with integer and
+        real weights: 7,680 points."""
+        rng = random.Random(0xB0C5)
+        seen = 0
+        for trial in range(60):
+            R = (1.0, 4.0, 12.0)[trial % 3]
+            base = support.accepted_instance(rng, 4 + trial % 9, R)
+            real = [Customer(c.site, rng.uniform(0.5, 10.0)) for c in base.customers]
+            for inst in (base, Instance(real, R)):
+                for e, side in ((int(np.argmin(inst.xs)), -1), (int(np.argmax(inst.xs)), 1)):
+                    site = inst.customers[e].site
+                    at_site = oracle.brute_medianoid(inst, site)[0]
+                    lo, hi = float(inst.ys.min()), float(inst.ys.max())
+                    ys = (site.y, site.y - inst.r, site.y + inst.r, lo, hi,
+                          lo - 3 * R, hi + 3 * R, rng.uniform(lo, hi))
+                    for k in (0, 1, 20, 10 ** 6):
+                        x = site.x + side * (inst.r + k * inst.eps)
+                        for y in ys:
+                            won = oracle.brute_medianoid(inst, Point(x, y))[0]
+                            assert won >= at_site, (trial, side, k, y, won, at_site)
+                            seen += 1
+        assert seen == 7680, seen
 
 
 class TestTangentCircleGaps:
@@ -750,12 +785,14 @@ class TestTangentCircleGaps:
         for k, inst in enumerate(self.instances()):
             idx = build_angular_index(inst)
             lnx, lny, loff = idx.lines
-            ends = sorted(set(support.line_crossing_xs(lnx, lny, loff)))
+            left, right = idx.box
+            ends = sorted(x for x in set(support.line_crossing_xs(lnx, lny, loff))
+                          if left < x < right)
             cands = support.reference_candidates(inst)
             gaps = [
-                (lo, hi) for lo, hi in zip([-math.inf] + ends, ends + [math.inf])
+                (lo, hi) for lo, hi in zip([left] + ends, ends + [right])
                 if support.candidates_inside(
-                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi))
+                    inst, cands, {TANGENT_CIRCLE}, _Slab((lo, hi)))
             ]
             # Each gap, and a slab 1e-7 wide about one of its candidates: LT's
             # final slabs are that narrow, and a line within tol of tangency
@@ -763,10 +800,10 @@ class TestTangentCircleGaps:
             slabs = []
             for lo, hi in rng.sample(gaps, min(8, len(gaps))):
                 x = support.candidates_inside(
-                    inst, cands, {TANGENT_CIRCLE}, slab_of(lo, hi))[0][0]
+                    inst, cands, {TANGENT_CIRCLE}, _Slab((lo, hi)))[0][0]
                 slabs += [(lo, hi), (max(lo, x - 5e-8), min(hi, x + 5e-8))]
             for lo, hi in slabs:
-                slab = slab_of(lo, hi)
+                slab = _Slab((lo, hi))
                 got = set(zip(*(a.tolist() for a in
                                 _circle_crossings(lnx, lny, loff, inst, slab))))
                 want = support.reference_circle_crossings(lnx, lny, loff, inst, lo, hi)

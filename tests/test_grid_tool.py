@@ -42,6 +42,24 @@ def test_compare_names_every_field_and_fails_only_on_a_loss_or_a_gap():
     assert grid.compare({"a": rep, "b": rep}, {"a": rep})[-1].startswith("FAIL ")
 
 
+def test_totals_sum_each_integer_counter_over_the_shared_reports():
+    """Only reports both sides hold as solves count, not one that raised
+    on either side, and float, text and unset telemetry fields are not
+    counters."""
+    rep = grid.record(generate_instance(8, 1, r=4.0, coord_range=16), "parametric")
+    moved = copy.deepcopy(rep)
+    moved["telemetry"]["decide_calls"] += 2
+    error = {"error": "RuntimeError: boom"}
+    line = grid.totals({"a": rep, "b": rep, "c": rep, "e": error},
+                       {"a": moved, "b": rep, "d": rep, "e": rep})
+    d = rep["telemetry"]["decide_calls"]
+    assert line.startswith("totals: ")
+    assert "decide_calls %d -> %d," % (2 * d, 2 * d + 2) in line
+    counters = [item.split()[0] for item in line[len("totals: "):].split(", ")]
+    assert counters == sorted(k for k, v in rep["telemetry"].items() if type(v) is int)
+    assert "prune_min_fraction" not in counters and "certified" not in counters
+
+
 def test_a_raising_solve_is_recorded_as_its_error():
     """Two customers sharing x: the general-position check raises."""
     inst = Instance([Customer(Point(0.0, 0.0), 1.0), Customer(Point(0.0, 5.0), 1.0)], 1.0)

@@ -22,8 +22,6 @@ from rivalloc import centroid
 from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
     AT_BREAKPOINT,
-    LEFT_OF_BOX,
-    RIGHT_OF_BOX,
     Decision,
     decide,
     find_xD_xU,
@@ -66,23 +64,26 @@ def assert_kept_side_holds_an_optimum(inst, keep, X, trial):
     assert kept == best, (trial, kept, best)
 
 
+def assert_rejected(inst, idx, x):
+    """``decide`` raises ``ValueError`` at ``x``, outside the open box,
+    before it counts a decision or evaluates anything."""
+    tel = Telemetry()
+    with pytest.raises(ValueError, match="is not strictly inside the discs' box"):
+        decide(inst, idx, x, tel)
+    assert tel.decide_calls == tel.medianoid_calls == 0, x
+
+
 def assert_frame_rows(inst):
     """The index's last two rows are the reference frame's lines, bitwise,
-    with normal (0, 1), and ``decide`` settles a line by the box rules just
-    outside the reference box but not on its edges."""
+    with normal (0, 1), its ``box`` is the reference box, and ``decide``
+    rejects a line on the box's edges and just outside them."""
     f = support.bounding_frame(inst)
     idx = build_angular_index(inst)
     want = np.array([(0.0, 0.0), (1.0, 1.0), (f.y_top, f.y_btm)])
     assert idx.lines[:, -2:].tobytes() == want.tobytes()
-    for x, keep, rule in ((math.nextafter(f.xmin, -math.inf), SIDEWARD_RIGHT, LEFT_OF_BOX),
-                          (math.nextafter(f.xmax, math.inf), SIDEWARD_LEFT, RIGHT_OF_BOX)):
-        assert decide(inst, idx, x, Telemetry()) == Decision(x, keep, rule)
-    for x in (f.xmin, f.xmax):
-        try:
-            rule = decide(inst, idx, x, Telemetry()).rule
-        except CertifiedOptimum:
-            rule = None
-        assert rule not in (LEFT_OF_BOX, RIGHT_OF_BOX), x
+    assert idx.box == (f.xmin, f.xmax)
+    for x in (f.xmin, f.xmax, math.nextafter(f.xmin, -math.inf), math.nextafter(f.xmax, math.inf)):
+        assert_rejected(inst, idx, x)
     return f
 
 
@@ -153,8 +154,10 @@ class TestFindAnchors:
                 decisions_seen += 1
                 # a sideward apex is given as both anchors
                 assert down is up and down[1].wedge.apex == Point(L.anchor.x, down[0]), trial
-                assert decide(inst, idx, L.anchor.x, Telemetry()) == Decision(
-                    L.anchor.x, side, AT_BREAKPOINT), trial
+                dec = decide(inst, idx, L.anchor.x, Telemetry())
+                assert (dec.x, dec.keep, dec.rule, dec.least, dec.anchors) == (
+                    L.anchor.x, side, AT_BREAKPOINT,
+                    (down[1].wedge.apex, down[1].weight_loss), (down[0], down[0])), trial
                 assert_kept_side_holds_an_optimum(inst, side, L.anchor.x, trial)
                 continue
             anchors_seen += 1
@@ -396,29 +399,25 @@ class TestCaptureTable:
 
 class TestDecide:
     def test_lines_outside_the_box(self):
+        """The plane search never decides outside the open box it starts
+        its slab from, and ``decide`` rejects a line there."""
         inst = generate_instance(5, seed=9, r=2.0)
         idx = build_angular_index(inst)
         frame = support.bounding_frame(inst)
-        far_left = decide(inst, idx, frame.xmin - 5.0, Telemetry())
-        far_right = decide(inst, idx, frame.xmax + 5.0, Telemetry())
-        assert far_left == Decision(frame.xmin - 5.0, SIDEWARD_RIGHT, LEFT_OF_BOX)
-        assert far_right == Decision(frame.xmax + 5.0, SIDEWARD_LEFT, RIGHT_OF_BOX)
+        for x in (frame.xmin - 5.0, frame.xmin, frame.xmax, frame.xmax + 5.0):
+            assert_rejected(inst, idx, x)
 
     def test_a_non_finite_abscissa_raises(self):
-        """NaN and infinite abscissas raise before the box rules, which
-        would otherwise settle an infinite one and pass NaN to the
-        search."""
+        """NaN and infinite abscissas fail the box's guard, which would
+        otherwise pass NaN to the search."""
         inst = generate_instance(8, 1, r=4.0, coord_range=16)
         idx = build_angular_index(inst)
         for x in (math.nan, math.inf, -math.inf):
-            tel = Telemetry()
-            with pytest.raises(ValueError, match="abscissa must be finite"):
-                decide(inst, idx, x, tel)
-            assert tel.decide_calls == tel.medianoid_calls == 0, x
+            assert_rejected(inst, idx, x)
 
     def test_rules_and_origins_keep_their_strings(self):
-        assert (vprune.LEFT_OF_BOX, vprune.RIGHT_OF_BOX, vprune.AT_BREAKPOINT,
-                vprune.AT_MIDPOINT, vprune.BY_PSEUDO_WEDGE) == support.DECISION_RULES
+        assert (vprune.AT_BREAKPOINT, vprune.AT_MIDPOINT,
+                vprune.BY_PSEUDO_WEDGE) == support.DECISION_RULES
         assert (vprune.STRONG_AT_BREAKPOINT, vprune.STRONG_AT_MIDPOINT) == support.STRONG_ORIGINS
         assert vprune.EMPTY_PSEUDO_WEDGE == support.CONDITIONAL_ORIGIN
 
@@ -476,7 +475,8 @@ NEAR_TANGENCY_RAISES = frozenset()
 
 def test_decisions_near_a_tangency_keep_an_optimum():
     """On 300 seeded instances (``near_tangency_instance``), decisions at
-    each disc's leftmost and rightmost x + k eps, k in {-20, 1, 20}: every
+    each disc's leftmost and rightmost x + k eps, k in {-20, 1, 20}, inside
+    the open box (three lines an instance lie outside it): every
     certificate is the brute minimum, and every decision keeps one, at a
     brute candidate or site on its kept closed side, at a breakpoint of its
     line or a midpoint between two, or at its ``least``.  The lines that
@@ -485,7 +485,7 @@ def test_decisions_near_a_tangency_keep_an_optimum():
     its neighbour's decision (k = 1 for k = -20, else the k before) as its
     hint, and that warm decision passes the same checks: the lean is not
     monotone next to a tangency, so it may settle at a breakpoint the cold
-    search cut away, but it raises on the same lines.  8,988 lines, each
+    search cut away, but it raises on the same lines.  8,088 lines, each
     twice, about 15 s on a 2-core x86 host."""
     seen = {"lines": 0, "certified": 0, "hinted": 0, SIDEWARD_RIGHT: 0, SIDEWARD_LEFT: 0}
     ks = (-20, 1, 20)
@@ -498,11 +498,15 @@ def test_decisions_near_a_tangency_keep_an_optimum():
         values = medianoid.sweep(inst, cx, np.array([p.y for p in pts]), losses=True)
         best = values.min()
         idx = build_angular_index(inst)
+        lo, hi = idx.box
         for disc in range(inst.n):
             for end in (-1, 1):
                 xs = [float(inst.xs[disc]) + end * inst.r + k * inst.eps for k in ks]
-                cold = [support.decision_outcome(inst, idx, x) for x in xs]
+                cold = [support.decision_outcome(inst, idx, x) if lo < x < hi else None
+                        for x in xs]
                 for i, (k, x) in enumerate(zip(ks, xs)):
+                    if cold[i] is None:
+                        continue
                     seen["lines"] += 1
                     key = (seed, disc, end, k)
                     hint = getattr(cold[1 if i == 0 else i - 1], "anchors", None)
@@ -526,12 +530,11 @@ def test_decisions_near_a_tangency_keep_an_optimum():
                         if len(ys):
                             kept.append(medianoid.sweep(inst, np.full(len(ys), x), ys,
                                                         losses=True).min())
-                        if dec.least is not None:
-                            kept.append(dec.least[1])
+                        kept.append(dec.least[1])
                         assert min(kept) == best, (key, path, dec, min(kept), best)
     for path in ("cold", "warm"):
         assert raised[path] == NEAR_TANGENCY_RAISES, (path, sorted(raised[path] ^ NEAR_TANGENCY_RAISES))
-    assert seen["lines"] == 8988 and min(seen.values()) > 0, seen
+    assert seen["lines"] == 8088 and min(seen.values()) > 0, seen
     assert rules == set(support.DECISION_RULES), rules
 
 
@@ -581,9 +584,9 @@ def test_a_hint_keeps_every_decision():
 
 
 def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
-    """On the 722 decisions of 45 seeded parametric solves (n = 8-80,
-    R = 1, 4 or 12, seeds 1-3, range 2n), none by a box rule, the loss of
-    a decision's ``least`` equals the minimum that the line search
+    """On the 704 decisions of 45 seeded parametric solves (n = 8-80,
+    R = 1, 4 or 12, seeds 1-3, range 2n), the loss of a decision's
+    ``least`` equals the minimum that the line search
     (``local_optima_on_lines``) finds on the decision's array; where
     either certifies, the two certificates' losses are equal.  The plane
     search no longer searches its boundary lines: that search is the
@@ -596,10 +599,7 @@ def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
         except CertifiedOptimum as cert:
             decisions.append((x, cert.weight_loss))
             raise
-        if dec.least is None:
-            assert dec.rule in (LEFT_OF_BOX, RIGHT_OF_BOX), dec
-        else:
-            decisions.append((x, dec.least[1]))
+        decisions.append((x, dec.least[1]))
         return dec
 
     monkeypatch.setattr(centroid, "decide", recorded)
@@ -619,4 +619,4 @@ def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
                         want = cert.weight_loss
                     assert loss == want, (n, R, seed, x, loss, want)
                     seen += 1
-    assert seen == 722, seen
+    assert seen == 704, seen
