@@ -351,18 +351,11 @@ def general_position_violation(inst: Instance) -> Optional[str]:
     n = inst.n
     first_x = _first_close_pair(inst.xs, eps)
     first_y = _first_close_pair(inst.ys, eps)
-    if min(first_x, first_y) < n * n:
-        if first_x <= first_y:
-            i, j = divmod(first_x, n)
-            return (
-                f"customers {i} and {j} share x coordinate "
-                f"({sites[i].x} vs {sites[j].x})"
-            )
-        i, j = divmod(first_y, n)
-        return (
-            f"customers {i} and {j} share y coordinate "
-            f"({sites[i].y} vs {sites[j].y})"
-        )
+    key, axis = min((first_x, "x"), (first_y, "y"))  # a tie goes to x
+    if key < n * n:
+        i, j = divmod(key, n)
+        a, b = getattr(sites[i], axis), getattr(sites[j], axis)
+        return f"customers {i} and {j} share {axis} coordinate ({a} vs {b})"
     triple = _first_collinear_triple(inst.xs, inst.ys, eps)
     if triple is not None:
         return "customers %d, %d, %d are collinear" % triple

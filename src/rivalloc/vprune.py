@@ -11,24 +11,25 @@ classification rests on two anchor points, the lowest breakpoint with a
 downward wedge and the highest with an upward wedge, found by the
 exact-median search of ``linesearch.search_lines`` over one n^2 array per
 decision (``linesearch.vertical_breakpoints``), on a line strictly inside
-the discs' box.  A strong centroid met on the way raises, and a
-sideward wedge settles the line at once: nothing off its apex, on the line
-or on the discarded side, is better.  Otherwise the search runs until no
-breakpoint is left, and each cut drops only positions at or below an
-upward evaluation or at or above a downward one, so no breakpoint of the
-line's array lies strictly between the anchors, and the line is no better
-below the upward anchor or above the downward one.  The array's circles
-have radius r, but the sweep captures at ``capture_r`` = r + eps, so next
-to a tangency it also holds the capture circle's crossings.  The value may
-still change on slivers next to an anchor, within rounding of a crossing
-or up to eps/|ny| from a tangent line nearly parallel to the line, and
-anchors a few tolerances apart can leave the midpoint below both.  The
-segment's midpoint or, when that too looks along the line, a pseudo-wedge
-built at the better anchor settles the direction; equal anchor values go
-to the downward anchor.  What either discards is no better than the
-midpoint or that anchor, so no better than the least of the two anchors
-and the midpoint, the decision's ``least``.  A strong centroid at the
-midpoint, or an empty pseudo-wedge cone, is a certificate.
+the discs' box, and kept as the search's rows with the leans it read.  A
+strong centroid met on the way raises, and a sideward wedge settles the
+line at once: nothing off its apex, on the line or on the discarded side,
+is better.  Otherwise the search runs until no breakpoint is left, and each
+cut drops only positions at or below an upward evaluation or at or above a
+downward one, so no breakpoint of the line's array lies strictly between
+the anchors, and the line is no better below the upward anchor or above the
+downward one.  The array's circles have radius r, but the sweep captures at
+``capture_r`` = r + eps, so next to a tangency it also holds the capture
+circle's crossings.  The value may still change on slivers next to an
+anchor, within rounding of a crossing or up to eps/|ny| from a tangent line
+nearly parallel to the line, and anchors a few tolerances apart can leave
+the midpoint below both.  The segment's midpoint or, when that too looks
+along the line, a pseudo-wedge built at the better anchor, from its row and
+lean, settles the direction; equal anchor values go to the downward anchor.
+What either discards is no better than the midpoint or that anchor, so no
+better than the least of the two anchors and the midpoint, the decision's
+``least``.  A strong centroid at the midpoint, or an empty pseudo-wedge
+cone, is a certificate.
 
 The record also carries the ordinates that settled the line, and the plane
 search hands each decision the ordinate interval of the anchors of the
@@ -60,6 +61,7 @@ from .geom import (
     Instance,
     Point,
     _libm,
+    normalize_angle,
 )
 from . import medianoid
 from .medianoid import (
@@ -67,16 +69,14 @@ from .medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    MedianoidResult,
-    Wedge,
     _normalized,
-    as_result,
     classify_wedge_on_line,
     solve_medianoid,
 )
 from .linesearch import (
     AngularIndex,
     CertifiedOptimum,
+    Evaluation,
     Telemetry,
     search_lines,
     vertical_breakpoints,
@@ -116,23 +116,18 @@ class Decision:
     anchors: Tuple[float, float] = field(compare=False)
 
 
-def _anchor(e) -> Tuple[float, MedianoidResult]:
-    """An evaluation of ``search_lines`` as ``(t, result)``, the result's
-    wedge at the evaluated point."""
-    return e[0], as_result(Point(e[1], e[2]), *e[3:])
-
-
 def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
                hint: Optional[Tuple[float, float]] = None):
     """Locate the lowest downward and highest upward breakpoints on the
     vertical line at abscissa ``x``, whose positions are ordinates:
-    ``(down, up, None)``, each anchor ``(t, result)`` with the anchor at
-    ``result.wedge.apex``, or ``(apex, apex, side)`` when a sideward wedge
-    at ``apex`` en route already settles the line with the lean ``side``;
-    a strong centroid en route raises ``CertifiedOptimum``.  The positions
-    are the decision's array (``vertical_breakpoints``), whose two frame
-    ordinates give every vertical line inside the box both anchor types;
-    the search exhausts the line, so none lies strictly between the anchors.
+    ``(down, up, None)``, the rows ``(t, x, y, loss, witness, theta_b,
+    span)`` of ``search_lines`` that it read as downward and upward, or
+    ``(apex, apex, side)`` when a sideward wedge at the row ``apex`` en
+    route already settles the line with the lean ``side``; a strong
+    centroid en route raises ``CertifiedOptimum``.  The positions are the
+    decision's array (``vertical_breakpoints``), whose two frame ordinates
+    give every vertical line inside the box both anchor types; the search
+    exhausts the line, so none lies strictly between the anchors.
 
     ``hint``, an ordinate interval ``(lo, hi)``, brackets the search: one
     two-row sweep (``search_lines`` on two one-position arrays) evaluates
@@ -169,8 +164,7 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
                              [P[k:k + 1] for k, _ in ends], telemetry, STRONG_AT_BREAKPOINT)
         for (_, lower), (least, u, d, side) in zip(ends, found):
             if side is not None:
-                apex = _anchor(least)
-                return apex, apex, side
+                return least, least, side
             if u is not None:
                 up = u
                 if lower:
@@ -193,19 +187,14 @@ def find_xD_xU(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
         [(least, u, d, side)] = search_lines(
             inst, vertical_lines([x]), [P[s:e]], telemetry, STRONG_AT_BREAKPOINT)
         if side is not None:
-            apex = _anchor(least)
-            return apex, apex, side
+            return least, least, side
         up = u or up
         down = d or down
     if down is None or up is None:
-        raise RuntimeError(
-            "auxiliary frame crossings failed to supply both anchors"
-        )
+        raise RuntimeError("auxiliary frame crossings failed to supply both anchors")
     if not down[0] > up[0]:
-        raise RuntimeError(
-            "downward anchor does not lie strictly above the upward anchor"
-        )
-    return _anchor(down), _anchor(up), None
+        raise RuntimeError("downward anchor does not lie strictly above the upward anchor")
+    return down, up, None
 
 
 def _cone_intersection(a0: float, sa: float, b0: float, sb: float):
@@ -257,12 +246,15 @@ def _first_max_capture(inst: Instance, vx: np.ndarray, vy: np.ndarray,
     return best_k, best
 
 
-def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str], float, float]:
-    """Build the trimmed wedge at ``wedge.apex`` that certifies one-side
-    pruning.
+def pseudo_wedge(inst: Instance, apex: Evaluation, lean: str,
+                 W1: float) -> Tuple[Optional[str], float, float]:
+    """Build the trimmed wedge at the anchor ``apex`` that certifies
+    one-side pruning.
 
-    ``wedge`` is the follower's wedge at the better anchor of a vertical
-    line, and ``W1`` the follower value at the worse one.  A direction of
+    ``apex`` is the search row ``(t, x, y, loss, witness, theta_b, span)``
+    of the better anchor of a vertical line, ``lean`` the lean along the
+    line that the search read there, ``DOWNWARD`` or else ``UPWARD``, and
+    ``W1`` the follower value at the worse anchor.  A direction of
     maximum closed capture (weight of customers whose disc lies weakly
     beyond distance ``r`` along the direction, up to ``inst.closed_tol``)
     is chosen on the anchor's far half of directions; it must capture at
@@ -271,22 +263,14 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str]
     weakly on one side of the vertical line or is empty.  Returns
     ``(side, theta_star, max_capture)``: the lean of the trimmed cone,
     ``SIDEWARD_RIGHT`` or ``SIDEWARD_LEFT``, or None when it is empty; the
-    direction of maximum capture; and the weight it captures.  A sideward
-    ``wedge`` raises ``ValueError``.
+    direction of maximum capture; and the weight it captures.
     """
-    cls = classify_wedge_on_line(wedge, math.pi / 2.0)
-    if cls == UPWARD:
-        t_lo, t_hi = math.pi, TWO_PI
-    elif cls == DOWNWARD:
-        t_lo, t_hi = 0.0, math.pi
-    else:
-        raise ValueError("pseudo-wedge anchor must be upward or downward")
-
+    t_lo, t_hi = (0.0, math.pi) if lean == DOWNWARD else (math.pi, TWO_PI)
     r = inst.r
     tol = inst.closed_tol
-    apex = wedge.apex
-    vx = inst.xs - apex.x
-    vy = inst.ys - apex.y
+    _, ax, ay, _, _, theta_b, span = apex
+    vx = inst.xs - ax
+    vy = inst.ys - ay
     # Candidate directions: the capture-arc endpoints, in customer order,
     # from correctly rounded operations and the C library's functions, so
     # that they and theta_star do not depend on how numpy's vector math
@@ -304,11 +288,11 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str]
     k, max_capture = _first_max_capture(inst, vx, vy, thetas)
     theta_star = float(thetas[k])
     if max_capture < W1 - inst.weight_tol:
-        raise RuntimeError(
-            "no direction at the anchor captures the worse anchor's value"
-        )
+        raise RuntimeError("no direction at the anchor captures the worse anchor's value")
 
-    trimmed = _cone_intersection(*wedge.cone, theta_star - math.pi / 2.0, math.pi)
+    # The wedge's ray directions, by ``medianoid.Wedge.cone``'s expression.
+    cone = normalize_angle(theta_b + span - math.pi / 2.0), math.pi - span
+    trimmed = _cone_intersection(*cone, theta_star - math.pi / 2.0, math.pi)
     side = None
     if trimmed is not None:
         cmin, cmax = _cos_extremes(*trimmed)
@@ -317,9 +301,7 @@ def pseudo_wedge(inst: Instance, wedge: Wedge, W1: float) -> Tuple[Optional[str]
         elif cmax <= ANGLE_TOL:
             side = SIDEWARD_LEFT
         else:
-            raise RuntimeError(
-                "trimmed pseudo-wedge cone straddles the vertical line"
-            )
+            raise RuntimeError("trimmed pseudo-wedge cone straddles the vertical line")
     return side, theta_star, max_capture
 
 
@@ -328,15 +310,18 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     """Classify the vertical line at abscissa ``x``: name the closed side
     of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
     optimum found on it.  ``hint``, an ordinate interval, brackets the
-    anchors' search (``find_xD_xU``).  An abscissa not strictly inside
-    ``idx.box``, NaN included, raises ``ValueError`` and is not counted."""
+    anchors' search (``find_xD_xU``); the pseudo-wedge takes the better
+    anchor's row and the lean the search read there.  An abscissa not
+    strictly inside ``idx.box``, NaN included, raises ``ValueError`` and is
+    not counted."""
     if not idx.box[0] < x < idx.box[1]:
         raise ValueError(f"decision abscissa {x} is not strictly inside the discs' box {idx.box}")
     telemetry.decide_calls += 1
     down, up, side = find_xD_xU(inst, idx, x, telemetry, hint)
-    (t_D, r_D), (t_U, r_U) = down, up
+    t_D, x_D, y_D, W_D = down[:4]
+    t_U, x_U, y_U, W_U = up[:4]
     if side is not None:
-        return Decision(x, side, AT_BREAKPOINT, (r_D.wedge.apex, r_D.weight_loss), (t_U, t_D))
+        return Decision(x, side, AT_BREAKPOINT, (Point(x_D, y_D), W_D), (t_U, t_D))
 
     # No position of the line's array lies strictly between the anchors,
     # but the value may change on a sliver next to one: probe the midpoint,
@@ -350,7 +335,7 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     # The anchors may lie within the capture tolerance of each other, where
     # the value on the open segment need not be constant: the midpoint can
     # be lower than both.  Ties go by (x, y), as the plane search's do.
-    least = min(((r.wedge.apex, r.weight_loss) for r in (r_D, r_U, res_B)),
+    least = min(((Point(x_D, y_D), W_D), (Point(x_U, y_U), W_U), (x_B, res_B.weight_loss)),
                 key=lambda e: (e[1], e[0].x, e[0].y))
     cls_B = classify_wedge_on_line(res_B.wedge, math.pi / 2.0)
     if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
@@ -361,11 +346,11 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     # only a direction on the apex's far half that captures at least
     # W1 >= W(apex); a tie satisfies that, and what it prunes is no better
     # than the apex, so no better than ``least``.
-    if r_D.weight_loss <= r_U.weight_loss:
-        apex, W1 = r_D, r_U.weight_loss
+    if W_D <= W_U:
+        apex, lean, W1 = down, DOWNWARD, W_U
     else:
-        apex, W1 = r_U, r_D.weight_loss
-    side = pseudo_wedge(inst, apex.wedge, W1)[0]
+        apex, lean, W1 = up, UPWARD, W_D
+    side = pseudo_wedge(inst, apex, lean, W1)[0]
     if side is None:
-        raise CertifiedOptimum(apex.wedge.apex, apex.weight_loss, EMPTY_PSEUDO_WEDGE)
+        raise CertifiedOptimum(Point(apex[1], apex[2]), apex[3], EMPTY_PSEUDO_WEDGE)
     return Decision(x, side, BY_PSEUDO_WEDGE, least, (t_U, t_D))

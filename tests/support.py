@@ -1013,7 +1013,7 @@ def reference_duplicate_angle(inst):
 
 
 def reference_tangent_crossings(idx, line):
-    """The per-pair loop that ``breakpoint_sequences`` vectorises: the
+    """The per-pair loop that ``linesearch._position_pass`` vectorises: the
     crossing position along the upward ``line`` of every stored tangent
     line whose crossing denominator ``ux*nx + uy*ny`` is above
     ``ANGLE_TOL`` in magnitude, the others being parallel to the line."""
@@ -1044,8 +1044,8 @@ def table_first_max_capture(inst, vx, vy, thetas):
 
 
 def reference_explicit_crossings(idx, line):
-    """The per-customer loop that ``_explicit_crossings`` vectorises:
-    circle crossing positions along the upward ``line``."""
+    """The per-customer loop that ``linesearch._circle_positions``
+    vectorises: circle crossing positions along the upward ``line``."""
     inst = idx.inst
     r = inst.r
     tol = inst.eps * max(1.0, r)

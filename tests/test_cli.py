@@ -375,9 +375,9 @@ class TestRegressionInstances:
         ties = []
         pseudo_wedge = vprune.pseudo_wedge
 
-        def recording(inst, wedge, W1):
-            ties.append(W1 == solve_medianoid(inst, wedge.apex).weight_loss)
-            return pseudo_wedge(inst, wedge, W1)
+        def recording(inst, apex, lean, W1):
+            ties.append(W1 == solve_medianoid(inst, Point(apex[1], apex[2])).weight_loss)
+            return pseudo_wedge(inst, apex, lean, W1)
 
         monkeypatch.setattr(vprune, "pseudo_wedge", recording)
         monkeypatch.chdir(tmp_path)

@@ -512,6 +512,13 @@ def _reference_find(inst, idx, frame, L, tel):
     return down, up, None
 
 
+def _as_results(found):
+    """``find_xD_xU``'s rows as the reference gives them, ``(t, result)``
+    with the follower's result at the row's point."""
+    down, up, side = found
+    return tuple((e[0], as_result(Point(e[1], e[2]), *e[3:])) for e in (down, up)) + (side,)
+
+
 class TestEngineMatchesReference:
     def test_minima_anchors_certificates_and_telemetry(self):
         """On seeded lines, the array engine gives the per-step reference's
@@ -541,7 +548,7 @@ class TestEngineMatchesReference:
             seen["certified" if want[0][0] == "certified" else "minima"] += 1
             for _ in range(3):
                 L = support.vertical_through_box(rng, frame)
-                got = _outcome(lambda tel: find_xD_xU(inst, idx, L.anchor.x, tel))
+                got = _outcome(lambda tel: _as_results(find_xD_xU(inst, idx, L.anchor.x, tel)))
                 want = _outcome(lambda tel: _reference_find(inst, idx, frame, L, tel))
                 if got[0][0] == "certified":
                     seen["certified"] += 1

@@ -8,13 +8,12 @@ import pytest
 
 import support
 from rivalloc.cli import generate_instance
-from rivalloc.geom import DBL_EPS, Customer, Instance, Point
+from rivalloc.geom import DBL_EPS, Customer, Instance, Point, normalize_angle
 from rivalloc.medianoid import (
     DOWNWARD,
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    classify_wedge_on_line,
     solve_medianoid,
 )
 from rivalloc import medianoid, vprune
@@ -45,10 +44,18 @@ brute_anchors = support.vertical_anchors
 def assert_nothing_between(idx, frame, L, got):
     """No breakpoint of a fresh array for ``L`` lies strictly between the
     anchors ``find_xD_xU`` returned, and both anchors are breakpoints."""
-    (t_D, _), (t_U, _), _ = got
+    t_D, t_U = got[0][0], got[1][0]
     pos = support.general_positions(idx, L, frame).tolist()
     assert t_U in pos and t_D in pos, (L, t_U, t_D)
     assert [t for t in pos if t_U < t < t_D] == [], (L, t_U, t_D)
+
+
+def vertical_lean(row):
+    """The lean ``search_lines`` reads from the evaluation ``row`` on a
+    vertical line, whose upward direction is pi/2."""
+    theta_b, span = row[5:]
+    up = math.pi / 2.0
+    return medianoid.lean_code(theta_b + span, math.pi - span, up, normalize_angle(up + math.pi))
 
 
 def assert_kept_side_holds_an_optimum(inst, keep, X, trial):
@@ -153,24 +160,32 @@ class TestFindAnchors:
             if side is not None:
                 decisions_seen += 1
                 # a sideward apex is given as both anchors
-                assert down is up and down[1].wedge.apex == Point(L.anchor.x, down[0]), trial
+                assert down is up and Point(*down[1:3]) == Point(L.anchor.x, down[0]), trial
                 dec = decide(inst, idx, L.anchor.x, Telemetry())
                 assert (dec.x, dec.keep, dec.rule, dec.least, dec.anchors) == (
                     L.anchor.x, side, AT_BREAKPOINT,
-                    (down[1].wedge.apex, down[1].weight_loss), (down[0], down[0])), trial
+                    (Point(*down[1:3]), down[3]), (down[0], down[0])), trial
                 assert_kept_side_holds_an_optimum(inst, side, L.anchor.x, trial)
                 continue
             anchors_seen += 1
-            (t_D, r_D), (t_U, r_U) = down, up
+            t_D, x_D, y_D, W_D = down[:4]
+            t_U, x_U, y_U, W_U = up[:4]
             assert_nothing_between(idx, frame, L, got)
-            assert r_D.wedge.apex == Point(L.anchor.x, t_D), trial
-            assert r_U.wedge.apex == Point(L.anchor.x, t_U), trial
+            assert Point(x_D, y_D) == Point(L.anchor.x, t_D), trial
+            assert Point(x_U, y_U) == Point(L.anchor.x, t_U), trial
             assert t_D > t_U, trial
+            # each anchor is a row the search read as downward or upward,
+            # with or without a hint, the lean the pseudo-wedge is given
+            hints = support.anchor_hints(random.Random(trial), idx, L.anchor.x, (t_U, t_D))
+            for hint in [None] + hints:
+                h_down, h_up, h_side = find_xD_xU(inst, idx, L.anchor.x, Telemetry(), hint)
+                if h_side is None:
+                    assert (vertical_lean(h_down), vertical_lean(h_up)) == (DOWNWARD, UPWARD), (trial, hint)
             (bt_D, bp_D, br_D, _), (bt_U, bp_U, br_U, _) = brute_anchors(rows)
             assert abs(t_D - bt_D) <= tol, (trial, t_D, bt_D)
             assert abs(t_U - bt_U) <= tol, (trial, t_U, bt_U)
-            assert r_D.weight_loss == br_D.weight_loss, trial
-            assert r_U.weight_loss == br_U.weight_loss, trial
+            assert W_D == br_D.weight_loss, trial
+            assert W_U == br_U.weight_loss, trial
             # exhaustive pruning leaves nothing strictly between the anchors
             between = [r for r in rows if bt_U + tol < r[0] < bt_D - tol]
             assert between == [], (trial, [r[3] for r in between])
@@ -259,23 +274,16 @@ class TestPseudoWedge:
             down, up, side = got
             if side is not None:
                 continue
-            (t_D, r_D), (t_U, r_U) = down, up
-            for apex, other, lo, hi in (
-                (r_D, r_U.weight_loss, 0.0, math.pi),
-                (r_U, r_D.weight_loss, math.pi, 2.0 * math.pi),
+            for apex, lean, other, lo, hi in (
+                (down, DOWNWARD, up[3], 0.0, math.pi),
+                (up, UPWARD, down[3], math.pi, 2.0 * math.pi),
             ):
-                side, theta_star, max_capture = pseudo_wedge(inst, apex.wedge, other)
+                side, theta_star, max_capture = pseudo_wedge(inst, apex, lean, other)
                 built += 1
                 assert lo <= theta_star <= hi, trial
                 assert max_capture >= other - 1e-9 * inst.total_weight()
                 assert side in (SIDEWARD_RIGHT, SIDEWARD_LEFT, None)
         assert built > 0
-
-    def test_sideward_apex_rejected(self):
-        inst = Instance([Customer(Point(0.0, 0.0), 2.0)], 2.0)
-        apex = Point(-10.0, 0.0)
-        with pytest.raises(ValueError, match="upward or downward"):
-            pseudo_wedge(inst, solve_medianoid(inst, apex).wedge, 1.0)
 
 
 class TestCaptureTable:
@@ -327,9 +335,9 @@ class TestCaptureTable:
         calls = []
         real_pw = vprune.pseudo_wedge
 
-        def recorded(inst, wedge, W1):
-            calls.append((wedge, W1))
-            return real_pw(inst, wedge, W1)
+        def recorded(inst, apex, lean, W1):
+            calls.append((apex, lean, W1))
+            return real_pw(inst, apex, lean, W1)
 
         def table(inst, vx, vy, thetas):
             k, capture = support.table_first_max_capture(inst, vx, vy, thetas)
@@ -346,19 +354,20 @@ class TestCaptureTable:
                 solve_centroid(inst)
             seen["decided"] += len(calls)
             for apex in self.apexes(inst, rng):
-                result = solve_medianoid(inst, apex)
-                if result.wedge is not None and classify_wedge_on_line(
-                        result.wedge, math.pi / 2.0) in (UPWARD, DOWNWARD):
-                    calls.append((result.wedge, 0.0))
-            for wedge, W1 in calls:
-                got = pseudo_wedge(inst, wedge, W1)
+                row = (apex.y, apex.x, apex.y) + tuple(
+                    col.item() for col in medianoid.sweep(inst, np.array([apex.x]), np.array([apex.y])))
+                lean = vertical_lean(row)
+                if row[6] <= math.pi and lean in (UPWARD, DOWNWARD):
+                    calls.append((row, lean, 0.0))
+            for apex, lean, W1 in calls:
+                got = pseudo_wedge(inst, apex, lean, W1)
                 with monkeypatch.context() as m:
                     m.setattr(vprune, "_first_max_capture", table)
-                    want = pseudo_wedge(inst, wedge, W1)
+                    want = pseudo_wedge(inst, apex, lean, W1)
                 assert (got[0], got[1].hex(), got[2].hex()) == (
-                    want[0], want[1].hex(), want[2].hex()), wedge
+                    want[0], want[1].hex(), want[2].hex()), apex
                 seen["apexes"] += 1
-                d = np.hypot(inst.xs - wedge.apex.x, inst.ys - wedge.apex.y)
+                d = np.hypot(inst.xs - apex[1], inst.ys - apex[2])
                 seen["on_circle"] += bool(np.any(np.abs(d - inst.r) <= 4 * DBL_EPS * inst.r))
                 seen["real"] += not inst.exact_sums
                 seen["null"] += got[0] is None
