@@ -175,9 +175,6 @@ class Instance:
         """Absolute tolerance scaled to this instance's coordinate magnitude."""
         return self._eps
 
-    def total_weight(self) -> float:
-        return sum(c.weight for c in self.customers)
-
 
 def disc_crossings(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
     """Every crossing point of two disc boundaries of radius r, as arrays

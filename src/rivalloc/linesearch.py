@@ -42,11 +42,11 @@ optimum, raised as ``CertifiedOptimum`` with an ``origin`` string naming
 where it was found, once the round is finished.  Each cut discards at
 least half of the survivors, so one line costs time linear in its
 breakpoint count.  A line keeps only its first least-loss evaluation, its
-last upward and last downward one and a sideward end; a ``Point`` or a
-``MedianoidResult`` is built only from those.  The vertical-line decision
-(``vprune``) searches its single line, for its anchors, and intermediate
-mode every tangent line, many at a time (``local_optima_on_lines``).
-Tolerances: the table in ``geom``.
+last upward and last downward one and a sideward end, as rows
+(``Evaluation``).  The vertical-line decision (``vprune``) searches its
+single line, for its anchors, and intermediate mode every tangent line,
+many at a time (``local_optima_on_lines``, which builds a ``Point`` from
+each line's least).  Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ SEARCHED_LINE = "strong centroid on a searched line"
 
 @dataclass(slots=True)
 class Telemetry:
-    """Counters shared by all stages of one solve.
-
+    """Counters shared by all stages of one solve.  A guarantee is enforced,
+    not counted: ``search_lines`` raises on a cut that drops less than half.
     The fields are slots, so updating a counter that is not declared here
     raises ``AttributeError``.
     """
@@ -88,7 +88,6 @@ class Telemetry:
     decide_calls: int = 0  # vertical-line decisions (vprune.decide), all families
     lines_searched: int = 0  # intermediate mode's tangent lines searched; 0 otherwise
     prune_iterations: int = 0  # cuts of the line searches, one per leaning evaluation
-    prune_min_fraction: Optional[float] = None  # least share a cut discarded
     lt_rounds: int = 0  # crossing batches LT exhausted
     lt_oracle: int = 0  # LT's decisions
     lm_mass0: int = 0  # tangent-circle crossings left inside LT's slab
@@ -331,11 +330,11 @@ def search_lines(
     median and every position behind it, at least half of the survivors,
     so a line of m positions costs at most ``floor(log2 m) + 1``
     evaluations.  A line without positions is evaluated at its anchor.
-    Every evaluation counts in ``telemetry``, and every cut with the share
-    it discarded.  The round in which some line certifies is finished, and
-    the first certifying line in input order raises ``CertifiedOptimum``
-    with ``origin``: it certified in the fewest rounds, and came first
-    among those that did.
+    Every evaluation and every cut counts in ``telemetry``; a cut that
+    drops less than half raises ``RuntimeError``.  The round in which some
+    line certifies is finished, and the first certifying line in input
+    order raises ``CertifiedOptimum`` with ``origin``: it certified in the
+    fewest rounds, and came first among those that did.
 
     Returns per line ``(least, up, down, side)``: its first evaluation of
     least weight loss (or, when it ended sideward, that evaluation), its
@@ -412,9 +411,6 @@ def search_lines(
                 hi[i] = k if k == lo[i] or p[k - 1] < t else int(p.searchsorted(t, "left"))
             pruned = mass - (hi[i] - lo[i])
             telemetry.prune_iterations += 1
-            frac = pruned / mass
-            if telemetry.prune_min_fraction is None or frac < telemetry.prune_min_fraction:
-                telemetry.prune_min_fraction = frac
             if pruned * 2 < mass:
                 raise RuntimeError(
                     "prune progress fell below the guaranteed fraction "

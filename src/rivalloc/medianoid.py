@@ -24,10 +24,11 @@ maximum; the loss and the maximizing arcs come from exact sums of their
 weights (``math.fsum``, or numpy's sum when all weights are integers).
 Array expressions over every row's maximizing gaps give its witness and
 covering interval (``_covering``).  ``solve_medianoid`` wraps the one row
-of a single point in ``MedianoidResult``; ``least_loss`` ranks a set of
-candidate points by their losses alone; the line searches read the
-arrays, and ``lean_code`` reads a wedge's direction along a line from
-them.  Tolerances: the table in ``geom``.
+of a single point in ``MedianoidResult``, for the public API and a solve's
+final report; ``least_loss`` ranks candidate points by their losses alone;
+the line searches and the vertical-line decision read the arrays, and
+``lean_code`` reads a wedge's direction along a line from them.
+Tolerances: the table in ``geom``.
 """
 
 from __future__ import annotations
@@ -298,10 +299,3 @@ def lean_code(theta_e: float, ccw_span: float, up: float, down: float) -> str:
     if math.cos(up) * math.sin(mid) - math.sin(up) * math.cos(mid) > 0.0:
         return SIDEWARD_LEFT
     return SIDEWARD_RIGHT
-
-
-def classify_wedge_on_line(w: Wedge, up_angle: float) -> str:
-    """Wedge direction relative to a line with upward direction
-    ``up_angle`` (see ``lean_code``)."""
-    up = normalize_angle(up_angle)
-    return lean_code(w.theta_e, w.ccw_span, up, normalize_angle(up + math.pi))

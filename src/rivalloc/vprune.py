@@ -23,13 +23,14 @@ downward one.  The array's circles have radius r, but the sweep captures at
 circle's crossings.  The value may still change on slivers next to an
 anchor, within rounding of a crossing or up to eps/|ny| from a tangent line
 nearly parallel to the line, and anchors a few tolerances apart can leave
-the midpoint below both.  The segment's midpoint or, when that too looks
-along the line, a pseudo-wedge built at the better anchor, from its row and
-lean, settles the direction; equal anchor values go to the downward anchor.
-What either discards is no better than the midpoint or that anchor, so no
-better than the least of the two anchors and the midpoint, the decision's
-``least``.  A strong centroid at the midpoint, or an empty pseudo-wedge
-cone, is a certificate.
+the midpoint below both.  The segment's midpoint, one ``medianoid.sweep``
+row read by ``lean_code`` as the search reads its rows, or, when that too
+looks along the line, a pseudo-wedge built at the better anchor, from its
+row and lean, settles the direction; equal anchor values go to the
+downward anchor.  What either discards is no better than the midpoint or
+that anchor, so no better than the least of the two anchors and the
+midpoint, the decision's ``least``.  A strong centroid at the midpoint, or
+an empty pseudo-wedge cone, is a certificate.
 
 The record also carries the ordinates that settled the line, and the plane
 search hands each decision the ordinate interval of the anchors of the
@@ -70,8 +71,7 @@ from .medianoid import (
     SIDEWARD_RIGHT,
     UPWARD,
     _normalized,
-    classify_wedge_on_line,
-    solve_medianoid,
+    lean_code,
 )
 from .linesearch import (
     AngularIndex,
@@ -310,10 +310,11 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
     """Classify the vertical line at abscissa ``x``: name the closed side
     of it that keeps an optimum, or raise ``CertifiedOptimum`` at an
     optimum found on it.  ``hint``, an ordinate interval, brackets the
-    anchors' search (``find_xD_xU``); the pseudo-wedge takes the better
-    anchor's row and the lean the search read there.  An abscissa not
-    strictly inside ``idx.box``, NaN included, raises ``ValueError`` and is
-    not counted."""
+    anchors' search (``find_xD_xU``); the anchors' midpoint is one
+    ``medianoid.sweep`` row, read as the search reads its rows; the
+    pseudo-wedge takes the better anchor's row and the lean the search read
+    there.  An abscissa not strictly inside ``idx.box``, NaN included,
+    raises ``ValueError`` and is not counted."""
     if not idx.box[0] < x < idx.box[1]:
         raise ValueError(f"decision abscissa {x} is not strictly inside the discs' box {idx.box}")
     telemetry.decide_calls += 1
@@ -325,21 +326,23 @@ def decide(inst, idx: AngularIndex, x: float, telemetry: Telemetry,
 
     # No position of the line's array lies strictly between the anchors,
     # but the value may change on a sliver next to one: probe the midpoint,
-    # by the search's float operations on the line's row.
+    # by the search's float operations and rules on the line's row.
     m = (t_U + t_D) / 2.0
     x_B = Point(x + m * 0.0, 0.0 + m * 1.0)
-    res_B = solve_medianoid(inst, x_B)
+    row = medianoid.sweep(inst, np.array([x_B.x]), np.array([x_B.y]))
+    W_B, _, theta_b, span = (c.item() for c in row)
     telemetry.medianoid_calls += 1
-    if res_B.strong_centroid:
-        raise CertifiedOptimum(x_B, res_B.weight_loss, STRONG_AT_MIDPOINT)
+    if span > math.pi:
+        raise CertifiedOptimum(x_B, W_B, STRONG_AT_MIDPOINT)
     # The anchors may lie within the capture tolerance of each other, where
     # the value on the open segment need not be constant: the midpoint can
     # be lower than both.  Ties go by (x, y), as the plane search's do.
-    least = min(((Point(x_D, y_D), W_D), (Point(x_U, y_U), W_U), (x_B, res_B.weight_loss)),
+    least = min(((Point(x_D, y_D), W_D), (Point(x_U, y_U), W_U), (x_B, W_B)),
                 key=lambda e: (e[1], e[0].x, e[0].y))
-    cls_B = classify_wedge_on_line(res_B.wedge, math.pi / 2.0)
-    if cls_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
-        return Decision(x, cls_B, AT_MIDPOINT, least, (t_U, t_D))
+    up_angle = math.pi / 2.0
+    lean_B = lean_code(theta_b + span, math.pi - span, up_angle, normalize_angle(up_angle + math.pi))
+    if lean_B in (SIDEWARD_RIGHT, SIDEWARD_LEFT):
+        return Decision(x, lean_B, AT_MIDPOINT, least, (t_U, t_D))
 
     # Non-leaning line: both anchors and the midpoint look along the line.
     # Equal anchor values go to the downward anchor.  The pseudo-wedge needs

@@ -40,7 +40,7 @@ from rivalloc.medianoid import (
     UPWARD,
     WHOLE_LINE,
     as_result,
-    classify_wedge_on_line,
+    lean_code,
     solve_medianoid,
     sweep,
 )
@@ -298,6 +298,13 @@ def _classify_from_ca(begin, end, tol=1e-12):
     return UPWARD if 0.0 < mid < math.pi else DOWNWARD
 
 
+def classify_wedge_on_line(w, up_angle):
+    """Wedge direction relative to a line with upward direction
+    ``up_angle``, by ``lean_code`` on the wedge's end angle and opening."""
+    up = normalize_angle(up_angle)
+    return lean_code(w.theta_e, w.ccw_span, up, normalize_angle(up + math.pi))
+
+
 def reference_classify(w, up_angle):
     """``classify_wedge_on_line`` as a per-call loop over the wedge's cone:
     the upward and downward rays are in the wedge when their direction
@@ -393,10 +400,6 @@ def reference_evaluations(line, P, telemetry, origin) -> Generator:
             return done
         pruned = mass - len(P)
         telemetry.prune_iterations += 1
-        frac = pruned / mass
-        least = telemetry.prune_min_fraction
-        if least is None or frac < least:
-            telemetry.prune_min_fraction = frac
         if pruned * 2 < mass:
             raise RuntimeError("prune progress fell below the guaranteed fraction")
         budget -= 1

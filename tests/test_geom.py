@@ -94,7 +94,7 @@ def test_instance_validation():
     inst = Instance([Customer(Point(30.0, 0.0), 1.0)], 2.0)
     assert inst.n == 1
     assert inst.r == 1.0
-    assert inst.total_weight() == 1.0
+    assert sum(c.weight for c in inst.customers) == 1.0
     # tolerance scales with the dominant coordinate magnitude
     assert inst.eps == pytest.approx(30.0 * 1e-9)
 
@@ -108,7 +108,8 @@ def test_instance_rejects_a_total_weight_whose_triple_overflows():
         Instance(heavy, 2.0)
     with pytest.raises(ValueError, match="total weight"):
         Instance([Customer(Point(0.0, 0.0), 6e307)], 2.0)
-    assert Instance([Customer(Point(0.0, 0.0), 5e307)], 2.0).total_weight() == 5e307
+    fine = Instance([Customer(Point(0.0, 0.0), 5e307)], 2.0)
+    assert sum(c.weight for c in fine.customers) == 5e307
 
 
 # Sites and weights of an instance whose squared lengths overflow in the
@@ -513,6 +514,23 @@ def test_every_small_float_literal_is_in_the_tolerance_table():
         and (name, node.lineno, node.col_offset) not in table
     ]
     assert not bare, bare
+
+
+def test_every_import_in_the_package_is_used():
+    """Every name an ``import`` or ``from ... import`` binds in a solver
+    module or ``cli`` is read there as a name (``from __future__``
+    excepted): a removal leaves no import behind."""
+    package = Path(rivalloc.__file__).parent
+    unused = []
+    for name in SOLVER_MODULES + ("cli",):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += ["%s.py:%d: %s" % (name, node.lineno, b) for b in bound if b not in read]
+    assert not unused, unused
 
 
 def test_only_solve_centroid_raises_degenerate_input_error():

@@ -57,7 +57,7 @@ def test_totals_sum_each_integer_counter_over_the_shared_reports():
     assert "decide_calls %d -> %d," % (2 * d, 2 * d + 2) in line
     counters = [item.split()[0] for item in line[len("totals: "):].split(", ")]
     assert counters == sorted(k for k, v in rep["telemetry"].items() if type(v) is int)
-    assert "prune_min_fraction" not in counters and "certified" not in counters
+    assert "certified" not in counters
 
 
 def test_a_raising_solve_is_recorded_as_its_error():

@@ -16,7 +16,6 @@ from rivalloc.medianoid import (
     SIDEWARD_LEFT,
     SIDEWARD_RIGHT,
     UPWARD,
-    classify_wedge_on_line,
     least_loss,
     solve_medianoid,
     sweep,
@@ -28,6 +27,7 @@ TWO_PI = 2.0 * math.pi
 arc_contains = support.arc_contains
 capture_arc = support.capture_arc
 classify_wedge_on_vertical = support.classify_wedge_on_vertical
+classify_wedge_on_line = support.classify_wedge_on_line
 weight_at_angle = support.weight_at_angle
 
 

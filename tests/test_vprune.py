@@ -21,6 +21,8 @@ from rivalloc import centroid
 from rivalloc.centroid import solve_centroid
 from rivalloc.vprune import (
     AT_BREAKPOINT,
+    AT_MIDPOINT,
+    BY_PSEUDO_WEDGE,
     Decision,
     decide,
     find_xD_xU,
@@ -281,7 +283,7 @@ class TestPseudoWedge:
                 side, theta_star, max_capture = pseudo_wedge(inst, apex, lean, other)
                 built += 1
                 assert lo <= theta_star <= hi, trial
-                assert max_capture >= other - 1e-9 * inst.total_weight()
+                assert max_capture >= other - 1e-9 * sum(c.weight for c in inst.customers)
                 assert side in (SIDEWARD_RIGHT, SIDEWARD_LEFT, None)
         assert built > 0
 
@@ -599,20 +601,25 @@ def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
     (``local_optima_on_lines``) finds on the decision's array; where
     either certifies, the two certificates' losses are equal.  The plane
     search no longer searches its boundary lines: that search is the
-    reference for the evaluation that replaced it."""
+    reference for the evaluation that replaced it.  A decision that did
+    not settle at a breakpoint read its midpoint off a sweep row: the
+    public ``solve_medianoid`` wedge at that midpoint must lean the same
+    way on the line, to the kept side (``AT_MIDPOINT``, 19 decisions) or
+    along the line (``BY_PSEUDO_WEDGE``, 512)."""
     decisions = []
 
     def recorded(inst, idx, x, telemetry, hint=None):
         try:
             dec = decide(inst, idx, x, telemetry, hint)
         except CertifiedOptimum as cert:
-            decisions.append((x, cert.weight_loss))
+            decisions.append((x, cert.weight_loss, None))
             raise
-        decisions.append((x, dec.least[1]))
+        decisions.append((x, dec.least[1], dec))
         return dec
 
     monkeypatch.setattr(centroid, "decide", recorded)
     seen = 0
+    rules = {AT_MIDPOINT: 0, BY_PSEUDO_WEDGE: 0}
     for n in (8, 12, 20, 40, 80):
         for R in (1.0, 4.0, 12.0):
             for seed in (1, 2, 3):
@@ -620,7 +627,7 @@ def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
                 decisions.clear()
                 solve_centroid(inst)
                 idx = build_angular_index(inst)
-                for x, loss in decisions:
+                for x, loss, dec in decisions:
                     try:
                         [(_, want)] = local_optima_on_lines(
                             inst, vertical_lines([x]), [vertical_breakpoints(idx, x)], Telemetry())
@@ -628,4 +635,18 @@ def test_a_decisions_least_is_its_lines_minimum(monkeypatch):
                         want = cert.weight_loss
                     assert loss == want, (n, R, seed, x, loss, want)
                     seen += 1
+                    if dec is None or dec.rule == AT_BREAKPOINT:
+                        continue
+                    t_up, t_down = dec.anchors
+                    m = (t_up + t_down) / 2.0
+                    x_B = Point(x + m * 0.0, 0.0 + m * 1.0)
+                    wedge = solve_medianoid(inst, x_B).wedge
+                    lean = support.classify_wedge_on_line(wedge, math.pi / 2.0)
+                    if dec.rule == AT_MIDPOINT:
+                        assert lean == dec.keep, (n, R, seed, x, lean, dec)
+                    else:
+                        assert dec.rule == BY_PSEUDO_WEDGE
+                        assert lean not in (SIDEWARD_LEFT, SIDEWARD_RIGHT), (n, R, seed, x, lean)
+                    rules[dec.rule] += 1
     assert seen == 704, seen
+    assert min(rules.values()) > 0, rules
